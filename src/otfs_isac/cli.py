@@ -52,6 +52,9 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 
 
 def _cmd_simulate(args) -> int:
+    if args.parallel < 1:
+        return _fail("invalid-argument",
+                     f"--parallel must be >= 1, got {args.parallel}")
     try:
         scenario = load_scenario(args.scenario)
     except ConfigValidationError as exc:
@@ -63,7 +66,7 @@ def _cmd_simulate(args) -> int:
     out_dir = os.path.join(_resolve_out(args), scenario.name)
     try:
         paths = run_scenario(scenario, out_dir, trials=args.trials,
-                             parallel=args.parallel)
+                             parallel=min(args.parallel, os.cpu_count() or 1))
     except OtfsIsacError as exc:
         return _fail("simulation-error", str(exc))
     print(json.dumps({"scenario": scenario.name, "outputs": paths}, indent=2))
@@ -140,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trials", type=int, default=None,
                      help="override the trial count")
     sim.add_argument("--parallel", type=int, default=1,
-                     help="worker processes (results are identical for any value)")
+                     help="worker processes, at most the CPU count "
+                          "(results are identical for any value)")
     sim.set_defaults(func=_cmd_simulate)
 
     crlb = sub.add_parser("crlb", help="print estimation lower bounds")

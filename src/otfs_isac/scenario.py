@@ -9,6 +9,8 @@ self-describing.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,6 +120,52 @@ def _check(errors, condition, message):
     return condition
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# estimator count fields and their least valid value
+_ESTIMATOR_COUNTS = {"dft_pad_factor": 1, "peaks_per_angle": 1, "n_solvers": 1,
+                     "ssr_sweeps": 0}
+# search-box axes: (step field, width field)
+_ESTIMATOR_AXES = (("angle_step_deg", "angle_width_deg"),
+                   ("doppler_step_bins", "doppler_width_bins"),
+                   ("delay_step_bins", "delay_width_bins"))
+
+
+def _check_estimator(errors, estimator: EstimatorSettings):
+    for key, low in _ESTIMATOR_COUNTS.items():
+        value = getattr(estimator, key)
+        _check(errors, _is_int(value) and value >= low,
+               f"estimator.{key}: expected an integer >= {low}, got {value!r}")
+    _check(errors, estimator.n_angles is None
+           or (_is_int(estimator.n_angles) and estimator.n_angles >= 1),
+           f"estimator.n_angles: expected null or an integer >= 1, "
+           f"got {estimator.n_angles!r}")
+    for step_key, width_key in _ESTIMATOR_AXES:
+        step, width = getattr(estimator, step_key), getattr(estimator, width_key)
+        if not _check(errors, _is_finite(step) and step > 0,
+                      f"estimator.{step_key}: expected a number > 0, got {step!r}"):
+            continue
+        _check(errors, _is_finite(width) and width >= step,
+               f"estimator.{width_key}: expected a number >= {step_key} "
+               f"({step!r}), got {width!r}")
+
+
+def _check_name(errors, name):
+    """The name becomes a directory under the output root: one plain component."""
+    _check(errors,
+           isinstance(name, str) and name not in ("", ".", "..")
+           and not any(c in name for c in ("/", "\\", "\0")),
+           f"name: {name!r} must be a non-empty string other than '.' and '..' "
+           "without a path separator or NUL")
+
+
 def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     """Build and validate a Scenario; raises ConfigValidationError."""
     errors: list[str] = []
@@ -192,12 +240,15 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     if estimator.ssr_aggregate not in ("min_residual", "vote"):
         errors.append(f"estimator.ssr_aggregate: {estimator.ssr_aggregate!r} "
                       "not one of ('min_residual', 'vote')")
+    _check_estimator(errors, estimator)
 
+    scenario_name = raw.get("name", name)
+    _check_name(errors, scenario_name)
     trials = raw.get("trials", 100)
-    _check(errors, isinstance(trials, int) and trials >= 1,
+    _check(errors, _is_int(trials) and trials >= 1,
            "trials: expected a positive integer")
     seed = raw.get("seed", 0)
-    _check(errors, isinstance(seed, int) and seed >= 0,
+    _check(errors, _is_int(seed) and seed >= 0,
            "seed: expected a non-negative integer")
     snrs = raw.get("snr_db_values", [20.0])
     if _check(errors, isinstance(snrs, list) and len(snrs) > 0,
@@ -210,7 +261,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     else:
         snrs = (20.0,)
     min_bits = raw.get("min_bits", 100_000)
-    _check(errors, isinstance(min_bits, int) and min_bits >= 1,
+    _check(errors, _is_int(min_bits) and min_bits >= 1,
            "min_bits: expected a positive integer")
 
     # bin indices inside the grid, and the reduced transform must be full rank
@@ -237,7 +288,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     if errors:
         raise ConfigValidationError(errors)
     return Scenario(
-        name=str(raw.get("name", name)),
+        name=scenario_name,
         kind=kind,
         config=cfg,
         targets=tuple(targets),
@@ -251,10 +302,15 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Read and validate a scenario JSON file."""
+    """Read and validate a scenario JSON file.
+
+    A scenario without a ``name`` is named after the file, without its
+    directory and extension.
+    """
     with open(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigValidationError([f"invalid JSON: {exc}"])
-    return scenario_from_dict(raw, name=str(path))
+    stem = os.path.splitext(os.path.basename(os.fspath(path)))[0]
+    return scenario_from_dict(raw, name=stem)

@@ -29,6 +29,22 @@ ZERO_SYMBOL_EPS = 1e-9
 DEFAULT_COLUMN_CAP = 500_000
 DEFAULT_N_SOLVERS = 64
 DEFAULT_SWEEPS = 3
+# Solvers advanced together by one batched computation. Fixed, so that the
+# batch's temporaries do not grow with n_solvers; 16 ran fastest of 8-64 on
+# the shipped ssr_close_angles scenario and keeps them to a few MB.
+SOLVER_BLOCK = 16
+# Floor on |column_perp|^2 / |column|^2 in a replacement sweep's score. A
+# column in the span of the other picks (another neighborhood's pick, or a
+# duplicate of it along the delay-Doppler ridge) has a perpendicular part of
+# rounding size; unfloored, its score is rounding noise over rounding noise
+# and can beat every genuine candidate.
+PERP_FLOOR = 1e-9
+# Relative tolerance within which the greedy step's best scores of two
+# neighborhoods tie; the lower-indexed neighborhood then takes the pick.
+# Neighborhoods can hold identical columns (equal boxes, or with a single
+# private bin any boxes sharing an angle lattice), whose scores then differ
+# only by rounding.
+TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -286,7 +302,6 @@ class _FactoredGrid:
         # all factors have unit magnitude, so every weighted column has the
         # same norm
         self.norm = float(np.sqrt(n_rx * np.sum(w[:, 0] ** 2)))
-        self.n_columns = self.angles.size * self.dopplers.size * self.delays.size
         # Weak preference toward the window center. Collinear private bins
         # (n_p = m_p) make delay and Doppler observable only through the
         # combination nu*dt - tau*df, producing exactly duplicated columns
@@ -300,26 +315,28 @@ class _FactoredGrid:
               + centered(self.dopplers.size)[None, :, None]
               + centered(self.delays.size)[None, None, :])
         self.center_penalty = 1.0 + 1e-3 * d2
+        # Scoring factors. g_p(nu, tau) = D_p(nu) E_p(tau) exp(-j2pi nu tau):
+        # the last factor is common to all private bins, a unit phase per
+        # column, so it drops out of every |column^H v|. Batched scoring
+        # works on conj(D) and conj(E) alone, and for projections on their
+        # products over private-bin pairs p < q.
+        self.swc = self.sw.conj()
+        self.dc = np.exp(-2j * np.pi * dt * np.outer(n_p, self.dopplers))
+        ec = np.exp(2j * np.pi * df * np.outer(m_p, self.delays))
+        self.pairs = np.triu_indices(n_bins, 1)
+        self.dh = self.dc[self.pairs[0]] * self.dc[self.pairs[1]].conj()
+        self.ec_ri = _stack_ri(ec)
+        self.eh_ri = _stack_ri(ec[self.pairs[0]] * ec[self.pairs[1]].conj())
 
-    def _factors(self, box):
-        if box is None:
-            return self.sw, self.g
-        return self.sw[:, :, box[0]], self.g[:, box[1], :][:, :, box[2]]
+    def power(self, values: np.ndarray) -> np.ndarray:
+        """|column^H values|^2 over the whole superset lattice, shape (A, V, T)."""
+        power = _lattice_power(self.swc[None], self.dc[None], self.ec_ri[None],
+                               values[None])
+        return power.reshape(self.center_penalty.shape)
 
-    def correlations(self, residual: np.ndarray, box=None) -> np.ndarray:
-        """|column^H residual| over the (optionally windowed) lattice."""
-        sw, g = self._factors(box)
-        r = residual.reshape(sw.shape[0], self.n_rx)
-        t = np.einsum("pni,pn->pi", sw.conj(), r)
-        return np.abs(np.einsum("pvt,pi->ivt", g.conj(), t))
-
-    def projections(self, q: np.ndarray, box=None) -> np.ndarray:
-        """|Q^H column|^2 summed over the orthonormal columns of Q."""
-        sw, g = self._factors(box)
-        qr_ = q.reshape(sw.shape[0], self.n_rx, q.shape[1])
-        qs = np.einsum("pnj,pni->jpi", qr_.conj(), sw)
-        m = np.einsum("jpi,pvt->jivt", qs, g)
-        return np.sum(np.abs(m) ** 2, axis=0)
+    def windows(self, starts: np.ndarray) -> "_WindowStack":
+        """The window lattices of a block of solvers, one per row of ``starts``."""
+        return _WindowStack(self, starts)
 
     def column(self, idx: tuple) -> np.ndarray:
         ia, iv, it = idx
@@ -330,76 +347,227 @@ class _FactoredGrid:
         return np.array([self.angles[ia], self.dopplers[iv], self.delays[it]])
 
 
-def _window_box(grid: _FactoredGrid, offsets: tuple) -> tuple:
-    """Superset-lattice slices of one solver's offset window."""
-    spec = grid.spec
-    a0 = spec.angle.window_start(offsets[0])
-    v0 = spec.doppler.window_start(offsets[1])
-    t0 = spec.delay.window_start(offsets[2])
-    return (slice(a0, a0 + spec.angle.n_points),
-            slice(v0, v0 + spec.doppler.n_points),
-            slice(t0, t0 + spec.delay.n_points))
+def _angle_terms(swc: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """a[s, p, c, i] = sum_n conj(sw[s, p, n, i]) v[s, c, (p, n)]."""
+    s, c = vectors.shape[:2]
+    n_bins, n_rx = swc.shape[1:3]
+    return vectors.reshape(s, c, n_bins, n_rx).transpose(0, 2, 1, 3) @ swc
 
 
-def _box_argmax(scores: np.ndarray, box: tuple) -> tuple:
-    local = np.unravel_index(int(np.argmax(scores)), scores.shape)
-    return tuple(i + s.start for i, s in zip(local, box))
+def _stack_ri(x: np.ndarray) -> np.ndarray:
+    """Real and imaginary parts of (..., K, n) stacked along axis -2."""
+    return np.concatenate([x.real, x.imag], axis=-2)
 
 
-def _solve_windows(y: np.ndarray, grids: list, boxes: list,
-                   sweeps: int = DEFAULT_SWEEPS):
-    """One-pick-per-neighborhood matching pursuit with replacement sweeps.
+def _lattice_power(swc: np.ndarray, dc: np.ndarray, ec_ri: np.ndarray,
+                   vectors: np.ndarray) -> np.ndarray:
+    """|column^H v|^2 over S solvers' lattices, one vector v per solver.
+
+    ``swc`` (S, N_p, N_r, n_angle) and ``dc`` (S, N_p, n_doppler) are
+    conjugated factors of each lattice, ``ec_ri`` (S, 2 N_p, n_delay) the
+    stacked real and imaginary parts of the third, and ``vectors`` is
+    (S, N_p * N_r). The sum over private bins is one real batched matmul.
+    Returns (S, n_lattice) in (angle, doppler, delay) order. The
+    correlation is summed before squaring, unlike the projection's Hermitian
+    form, so a column nearly orthogonal to v keeps a near-zero power:
+    divided by a small denominator, it must not become a large score.
+    """
+    a = _angle_terms(swc, vectors[:, None])[:, :, 0]            # (S, N_p, n_angle)
+    s, n_bins, n_angle = a.shape
+    c = a.transpose(0, 2, 1)[:, :, None, :] * dc.transpose(0, 2, 1)[:, None]
+    rows = n_angle * dc.shape[2]
+    c = c.reshape(s, rows, n_bins)
+    # [Re; Im] of c @ ec from rows [[Re c, -Im c], [Im c, Re c]]
+    lhs = np.empty((s, 2, rows, 2, n_bins))
+    lhs[:, 0, :, 0], lhs[:, 0, :, 1] = c.real, -c.imag
+    lhs[:, 1, :, 0], lhs[:, 1, :, 1] = c.imag, c.real
+    out = lhs.reshape(s, 2 * rows, 2 * n_bins) @ ec_ri
+    np.square(out, out=out)
+    return (out[:, :rows] + out[:, rows:]).reshape(s, -1)
+
+
+def _lattice_projection(swc: np.ndarray, dh: np.ndarray, eh_ri: np.ndarray,
+                        pairs: tuple, q: np.ndarray) -> np.ndarray:
+    """sum_j |column^H q_j|^2 over S solvers' lattices.
+
+    ``q`` is (S, N_p * N_r, J); ``dh`` and ``eh_ri`` hold each lattice's
+    pair products conj(D_p) D_q and conj(E_p) E_q, the latter as stacked
+    real and imaginary parts. With a_pj = sum_n conj(sw_pn) q_pnj the sum
+    is sum_pj |a_pj|^2 + 2 Re sum_{p<q} sum_j a_pj conj(a_qj) conj(g_p) g_q,
+    one real batched matmul for all J. It loses absolute accuracy where the
+    sum nearly cancels, which only perturbs the denominator
+    norm^2 - projection at the level its rounding already has.
+    """
+    a = _angle_terms(swc, q.swapaxes(1, 2))                     # (S, N_p, J, n_angle)
+    s, n_angle = len(q), a.shape[3]
+    n_pairs = len(pairs[0])
+    cross = (a[:, pairs[0]] * a[:, pairs[1]].conj()).sum(axis=2)  # (S, n_pairs, n_angle)
+    c = cross.transpose(0, 2, 1)[:, :, None, :] * dh.transpose(0, 2, 1)[:, None]
+    rows = n_angle * dh.shape[2]
+    c = c.reshape(s, rows, n_pairs)
+    # Re(c @ eh) from rows [Re c, -Im c]
+    lhs = np.empty((s, rows, 2, n_pairs))
+    lhs[:, :, 0], lhs[:, :, 1] = 2.0 * c.real, -2.0 * c.imag
+    out = (lhs.reshape(s, rows, 2 * n_pairs) @ eh_ri).reshape(s, n_angle, -1)
+    out += (a.real ** 2 + a.imag ** 2).sum(axis=(1, 2))[:, :, None]
+    return out.reshape(s, -1)
+
+
+class _WindowStack:
+    """One neighborhood's offset windows for a block of solvers.
+
+    Holds each solver's windowed factors, copied out of the shared superset
+    factors, so that every solver of the block is scored by one batched
+    computation. Picks are flat indices into the window lattice (angle,
+    doppler, delay) in C order.
+    """
+
+    def __init__(self, grid: _FactoredGrid, starts: np.ndarray):
+        spec = grid.spec
+        self.grid = grid
+        self.starts = starts
+        self.shape = (spec.angle.n_points, spec.doppler.n_points, spec.delay.n_points)
+        ia, iv, it = (starts[:, k, None] + np.arange(n)
+                      for k, n in enumerate(self.shape))
+        self.lattice = (ia[:, :, None, None], iv[:, None, :, None],
+                        it[:, None, None, :])
+        # solver-major copies, contiguous for the batched matmuls
+        self.swc = np.ascontiguousarray(grid.swc[:, :, ia].transpose(2, 0, 1, 3))
+        self.dc, self.dh = (np.ascontiguousarray(x[:, iv].transpose(1, 0, 2))
+                            for x in (grid.dc, grid.dh))
+        self.ec_ri, self.eh_ri = (np.ascontiguousarray(x[:, it].transpose(1, 0, 2))
+                                  for x in (grid.ec_ri, grid.eh_ri))
+        self.penalty2 = self.gather(grid.center_penalty) ** 2
+
+    def gather(self, superset_values: np.ndarray) -> np.ndarray:
+        """Each solver's window of a superset-lattice array: (S, n_window)."""
+        return superset_values[self.lattice].reshape(len(self.starts), -1)
+
+    def power(self, vectors: np.ndarray, sel) -> np.ndarray:
+        """|column^H v|^2 over the windows of solvers ``sel``: (S, n_window)."""
+        return _lattice_power(self.swc[sel], self.dc[sel], self.ec_ri[sel], vectors)
+
+    def projection(self, q: np.ndarray, sel) -> np.ndarray:
+        """sum_j |column^H q_j|^2 over the windows of solvers ``sel``."""
+        return _lattice_projection(self.swc[sel], self.dh[sel], self.eh_ri[sel],
+                                   self.grid.pairs, q)
+
+    def columns(self, loc: np.ndarray, sel) -> np.ndarray:
+        """The picked (weighted) columns of solvers ``sel``: (S, N_p * N_r)."""
+        ia, iv, it = (np.unravel_index(loc, self.shape) + self.starts[sel].T)
+        cols = self.grid.sw[:, :, ia] * self.grid.g[:, iv, it][:, None, :]
+        return cols.transpose(2, 0, 1).reshape(len(loc), -1)
+
+
+def _rows(mask: np.ndarray):
+    """Indices where ``mask`` holds: a full slice for all, None for none."""
+    idx = np.flatnonzero(mask)
+    if idx.size == mask.size:
+        return slice(None)
+    return idx if idx.size else None
+
+
+def _residual_perp(y: np.ndarray, cols: np.ndarray):
+    """Orthonormal bases of stacked column sets and y's residual off them."""
+    q, _ = np.linalg.qr(cols)
+    coef = np.conj(q).swapaxes(1, 2) @ y
+    return q, y - (q @ coef[:, :, None])[:, :, 0]
+
+
+def _solve_block(y: np.ndarray, wins: list, y_scores: list,
+                 sweeps: int = DEFAULT_SWEEPS) -> np.ndarray:
+    """One-pick-per-neighborhood matching pursuit for a block of solvers.
 
     Greedy initialization picks the best column over all neighborhoods, one
     per neighborhood; replacement sweeps then re-optimize each
     neighborhood's pick against the residual of the others (scored on the
     projected-column correlation, i.e. exact least-squares improvement)
-    until no pick changes.
+    until no pick changes. All solvers of the block move through these
+    steps together. Scores are compared squared. ``y_scores[tid]`` is the
+    squared score of ``y`` itself on neighborhood tid's superset lattice,
+    which every greedy start shares.
+    Returns the window-local flat pick of every solver per neighborhood.
     """
-    n_tid = len(grids)
-    picks: list = [None] * n_tid
-    residual = y.copy()
-    for _ in range(n_tid):
-        best = (-np.inf, None, None)
-        for tid, (grid, box) in enumerate(zip(grids, boxes)):
-            if picks[tid] is not None:
+    n_tid = len(wins)
+    n_solvers = len(wins[0].starts)
+    rows = np.arange(n_solvers)
+    loc = np.zeros((n_solvers, n_tid), dtype=int)
+    picked = np.zeros((n_solvers, n_tid), dtype=bool)
+    for step in range(n_tid):
+        best = np.full(n_solvers, -np.inf)
+        best_tid = np.zeros(n_solvers, dtype=int)
+        best_loc = np.zeros(n_solvers, dtype=int)
+        for tid, win in enumerate(wins):
+            sel = _rows(~picked[:, tid])
+            if sel is None:
                 continue
-            corr = grid.correlations(residual, box) / grid.center_penalty[box]
-            idx = _box_argmax(corr, box)
-            if corr.max() > best[0]:
-                best = (corr.max(), tid, idx)
-        picks[best[1]] = best[2]
-        cols = np.column_stack([grids[t].column(p)
-                                for t, p in enumerate(picks) if p is not None])
-        coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
-        residual = y - cols @ coef
-    for _ in range(sweeps):
-        changed = False
-        for tid in range(n_tid):
-            others = [grids[t].column(p) for t, p in enumerate(picks) if t != tid]
-            box = boxes[tid]
-            if others:
-                q, _ = np.linalg.qr(np.column_stack(others))
-                resid_perp = y - q @ (q.conj().T @ y)
-                num = grids[tid].correlations(resid_perp, box)
-                den = np.sqrt(np.maximum(
-                    grids[tid].norm ** 2 - grids[tid].projections(q, box),
-                    1e-30))
-                scores = num / (den * grids[tid].center_penalty[box])
+            if step == 0:
+                scores = win.gather(y_scores[tid])
             else:
-                scores = (grids[tid].correlations(y, box)
-                          / grids[tid].center_penalty[box])
-            idx = _box_argmax(scores, box)
-            if idx != picks[tid]:
-                picks[tid] = idx
-                changed = True
-        if not changed:
-            break
-    cols = np.column_stack([grids[t].column(p) for t, p in enumerate(picks)])
-    coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
-    residual_norm = float(np.linalg.norm(y - cols @ coef))
-    points = np.array([grids[t].point(p) for t, p in enumerate(picks)])
-    return points, coef, residual_norm
+                scores = win.power(residual[sel], sel)
+                scores /= win.penalty2[sel]
+            arg = np.argmax(scores, axis=1)
+            val = np.take_along_axis(scores, arg[:, None], axis=1)[:, 0]
+            better = val > best[sel] * (1.0 + TIE_RTOL) ** 2
+            upd = rows[sel][better]
+            best[upd], best_tid[upd], best_loc[upd] = val[better], tid, arg[better]
+        picked[rows, best_tid] = True
+        loc[rows, best_tid] = best_loc
+        if step + 1 < n_tid:
+            cols = np.stack([w.columns(loc[:, t], rows) for t, w in enumerate(wins)],
+                            axis=1)
+            cols = cols[picked].reshape(n_solvers, step + 1, -1).swapaxes(1, 2)
+            _, residual = _residual_perp(y, cols)
+    # A sweep re-scores a neighborhood only where another neighborhood's pick
+    # moved since its last scoring: otherwise the scores, and so the pick,
+    # would repeat. A solver whose sweep changed nothing is thereby left
+    # alone from then on. With one neighborhood the sweep score is the first
+    # greedy score, so no sweep can move the pick.
+    scored = np.full((n_solvers, n_tid), -1)
+    moved = np.zeros((n_solvers, n_tid), dtype=int)
+    clock = 0
+    for _ in range(sweeps if n_tid > 1 else 0):
+        for tid, win in enumerate(wins):
+            clock += 1
+            sel = _rows(np.delete(moved, tid, axis=1).max(axis=1) > scored[:, tid])
+            if sel is None:
+                continue
+            others = np.stack([w.columns(loc[sel, t], sel)
+                               for t, w in enumerate(wins) if t != tid], axis=2)
+            q, resid_perp = _residual_perp(y, others)
+            # scores^2 = |col^H r_perp|^2 / ((norm^2 - |Q^H col|^2) penalty^2)
+            den2 = win.projection(q, sel)
+            np.subtract(win.grid.norm ** 2, den2, out=den2)
+            np.maximum(den2, PERP_FLOOR * win.grid.norm ** 2, out=den2)
+            den2 *= win.penalty2[sel]
+            scores = win.power(resid_perp, sel)
+            scores /= den2
+            new = np.argmax(scores, axis=1)
+            moved[rows[sel][new != loc[sel, tid]], tid] = clock
+            loc[sel, tid] = new
+            scored[sel, tid] = clock
+    return loc
+
+
+def _solve_batched(y: np.ndarray, grids: list, starts: np.ndarray,
+                   sweeps: int) -> np.ndarray:
+    """Superset-lattice picks (solver, neighborhood, axis) of all solvers.
+
+    ``starts[tid, s]`` is the superset index where solver s's window of
+    neighborhood tid begins. Solvers run in blocks of ``SOLVER_BLOCK``; the
+    blocks' arrays are released on return, before the per-solver residuals.
+    """
+    y_scores = [grid.power(y) / grid.center_penalty ** 2 for grid in grids]
+    n_solvers = starts.shape[1]
+    picks = np.empty((n_solvers, len(grids), 3), dtype=int)
+    for b0 in range(0, n_solvers, SOLVER_BLOCK):
+        wins = [grid.windows(st[b0:b0 + SOLVER_BLOCK])
+                for grid, st in zip(grids, starts)]
+        loc = _solve_block(y, wins, y_scores, sweeps=sweeps)
+        for tid, win in enumerate(wins):
+            picks[b0:b0 + len(loc), tid] = (np.column_stack(
+                np.unravel_index(loc[:, tid], win.shape)) + win.starts)
+    return picks
 
 
 @dataclass(frozen=True)
@@ -434,8 +602,10 @@ def averaged_ssr(snapshot: VirtualSnapshot, specs, cfg: SystemConfig,
 
     Each solver draws an independent quantized window offset per dimension
     and per neighborhood, then runs the constrained matching pursuit of
-    :func:`_solve_windows` on the whitened snapshot. Window offsets are
-    integer multiples of the step, so all solvers share one lattice.
+    :func:`_solve_block` on the whitened snapshot. Window offsets are
+    integer multiples of the step, so all solvers share one lattice, and the
+    solvers run in blocks of ``SOLVER_BLOCK`` as one batched computation.
+    Each solver's result equals that of running it alone.
 
     ``aggregate`` selects the final answer: "min_residual" returns the
     solution with the smallest residual norm (the bagged solvers act as
@@ -443,6 +613,8 @@ def averaged_ssr(snapshot: VirtualSnapshot, specs, cfg: SystemConfig,
     the modal lattice point per target, ties broken by smallest residual.
     """
     specs = list(specs)
+    if not specs:
+        raise ValueError("need at least one neighborhood")
     if n_solvers < 1:
         raise ValueError("n_solvers must be >= 1")
     if aggregate not in ("min_residual", "vote"):
@@ -455,18 +627,28 @@ def averaged_ssr(snapshot: VirtualSnapshot, specs, cfg: SystemConfig,
     y = snapshot.values * weights
     grids = [_FactoredGrid(spec, snapshot.bin_meta, snapshot.n_rx, cfg, weights)
              for spec in specs]
+    axes = [(spec.angle, spec.doppler, spec.delay) for spec in specs]
+    choices = [[ax.offset_choices() for ax in spec_axes] for spec_axes in axes]
+    starts = np.empty((len(specs), n_solvers, 3), dtype=int)
+    for s in range(n_solvers):
+        rng = substream(seed, s)
+        for tid, spec_axes in enumerate(axes):
+            starts[tid, s] = [ax.window_start(rng.choice(c))
+                              for ax, c in zip(spec_axes, choices[tid])]
+    picks = _solve_batched(y, grids, starts, sweeps)
+    # Final residuals stay per solver, least squares on the columns in
+    # neighborhood order: solutions that differ along the delay-Doppler
+    # ridge tie up to rounding, so this arithmetic decides min_residual.
     votes = [Counter() for _ in specs]
     best_residual_by_key: list[dict] = [{} for _ in specs]
     solver_estimates = []
     best = (np.inf, None)
-    for s in range(n_solvers):
-        rng = substream(seed, s)
-        boxes = []
-        for spec, grid in zip(specs, grids):
-            offs = tuple(rng.choice(ax.offset_choices())
-                         for ax in (spec.angle, spec.doppler, spec.delay))
-            boxes.append(_window_box(grid, offs))
-        points, _, residual = _solve_windows(y, grids, boxes, sweeps=sweeps)
+    for solver_picks in picks:
+        idx = [tuple(p) for p in solver_picks]
+        cols = np.column_stack([g.column(p) for g, p in zip(grids, idx)])
+        coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
+        residual = float(np.linalg.norm(y - cols @ coef))
+        points = np.array([g.point(p) for g, p in zip(grids, idx)])
         solver_estimates.append((points, residual))
         if residual < best[0]:
             best = (residual, points)

@@ -116,3 +116,70 @@ def test_simulate_parallel_flag(tmp_path, capsys):
 def test_no_command_exits_nonzero():
     with pytest.raises(SystemExit):
         main([])
+
+
+class _RecordingContext:
+    """Stands in for a multiprocessing context: records pool sizes, runs inline."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, processes):
+        self.sizes.append(processes)
+        return _InlinePool()
+
+
+class _InlinePool:
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, items):
+        return [func(item) for item in items]
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    import otfs_isac.experiments as experiments
+    ctx = _RecordingContext()
+    monkeypatch.setattr(experiments.multiprocessing, "get_context",
+                        lambda method: ctx)
+    return ctx
+
+
+def test_simulate_parallel_capped_at_cpu_count(tmp_path, capsys, monkeypatch,
+                                               recording_pool):
+    import otfs_isac.cli as cli
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    path = write_scenario(tmp_path, experiment_kind="coarse-angle-mse",
+                          system={"n_doppler": 8, "m_delay": 16,
+                                  "n_tx": 2, "n_rx": 8},
+                          allocation={"diagonal_private_bins": 2},
+                          snr_db_values=[20.0], trials=2)
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path),
+                 "--parallel", str(10 ** 9)]) == 0
+    capsys.readouterr()
+    assert recording_pool.sizes == [3]
+
+
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_simulate_parallel_below_one_rejected(tmp_path, capsys, value,
+                                              recording_pool):
+    path = write_scenario(tmp_path)
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path),
+                 "--parallel", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "invalid-argument"
+    assert recording_pool.sizes == []
+    assert not os.path.exists(tmp_path / "cli-unit")
+
+
+def test_simulate_rejects_escaping_name(tmp_path, capsys):
+    path = write_scenario(tmp_path, name="..")
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--scenario", path, "--out", str(out_dir)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-scenario"
+    assert not out_dir.exists()

@@ -126,3 +126,55 @@ def test_all_shipped_scenarios_validate():
     for path in paths:
         sc = load_scenario(path)
         assert sc.kind in EXPERIMENT_KINDS
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_solvers", 0),
+    ("n_solvers", 2.5),
+    ("n_solvers", True),
+    ("ssr_sweeps", -1),
+    ("dft_pad_factor", 0),
+    ("peaks_per_angle", 0),
+    ("n_angles", 0),
+    ("angle_step_deg", 0),
+    ("doppler_step_bins", -0.1),
+    ("delay_step_bins", "0.1"),
+    ("angle_width_deg", 0.5),
+    ("doppler_width_bins", 0.05),
+    ("delay_width_bins", float("nan")),
+])
+def test_bad_estimator_values_rejected(field, value):
+    with pytest.raises(ConfigValidationError) as exc:
+        scenario_from_dict(minimal_raw(estimator={field: value}))
+    assert any(e.startswith(f"estimator.{field}:") for e in exc.value.errors)
+
+
+def test_edge_estimator_values_accepted():
+    est = {"n_solvers": 1, "ssr_sweeps": 0, "dft_pad_factor": 1,
+           "peaks_per_angle": 1, "n_angles": None,
+           "angle_step_deg": 2.0, "angle_width_deg": 2.0}
+    sc = scenario_from_dict(minimal_raw(estimator=est))
+    assert sc.estimator.n_solvers == 1 and sc.estimator.ssr_sweeps == 0
+
+
+@pytest.mark.parametrize("field", ["seed", "trials", "min_bits"])
+def test_bool_counts_rejected(field):
+    with pytest.raises(ConfigValidationError) as exc:
+        scenario_from_dict(minimal_raw(**{field: True}))
+    assert any(e.startswith(f"{field}:") for e in exc.value.errors)
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../escape", "a/b", "a\\b",
+                                  "nul\0", 7])
+def test_unsafe_names_rejected(name):
+    with pytest.raises(ConfigValidationError) as exc:
+        scenario_from_dict(minimal_raw(name=name))
+    assert any(e.startswith("name:") for e in exc.value.errors)
+
+
+def test_unnamed_file_named_after_its_stem(tmp_path):
+    raw = minimal_raw()
+    del raw["name"]
+    path = tmp_path / "my-run.json"
+    path.write_text(json.dumps(raw))
+    assert load_scenario(path).name == "my-run"

@@ -3,18 +3,19 @@
 import numpy as np
 import pytest
 
-from otfs_isac.allocation import diagonal_allocation
+from otfs_isac.allocation import diagonal_allocation, make_allocation
 from otfs_isac.channel import radar_receive
 from otfs_isac.coarse import CoarseEstimate
 from otfs_isac.comm import symbol_capacity, transmit_chain
 from otfs_isac.config import SystemConfig, Target, substream
 from otfs_isac.exceptions import (DictionaryTooLarge, DimensionMismatch,
                                   ZeroPrivateSymbol)
-from otfs_isac.virtual_array import (AxisSpec, NeighborhoodSpec, SsrDictionary,
-                                     averaged_ssr, build_dictionary,
-                                     build_virtual_snapshot,
+from otfs_isac.virtual_array import (SOLVER_BLOCK, AxisSpec, NeighborhoodSpec,
+                                     SsrDictionary, averaged_ssr,
+                                     build_dictionary, build_virtual_snapshot,
                                      default_neighborhood, omp,
                                      steering_columns)
+from oracles import serial_averaged_ssr
 
 
 def small_cfg(**kw):
@@ -23,8 +24,8 @@ def small_cfg(**kw):
     return SystemConfig(**base)
 
 
-def make_snapshot(cfg, targets, snr_db=None, seed=0):
-    alloc = diagonal_allocation(cfg.n_tx)
+def make_snapshot(cfg, targets, snr_db=None, seed=0, alloc=None):
+    alloc = alloc or diagonal_allocation(cfg.n_tx)
     rng = substream(seed, 0)
     bits = rng.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
     _, tf = transmit_chain(bits, alloc, cfg)
@@ -187,3 +188,66 @@ def test_averaged_ssr_deterministic():
     b = averaged_ssr(snap, [spec], cfg, n_solvers=6, seed=9)
     np.testing.assert_array_equal(a.estimates, b.estimates)
     assert a.residual == b.residual
+
+
+def _ssr_case(centers_deg, target_deg, snr_db=15.0, seed=3, alloc=None):
+    """Snapshot of targets plus one search box per listed center angle."""
+    cfg = small_cfg(n_rx=8)
+    dnu, dtau = cfg.doppler_spacing_hz, cfg.delay_spacing_s
+    targets = [Target(angle_rad=np.deg2rad(a), delay_s=(2 + 3 * k) * dtau,
+                      doppler_hz=(1 + k) * dnu, gain=np.exp(0.7j * k))
+               for k, a in enumerate(target_deg)]
+    snap, _, _ = make_snapshot(cfg, targets, snr_db=snr_db, seed=seed,
+                               alloc=alloc)
+    specs = []
+    for k, a in enumerate(centers_deg):
+        tk = targets[min(k, len(targets) - 1)]
+        est = CoarseEstimate(np.deg2rad(a), 0, 0, tk.doppler_hz, tk.delay_s,
+                             0.0, 0.0, 1.0)
+        specs.append(default_neighborhood(est, cfg, angle_step_deg=1.0,
+                                          angle_width_deg=6.0))
+    return snap, specs, cfg
+
+
+@pytest.mark.parametrize("case, kwargs", [
+    ("three", {}),
+    ("one", {}),
+    ("identical", {}),
+    ("three", {"sweeps": 0}),
+    ("three", {"aggregate": "vote"}),
+    ("three", {"n_solvers": SOLVER_BLOCK + 3}),
+    ("one-private-bin", {}),
+])
+def test_averaged_ssr_matches_serial_oracle(case, kwargs):
+    snap, specs, cfg = {
+        "three": lambda: _ssr_case([9.0, 15.0, 21.0], [10.0, 14.0, 20.0]),
+        "one": lambda: _ssr_case([12.0], [11.0]),
+        # two boxes on one neighborhood holding two targets: the first greedy
+        # step ties across the boxes and must go to the lower index
+        "identical": lambda: _ssr_case([12.0, 12.0], [10.0, 14.0],
+                                       snr_db=None),
+        # no pair of private bins: the projection has no cross terms
+        "one-private-bin": lambda: _ssr_case(
+            [9.0, 15.0, 21.0], [10.0, 14.0, 20.0],
+            alloc=make_allocation(4, [(0, (0, 0))])),
+    }[case]()
+    if case == "identical":
+        specs = [specs[0], specs[0]]
+    kwargs = {"n_solvers": 20, "seed": 4, **kwargs}
+    res = averaged_ssr(snap, specs, cfg, **kwargs)
+    ref = serial_averaged_ssr(snap, specs, cfg, **kwargs)
+    assert len(res.solver_estimates) == kwargs["n_solvers"]
+    for (points, residual), (ref_points, ref_residual) in zip(
+            res.solver_estimates, ref["solver_estimates"]):
+        np.testing.assert_array_equal(points, ref_points)
+        assert residual == pytest.approx(ref_residual, rel=1e-12, abs=0.0)
+    np.testing.assert_array_equal(res.estimates, ref["estimates"])
+    assert res.residual == pytest.approx(ref["residual"], rel=1e-12, abs=0.0)
+    assert res.vote_counts == ref["vote_counts"]
+
+
+def test_averaged_ssr_needs_a_neighborhood():
+    cfg = small_cfg(n_rx=8)
+    snap, _, _ = make_snapshot(cfg, [Target(0.1, 1e-7, 1000.0)])
+    with pytest.raises(ValueError):
+        averaged_ssr(snap, [], cfg)
