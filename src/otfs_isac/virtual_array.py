@@ -334,10 +334,6 @@ class _FactoredGrid:
                                values[None])
         return power.reshape(self.center_penalty.shape)
 
-    def windows(self, starts: np.ndarray) -> "_WindowStack":
-        """The window lattices of a block of solvers, one per row of ``starts``."""
-        return _WindowStack(self, starts)
-
     def column(self, idx: tuple) -> np.ndarray:
         ia, iv, it = idx
         return (self.sw[:, :, ia] * self.g[:, iv, it][:, None]).ravel()
@@ -475,7 +471,7 @@ def _residual_perp(y: np.ndarray, cols: np.ndarray):
 
 
 def _solve_block(y: np.ndarray, wins: list, y_scores: list,
-                 sweeps: int = DEFAULT_SWEEPS) -> np.ndarray:
+                 sweeps: int) -> np.ndarray:
     """One-pick-per-neighborhood matching pursuit for a block of solvers.
 
     Greedy initialization picks the best column over all neighborhoods, one
@@ -561,7 +557,7 @@ def _solve_batched(y: np.ndarray, grids: list, starts: np.ndarray,
     n_solvers = starts.shape[1]
     picks = np.empty((n_solvers, len(grids), 3), dtype=int)
     for b0 in range(0, n_solvers, SOLVER_BLOCK):
-        wins = [grid.windows(st[b0:b0 + SOLVER_BLOCK])
+        wins = [_WindowStack(grid, st[b0:b0 + SOLVER_BLOCK])
                 for grid, st in zip(grids, starts)]
         loc = _solve_block(y, wins, y_scores, sweeps=sweeps)
         for tid, win in enumerate(wins):
