@@ -2,17 +2,17 @@
 
 from .allocation import (BinAllocation, diagonal_allocation, make_allocation,
                          rate_accounting, zero_force)
-from .channel import (add_noise, dd_channel_operator, g_function, radar_receive,
-                      tf_channel_coeff, tf_channel_grid)
+from .channel import (add_noise, radar_receive, tf_channel_coeff,
+                      tf_channel_grid)
 from .coarse import (CoarseEstimate, coarse_pipeline, delay_doppler_peaks,
                      estimate_angles, extract_angle_profiles, reference_profile,
                      resolution_report)
 from .config import SPEED_OF_LIGHT, SystemConfig, Target, substream
-from .comm import (ber_frame, lmmse_equalize, lmmse_equalize_tf,
-                   qpsk_demodulate, qpsk_modulate, recover_and_demap,
-                   tf_block_channel, transmit_chain)
+from .comm import (ber_frame, lmmse_equalize_tf, qpsk_demodulate,
+                   qpsk_modulate, recover_and_demap, tf_block_channel,
+                   transmit_chain)
 from .crlb import asymptotic_fim, crlb_closed_form, crlb_curve, crlb_report
-from .transforms import (ModifiedSfft, build_modified_sfft, isfft, isfft_matrix,
+from .transforms import (ModifiedSfft, build_modified_sfft, isfft,
                          place_symbols, sfft)
 from .experiments import run_scenario
 from .scenario import (EstimatorSettings, Scenario, load_scenario,

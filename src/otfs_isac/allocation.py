@@ -37,13 +37,12 @@ class BinAllocation:
         return out
 
 
-def make_allocation(n_tx: int, private_assignments=(), empty_dd_override=None) -> BinAllocation:
+def make_allocation(n_tx: int, private_assignments=()) -> BinAllocation:
     """Build an allocation from (antenna, tf_bin) assignments.
 
-    By default each antenna's empty DD set reuses the (row, col) indices of
-    its zero-forced TF bins; ``empty_dd_override`` (per-antenna iterable of
-    DD bins) substitutes an explicit choice. Either way the transform-side
-    rank check decides whether the placement is usable.
+    Each antenna's empty DD set reuses the (row, col) indices of its
+    zero-forced TF bins; the transform-side rank check decides whether the
+    placement is usable.
     """
     if n_tx <= 0:
         raise ValueError("n_tx must be positive")
@@ -58,21 +57,12 @@ def make_allocation(n_tx: int, private_assignments=(), empty_dd_override=None) -
             raise DuplicatePrivateBin(f"TF bin {bin_} assigned twice")
         seen.add(bin_)
         private[ant].add(bin_)
-    zero = [seen - p for p in private]
-    if empty_dd_override is not None:
-        empty = [frozenset((int(k), int(l)) for k, l in bins) for bins in empty_dd_override]
-        if len(empty) != n_tx:
-            raise AntennaOutOfRange("empty_dd_override must list one set per antenna")
-        for i, (e, z) in enumerate(zip(empty, zero)):
-            if len(e) != len(z):
-                raise ValueError(f"antenna {i}: |E_i|={len(e)} must equal |Z_i|={len(z)}")
-    else:
-        empty = [frozenset(z) for z in zero]
+    zero = [frozenset(seen - p) for p in private]
     return BinAllocation(
         n_tx=n_tx,
         private_bins=tuple(frozenset(p) for p in private),
-        zero_bins=tuple(frozenset(z) for z in zero),
-        empty_dd_bins=tuple(empty),
+        zero_bins=tuple(zero),
+        empty_dd_bins=tuple(zero),
     )
 
 

@@ -10,10 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .config import SystemConfig, Target
-from .exceptions import GridTooLargeForExplicitOperator
-from .transforms import isfft, isfft_matrix, sfft
-
-EXPLICIT_OPERATOR_CAP = 4096
 
 
 def tf_channel_coeff(target: Target, n: int, m: int, cfg: SystemConfig) -> complex:
@@ -50,7 +46,8 @@ def radar_receive(tx_tf, targets, cfg: SystemConfig, snr_db: float | None = None
     """Monostatic receive TF grids, one per receive antenna.
 
     Y_{n_r}[n,m] = sum_j sum_{n_t} e^{j2pi(n_r g_r - n_t g_t) sin(phi_j)/lambda}
-    X_{n_t}[n,m] H^j[n,m], plus circular Gaussian noise when ``snr_db`` is set.
+    X_{n_t}[n,m] H^j[n,m], plus circular Gaussian noise drawn from ``rng``
+    when ``snr_db`` is set and finite.
     """
     tx = np.asarray(tx_tf, dtype=complex)
     n_tx = tx.shape[0]
@@ -65,103 +62,19 @@ def radar_receive(tx_tf, targets, cfg: SystemConfig, snr_db: float | None = None
         # (N0 = P_avg / 10^(snr/10)). The unit-scale DD demodulation sums NM
         # TF samples, so white TF noise of variance N0/NM lands in the DD
         # domain with variance exactly N0.
-        n0_tf = noise_variance(snr_db) / (cfg.n_doppler * cfg.m_delay)
-        if rng is None:
-            rng = np.random.default_rng()
-        y = y + np.sqrt(n0_tf / 2.0) * (rng.standard_normal(y.shape)
-                                        + 1j * rng.standard_normal(y.shape))
+        y = add_noise(y, noise_variance(snr_db) / (cfg.n_doppler * cfg.m_delay), rng)
     return y
 
 
-def dd_circular_shift_operator(k_shift: int, l_shift: int, gain: complex,
-                               n: int, m: int) -> np.ndarray:
-    """Explicit DD operator of a single on-grid path.
-
-    The DD response of an on-grid path is a phase-weighted circular shift by
-    its (Doppler, delay) indices; the phase is gain * exp(-j2pi k l / NM).
-    """
-    k = np.arange(n)[:, None]
-    l = np.arange(m)[None, :]
-    rows = (l + k * m).ravel()
-    cols = (((l - l_shift) % m) + ((k - k_shift) % n) * m).ravel()
-    op = np.zeros((n * m, n * m), dtype=complex)
-    op[rows, cols] = gain * np.exp(-2j * np.pi * k_shift * l_shift / (n * m))
-    return op
-
-
-def dd_channel_operator(paths, cfg: SystemConfig, pair_gains=None,
-                        cap: int = EXPLICIT_OPERATOR_CAP,
-                        method: str = "compose") -> np.ndarray:
-    """Explicit DD-domain channel matrix for one (rx, tx) antenna pair.
-
-    ``pair_gains`` replaces each path's complex gain (communication links use
-    independent unit-magnitude gains per antenna pair); otherwise the path's
-    own gain applies. method="compose" goes ISFFT -> TF multiplication ->
-    SFFT and is exact for fractional parameters; method="shift" uses the
-    on-grid circular-shift closed form and requires integer grid indices.
-    """
-    n, m = cfg.n_doppler, cfg.m_delay
-    if n * m > cap:
-        raise GridTooLargeForExplicitOperator(
-            f"grid {n}x{m} exceeds explicit-operator cap {cap}")
-    if pair_gains is None:
-        pair_gains = [p.gain for p in paths]
-    if len(pair_gains) != len(paths):
-        raise ValueError("one gain per path required")
-    op = np.zeros((n * m, n * m), dtype=complex)
-    if method == "shift":
-        for path, gain in zip(paths, pair_gains):
-            k_idx = path.doppler_hz / cfg.doppler_spacing_hz
-            l_idx = path.delay_s / cfg.delay_spacing_s
-            k_int, l_int = round(k_idx), round(l_idx)
-            if not (np.isclose(k_idx, k_int) and np.isclose(l_idx, l_int)):
-                raise ValueError("shift method requires on-grid paths")
-            op += dd_circular_shift_operator(k_int % n, l_int % m, gain, n, m)
-        return op
-    if method != "compose":
-        raise ValueError(f"unknown method {method!r}")
-    g = isfft_matrix(n, m)
-    s = (n * m) * g.conj().T            # unit-scale SFFT matrix
-    for path, gain in zip(paths, pair_gains):
-        scaled = Target(path.angle_rad, path.delay_s, path.doppler_hz, gain)
-        h_tf = tf_channel_grid(scaled, cfg).ravel()
-        op += s @ (h_tf[:, None] * g)
-    return op
-
-
-def g_function(k_prime: float, k_j: int, kappa: float, n: int) -> complex:
-    """Doppler leakage kernel sum_{q=0}^{N-1} exp(-j2pi(k'-(k_j+kappa))q/N).
-
-    Evaluated via its closed form; reduces to N * delta[k'-k_j]_N when
-    kappa = 0.
-    """
-    x = k_prime - (k_j + kappa)
-    if np.isclose(np.sin(np.pi * x / n), 0.0, atol=1e-15):
-        # x is (numerically) a multiple of N: every term equals 1.
-        return complex(n)
-    return (np.exp(-1j * np.pi * x * (n - 1) / n)
-            * np.sin(np.pi * x) / np.sin(np.pi * x / n))
-
-
-def noise_variance(snr_db: float, signal_power: float = 1.0) -> float:
-    """Per-sample complex noise variance for the given SNR."""
+def noise_variance(snr_db: float) -> float:
+    """Per-sample complex noise variance for the given SNR, unit signal power."""
     if np.isinf(snr_db):
         return 0.0
-    return signal_power / 10.0 ** (snr_db / 10.0)
+    return 1.0 / 10.0 ** (snr_db / 10.0)
 
 
-def add_noise(grids, snr_db: float, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Add i.i.d. circular complex Gaussian noise at the given SNR.
-
-    The noise variance assumes unit-average-power signal samples. An infinite
-    SNR returns the input unchanged.
-    """
+def add_noise(grids, noise_var: float, rng: np.random.Generator) -> np.ndarray:
+    """Add i.i.d. circular complex Gaussian noise of variance ``noise_var``."""
     grids = np.asarray(grids, dtype=complex)
-    if np.isinf(snr_db):
-        return grids
-    if rng is None:
-        rng = np.random.default_rng()
-    n0 = noise_variance(snr_db)
-    scale = np.sqrt(n0 / 2.0)
-    noise = rng.standard_normal(grids.shape) + 1j * rng.standard_normal(grids.shape)
-    return grids + scale * noise
+    return grids + np.sqrt(noise_var / 2.0) * (rng.standard_normal(grids.shape)
+                                               + 1j * rng.standard_normal(grids.shape))

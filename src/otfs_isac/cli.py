@@ -19,12 +19,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .coarse import resolution_report
 from .config import SystemConfig
 from .crlb import crlb_curve
 from .exceptions import ConfigValidationError, OtfsIsacError
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, load_scenario, scenario_from_dict
 from .experiments import run_scenario
 
 OUT_ENV_VAR = "OTFS_ISAC_OUT"
@@ -44,33 +45,42 @@ def _resolve_out(args) -> str:
     return os.environ.get(OUT_ENV_VAR, "results")
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    from dataclasses import replace
-    if getattr(args, "seed", None) is not None:
-        scenario = replace(scenario, seed=args.seed)
-    return scenario
-
-
-def _cmd_simulate(args) -> int:
-    if args.parallel < 1:
-        return _fail("invalid-argument",
-                     f"--parallel must be >= 1, got {args.parallel}")
+def _load(path: str):
+    """(scenario, None) for a valid file, else (None, exit code of the error)."""
     try:
-        scenario = load_scenario(args.scenario)
+        return load_scenario(path), None
     except ConfigValidationError as exc:
-        return _fail("invalid-scenario", f"{args.scenario} failed validation",
-                     details=exc.errors)
+        return None, _fail("invalid-scenario", f"{path} failed validation",
+                           details=exc.errors)
     except OSError as exc:
-        return _fail("io-error", str(exc))
-    scenario = _apply_overrides(scenario, args)
+        return None, _fail("io-error", str(exc))
+
+
+def _run(scenario: Scenario, args, **kwargs) -> int:
+    """Run a scenario into ``<out>/<name>`` and print the output paths."""
     out_dir = os.path.join(_resolve_out(args), scenario.name)
     try:
-        paths = run_scenario(scenario, out_dir, trials=args.trials,
-                             parallel=min(args.parallel, os.cpu_count() or 1))
+        paths = run_scenario(scenario, out_dir, **kwargs)
     except OtfsIsacError as exc:
         return _fail("simulation-error", str(exc))
     print(json.dumps({"scenario": scenario.name, "outputs": paths}, indent=2))
     return 0
+
+
+def _cmd_simulate(args) -> int:
+    for flag, value, low in (("--parallel", args.parallel, 1),
+                             ("--trials", args.trials, 1),
+                             ("--seed", args.seed, 0)):
+        if value is not None and value < low:
+            return _fail("invalid-argument",
+                         f"{flag} must be >= {low}, got {value}")
+    scenario, error = _load(args.scenario)
+    if scenario is None:
+        return error
+    if args.seed is not None:
+        scenario = replace(scenario, seed=args.seed)
+    return _run(scenario, args, trials=args.trials,
+                parallel=min(args.parallel, os.cpu_count() or 1))
 
 
 def _cmd_crlb(args) -> int:
@@ -93,19 +103,14 @@ def _cmd_resolution(args) -> int:
 
 
 def _cmd_validate_config(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ConfigValidationError as exc:
-        return _fail("invalid-scenario", f"{args.scenario} failed validation",
-                     details=exc.errors)
-    except OSError as exc:
-        return _fail("io-error", str(exc))
+    scenario, error = _load(args.scenario)
+    if scenario is None:
+        return error
     print(json.dumps({"valid": True, "scenario": scenario.to_dict()}, indent=2))
     return 0
 
 
 def _cmd_demo(args) -> int:
-    from .scenario import scenario_from_dict
     raw = {
         "name": "demo-three-close-targets",
         "experiment_kind": "demo-spectrum",
@@ -120,14 +125,7 @@ def _cmd_demo(args) -> int:
         "snr_db_values": [20.0],
         "seed": args.seed if args.seed is not None else 0,
     }
-    scenario = scenario_from_dict(raw)
-    out_dir = os.path.join(_resolve_out(args), scenario.name)
-    try:
-        paths = run_scenario(scenario, out_dir)
-    except OtfsIsacError as exc:
-        return _fail("simulation-error", str(exc))
-    print(json.dumps({"scenario": scenario.name, "outputs": paths}, indent=2))
-    return 0
+    return _run(scenario_from_dict(raw), args)
 
 
 def build_parser() -> argparse.ArgumentParser:

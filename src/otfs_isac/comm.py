@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .allocation import BinAllocation, zero_force
-from .channel import dd_channel_operator, tf_channel_grid
-from .config import SystemConfig, Target, substream
-from .exceptions import BitCountMismatch, DimensionMismatch
+from .channel import add_noise, tf_channel_grid
+from .config import SystemConfig, Target, substream, unit_phases
+from .exceptions import BitCountMismatch
 from .transforms import build_modified_sfft, isfft, place_symbols, sfft
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -60,16 +60,6 @@ def transmit_chain(bits: np.ndarray, alloc: BinAllocation, cfg: SystemConfig):
     return dd, tf
 
 
-def lmmse_equalize(y: np.ndarray, h: np.ndarray, noise_var: float) -> np.ndarray:
-    """x_hat = (H^H H + noise_var I)^{-1} H^H y via a stable linear solve."""
-    y = np.asarray(y, dtype=complex).ravel()
-    if h.shape[0] != y.size:
-        raise DimensionMismatch(f"channel rows {h.shape[0]} vs observation {y.size}")
-    gram = h.conj().T @ h
-    gram[np.diag_indices_from(gram)] += noise_var
-    return np.linalg.solve(gram, h.conj().T @ y)
-
-
 def modified_sffts(alloc: BinAllocation, cfg: SystemConfig):
     """Per-antenna reduced inverse transforms for this allocation."""
     return [build_modified_sfft(cfg.n_doppler, cfg.m_delay,
@@ -98,28 +88,7 @@ def recover_and_demap(equalized_dd: np.ndarray, alloc: BinAllocation,
 def random_pair_gains(n_paths: int, cfg: SystemConfig,
                       rng: np.random.Generator) -> np.ndarray:
     """Unit-magnitude complex gains, shape (N_c, N_t, n_paths)."""
-    gains = np.empty((cfg.n_comm_rx, cfg.n_tx, n_paths), dtype=complex)
-    for nc in range(cfg.n_comm_rx):
-        for nt in range(cfg.n_tx):
-            gains[nc, nt] = np.exp(2j * np.pi * rng.random(n_paths))
-    return gains
-
-
-def random_comm_channel(paths, cfg: SystemConfig, rng: np.random.Generator,
-                        method: str = "shift") -> np.ndarray:
-    """Block MIMO DD channel with unit-magnitude per-pair path gains.
-
-    Shape (N_c*NM, N_t*NM); block (n_c, n_t) is the DD operator of the paths
-    with independent random unit-magnitude complex gains for that pair.
-    """
-    nm = cfg.n_doppler * cfg.m_delay
-    gains = random_pair_gains(len(paths), cfg, rng)
-    h = np.empty((cfg.n_comm_rx * nm, cfg.n_tx * nm), dtype=complex)
-    for nc in range(cfg.n_comm_rx):
-        for nt in range(cfg.n_tx):
-            h[nc * nm:(nc + 1) * nm, nt * nm:(nt + 1) * nm] = dd_channel_operator(
-                paths, cfg, pair_gains=gains[nc, nt], method=method)
-    return h
+    return unit_phases(rng, (cfg.n_comm_rx, cfg.n_tx, n_paths))
 
 
 def tf_block_channel(paths, cfg: SystemConfig, pair_gains: np.ndarray) -> np.ndarray:
@@ -184,8 +153,7 @@ def ber_frame(cfg: SystemConfig, alloc: BinAllocation, paths, snr_db: float,
         noise_var = 1e-12
     else:
         noise_var = 10.0 ** (-snr_db / 10.0)
-        y = y + np.sqrt(noise_var / 2.0) * (rng_noise.standard_normal(y.shape)
-                                            + 1j * rng_noise.standard_normal(y.shape))
+        y = add_noise(y, noise_var, rng_noise)
     x_hat = lmmse_equalize_tf(y, blocks, noise_var)
     decoded = recover_and_demap(x_hat, alloc, cfg, msffts=msffts)
     return int(np.count_nonzero(decoded != bits)), bits.size

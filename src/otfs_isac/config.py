@@ -105,3 +105,8 @@ def substream(seed: int, *keys: int) -> np.random.Generator:
     parallel Monte Carlo trials reproducible regardless of execution order.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in keys)))
+
+
+def unit_phases(rng: np.random.Generator, shape) -> np.ndarray:
+    """Unit-magnitude complex values with phases uniform on [0, 2pi)."""
+    return np.exp(2j * np.pi * rng.random(shape))

@@ -83,41 +83,3 @@ def crlb_curve(cfg: SystemConfig, snr_db_values, beta_mag: float = 1.0,
         row.update(crlb_report(cfg, snr_db, beta_mag, ref_angle_rad))
         rows.append(row)
     return rows
-
-
-def single_path_response(tau: float, nu: float, u: float, phi: float,
-                         n_r: int, k: int, l: int, cfg: SystemConfig,
-                         beta_mag: float = 1.0) -> complex:
-    """Single-path DD sensing response h_{n_r,k,l}(theta).
-
-    Valid for arbitrary (off-grid) delay and Doppler; the lumped phase phi
-    absorbs the transmit-array response.
-    """
-    n, m = cfg.n_doppler, cfg.m_delay
-    dt, df = cfg.symbol_duration_s, cfg.subcarrier_spacing_hz
-    dop_sum = np.sum(np.exp(-2j * np.pi * (k - nu * n * dt) * np.arange(n) / n))
-    del_sum = np.sum(np.exp(2j * np.pi * np.arange(m) * (l - tau * m * df) / m))
-    return (beta_mag * np.exp(1j * (u * n_r + phi)) / (n * m)) * dop_sum * del_sum
-
-
-def single_path_response_derivatives(tau: float, nu: float, u: float, phi: float,
-                                     n_r: int, k: int, l: int, cfg: SystemConfig,
-                                     beta_mag: float = 1.0) -> np.ndarray:
-    """Analytic gradient of :func:`single_path_response` w.r.t. theta.
-
-    Returns [dh/dtau, dh/dnu, dh/du, dh/dphi].
-    """
-    n, m = cfg.n_doppler, cfg.m_delay
-    dt, df = cfg.symbol_duration_s, cfg.subcarrier_spacing_hz
-    nn = np.arange(n)
-    mm = np.arange(m)
-    dop_terms = np.exp(-2j * np.pi * (k - nu * n * dt) * nn / n)
-    del_terms = np.exp(2j * np.pi * mm * (l - tau * m * df) / m)
-    front = beta_mag * np.exp(1j * (u * n_r + phi)) / (n * m)
-    dop_sum = dop_terms.sum()
-    del_sum = del_terms.sum()
-    d_tau = front * dop_sum * np.sum(del_terms * (-2j * np.pi * mm * df))
-    d_nu = front * np.sum(dop_terms * (2j * np.pi * nn * dt)) * del_sum
-    d_u = front * (1j * n_r) * dop_sum * del_sum
-    d_phi = front * 1j * dop_sum * del_sum
-    return np.array([d_tau, d_nu, d_u, d_phi])

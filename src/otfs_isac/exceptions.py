@@ -41,10 +41,6 @@ class DictionaryTooLarge(OtfsIsacError):
     """Requested dictionary exceeds the configured column cap."""
 
 
-class GridTooLargeForExplicitOperator(OtfsIsacError):
-    """Explicit channel matrix requested for a grid above the size cap."""
-
-
 class BitCountMismatch(OtfsIsacError):
     """Bit payload does not match the allocation's symbol capacity."""
 

@@ -21,10 +21,10 @@ import numpy as np
 
 from .coarse import coarse_pipeline, estimate_angles, resolution_report
 from .comm import ber_frame, symbol_capacity, transmit_chain
-from .config import SPEED_OF_LIGHT, Target, substream
+from .config import SPEED_OF_LIGHT, Target, substream, unit_phases
 from .crlb import crlb_report
 from .channel import radar_receive
-from .exceptions import OtfsIsacError
+from .exceptions import OtfsIsacError, PeakSeparationFailure
 from .scenario import Scenario
 from .transforms import sfft
 from .virtual_array import (averaged_ssr, build_virtual_snapshot,
@@ -52,23 +52,6 @@ def _rng(scenario: Scenario, snr_idx: int, trial: int, purpose: int):
     return substream(scenario.seed, snr_idx, trial, purpose)
 
 
-def _random_gains(rng, count):
-    return np.exp(2j * np.pi * rng.random(count))
-
-
-def _transmit(scenario: Scenario, rng):
-    cfg, alloc = scenario.config, scenario.allocation
-    bits = rng.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
-    return transmit_chain(bits, alloc, cfg)
-
-
-def _receive(scenario, tf, targets, snr_db, rng_noise):
-    rx_tf = radar_receive(tf, targets, scenario.config, snr_db=snr_db,
-                          rng=rng_noise)
-    rx_dd = np.stack([sfft(g) for g in rx_tf])
-    return rx_tf, rx_dd
-
-
 def _angle_floor(true_rad: float, cfg, pad_factor: int) -> float:
     """Squared error of the nearest padded-DFT grid angle (quantization floor)."""
     k = pad_factor * cfg.n_rx
@@ -84,26 +67,64 @@ def _random_single_target(scenario: Scenario, rng) -> Target:
     rng_m = rng.uniform(0.1 * res["range_max_m"], 0.8 * res["range_max_m"])
     vel = rng.uniform(-0.4 * res["velocity_max_mps"], 0.4 * res["velocity_max_mps"])
     return Target.from_range_velocity(angle, rng_m, vel, cfg.carrier_freq_hz,
-                                      gain=_random_gains(rng, 1)[0])
+                                      gain=unit_phases(rng, 1)[0])
 
 
-def _coarse_to_specs(scenario: Scenario, coarse, n_targets):
-    est = scenario.estimator
-    picked = list(itertools.islice(itertools.cycle(coarse), n_targets))
-    return [default_neighborhood(
-        c, scenario.config,
+def _with_random_gains(scenario: Scenario, rng) -> list:
+    """The scenario's targets, each with a fresh unit-magnitude gain."""
+    gains = unit_phases(rng, len(scenario.targets))
+    return [replace(t, gain=g) for t, g in zip(scenario.targets, gains)]
+
+
+# --- the trial skeleton: transmit, receive, refine ------------------------
+
+def _scene(scenario: Scenario, targets, snr_db, snr_idx, trial, rng):
+    """One frame through the radar channel; returns (dd, tf, rx_tf, rx_dd).
+
+    The bits come from ``rng`` (purpose 0, after the targets), the noise
+    from purpose 1.
+    """
+    cfg, alloc = scenario.config, scenario.allocation
+    bits = rng.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
+    dd, tf = transmit_chain(bits, alloc, cfg)
+    rx_tf = radar_receive(tf, targets, cfg, snr_db=snr_db,
+                          rng=_rng(scenario, snr_idx, trial, 1))
+    rx_dd = np.stack([sfft(g) for g in rx_tf])
+    return dd, tf, rx_tf, rx_dd
+
+
+def _solver_seed(scenario: Scenario, snr_idx: int, trial: int) -> int:
+    return scenario.seed * 1_000_003 + snr_idx * 10_007 + trial
+
+
+def _refine(scenario: Scenario, scene, n_targets, n_angles, peaks_per_angle,
+            solver_seed):
+    """Coarse estimates refined by bagged SSR on the virtual array.
+
+    Returns (snapshot, specs, result), or None when the coarse stage fails.
+    The neighborhoods cycle through the coarse estimates, one per target.
+    """
+    cfg, est = scenario.config, scenario.estimator
+    dd, tf, rx_tf, rx_dd = scene
+    try:
+        coarse = coarse_pipeline(rx_dd, dd, cfg, n_angles=n_angles,
+                                 peaks_per_angle=peaks_per_angle,
+                                 pad_factor=est.dft_pad_factor)
+    except OtfsIsacError:
+        return None
+    snapshot = build_virtual_snapshot(rx_tf, tf, scenario.allocation)
+    specs = [default_neighborhood(
+        c, cfg,
         angle_step_deg=est.angle_step_deg, angle_width_deg=est.angle_width_deg,
         doppler_step_bins=est.doppler_step_bins,
         doppler_width_bins=est.doppler_width_bins,
         delay_step_bins=est.delay_step_bins,
-        delay_width_bins=est.delay_width_bins) for c in picked]
-
-
-def _run_ssr(scenario: Scenario, snapshot, specs, solver_seed: int):
-    est = scenario.estimator
-    return averaged_ssr(snapshot, specs, scenario.config,
-                        n_solvers=est.n_solvers, seed=solver_seed,
-                        sweeps=est.ssr_sweeps, aggregate=est.ssr_aggregate)
+        delay_width_bins=est.delay_width_bins)
+        for c in itertools.islice(itertools.cycle(coarse), n_targets)]
+    result = averaged_ssr(snapshot, specs, cfg, n_solvers=est.n_solvers,
+                          seed=solver_seed, sweeps=est.ssr_sweeps,
+                          aggregate=est.ssr_aggregate)
+    return snapshot, specs, result
 
 
 # --- one (snr, trial) record per experiment kind -------------------------
@@ -114,9 +135,7 @@ def _trial_coarse_angle_mse(scenario, snr_db, snr_idx, trial):
     rng = _rng(scenario, snr_idx, trial, 0)
     target = (scenario.targets[0] if scenario.targets
               else _random_single_target(scenario, rng))
-    _, tf = _transmit(scenario, rng)
-    _, rx_dd = _receive(scenario, tf, [target], snr_db,
-                        _rng(scenario, snr_idx, trial, 1))
+    _, _, _, rx_dd = _scene(scenario, [target], snr_db, snr_idx, trial, rng)
     true = target.angle_rad
     rows = []
     for mode, average in (("all_bins", True), ("single_bin", False)):
@@ -137,11 +156,8 @@ def _trial_dd_correlation(scenario, snr_db, snr_idx, trial):
     cfg = scenario.config
     est = scenario.estimator
     rng = _rng(scenario, snr_idx, trial, 0)
-    gains = _random_gains(rng, len(scenario.targets))
-    targets = [replace(t, gain=g) for t, g in zip(scenario.targets, gains)]
-    dd, tf = _transmit(scenario, rng)
-    _, rx_dd = _receive(scenario, tf, targets, snr_db,
-                        _rng(scenario, snr_idx, trial, 1))
+    targets = _with_random_gains(scenario, rng)
+    dd, _, _, rx_dd = _scene(scenario, targets, snr_db, snr_idx, trial, rng)
     res = resolution_report(cfg)
     sin_tol = 2.0 / (est.dft_pad_factor * cfg.n_rx)
     rows = []
@@ -172,28 +188,20 @@ def _trial_dd_correlation(scenario, snr_db, snr_idx, trial):
 
 
 def _trial_ssr_angle(scenario, snr_db, snr_idx, trial):
-    cfg = scenario.config
     est = scenario.estimator
     rng = _rng(scenario, snr_idx, trial, 0)
-    gains = _random_gains(rng, len(scenario.targets))
-    targets = [replace(t, gain=g) for t, g in zip(scenario.targets, gains)]
-    dd, tf = _transmit(scenario, rng)
-    rx_tf, rx_dd = _receive(scenario, tf, targets, snr_db,
-                            _rng(scenario, snr_idx, trial, 1))
-    n_angles = est.n_angles or 1
-    try:
-        coarse = coarse_pipeline(rx_dd, dd, cfg, n_angles=n_angles,
-                                 peaks_per_angle=est.peaks_per_angle,
-                                 pad_factor=est.dft_pad_factor)
-    except OtfsIsacError:
+    targets = _with_random_gains(scenario, rng)
+    scene = _scene(scenario, targets, snr_db, snr_idx, trial, rng)
+    refined = _refine(scenario, scene, len(targets), est.n_angles or 1,
+                      est.peaks_per_angle, _solver_seed(scenario, snr_idx, trial))
+    if refined is None:
         return [("coarse_failed", 1.0)]
-    snapshot = build_virtual_snapshot(rx_tf, tf, scenario.allocation)
-    specs = _coarse_to_specs(scenario, coarse, len(targets))
-    result = _run_ssr(scenario, snapshot, specs,
-                      scenario.seed * 1_000_003 + snr_idx * 10_007 + trial)
-    est_angles = np.sort(result.estimates[:, 0])
+    est_angles = np.sort(refined[2].estimates[:, 0])
     true = np.sort([t.angle_rad for t in targets])
-    nmse = float(np.sum((est_angles - true) ** 2) / np.sum(true ** 2))
+    # With every true angle at 0 the normalized error is undefined; nan is
+    # skipped by the aggregate like a failed estimate.
+    power = np.sum(true ** 2)
+    nmse = float(np.sum((est_angles - true) ** 2) / power) if power > 0 else float("nan")
     rows = [("coarse_failed", 0.0), ("angle_nmse", nmse),
             ("all_within_1deg",
              float(np.max(np.abs(est_angles - true)) <= np.deg2rad(1.0) + 1e-12))]
@@ -203,32 +211,24 @@ def _trial_ssr_angle(scenario, snr_db, snr_idx, trial):
 
 def _trial_ssr_velocity(scenario, snr_db, snr_idx, trial):
     cfg = scenario.config
-    est = scenario.estimator
     rng = _rng(scenario, snr_idx, trial, 0)
-    res = resolution_report(cfg)
     if scenario.targets:
         template = scenario.targets[0]
         angle_deg = float(np.rad2deg(template.angle_rad))
         range_m = template.range_m
     else:
-        angle_deg, range_m = 10.0, 8.0 * res["range_resolution_m"]
+        angle_deg = 10.0
+        range_m = 8.0 * resolution_report(cfg)["range_resolution_m"]
     velocity = rng.uniform(*RANDOM_VELOCITY_RANGE_MPS)
     target = Target.from_range_velocity(angle_deg, range_m, velocity,
                                         cfg.carrier_freq_hz,
-                                        gain=_random_gains(rng, 1)[0])
-    dd, tf = _transmit(scenario, rng)
-    rx_tf, rx_dd = _receive(scenario, tf, [target], snr_db,
-                            _rng(scenario, snr_idx, trial, 1))
-    try:
-        coarse = coarse_pipeline(rx_dd, dd, cfg, n_angles=1, peaks_per_angle=1,
-                                 pad_factor=est.dft_pad_factor)
-    except OtfsIsacError:
+                                        gain=unit_phases(rng, 1)[0])
+    scene = _scene(scenario, [target], snr_db, snr_idx, trial, rng)
+    refined = _refine(scenario, scene, 1, 1, 1,
+                      _solver_seed(scenario, snr_idx, trial))
+    if refined is None:
         return [("coarse_failed", 1.0)]
-    snapshot = build_virtual_snapshot(rx_tf, tf, scenario.allocation)
-    specs = _coarse_to_specs(scenario, coarse, 1)
-    result = _run_ssr(scenario, snapshot, specs,
-                      scenario.seed * 1_000_003 + snr_idx * 10_007 + trial)
-    v_hat = result.estimates[0][1] * SPEED_OF_LIGHT / (2.0 * cfg.carrier_freq_hz)
+    v_hat = refined[2].estimates[0][1] * SPEED_OF_LIGHT / (2.0 * cfg.carrier_freq_hz)
     return [("coarse_failed", 0.0),
             ("velocity_sq_err_mps2", float((v_hat - velocity) ** 2)),
             ("velocity_crlb_mps2",
@@ -319,37 +319,48 @@ def run_scenario(scenario: Scenario, out_dir, trials: int | None = None,
         results = [_run_cell(c) for c in cells]
     results.sort(key=lambda r: (r[0], r[1]))
 
-    trials_path = os.path.join(out_dir, "trials.csv")
     per_snr: dict = {}
-    with open(trials_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snr_db", "trial", "metric", "value"])
-        for snr_idx, trial, rows in results:
-            snr_db = scenario.snr_db_values[snr_idx]
-            bucket = per_snr.setdefault(snr_db, {})
-            for metric, value in rows:
-                writer.writerow([snr_db, trial, metric, repr(float(value))])
-                bucket.setdefault(metric, []).append(float(value))
-
-    agg_path = os.path.join(out_dir, "aggregate.csv")
-    with open(agg_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snr_db", "metric", "value"])
-        for snr_db, metric, value in _aggregate(scenario.kind, per_snr):
-            writer.writerow([snr_db, metric, repr(float(value))])
-
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    manifest = {
-        "version": _version_string(),
-        "scenario": scenario.to_dict(),
-        "trials_run": n_trials,
-        "outputs": {"trials": "trials.csv", "aggregate": "aggregate.csv"},
+    trial_rows = []
+    for snr_idx, trial, rows in results:
+        snr_db = scenario.snr_db_values[snr_idx]
+        bucket = per_snr.setdefault(snr_db, {})
+        for metric, value in rows:
+            trial_rows.append((snr_db, trial, metric, float(value)))
+            bucket.setdefault(metric, []).append(float(value))
+    return {
+        "trials": _write_csv(out_dir, "trials.csv",
+                             ["snr_db", "trial", "metric", "value"], trial_rows),
+        "aggregate": _write_csv(out_dir, "aggregate.csv",
+                                ["snr_db", "metric", "value"],
+                                _aggregate(scenario.kind, per_snr)),
+        "manifest": _write_manifest(out_dir, scenario,
+                                    {"trials": "trials.csv",
+                                     "aggregate": "aggregate.csv"},
+                                    trials_run=n_trials),
     }
-    with open(manifest_path, "w") as fh:
+
+
+def _write_csv(out_dir: str, name: str, header, rows) -> str:
+    """Write one CSV file; floats are written in full precision (repr)."""
+    path = os.path.join(out_dir, name)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v
+                          for v in row] for row in rows)
+    return path
+
+
+def _write_manifest(out_dir: str, scenario: Scenario, outputs: dict,
+                    **fields) -> str:
+    """manifest.json: version, resolved scenario, output file names."""
+    path = os.path.join(out_dir, "manifest.json")
+    manifest = {"version": _version_string(), "scenario": scenario.to_dict(),
+                "outputs": outputs, **fields}
+    with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return {"trials": trials_path, "aggregate": agg_path,
-            "manifest": manifest_path}
+    return path
 
 
 def _run_demo_spectrum(scenario: Scenario, out_dir: str) -> dict:
@@ -358,61 +369,44 @@ def _run_demo_spectrum(scenario: Scenario, out_dir: str) -> dict:
     est = scenario.estimator
     snr_db = scenario.snr_db_values[0]
     rng = _rng(scenario, 0, 0, 0)
-    gains = _random_gains(rng, len(scenario.targets))
-    targets = [replace(t, gain=g) for t, g in zip(scenario.targets, gains)]
-    dd, tf = _transmit(scenario, rng)
-    rx_tf, rx_dd = _receive(scenario, tf, targets, snr_db, _rng(scenario, 0, 0, 1))
+    targets = _with_random_gains(scenario, rng)
+    scene = _scene(scenario, targets, snr_db, 0, 0, rng)
 
-    _, omegas, power = estimate_angles(rx_dd, 1, cfg,
+    _, omegas, power = estimate_angles(scene[3], 1, cfg,
                                        pad_factor=est.dft_pad_factor)
-    spectrum_path = os.path.join(out_dir, "spectrum.csv")
     lam_over_g = cfg.wavelength_m / (2.0 * np.pi * cfg.g_r)
-    with open(spectrum_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega_rad", "sin_angle", "power"])
-        for w, p in zip(omegas, power):
-            writer.writerow([repr(float(w)), repr(float(w * lam_over_g)),
-                             repr(float(p))])
+    spectrum_path = _write_csv(out_dir, "spectrum.csv",
+                               ["omega_rad", "sin_angle", "power"],
+                               [(w, w * lam_over_g, p)
+                                for w, p in zip(omegas, power)])
 
-    coarse = coarse_pipeline(rx_dd, dd, cfg, n_angles=est.n_angles or 1,
-                             peaks_per_angle=est.peaks_per_angle,
-                             pad_factor=est.dft_pad_factor)
-    snapshot = build_virtual_snapshot(rx_tf, tf, scenario.allocation)
-    specs = _coarse_to_specs(scenario, coarse, len(targets))
-    result = _run_ssr(scenario, snapshot, specs, scenario.seed)
+    refined = _refine(scenario, scene, len(targets), est.n_angles or 1,
+                      est.peaks_per_angle, scenario.seed)
+    if refined is None:
+        raise PeakSeparationFailure("the coarse stage found no estimates to refine")
+    snapshot, specs, result = refined
+    y = snapshot.values * snapshot.row_weights
+    surface = []
+    for tid, spec in enumerate(specs):
+        angles = spec.angle.superset_points()
+        _, doppler, delay = result.estimates[tid]
+        cols = steering_columns(angles, np.full_like(angles, doppler),
+                                np.full_like(angles, delay),
+                                snapshot.bin_meta, snapshot.n_rx, cfg)
+        cols = cols * snapshot.row_weights[:, None]
+        corr = np.abs(cols.conj().T @ y) / np.linalg.norm(cols, axis=0)
+        surface.extend((tid, a, c) for a, c in zip(angles, corr))
+    surface_path = _write_csv(out_dir, "ssr_surface.csv",
+                              ["neighborhood", "angle_rad", "correlation"],
+                              surface)
 
-    surface_path = os.path.join(out_dir, "ssr_surface.csv")
-    y = snapshot.values * snapshot.weights()
-    with open(surface_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["neighborhood", "angle_rad", "correlation"])
-        for tid, spec in enumerate(specs):
-            angles = spec.angle.superset_points()
-            _, doppler, delay = result.estimates[tid]
-            cols = steering_columns(angles, np.full_like(angles, doppler),
-                                    np.full_like(angles, delay),
-                                    snapshot.bin_meta, snapshot.n_rx, cfg)
-            cols = cols * snapshot.weights()[:, None]
-            corr = np.abs(cols.conj().T @ y) / np.linalg.norm(cols, axis=0)
-            for a, c in zip(angles, corr):
-                writer.writerow([tid, repr(float(a)), repr(float(c))])
-
-    agg_path = os.path.join(out_dir, "aggregate.csv")
-    with open(agg_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snr_db", "metric", "value"])
-        for tid in range(len(specs)):
-            writer.writerow([snr_db, f"angle_est_rad_t{tid}",
-                             repr(float(result.estimates[tid][0]))])
-        writer.writerow([snr_db, "residual", repr(float(result.residual))])
-
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w") as fh:
-        json.dump({"version": _version_string(), "scenario": scenario.to_dict(),
-                   "outputs": {"spectrum": "spectrum.csv",
-                               "ssr_surface": "ssr_surface.csv",
-                               "aggregate": "aggregate.csv"}},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    estimates = [(snr_db, f"angle_est_rad_t{tid}", result.estimates[tid][0])
+                 for tid in range(len(specs))]
+    agg_path = _write_csv(out_dir, "aggregate.csv", ["snr_db", "metric", "value"],
+                          estimates + [(snr_db, "residual", result.residual)])
     return {"spectrum": spectrum_path, "ssr_surface": surface_path,
-            "aggregate": agg_path, "manifest": manifest_path}
+            "aggregate": agg_path,
+            "manifest": _write_manifest(out_dir, scenario,
+                                        {"spectrum": "spectrum.csv",
+                                         "ssr_surface": "ssr_surface.csv",
+                                         "aggregate": "aggregate.csv"})}

@@ -30,31 +30,16 @@ def isfft(dd: np.ndarray) -> np.ndarray:
     return np.fft.fft(np.fft.ifft(dd, axis=0), axis=1) / m
 
 
-def sfft(tf: np.ndarray, scale: str = "unit") -> np.ndarray:
-    """Map a TF grid to the DD domain.
+def sfft(tf: np.ndarray) -> np.ndarray:
+    """Map a TF grid to the DD domain; the exact inverse of :func:`isfft`.
 
-    With scale="unit" this is the exact inverse of :func:`isfft`, i.e.
-    x[k,l] = sum_{n,m} X[n,m] exp(-j2pi(kn/N - ml/M)). With
-    scale="one_over_nm" the sum carries an extra 1/(NM), the convention used
-    when converting a TF channel response to its DD counterpart.
+    x[k,l] = sum_{n,m} X[n,m] exp(-j2pi(kn/N - ml/M)).
     """
     tf = np.asarray(tf)
     if tf.ndim != 2:
         raise DimensionMismatch(f"expected 2-D grid, got shape {tf.shape}")
-    n, m = tf.shape
-    out = np.fft.fft(np.fft.ifft(tf, axis=1), axis=0) * m
-    if scale == "unit":
-        return out
-    if scale == "one_over_nm":
-        return out / (n * m)
-    raise ValueError(f"unknown scale {scale!r}")
-
-
-def isfft_matrix(n: int, m: int) -> np.ndarray:
-    """Explicit (NM x NM) matrix of :func:`isfft` in vectorized coordinates."""
-    fn = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-    fm = np.exp(-2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m)
-    return np.kron(fn.conj(), fm) / (n * m)
+    m = tf.shape[1]
+    return np.fft.fft(np.fft.ifft(tf, axis=1), axis=0) * m
 
 
 def _tf_linear(bins, n, m):
@@ -97,22 +82,19 @@ class ModifiedSfft:
     def n_info_symbols(self) -> int:
         return self.n_doppler * self.m_delay - len(self.empty_dd)
 
-    def recover(self, tf: np.ndarray, strict: bool = False, tol: float = 1e-8) -> np.ndarray:
+    def recover(self, tf: np.ndarray) -> np.ndarray:
         """Recover information symbols from a TF grid.
 
         Returns the DD symbols in row-major order, skipping the empty DD
-        positions. With ``strict`` the zero-forced TF samples are required to
-        be (numerically) zero.
+        positions. The samples at the zero-forced TF bins are ignored.
         """
         tf = np.asarray(tf, dtype=complex)
         n, m = self.n_doppler, self.m_delay
         if tf.shape != (n, m):
             raise DimensionMismatch(f"expected {(n, m)} TF grid, got {tf.shape}")
         flat = tf.ravel().copy()
-        if strict and self._tf_rows.size and np.abs(flat[self._tf_rows]).max() > tol:
-            raise ValueError("TF grid is not zero at the zero-forced bins")
         flat[self._tf_rows] = 0.0
-        x = sfft(flat.reshape(n, m), "unit").ravel()
+        x = sfft(flat.reshape(n, m)).ravel()
         if self._tf_rows.size:
             # Solve for the unknown zero-forced TF values so that the empty DD
             # positions come out exactly zero, then correct the SFFT output.
@@ -120,20 +102,6 @@ class ModifiedSfft:
             x += _sfft_columns(n, m, self._tf_rows) @ u
         keep = np.setdiff1d(np.arange(n * m), self._dd_cols, assume_unique=True)
         return x[keep]
-
-    def reduced_matrix(self, cap: int = 4096) -> np.ndarray:
-        """Explicit reduced forward matrix (small grids only)."""
-        n, m = self.n_doppler, self.m_delay
-        if n * m > cap:
-            raise MemoryError(f"grid {n}x{m} exceeds explicit-matrix cap {cap}")
-        g = isfft_matrix(n, m)
-        keep_rows = np.setdiff1d(np.arange(n * m), self._tf_rows, assume_unique=True)
-        keep_cols = np.setdiff1d(np.arange(n * m), self._dd_cols, assume_unique=True)
-        return g[np.ix_(keep_rows, keep_cols)]
-
-    def operator(self, cap: int = 4096) -> np.ndarray:
-        """Explicit reduced inverse operator (small grids only)."""
-        return np.linalg.inv(self.reduced_matrix(cap))
 
 
 def _sfft_columns(n: int, m: int, tf_rows: np.ndarray) -> np.ndarray:

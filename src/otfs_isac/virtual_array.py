@@ -54,12 +54,7 @@ class VirtualSnapshot:
     values: np.ndarray           # (N_p * N_r,) ratios Y / X_p
     bin_meta: tuple              # per private bin: (owner antenna, (n_p, m_p))
     n_rx: int
-    row_weights: np.ndarray | None = None   # |X_p| per row; None means unit
-
-    def weights(self) -> np.ndarray:
-        if self.row_weights is None:
-            return np.ones(len(self.values))
-        return self.row_weights
+    row_weights: np.ndarray      # (N_p * N_r,) |X_p| per row
 
 
 @dataclass(frozen=True)
@@ -120,7 +115,7 @@ class SsrDictionary:
 
 
 def build_virtual_snapshot(rx_tf: np.ndarray, tx_tf: np.ndarray,
-                           alloc: BinAllocation, eps: float = ZERO_SYMBOL_EPS) -> VirtualSnapshot:
+                           alloc: BinAllocation) -> VirtualSnapshot:
     """Form the virtual-array snapshot from the private TF bins.
 
     Entry for (private bin p, receive antenna n_r) is
@@ -138,7 +133,7 @@ def build_virtual_snapshot(rx_tf: np.ndarray, tx_tf: np.ndarray,
     weights = np.empty(len(bins) * n_rx)
     for i, (owner, (n_p, m_p)) in enumerate(bins):
         x = tx[owner, n_p, m_p]
-        if abs(x) < eps:
+        if abs(x) < ZERO_SYMBOL_EPS:
             raise ZeroPrivateSymbol(
                 f"antenna {owner} transmits |X|={abs(x):.2e} on private bin {(n_p, m_p)}")
         values[i * n_rx:(i + 1) * n_rx] = rx[:, n_p, m_p] / x
@@ -173,28 +168,24 @@ def steering_columns(angles, dopplers, delays, bin_meta, n_rx: int,
 
 
 def build_dictionary(specs, snapshot_meta, n_rx: int, cfg: SystemConfig,
-                     offsets=None, column_cap: int = DEFAULT_COLUMN_CAP) -> SsrDictionary:
+                     column_cap: int = DEFAULT_COLUMN_CAP) -> SsrDictionary:
     """Build the concatenated dictionary over all target neighborhoods.
 
-    ``offsets`` is an optional per-spec (lam_angle, lam_doppler, lam_delay)
-    tuple of window offsets; the default 0.5 centers each window on its
-    neighborhood center. Columns are l2-normalized; the original norms are
-    retained so sparse coefficients can be mapped back to physical
-    amplitudes.
+    Each window is centered on its neighborhood center. Columns are
+    l2-normalized; the original norms are retained so sparse coefficients
+    can be mapped back to physical amplitudes.
     """
     specs = list(specs)
-    if offsets is None:
-        offsets = [(0.5, 0.5, 0.5)] * len(specs)
     total = sum(s.angle.n_points * s.doppler.n_points * s.delay.n_points for s in specs)
     if total == 0:
         raise DimensionMismatch("empty dictionary grid")
     if total > column_cap:
         raise DictionaryTooLarge(f"{total} columns exceeds cap {column_cap}")
     blocks, points, ids = [], [], []
-    for tid, (spec, off) in enumerate(zip(specs, offsets)):
-        ph = spec.angle.points(off[0])
-        nu = spec.doppler.points(off[1])
-        ta = spec.delay.points(off[2])
+    for tid, spec in enumerate(specs):
+        ph = spec.angle.points(0.5)
+        nu = spec.doppler.points(0.5)
+        ta = spec.delay.points(0.5)
         pp, nn, tt = (x.ravel() for x in np.meshgrid(ph, nu, ta, indexing="ij"))
         blocks.append(steering_columns(pp, nn, tt, snapshot_meta, n_rx, cfg))
         points.append(np.column_stack([pp, nn, tt]))
@@ -619,7 +610,7 @@ def averaged_ssr(snapshot: VirtualSnapshot, specs, cfg: SystemConfig,
                 for s in specs)
     if total > column_cap:
         raise DictionaryTooLarge(f"{total} superset columns exceeds cap {column_cap}")
-    weights = snapshot.weights()
+    weights = snapshot.row_weights
     y = snapshot.values * weights
     grids = [_FactoredGrid(spec, snapshot.bin_meta, snapshot.n_rx, cfg, weights)
              for spec in specs]

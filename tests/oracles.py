@@ -4,6 +4,10 @@
 :func:`otfs_isac.virtual_array.averaged_ssr` one after another, each scoring
 its own offset window with explicit einsum contractions: the algorithm as
 written, without batching across solvers.
+
+The explicit (NM x NM) matrices, the stacked LMMSE solve and the
+single-path DD response are direct forms of what the package computes with
+FFTs, per-TF-bin factorizations and closed forms; small grids only.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ from collections import Counter
 
 import numpy as np
 
-from otfs_isac.config import substream
+from otfs_isac.channel import tf_channel_grid
+from otfs_isac.config import Target, substream
+from otfs_isac.exceptions import DimensionMismatch
 from otfs_isac.virtual_array import (DEFAULT_SWEEPS, PERP_FLOOR, TIE_RTOL,
                                      _dequantize, _FactoredGrid, _quantize)
 
@@ -102,7 +108,7 @@ def serial_averaged_ssr(snapshot, specs, cfg, n_solvers: int, seed: int = 0,
                         sweeps: int = DEFAULT_SWEEPS,
                         aggregate: str = "min_residual") -> dict:
     """The bagged solvers run one at a time, with the same window draws."""
-    weights = snapshot.weights()
+    weights = snapshot.row_weights
     y = snapshot.values * weights
     grids = [_FactoredGrid(spec, snapshot.bin_meta, snapshot.n_rx, cfg, weights)
              for spec in specs]
@@ -131,3 +137,109 @@ def serial_averaged_ssr(snapshot, specs, cfg, n_solvers: int, seed: int = 0,
         residual = min(r for _, r in solver_estimates)
     return {"solver_estimates": solver_estimates, "estimates": estimates,
             "residual": residual, "vote_counts": tuple(votes)}
+
+
+def isfft_matrix(n: int, m: int) -> np.ndarray:
+    """Explicit (NM x NM) matrix of ``isfft`` in vectorized coordinates."""
+    fn = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+    fm = np.exp(-2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m)
+    return np.kron(fn.conj(), fm) / (n * m)
+
+
+def dd_circular_shift_operator(k_shift: int, l_shift: int, gain: complex,
+                               n: int, m: int) -> np.ndarray:
+    """Explicit DD operator of a single on-grid path.
+
+    The DD response of an on-grid path is a phase-weighted circular shift by
+    its (Doppler, delay) indices; the phase is gain * exp(-j2pi k l / NM).
+    """
+    k = np.arange(n)[:, None]
+    l = np.arange(m)[None, :]
+    rows = (l + k * m).ravel()
+    cols = (((l - l_shift) % m) + ((k - k_shift) % n) * m).ravel()
+    op = np.zeros((n * m, n * m), dtype=complex)
+    op[rows, cols] = gain * np.exp(-2j * np.pi * k_shift * l_shift / (n * m))
+    return op
+
+
+def dd_channel_operator(paths, cfg, pair_gains=None,
+                        method: str = "compose") -> np.ndarray:
+    """Explicit DD-domain channel matrix for one (rx, tx) antenna pair.
+
+    ``pair_gains`` replaces each path's complex gain; otherwise the path's
+    own gain applies. method="compose" goes ISFFT -> TF multiplication ->
+    SFFT and is exact for fractional parameters; method="shift" uses the
+    on-grid circular-shift closed form and requires integer grid indices.
+    """
+    n, m = cfg.n_doppler, cfg.m_delay
+    if pair_gains is None:
+        pair_gains = [p.gain for p in paths]
+    if len(pair_gains) != len(paths):
+        raise ValueError("one gain per path required")
+    op = np.zeros((n * m, n * m), dtype=complex)
+    if method == "shift":
+        for path, gain in zip(paths, pair_gains):
+            k_idx = path.doppler_hz / cfg.doppler_spacing_hz
+            l_idx = path.delay_s / cfg.delay_spacing_s
+            k_int, l_int = round(k_idx), round(l_idx)
+            if not (np.isclose(k_idx, k_int) and np.isclose(l_idx, l_int)):
+                raise ValueError("shift method requires on-grid paths")
+            op += dd_circular_shift_operator(k_int % n, l_int % m, gain, n, m)
+        return op
+    if method != "compose":
+        raise ValueError(f"unknown method {method!r}")
+    g = isfft_matrix(n, m)
+    s = (n * m) * g.conj().T            # unit-scale SFFT matrix
+    for path, gain in zip(paths, pair_gains):
+        scaled = Target(path.angle_rad, path.delay_s, path.doppler_hz, gain)
+        h_tf = tf_channel_grid(scaled, cfg).ravel()
+        op += s @ (h_tf[:, None] * g)
+    return op
+
+
+def lmmse_equalize(y: np.ndarray, h: np.ndarray, noise_var: float) -> np.ndarray:
+    """x_hat = (H^H H + noise_var I)^{-1} H^H y via a stable linear solve."""
+    y = np.asarray(y, dtype=complex).ravel()
+    if h.shape[0] != y.size:
+        raise DimensionMismatch(f"channel rows {h.shape[0]} vs observation {y.size}")
+    gram = h.conj().T @ h
+    gram[np.diag_indices_from(gram)] += noise_var
+    return np.linalg.solve(gram, h.conj().T @ y)
+
+
+def single_path_response(tau: float, nu: float, u: float, phi: float,
+                         n_r: int, k: int, l: int, cfg,
+                         beta_mag: float = 1.0) -> complex:
+    """Single-path DD sensing response h_{n_r,k,l}(theta).
+
+    Valid for arbitrary (off-grid) delay and Doppler; the lumped phase phi
+    absorbs the transmit-array response.
+    """
+    n, m = cfg.n_doppler, cfg.m_delay
+    dt, df = cfg.symbol_duration_s, cfg.subcarrier_spacing_hz
+    dop_sum = np.sum(np.exp(-2j * np.pi * (k - nu * n * dt) * np.arange(n) / n))
+    del_sum = np.sum(np.exp(2j * np.pi * np.arange(m) * (l - tau * m * df) / m))
+    return (beta_mag * np.exp(1j * (u * n_r + phi)) / (n * m)) * dop_sum * del_sum
+
+
+def single_path_response_derivatives(tau: float, nu: float, u: float, phi: float,
+                                     n_r: int, k: int, l: int, cfg,
+                                     beta_mag: float = 1.0) -> np.ndarray:
+    """Analytic gradient of :func:`single_path_response` w.r.t. theta.
+
+    Returns [dh/dtau, dh/dnu, dh/du, dh/dphi].
+    """
+    n, m = cfg.n_doppler, cfg.m_delay
+    dt, df = cfg.symbol_duration_s, cfg.subcarrier_spacing_hz
+    nn = np.arange(n)
+    mm = np.arange(m)
+    dop_terms = np.exp(-2j * np.pi * (k - nu * n * dt) * nn / n)
+    del_terms = np.exp(2j * np.pi * mm * (l - tau * m * df) / m)
+    front = beta_mag * np.exp(1j * (u * n_r + phi)) / (n * m)
+    dop_sum = dop_terms.sum()
+    del_sum = del_terms.sum()
+    d_tau = front * dop_sum * np.sum(del_terms * (-2j * np.pi * mm * df))
+    d_nu = front * np.sum(dop_terms * (2j * np.pi * nn * dt)) * del_sum
+    d_u = front * (1j * n_r) * dop_sum * del_sum
+    d_phi = front * 1j * dop_sum * del_sum
+    return np.array([d_tau, d_nu, d_u, d_phi])

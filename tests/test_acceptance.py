@@ -18,13 +18,12 @@ from otfs_isac.channel import radar_receive, tf_channel_grid
 from otfs_isac.coarse import coarse_pipeline, estimate_angles, resolution_report
 from otfs_isac.comm import ber_frame, modified_sffts, symbol_capacity, transmit_chain
 from otfs_isac.config import SPEED_OF_LIGHT, SystemConfig, Target, substream
-from otfs_isac.crlb import (asymptotic_fim, crlb_closed_form, crlb_report,
-                            single_path_response,
-                            single_path_response_derivatives)
+from otfs_isac.crlb import asymptotic_fim, crlb_closed_form, crlb_report
 from otfs_isac.transforms import isfft, sfft
 from otfs_isac.virtual_array import (SsrDictionary, averaged_ssr,
                                      build_virtual_snapshot,
                                      default_neighborhood, omp)
+from oracles import single_path_response, single_path_response_derivatives
 
 THREE_TARGET_ANGLES_DEG = [7.0, -14.0, 22.0]
 THREE_TARGET_RANGES_M = [73.48, 64.29, 45.92]

@@ -37,17 +37,6 @@ def test_antenna_out_of_range():
         make_allocation(0)
 
 
-def test_empty_dd_override():
-    alloc = make_allocation(2, [(0, (0, 0)), (1, (1, 1))],
-                            empty_dd_override=[[(3, 3)], [(2, 2)]])
-    assert alloc.empty_dd_bins[0] == frozenset({(3, 3)})
-    with pytest.raises(ValueError):
-        make_allocation(2, [(0, (0, 0)), (1, (1, 1))],
-                        empty_dd_override=[[(3, 3), (2, 2)], [(1, 1)]])
-    with pytest.raises(AntennaOutOfRange):
-        make_allocation(2, [(0, (0, 0))], empty_dd_override=[[(1, 1)]])
-
-
 def test_zero_force():
     alloc = diagonal_allocation(3)
     tf = np.ones((4, 4), dtype=complex)

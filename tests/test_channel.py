@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from otfs_isac.channel import (add_noise, dd_channel_operator,
-                               dd_circular_shift_operator, g_function,
-                               noise_variance, radar_receive, rx_array_phase,
-                               tf_channel_coeff, tf_channel_grid,
-                               tx_array_phase)
+from otfs_isac.channel import (add_noise, noise_variance, radar_receive,
+                               rx_array_phase, tf_channel_coeff,
+                               tf_channel_grid, tx_array_phase)
 from otfs_isac.config import SystemConfig, Target
-from otfs_isac.exceptions import GridTooLargeForExplicitOperator
 from otfs_isac.transforms import isfft, sfft
+from oracles import dd_channel_operator, dd_circular_shift_operator
 
 
 def small_cfg(**kw):
@@ -95,12 +93,6 @@ def test_circular_shift_operator_entries():
                                atol=1e-12)
 
 
-def test_explicit_operator_cap():
-    cfg = SystemConfig(n_doppler=128, m_delay=128)
-    with pytest.raises(GridTooLargeForExplicitOperator):
-        dd_channel_operator([], cfg)
-
-
 def test_radar_receive_single_target_formula():
     cfg = small_cfg()
     rng = np.random.default_rng(13)
@@ -128,26 +120,9 @@ def test_radar_receive_noise_statistics():
     assert abs(var - noise_variance(snr_db)) < 0.05 * noise_variance(snr_db)
 
 
-def test_g_function_matches_direct_sum():
-    n = 8
-    rng = np.random.default_rng(15)
-    for _ in range(50):
-        k_prime = rng.integers(0, n)
-        k_j = int(rng.integers(0, n))
-        kappa = float(rng.uniform(-0.5, 0.5))
-        direct = np.sum(np.exp(-2j * np.pi * (k_prime - (k_j + kappa))
-                               * np.arange(n) / n))
-        assert abs(g_function(k_prime, k_j, kappa, n) - direct) < 1e-9
-
-
-def test_g_function_on_grid_delta():
-    n = 8
-    assert g_function(3, 3, 0.0, n) == pytest.approx(n)
-    assert abs(g_function(4, 3, 0.0, n)) < 1e-10
-
-
 def test_add_noise_infinite_snr_passthrough():
     grids = np.ones((2, 3, 3), dtype=complex)
-    np.testing.assert_array_equal(add_noise(grids, np.inf), grids)
+    np.testing.assert_array_equal(
+        add_noise(grids, noise_variance(np.inf), np.random.default_rng(0)), grids)
     assert noise_variance(np.inf) == 0.0
     assert noise_variance(0.0) == 1.0

@@ -177,6 +177,18 @@ def test_simulate_parallel_below_one_rejected(tmp_path, capsys, value,
     assert not os.path.exists(tmp_path / "cli-unit")
 
 
+@pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--trials", "-3"),
+                                        ("--seed", "-1")])
+def test_simulate_bad_override_rejected(tmp_path, capsys, flag, value):
+    path = write_scenario(tmp_path)
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path),
+                 flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "invalid-argument"
+    assert not os.path.exists(tmp_path / "cli-unit")
+
+
 def test_simulate_rejects_escaping_name(tmp_path, capsys):
     path = write_scenario(tmp_path, name="..")
     out_dir = tmp_path / "out"

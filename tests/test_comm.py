@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from otfs_isac.allocation import diagonal_allocation, make_allocation
-from otfs_isac.comm import (ber_frame, lmmse_equalize, lmmse_equalize_tf,
-                            qpsk_demodulate, qpsk_modulate, random_pair_gains,
+from otfs_isac.comm import (ber_frame, lmmse_equalize_tf, qpsk_demodulate,
+                            qpsk_modulate, random_pair_gains,
                             recover_and_demap, symbol_capacity,
                             tf_block_channel, transmit_chain)
 from otfs_isac.config import SystemConfig, Target, substream
 from otfs_isac.exceptions import BitCountMismatch, DimensionMismatch
 from otfs_isac.transforms import isfft, sfft
+from oracles import lmmse_equalize
 
 
 def small_cfg(**kw):

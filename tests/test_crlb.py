@@ -6,8 +6,8 @@ import pytest
 from otfs_isac.config import SPEED_OF_LIGHT, SystemConfig
 from otfs_isac.crlb import (asymptotic_c_matrix, asymptotic_fim,
                             crlb_closed_form, crlb_curve, crlb_report,
-                            single_path_response,
-                            single_path_response_derivatives, snr_linear)
+                            snr_linear)
+from oracles import single_path_response, single_path_response_derivatives
 
 SWEEP = [(8, 8, 4), (16, 32, 8), (64, 128, 16), (32, 64, 12)]
 

@@ -46,12 +46,38 @@ def test_output_files_and_manifest(tmp_path):
     assert "version" in manifest
 
 
-def test_serial_parallel_identical(tmp_path):
-    sc = scenario_from_dict(small_raw(trials=3))
+PARALLEL_CASES = {
+    "coarse-angle-mse": dict(targets=[]),
+    "dd-correlation": {},
+    "ssr-angle": dict(estimator={"n_angles": 1, "n_solvers": 2}),
+    "ssr-velocity": dict(estimator={"n_solvers": 2}),
+    "comm-ber": dict(min_bits=1500),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PARALLEL_CASES))
+def test_serial_parallel_identical(tmp_path, kind):
+    sc = scenario_from_dict(small_raw(experiment_kind=kind, trials=3,
+                                      **PARALLEL_CASES[kind]))
     p1 = run_scenario(sc, tmp_path / "serial", parallel=1)
-    p2 = run_scenario(sc, tmp_path / "parallel", parallel=3)
+    p2 = run_scenario(sc, tmp_path / "parallel", parallel=2)
+    assert len(read_csv(p1["trials"])) > 3
     assert open(p1["trials"]).read() == open(p2["trials"]).read()
     assert open(p1["aggregate"]).read() == open(p2["aggregate"]).read()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ssr_angle_nmse_nan_when_true_angles_zero(tmp_path):
+    sc = scenario_from_dict(small_raw(
+        experiment_kind="ssr-angle", trials=1,
+        targets=[{"angle_deg": 0.0, "range_m": 300.0, "velocity_mps": 200.0}],
+        estimator={"n_angles": 1, "n_solvers": 2}))
+    paths = run_scenario(sc, tmp_path)
+    trials = {r[2]: r[3] for r in read_csv(paths["trials"])[1:]}
+    assert trials["coarse_failed"] == "0.0"
+    assert trials["angle_nmse"] == "nan"
+    agg = {r[1]: r[2] for r in read_csv(paths["aggregate"])[1:]}
+    assert agg["angle_nmse_mean"] == "nan"
 
 
 def test_trials_override(tmp_path):

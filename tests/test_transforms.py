@@ -5,7 +5,8 @@ import pytest
 
 from otfs_isac.exceptions import DimensionMismatch, SingularReducedMatrix
 from otfs_isac.transforms import (ModifiedSfft, build_modified_sfft, isfft,
-                                  isfft_matrix, place_symbols, sfft)
+                                  place_symbols, sfft)
+from oracles import isfft_matrix
 
 
 def direct_isfft(dd):
@@ -57,14 +58,6 @@ def test_round_trip(n, m):
     assert np.max(np.abs(sfft(isfft(dd)) - dd)) <= 1e-10
     tf = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     assert np.max(np.abs(isfft(sfft(tf)) - tf)) <= 1e-10
-
-
-def test_sfft_one_over_nm_scale():
-    rng = np.random.default_rng(4)
-    tf = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    np.testing.assert_allclose(sfft(tf, "one_over_nm"), sfft(tf) / 24.0)
-    with pytest.raises(ValueError):
-        sfft(tf, "bogus")
 
 
 def test_isfft_matrix_matches_function():
@@ -121,8 +114,11 @@ def test_modified_sfft_agrees_with_explicit_operator():
     for (a, b) in zeroed_tf:
         keep[a, b] = False
     reduced_obs = tf.ravel()[keep.ravel()]
-    np.testing.assert_allclose(msfft.operator() @ reduced_obs, symbols,
-                               atol=1e-10)
+    info = np.ones(n * m, dtype=bool)
+    for (k, l) in empty_dd:
+        info[l + k * m] = False
+    operator = np.linalg.inv(isfft_matrix(n, m)[np.ix_(keep.ravel(), info)])
+    np.testing.assert_allclose(operator @ reduced_obs, symbols, atol=1e-10)
 
 
 def test_modified_sfft_trivial_empty_sets():
@@ -130,13 +126,6 @@ def test_modified_sfft_trivial_empty_sets():
     rng = np.random.default_rng(8)
     dd = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     np.testing.assert_allclose(msfft.recover(isfft(dd)), dd.ravel(), atol=1e-10)
-
-
-def test_modified_sfft_strict_mode():
-    msfft = build_modified_sfft(4, 4, [(0, 0)], [(0, 0)])
-    tf = np.ones((4, 4), dtype=complex)
-    with pytest.raises(ValueError):
-        msfft.recover(tf, strict=True)
 
 
 def test_singular_bin_choice_rejected():

@@ -46,7 +46,7 @@ def test_snapshot_values_and_weights():
             snap.values[i * cfg.n_rx:(i + 1) * cfg.n_rx],
             rx_tf[:, n_p, m_p] / x, atol=1e-12)
         np.testing.assert_allclose(
-            snap.weights()[i * cfg.n_rx:(i + 1) * cfg.n_rx], abs(x), atol=1e-12)
+            snap.row_weights[i * cfg.n_rx:(i + 1) * cfg.n_rx], abs(x), atol=1e-12)
 
 
 def test_zero_private_symbol_rejected():
