@@ -4,7 +4,8 @@ Each transmit antenna i owns a set P_i of private TF bins. Every other
 antenna must zero-force those bins, so antenna i's zero set is
 Z_i = union of P_i' over i' != i. To keep its DD information recoverable
 despite the |Z_i| zero-forced TF samples, antenna i leaves |Z_i| DD bins
-empty (set E_i).
+empty (set E_i). E_i reuses the (row, col) indices of Z_i, so the allocation
+stores Z_i only.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from .exceptions import AntennaOutOfRange, DuplicatePrivateBin
 
 @dataclass(frozen=True)
 class BinAllocation:
-    """Per-antenna private TF bins and the derived zero/empty sets."""
+    """Per-antenna private TF bins and the derived zero sets."""
 
     n_tx: int
     private_bins: tuple      # per antenna: frozenset of TF (n, m)
     zero_bins: tuple         # per antenna: frozenset of TF (n, m)
-    empty_dd_bins: tuple     # per antenna: frozenset of DD (k, l)
 
     @property
     def n_private_total(self) -> int:
@@ -40,9 +40,7 @@ class BinAllocation:
 def make_allocation(n_tx: int, private_assignments=()) -> BinAllocation:
     """Build an allocation from (antenna, tf_bin) assignments.
 
-    Each antenna's empty DD set reuses the (row, col) indices of its
-    zero-forced TF bins; the transform-side rank check decides whether the
-    placement is usable.
+    The transform-side rank check decides whether the placement is usable.
     """
     if n_tx <= 0:
         raise ValueError("n_tx must be positive")
@@ -57,12 +55,10 @@ def make_allocation(n_tx: int, private_assignments=()) -> BinAllocation:
             raise DuplicatePrivateBin(f"TF bin {bin_} assigned twice")
         seen.add(bin_)
         private[ant].add(bin_)
-    zero = [frozenset(seen - p) for p in private]
     return BinAllocation(
         n_tx=n_tx,
         private_bins=tuple(frozenset(p) for p in private),
-        zero_bins=tuple(zero),
-        empty_dd_bins=tuple(zero),
+        zero_bins=tuple(frozenset(seen - p) for p in private),
     )
 
 

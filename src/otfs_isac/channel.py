@@ -12,16 +12,9 @@ import numpy as np
 from .config import SystemConfig, Target
 
 
-def tf_channel_coeff(target: Target, n: int, m: int, cfg: SystemConfig) -> complex:
-    """Single-path TF channel coefficient at bin (n, m), array factor excluded."""
-    nu, tau = target.doppler_hz, target.delay_s
-    dt, df = cfg.symbol_duration_s, cfg.subcarrier_spacing_hz
-    return (target.gain * np.exp(-2j * np.pi * nu * tau)
-            * np.exp(2j * np.pi * (nu * n * dt - m * df * tau)))
-
-
 def tf_channel_grid(target: Target, cfg: SystemConfig) -> np.ndarray:
-    """Full (N, M) grid of :func:`tf_channel_coeff` values."""
+    """Single-path TF channel coefficients on the (N, M) grid, array factor
+    excluded: H[n, m] = beta e^{-j2pi nu tau} e^{j2pi (nu n T - m df tau)}."""
     nu, tau = target.doppler_hz, target.delay_s
     dt, df = cfg.symbol_duration_s, cfg.subcarrier_spacing_hz
     time_phase = np.exp(2j * np.pi * nu * dt * np.arange(cfg.n_doppler))

@@ -86,8 +86,7 @@ def estimate_angles(rx_dd: np.ndarray, n_targets: int, cfg: SystemConfig,
     return angles, omegas, power
 
 
-def extract_angle_profiles(rx_dd: np.ndarray, angles, cfg: SystemConfig,
-                           cond_limit: float = STEERING_COND_LIMIT) -> np.ndarray:
+def extract_angle_profiles(rx_dd: np.ndarray, angles, cfg: SystemConfig) -> np.ndarray:
     """Least-squares per-angle complex profiles A_j[k, l].
 
     Solves, per DD bin, y_{n_r} = sum_j A_j e^{j n_r omega_j} over the
@@ -100,7 +99,7 @@ def extract_angle_profiles(rx_dd: np.ndarray, angles, cfg: SystemConfig,
         raise TooManyTargets("need more receive antennas than angles")
     omegas = angle_to_spatial_freq(angles, cfg)
     steering = np.exp(1j * np.outer(np.arange(n_rx), omegas))
-    if np.linalg.cond(steering) > cond_limit:
+    if np.linalg.cond(steering) > STEERING_COND_LIMIT:
         raise IllConditionedSteering(
             "estimated angles too close for least-squares separation; "
             "virtual-array refinement required")
@@ -124,13 +123,11 @@ def cross_correlation_2d(a: np.ndarray, a_ref: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(np.fft.fft2(a) * np.conj(np.fft.fft2(a_ref)))
 
 
-def delay_doppler_peaks(a: np.ndarray, a_ref: np.ndarray, n_peaks: int | None = None,
-                        threshold: float = 0.5):
+def delay_doppler_peaks(a: np.ndarray, a_ref: np.ndarray, n_peaks: int):
     """Peaks of the 2D circular cross-correlation of ``a`` against ``a_ref``.
 
-    Returns [(k, l, strength), ...] sorted by decreasing strength: the
-    ``n_peaks`` strongest local maxima, or all above threshold * max when
-    ``n_peaks`` is None.
+    Returns the ``n_peaks`` strongest local maxima as [(k, l, strength), ...]
+    sorted by decreasing strength.
     """
     mag = np.abs(cross_correlation_2d(a, a_ref))
     is_max = np.ones_like(mag, dtype=bool)
@@ -143,10 +140,7 @@ def delay_doppler_peaks(a: np.ndarray, a_ref: np.ndarray, n_peaks: int | None = 
     kk, ll = np.nonzero(is_max)
     strengths = mag[kk, ll]
     order = np.argsort(strengths)[::-1]
-    peaks = [(int(kk[i]), int(ll[i]), float(strengths[i])) for i in order]
-    if n_peaks is not None:
-        return peaks[:n_peaks]
-    return [p for p in peaks if p[2] >= threshold * peaks[0][2]]
+    return [(int(kk[i]), int(ll[i]), float(strengths[i])) for i in order[:n_peaks]]
 
 
 def indices_to_estimate(angle_rad: float, k: int, l: int, strength: float,

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .allocation import BinAllocation, zero_force
-from .channel import add_noise, tf_channel_grid
+from .channel import add_noise, noise_variance, tf_channel_grid
 from .config import SystemConfig, Target, substream, unit_phases
 from .exceptions import BitCountMismatch
 from .transforms import build_modified_sfft, isfft, place_symbols, sfft
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# Distinct (allocation, grid) pairs whose reduced transforms stay cached.
+_MSFFT_CACHE_SIZE = 16
 
 
 def qpsk_modulate(bits: np.ndarray) -> np.ndarray:
@@ -34,7 +38,7 @@ def qpsk_demodulate(symbols: np.ndarray) -> np.ndarray:
 def symbol_capacity(alloc: BinAllocation, cfg: SystemConfig):
     """Information symbols each antenna can carry per frame."""
     nm = cfg.n_doppler * cfg.m_delay
-    return [nm - len(e) for e in alloc.empty_dd_bins]
+    return [nm - len(z) for z in alloc.zero_bins]
 
 
 def transmit_chain(bits: np.ndarray, alloc: BinAllocation, cfg: SystemConfig):
@@ -55,20 +59,24 @@ def transmit_chain(bits: np.ndarray, alloc: BinAllocation, cfg: SystemConfig):
     for i in range(alloc.n_tx):
         symbols = qpsk_modulate(bits[start:start + 2 * caps[i]])
         start += 2 * caps[i]
-        dd[i] = place_symbols(symbols, n, m, alloc.empty_dd_bins[i])
+        dd[i] = place_symbols(symbols, n, m, alloc.zero_bins[i])
         tf[i] = zero_force(isfft(dd[i]), alloc, i)
     return dd, tf
 
 
-def modified_sffts(alloc: BinAllocation, cfg: SystemConfig):
-    """Per-antenna reduced inverse transforms for this allocation."""
-    return [build_modified_sfft(cfg.n_doppler, cfg.m_delay,
-                                alloc.zero_bins[i], alloc.empty_dd_bins[i])
-            for i in range(alloc.n_tx)]
+@functools.lru_cache(maxsize=_MSFFT_CACHE_SIZE)
+def _modified_sffts(alloc: BinAllocation, n: int, m: int) -> tuple:
+    return tuple(build_modified_sfft(n, m, zeroed) for zeroed in alloc.zero_bins)
+
+
+def modified_sffts(alloc: BinAllocation, cfg: SystemConfig) -> tuple:
+    """Per-antenna reduced inverse transforms for this allocation, built once
+    per (allocation, grid) in each process and shared, with read-only arrays."""
+    return _modified_sffts(alloc, cfg.n_doppler, cfg.m_delay)
 
 
 def recover_and_demap(equalized_dd: np.ndarray, alloc: BinAllocation,
-                      cfg: SystemConfig, msffts=None) -> np.ndarray:
+                      cfg: SystemConfig) -> np.ndarray:
     """Information bits from the equalized per-antenna DD grids.
 
     Each grid is taken back to the TF domain, the zero-forced samples are
@@ -76,8 +84,7 @@ def recover_and_demap(equalized_dd: np.ndarray, alloc: BinAllocation,
     symbols, which are then hard-demapped.
     """
     equalized_dd = np.asarray(equalized_dd, dtype=complex)
-    if msffts is None:
-        msffts = modified_sffts(alloc, cfg)
+    msffts = modified_sffts(alloc, cfg)
     bits = []
     for i in range(alloc.n_tx):
         symbols = msffts[i].recover(isfft(equalized_dd[i]))
@@ -129,7 +136,7 @@ def lmmse_equalize_tf(y_dd: np.ndarray, blocks: np.ndarray,
 
 
 def ber_frame(cfg: SystemConfig, alloc: BinAllocation, paths, snr_db: float,
-              seed: int, frame_index: int = 0, msffts=None) -> tuple[int, int]:
+              seed: int, frame_index: int = 0) -> tuple[int, int]:
     """One Monte Carlo communication frame; returns (bit_errors, bit_count).
 
     The receiver is given the true channel. The noise variance is
@@ -143,6 +150,7 @@ def ber_frame(cfg: SystemConfig, alloc: BinAllocation, paths, snr_db: float,
     rng_noise = substream(seed, frame_index, 2)
     caps = symbol_capacity(alloc, cfg)
     bits = rng_bits.integers(0, 2, size=2 * sum(caps))
+    # The link sends isfft(dd), not the zero-forced radar frame tf.
     dd, _ = transmit_chain(bits, alloc, cfg)
     gains = random_pair_gains(len(paths), cfg, rng_chan)
     blocks = tf_block_channel(paths, cfg, gains)
@@ -150,10 +158,10 @@ def ber_frame(cfg: SystemConfig, alloc: BinAllocation, paths, snr_db: float,
     y = np.stack([sfft(g)
                   for g in np.einsum("nmca,anm->cnm", blocks, x_tf)])
     if np.isinf(snr_db):
-        noise_var = 1e-12
+        noise_var = 1e-12    # no noise is added; only regularizes the LMMSE solve
     else:
-        noise_var = 10.0 ** (-snr_db / 10.0)
+        noise_var = noise_variance(snr_db)
         y = add_noise(y, noise_var, rng_noise)
     x_hat = lmmse_equalize_tf(y, blocks, noise_var)
-    decoded = recover_and_demap(x_hat, alloc, cfg, msffts=msffts)
+    decoded = recover_and_demap(x_hat, alloc, cfg)
     return int(np.count_nonzero(decoded != bits)), bits.size

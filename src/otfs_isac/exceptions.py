@@ -6,7 +6,7 @@ class OtfsIsacError(Exception):
 
 
 class DimensionMismatch(OtfsIsacError):
-    """Operands have incompatible shapes or set sizes."""
+    """Operands have incompatible shapes or sizes."""
 
 
 class SingularReducedMatrix(OtfsIsacError):

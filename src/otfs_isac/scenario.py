@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import BinAllocation, diagonal_allocation, make_allocation
+from .comm import modified_sffts
 from .config import SystemConfig, Target
 from .exceptions import ConfigValidationError, OtfsIsacError
-from .transforms import build_modified_sfft
 
 EXPERIMENT_KINDS = (
     "coarse-angle-mse",
@@ -213,11 +213,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
             alloc = make_allocation(cfg.n_tx, assignments)
         elif "diagonal_private_bins" in alloc_raw:
             count = int(alloc_raw["diagonal_private_bins"])
-            if count == cfg.n_tx:
-                alloc = diagonal_allocation(cfg.n_tx)
-            else:
-                alloc = make_allocation(
-                    cfg.n_tx, [(i, (i, i)) for i in range(count)])
+            alloc = make_allocation(cfg.n_tx, [(i, (i, i)) for i in range(count)])
         else:
             errors.append("allocation: need private_bins or diagonal_private_bins")
     except (OtfsIsacError, ValueError, TypeError, IndexError) as exc:
@@ -265,18 +261,15 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
            "min_bits: expected a positive integer")
 
     # bin indices inside the grid, and the reduced transform must be full rank
-    if alloc is not None:
-        for ant, (n, m) in alloc.private_bin_list():
-            if not (0 <= n < cfg.n_doppler and 0 <= m < cfg.m_delay):
-                errors.append(f"allocation: bin {(n, m)} outside "
-                              f"{cfg.n_doppler}x{cfg.m_delay} grid")
-        if not errors:
-            try:
-                for i in range(alloc.n_tx):
-                    build_modified_sfft(cfg.n_doppler, cfg.m_delay,
-                                        alloc.zero_bins[i], alloc.empty_dd_bins[i])
-            except OtfsIsacError as exc:
-                errors.append(f"allocation: reduced transform check failed: {exc}")
+    for ant, (n, m) in alloc.private_bin_list():
+        if not (0 <= n < cfg.n_doppler and 0 <= m < cfg.m_delay):
+            errors.append(f"allocation: bin {(n, m)} outside "
+                          f"{cfg.n_doppler}x{cfg.m_delay} grid")
+    if not errors:
+        try:
+            modified_sffts(alloc, cfg)     # also warms the cache for the run
+        except OtfsIsacError as exc:
+            errors.append(f"allocation: reduced transform check failed: {exc}")
 
     if kind in ("dd-correlation", "ssr-angle", "comm-ber", "demo-spectrum"):
         _check(errors, len(targets) >= 1, f"targets: {kind} needs at least one target")

@@ -46,17 +46,8 @@ def _tf_linear(bins, n, m):
     idx = []
     for (a, b) in bins:
         if not (0 <= a < n and 0 <= b < m):
-            raise DimensionMismatch(f"TF bin {(a, b)} outside {n}x{m} grid")
+            raise DimensionMismatch(f"bin {(a, b)} outside {n}x{m} grid")
         idx.append(b + a * m)
-    return np.asarray(sorted(idx), dtype=int)
-
-
-def _dd_linear(bins, n, m):
-    idx = []
-    for (k, l) in bins:
-        if not (0 <= k < n and 0 <= l < m):
-            raise DimensionMismatch(f"DD bin {(k, l)} outside {n}x{m} grid")
-        idx.append(l + k * m)
     return np.asarray(sorted(idx), dtype=int)
 
 
@@ -64,23 +55,24 @@ def _dd_linear(bins, n, m):
 class ModifiedSfft:
     """Reduced inverse transform for grids with zero-forced TF bins.
 
-    Recovers the (NM - |E|) information symbols of a DD grid that was
-    transmitted with the DD bins in ``empty_dd`` left empty and the TF bins in
-    ``zeroed_tf`` forced to zero after the forward transform. The reduced
-    forward matrix must be square (|zeroed_tf| == |empty_dd|) and full rank.
+    Recovers the (NM - |zeroed|) information symbols of a DD grid that was
+    transmitted with the DD bins at the ``zeroed`` (row, col) positions left
+    empty and the TF bins at those positions forced to zero after the forward
+    transform. Both grids are row-major, so one linear index array serves
+    both domains. The reduced forward matrix must be full rank. The arrays
+    are read-only.
     """
 
     n_doppler: int
     m_delay: int
-    zeroed_tf: tuple
-    empty_dd: tuple
-    _tf_rows: np.ndarray = field(repr=False)
-    _dd_cols: np.ndarray = field(repr=False)
+    zeroed: tuple
+    _index: np.ndarray = field(repr=False)
+    _columns: np.ndarray = field(repr=False)
     _schur: np.ndarray = field(repr=False)
 
     @property
     def n_info_symbols(self) -> int:
-        return self.n_doppler * self.m_delay - len(self.empty_dd)
+        return self.n_doppler * self.m_delay - len(self.zeroed)
 
     def recover(self, tf: np.ndarray) -> np.ndarray:
         """Recover information symbols from a TF grid.
@@ -93,65 +85,59 @@ class ModifiedSfft:
         if tf.shape != (n, m):
             raise DimensionMismatch(f"expected {(n, m)} TF grid, got {tf.shape}")
         flat = tf.ravel().copy()
-        flat[self._tf_rows] = 0.0
+        flat[self._index] = 0.0
         x = sfft(flat.reshape(n, m)).ravel()
-        if self._tf_rows.size:
+        if self._index.size:
             # Solve for the unknown zero-forced TF values so that the empty DD
             # positions come out exactly zero, then correct the SFFT output.
-            u = np.linalg.solve(self._schur, -x[self._dd_cols])
-            x += _sfft_columns(n, m, self._tf_rows) @ u
-        keep = np.setdiff1d(np.arange(n * m), self._dd_cols, assume_unique=True)
-        return x[keep]
+            u = np.linalg.solve(self._schur, -x[self._index])
+            x += self._columns @ u
+        return np.delete(x, self._index)
 
 
-def _sfft_columns(n: int, m: int, tf_rows: np.ndarray) -> np.ndarray:
+def _sfft_columns(n: int, m: int, index: np.ndarray) -> np.ndarray:
     """Columns of the unit SFFT matrix at the given TF positions, (NM x r)."""
-    cols = np.empty((n * m, tf_rows.size), dtype=complex)
-    k = np.arange(n)
-    l = np.arange(m)
-    for i, pos in enumerate(tf_rows):
-        nn, mm = divmod(int(pos), m)
-        cols[:, i] = np.outer(np.exp(-2j * np.pi * k * nn / n),
-                              np.exp(2j * np.pi * l * mm / m)).ravel()
-    return cols
+    k = np.arange(n)[:, None, None]
+    l = np.arange(m)[None, :, None]
+    nn, mm = np.divmod(index, m)
+    return (np.exp(-2j * np.pi * k * nn / n)
+            * np.exp(2j * np.pi * l * mm / m)).reshape(n * m, -1)
 
 
-def build_modified_sfft(n: int, m: int, zeroed_tf, empty_dd) -> ModifiedSfft:
-    """Construct the reduced inverse transform for the given bin choices.
+def build_modified_sfft(n: int, m: int, zeroed) -> ModifiedSfft:
+    """Construct the reduced inverse transform for one zero-forced TF set.
 
-    Raises :class:`DimensionMismatch` if the two sets differ in size and
+    The DD bins left empty sit at the same (row, col) positions. Raises
+    :class:`DimensionMismatch` for a bin outside the grid and
     :class:`SingularReducedMatrix` if the reduced forward matrix is rank
     deficient (a different bin placement must be chosen in that case).
     """
-    zeroed_tf = sorted(set((int(a), int(b)) for a, b in zeroed_tf))
-    empty_dd = sorted(set((int(a), int(b)) for a, b in empty_dd))
-    if len(zeroed_tf) != len(empty_dd):
-        raise DimensionMismatch(
-            f"{len(zeroed_tf)} zero-forced TF bins vs {len(empty_dd)} empty DD bins")
-    tf_rows = _tf_linear(zeroed_tf, n, m)
-    dd_cols = _dd_linear(empty_dd, n, m)
+    zeroed = sorted(set((int(a), int(b)) for a, b in zeroed))
+    index = _tf_linear(zeroed, n, m)
+    columns = _sfft_columns(n, m, index)
     # Invertibility of the reduced forward matrix is equivalent to
     # invertibility of the r x r block of the inverse transform at the removed
     # positions (Schur complement of a full-rank matrix), which stays cheap
     # even on large grids.
-    schur = _sfft_columns(n, m, tf_rows)[dd_cols, :] if tf_rows.size else np.empty((0, 0))
-    if tf_rows.size:
+    schur = columns[index, :]
+    if index.size:
         sv = np.linalg.svd(schur, compute_uv=False)
         if sv[-1] <= _RANK_RTOL * sv[0]:
             raise SingularReducedMatrix(
-                f"reduced transform is rank deficient for zeroed_tf={zeroed_tf}, "
-                f"empty_dd={empty_dd}")
-    return ModifiedSfft(n, m, tuple(zeroed_tf), tuple(empty_dd), tf_rows, dd_cols, schur)
+                f"reduced transform is rank deficient for zeroed={zeroed}")
+    for array in (index, columns, schur):
+        array.flags.writeable = False
+    return ModifiedSfft(n, m, tuple(zeroed), index, columns, schur)
 
 
 def place_symbols(symbols: np.ndarray, n: int, m: int, empty_dd=()) -> np.ndarray:
     """Fill a DD grid row-major with ``symbols``, zeros at the empty bins."""
     symbols = np.asarray(symbols, dtype=complex).ravel()
-    dd_cols = _dd_linear(empty_dd, n, m)
-    if symbols.size != n * m - dd_cols.size:
+    index = _tf_linear(empty_dd, n, m)
+    if symbols.size != n * m - index.size:
         raise DimensionMismatch(
-            f"expected {n * m - dd_cols.size} symbols, got {symbols.size}")
+            f"expected {n * m - index.size} symbols, got {symbols.size}")
     flat = np.zeros(n * m, dtype=complex)
-    keep = np.setdiff1d(np.arange(n * m), dd_cols, assume_unique=True)
+    keep = np.setdiff1d(np.arange(n * m), index, assume_unique=True)
     flat[keep] = symbols
     return flat.reshape(n, m)

@@ -213,7 +213,7 @@ class OmpResult:
 
 
 def omp(values: np.ndarray, dictionary: SsrDictionary, k_sparse: int | None = None,
-        residual_tol: float | None = None, max_iter: int | None = None) -> OmpResult:
+        residual_tol: float | None = None) -> OmpResult:
     """Orthogonal matching pursuit over the normalized dictionary.
 
     Stops after ``k_sparse`` selections, or when the residual norm drops
@@ -228,7 +228,7 @@ def omp(values: np.ndarray, dictionary: SsrDictionary, k_sparse: int | None = No
         raise ValueError("need a stopping rule: k_sparse or residual_tol")
     if k_sparse is not None and k_sparse > a.shape[0]:
         raise ValueError("k_sparse exceeds number of measurements")
-    limit = k_sparse if k_sparse is not None else (max_iter or a.shape[0])
+    limit = k_sparse if k_sparse is not None else a.shape[0]
     support: list[int] = []
     coef = np.zeros(0, dtype=complex)
     residual = y.copy()

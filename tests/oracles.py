@@ -5,9 +5,10 @@
 its own offset window with explicit einsum contractions: the algorithm as
 written, without batching across solvers.
 
-The explicit (NM x NM) matrices, the stacked LMMSE solve and the
-single-path DD response are direct forms of what the package computes with
-FFTs, per-TF-bin factorizations and closed forms; small grids only.
+The explicit (NM x NM) matrices, the stacked LMMSE solve, the per-bin TF
+channel, the single-path DD response and the numeric FIM are direct forms of
+what the package computes with FFTs, per-TF-bin factorizations and closed
+forms; small grids only.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from otfs_isac.channel import tf_channel_grid
 from otfs_isac.config import Target, substream
+from otfs_isac.crlb import snr_linear
 from otfs_isac.exceptions import DimensionMismatch
 from otfs_isac.virtual_array import (DEFAULT_SWEEPS, PERP_FLOOR, TIE_RTOL,
                                      _dequantize, _FactoredGrid, _quantize)
@@ -197,6 +199,14 @@ def dd_channel_operator(paths, cfg, pair_gains=None,
     return op
 
 
+def tf_channel_coeff(target: Target, n: int, m: int, cfg) -> complex:
+    """Single-path TF channel coefficient at bin (n, m), array factor excluded."""
+    nu, tau = target.doppler_hz, target.delay_s
+    dt, df = cfg.symbol_duration_s, cfg.subcarrier_spacing_hz
+    return (target.gain * np.exp(-2j * np.pi * nu * tau)
+            * np.exp(2j * np.pi * (nu * n * dt - m * df * tau)))
+
+
 def lmmse_equalize(y: np.ndarray, h: np.ndarray, noise_var: float) -> np.ndarray:
     """x_hat = (H^H H + noise_var I)^{-1} H^H y via a stable linear solve."""
     y = np.asarray(y, dtype=complex).ravel()
@@ -243,3 +253,26 @@ def single_path_response_derivatives(tau: float, nu: float, u: float, phi: float
     d_u = front * (1j * n_r) * dop_sum * del_sum
     d_phi = front * 1j * dop_sum * del_sum
     return np.array([d_tau, d_nu, d_u, d_phi])
+
+
+def asymptotic_c_matrix(cfg) -> np.ndarray:
+    """The 4x4 structure matrix of the asymptotic per-target FIM."""
+    n, m, nr = cfg.n_doppler, cfg.m_delay, cfg.n_rx
+    df = cfg.subcarrier_spacing_hz
+    dt = cfg.symbol_duration_s
+    a = np.pi * df * (m - 1)
+    b = np.pi * dt * (n - 1)
+    s = (nr - 1) / 2.0
+    return np.array([
+        [4 * np.pi ** 2 * df ** 2 * (m - 1) * (2 * m - 1) / 6.0,
+         -np.pi ** 2 * (n - 1) * (m - 1), -a * s, -a],
+        [-np.pi ** 2 * (n - 1) * (m - 1),
+         4 * np.pi ** 2 * dt ** 2 * (n - 1) * (2 * n - 1) / 6.0, b * s, b],
+        [-a * s, b * s, (nr - 1) * (2 * nr - 1) / 6.0, s],
+        [-a, b, s, 1.0],
+    ])
+
+
+def asymptotic_fim(cfg, snr_db: float) -> np.ndarray:
+    """Per-target 4x4 Fisher information matrix, asymptotic on-grid case."""
+    return 2.0 * snr_linear(snr_db) * cfg.n_rx * asymptotic_c_matrix(cfg)

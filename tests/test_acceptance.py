@@ -16,14 +16,15 @@ from otfs_isac.allocation import (diagonal_allocation, make_allocation,
                                   rate_accounting)
 from otfs_isac.channel import radar_receive, tf_channel_grid
 from otfs_isac.coarse import coarse_pipeline, estimate_angles, resolution_report
-from otfs_isac.comm import ber_frame, modified_sffts, symbol_capacity, transmit_chain
+from otfs_isac.comm import ber_frame, symbol_capacity, transmit_chain
 from otfs_isac.config import SPEED_OF_LIGHT, SystemConfig, Target, substream
-from otfs_isac.crlb import asymptotic_fim, crlb_closed_form, crlb_report
+from otfs_isac.crlb import crlb_closed_form, crlb_report
 from otfs_isac.transforms import isfft, sfft
 from otfs_isac.virtual_array import (SsrDictionary, averaged_ssr,
                                      build_virtual_snapshot,
                                      default_neighborhood, omp)
-from oracles import single_path_response, single_path_response_derivatives
+from oracles import (asymptotic_fim, single_path_response,
+                     single_path_response_derivatives)
 
 THREE_TARGET_ANGLES_DEG = [7.0, -14.0, 22.0]
 THREE_TARGET_RANGES_M = [73.48, 64.29, 45.92]
@@ -308,14 +309,12 @@ def test_criterion_09_omp_matches_exhaustive_search():
 def test_criterion_10_communication_exactness_and_trend():
     cfg = SystemConfig(n_doppler=16, m_delay=32, n_tx=4, n_comm_rx=4)
     alloc = diagonal_allocation(cfg.n_tx)
-    msffts = modified_sffts(alloc, cfg)
 
     def paths(c):
         return [Target(0.0, l * c.delay_spacing_s, k * c.doppler_spacing_hz)
                 for k, l in [(0, 0), (2, 3), (5, 7)]]
 
-    errors, bits = ber_frame(cfg, alloc, paths(cfg), np.inf, seed=1,
-                             msffts=msffts)
+    errors, bits = ber_frame(cfg, alloc, paths(cfg), np.inf, seed=1)
     assert errors == 0 and bits > 0
     ber = {}
     for n_c in (4, 8, 16):
@@ -323,7 +322,7 @@ def test_criterion_10_communication_exactness_and_trend():
         err = tot = frame = 0
         while tot < 100_000:
             e, b = ber_frame(c, alloc, paths(c), 20.0, seed=10,
-                             frame_index=frame, msffts=msffts)
+                             frame_index=frame)
             err += e
             tot += b
             frame += 1

@@ -16,8 +16,6 @@ def test_diagonal_allocation_structure():
         assert alloc.private_bins[i] == frozenset({(i, i)})
         # each antenna zero-forces everyone else's private bins
         assert alloc.zero_bins[i] == frozenset((j, j) for j in range(4) if j != i)
-        # the default empty DD set mirrors the zero set
-        assert alloc.empty_dd_bins[i] == alloc.zero_bins[i]
 
 
 def test_private_bin_list_order():

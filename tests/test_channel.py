@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from otfs_isac.channel import (add_noise, noise_variance, radar_receive,
-                               rx_array_phase, tf_channel_coeff,
-                               tf_channel_grid, tx_array_phase)
+                               rx_array_phase, tf_channel_grid, tx_array_phase)
 from otfs_isac.config import SystemConfig, Target
 from otfs_isac.transforms import isfft, sfft
-from oracles import dd_channel_operator, dd_circular_shift_operator
+from oracles import (dd_channel_operator, dd_circular_shift_operator,
+                     tf_channel_coeff)
 
 
 def small_cfg(**kw):

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+from otfs_isac import comm
 from otfs_isac.allocation import diagonal_allocation, make_allocation
-from otfs_isac.comm import (ber_frame, lmmse_equalize_tf, qpsk_demodulate,
-                            qpsk_modulate, random_pair_gains,
+from otfs_isac.comm import (ber_frame, lmmse_equalize_tf, modified_sffts,
+                            qpsk_demodulate, qpsk_modulate, random_pair_gains,
                             recover_and_demap, symbol_capacity,
                             tf_block_channel, transmit_chain)
 from otfs_isac.config import SystemConfig, Target, substream
 from otfs_isac.exceptions import BitCountMismatch, DimensionMismatch
-from otfs_isac.transforms import isfft, sfft
+from otfs_isac.transforms import build_modified_sfft, isfft, sfft
 from oracles import lmmse_equalize
 
 
@@ -53,7 +54,7 @@ def test_transmit_chain_zero_forcing():
     for i in range(cfg.n_tx):
         for (n, m) in alloc.zero_bins[i]:
             assert tf[i, n, m] == 0.0
-        for (k, l) in alloc.empty_dd_bins[i]:
+        for (k, l) in alloc.zero_bins[i]:
             assert dd[i, k, l] == 0.0
         # own private bin carries signal
         (n, m) = next(iter(alloc.private_bins[i]))
@@ -140,3 +141,26 @@ def test_ber_frame_non_diagonal_allocation():
     alloc = make_allocation(2, [(0, (0, 3)), (1, (2, 6))])
     errors, _ = ber_frame(cfg, alloc, on_grid_paths(cfg), np.inf, seed=2)
     assert errors == 0
+
+
+def test_reduced_transforms_built_once_per_allocation(monkeypatch):
+    cfg = small_cfg()
+    alloc = diagonal_allocation(cfg.n_tx)
+    comm._modified_sffts.cache_clear()
+    builds = []
+
+    def counting_build(*args):
+        builds.append(args)
+        return build_modified_sfft(*args)
+
+    monkeypatch.setattr(comm, "build_modified_sfft", counting_build)
+    ber_frame(cfg, alloc, on_grid_paths(cfg), 5.0, seed=3)
+    ber_frame(cfg, alloc, on_grid_paths(cfg), 5.0, seed=3, frame_index=1)
+    assert len(builds) == cfg.n_tx
+    msffts = modified_sffts(alloc, cfg)
+    assert msffts is modified_sffts(diagonal_allocation(cfg.n_tx), cfg)
+    for msfft in msffts:
+        for array in (msfft._index, msfft._columns, msfft._schur):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            msfft._schur[0, 0] = 0.0
