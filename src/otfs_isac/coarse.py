@@ -1,9 +1,11 @@
 """Low-complexity coarse target estimation.
 
-Angles come from a zero-padded DFT across the receive array, averaged
-(non-coherently) over all DD bins. Delay/Doppler indices then come from the
-peaks of a 2D circular cross-correlation between the per-angle receive
-profile and a reference profile built from the known transmit symbols.
+Angles come from the covariance-domain Bartlett spectrum: the zero-padded
+DFT power across the receive array, averaged (non-coherently) over all DD
+bins, computed as a length-K DFT of the lag sums of the N_r x N_r sample
+covariance. Delay/Doppler indices then come from the peaks of a 2D circular
+cross-correlation between the per-angle receive profile and a reference
+profile built from the known transmit symbols.
 """
 
 from __future__ import annotations
@@ -62,7 +64,14 @@ def estimate_angles(rx_dd: np.ndarray, n_targets: int, cfg: SystemConfig,
     if not average:
         snapshots = snapshots[:, :1]
     k = pad_factor * n_rx
-    power = np.mean(np.abs(np.fft.fft(snapshots, n=k, axis=0)) ** 2, axis=1)
+    # mean_s |sum_n x[n, s] e^{-j2pi q n / K}|^2 = sum_{n, n'} cov[n, n']
+    # e^{-j2pi q (n - n') / K}: a length-K DFT of the covariance summed along
+    # its diagonals, with lags folded mod K (exact for every K).
+    cov = snapshots @ snapshots.conj().T / snapshots.shape[1]
+    lag = np.subtract.outer(np.arange(n_rx), np.arange(n_rx)) % k
+    r = np.zeros(k, dtype=complex)
+    np.add.at(r, lag, cov)
+    power = np.fft.fft(r).real
     omegas = 2.0 * np.pi * np.fft.fftfreq(k)
     sin_phi = omegas * cfg.wavelength_m / (2.0 * np.pi * cfg.g_r)
     valid = np.abs(sin_phi) <= 1.0
@@ -90,7 +99,9 @@ def extract_angle_profiles(rx_dd: np.ndarray, angles, cfg: SystemConfig) -> np.n
     """Least-squares per-angle complex profiles A_j[k, l].
 
     Solves, per DD bin, y_{n_r} = sum_j A_j e^{j n_r omega_j} over the
-    steering matrix of the estimated angles. Shape (J, N, M).
+    steering matrix of the estimated angles. One thin SVD of that N_r x J
+    matrix gives both the conditioning check and the pseudo-inverse applied
+    to all bins. Shape (J, N, M).
     """
     rx = np.asarray(rx_dd, dtype=complex)
     n_rx, n, m = rx.shape
@@ -99,11 +110,12 @@ def extract_angle_profiles(rx_dd: np.ndarray, angles, cfg: SystemConfig) -> np.n
         raise TooManyTargets("need more receive antennas than angles")
     omegas = angle_to_spatial_freq(angles, cfg)
     steering = np.exp(1j * np.outer(np.arange(n_rx), omegas))
-    if np.linalg.cond(steering) > STEERING_COND_LIMIT:
+    u, sv, vh = np.linalg.svd(steering, full_matrices=False)
+    if sv[0] > STEERING_COND_LIMIT * sv[-1]:
         raise IllConditionedSteering(
             "estimated angles too close for least-squares separation; "
             "virtual-array refinement required")
-    profiles, *_ = np.linalg.lstsq(steering, rx.reshape(n_rx, -1), rcond=None)
+    profiles = (vh.conj().T / sv) @ (u.conj().T @ rx.reshape(n_rx, -1))
     return profiles.reshape(angles.size, n, m)
 
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +28,16 @@ class SystemConfig:
     n_comm_rx: int = 8
     tx_spacing_m: float | None = None   # defaults to lambda/2
     rx_spacing_m: float | None = None
-    snr_db: float = 20.0
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.n_doppler, self.m_delay, self.n_tx, self.n_rx, self.n_comm_rx) <= 0:
             raise ValueError("counts must be positive")
-        if self.subcarrier_spacing_hz <= 0 or self.carrier_freq_hz <= 0:
-            raise ValueError("frequencies must be positive")
+        if not all(0 < f < math.inf for f in (self.subcarrier_spacing_hz,
+                                              self.carrier_freq_hz)):
+            raise ValueError("frequencies must be positive and finite")
+        if not all(g is None or 0 < g < math.inf for g in (self.tx_spacing_m,
+                                                           self.rx_spacing_m)):
+            raise ValueError("antenna spacings must be positive and finite")
 
     @property
     def wavelength_m(self) -> float:

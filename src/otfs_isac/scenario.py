@@ -185,7 +185,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
                 continue
             try:
                 cfg_kwargs[key] = _SYSTEM_FIELDS[key](value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 errors.append(f"system.{key}: expected {_SYSTEM_FIELDS[key].__name__}")
     try:
         cfg = SystemConfig(**cfg_kwargs)
@@ -194,34 +194,47 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         cfg = SystemConfig()
 
     targets = []
-    for i, t in enumerate(raw.get("targets", [])):
+    targets_raw = raw.get("targets", [])
+    if not _check(errors, isinstance(targets_raw, list), "targets: expected a list"):
+        targets_raw = []
+    for i, t in enumerate(targets_raw):
         try:
-            targets.append(Target.from_range_velocity(
-                float(t["angle_deg"]), float(t["range_m"]), float(t["velocity_mps"]),
-                cfg.carrier_freq_hz))
+            values = [float(t[key]) for key in ("angle_deg", "range_m", "velocity_mps")]
+            if _check(errors, all(map(math.isfinite, values)),
+                      f"targets[{i}]: expected finite numbers, got {values}"):
+                targets.append(Target.from_range_velocity(*values, cfg.carrier_freq_hz))
         except KeyError as exc:
             errors.append(f"targets[{i}]: missing field {exc}")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             errors.append(f"targets[{i}]: {exc}")
 
     alloc_raw = raw.get("allocation", {"diagonal_private_bins": cfg.n_tx})
     alloc = None
-    try:
-        if "private_bins" in alloc_raw:
+    if not isinstance(alloc_raw, dict):
+        errors.append("allocation: expected an object")
+    elif "private_bins" in alloc_raw:
+        try:
             assignments = [(int(a), (int(b[0]), int(b[1])))
                            for a, b in alloc_raw["private_bins"]]
             alloc = make_allocation(cfg.n_tx, assignments)
-        elif "diagonal_private_bins" in alloc_raw:
-            count = int(alloc_raw["diagonal_private_bins"])
+        except (OtfsIsacError, ValueError, TypeError, LookupError,
+                OverflowError) as exc:
+            errors.append(f"allocation: {exc}")
+    elif "diagonal_private_bins" in alloc_raw:
+        # checked before the bin list is built, so a huge count costs nothing
+        count = alloc_raw["diagonal_private_bins"]
+        if _check(errors, _is_int(count) and 0 <= count <= cfg.n_tx,
+                  f"allocation.diagonal_private_bins: expected an integer in "
+                  f"[0, {cfg.n_tx}], got {count!r}"):
             alloc = make_allocation(cfg.n_tx, [(i, (i, i)) for i in range(count)])
-        else:
-            errors.append("allocation: need private_bins or diagonal_private_bins")
-    except (OtfsIsacError, ValueError, TypeError, IndexError) as exc:
-        errors.append(f"allocation: {exc}")
+    else:
+        errors.append("allocation: need private_bins or diagonal_private_bins")
     if alloc is None:
         alloc = diagonal_allocation(cfg.n_tx)
 
     est_raw = raw.get("estimator", {})
+    if not _check(errors, isinstance(est_raw, dict), "estimator: expected an object"):
+        est_raw = {}
     est_kwargs = {}
     for key, value in est_raw.items():
         if key not in EstimatorSettings.__dataclass_fields__:
@@ -251,9 +264,11 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
               "snr_db_values: expected a non-empty list"):
         try:
             snrs = tuple(float(s) for s in snrs)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             errors.append("snr_db_values: entries must be numbers")
             snrs = (20.0,)
+        _check(errors, not any(math.isnan(s) or s == -math.inf for s in snrs),
+               f"snr_db_values: NaN and -inf are not SNRs, got {list(snrs)}")
     else:
         snrs = (20.0,)
     min_bits = raw.get("min_bits", 100_000)

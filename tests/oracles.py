@@ -9,6 +9,11 @@ The explicit (NM x NM) matrices, the stacked LMMSE solve, the per-bin TF
 channel, the single-path DD response and the numeric FIM are direct forms of
 what the package computes with FFTs, per-TF-bin factorizations and closed
 forms; small grids only.
+
+``padded_fft_estimate_angles`` and ``lstsq_angle_profiles`` are the coarse
+stage as first written: a zero-padded FFT of every snapshot and a generic
+least-squares solve, against which the covariance-domain spectrum and the
+one-SVD profile solve of :mod:`otfs_isac.coarse` are checked.
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ from collections import Counter
 import numpy as np
 
 from otfs_isac.channel import tf_channel_grid
+from otfs_isac.coarse import angle_to_spatial_freq
 from otfs_isac.config import Target, substream
 from otfs_isac.crlb import snr_linear
-from otfs_isac.exceptions import DimensionMismatch
+from otfs_isac.exceptions import DimensionMismatch, PeakSeparationFailure
 from otfs_isac.virtual_array import (DEFAULT_SWEEPS, PERP_FLOOR, TIE_RTOL,
                                      _dequantize, _FactoredGrid, _quantize)
 
@@ -276,3 +282,45 @@ def asymptotic_c_matrix(cfg) -> np.ndarray:
 def asymptotic_fim(cfg, snr_db: float) -> np.ndarray:
     """Per-target 4x4 Fisher information matrix, asymptotic on-grid case."""
     return 2.0 * snr_linear(snr_db) * cfg.n_rx * asymptotic_c_matrix(cfg)
+
+
+def padded_fft_estimate_angles(rx_dd, n_targets: int, cfg, pad_factor: int,
+                               average: bool = True):
+    """Angles from the mean |zero-padded DFT|^2 of the array snapshots.
+
+    Same (angles, omegas, power) contract as ``coarse.estimate_angles``:
+    circular local maxima inside the visible region, strongest first, at
+    least one unpadded DFT bin apart.
+    """
+    snapshots = np.asarray(rx_dd, dtype=complex).reshape(rx_dd.shape[0], -1)
+    if not average:
+        snapshots = snapshots[:, :1]
+    k = pad_factor * snapshots.shape[0]
+    power = np.mean(np.abs(np.fft.fft(snapshots, n=k, axis=0)) ** 2, axis=1)
+    omegas = 2.0 * np.pi * np.fft.fftfreq(k)
+    sin_phi = omegas * cfg.wavelength_m / (2.0 * np.pi * cfg.g_r)
+    maxima = ((power > np.roll(power, 1)) & (power >= np.roll(power, -1))
+              & (np.abs(sin_phi) <= 1.0))
+    candidates = np.flatnonzero(maxima)
+    picked = []
+    for idx in candidates[np.argsort(power[candidates])[::-1]]:
+        dist = np.abs(idx - np.asarray(picked))
+        if not picked or np.minimum(dist, k - dist).min() >= pad_factor:
+            picked.append(int(idx))
+        if len(picked) == n_targets:
+            break
+    if len(picked) < n_targets:
+        raise PeakSeparationFailure(
+            f"found {len(picked)} separated peaks, needed {n_targets}")
+    return np.arcsin(sin_phi[picked]), omegas, power
+
+
+def lstsq_angle_profiles(rx_dd, angles, cfg) -> np.ndarray:
+    """Per-angle profiles from ``np.linalg.lstsq`` over the steering matrix."""
+    rx = np.asarray(rx_dd, dtype=complex)
+    n_rx, n, m = rx.shape
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    steering = np.exp(1j * np.outer(np.arange(n_rx),
+                                    angle_to_spatial_freq(angles, cfg)))
+    profiles, *_ = np.linalg.lstsq(steering, rx.reshape(n_rx, -1), rcond=None)
+    return profiles.reshape(angles.size, n, m)

@@ -14,6 +14,9 @@ from otfs_isac.channel import radar_receive
 from otfs_isac.exceptions import (DimensionMismatch, IllConditionedSteering,
                                   PeakSeparationFailure, TooManyTargets)
 from otfs_isac.transforms import sfft
+from oracles import lstsq_angle_profiles, padded_fft_estimate_angles
+
+EXACT = 1e-12
 
 
 def make_scene(cfg, targets, snr_db=None, seed=0):
@@ -70,6 +73,60 @@ def test_extract_angle_profiles_ill_conditioned():
     rx = np.ones((8, 2, 2), dtype=complex)
     with pytest.raises(IllConditionedSteering):
         extract_angle_profiles(rx, [0.1, 0.1 + 1e-9], cfg)
+
+
+def assert_close_to_peak(actual, expected):
+    """Agreement within EXACT of the largest magnitude of ``expected``."""
+    np.testing.assert_allclose(actual, expected, rtol=EXACT,
+                               atol=EXACT * np.abs(expected).max())
+
+
+def three_target_scene(n_rx, seed):
+    cfg = SystemConfig(n_doppler=8, m_delay=16, n_tx=2, n_rx=n_rx)
+    targets = [Target.from_range_velocity(a, r, v, cfg.carrier_freq_hz)
+               for a, r, v in ((7.0, 73.5, 54.5), (-14.0, 64.3, -98.2),
+                               (22.0, 45.9, 76.4))]
+    return (cfg,) + make_scene(cfg, targets, snr_db=10.0, seed=seed)
+
+
+@pytest.mark.parametrize("pad", [1, 2, 3, 16])
+@pytest.mark.parametrize("n_rx", [16, 7])
+@pytest.mark.parametrize("average", [True, False])
+def test_estimate_angles_matches_padded_fft_oracle(pad, n_rx, average):
+    cfg, _, rx_dd = three_target_scene(n_rx, seed=pad)
+    for n_targets in (1, 2, 3):
+        try:
+            ref_angles, ref_omegas, ref_power = padded_fft_estimate_angles(
+                rx_dd, n_targets, cfg, pad, average=average)
+        except PeakSeparationFailure:
+            with pytest.raises(PeakSeparationFailure):
+                estimate_angles(rx_dd, n_targets, cfg, pad_factor=pad,
+                                average=average)
+            continue
+        angles, omegas, power = estimate_angles(rx_dd, n_targets, cfg,
+                                                pad_factor=pad, average=average)
+        assert_close_to_peak(power, ref_power)
+        np.testing.assert_array_equal(omegas, ref_omegas)
+        np.testing.assert_array_equal(angles, ref_angles)
+
+
+@pytest.mark.parametrize("average", [True, False])
+def test_estimate_angles_all_zero_input(average):
+    cfg = SystemConfig(n_rx=8)
+    rx = np.zeros((8, 2, 3), dtype=complex)
+    for estimator in (estimate_angles, padded_fft_estimate_angles):
+        with pytest.raises(PeakSeparationFailure):
+            estimator(rx, 1, cfg, pad_factor=16, average=average)
+
+
+@pytest.mark.parametrize("angles_deg", [[7.0, -14.0, 22.0], [12.0, 14.0],
+                                        [-40.0]])
+@pytest.mark.parametrize("n_rx", [16, 7])
+def test_extract_angle_profiles_matches_lstsq_oracle(angles_deg, n_rx):
+    cfg, _, rx_dd = three_target_scene(n_rx, seed=n_rx)
+    angles = np.deg2rad(angles_deg)
+    assert_close_to_peak(extract_angle_profiles(rx_dd, angles, cfg),
+                         lstsq_angle_profiles(rx_dd, angles, cfg))
 
 
 def test_reference_profile_zero_angle():

@@ -1,7 +1,11 @@
-"""Property-based tests: transform round trips and reduced-transform recovery.
+"""Property-based tests: transform round trips, reduced-transform recovery
+and scenario validation on fuzzed input.
 
 Examples are derandomized, so every run checks the same inputs.
 """
+
+import json
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,7 +15,8 @@ from otfs_isac.allocation import make_allocation
 from otfs_isac.comm import (modified_sffts, recover_and_demap, symbol_capacity,
                             transmit_chain)
 from otfs_isac.config import SystemConfig
-from otfs_isac.exceptions import SingularReducedMatrix
+from otfs_isac.exceptions import ConfigValidationError, SingularReducedMatrix
+from otfs_isac.scenario import EstimatorSettings, scenario_from_dict
 from otfs_isac.transforms import isfft, sfft
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=50, deadline=None)
@@ -51,3 +56,47 @@ def test_modified_sfft_recovers_transmitted_bits(case, seed):
         0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
     dd, _ = transmit_chain(bits, alloc, cfg)
     np.testing.assert_array_equal(recover_and_demap(dd, alloc, cfg), bits)
+
+
+VALID_RAW = {
+    "name": "fuzz",
+    "experiment_kind": "dd-correlation",
+    "system": {"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 8},
+    "targets": [{"angle_deg": 5.0, "range_m": 50.0, "velocity_mps": 10.0}],
+    "allocation": {"diagonal_private_bins": 2},
+    "trials": 3,
+    "snr_db_values": [10.0],
+    "seed": 1,
+}
+_FULL = scenario_from_dict(VALID_RAW).to_dict()
+# every slot of a scenario file as a key path; an allocation holds one key
+SLOTS = ([(key,) for key in _FULL]
+         + [("system", key) for key in _FULL["system"]]
+         + [("estimator", key) for key in EstimatorSettings.__dataclass_fields__]
+         + [("allocation", "private_bins"), ("allocation", "diagonal_private_bins")]
+         + [("targets", 0, key) for key in _FULL["targets"][0]])
+JSON_KEYS = (st.sampled_from(sorted({s[-1] for s in SLOTS if s[-1] != 0}))
+             | st.text(max_size=4))
+# small magnitudes only, so that no fuzzed grid or bin count allocates much
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 300) | st.floats(-1e3, 1e3)
+    | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(JSON_KEYS, inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(path=st.sampled_from(SLOTS), value=JSON_VALUES)
+def test_scenario_from_dict_fuzzed_slot_raises_only_validation_error(path, value):
+    raw = json.loads(json.dumps(VALID_RAW))
+    if path[0] == "allocation":
+        raw["allocation"] = {}
+    node = raw
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+    node[path[-1]] = value
+    try:
+        scenario_from_dict(raw)
+    except ConfigValidationError:
+        pass

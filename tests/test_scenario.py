@@ -178,3 +178,40 @@ def test_unnamed_file_named_after_its_stem(tmp_path):
     path = tmp_path / "my-run.json"
     path.write_text(json.dumps(raw))
     assert load_scenario(path).name == "my-run"
+
+
+@pytest.mark.parametrize("overrides, prefix", [
+    ({"targets": None}, "targets:"),
+    ({"estimator": [1]}, "estimator:"),
+    ({"allocation": {"diagonal_private_bins": -1}}, "allocation.diagonal_private_bins:"),
+    ({"allocation": {"diagonal_private_bins": 10 ** 9}},
+     "allocation.diagonal_private_bins:"),
+    ({"system": {"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 8,
+                 "rx_spacing_m": 0.0}}, "system:"),
+    ({"system": {"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 8,
+                 "rx_spacing_m": -0.006}}, "system:"),
+    ({"system": {"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 8,
+                 "tx_spacing_m": 0.0}}, "system:"),
+    ({"system": {"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 8,
+                 "tx_spacing_m": -1.0}}, "system:"),
+    ({"system": {"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 8,
+                 "subcarrier_spacing_hz": float("nan")}}, "system:"),
+    ({"targets": [{"angle_deg": 5.0, "range_m": float("inf"), "velocity_mps": 1.0}]},
+     "targets[0]:"),
+    ({"snr_db_values": [10.0, float("nan")]}, "snr_db_values:"),
+    ({"snr_db_values": [float("-inf")]}, "snr_db_values:"),
+], ids=["targets-null", "estimator-list", "diagonal-negative", "diagonal-huge",
+        "rx-spacing-zero", "rx-spacing-negative", "tx-spacing-zero",
+        "tx-spacing-negative", "subcarrier-spacing-nan", "target-range-inf",
+        "snr-nan", "snr-minus-inf"])
+def test_malformed_input_is_a_validation_error(overrides, prefix):
+    with pytest.raises(ConfigValidationError) as exc:
+        scenario_from_dict(minimal_raw(**overrides))
+    assert any(e.startswith(prefix) for e in exc.value.errors), exc.value.errors
+
+
+def test_edge_values_accepted():
+    sc = scenario_from_dict(minimal_raw(allocation={"diagonal_private_bins": 0},
+                                        snr_db_values=[float("inf")]))
+    assert sc.allocation.private_bin_list() == []
+    assert sc.snr_db_values == (float("inf"),)
