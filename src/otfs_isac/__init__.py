@@ -11,13 +11,12 @@ from .comm import (ber_frame, lmmse_equalize_tf, qpsk_demodulate,
                    qpsk_modulate, recover_and_demap, tf_block_channel,
                    transmit_chain)
 from .crlb import crlb_closed_form, crlb_curve, crlb_report
-from .transforms import (ModifiedSfft, build_modified_sfft, isfft,
-                         place_symbols, sfft)
+from .transforms import ModifiedSfft, build_modified_sfft, isfft, sfft
 from .experiments import run_scenario
 from .scenario import (EstimatorSettings, Scenario, load_scenario,
                        scenario_from_dict)
 from .virtual_array import (AxisSpec, NeighborhoodSpec, SsrDictionary,
-                            VirtualSnapshot, averaged_ssr, build_dictionary,
-                            build_virtual_snapshot, default_neighborhood, omp)
+                            VirtualSnapshot, averaged_ssr, build_virtual_snapshot,
+                            default_neighborhood, omp)
 
 __version__ = "0.1.0"

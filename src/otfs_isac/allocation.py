@@ -5,7 +5,8 @@ antenna must zero-force those bins, so antenna i's zero set is
 Z_i = union of P_i' over i' != i. To keep its DD information recoverable
 despite the |Z_i| zero-forced TF samples, antenna i leaves |Z_i| DD bins
 empty (set E_i). E_i reuses the (row, col) indices of Z_i, so the allocation
-stores Z_i only.
+stores Z_i only, and one (N_t, N, M) boolean mask marks both sets on a grid
+stack.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AntennaOutOfRange, DuplicatePrivateBin
+from .exceptions import AntennaOutOfRange, DimensionMismatch, DuplicatePrivateBin
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,19 @@ class BinAllocation:
         for ant, bins in enumerate(self.private_bins):
             out.extend((ant, bin_) for bin_ in sorted(bins))
         return out
+
+    def zero_mask(self, n: int, m: int) -> np.ndarray:
+        """(n_tx, n, m) boolean stack, True on each antenna's zero set Z_i.
+
+        Raises :class:`DimensionMismatch` for a bin outside the n x m grid.
+        """
+        mask = np.zeros((self.n_tx, n, m), dtype=bool)
+        for ant, bins in enumerate(self.zero_bins):
+            for (a, b) in bins:
+                if not (0 <= a < n and 0 <= b < m):
+                    raise DimensionMismatch(f"bin {(a, b)} outside {n}x{m} grid")
+                mask[ant, a, b] = True
+        return mask
 
 
 def make_allocation(n_tx: int, private_assignments=()) -> BinAllocation:
@@ -67,13 +81,14 @@ def diagonal_allocation(n_tx: int) -> BinAllocation:
     return make_allocation(n_tx, [(i, (i, i)) for i in range(n_tx)])
 
 
-def zero_force(tf: np.ndarray, alloc: BinAllocation, antenna: int) -> np.ndarray:
-    """Return a copy of the TF grid with antenna's zero set forced to 0."""
-    if not 0 <= antenna < alloc.n_tx:
-        raise AntennaOutOfRange(f"antenna {antenna} not in [0, {alloc.n_tx})")
+def zero_force(tf: np.ndarray, alloc: BinAllocation) -> np.ndarray:
+    """Return a copy of the (n_tx, N, M) TF stack with each antenna's zero set
+    forced to 0."""
     out = np.array(tf, dtype=complex, copy=True)
-    for (n, m) in alloc.zero_bins[antenna]:
-        out[n, m] = 0.0
+    if out.ndim != 3 or out.shape[0] != alloc.n_tx:
+        raise DimensionMismatch(
+            f"expected a ({alloc.n_tx}, N, M) TF stack, got shape {out.shape}")
+    out[alloc.zero_mask(*out.shape[1:])] = 0.0
     return out
 
 

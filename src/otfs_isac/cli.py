@@ -8,7 +8,9 @@ resolution      print range/velocity resolution for a frame geometry
 validate-config check a scenario file and report every problem found
 demo            three-close-targets showcase (DFT spectrum + SSR surfaces)
 
-Errors are emitted as one JSON object on stderr and a nonzero exit code.
+Errors are emitted as one JSON object on stderr and a nonzero exit code;
+an unexpected exception becomes an ``internal-error`` object that names its
+type.
 The output directory may also be set with the OTFS_ISAC_OUT environment
 variable; the --out flag wins when both are present.
 """
@@ -179,6 +181,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except OtfsIsacError as exc:
         return _fail(type(exc).__name__, str(exc))
+    except Exception as exc:    # a numpy, memory or worker failure: still one JSON line
+        return _fail("internal-error", f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from .allocation import BinAllocation, zero_force
 from .channel import add_noise, noise_variance, tf_channel_grid
 from .config import SystemConfig, Target, substream, unit_phases
 from .exceptions import BitCountMismatch
-from .transforms import build_modified_sfft, isfft, place_symbols, sfft
+from .transforms import build_modified_sfft, isfft, sfft
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # Distinct (allocation, grid) pairs whose reduced transforms stay cached.
@@ -46,22 +46,17 @@ def transmit_chain(bits: np.ndarray, alloc: BinAllocation, cfg: SystemConfig):
 
     Returns (dd_grids, tf_grids) of shape (N_t, N, M); tf_grids carry exact
     zeros at each antenna's zero set. Bit count must match the allocation's
-    total symbol capacity at 2 bits/symbol.
+    total symbol capacity at 2 bits/symbol. The symbols fill the DD grids
+    antenna by antenna, each row-major, skipping the empty DD bins.
     """
     bits = np.asarray(bits, dtype=int).ravel()
     caps = symbol_capacity(alloc, cfg)
     if bits.size != 2 * sum(caps):
         raise BitCountMismatch(f"expected {2 * sum(caps)} bits, got {bits.size}")
-    n, m = cfg.n_doppler, cfg.m_delay
-    dd = np.empty((alloc.n_tx, n, m), dtype=complex)
-    tf = np.empty_like(dd)
-    start = 0
-    for i in range(alloc.n_tx):
-        symbols = qpsk_modulate(bits[start:start + 2 * caps[i]])
-        start += 2 * caps[i]
-        dd[i] = place_symbols(symbols, n, m, alloc.zero_bins[i])
-        tf[i] = zero_force(isfft(dd[i]), alloc, i)
-    return dd, tf
+    empty = alloc.zero_mask(cfg.n_doppler, cfg.m_delay)
+    dd = np.zeros(empty.shape, dtype=complex)
+    dd[~empty] = qpsk_modulate(bits)
+    return dd, zero_force(isfft(dd), alloc)
 
 
 @functools.lru_cache(maxsize=_MSFFT_CACHE_SIZE)
@@ -83,13 +78,9 @@ def recover_and_demap(equalized_dd: np.ndarray, alloc: BinAllocation,
     dropped, and the reduced inverse transform yields the information
     symbols, which are then hard-demapped.
     """
-    equalized_dd = np.asarray(equalized_dd, dtype=complex)
-    msffts = modified_sffts(alloc, cfg)
-    bits = []
-    for i in range(alloc.n_tx):
-        symbols = msffts[i].recover(isfft(equalized_dd[i]))
-        bits.append(qpsk_demodulate(symbols))
-    return np.concatenate(bits)
+    tf = isfft(np.asarray(equalized_dd, dtype=complex))
+    return np.concatenate([qpsk_demodulate(msfft.recover(grid))
+                           for msfft, grid in zip(modified_sffts(alloc, cfg), tf)])
 
 
 def random_pair_gains(n_paths: int, cfg: SystemConfig,
@@ -124,7 +115,7 @@ def lmmse_equalize_tf(y_dd: np.ndarray, blocks: np.ndarray,
     shape (N_c, N, M); returns equalized DD grids of shape (N_t, N, M).
     """
     n_c, n, m = y_dd.shape
-    y_tf = np.stack([isfft(g) for g in y_dd])          # (N_c, N, M)
+    y_tf = isfft(y_dd)                                 # (N_c, N, M)
     b = blocks.reshape(n * m, n_c, -1)                 # (NM, N_c, N_t)
     n_t = b.shape[2]
     gram = np.einsum("bca,bcd->bad", b.conj(), b)      # (NM, N_t, N_t)
@@ -132,7 +123,7 @@ def lmmse_equalize_tf(y_dd: np.ndarray, blocks: np.ndarray,
     rhs = np.einsum("bca,bc->ba", b.conj(), y_tf.reshape(n_c, -1).T)
     x_tf = np.linalg.solve(gram, rhs[..., None])[..., 0]   # (NM, N_t)
     x_tf = x_tf.T.reshape(n_t, n, m)
-    return np.stack([sfft(g) for g in x_tf])
+    return sfft(x_tf)
 
 
 def ber_frame(cfg: SystemConfig, alloc: BinAllocation, paths, snr_db: float,
@@ -154,9 +145,7 @@ def ber_frame(cfg: SystemConfig, alloc: BinAllocation, paths, snr_db: float,
     dd, _ = transmit_chain(bits, alloc, cfg)
     gains = random_pair_gains(len(paths), cfg, rng_chan)
     blocks = tf_block_channel(paths, cfg, gains)
-    x_tf = np.stack([isfft(g) for g in dd])
-    y = np.stack([sfft(g)
-                  for g in np.einsum("nmca,anm->cnm", blocks, x_tf)])
+    y = sfft(np.einsum("nmca,anm->cnm", blocks, isfft(dd)))
     if np.isinf(snr_db):
         noise_var = 1e-12    # no noise is added; only regularizes the LMMSE solve
     else:

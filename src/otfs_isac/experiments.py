@@ -89,7 +89,7 @@ def _scene(scenario: Scenario, targets, snr_db, snr_idx, trial, rng):
     dd, tf = transmit_chain(bits, alloc, cfg)
     rx_tf = radar_receive(tf, targets, cfg, snr_db=snr_db,
                           rng=_rng(scenario, snr_idx, trial, 1))
-    rx_dd = np.stack([sfft(g) for g in rx_tf])
+    rx_dd = sfft(rx_tf)
     return dd, tf, rx_tf, rx_dd
 
 

@@ -41,6 +41,10 @@ _SYSTEM_FIELDS = {
     "tx_spacing_m": float,
     "rx_spacing_m": float,
 }
+# Bound on the bytes of the reduced-transform columns that validation builds
+# (N * M * sum_i |Z_i| complex values); a 64x128 grid with four diagonal
+# private bins needs 1.5 MiB.
+MAX_REDUCED_TRANSFORM_BYTES = 256 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -124,9 +128,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_finite(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    return _is_number(value) and math.isfinite(value)
 
 
 # estimator count fields and their least valid value
@@ -183,10 +190,13 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
             if key not in _SYSTEM_FIELDS:
                 errors.append(f"system.{key}: unknown field")
                 continue
+            want = _SYSTEM_FIELDS[key]
             try:
-                cfg_kwargs[key] = _SYSTEM_FIELDS[key](value)
-            except (TypeError, ValueError, OverflowError):
-                errors.append(f"system.{key}: expected {_SYSTEM_FIELDS[key].__name__}")
+                if not (_is_int(value) if want is int else _is_number(value)):
+                    raise TypeError
+                cfg_kwargs[key] = want(value)
+            except (TypeError, OverflowError):
+                errors.append(f"system.{key}: expected {want.__name__}, got {value!r}")
     try:
         cfg = SystemConfig(**cfg_kwargs)
     except (ValueError, TypeError) as exc:
@@ -280,6 +290,12 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         if not (0 <= n < cfg.n_doppler and 0 <= m < cfg.m_delay):
             errors.append(f"allocation: bin {(n, m)} outside "
                           f"{cfg.n_doppler}x{cfg.m_delay} grid")
+    n_zeroed = sum(len(z) for z in alloc.zero_bins)
+    transform_bytes = cfg.n_doppler * cfg.m_delay * n_zeroed * 16
+    _check(errors, transform_bytes <= MAX_REDUCED_TRANSFORM_BYTES,
+           f"system: a {cfg.n_doppler}x{cfg.m_delay} grid with {n_zeroed} "
+           f"zero-forced bins needs {transform_bytes / 2 ** 20:.0f} MiB of reduced "
+           f"transforms, over the {MAX_REDUCED_TRANSFORM_BYTES // 2 ** 20} MiB bound")
     if not errors:
         try:
             modified_sffts(alloc, cfg)     # also warms the cache for the run

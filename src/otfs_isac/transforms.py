@@ -3,7 +3,8 @@
 Grids are plain complex ndarrays of shape (N, M): DD grids are indexed
 [k, l] (Doppler, delay), TF grids [n, m] (time, frequency). Vectorized forms
 are row-major with the second index fastest, i.e. position l + k*M (DD) and
-m + n*M (TF).
+m + n*M (TF). The transforms act on the last two axes, so a stack of
+per-antenna grids of shape (..., N, M) is transformed in one call.
 """
 
 from __future__ import annotations
@@ -19,27 +20,29 @@ _RANK_RTOL = 1e-10
 
 
 def isfft(dd: np.ndarray) -> np.ndarray:
-    """Map a DD grid to the TF domain.
+    """Map DD grids (..., N, M) to the TF domain.
 
     X[n,m] = (1/NM) * sum_{k,l} x[k,l] exp(j2pi(kn/N - ml/M)).
     """
     dd = np.asarray(dd)
-    if dd.ndim != 2:
-        raise DimensionMismatch(f"expected 2-D grid, got shape {dd.shape}")
-    m = dd.shape[1]
-    return np.fft.fft(np.fft.ifft(dd, axis=0), axis=1) / m
+    if dd.ndim < 2:
+        raise DimensionMismatch(f"expected (..., N, M) grids, got shape {dd.shape}")
+    out = np.fft.fft(np.fft.ifft(dd, axis=-2), axis=-1)
+    out /= dd.shape[-1]
+    return out
 
 
 def sfft(tf: np.ndarray) -> np.ndarray:
-    """Map a TF grid to the DD domain; the exact inverse of :func:`isfft`.
+    """Map TF grids (..., N, M) to the DD domain; the exact inverse of :func:`isfft`.
 
     x[k,l] = sum_{n,m} X[n,m] exp(-j2pi(kn/N - ml/M)).
     """
     tf = np.asarray(tf)
-    if tf.ndim != 2:
-        raise DimensionMismatch(f"expected 2-D grid, got shape {tf.shape}")
-    m = tf.shape[1]
-    return np.fft.fft(np.fft.ifft(tf, axis=1), axis=0) * m
+    if tf.ndim < 2:
+        raise DimensionMismatch(f"expected (..., N, M) grids, got shape {tf.shape}")
+    out = np.fft.fft(np.fft.ifft(tf, axis=-1), axis=-2)
+    out *= tf.shape[-1]
+    return out
 
 
 def _tf_linear(bins, n, m):
@@ -129,15 +132,3 @@ def build_modified_sfft(n: int, m: int, zeroed) -> ModifiedSfft:
         array.flags.writeable = False
     return ModifiedSfft(n, m, tuple(zeroed), index, columns, schur)
 
-
-def place_symbols(symbols: np.ndarray, n: int, m: int, empty_dd=()) -> np.ndarray:
-    """Fill a DD grid row-major with ``symbols``, zeros at the empty bins."""
-    symbols = np.asarray(symbols, dtype=complex).ravel()
-    index = _tf_linear(empty_dd, n, m)
-    if symbols.size != n * m - index.size:
-        raise DimensionMismatch(
-            f"expected {n * m - index.size} symbols, got {symbols.size}")
-    flat = np.zeros(n * m, dtype=complex)
-    keep = np.setdiff1d(np.arange(n * m), index, assume_unique=True)
-    flat[keep] = symbols
-    return flat.reshape(n, m)

@@ -167,39 +167,6 @@ def steering_columns(angles, dopplers, delays, bin_meta, n_rx: int,
     return np.exp(2j * np.pi * phase) * np.exp(-2j * np.pi * dopplers * delays)[None, :]
 
 
-def build_dictionary(specs, snapshot_meta, n_rx: int, cfg: SystemConfig,
-                     column_cap: int = DEFAULT_COLUMN_CAP) -> SsrDictionary:
-    """Build the concatenated dictionary over all target neighborhoods.
-
-    Each window is centered on its neighborhood center. Columns are
-    l2-normalized; the original norms are retained so sparse coefficients
-    can be mapped back to physical amplitudes.
-    """
-    specs = list(specs)
-    total = sum(s.angle.n_points * s.doppler.n_points * s.delay.n_points for s in specs)
-    if total == 0:
-        raise DimensionMismatch("empty dictionary grid")
-    if total > column_cap:
-        raise DictionaryTooLarge(f"{total} columns exceeds cap {column_cap}")
-    blocks, points, ids = [], [], []
-    for tid, spec in enumerate(specs):
-        ph = spec.angle.points(0.5)
-        nu = spec.doppler.points(0.5)
-        ta = spec.delay.points(0.5)
-        pp, nn, tt = (x.ravel() for x in np.meshgrid(ph, nu, ta, indexing="ij"))
-        blocks.append(steering_columns(pp, nn, tt, snapshot_meta, n_rx, cfg))
-        points.append(np.column_stack([pp, nn, tt]))
-        ids.append(np.full(pp.size, tid, dtype=int))
-    matrix = np.concatenate(blocks, axis=1)
-    norms = np.linalg.norm(matrix, axis=0)
-    return SsrDictionary(
-        matrix=matrix / norms,
-        grid_points=np.concatenate(points, axis=0),
-        target_ids=np.concatenate(ids),
-        column_norms=norms,
-    )
-
-
 @dataclass
 class OmpResult:
     support: list

@@ -10,6 +10,10 @@ channel, the single-path DD response and the numeric FIM are direct forms of
 what the package computes with FFTs, per-TF-bin factorizations and closed
 forms; small grids only.
 
+``grid_isfft``, ``grid_sfft`` and ``serial_transmit_chain`` are the transform
+and transmit layers as first written, one (N, M) grid at a time: the stacked
+transforms and the mask-based transmit chain must match them bit for bit.
+
 ``padded_fft_estimate_angles`` and ``lstsq_angle_profiles`` are the coarse
 stage as first written: a zero-padded FFT of every snapshot and a generic
 least-squares solve, against which the covariance-domain spectrum and the
@@ -23,6 +27,7 @@ from collections import Counter
 import numpy as np
 
 from otfs_isac.channel import tf_channel_grid
+from otfs_isac.comm import qpsk_modulate, symbol_capacity
 from otfs_isac.coarse import angle_to_spatial_freq
 from otfs_isac.config import Target, substream
 from otfs_isac.crlb import snr_linear
@@ -152,6 +157,55 @@ def isfft_matrix(n: int, m: int) -> np.ndarray:
     fn = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
     fm = np.exp(-2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m)
     return np.kron(fn.conj(), fm) / (n * m)
+
+
+def grid_isfft(dd: np.ndarray) -> np.ndarray:
+    """ISFFT of one (N, M) grid."""
+    return np.fft.fft(np.fft.ifft(dd, axis=0), axis=1) / dd.shape[1]
+
+
+def grid_sfft(tf: np.ndarray) -> np.ndarray:
+    """SFFT of one (N, M) grid."""
+    return np.fft.fft(np.fft.ifft(tf, axis=1), axis=0) * tf.shape[1]
+
+
+def per_grid(transform, grids: np.ndarray) -> np.ndarray:
+    """``transform`` applied to every (N, M) grid of a (..., N, M) stack."""
+    grids = np.asarray(grids)
+    flat = grids.reshape(-1, *grids.shape[-2:])
+    return np.stack([transform(g) for g in flat]).reshape(grids.shape)
+
+
+def place_symbols(symbols: np.ndarray, n: int, m: int, empty_dd=()) -> np.ndarray:
+    """Fill a DD grid row-major with ``symbols``, zeros at the empty bins."""
+    symbols = np.asarray(symbols, dtype=complex).ravel()
+    index = np.asarray(sorted(b + a * m for a, b in empty_dd), dtype=int)
+    if symbols.size != n * m - index.size:
+        raise DimensionMismatch(
+            f"expected {n * m - index.size} symbols, got {symbols.size}")
+    flat = np.zeros(n * m, dtype=complex)
+    flat[np.setdiff1d(np.arange(n * m), index, assume_unique=True)] = symbols
+    return flat.reshape(n, m)
+
+
+def serial_transmit_chain(bits: np.ndarray, alloc, cfg):
+    """``comm.transmit_chain`` antenna by antenna: each antenna's share of the
+    bits is placed row-major around its empty DD bins, transformed on its own
+    and zero-forced on its own zero set."""
+    bits = np.asarray(bits, dtype=int).ravel()
+    caps = symbol_capacity(alloc, cfg)
+    n, m = cfg.n_doppler, cfg.m_delay
+    dd = np.empty((alloc.n_tx, n, m), dtype=complex)
+    tf = np.empty_like(dd)
+    start = 0
+    for i in range(alloc.n_tx):
+        symbols = qpsk_modulate(bits[start:start + 2 * caps[i]])
+        start += 2 * caps[i]
+        dd[i] = place_symbols(symbols, n, m, alloc.zero_bins[i])
+        tf[i] = grid_isfft(dd[i])
+        for (a, b) in alloc.zero_bins[i]:
+            tf[i, a, b] = 0.0
+    return dd, tf
 
 
 def dd_circular_shift_operator(k_shift: int, l_shift: int, gain: complex,

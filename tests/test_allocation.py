@@ -5,7 +5,8 @@ import pytest
 
 from otfs_isac.allocation import (diagonal_allocation, make_allocation,
                                   rate_accounting, zero_force)
-from otfs_isac.exceptions import AntennaOutOfRange, DuplicatePrivateBin
+from otfs_isac.exceptions import (AntennaOutOfRange, DimensionMismatch,
+                                  DuplicatePrivateBin)
 
 
 def test_diagonal_allocation_structure():
@@ -37,13 +38,23 @@ def test_antenna_out_of_range():
 
 def test_zero_force():
     alloc = diagonal_allocation(3)
-    tf = np.ones((4, 4), dtype=complex)
-    out = zero_force(tf, alloc, 0)
-    assert out[1, 1] == 0 and out[2, 2] == 0
-    assert out[0, 0] == 1  # own private bin untouched
-    assert tf[1, 1] == 1   # input not modified
-    with pytest.raises(AntennaOutOfRange):
-        zero_force(tf, alloc, 3)
+    tf = np.ones((3, 4, 4), dtype=complex)
+    out = zero_force(tf, alloc)
+    for ant in range(3):
+        zeroed = {(a, b) for a in range(4) for b in range(4) if out[ant, a, b] == 0}
+        assert zeroed == alloc.zero_bins[ant]  # own private bin untouched
+    assert np.all(tf == 1)   # input not modified
+    with pytest.raises(DimensionMismatch):
+        zero_force(tf[:2], alloc)
+    with pytest.raises(DimensionMismatch):
+        zero_force(tf[0], alloc)
+
+
+def test_zero_mask_rejects_bin_outside_grid():
+    alloc = make_allocation(2, [(0, (0, 4)), (1, (1, 1))])
+    assert alloc.zero_mask(4, 5)[1, 0, 4]
+    with pytest.raises(DimensionMismatch):
+        alloc.zero_mask(4, 4)
 
 
 def test_rate_accounting():

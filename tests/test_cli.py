@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from otfs_isac.cli import main
@@ -195,3 +196,20 @@ def test_simulate_rejects_escaping_name(tmp_path, capsys):
     assert main(["simulate", "--scenario", path, "--out", str(out_dir)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "invalid-scenario"
     assert not out_dir.exists()
+
+
+def test_unexpected_exception_is_one_json_error(tmp_path, capsys, monkeypatch):
+    import otfs_isac.cli as cli
+
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    path = write_scenario(tmp_path)
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "internal-error"
+    assert "LinAlgError" in payload["message"]

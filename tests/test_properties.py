@@ -1,5 +1,6 @@
-"""Property-based tests: transform round trips, reduced-transform recovery
-and scenario validation on fuzzed input.
+"""Property-based tests: transform round trips, stacked transforms and the
+transmit chain against their one-grid-at-a-time oracles, reduced-transform
+recovery and scenario validation on fuzzed input.
 
 Examples are derandomized, so every run checks the same inputs.
 """
@@ -18,6 +19,7 @@ from otfs_isac.config import SystemConfig
 from otfs_isac.exceptions import ConfigValidationError, SingularReducedMatrix
 from otfs_isac.scenario import EstimatorSettings, scenario_from_dict
 from otfs_isac.transforms import isfft, sfft
+from oracles import grid_isfft, grid_sfft, per_grid, serial_transmit_chain
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=50, deadline=None)
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -30,6 +32,19 @@ def test_isfft_sfft_round_trip(n, m, seed):
     dd = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     np.testing.assert_allclose(sfft(isfft(dd)), dd, atol=1e-12)
     np.testing.assert_allclose(isfft(sfft(dd)), dd, atol=1e-12)
+
+
+@PROPERTY
+@given(lead=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+       n=st.sampled_from([1, 3, 4, 16, 64]), m=st.sampled_from([1, 5, 16, 32, 128]),
+       seed=SEEDS)
+def test_stacked_transforms_equal_per_grid_loop(lead, n, m, seed):
+    """Shapes (k, N, M) and (a, b, N, M) transform as one call, bit for bit."""
+    rng = np.random.default_rng(seed)
+    shape = (*lead, n, m)
+    grids = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    np.testing.assert_array_equal(isfft(grids), per_grid(grid_isfft, grids))
+    np.testing.assert_array_equal(sfft(grids), per_grid(grid_sfft, grids))
 
 
 @st.composite
@@ -56,6 +71,18 @@ def test_modified_sfft_recovers_transmitted_bits(case, seed):
         0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
     dd, _ = transmit_chain(bits, alloc, cfg)
     np.testing.assert_array_equal(recover_and_demap(dd, alloc, cfg), bits)
+
+
+@PROPERTY
+@given(case=allocations(), seed=SEEDS)
+def test_transmit_chain_equals_per_antenna_oracle(case, seed):
+    cfg, alloc = case
+    bits = np.random.default_rng(seed).integers(
+        0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
+    dd, tf = transmit_chain(bits, alloc, cfg)
+    want_dd, want_tf = serial_transmit_chain(bits, alloc, cfg)
+    np.testing.assert_array_equal(dd, want_dd)
+    np.testing.assert_array_equal(tf, want_tf)
 
 
 VALID_RAW = {

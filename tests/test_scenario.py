@@ -3,22 +3,25 @@
 import glob
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import otfs_isac.scenario as scenario_module
 from otfs_isac.exceptions import ConfigValidationError
 from otfs_isac.scenario import (EXPERIMENT_KINDS, EstimatorSettings, Scenario,
                                 load_scenario, scenario_from_dict)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+SMALL_SYSTEM = {"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 8}
 
 
 def minimal_raw(**overrides):
     raw = {
         "name": "unit",
         "experiment_kind": "dd-correlation",
-        "system": {"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 8},
+        "system": dict(SMALL_SYSTEM),
         "targets": [{"angle_deg": 5.0, "range_m": 50.0, "velocity_mps": 10.0}],
         "allocation": {"diagonal_private_bins": 2},
         "trials": 3,
@@ -186,28 +189,64 @@ def test_unnamed_file_named_after_its_stem(tmp_path):
     ({"allocation": {"diagonal_private_bins": -1}}, "allocation.diagonal_private_bins:"),
     ({"allocation": {"diagonal_private_bins": 10 ** 9}},
      "allocation.diagonal_private_bins:"),
-    ({"system": {"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 8,
-                 "rx_spacing_m": 0.0}}, "system:"),
-    ({"system": {"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 8,
-                 "rx_spacing_m": -0.006}}, "system:"),
-    ({"system": {"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 8,
-                 "tx_spacing_m": 0.0}}, "system:"),
-    ({"system": {"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 8,
-                 "tx_spacing_m": -1.0}}, "system:"),
-    ({"system": {"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 8,
-                 "subcarrier_spacing_hz": float("nan")}}, "system:"),
+    ({"system": dict(SMALL_SYSTEM, rx_spacing_m=0.0)}, "system:"),
+    ({"system": dict(SMALL_SYSTEM, rx_spacing_m=-0.006)}, "system:"),
+    ({"system": dict(SMALL_SYSTEM, tx_spacing_m=0.0)}, "system:"),
+    ({"system": dict(SMALL_SYSTEM, tx_spacing_m=-1.0)}, "system:"),
+    ({"system": dict(SMALL_SYSTEM, subcarrier_spacing_hz=float("nan"))}, "system:"),
     ({"targets": [{"angle_deg": 5.0, "range_m": float("inf"), "velocity_mps": 1.0}]},
      "targets[0]:"),
     ({"snr_db_values": [10.0, float("nan")]}, "snr_db_values:"),
     ({"snr_db_values": [float("-inf")]}, "snr_db_values:"),
+    ({"system": dict(SMALL_SYSTEM, n_doppler=8.9)}, "system.n_doppler:"),
+    ({"system": dict(SMALL_SYSTEM, m_delay=16.0)}, "system.m_delay:"),
+    ({"system": dict(SMALL_SYSTEM, n_tx=True),
+      "allocation": {"diagonal_private_bins": 1}}, "system.n_tx:"),
+    ({"system": dict(SMALL_SYSTEM, n_rx="8")}, "system.n_rx:"),
+    ({"system": dict(SMALL_SYSTEM, n_comm_rx=2.5)}, "system.n_comm_rx:"),
+    ({"system": dict(SMALL_SYSTEM, subcarrier_spacing_hz=True)},
+     "system.subcarrier_spacing_hz:"),
+    ({"system": dict(SMALL_SYSTEM, carrier_freq_hz="24.25e9")},
+     "system.carrier_freq_hz:"),
+    ({"system": dict(SMALL_SYSTEM, tx_spacing_m=True)}, "system.tx_spacing_m:"),
+    ({"system": dict(SMALL_SYSTEM, rx_spacing_m="0.006")}, "system.rx_spacing_m:"),
 ], ids=["targets-null", "estimator-list", "diagonal-negative", "diagonal-huge",
         "rx-spacing-zero", "rx-spacing-negative", "tx-spacing-zero",
         "tx-spacing-negative", "subcarrier-spacing-nan", "target-range-inf",
-        "snr-nan", "snr-minus-inf"])
+        "snr-nan", "snr-minus-inf", "n-doppler-float", "m-delay-integral-float",
+        "n-tx-bool", "n-rx-string", "n-comm-rx-float", "subcarrier-spacing-bool",
+        "carrier-freq-string", "tx-spacing-bool", "rx-spacing-string"])
 def test_malformed_input_is_a_validation_error(overrides, prefix):
     with pytest.raises(ConfigValidationError) as exc:
         scenario_from_dict(minimal_raw(**overrides))
     assert any(e.startswith(prefix) for e in exc.value.errors), exc.value.errors
+
+
+def test_oversize_grid_rejected_before_building_transforms(monkeypatch):
+    def build(*args):
+        pytest.fail("reduced transforms built for an oversize grid")
+    monkeypatch.setattr(scenario_module, "modified_sffts", build)
+    raw = minimal_raw(system=dict(SMALL_SYSTEM, n_doppler=4096, m_delay=8192, n_tx=4),
+                      allocation={"diagonal_private_bins": 4})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigValidationError) as exc:
+            scenario_from_dict(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert any(e.startswith("system:") and "MiB" in e for e in exc.value.errors)
+
+
+def test_grid_bound_counts_the_reduced_transform_bytes(monkeypatch):
+    # 8 x 16 grid, two antennas with one zero-forced bin each: 4096 bytes
+    monkeypatch.setattr(scenario_module, "MAX_REDUCED_TRANSFORM_BYTES", 4096)
+    scenario_from_dict(minimal_raw())
+    monkeypatch.setattr(scenario_module, "MAX_REDUCED_TRANSFORM_BYTES", 4095)
+    with pytest.raises(ConfigValidationError) as exc:
+        scenario_from_dict(minimal_raw())
+    assert any(e.startswith("system:") for e in exc.value.errors)
 
 
 def test_edge_values_accepted():

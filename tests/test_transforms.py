@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from otfs_isac.exceptions import DimensionMismatch, SingularReducedMatrix
-from otfs_isac.transforms import (ModifiedSfft, build_modified_sfft, isfft,
-                                  place_symbols, sfft)
+from otfs_isac.transforms import build_modified_sfft, isfft, sfft
 from oracles import isfft_matrix
 
 
@@ -73,14 +72,23 @@ def test_non_2d_input_rejected():
     with pytest.raises(DimensionMismatch):
         isfft(np.zeros(8))
     with pytest.raises(DimensionMismatch):
-        sfft(np.zeros((2, 2, 2)))
+        sfft(np.zeros(8))
+    # a stack of grids transforms grid by grid over its last two axes
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((2, 3, 4, 8)) + 1j * rng.standard_normal((2, 3, 4, 8))
+    out = sfft(stack)
+    assert out.shape == stack.shape
+    np.testing.assert_array_equal(out[1, 2], sfft(stack[1, 2]))
+    np.testing.assert_array_equal(isfft(stack)[0, 1], isfft(stack[0, 1]))
 
 
-def test_place_symbols():
-    grid = place_symbols(np.arange(1, 6), 2, 3, empty_dd=[(0, 1)])
-    np.testing.assert_array_equal(grid, [[1, 0, 2], [3, 4, 5]])
-    with pytest.raises(DimensionMismatch):
-        place_symbols(np.arange(6), 2, 3, empty_dd=[(0, 1)])
+def dd_with_empty_bins(symbols, n, m, empty):
+    """A DD grid holding ``symbols`` row-major, zero at the empty bins."""
+    keep = np.ones((n, m), dtype=bool)
+    keep[tuple(np.transpose(empty))] = False
+    dd = np.zeros((n, m), dtype=complex)
+    dd[keep] = symbols
+    return dd
 
 
 def test_modified_sfft_recovers_symbols():
@@ -90,7 +98,7 @@ def test_modified_sfft_recovers_symbols():
     msfft = build_modified_sfft(n, m, zeroed)
     symbols = rng.standard_normal(msfft.n_info_symbols) \
         + 1j * rng.standard_normal(msfft.n_info_symbols)
-    dd = place_symbols(symbols, n, m, zeroed)
+    dd = dd_with_empty_bins(symbols, n, m, zeroed)
     tf = isfft(dd)
     for (a, b) in zeroed:
         tf[a, b] = 0.0
@@ -104,7 +112,7 @@ def test_modified_sfft_agrees_with_explicit_operator():
     msfft = build_modified_sfft(n, m, zeroed)
     symbols = rng.standard_normal(msfft.n_info_symbols) \
         + 1j * rng.standard_normal(msfft.n_info_symbols)
-    dd = place_symbols(symbols, n, m, zeroed)
+    dd = dd_with_empty_bins(symbols, n, m, zeroed)
     tf = isfft(dd)
     for (a, b) in zeroed:
         tf[a, b] = 0.0
@@ -137,4 +145,4 @@ def test_bin_outside_grid_rejected():
     with pytest.raises(DimensionMismatch):
         build_modified_sfft(4, 4, [(9, 0)])
     with pytest.raises(DimensionMismatch):
-        place_symbols(np.arange(15), 4, 4, empty_dd=[(0, 4)])
+        build_modified_sfft(4, 4, [(0, 4)])

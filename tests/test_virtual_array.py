@@ -1,4 +1,4 @@
-"""Virtual-array snapshot, dictionary construction, and sparse recovery."""
+"""Virtual-array snapshot, steering columns, and sparse recovery."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,8 @@ from otfs_isac.comm import symbol_capacity, transmit_chain
 from otfs_isac.config import SystemConfig, Target, substream
 from otfs_isac.exceptions import (DictionaryTooLarge, DimensionMismatch,
                                   ZeroPrivateSymbol)
-from otfs_isac.virtual_array import (SOLVER_BLOCK, AxisSpec, NeighborhoodSpec,
-                                     SsrDictionary, averaged_ssr,
-                                     build_dictionary, build_virtual_snapshot,
+from otfs_isac.virtual_array import (SOLVER_BLOCK, AxisSpec, SsrDictionary,
+                                     averaged_ssr, build_virtual_snapshot,
                                      default_neighborhood, omp,
                                      steering_columns)
 from oracles import serial_averaged_ssr
@@ -90,22 +89,6 @@ def test_axis_spec_lattice():
         AxisSpec(0.0, -1.0, 4.0)
     with pytest.raises(ValueError):
         AxisSpec(0.0, 2.0, 1.0)
-
-
-def test_build_dictionary_unit_norm_columns():
-    cfg = small_cfg()
-    snap, _, _ = make_snapshot(cfg, [Target(0.1, 1e-7, 1000.0)])
-    spec = NeighborhoodSpec(
-        angle=AxisSpec(0.1, 0.05, 0.2),
-        doppler=AxisSpec(1000.0, 500.0, 2000.0),
-        delay=AxisSpec(1e-7, 5e-8, 2e-7),
-    )
-    d = build_dictionary([spec], snap.bin_meta, snap.n_rx, cfg)
-    assert isinstance(d, SsrDictionary)
-    np.testing.assert_allclose(np.linalg.norm(d.matrix, axis=0), 1.0, atol=1e-12)
-    assert d.matrix.shape[1] == 5 * 5 * 5
-    with pytest.raises(DictionaryTooLarge):
-        build_dictionary([spec], snap.bin_meta, snap.n_rx, cfg, column_cap=10)
 
 
 def test_omp_recovers_planted_support():
