@@ -2,7 +2,7 @@
 
 from .allocation import (BinAllocation, diagonal_allocation, make_allocation,
                          rate_accounting, zero_force)
-from .channel import add_noise, radar_receive, tf_channel_grid
+from .channel import complex_noise, radar_receive, tf_channel_grid
 from .coarse import (CoarseEstimate, coarse_pipeline, delay_doppler_peaks,
                      estimate_angles, extract_angle_profiles, reference_profile,
                      resolution_report)

@@ -85,9 +85,19 @@ def _cmd_simulate(args) -> int:
                 parallel=min(args.parallel, os.cpu_count() or 1))
 
 
+def _config(**kwargs):
+    """(config, None) for valid geometry flags, else (None, exit code of the error)."""
+    try:
+        return SystemConfig(**kwargs), None
+    except ValueError as exc:
+        return None, _fail("invalid-argument", str(exc))
+
+
 def _cmd_crlb(args) -> int:
-    cfg = SystemConfig(n_doppler=args.N, m_delay=args.M,
-                       subcarrier_spacing_hz=args.df, n_rx=args.n_rx)
+    cfg, error = _config(n_doppler=args.N, m_delay=args.M,
+                         subcarrier_spacing_hz=args.df, n_rx=args.n_rx)
+    if cfg is None:
+        return error
     rows = crlb_curve(cfg, args.snr_db)
     keys = list(rows[0].keys())
     print(",".join(keys))
@@ -97,8 +107,10 @@ def _cmd_crlb(args) -> int:
 
 
 def _cmd_resolution(args) -> int:
-    cfg = SystemConfig(n_doppler=args.N, m_delay=args.M,
-                       subcarrier_spacing_hz=args.df)
+    cfg, error = _config(n_doppler=args.N, m_delay=args.M,
+                         subcarrier_spacing_hz=args.df)
+    if cfg is None:
+        return error
     for key, value in resolution_report(cfg).items():
         print(f"{key} = {value:.6g}")
     return 0

@@ -7,10 +7,10 @@ import functools
 import numpy as np
 
 from .allocation import BinAllocation, zero_force
-from .channel import add_noise, noise_variance, tf_channel_grid
+from .channel import complex_noise, noise_variance, tf_channel_grid
 from .config import SystemConfig, Target, substream, unit_phases
 from .exceptions import BitCountMismatch
-from .transforms import build_modified_sfft, isfft, sfft
+from .transforms import build_modified_sfft, isfft
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # Distinct (allocation, grid) pairs whose reduced transforms stay cached.
@@ -70,15 +70,14 @@ def modified_sffts(alloc: BinAllocation, cfg: SystemConfig) -> tuple:
     return _modified_sffts(alloc, cfg.n_doppler, cfg.m_delay)
 
 
-def recover_and_demap(equalized_dd: np.ndarray, alloc: BinAllocation,
+def recover_and_demap(tf: np.ndarray, alloc: BinAllocation,
                       cfg: SystemConfig) -> np.ndarray:
-    """Information bits from the equalized per-antenna DD grids.
+    """Information bits from the per-antenna TF grids, shape (N_t, N, M).
 
-    Each grid is taken back to the TF domain, the zero-forced samples are
-    dropped, and the reduced inverse transform yields the information
-    symbols, which are then hard-demapped.
+    The zero-forced samples are dropped, and the reduced inverse transform
+    yields the information symbols, which are then hard-demapped: the
+    inverse of :func:`transmit_chain`'s TF output.
     """
-    tf = isfft(np.asarray(equalized_dd, dtype=complex))
     return np.concatenate([qpsk_demodulate(msfft.recover(grid))
                            for msfft, grid in zip(modified_sffts(alloc, cfg), tf)])
 
@@ -105,25 +104,23 @@ def tf_block_channel(paths, cfg: SystemConfig, pair_gains: np.ndarray) -> np.nda
     return b
 
 
-def lmmse_equalize_tf(y_dd: np.ndarray, blocks: np.ndarray,
+def lmmse_equalize_tf(y_tf: np.ndarray, blocks: np.ndarray,
                       noise_var: float) -> np.ndarray:
     """LMMSE equalization done per TF bin; exactly equals the stacked solve.
 
-    The stacked channel H factors as (unitary) * blockdiag(B[n,m]) * (unitary)
-    with the same scale on both sides, so (H^H H + s I)^{-1} H^H y reduces to
-    NM independent small solves on the TF-domain receive grids. ``y_dd`` has
-    shape (N_c, N, M); returns equalized DD grids of shape (N_t, N, M).
+    The stacked DD channel H factors as (unitary) * blockdiag(B[n,m]) *
+    (unitary) with the same scale on both sides, so (H^H H + s I)^{-1} H^H y
+    reduces to NM independent small solves on the TF receive grids. ``y_tf``
+    has shape (N_c, N, M); returns the TF estimates of shape (N_t, N, M).
     """
-    n_c, n, m = y_dd.shape
-    y_tf = isfft(y_dd)                                 # (N_c, N, M)
+    n_c, n, m = y_tf.shape
     b = blocks.reshape(n * m, n_c, -1)                 # (NM, N_c, N_t)
     n_t = b.shape[2]
     gram = np.einsum("bca,bcd->bad", b.conj(), b)      # (NM, N_t, N_t)
     gram[:, np.arange(n_t), np.arange(n_t)] += noise_var
     rhs = np.einsum("bca,bc->ba", b.conj(), y_tf.reshape(n_c, -1).T)
     x_tf = np.linalg.solve(gram, rhs[..., None])[..., 0]   # (NM, N_t)
-    x_tf = x_tf.T.reshape(n_t, n, m)
-    return sfft(x_tf)
+    return x_tf.T.reshape(n_t, n, m)
 
 
 def ber_frame(cfg: SystemConfig, alloc: BinAllocation, paths, snr_db: float,
@@ -132,9 +129,9 @@ def ber_frame(cfg: SystemConfig, alloc: BinAllocation, paths, snr_db: float,
 
     The receiver is given the true channel. The noise variance is
     N0 = P_avg / 10^(snr_db/10) per DD receive sample with unit-power
-    constellations (P_avg = 1). Channel application and equalization run in
-    the per-TF-bin factored form, which equals the stacked DD-operator route
-    exactly.
+    constellations (P_avg = 1); it is drawn in the DD domain and carried to
+    TF once. Channel, equalization and recovery all run on TF grids, which
+    equals the stacked DD-operator route exactly.
     """
     rng_bits = substream(seed, frame_index, 0)
     rng_chan = substream(seed, frame_index, 1)
@@ -145,12 +142,12 @@ def ber_frame(cfg: SystemConfig, alloc: BinAllocation, paths, snr_db: float,
     dd, _ = transmit_chain(bits, alloc, cfg)
     gains = random_pair_gains(len(paths), cfg, rng_chan)
     blocks = tf_block_channel(paths, cfg, gains)
-    y = sfft(np.einsum("nmca,anm->cnm", blocks, isfft(dd)))
+    y = np.einsum("nmca,anm->cnm", blocks, isfft(dd))
     if np.isinf(snr_db):
         noise_var = 1e-12    # no noise is added; only regularizes the LMMSE solve
     else:
         noise_var = noise_variance(snr_db)
-        y = add_noise(y, noise_var, rng_noise)
+        y += isfft(complex_noise(y.shape, noise_var, rng_noise))
     x_hat = lmmse_equalize_tf(y, blocks, noise_var)
     decoded = recover_and_demap(x_hat, alloc, cfg)
     return int(np.count_nonzero(decoded != bits)), bits.size

@@ -8,6 +8,8 @@ closed-form diagonal bounds after block inversion.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import SPEED_OF_LIGHT, SystemConfig
@@ -23,16 +25,19 @@ def crlb_closed_form(cfg: SystemConfig, snr_db: float) -> dict:
 
     These are the exact diagonal entries of the inverse asymptotic FIM. The
     spatial-frequency bound is 12/(N_r^2 - 1) times the common scalar, which
-    is what the block inversion of the structure matrix actually yields.
+    is what the block inversion of the structure matrix actually yields. An
+    axis with one sample carries no information, so its bound is infinite.
     """
     n, m, nr = cfg.n_doppler, cfg.m_delay, cfg.n_rx
     df = cfg.subcarrier_spacing_hz
     dt = cfg.symbol_duration_s
     scalar = 1.0 / (2.0 * snr_linear(snr_db) * nr)
     return {
-        "tau_crlb": scalar * 3.0 / (np.pi ** 2 * df ** 2 * (m ** 2 - 1)),
-        "nu_crlb": scalar * 3.0 / (np.pi ** 2 * dt ** 2 * (n ** 2 - 1)),
-        "omega_crlb": scalar * 12.0 / (nr ** 2 - 1),
+        "tau_crlb": (scalar * 3.0 / (np.pi ** 2 * df ** 2 * (m ** 2 - 1))
+                     if m > 1 else math.inf),
+        "nu_crlb": (scalar * 3.0 / (np.pi ** 2 * dt ** 2 * (n ** 2 - 1))
+                    if n > 1 else math.inf),
+        "omega_crlb": scalar * 12.0 / (nr ** 2 - 1) if nr > 1 else math.inf,
     }
 
 

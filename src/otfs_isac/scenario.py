@@ -45,6 +45,11 @@ _SYSTEM_FIELDS = {
 # (N * M * sum_i |Z_i| complex values); a 64x128 grid with four diagonal
 # private bins needs 1.5 MiB.
 MAX_REDUCED_TRANSFORM_BYTES = 256 * 2 ** 20
+# Bound on the bytes of the largest per-frame grid stack a run allocates: the
+# radar receive stack (N_r * N * M), the comm channel blocks (N_c * N_t * N * M)
+# and the LMMSE Gram stack (N_t^2 * N * M) complex values. The shipped 64x128
+# scenarios need 4 MiB.
+MAX_GRID_STACK_BYTES = 256 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -202,6 +207,15 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     except (ValueError, TypeError) as exc:
         errors.append(f"system: {exc}")
         cfg = SystemConfig()
+    stack_bytes = cfg.n_doppler * cfg.m_delay * 16 * max(
+        cfg.n_rx, cfg.n_comm_rx * cfg.n_tx, cfg.n_tx ** 2)
+    if not _check(errors, stack_bytes <= MAX_GRID_STACK_BYTES,
+                  f"system: a {cfg.n_doppler}x{cfg.m_delay} grid with n_tx={cfg.n_tx}, "
+                  f"n_rx={cfg.n_rx} and n_comm_rx={cfg.n_comm_rx} needs "
+                  f"{stack_bytes / 2 ** 20:.0f} MiB per grid stack, over the "
+                  f"{MAX_GRID_STACK_BYTES // 2 ** 20} MiB bound"):
+        # stop here: the allocation below builds n_tx per-antenna sets
+        raise ConfigValidationError(errors)
 
     targets = []
     targets_raw = raw.get("targets", [])

@@ -26,7 +26,8 @@ from .config import SystemConfig, substream
 from .exceptions import DictionaryTooLarge, DimensionMismatch, ZeroPrivateSymbol
 
 ZERO_SYMBOL_EPS = 1e-9
-DEFAULT_COLUMN_CAP = 500_000
+# Bound on the superset-lattice columns of one averaged_ssr call.
+COLUMN_CAP = 500_000
 DEFAULT_N_SOLVERS = 64
 DEFAULT_SWEEPS = 3
 # Solvers advanced together by one batched computation. Fixed, so that the
@@ -72,10 +73,6 @@ class AxisSpec:
     @property
     def n_points(self) -> int:
         return int(round(self.width / self.step)) + 1
-
-    def points(self, offset_frac: float = 0.0) -> np.ndarray:
-        start = self.center - offset_frac * self.width
-        return start + self.step * np.arange(self.n_points)
 
     def offset_choices(self) -> np.ndarray:
         """Quantized offsets {0, step/width, 2 step/width, ..., 1}."""
@@ -550,8 +547,8 @@ def _dequantize(key, spec: NeighborhoodSpec):
 
 def averaged_ssr(snapshot: VirtualSnapshot, specs, cfg: SystemConfig,
                  n_solvers: int = DEFAULT_N_SOLVERS, seed: int = 0,
-                 sweeps: int = DEFAULT_SWEEPS, aggregate: str = "min_residual",
-                 column_cap: int = DEFAULT_COLUMN_CAP) -> AveragedSsrResult:
+                 sweeps: int = DEFAULT_SWEEPS,
+                 aggregate: str = "min_residual") -> AveragedSsrResult:
     """Bagged sparse recovery: many solvers on randomly offset windows.
 
     Each solver draws an independent quantized window offset per dimension
@@ -575,8 +572,8 @@ def averaged_ssr(snapshot: VirtualSnapshot, specs, cfg: SystemConfig,
         raise ValueError(f"unknown aggregate {aggregate!r}")
     total = sum(s.angle.n_superset * s.doppler.n_superset * s.delay.n_superset
                 for s in specs)
-    if total > column_cap:
-        raise DictionaryTooLarge(f"{total} superset columns exceeds cap {column_cap}")
+    if total > COLUMN_CAP:
+        raise DictionaryTooLarge(f"{total} superset columns exceeds cap {COLUMN_CAP}")
     weights = snapshot.row_weights
     y = snapshot.values * weights
     grids = [_FactoredGrid(spec, snapshot.bin_meta, snapshot.n_rx, cfg, weights)

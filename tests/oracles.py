@@ -14,6 +14,11 @@ forms; small grids only.
 and transmit layers as first written, one (N, M) grid at a time: the stacked
 transforms and the mask-based transmit chain must match them bit for bit.
 
+``dd_route_ber_frame`` is the communication link as first written, in the
+DD domain: SFFT after the channel, noise added to the DD grids, LMMSE
+equalization wrapped in ISFFT/SFFT and recovery from equalized DD grids.
+The TF-domain ``comm.ber_frame`` must count the same bit errors.
+
 ``padded_fft_estimate_angles`` and ``lstsq_angle_profiles`` are the coarse
 stage as first written: a zero-padded FFT of every snapshot and a generic
 least-squares solve, against which the covariance-domain spectrum and the
@@ -26,12 +31,15 @@ from collections import Counter
 
 import numpy as np
 
-from otfs_isac.channel import tf_channel_grid
-from otfs_isac.comm import qpsk_modulate, symbol_capacity
+from otfs_isac.channel import complex_noise, noise_variance, tf_channel_grid
+from otfs_isac.comm import (lmmse_equalize_tf, qpsk_modulate, random_pair_gains,
+                            recover_and_demap, symbol_capacity, tf_block_channel,
+                            transmit_chain)
 from otfs_isac.coarse import angle_to_spatial_freq
 from otfs_isac.config import Target, substream
 from otfs_isac.crlb import snr_linear
 from otfs_isac.exceptions import DimensionMismatch, PeakSeparationFailure
+from otfs_isac.transforms import isfft, sfft
 from otfs_isac.virtual_array import (DEFAULT_SWEEPS, PERP_FLOOR, TIE_RTOL,
                                      _dequantize, _FactoredGrid, _quantize)
 
@@ -275,6 +283,27 @@ def lmmse_equalize(y: np.ndarray, h: np.ndarray, noise_var: float) -> np.ndarray
     gram = h.conj().T @ h
     gram[np.diag_indices_from(gram)] += noise_var
     return np.linalg.solve(gram, h.conj().T @ y)
+
+
+def dd_route_ber_frame(cfg, alloc, paths, snr_db: float, seed: int,
+                       frame_index: int = 0) -> tuple[int, int]:
+    """``comm.ber_frame`` with the receive chain on DD grids: same streams,
+    same noise draw, each TF step wrapped in a DD<->TF round trip."""
+    rng_bits = substream(seed, frame_index, 0)
+    rng_chan = substream(seed, frame_index, 1)
+    rng_noise = substream(seed, frame_index, 2)
+    bits = rng_bits.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
+    dd, _ = transmit_chain(bits, alloc, cfg)
+    blocks = tf_block_channel(paths, cfg, random_pair_gains(len(paths), cfg, rng_chan))
+    y_dd = sfft(np.einsum("nmca,anm->cnm", blocks, isfft(dd)))
+    if np.isinf(snr_db):
+        noise_var = 1e-12
+    else:
+        noise_var = noise_variance(snr_db)
+        y_dd = y_dd + complex_noise(y_dd.shape, noise_var, rng_noise)
+    x_dd = sfft(lmmse_equalize_tf(isfft(y_dd), blocks, noise_var))
+    decoded = recover_and_demap(isfft(x_dd), alloc, cfg)
+    return int(np.count_nonzero(decoded != bits)), bits.size
 
 
 def single_path_response(tau: float, nu: float, u: float, phi: float,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from otfs_isac.channel import (add_noise, noise_variance, radar_receive,
+from otfs_isac.channel import (complex_noise, noise_variance, radar_receive,
                                rx_array_phase, tf_channel_grid, tx_array_phase)
 from otfs_isac.config import SystemConfig, Target
 from otfs_isac.transforms import isfft, sfft
@@ -121,8 +121,7 @@ def test_radar_receive_noise_statistics():
 
 
 def test_add_noise_infinite_snr_passthrough():
-    grids = np.ones((2, 3, 3), dtype=complex)
-    np.testing.assert_array_equal(
-        add_noise(grids, noise_variance(np.inf), np.random.default_rng(0)), grids)
+    noise = complex_noise((2, 3, 3), noise_variance(np.inf), np.random.default_rng(0))
+    np.testing.assert_array_equal(noise, np.zeros((2, 3, 3)))
     assert noise_variance(np.inf) == 0.0
     assert noise_variance(0.0) == 1.0

@@ -213,3 +213,31 @@ def test_unexpected_exception_is_one_json_error(tmp_path, capsys, monkeypatch):
     payload = json.loads(lines[0])
     assert payload["error"] == "internal-error"
     assert "LinAlgError" in payload["message"]
+
+
+@pytest.mark.parametrize("flag", ["--N", "--n-rx"])
+def test_crlb_single_sample_axis_prints_inf(capsys, flag):
+    assert main(["crlb", flag, "1", "--snr-db", "10"]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    assert "inf" in row.split(",")
+
+
+@pytest.mark.parametrize("argv", [["crlb", "--N", "0"], ["resolution", "--M", "0"],
+                                  ["resolution", "--df", "-5"]])
+def test_bad_geometry_flag_is_invalid_argument(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "invalid-argument"
+
+
+@pytest.mark.parametrize("kind, grid", [("coarse-angle-mse", (1, 3)),
+                                        ("coarse-angle-mse", (3, 1)),
+                                        ("crlb", (1, 3)), ("crlb", (3, 1))])
+def test_simulate_single_sample_axis_runs(tmp_path, capsys, kind, grid):
+    path = write_scenario(tmp_path, experiment_kind=kind,
+                          system={"n_doppler": grid[0], "m_delay": grid[1],
+                                  "n_tx": 1, "n_rx": 4},
+                          allocation={"diagonal_private_bins": 0}, trials=1)
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path)]) == 0, \
+        capsys.readouterr().err

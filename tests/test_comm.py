@@ -12,7 +12,7 @@ from otfs_isac.comm import (ber_frame, lmmse_equalize_tf, modified_sffts,
 from otfs_isac.config import SystemConfig, Target, substream
 from otfs_isac.exceptions import BitCountMismatch, DimensionMismatch
 from otfs_isac.transforms import build_modified_sfft, isfft, sfft
-from oracles import lmmse_equalize
+from oracles import dd_route_ber_frame, lmmse_equalize
 
 
 def small_cfg(**kw):
@@ -66,8 +66,8 @@ def test_recover_inverts_transmit_noiseless():
     alloc = diagonal_allocation(cfg.n_tx)
     rng = np.random.default_rng(32)
     bits = rng.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
-    dd, _ = transmit_chain(bits, alloc, cfg)
-    np.testing.assert_array_equal(recover_and_demap(dd, alloc, cfg), bits)
+    _, tf = transmit_chain(bits, alloc, cfg)
+    np.testing.assert_array_equal(recover_and_demap(tf, alloc, cfg), bits)
 
 
 def test_lmmse_equalize_matches_normal_equations():
@@ -106,8 +106,8 @@ def test_lmmse_tf_factorization_equals_stacked_solve():
     y = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
     sigma2 = 0.2
     stacked = lmmse_equalize(y, h, sigma2)
-    factored = lmmse_equalize_tf(
-        y.reshape(cfg.n_comm_rx, cfg.n_doppler, cfg.m_delay), blocks, sigma2)
+    factored = sfft(lmmse_equalize_tf(
+        isfft(y.reshape(cfg.n_comm_rx, cfg.n_doppler, cfg.m_delay)), blocks, sigma2))
     np.testing.assert_allclose(factored.reshape(-1), stacked, atol=1e-10)
 
 
@@ -141,6 +141,23 @@ def test_ber_frame_non_diagonal_allocation():
     alloc = make_allocation(2, [(0, (0, 3)), (1, (2, 6))])
     errors, _ = ber_frame(cfg, alloc, on_grid_paths(cfg), np.inf, seed=2)
     assert errors == 0
+
+
+@pytest.mark.parametrize("n_tx, assignments", [
+    (3, [(i, (i, i)) for i in range(3)]),
+    (2, [(0, (0, 3)), (1, (2, 6))]),
+])
+def test_ber_frame_equals_dd_route_oracle(n_tx, assignments):
+    """The TF-domain link counts the same bit errors as the DD route."""
+    cfg = small_cfg(n_tx=n_tx)
+    alloc = make_allocation(n_tx, assignments)
+    paths = [Target(0.0, 0.6e-7, 1234.5, 0.8 + 0.3j),
+             Target(0.0, 2.3e-7, -3456.7, 0.5 - 0.4j)]
+    for snr_db in (0.0, 10.0, 20.0, np.inf):
+        for frame in range(6):
+            assert (ber_frame(cfg, alloc, paths, snr_db, seed=11, frame_index=frame)
+                    == dd_route_ber_frame(cfg, alloc, paths, snr_db, seed=11,
+                                          frame_index=frame))
 
 
 def test_reduced_transforms_built_once_per_allocation(monkeypatch):

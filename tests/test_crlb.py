@@ -84,3 +84,18 @@ def test_derivatives_match_finite_differences():
                                                  n_r, k, l, cfg)) / (2 * steps[i])
                     scale = max(abs(analytic[i]), 1e-12)
                     assert abs(fd - analytic[i]) <= 1e-5 * scale
+
+
+@pytest.mark.parametrize("field, key", [("n_doppler", "nu_crlb"),
+                                        ("m_delay", "tau_crlb"),
+                                        ("n_rx", "omega_crlb")])
+def test_single_sample_axis_has_infinite_bound(field, key):
+    """One sample on an axis carries no information; the other bounds hold."""
+    base = dict(n_doppler=8, m_delay=16, n_rx=4)
+    reference = crlb_closed_form(SystemConfig(**base), 10.0)
+    base[field] = 1
+    bounds = crlb_closed_form(SystemConfig(**base), 10.0)
+    assert bounds[key] == np.inf
+    if field != "n_rx":    # N_r also scales the common factor
+        assert {k: v for k, v in bounds.items() if k != key} == {
+            k: v for k, v in reference.items() if k != key}

@@ -1,23 +1,28 @@
 """Property-based tests: transform round trips, stacked transforms and the
 transmit chain against their one-grid-at-a-time oracles, reduced-transform
-recovery and scenario validation on fuzzed input.
+recovery, scenario validation on fuzzed input, and the command line run end
+to end on tiny fuzzed scenarios.
 
 Examples are derandomized, so every run checks the same inputs.
 """
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from otfs_isac.allocation import make_allocation
+from otfs_isac.cli import main
 from otfs_isac.comm import (modified_sffts, recover_and_demap, symbol_capacity,
                             transmit_chain)
 from otfs_isac.config import SystemConfig
 from otfs_isac.exceptions import ConfigValidationError, SingularReducedMatrix
-from otfs_isac.scenario import EstimatorSettings, scenario_from_dict
+from otfs_isac.scenario import EXPERIMENT_KINDS, EstimatorSettings, scenario_from_dict
 from otfs_isac.transforms import isfft, sfft
 from oracles import grid_isfft, grid_sfft, per_grid, serial_transmit_chain
 
@@ -69,8 +74,8 @@ def test_modified_sfft_recovers_transmitted_bits(case, seed):
         return
     bits = np.random.default_rng(seed).integers(
         0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
-    dd, _ = transmit_chain(bits, alloc, cfg)
-    np.testing.assert_array_equal(recover_and_demap(dd, alloc, cfg), bits)
+    _, tf = transmit_chain(bits, alloc, cfg)
+    np.testing.assert_array_equal(recover_and_demap(tf, alloc, cfg), bits)
 
 
 @PROPERTY
@@ -127,3 +132,77 @@ def test_scenario_from_dict_fuzzed_slot_raises_only_validation_error(path, value
         scenario_from_dict(raw)
     except ConfigValidationError:
         pass
+
+
+@st.composite
+def tiny_scenarios(draw, kind):
+    """A scenario of this kind on a grid up to 6x6 with up to 3 transmit,
+    4 radar receive and 3 comm receive antennas; its diagonal private bins
+    may fall outside the grid."""
+    n_tx = draw(st.integers(1, 3))
+    target = st.fixed_dictionaries({"angle_deg": st.floats(-80.0, 80.0),
+                                    "range_m": st.floats(0.0, 3000.0),
+                                    "velocity_mps": st.floats(-800.0, 800.0)})
+    return {
+        "name": "fuzz",
+        "experiment_kind": kind,
+        "system": {"n_doppler": draw(st.integers(1, 6)),
+                   "m_delay": draw(st.integers(1, 6)), "n_tx": n_tx,
+                   "n_rx": draw(st.integers(1, 4)),
+                   "n_comm_rx": draw(st.integers(1, 3))},
+        "targets": draw(st.lists(target, max_size=3)),
+        "allocation": {"diagonal_private_bins": draw(st.integers(0, n_tx))},
+        "estimator": {"n_solvers": draw(st.integers(1, 4))},
+        "snr_db_values": draw(st.lists(st.sampled_from([-10.0, 10.0, 40.0, math.inf]),
+                                       min_size=1, max_size=2)),
+        "seed": draw(st.integers(0, 1000)),
+    }
+
+
+def run_cli(argv):
+    """(exit code, stderr) of one in-process ``otfs-isac`` call."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    """Exit 0, or exactly one JSON error line that is not an internal error."""
+    if code != 0:
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert json.loads(lines[0])["error"] != "internal-error", err
+
+
+CLI_PROPERTY = settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+@settings(CLI_PROPERTY, max_examples=25)
+@given(data=st.data())
+def test_cli_runs_or_fails_cleanly_on_tiny_scenarios(tmp_path, kind, data):
+    raw = data.draw(tiny_scenarios(kind))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    code, err = run_cli(["validate-config", "--scenario", str(path)])
+    assert_clean_exit(code, err)
+    if code == 0:
+        assert_clean_exit(*run_cli(["simulate", "--scenario", str(path), "--trials", "1",
+                                    "--out", str(tmp_path / "out")]))
+
+
+@settings(CLI_PROPERTY, max_examples=5)
+@given(raw=st.sampled_from([k for k in EXPERIMENT_KINDS if k != "demo-spectrum"])
+       .flatmap(tiny_scenarios))
+def test_cli_parallel_run_equals_serial_on_tiny_scenarios(tmp_path, raw):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    outputs = []
+    for parallel in ("1", "2"):
+        out = tmp_path / f"parallel-{parallel}"
+        code, _ = run_cli(["simulate", "--scenario", str(path), "--trials", "2",
+                           "--parallel", parallel, "--out", str(out)])
+        assume(code == 0)
+        outputs.append((out / "fuzz" / "trials.csv").read_bytes())
+    assert outputs[0] == outputs[1]

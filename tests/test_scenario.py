@@ -249,6 +249,43 @@ def test_grid_bound_counts_the_reduced_transform_bytes(monkeypatch):
     assert any(e.startswith("system:") for e in exc.value.errors)
 
 
+@pytest.mark.parametrize("system", [
+    {"n_doppler": 4096, "m_delay": 8192},    # 16 GiB of comm channel blocks
+    {"n_doppler": 1, "m_delay": 1, "n_tx": 10 ** 6},    # ~15 TiB of Gram stack
+])
+def test_oversize_grid_without_private_bins_rejected(system):
+    """No reduced transform to bound, but the grid stacks are too large, and
+    the allocation is never built."""
+    raw = minimal_raw(system=system, allocation={"diagonal_private_bins": 0})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigValidationError) as exc:
+            scenario_from_dict(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert any("per grid stack" in e for e in exc.value.errors), exc.value.errors
+
+
+@pytest.mark.parametrize("counts, grids", [
+    ({"n_rx": 8, "n_comm_rx": 1, "n_tx": 2}, 8),    # radar receive stack
+    ({"n_rx": 2, "n_comm_rx": 4, "n_tx": 2}, 8),    # comm channel blocks
+    ({"n_rx": 2, "n_comm_rx": 1, "n_tx": 3}, 9),    # LMMSE Gram stack
+])
+def test_grid_stack_bound_counts_the_largest_stack(monkeypatch, counts, grids):
+    """Each stack decides the bound when it is the largest; 8 x 16 grids."""
+    raw = minimal_raw(system=dict(SMALL_SYSTEM, **counts),
+                      allocation={"diagonal_private_bins": 0})
+    monkeypatch.setattr(scenario_module, "MAX_GRID_STACK_BYTES", 8 * 16 * 16 * grids)
+    scenario_from_dict(raw)
+    monkeypatch.setattr(scenario_module, "MAX_GRID_STACK_BYTES",
+                        8 * 16 * 16 * grids - 1)
+    with pytest.raises(ConfigValidationError) as exc:
+        scenario_from_dict(raw)
+    assert any("per grid stack" in e for e in exc.value.errors), exc.value.errors
+
+
 def test_edge_values_accepted():
     sc = scenario_from_dict(minimal_raw(allocation={"diagonal_private_bins": 0},
                                         snr_db_values=[float("inf")]))
