@@ -70,6 +70,16 @@ def noise_variance(snr_db: float) -> float:
 
 
 def complex_noise(shape, noise_var: float, rng: np.random.Generator) -> np.ndarray:
-    """I.i.d. circular complex Gaussian noise of variance ``noise_var``."""
-    return np.sqrt(noise_var / 2.0) * (rng.standard_normal(shape)
-                                       + 1j * rng.standard_normal(shape))
+    """I.i.d. circular complex Gaussian noise of variance ``noise_var``.
+
+    The real parts are drawn first, then the imaginary parts, each scaled by
+    sqrt(noise_var / 2) straight into the returned array through one reused
+    real buffer: the same values as sqrt(noise_var / 2) * (a + 1j * b).
+    """
+    scale = np.sqrt(noise_var / 2.0)
+    noise = np.empty(shape, dtype=complex)
+    draw = rng.standard_normal(shape)
+    np.multiply(draw, scale, out=noise.real)
+    rng.standard_normal(out=draw)
+    np.multiply(draw, scale, out=noise.imag)
+    return noise

@@ -8,7 +8,7 @@ import numpy as np
 
 from .allocation import BinAllocation, zero_force
 from .channel import complex_noise, noise_variance, tf_channel_grid
-from .config import SystemConfig, Target, substream, unit_phases
+from .config import SystemConfig, substream, unit_phases
 from .exceptions import BitCountMismatch
 from .transforms import build_modified_sfft, isfft
 
@@ -93,15 +93,15 @@ def tf_block_channel(paths, cfg: SystemConfig, pair_gains: np.ndarray) -> np.nda
 
     Because every path acts multiplicatively on TF samples, the stacked DD
     channel is block-diagonalized by the (unitary up to scale) DD<->TF
-    transforms; B[n, m] = sum_paths gains[:, :, path] * h_path_tf[n, m].
+    transforms; B[n, m] = sum_paths gains[:, :, path] * h_path_tf[n, m],
+    one (NM x J) @ (J x N_c N_t) product over the paths' TF grids.
     """
-    b = np.zeros((cfg.n_doppler, cfg.m_delay, cfg.n_comm_rx, cfg.n_tx),
-                 dtype=complex)
+    n, m, n_paths = cfg.n_doppler, cfg.m_delay, len(paths)
+    h_tf = np.empty((n_paths, n * m), dtype=complex)
     for j, path in enumerate(paths):
-        unit = Target(path.angle_rad, path.delay_s, path.doppler_hz, 1.0 + 0.0j)
-        h_tf = tf_channel_grid(unit, cfg)
-        b += h_tf[:, :, None, None] * (path.gain * pair_gains[None, None, :, :, j])
-    return b
+        h_tf[j] = tf_channel_grid(path, cfg).ravel()
+    gains = pair_gains.reshape(cfg.n_comm_rx * cfg.n_tx, n_paths)
+    return (h_tf.T @ gains.T).reshape(n, m, cfg.n_comm_rx, cfg.n_tx)
 
 
 def lmmse_equalize_tf(y_tf: np.ndarray, blocks: np.ndarray,
@@ -116,10 +116,11 @@ def lmmse_equalize_tf(y_tf: np.ndarray, blocks: np.ndarray,
     n_c, n, m = y_tf.shape
     b = blocks.reshape(n * m, n_c, -1)                 # (NM, N_c, N_t)
     n_t = b.shape[2]
-    gram = np.einsum("bca,bcd->bad", b.conj(), b)      # (NM, N_t, N_t)
+    b_h = b.conj().transpose(0, 2, 1)                  # (NM, N_t, N_c)
+    gram = b_h @ b                                     # (NM, N_t, N_t)
     gram[:, np.arange(n_t), np.arange(n_t)] += noise_var
-    rhs = np.einsum("bca,bc->ba", b.conj(), y_tf.reshape(n_c, -1).T)
-    x_tf = np.linalg.solve(gram, rhs[..., None])[..., 0]   # (NM, N_t)
+    rhs = b_h @ y_tf.reshape(n_c, -1).T[..., None]     # (NM, N_t, 1)
+    x_tf = np.linalg.solve(gram, rhs)[..., 0]          # (NM, N_t)
     return x_tf.T.reshape(n_t, n, m)
 
 
@@ -142,7 +143,11 @@ def ber_frame(cfg: SystemConfig, alloc: BinAllocation, paths, snr_db: float,
     dd, _ = transmit_chain(bits, alloc, cfg)
     gains = random_pair_gains(len(paths), cfg, rng_chan)
     blocks = tf_block_channel(paths, cfg, gains)
-    y = np.einsum("nmca,anm->cnm", blocks, isfft(dd))
+    # y[:, n, m] = B[n, m] @ x[:, n, m] for every TF bin, as one batched matmul
+    n_bins = cfg.n_doppler * cfg.m_delay
+    x_tf = isfft(dd).reshape(cfg.n_tx, n_bins).T[..., None]          # (NM, N_t, 1)
+    y_bins = blocks.reshape(n_bins, cfg.n_comm_rx, cfg.n_tx) @ x_tf   # (NM, N_c, 1)
+    y = y_bins[..., 0].T.reshape(cfg.n_comm_rx, cfg.n_doppler, cfg.m_delay)
     if np.isinf(snr_db):
         noise_var = 1e-12    # no noise is added; only regularizes the LMMSE solve
     else:

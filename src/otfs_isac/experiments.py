@@ -25,13 +25,12 @@ from .config import SPEED_OF_LIGHT, Target, substream, unit_phases
 from .crlb import crlb_report
 from .channel import radar_receive
 from .exceptions import OtfsIsacError, PeakSeparationFailure
-from .scenario import Scenario
+from .scenario import RANDOM_VELOCITY_RANGE_MPS, Scenario
 from .transforms import sfft
 from .virtual_array import (averaged_ssr, build_virtual_snapshot,
                             default_neighborhood, steering_columns)
 
 RANDOM_ANGLE_RANGE_DEG = (-60.0, 60.0)
-RANDOM_VELOCITY_RANGE_MPS = (-100.0, 100.0)
 
 
 def _version_string() -> str:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import BinAllocation, diagonal_allocation, make_allocation
+from .coarse import resolution_report
 from .comm import modified_sffts
 from .config import SystemConfig, Target
 from .exceptions import ConfigValidationError, OtfsIsacError
@@ -48,8 +49,16 @@ MAX_REDUCED_TRANSFORM_BYTES = 256 * 2 ** 20
 # Bound on the bytes of the largest per-frame grid stack a run allocates: the
 # radar receive stack (N_r * N * M), the comm channel blocks (N_c * N_t * N * M)
 # and the LMMSE Gram stack (N_t^2 * N * M) complex values. The shipped 64x128
-# scenarios need 4 MiB.
+# scenarios need 4 MiB. The arrays that the estimator counts size share the
+# bound: the coarse angle spectrum (dft_pad_factor * N_r complex bins, 4 KiB
+# shipped) and the SSR window starts (n_targets * n_solvers * 3 integers).
 MAX_GRID_STACK_BYTES = 256 * 2 ** 20
+# Kinds whose targets are estimated from the radar frame; their targets must lie
+# inside the grid's unambiguous delay and Doppler intervals.
+RADAR_KINDS = ("coarse-angle-mse", "dd-correlation", "ssr-angle", "ssr-velocity",
+               "demo-spectrum")
+# ssr-velocity draws each trial's target velocity uniformly from this range.
+RANDOM_VELOCITY_RANGE_MPS = (-100.0, 100.0)
 
 
 @dataclass(frozen=True)
@@ -150,11 +159,20 @@ _ESTIMATOR_AXES = (("angle_step_deg", "angle_width_deg"),
                    ("delay_step_bins", "delay_width_bins"))
 
 
-def _check_estimator(errors, estimator: EstimatorSettings):
+def _check_estimator(errors, estimator: EstimatorSettings, n_rx: int,
+                     n_targets: int):
     for key, low in _ESTIMATOR_COUNTS.items():
         value = getattr(estimator, key)
         _check(errors, _is_int(value) and value >= low,
                f"estimator.{key}: expected an integer >= {low}, got {value!r}")
+    # bytes per unit of the counts that size arrays before any work is done
+    for key, unit_bytes, array in (("dft_pad_factor", 16 * n_rx, "angle spectrum"),
+                                   ("n_solvers", 24 * n_targets, "SSR window starts")):
+        value = getattr(estimator, key)
+        if _is_int(value):
+            _check(errors, value * unit_bytes <= MAX_GRID_STACK_BYTES,
+                   f"estimator.{key}: {value} needs {value * unit_bytes // 2 ** 20} "
+                   f"MiB of {array}, over the {MAX_GRID_STACK_BYTES // 2 ** 20} MiB bound")
     _check(errors, estimator.n_angles is None
            or (_is_int(estimator.n_angles) and estimator.n_angles >= 1),
            f"estimator.n_angles: expected null or an integer >= 1, "
@@ -176,6 +194,33 @@ def _check_name(errors, name):
            and not any(c in name for c in ("/", "\\", "\0")),
            f"name: {name!r} must be a non-empty string other than '.' and '..' "
            "without a path separator or NUL")
+
+
+def _check_unaliased(errors, kind: str, targets, cfg: SystemConfig):
+    """Radar targets must lie in the coarse stage's unambiguous intervals:
+    delay in [0, M) bins (range below range_max_m) and Doppler in the signed
+    [-N/2, N/2) bins (|velocity| below velocity_max_mps / 2). An aliased
+    target would be scored against a truth that the frame cannot show."""
+    if kind not in RADAR_KINDS:
+        return
+    rep = resolution_report(cfg)
+    half_n = cfg.n_doppler / 2
+    v_lim = rep["velocity_max_mps"] / 2
+    unambiguous = (f"the unambiguous [-{v_lim:.6g}, {v_lim:.6g}) m/s "
+                   "(velocity_max_mps / 2)")
+    for i, t in enumerate(targets):
+        _check(errors, t.delay_s / cfg.delay_spacing_s < cfg.m_delay,
+               f"targets[{i}]: range {t.range_m:.6g} m is not below range_max_m "
+               f"= {rep['range_max_m']:.6g} m")
+        _check(errors, -half_n <= t.doppler_hz / cfg.doppler_spacing_hz < half_n,
+               f"targets[{i}]: velocity {t.velocity_mps(cfg.carrier_freq_hz):.6g} m/s "
+               f"outside {unambiguous}")
+    if kind == "ssr-velocity":
+        lo, hi = RANDOM_VELOCITY_RANGE_MPS
+        # the uniform draws stay below the top end
+        _check(errors, -v_lim <= lo and hi <= v_lim,
+               f"experiment_kind: ssr-velocity draws velocities in [{lo:g}, {hi:g}) "
+               f"m/s, outside {unambiguous}")
 
 
 def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
@@ -212,7 +257,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     if not _check(errors, stack_bytes <= MAX_GRID_STACK_BYTES,
                   f"system: a {cfg.n_doppler}x{cfg.m_delay} grid with n_tx={cfg.n_tx}, "
                   f"n_rx={cfg.n_rx} and n_comm_rx={cfg.n_comm_rx} needs "
-                  f"{stack_bytes / 2 ** 20:.0f} MiB per grid stack, over the "
+                  f"{stack_bytes // 2 ** 20} MiB per grid stack, over the "
                   f"{MAX_GRID_STACK_BYTES // 2 ** 20} MiB bound"):
         # stop here: the allocation below builds n_tx per-antenna sets
         raise ConfigValidationError(errors)
@@ -273,7 +318,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     if estimator.ssr_aggregate not in ("min_residual", "vote"):
         errors.append(f"estimator.ssr_aggregate: {estimator.ssr_aggregate!r} "
                       "not one of ('min_residual', 'vote')")
-    _check_estimator(errors, estimator)
+    _check_estimator(errors, estimator, cfg.n_rx, max(1, len(targets)))
 
     scenario_name = raw.get("name", name)
     _check_name(errors, scenario_name)
@@ -322,6 +367,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         _check(errors, len(targets) <= 1,
                "targets: ssr-velocity uses a single randomized target; "
                "list at most one as the angle/range template")
+    _check_unaliased(errors, kind, targets, cfg)
 
     if errors:
         raise ConfigValidationError(errors)

@@ -8,7 +8,8 @@ written, without batching across solvers.
 The explicit (NM x NM) matrices, the stacked LMMSE solve, the per-bin TF
 channel, the single-path DD response and the numeric FIM are direct forms of
 what the package computes with FFTs, per-TF-bin factorizations and closed
-forms; small grids only.
+forms; small grids only. ``complex_noise_reference`` is the noise draw as one
+complex expression, which the in-place draw must match byte for byte.
 
 ``grid_isfft``, ``grid_sfft`` and ``serial_transmit_chain`` are the transform
 and transmit layers as first written, one (N, M) grid at a time: the stacked
@@ -265,6 +266,13 @@ def dd_channel_operator(paths, cfg, pair_gains=None,
         h_tf = tf_channel_grid(scaled, cfg).ravel()
         op += s @ (h_tf[:, None] * g)
     return op
+
+
+def complex_noise_reference(shape, noise_var: float, rng) -> np.ndarray:
+    """``channel.complex_noise`` as first written: two draws, then one complex
+    expression."""
+    return np.sqrt(noise_var / 2.0) * (rng.standard_normal(shape)
+                                       + 1j * rng.standard_normal(shape))
 
 
 def tf_channel_coeff(target: Target, n: int, m: int, cfg) -> complex:

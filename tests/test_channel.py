@@ -7,8 +7,8 @@ from otfs_isac.channel import (complex_noise, noise_variance, radar_receive,
                                rx_array_phase, tf_channel_grid, tx_array_phase)
 from otfs_isac.config import SystemConfig, Target
 from otfs_isac.transforms import isfft, sfft
-from oracles import (dd_channel_operator, dd_circular_shift_operator,
-                     tf_channel_coeff)
+from oracles import (complex_noise_reference, dd_channel_operator,
+                     dd_circular_shift_operator, tf_channel_coeff)
 
 
 def small_cfg(**kw):
@@ -125,3 +125,14 @@ def test_add_noise_infinite_snr_passthrough():
     np.testing.assert_array_equal(noise, np.zeros((2, 3, 3)))
     assert noise_variance(np.inf) == 0.0
     assert noise_variance(0.0) == 1.0
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 4, 6), (16, 64, 128)])
+@pytest.mark.parametrize("noise_var", [1e-6, 0.37, 1.0, 42.0])
+def test_complex_noise_equals_one_expression_draw(shape, noise_var):
+    """The in-place draw gives the bytes of sqrt(v/2) * (a + 1j*b)."""
+    for seed in (0, 5, 2 ** 31 + 7):
+        got = complex_noise(shape, noise_var, np.random.default_rng(seed))
+        want = complex_noise_reference(shape, noise_var, np.random.default_rng(seed))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()

@@ -12,7 +12,8 @@ from otfs_isac.comm import (ber_frame, lmmse_equalize_tf, modified_sffts,
 from otfs_isac.config import SystemConfig, Target, substream
 from otfs_isac.exceptions import BitCountMismatch, DimensionMismatch
 from otfs_isac.transforms import build_modified_sfft, isfft, sfft
-from oracles import dd_route_ber_frame, lmmse_equalize
+from oracles import (dd_channel_operator, dd_route_ber_frame, isfft_matrix,
+                     lmmse_equalize)
 
 
 def small_cfg(**kw):
@@ -109,6 +110,36 @@ def test_lmmse_tf_factorization_equals_stacked_solve():
     factored = sfft(lmmse_equalize_tf(
         isfft(y.reshape(cfg.n_comm_rx, cfg.n_doppler, cfg.m_delay)), blocks, sigma2))
     np.testing.assert_allclose(factored.reshape(-1), stacked, atol=1e-10)
+
+
+@pytest.mark.parametrize("paths", [
+    [Target(0.1, 0.6e-7, 1234.5, 0.8 + 0.3j)],
+    [Target(0.0, 0.6e-7, 1234.5, 0.8 + 0.3j), Target(-0.2, 2.3e-7, -3456.7, -0.5 + 0.4j),
+     Target(0.3, 4.1e-7, 777.7, 1.0 + 0.0j)],
+], ids=["one-path", "three-paths"])
+def test_tf_blocks_equal_explicit_dd_operators(paths):
+    """Each (rx, tx) block, carried to DD by the explicit transforms, is that
+    pair's DD channel with path gains gain * pair_gains[c, a, path]."""
+    cfg = small_cfg()
+    gains = random_pair_gains(len(paths), cfg, np.random.default_rng(36))
+    blocks = tf_block_channel(paths, cfg, gains)
+    assert blocks.shape == (cfg.n_doppler, cfg.m_delay, cfg.n_comm_rx, cfg.n_tx)
+    g = isfft_matrix(cfg.n_doppler, cfg.m_delay)
+    s = g.shape[0] * g.conj().T          # unit-scale SFFT matrix
+    for c in range(cfg.n_comm_rx):
+        for a in range(cfg.n_tx):
+            op = s @ (blocks[:, :, c, a].reshape(-1, 1) * g)
+            want = dd_channel_operator(
+                paths, cfg, pair_gains=[p.gain * gains[c, a, j]
+                                        for j, p in enumerate(paths)])
+            assert np.max(np.abs(op - want)) <= 1e-10
+
+
+def test_tf_blocks_of_no_paths_are_zero():
+    cfg = small_cfg()
+    blocks = tf_block_channel([], cfg, random_pair_gains(0, cfg, np.random.default_rng(37)))
+    np.testing.assert_array_equal(
+        blocks, np.zeros((cfg.n_doppler, cfg.m_delay, cfg.n_comm_rx, cfg.n_tx)))
 
 
 def test_random_pair_gains_shape_and_magnitude():

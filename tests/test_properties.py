@@ -138,11 +138,12 @@ def test_scenario_from_dict_fuzzed_slot_raises_only_validation_error(path, value
 def tiny_scenarios(draw, kind):
     """A scenario of this kind on a grid up to 6x6 with up to 3 transmit,
     4 radar receive and 3 comm receive antennas; its diagonal private bins
-    may fall outside the grid."""
+    may fall outside the grid. The targets lie inside the default grid's
+    unambiguous range (1249 m) and velocity (+-370.9 m/s)."""
     n_tx = draw(st.integers(1, 3))
     target = st.fixed_dictionaries({"angle_deg": st.floats(-80.0, 80.0),
-                                    "range_m": st.floats(0.0, 3000.0),
-                                    "velocity_mps": st.floats(-800.0, 800.0)})
+                                    "range_m": st.floats(0.0, 1240.0),
+                                    "velocity_mps": st.floats(-370.0, 370.0)})
     return {
         "name": "fuzz",
         "experiment_kind": kind,

@@ -252,6 +252,7 @@ def test_grid_bound_counts_the_reduced_transform_bytes(monkeypatch):
 @pytest.mark.parametrize("system", [
     {"n_doppler": 4096, "m_delay": 8192},    # 16 GiB of comm channel blocks
     {"n_doppler": 1, "m_delay": 1, "n_tx": 10 ** 6},    # ~15 TiB of Gram stack
+    {"n_doppler": 10 ** 400},    # past float range: the message counts in integers
 ])
 def test_oversize_grid_without_private_bins_rejected(system):
     """No reduced transform to bound, but the grid stacks are too large, and
@@ -284,6 +285,95 @@ def test_grid_stack_bound_counts_the_largest_stack(monkeypatch, counts, grids):
     with pytest.raises(ConfigValidationError) as exc:
         scenario_from_dict(raw)
     assert any("per grid stack" in e for e in exc.value.errors), exc.value.errors
+
+
+@pytest.mark.parametrize("field, value", [("dft_pad_factor", 10 ** 8),
+                                          ("n_solvers", 10 ** 10)])
+def test_oversize_estimator_counts_rejected(field, value):
+    """Counts that size the angle spectrum or the SSR window starts are
+    bounded before anything is allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigValidationError) as exc:
+            scenario_from_dict(minimal_raw(experiment_kind="ssr-angle",
+                                           estimator={field: value}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert any(e.startswith(f"estimator.{field}:") and "256 MiB bound" in e
+               for e in exc.value.errors), exc.value.errors
+
+
+@pytest.mark.parametrize("field, value, array_bytes", [
+    ("dft_pad_factor", 512, 512 * 8 * 16),    # 8 receive antennas, complex bins
+    ("n_solvers", 2048, 2048 * 2 * 3 * 8),    # 2 targets, 3 integer starts each
+])
+def test_estimator_count_bound_is_exact(monkeypatch, field, value, array_bytes):
+    two_targets = [{"angle_deg": 5.0, "range_m": 50.0, "velocity_mps": 10.0},
+                   {"angle_deg": -9.0, "range_m": 80.0, "velocity_mps": -20.0}]
+    raw = minimal_raw(targets=two_targets, allocation={"diagonal_private_bins": 0},
+                      estimator={field: value})
+    monkeypatch.setattr(scenario_module, "MAX_GRID_STACK_BYTES", array_bytes)
+    scenario_from_dict(raw)
+    monkeypatch.setattr(scenario_module, "MAX_GRID_STACK_BYTES", array_bytes - 1)
+    with pytest.raises(ConfigValidationError) as exc:
+        scenario_from_dict(raw)
+    assert [e.split(":")[0] for e in exc.value.errors] == [f"estimator.{field}"]
+
+
+# default 24.25 GHz carrier and 120 kHz spacing: range_max_m = 1249.14 m and
+# velocity_max_mps / 2 = 370.877 m/s
+RANGE_MAX_M = 299_792_458.0 / (2 * 120e3)
+VELOCITY_LIMIT_MPS = 299_792_458.0 / 24.25e9 * 120e3 / 4
+
+
+@pytest.mark.parametrize("kind", ["coarse-angle-mse", "dd-correlation", "ssr-angle",
+                                  "ssr-velocity", "demo-spectrum"])
+@pytest.mark.parametrize("range_m, velocity_mps, limit", [
+    (2000.0, 10.0, "range_max_m"),
+    (RANGE_MAX_M * (1 + 1e-9), 10.0, "range_max_m"),
+    (50.0, 500.0, "velocity_max_mps / 2"),
+    (50.0, VELOCITY_LIMIT_MPS * (1 + 1e-9), "velocity_max_mps / 2"),
+    (50.0, -VELOCITY_LIMIT_MPS * (1 + 1e-9), "velocity_max_mps / 2"),
+])
+def test_aliased_radar_target_rejected(kind, range_m, velocity_mps, limit):
+    raw = minimal_raw(experiment_kind=kind, targets=[
+        {"angle_deg": 5.0, "range_m": range_m, "velocity_mps": velocity_mps}])
+    with pytest.raises(ConfigValidationError) as exc:
+        scenario_from_dict(raw)
+    assert [e for e in exc.value.errors if e.startswith("targets[0]:")
+            and limit in e] == exc.value.errors
+
+
+def test_targets_inside_the_unambiguous_intervals_accepted():
+    targets = [{"angle_deg": 5.0, "range_m": RANGE_MAX_M * (1 - 1e-9),
+                "velocity_mps": -VELOCITY_LIMIT_MPS},
+               {"angle_deg": -5.0, "range_m": 0.0,
+                "velocity_mps": VELOCITY_LIMIT_MPS * (1 - 1e-9)}]
+    assert len(scenario_from_dict(minimal_raw(targets=targets)).targets) == 2
+
+
+@pytest.mark.parametrize("kind", ["comm-ber", "crlb"])
+def test_aliased_targets_allowed_where_no_target_is_estimated(kind):
+    """comm-ber's targets are channel paths the receiver knows; crlb reads none."""
+    raw = minimal_raw(experiment_kind=kind, targets=[
+        {"angle_deg": 0.0, "range_m": 2000.0, "velocity_mps": 500.0}])
+    assert scenario_from_dict(raw).kind == kind
+
+
+def test_ssr_velocity_draw_range_must_be_unaliased():
+    """At 30 kHz spacing the limit is 92.7 m/s, inside the +-100 m/s draws."""
+    raw = minimal_raw(experiment_kind="ssr-velocity", targets=[],
+                      system=dict(SMALL_SYSTEM, subcarrier_spacing_hz=30e3))
+    with pytest.raises(ConfigValidationError) as exc:
+        scenario_from_dict(raw)
+    assert exc.value.errors == [
+        "experiment_kind: ssr-velocity draws velocities in [-100, 100) m/s, outside "
+        "the unambiguous [-92.7193, 92.7193) m/s (velocity_max_mps / 2)"]
+    raw["experiment_kind"] = "ssr-angle"
+    raw["targets"] = [{"angle_deg": 5.0, "range_m": 50.0, "velocity_mps": 10.0}]
+    scenario_from_dict(raw)
 
 
 def test_edge_values_accepted():
