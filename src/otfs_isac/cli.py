@@ -27,7 +27,7 @@ from .coarse import resolution_report
 from .config import SystemConfig
 from .crlb import crlb_curve
 from .exceptions import ConfigValidationError, OtfsIsacError
-from .scenario import Scenario, load_scenario, scenario_from_dict
+from .scenario import MAX_TRIAL_CELLS, Scenario, load_scenario, scenario_from_dict
 from .experiments import run_scenario
 
 OUT_ENV_VAR = "OTFS_ISAC_OUT"
@@ -79,6 +79,11 @@ def _cmd_simulate(args) -> int:
     scenario, error = _load(args.scenario)
     if scenario is None:
         return error
+    cells = len(scenario.snr_db_values) * scenario.trials_per_snr(args.trials)
+    if cells > MAX_TRIAL_CELLS:
+        return _fail("invalid-argument",
+                     f"--trials {args.trials} makes {cells} (SNR, trial) cells, "
+                     f"over the bound of {MAX_TRIAL_CELLS} per run")
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     return _run(scenario, args, trials=args.trials,

@@ -27,8 +27,8 @@ from .channel import radar_receive
 from .exceptions import OtfsIsacError, PeakSeparationFailure
 from .scenario import RANDOM_VELOCITY_RANGE_MPS, Scenario
 from .transforms import sfft
-from .virtual_array import (averaged_ssr, build_virtual_snapshot,
-                            default_neighborhood, steering_columns)
+from .virtual_array import (angle_surface, averaged_ssr, build_virtual_snapshot,
+                            default_neighborhood)
 
 RANDOM_ANGLE_RANGE_DEG = (-60.0, 60.0)
 
@@ -121,8 +121,7 @@ def _refine(scenario: Scenario, scene, n_targets, n_angles, peaks_per_angle,
         delay_width_bins=est.delay_width_bins)
         for c in itertools.islice(itertools.cycle(coarse), n_targets)]
     result = averaged_ssr(snapshot, specs, cfg, n_solvers=est.n_solvers,
-                          seed=solver_seed, sweeps=est.ssr_sweeps,
-                          aggregate=est.ssr_aggregate)
+                          seed=solver_seed, sweeps=est.ssr_sweeps)
     return snapshot, specs, result
 
 
@@ -301,13 +300,7 @@ def run_scenario(scenario: Scenario, out_dir, trials: int | None = None,
     os.makedirs(out_dir, exist_ok=True)
     if scenario.kind == "demo-spectrum":
         return _run_demo_spectrum(scenario, out_dir)
-    n_trials = trials if trials is not None else scenario.trials
-    if scenario.kind == "crlb":
-        n_trials = 1
-    elif scenario.kind == "comm-ber" and trials is None:
-        bits_per_frame = 2 * sum(symbol_capacity(scenario.allocation,
-                                                 scenario.config))
-        n_trials = -(-scenario.min_bits // bits_per_frame)
+    n_trials = scenario.trials_per_snr(trials)
     cells = [(scenario, si, t)
              for si in range(len(scenario.snr_db_values))
              for t in range(n_trials)]
@@ -316,7 +309,6 @@ def run_scenario(scenario: Scenario, out_dir, trials: int | None = None,
             results = pool.map(_run_cell, cells)
     else:
         results = [_run_cell(c) for c in cells]
-    results.sort(key=lambda r: (r[0], r[1]))
 
     per_snr: dict = {}
     trial_rows = []
@@ -384,16 +376,10 @@ def _run_demo_spectrum(scenario: Scenario, out_dir: str) -> dict:
     if refined is None:
         raise PeakSeparationFailure("the coarse stage found no estimates to refine")
     snapshot, specs, result = refined
-    y = snapshot.values * snapshot.row_weights
     surface = []
     for tid, spec in enumerate(specs):
         angles = spec.angle.superset_points()
-        _, doppler, delay = result.estimates[tid]
-        cols = steering_columns(angles, np.full_like(angles, doppler),
-                                np.full_like(angles, delay),
-                                snapshot.bin_meta, snapshot.n_rx, cfg)
-        cols = cols * snapshot.row_weights[:, None]
-        corr = np.abs(cols.conj().T @ y) / np.linalg.norm(cols, axis=0)
+        corr = angle_surface(snapshot, spec, result.estimates[tid], cfg)
         surface.extend((tid, a, c) for a, c in zip(angles, corr))
     surface_path = _write_csv(out_dir, "ssr_surface.csv",
                               ["neighborhood", "angle_rad", "correlation"],

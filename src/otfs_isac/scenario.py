@@ -17,7 +17,7 @@ import numpy as np
 
 from .allocation import BinAllocation, diagonal_allocation, make_allocation
 from .coarse import resolution_report
-from .comm import modified_sffts
+from .comm import modified_sffts, symbol_capacity
 from .config import SystemConfig, Target
 from .exceptions import ConfigValidationError, OtfsIsacError
 
@@ -51,8 +51,19 @@ MAX_REDUCED_TRANSFORM_BYTES = 256 * 2 ** 20
 # and the LMMSE Gram stack (N_t^2 * N * M) complex values. The shipped 64x128
 # scenarios need 4 MiB. The arrays that the estimator counts size share the
 # bound: the coarse angle spectrum (dft_pad_factor * N_r complex bins, 4 KiB
-# shipped) and the SSR window starts (n_targets * n_solvers * 3 integers).
+# shipped) and what each SSR solver keeps (SOLVER_RECORD_BYTES plus
+# 48 bytes per target: its 3 integer window starts and 3 float point values).
 MAX_GRID_STACK_BYTES = 256 * 2 ** 20
+# Bytes of one averaged_ssr solver_estimates record besides its 24 B of point
+# values per target: the (points, residual) tuple, the points array, the
+# residual float and the list slot. tracemalloc measured 240, 268 and 291 B
+# per record for 1, 2 and 3 targets (CPython 3.11, numpy 2.4).
+SOLVER_RECORD_BYTES = 216
+# Bound on the (SNR, trial) cells of one run. run_scenario lists every cell
+# before the first trial runs and keeps every cell's rows until it writes
+# them, 0.7-2.5 KB per cell for 2-10 rows; the shipped scenarios run at most
+# 500 cells.
+MAX_TRIAL_CELLS = 100_000
 # Kinds whose targets are estimated from the radar frame; their targets must lie
 # inside the grid's unambiguous delay and Doppler intervals.
 RADAR_KINDS = ("coarse-angle-mse", "dd-correlation", "ssr-angle", "ssr-velocity",
@@ -70,7 +81,6 @@ class EstimatorSettings:
     n_angles: int | None = None          # default: number of targets
     n_solvers: int = 64
     ssr_sweeps: int = 3
-    ssr_aggregate: str = "min_residual"
     angle_step_deg: float = 1.0
     angle_width_deg: float = 10.0
     doppler_step_bins: float = 0.1
@@ -93,6 +103,21 @@ class Scenario:
     snr_db_values: tuple = (20.0,)
     seed: int = 0
     min_bits: int = 100_000              # comm-ber only
+
+    def trials_per_snr(self, trials: int | None = None) -> int:
+        """Trials a run makes at each SNR; ``trials`` overrides the count.
+
+        crlb and demo-spectrum run once; without an override, comm-ber runs
+        enough frames to carry ``min_bits``.
+        """
+        if self.kind in ("crlb", "demo-spectrum"):
+            return 1
+        if trials is not None:
+            return trials
+        if self.kind == "comm-ber":
+            bits_per_frame = 2 * sum(symbol_capacity(self.allocation, self.config))
+            return -(-self.min_bits // bits_per_frame)
+        return self.trials
 
     def to_dict(self) -> dict:
         """JSON-serializable form (used in output manifests)."""
@@ -165,9 +190,10 @@ def _check_estimator(errors, estimator: EstimatorSettings, n_rx: int,
         value = getattr(estimator, key)
         _check(errors, _is_int(value) and value >= low,
                f"estimator.{key}: expected an integer >= {low}, got {value!r}")
-    # bytes per unit of the counts that size arrays before any work is done
-    for key, unit_bytes, array in (("dft_pad_factor", 16 * n_rx, "angle spectrum"),
-                                   ("n_solvers", 24 * n_targets, "SSR window starts")):
+    # bytes per unit of the counts that size what a run allocates and keeps
+    for key, unit_bytes, array in (
+            ("dft_pad_factor", 16 * n_rx, "angle spectrum"),
+            ("n_solvers", SOLVER_RECORD_BYTES + 48 * n_targets, "SSR solver state")):
         value = getattr(estimator, key)
         if _is_int(value):
             _check(errors, value * unit_bytes <= MAX_GRID_STACK_BYTES,
@@ -315,9 +341,6 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     except (TypeError, ValueError) as exc:
         errors.append(f"estimator: {exc}")
         estimator = EstimatorSettings()
-    if estimator.ssr_aggregate not in ("min_residual", "vote"):
-        errors.append(f"estimator.ssr_aggregate: {estimator.ssr_aggregate!r} "
-                      "not one of ('min_residual', 'vote')")
     _check_estimator(errors, estimator, cfg.n_rx, max(1, len(targets)))
 
     scenario_name = raw.get("name", name)
@@ -355,11 +378,6 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
            f"system: a {cfg.n_doppler}x{cfg.m_delay} grid with {n_zeroed} "
            f"zero-forced bins needs {transform_bytes / 2 ** 20:.0f} MiB of reduced "
            f"transforms, over the {MAX_REDUCED_TRANSFORM_BYTES // 2 ** 20} MiB bound")
-    if not errors:
-        try:
-            modified_sffts(alloc, cfg)     # also warms the cache for the run
-        except OtfsIsacError as exc:
-            errors.append(f"allocation: reduced transform check failed: {exc}")
 
     if kind in ("dd-correlation", "ssr-angle", "comm-ber", "demo-spectrum"):
         _check(errors, len(targets) >= 1, f"targets: {kind} needs at least one target")
@@ -371,7 +389,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
 
     if errors:
         raise ConfigValidationError(errors)
-    return Scenario(
+    scenario = Scenario(
         name=scenario_name,
         kind=kind,
         config=cfg,
@@ -383,6 +401,19 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         seed=seed,
         min_bits=min_bits,
     )
+    # checked before the reduced transforms are built, and without
+    # formatting the counts, which can be too long for str()
+    if len(snrs) * scenario.trials_per_snr() > MAX_TRIAL_CELLS:
+        field = "min_bits" if kind == "comm-ber" else "trials"
+        raise ConfigValidationError([
+            f"{field}: the run would make more than {MAX_TRIAL_CELLS} "
+            f"(SNR, trial) cells for {len(snrs)} SNR value(s)"])
+    try:
+        modified_sffts(alloc, cfg)     # also warms the cache for the run
+    except OtfsIsacError as exc:
+        raise ConfigValidationError(
+            [f"allocation: reduced transform check failed: {exc}"])
+    return scenario
 
 
 def load_scenario(path) -> Scenario:

@@ -16,7 +16,6 @@ ratios alongside the |X_p| row weights.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +59,12 @@ class VirtualSnapshot:
 
 @dataclass(frozen=True)
 class AxisSpec:
-    """One discretized search dimension: [center - lam*W, center + (1-lam)*W]."""
+    """One discretized search dimension of width W around ``center``.
+
+    A solver's window is ``n_points`` consecutive points of the superset
+    lattice, starting at any of its first ``n_points`` indices; the union of
+    all windows is the whole superset lattice.
+    """
 
     center: float
     step: float
@@ -74,22 +78,14 @@ class AxisSpec:
     def n_points(self) -> int:
         return int(round(self.width / self.step)) + 1
 
-    def offset_choices(self) -> np.ndarray:
-        """Quantized offsets {0, step/width, 2 step/width, ..., 1}."""
-        return np.arange(self.n_points) * (self.step / self.width)
-
     @property
     def n_superset(self) -> int:
-        """Lattice size of the union of all offset windows."""
+        """Lattice size of the union of all windows."""
         return 2 * (self.n_points - 1) + 1
 
     def superset_points(self) -> np.ndarray:
-        """The shared lattice [center - W, center + W] in steps of delta."""
+        """The shared lattice from center - W in steps of delta."""
         return self.center - self.width + self.step * np.arange(self.n_superset)
-
-    def window_start(self, offset_frac: float) -> int:
-        """Superset index of the first point of the window at this offset."""
-        return int(round((1.0 - offset_frac) * (self.n_points - 1)))
 
 
 @dataclass(frozen=True)
@@ -138,30 +134,6 @@ def build_virtual_snapshot(rx_tf: np.ndarray, tx_tf: np.ndarray,
     meta = tuple((owner, bin_) for owner, bin_ in bins)
     return VirtualSnapshot(values=values, bin_meta=meta, n_rx=n_rx,
                            row_weights=weights)
-
-
-def steering_columns(angles, dopplers, delays, bin_meta, n_rx: int,
-                     cfg: SystemConfig) -> np.ndarray:
-    """Raw (un-normalized) dictionary columns for parameter triplets.
-
-    Row (p, n_r), column c:
-    exp(j2pi(n_r g_r - owner_p g_t) sin(angle_c)/lambda)
-    * exp(-j2pi doppler_c delay_c)
-    * exp(j2pi(doppler_c n_p dt - m_p df delay_c)).
-    """
-    angles = np.asarray(angles, dtype=float)
-    dopplers = np.asarray(dopplers, dtype=float)
-    delays = np.asarray(delays, dtype=float)
-    owners = np.repeat([owner for owner, _ in bin_meta], n_rx).astype(float)
-    n_p = np.repeat([b[0] for _, b in bin_meta], n_rx).astype(float)
-    m_p = np.repeat([b[1] for _, b in bin_meta], n_rx).astype(float)
-    nr = np.tile(np.arange(n_rx, dtype=float), len(bin_meta))
-    spatial = (nr * cfg.g_r - owners * cfg.g_t) / cfg.wavelength_m
-    dt, df = cfg.symbol_duration_s, cfg.subcarrier_spacing_hz
-    phase = (np.outer(spatial, np.sin(angles))
-             + dt * np.outer(n_p, dopplers)
-             - df * np.outer(m_p, delays))
-    return np.exp(2j * np.pi * phase) * np.exp(-2j * np.pi * dopplers * delays)[None, :]
 
 
 @dataclass
@@ -289,9 +261,10 @@ class _FactoredGrid:
                                values[None])
         return power.reshape(self.center_penalty.shape)
 
-    def column(self, idx: tuple) -> np.ndarray:
-        ia, iv, it = idx
-        return (self.sw[:, :, ia] * self.g[:, iv, it][:, None]).ravel()
+    def columns(self, ia, iv, it) -> np.ndarray:
+        """Weighted columns at superset indices of one shape S: (*S, N_p * N_r)."""
+        cols = self.sw[:, :, ia] * self.g[:, iv, it][:, None]
+        return np.moveaxis(cols, (0, 1), (-2, -1)).reshape(*np.shape(ia), -1)
 
     def point(self, idx: tuple) -> np.ndarray:
         ia, iv, it = idx
@@ -405,9 +378,8 @@ class _WindowStack:
 
     def columns(self, loc: np.ndarray, sel) -> np.ndarray:
         """The picked (weighted) columns of solvers ``sel``: (S, N_p * N_r)."""
-        ia, iv, it = (np.unravel_index(loc, self.shape) + self.starts[sel].T)
-        cols = self.grid.sw[:, :, ia] * self.grid.g[:, iv, it][:, None, :]
-        return cols.transpose(2, 0, 1).reshape(len(loc), -1)
+        return self.grid.columns(*(np.unravel_index(loc, self.shape)
+                                   + self.starts[sel].T))
 
 
 def _rows(mask: np.ndarray):
@@ -525,51 +497,29 @@ def _solve_batched(y: np.ndarray, grids: list, starts: np.ndarray,
 class AveragedSsrResult:
     estimates: np.ndarray        # (n_targets, 3): angle, doppler, delay
     residual: float              # residual norm of the selected solution
-    vote_counts: tuple           # per target: Counter of quantized triplets
     solver_estimates: list       # per solver: (grid_points, residual)
-
-
-def _quantize(point, spec: NeighborhoodSpec):
-    return (
-        int(round((point[0] - spec.angle.center) / spec.angle.step)),
-        int(round((point[1] - spec.doppler.center) / spec.doppler.step)),
-        int(round((point[2] - spec.delay.center) / spec.delay.step)),
-    )
-
-
-def _dequantize(key, spec: NeighborhoodSpec):
-    return np.array([
-        spec.angle.center + key[0] * spec.angle.step,
-        spec.doppler.center + key[1] * spec.doppler.step,
-        spec.delay.center + key[2] * spec.delay.step,
-    ])
 
 
 def averaged_ssr(snapshot: VirtualSnapshot, specs, cfg: SystemConfig,
                  n_solvers: int = DEFAULT_N_SOLVERS, seed: int = 0,
-                 sweeps: int = DEFAULT_SWEEPS,
-                 aggregate: str = "min_residual") -> AveragedSsrResult:
+                 sweeps: int = DEFAULT_SWEEPS) -> AveragedSsrResult:
     """Bagged sparse recovery: many solvers on randomly offset windows.
 
-    Each solver draws an independent quantized window offset per dimension
-    and per neighborhood, then runs the constrained matching pursuit of
-    :func:`_solve_block` on the whitened snapshot. Window offsets are
-    integer multiples of the step, so all solvers share one lattice, and the
-    solvers run in blocks of ``SOLVER_BLOCK`` as one batched computation.
-    Each solver's result equals that of running it alone.
+    Each solver draws an independent window start per dimension and per
+    neighborhood, then runs the constrained matching pursuit of
+    :func:`_solve_block` on the whitened snapshot. The windows are integer
+    index ranges of one superset lattice per neighborhood, and the solvers
+    run in blocks of ``SOLVER_BLOCK`` as one batched computation. Each
+    solver's result equals that of running it alone.
 
-    ``aggregate`` selects the final answer: "min_residual" returns the
-    solution with the smallest residual norm (the bagged solvers act as
-    random restarts of the grid maximum-likelihood search); "vote" returns
-    the modal lattice point per target, ties broken by smallest residual.
+    The answer is the solution with the smallest residual norm: the bagged
+    solvers act as random restarts of the grid maximum-likelihood search.
     """
     specs = list(specs)
     if not specs:
         raise ValueError("need at least one neighborhood")
     if n_solvers < 1:
         raise ValueError("n_solvers must be >= 1")
-    if aggregate not in ("min_residual", "vote"):
-        raise ValueError(f"unknown aggregate {aggregate!r}")
     total = sum(s.angle.n_superset * s.doppler.n_superset * s.delay.n_superset
                 for s in specs)
     if total > COLUMN_CAP:
@@ -578,55 +528,44 @@ def averaged_ssr(snapshot: VirtualSnapshot, specs, cfg: SystemConfig,
     y = snapshot.values * weights
     grids = [_FactoredGrid(spec, snapshot.bin_meta, snapshot.n_rx, cfg, weights)
              for spec in specs]
-    axes = [(spec.angle, spec.doppler, spec.delay) for spec in specs]
-    choices = [[ax.offset_choices() for ax in spec_axes] for spec_axes in axes]
+    sizes = [[ax.n_points for ax in (s.angle, s.doppler, s.delay)] for s in specs]
+    # solver s draws k in [0, n_points) per neighborhood and axis from its
+    # own substream; its window starts at superset index n_points - 1 - k
     starts = np.empty((len(specs), n_solvers, 3), dtype=int)
     for s in range(n_solvers):
         rng = substream(seed, s)
-        for tid, spec_axes in enumerate(axes):
-            starts[tid, s] = [ax.window_start(rng.choice(c))
-                              for ax, c in zip(spec_axes, choices[tid])]
+        for tid, axis_sizes in enumerate(sizes):
+            starts[tid, s] = [n - 1 - rng.integers(n) for n in axis_sizes]
     picks = _solve_batched(y, grids, starts, sweeps)
     # Final residuals stay per solver, least squares on the columns in
     # neighborhood order: solutions that differ along the delay-Doppler
-    # ridge tie up to rounding, so this arithmetic decides min_residual.
-    votes = [Counter() for _ in specs]
-    best_residual_by_key: list[dict] = [{} for _ in specs]
+    # ridge tie up to rounding, so this arithmetic decides the minimum.
     solver_estimates = []
-    best = (np.inf, None)
     for solver_picks in picks:
-        idx = [tuple(p) for p in solver_picks]
-        cols = np.column_stack([g.column(p) for g, p in zip(grids, idx)])
+        cols = np.column_stack([g.columns(*p)
+                                for g, p in zip(grids, solver_picks)])
         coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
-        residual = float(np.linalg.norm(y - cols @ coef))
-        points = np.array([g.point(p) for g, p in zip(grids, idx)])
-        solver_estimates.append((points, residual))
-        if residual < best[0]:
-            best = (residual, points)
-        for tid, point in enumerate(points):
-            key = _quantize(point, specs[tid])
-            votes[tid][key] += 1
-            prev = best_residual_by_key[tid].get(key)
-            if prev is None or residual < prev:
-                best_residual_by_key[tid][key] = residual
-    if aggregate == "min_residual":
-        estimates = best[1]
-        residual = best[0]
-    else:
-        estimates = []
-        for tid, spec in enumerate(specs):
-            top = max(votes[tid].values())
-            tied = [k for k, v in votes[tid].items() if v == top]
-            key = min(tied, key=lambda k: best_residual_by_key[tid][k])
-            estimates.append(_dequantize(key, spec))
-        estimates = np.array(estimates)
-        residual = min(r for _, r in solver_estimates)
-    return AveragedSsrResult(
-        estimates=np.asarray(estimates),
-        residual=float(residual),
-        vote_counts=tuple(votes),
-        solver_estimates=solver_estimates,
-    )
+        points = np.array([g.point(p) for g, p in zip(grids, solver_picks)])
+        solver_estimates.append((points, float(np.linalg.norm(y - cols @ coef))))
+    estimates, residual = min(solver_estimates, key=lambda e: e[1])
+    return AveragedSsrResult(estimates=estimates, residual=residual,
+                             solver_estimates=solver_estimates)
+
+
+def angle_surface(snapshot: VirtualSnapshot, spec: NeighborhoodSpec, estimate,
+                  cfg: SystemConfig) -> np.ndarray:
+    """|column^H y| / |column| over ``spec.angle.superset_points()``.
+
+    ``y`` is the whitened snapshot, and the columns sit at the Doppler and
+    delay lattice points of ``spec`` nearest ``estimate`` (angle, doppler,
+    delay).
+    """
+    grid = _FactoredGrid(spec, snapshot.bin_meta, snapshot.n_rx, cfg,
+                         snapshot.row_weights)
+    iv = np.argmin(np.abs(grid.dopplers - estimate[1]))
+    it = np.argmin(np.abs(grid.delays - estimate[2]))
+    power = grid.power(snapshot.values * snapshot.row_weights)
+    return np.sqrt(power[:, iv, it]) / grid.norm
 
 
 def default_neighborhood(estimate, cfg: SystemConfig,

@@ -3,7 +3,9 @@
 ``serial_averaged_ssr`` runs the bagged solvers of
 :func:`otfs_isac.virtual_array.averaged_ssr` one after another, each scoring
 its own offset window with explicit einsum contractions: the algorithm as
-written, without batching across solvers.
+written, without batching across solvers. ``steering_columns`` is the
+dictionary column as one explicit phase expression, which
+:func:`otfs_isac.virtual_array.angle_surface` must reproduce.
 
 The explicit (NM x NM) matrices, the stacked LMMSE solve, the per-bin TF
 channel, the single-path DD response and the numeric FIM are direct forms of
@@ -28,8 +30,6 @@ one-SVD profile solve of :mod:`otfs_isac.coarse` are checked.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from otfs_isac.channel import complex_noise, noise_variance, tf_channel_grid
@@ -42,18 +42,42 @@ from otfs_isac.crlb import snr_linear
 from otfs_isac.exceptions import DimensionMismatch, PeakSeparationFailure
 from otfs_isac.transforms import isfft, sfft
 from otfs_isac.virtual_array import (DEFAULT_SWEEPS, PERP_FLOOR, TIE_RTOL,
-                                     _dequantize, _FactoredGrid, _quantize)
+                                     _FactoredGrid)
 
 
-def window_box(grid: _FactoredGrid, offsets: tuple) -> tuple:
-    """Superset-lattice slices of one solver's offset window."""
+def steering_columns(angles, dopplers, delays, bin_meta, n_rx: int,
+                     cfg) -> np.ndarray:
+    """Raw (un-normalized) dictionary columns for parameter triplets.
+
+    Row (p, n_r), column c:
+    exp(j2pi(n_r g_r - owner_p g_t) sin(angle_c)/lambda)
+    * exp(-j2pi doppler_c delay_c)
+    * exp(j2pi(doppler_c n_p dt - m_p df delay_c)).
+    """
+    angles = np.asarray(angles, dtype=float)
+    dopplers = np.asarray(dopplers, dtype=float)
+    delays = np.asarray(delays, dtype=float)
+    owners = np.repeat([owner for owner, _ in bin_meta], n_rx).astype(float)
+    n_p = np.repeat([b[0] for _, b in bin_meta], n_rx).astype(float)
+    m_p = np.repeat([b[1] for _, b in bin_meta], n_rx).astype(float)
+    nr = np.tile(np.arange(n_rx, dtype=float), len(bin_meta))
+    spatial = (nr * cfg.g_r - owners * cfg.g_t) / cfg.wavelength_m
+    dt, df = cfg.symbol_duration_s, cfg.subcarrier_spacing_hz
+    phase = (np.outer(spatial, np.sin(angles))
+             + dt * np.outer(n_p, dopplers)
+             - df * np.outer(m_p, delays))
+    return np.exp(2j * np.pi * phase) * np.exp(-2j * np.pi * dopplers * delays)[None, :]
+
+
+def window_box(grid: _FactoredGrid, draws: tuple) -> tuple:
+    """Superset-lattice slices of the window of one solver's draws k per axis:
+    each window starts at index n_points - 1 - k."""
     spec = grid.spec
-    a0 = spec.angle.window_start(offsets[0])
-    v0 = spec.doppler.window_start(offsets[1])
-    t0 = spec.delay.window_start(offsets[2])
-    return (slice(a0, a0 + spec.angle.n_points),
-            slice(v0, v0 + spec.doppler.n_points),
-            slice(t0, t0 + spec.delay.n_points))
+    box = []
+    for ax, k in zip((spec.angle, spec.doppler, spec.delay), draws):
+        start = ax.n_points - 1 - k
+        box.append(slice(start, start + ax.n_points))
+    return tuple(box)
 
 
 def correlations(grid: _FactoredGrid, residual: np.ndarray, box) -> np.ndarray:
@@ -94,14 +118,14 @@ def solve_windows(y: np.ndarray, grids: list, boxes: list,
             if corr.max() > best[0] * (1.0 + TIE_RTOL):
                 best = (corr.max(), tid, idx)
         picks[best[1]] = best[2]
-        cols = np.column_stack([grids[t].column(p)
+        cols = np.column_stack([grids[t].columns(*p)
                                 for t, p in enumerate(picks) if p is not None])
         coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
         residual = y - cols @ coef
     for _ in range(sweeps):
         changed = False
         for tid in range(n_tid):
-            others = [grids[t].column(p) for t, p in enumerate(picks) if t != tid]
+            others = [grids[t].columns(*p) for t, p in enumerate(picks) if t != tid]
             grid, box = grids[tid], boxes[tid]
             if others:
                 q, _ = np.linalg.qr(np.column_stack(others))
@@ -119,7 +143,7 @@ def solve_windows(y: np.ndarray, grids: list, boxes: list,
                 changed = True
         if not changed:
             break
-    cols = np.column_stack([grids[t].column(p) for t, p in enumerate(picks)])
+    cols = np.column_stack([grids[t].columns(*p) for t, p in enumerate(picks)])
     coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
     residual_norm = float(np.linalg.norm(y - cols @ coef))
     points = np.array([grids[t].point(p) for t, p in enumerate(picks)])
@@ -127,8 +151,7 @@ def solve_windows(y: np.ndarray, grids: list, boxes: list,
 
 
 def serial_averaged_ssr(snapshot, specs, cfg, n_solvers: int, seed: int = 0,
-                        sweeps: int = DEFAULT_SWEEPS,
-                        aggregate: str = "min_residual") -> dict:
+                        sweeps: int = DEFAULT_SWEEPS) -> dict:
     """The bagged solvers run one at a time, with the same window draws."""
     weights = snapshot.row_weights
     y = snapshot.values * weights
@@ -139,26 +162,13 @@ def serial_averaged_ssr(snapshot, specs, cfg, n_solvers: int, seed: int = 0,
         rng = substream(seed, s)
         boxes = []
         for spec, grid in zip(specs, grids):
-            offs = tuple(rng.choice(ax.offset_choices())
-                         for ax in (spec.angle, spec.doppler, spec.delay))
-            boxes.append(window_box(grid, offs))
+            draws = tuple(rng.integers(ax.n_points)
+                          for ax in (spec.angle, spec.doppler, spec.delay))
+            boxes.append(window_box(grid, draws))
         solver_estimates.append(solve_windows(y, grids, boxes, sweeps=sweeps))
-    votes = [Counter(_quantize(points[tid], spec) for points, _ in solver_estimates)
-             for tid, spec in enumerate(specs)]
-    if aggregate == "min_residual":
-        residual, estimates = min(solver_estimates, key=lambda e: e[1])[::-1]
-    else:
-        estimates = []
-        for tid, spec in enumerate(specs):
-            top = max(votes[tid].values())
-            tied = [k for k, v in votes[tid].items() if v == top]
-            best = {k: min(r for p, r in solver_estimates
-                           if _quantize(p[tid], spec) == k) for k in tied}
-            estimates.append(_dequantize(min(tied, key=best.get), spec))
-        estimates = np.array(estimates)
-        residual = min(r for _, r in solver_estimates)
+    estimates, residual = min(solver_estimates, key=lambda e: e[1])
     return {"solver_estimates": solver_estimates, "estimates": estimates,
-            "residual": residual, "vote_counts": tuple(votes)}
+            "residual": residual}
 
 
 def isfft_matrix(n: int, m: int) -> np.ndarray:

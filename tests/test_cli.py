@@ -2,6 +2,8 @@
 
 import json
 import os
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,7 +82,7 @@ def test_simulate_seed_override_changes_manifest(tmp_path, capsys):
     assert main(["simulate", "--scenario", path, "--out", out_dir,
                  "--seed", "77"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    manifest = json.loads(open(payload["outputs"]["manifest"]).read())
+    manifest = json.loads(Path(payload["outputs"]["manifest"]).read_text())
     assert manifest["scenario"]["seed"] == 77
 
 
@@ -109,8 +111,8 @@ def test_simulate_parallel_flag(tmp_path, capsys):
     assert main(["simulate", "--scenario", path, "--out", out2,
                  "--parallel", "2"]) == 0
     capsys.readouterr()
-    a = open(os.path.join(out1, "cli-unit", "trials.csv")).read()
-    b = open(os.path.join(out2, "cli-unit", "trials.csv")).read()
+    a = Path(out1, "cli-unit", "trials.csv").read_text()
+    b = Path(out2, "cli-unit", "trials.csv").read_text()
     assert a == b
 
 
@@ -184,6 +186,24 @@ def test_simulate_bad_override_rejected(tmp_path, capsys, flag, value):
     path = write_scenario(tmp_path)
     assert main(["simulate", "--scenario", path, "--out", str(tmp_path),
                  flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "invalid-argument"
+    assert not os.path.exists(tmp_path / "cli-unit")
+
+
+def test_simulate_oversize_trial_count_rejected(tmp_path, capsys):
+    """--trials is bounded with the scenario's SNRs before any cell is listed."""
+    path = write_scenario(tmp_path, experiment_kind="coarse-angle-mse")
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--scenario", path, "--out", str(tmp_path),
+                     "--trials", str(10 ** 12)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 2 ** 20
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "invalid-argument"

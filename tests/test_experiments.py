@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +41,7 @@ def test_output_files_and_manifest(tmp_path):
     assert all(len(r) == 4 for r in rows[1:])
     agg = read_csv(paths["aggregate"])
     assert agg[0] == ["snr_db", "metric", "value"]
-    manifest = json.loads(open(paths["manifest"]).read())
+    manifest = json.loads(Path(paths["manifest"]).read_text())
     assert manifest["scenario"]["name"] == "exp-unit"
     assert manifest["trials_run"] == 2
     assert "version" in manifest
@@ -62,8 +63,8 @@ def test_serial_parallel_identical(tmp_path, kind):
     p1 = run_scenario(sc, tmp_path / "serial", parallel=1)
     p2 = run_scenario(sc, tmp_path / "parallel", parallel=2)
     assert len(read_csv(p1["trials"])) > 3
-    assert open(p1["trials"]).read() == open(p2["trials"]).read()
-    assert open(p1["aggregate"]).read() == open(p2["aggregate"]).read()
+    assert Path(p1["trials"]).read_text() == Path(p2["trials"]).read_text()
+    assert Path(p1["aggregate"]).read_text() == Path(p2["aggregate"]).read_text()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

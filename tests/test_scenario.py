@@ -111,9 +111,12 @@ def test_unknown_estimator_field_rejected():
 
 
 def test_invalid_aggregate_rejected():
-    raw = minimal_raw(estimator={"ssr_aggregate": "median"})
-    with pytest.raises(ConfigValidationError):
+    """The SSR answer is always the min-residual solution; the old selector
+    is an unknown field."""
+    raw = minimal_raw(estimator={"ssr_aggregate": "min_residual"})
+    with pytest.raises(ConfigValidationError) as exc:
         scenario_from_dict(raw)
+    assert exc.value.errors == ["estimator.ssr_aggregate: unknown field"]
 
 
 def test_load_scenario_invalid_json(tmp_path):
@@ -275,9 +278,11 @@ def test_oversize_grid_without_private_bins_rejected(system):
     ({"n_rx": 2, "n_comm_rx": 1, "n_tx": 3}, 9),    # LMMSE Gram stack
 ])
 def test_grid_stack_bound_counts_the_largest_stack(monkeypatch, counts, grids):
-    """Each stack decides the bound when it is the largest; 8 x 16 grids."""
+    """Each stack decides the bound when it is the largest; 8 x 16 grids. One
+    SSR solver keeps the solver state, which shares the bound, below it."""
     raw = minimal_raw(system=dict(SMALL_SYSTEM, **counts),
-                      allocation={"diagonal_private_bins": 0})
+                      allocation={"diagonal_private_bins": 0},
+                      estimator={"n_solvers": 1})
     monkeypatch.setattr(scenario_module, "MAX_GRID_STACK_BYTES", 8 * 16 * 16 * grids)
     scenario_from_dict(raw)
     monkeypatch.setattr(scenario_module, "MAX_GRID_STACK_BYTES",
@@ -307,7 +312,8 @@ def test_oversize_estimator_counts_rejected(field, value):
 
 @pytest.mark.parametrize("field, value, array_bytes", [
     ("dft_pad_factor", 512, 512 * 8 * 16),    # 8 receive antennas, complex bins
-    ("n_solvers", 2048, 2048 * 2 * 3 * 8),    # 2 targets, 3 integer starts each
+    # 2 targets: a 216 B record, 3 integer starts and 3 float point values each
+    ("n_solvers", 2048, 2048 * (216 + 2 * 6 * 8)),
 ])
 def test_estimator_count_bound_is_exact(monkeypatch, field, value, array_bytes):
     two_targets = [{"angle_deg": 5.0, "range_m": 50.0, "velocity_mps": 10.0},
@@ -320,6 +326,38 @@ def test_estimator_count_bound_is_exact(monkeypatch, field, value, array_bytes):
     with pytest.raises(ConfigValidationError) as exc:
         scenario_from_dict(raw)
     assert [e.split(":")[0] for e in exc.value.errors] == [f"estimator.{field}"]
+
+
+@pytest.mark.parametrize("kind, field, value", [("dd-correlation", "trials", 10 ** 12),
+                                               ("comm-ber", "min_bits", 10 ** 400)])
+def test_oversize_run_rejected(kind, field, value):
+    """The (SNR, trial) cells of a run are bounded before any is listed."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigValidationError) as exc:
+            scenario_from_dict(minimal_raw(experiment_kind=kind, **{field: value}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert [e.split(":")[0] for e in exc.value.errors] == [field]
+
+
+@pytest.mark.parametrize("overrides, cells", [
+    ({"trials": 7}, 14),
+    # 2 antennas with one zeroed bin each carry 2 * 2 * 127 = 508 bits a frame
+    ({"experiment_kind": "comm-ber", "min_bits": 508 * 6 + 1}, 14),
+    # crlb runs once per SNR, whatever its trial count
+    ({"experiment_kind": "crlb", "trials": 10 ** 12}, 2),
+])
+def test_run_length_bound_is_exact(monkeypatch, overrides, cells):
+    raw = minimal_raw(snr_db_values=[0.0, 10.0], **overrides)
+    monkeypatch.setattr(scenario_module, "MAX_TRIAL_CELLS", cells)
+    sc = scenario_from_dict(raw)
+    assert len(sc.snr_db_values) * sc.trials_per_snr() == cells
+    monkeypatch.setattr(scenario_module, "MAX_TRIAL_CELLS", cells - 1)
+    with pytest.raises(ConfigValidationError):
+        scenario_from_dict(raw)
 
 
 # default 24.25 GHz carrier and 120 kHz spacing: range_max_m = 1249.14 m and

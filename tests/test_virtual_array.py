@@ -11,11 +11,11 @@ from otfs_isac.comm import symbol_capacity, transmit_chain
 from otfs_isac.config import SystemConfig, Target, substream
 from otfs_isac.exceptions import (DictionaryTooLarge, DimensionMismatch,
                                   ZeroPrivateSymbol)
-from otfs_isac.virtual_array import (SOLVER_BLOCK, AxisSpec, SsrDictionary,
+from otfs_isac.virtual_array import (SOLVER_BLOCK, AxisSpec, NeighborhoodSpec,
+                                     SsrDictionary, _FactoredGrid, angle_surface,
                                      averaged_ssr, build_virtual_snapshot,
-                                     default_neighborhood, omp,
-                                     steering_columns)
-from oracles import serial_averaged_ssr
+                                     default_neighborhood, omp)
+from oracles import serial_averaged_ssr, steering_columns
 
 
 def small_cfg(**kw):
@@ -58,20 +58,55 @@ def test_zero_private_symbol_rejected():
         build_virtual_snapshot(rx, tf, alloc)
 
 
-def test_steering_column_formula():
+def test_grid_columns_match_steering_formula():
+    """The solver's one column builder against the explicit phase terms."""
     cfg = small_cfg()
     bin_meta = ((1, (2, 3)), (3, (0, 5)))
-    angle, nu, tau = 0.3, 1234.0, 2.2e-7
-    cols = steering_columns([angle], [nu], [tau], bin_meta, cfg.n_rx, cfg)
+    weights = np.repeat([0.7, 1.3], cfg.n_rx)
+    spec = NeighborhoodSpec(angle=AxisSpec(0.3, 0.02, 0.08),
+                            doppler=AxisSpec(1234.0, 150.0, 600.0),
+                            delay=AxisSpec(2.2e-7, 1e-8, 4e-8))
+    grid = _FactoredGrid(spec, bin_meta, cfg.n_rx, cfg, weights)
     dt, df = cfg.symbol_duration_s, cfg.subcarrier_spacing_hz
     lam = cfg.wavelength_m
-    for p, (owner, (n_p, m_p)) in enumerate(bin_meta):
-        for n_r in range(cfg.n_rx):
-            expected = (np.exp(2j * np.pi * (n_r * cfg.g_r - owner * cfg.g_t)
-                               * np.sin(angle) / lam)
-                        * np.exp(-2j * np.pi * nu * tau)
-                        * np.exp(2j * np.pi * (nu * n_p * dt - m_p * df * tau)))
-            assert abs(cols[p * cfg.n_rx + n_r, 0] - expected) < 1e-12
+    ia, iv, it = np.array([0, 4, 8]), np.array([3, 8, 0]), np.array([8, 1, 4])
+    cols = grid.columns(ia, iv, it)
+    assert cols.shape == (3, len(bin_meta) * cfg.n_rx)
+    for c, (i, j, k) in enumerate(zip(ia, iv, it)):
+        angle, nu, tau = grid.angles[i], grid.dopplers[j], grid.delays[k]
+        np.testing.assert_array_equal(grid.columns(i, j, k), cols[c])
+        for p, (owner, (n_p, m_p)) in enumerate(bin_meta):
+            for n_r in range(cfg.n_rx):
+                row = p * cfg.n_rx + n_r
+                expected = weights[row] * (
+                    np.exp(2j * np.pi * (n_r * cfg.g_r - owner * cfg.g_t)
+                           * np.sin(angle) / lam)
+                    * np.exp(-2j * np.pi * nu * tau)
+                    * np.exp(2j * np.pi * (nu * n_p * dt - m_p * df * tau)))
+                assert abs(cols[c, row] - expected) < 1e-12
+
+
+def test_angle_surface_matches_steering_columns():
+    cfg = small_cfg()
+    targets = [Target(angle_rad=0.2, delay_s=3 * cfg.delay_spacing_s,
+                      doppler_hz=2 * cfg.doppler_spacing_hz, gain=0.8 + 0.3j)]
+    snap, _, _ = make_snapshot(cfg, targets, snr_db=10.0, seed=2)
+    est = CoarseEstimate(0.21, 2, 3, targets[0].doppler_hz, targets[0].delay_s,
+                         0.0, 0.0, 1.0)
+    spec = default_neighborhood(est, cfg)
+    angles = spec.angle.superset_points()
+    for iv, it in ((20, 20), (3, 37)):
+        doppler = spec.doppler.superset_points()[iv]
+        delay = spec.delay.superset_points()[it]
+        cols = steering_columns(angles, np.full_like(angles, doppler),
+                                np.full_like(angles, delay),
+                                snap.bin_meta, snap.n_rx, cfg)
+        cols = cols * snap.row_weights[:, None]
+        y = snap.values * snap.row_weights
+        expected = np.abs(cols.conj().T @ y) / np.linalg.norm(cols, axis=0)
+        np.testing.assert_allclose(
+            angle_surface(snap, spec, (angles[0], doppler, delay), cfg),
+            expected, rtol=1e-9, atol=0.0)
 
 
 def test_axis_spec_lattice():
@@ -79,12 +114,6 @@ def test_axis_spec_lattice():
     assert ax.n_points == 5
     assert ax.n_superset == 9
     np.testing.assert_allclose(ax.superset_points(), np.arange(6.0, 15.0))
-    # every offset window is a contiguous slice of the superset lattice
-    for off in ax.offset_choices():
-        start = ax.window_start(off)
-        window = 10.0 - off * 4.0 + 1.0 * np.arange(5)
-        np.testing.assert_allclose(window, ax.superset_points()[start:start + 5],
-                                   atol=1e-12)
     with pytest.raises(ValueError):
         AxisSpec(0.0, -1.0, 4.0)
     with pytest.raises(ValueError):
@@ -142,20 +171,15 @@ def test_averaged_ssr_single_target_noiseless_exact():
     assert abs(delay - t.delay_s) <= 0.1 * cfg.delay_spacing_s + 1e-15
 
 
-def test_averaged_ssr_vote_aggregate_and_errors(monkeypatch):
+def test_averaged_ssr_errors(monkeypatch):
     cfg = small_cfg(n_rx=8)
     t = Target(angle_rad=0.1, delay_s=2 * cfg.delay_spacing_s,
                doppler_hz=cfg.doppler_spacing_hz)
     snap, _, _ = make_snapshot(cfg, [t])
     est = CoarseEstimate(0.1, 1, 2, t.doppler_hz, t.delay_s, 0.0, 0.0, 1.0)
     spec = default_neighborhood(est, cfg, angle_step_deg=1.0, angle_width_deg=4.0)
-    res = averaged_ssr(snap, [spec], cfg, n_solvers=4, seed=1, aggregate="vote")
-    assert res.estimates.shape == (1, 3)
-    assert sum(res.vote_counts[0].values()) == 4
     with pytest.raises(ValueError):
         averaged_ssr(snap, [spec], cfg, n_solvers=0)
-    with pytest.raises(ValueError):
-        averaged_ssr(snap, [spec], cfg, aggregate="bogus")
     monkeypatch.setattr(virtual_array, "COLUMN_CAP", 10)
     with pytest.raises(DictionaryTooLarge):
         averaged_ssr(snap, [spec], cfg)
@@ -198,7 +222,6 @@ def _ssr_case(centers_deg, target_deg, snr_db=15.0, seed=3, alloc=None):
     ("one", {}),
     ("identical", {}),
     ("three", {"sweeps": 0}),
-    ("three", {"aggregate": "vote"}),
     ("three", {"n_solvers": SOLVER_BLOCK + 3}),
     ("one-private-bin", {}),
 ])
@@ -227,7 +250,41 @@ def test_averaged_ssr_matches_serial_oracle(case, kwargs):
         assert residual == pytest.approx(ref_residual, rel=1e-12, abs=0.0)
     np.testing.assert_array_equal(res.estimates, ref["estimates"])
     assert res.residual == pytest.approx(ref["residual"], rel=1e-12, abs=0.0)
-    assert res.vote_counts == ref["vote_counts"]
+
+
+@pytest.mark.parametrize("ratio, n_points", [(1.5, 3), (3.5, 5)])
+def test_windows_and_picks_stay_inside_the_superset_lattice(monkeypatch, ratio,
+                                                            n_points):
+    """Width/step ratios that round half to even: a window start taken from
+    the rounded fraction of the width would be -1 for the widest offset and
+    wrap to the far end of the lattice."""
+    cfg = small_cfg(n_rx=8)
+    t = Target(angle_rad=np.deg2rad(10.0), delay_s=3 * cfg.delay_spacing_s,
+               doppler_hz=2 * cfg.doppler_spacing_hz)
+    snap, _, _ = make_snapshot(cfg, [t], snr_db=10.0, seed=1)
+    est = CoarseEstimate(t.angle_rad, 2, 3, t.doppler_hz, t.delay_s, 0.0, 0.0, 1.0)
+    spec = default_neighborhood(est, cfg, angle_width_deg=ratio,
+                                doppler_width_bins=0.1 * ratio,
+                                delay_width_bins=0.1 * ratio)
+    axes = (spec.angle, spec.doppler, spec.delay)
+    assert [ax.n_points for ax in axes] == [n_points] * 3
+    seen = []
+
+    class SpyStack(virtual_array._WindowStack):
+        def __init__(self, grid, starts):
+            seen.append(starts.copy())
+            super().__init__(grid, starts)
+
+    monkeypatch.setattr(virtual_array, "_WindowStack", SpyStack)
+    res = averaged_ssr(snap, [spec], cfg, n_solvers=SOLVER_BLOCK, seed=2)
+    (starts,) = seen
+    assert starts.min() >= 0 and starts.max() + n_points <= 2 * n_points - 1
+    # the widest offset, k = n_points - 1, is drawn
+    assert (starts == 0).any()
+    for (points, _), start in zip(res.solver_estimates, starts):
+        for ax, value, s in zip(axes, points[0], start):
+            window = ax.superset_points()[s:s + ax.n_points]
+            assert window[0] - 1e-9 * ax.step <= value <= window[-1] + 1e-9 * ax.step
 
 
 def test_averaged_ssr_needs_a_neighborhood():
