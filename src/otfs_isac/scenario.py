@@ -425,7 +425,9 @@ def load_scenario(path) -> Scenario:
     with open(path) as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # JSONDecodeError, and the plain ValueError of an integer literal
+        # longer than the interpreter's digit limit
+        except ValueError as exc:
             raise ConfigValidationError([f"invalid JSON: {exc}"])
     stem = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     return scenario_from_dict(raw, name=stem)

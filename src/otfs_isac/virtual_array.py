@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .allocation import BinAllocation
 from .config import SystemConfig, substream
@@ -30,8 +31,8 @@ COLUMN_CAP = 500_000
 DEFAULT_N_SOLVERS = 64
 DEFAULT_SWEEPS = 3
 # Solvers advanced together by one batched computation. Fixed, so that the
-# batch's temporaries do not grow with n_solvers; 16 ran fastest of 8-64 on
-# the shipped ssr_close_angles scenario and keeps them to a few MB.
+# batch's temporaries do not grow with n_solvers; 16 ran fastest of 8, 12, 16,
+# 24 and 32 on the shipped ssr_close_angles scenario and keeps them to a few MB.
 SOLVER_BLOCK = 16
 # Floor on |column_perp|^2 / |column|^2 in a replacement sweep's score. A
 # column in the span of the other picks (another neighborhood's pick, or a
@@ -207,6 +208,7 @@ class _FactoredGrid:
                  cfg: SystemConfig, weights: np.ndarray):
         self.spec = spec
         self.n_rx = n_rx
+        self.window = (spec.angle.n_points, spec.doppler.n_points, spec.delay.n_points)
         self.angles = spec.angle.superset_points()
         self.dopplers = spec.doppler.superset_points()
         self.delays = spec.delay.superset_points()
@@ -216,15 +218,15 @@ class _FactoredGrid:
         n_bins = len(bin_meta)
         w = weights.reshape(n_bins, n_rx)
         lam = cfg.wavelength_m
-        # spatial factor, weights folded in: (n_bins, n_rx, n_angles)
+        # spatial factor, weights folded in: (n_angles, n_bins, n_rx)
         spatial = (np.arange(n_rx)[None, :] * cfg.g_r - owners[:, None] * cfg.g_t) / lam
-        self.sw = (w[:, :, None]
-                   * np.exp(2j * np.pi * spatial[:, :, None] * np.sin(self.angles)))
-        # delay-Doppler factor: (n_bins, n_dopplers, n_delays)
+        self.sw = (w[None] * np.exp(2j * np.pi * spatial[None]
+                                    * np.sin(self.angles)[:, None, None]))
+        # delay-Doppler factor: (n_dopplers, n_delays, n_bins)
         dt, df = cfg.symbol_duration_s, cfg.subcarrier_spacing_hz
-        phase = (dt * np.einsum("p,v->pv", n_p, self.dopplers)[:, :, None]
-                 - df * np.einsum("p,t->pt", m_p, self.delays)[:, None, :]
-                 - np.outer(self.dopplers, self.delays)[None, :, :])
+        phase = (dt * np.einsum("p,v->vp", n_p, self.dopplers)[:, None, :]
+                 - df * np.einsum("p,t->tp", m_p, self.delays)[None, :, :]
+                 - np.outer(self.dopplers, self.delays)[:, :, None])
         self.g = np.exp(2j * np.pi * phase)
         # all factors have unit magnitude, so every weighted column has the
         # same norm
@@ -244,27 +246,42 @@ class _FactoredGrid:
         self.center_penalty = 1.0 + 1e-3 * d2
         # Scoring factors. g_p(nu, tau) = D_p(nu) E_p(tau) exp(-j2pi nu tau):
         # the last factor is common to all private bins, a unit phase per
-        # column, so it drops out of every |column^H v|. Batched scoring
-        # works on conj(D) and conj(E) alone, and for projections on their
-        # products over private-bin pairs p < q.
-        self.swc = self.sw.conj()
-        self.dc = np.exp(-2j * np.pi * dt * np.outer(n_p, self.dopplers))
+        # column, so it drops out of every |column^H v|. Scoring works on
+        # conj(sw) (n_bins, n_rx, n_angles) per angle, and over the
+        # Doppler-delay lattice on h_p = conj(D_p E_p) and, for projections,
+        # on h_p conj(h_q) over private-bin pairs p < q, both as stacked real
+        # and imaginary parts: (2 n_bins, ...) and (2 n_pairs, ...).
+        self.swc = self.sw.conj().transpose(1, 2, 0)
+        dc = np.exp(-2j * np.pi * dt * np.outer(n_p, self.dopplers))
         ec = np.exp(2j * np.pi * df * np.outer(m_p, self.delays))
+        h = dc[:, :, None] * ec[:, None, :]
         self.pairs = np.triu_indices(n_bins, 1)
-        self.dh = self.dc[self.pairs[0]] * self.dc[self.pairs[1]].conj()
-        self.ec_ri = _stack_ri(ec)
-        self.eh_ri = _stack_ri(ec[self.pairs[0]] * ec[self.pairs[1]].conj())
+        self.h_ri = _stack_ri(h)
+        self.hh_ri = _stack_ri(h[self.pairs[0]] * h[self.pairs[1]].conj())
+        # every window of the scoring factors and of the penalty, indexed by
+        # the window's start
+        self.swc_windows = sliding_window_view(self.swc, self.window[0], axis=2).transpose(
+            2, 0, 1, 3)
+        self.h_windows, self.hh_windows = (
+            sliding_window_view(x, self.window[1:], axis=(1, 2)).transpose(1, 2, 0, 3, 4)
+            for x in (self.h_ri, self.hh_ri))
+        self.penalty_windows = self.windows(self.center_penalty)
+
+    def windows(self, superset_values: np.ndarray) -> np.ndarray:
+        """Every window of a superset-lattice array, indexed by its start:
+        (*n_starts, *window)."""
+        return sliding_window_view(superset_values, self.window)
 
     def power(self, values: np.ndarray) -> np.ndarray:
         """|column^H values|^2 over the whole superset lattice, shape (A, V, T)."""
-        power = _lattice_power(self.swc[None], self.dc[None], self.ec_ri[None],
-                               values[None])
+        a = _angle_terms(self.swc[None], values[None, None])[:, :, 0]
+        power = _lattice_power(a, self.h_ri.reshape(1, len(self.h_ri), -1))
         return power.reshape(self.center_penalty.shape)
 
     def columns(self, ia, iv, it) -> np.ndarray:
         """Weighted columns at superset indices of one shape S: (*S, N_p * N_r)."""
-        cols = self.sw[:, :, ia] * self.g[:, iv, it][:, None]
-        return np.moveaxis(cols, (0, 1), (-2, -1)).reshape(*np.shape(ia), -1)
+        cols = self.sw[ia] * self.g[iv, it][..., None]
+        return cols.reshape(*np.shape(ia), -1)
 
     def point(self, idx: tuple) -> np.ndarray:
         ia, iv, it = idx
@@ -279,60 +296,60 @@ def _angle_terms(swc: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 def _stack_ri(x: np.ndarray) -> np.ndarray:
-    """Real and imaginary parts of (..., K, n) stacked along axis -2."""
-    return np.concatenate([x.real, x.imag], axis=-2)
+    """Real and imaginary parts of (K, ...) stacked along axis 0: (2 K, ...)."""
+    return np.concatenate([x.real, x.imag])
 
 
-def _lattice_power(swc: np.ndarray, dc: np.ndarray, ec_ri: np.ndarray,
-                   vectors: np.ndarray) -> np.ndarray:
+def _lattice_power(a: np.ndarray, h_ri: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """|column^H v|^2 over S solvers' lattices, one vector v per solver.
 
-    ``swc`` (S, N_p, N_r, n_angle) and ``dc`` (S, N_p, n_doppler) are
-    conjugated factors of each lattice, ``ec_ri`` (S, 2 N_p, n_delay) the
-    stacked real and imaginary parts of the third, and ``vectors`` is
-    (S, N_p * N_r). The sum over private bins is one real batched matmul.
-    Returns (S, n_lattice) in (angle, doppler, delay) order. The
-    correlation is summed before squaring, unlike the projection's Hermitian
-    form, so a column nearly orthogonal to v keeps a near-zero power:
-    divided by a small denominator, it must not become a large score.
+    ``a`` (S, N_p, n_angle) holds the angle terms sum_n conj(sw_pn) v_pn of
+    each solver's vector and ``h_ri`` (S, 2 N_p, n_doppler * n_delay) the
+    stacked real and imaginary parts of its lattice's Doppler-delay factor
+    h_p. The correlation sum_p a_p h_p is one real batched matmul, written
+    to ``out`` (S, 2 n_angle, n_doppler * n_delay) when given. Returns
+    (S, n_lattice) in (angle, doppler, delay) order, a view of ``out``. The
+    correlation is summed before squaring, unlike the projection's
+    Hermitian form, so a column nearly orthogonal to v keeps a near-zero
+    power: divided by a small denominator, it must not become a large score.
     """
-    a = _angle_terms(swc, vectors[:, None])[:, :, 0]            # (S, N_p, n_angle)
     s, n_bins, n_angle = a.shape
-    c = a.transpose(0, 2, 1)[:, :, None, :] * dc.transpose(0, 2, 1)[:, None]
-    rows = n_angle * dc.shape[2]
-    c = c.reshape(s, rows, n_bins)
-    # [Re; Im] of c @ ec from rows [[Re c, -Im c], [Im c, Re c]]
-    lhs = np.empty((s, 2, rows, 2, n_bins))
-    lhs[:, 0, :, 0], lhs[:, 0, :, 1] = c.real, -c.imag
-    lhs[:, 1, :, 0], lhs[:, 1, :, 1] = c.imag, c.real
-    out = lhs.reshape(s, 2 * rows, 2 * n_bins) @ ec_ri
+    a = a.transpose(0, 2, 1)
+    # [Re; Im] of a @ h from rows [[Re a, -Im a], [Im a, Re a]]
+    lhs = np.empty((s, 2, n_angle, 2, n_bins))
+    lhs[:, 0, :, 0], lhs[:, 0, :, 1] = a.real, -a.imag
+    lhs[:, 1, :, 0], lhs[:, 1, :, 1] = a.imag, a.real
+    out = np.matmul(lhs.reshape(s, 2 * n_angle, 2 * n_bins), h_ri, out=out)
     np.square(out, out=out)
-    return (out[:, :rows] + out[:, rows:]).reshape(s, -1)
+    power = out[:, :n_angle]
+    power += out[:, n_angle:]
+    return power.reshape(s, -1)
 
 
-def _lattice_projection(swc: np.ndarray, dh: np.ndarray, eh_ri: np.ndarray,
-                        pairs: tuple, q: np.ndarray) -> np.ndarray:
+def _lattice_projection(a: np.ndarray, hh_ri: np.ndarray, pairs: tuple,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """sum_j |column^H q_j|^2 over S solvers' lattices.
 
-    ``q`` is (S, N_p * N_r, J); ``dh`` and ``eh_ri`` hold each lattice's
-    pair products conj(D_p) D_q and conj(E_p) E_q, the latter as stacked
-    real and imaginary parts. With a_pj = sum_n conj(sw_pn) q_pnj the sum
-    is sum_pj |a_pj|^2 + 2 Re sum_{p<q} sum_j a_pj conj(a_qj) conj(g_p) g_q,
-    one real batched matmul for all J. It loses absolute accuracy where the
-    sum nearly cancels, which only perturbs the denominator
-    norm^2 - projection at the level its rounding already has.
+    ``a`` (S, N_p, J, n_angle) holds the angle terms
+    a_pj = sum_n conj(sw_pn) q_pnj of each solver's J vectors, and
+    ``hh_ri`` (S, 2 n_pairs, n_doppler * n_delay) its lattice's pair
+    products h_p conj(h_q) as stacked real and imaginary parts. The sum is
+    sum_pj |a_pj|^2 + 2 Re sum_{p<q} sum_j a_pj conj(a_qj) conj(g_p) g_q,
+    one real batched matmul for all J, written to ``out``
+    (S, n_angle, n_doppler * n_delay) when given; the result is a view of
+    it. It loses absolute accuracy where the sum nearly cancels, which only
+    perturbs the denominator norm^2 - projection at the level its rounding
+    already has.
     """
-    a = _angle_terms(swc, q.swapaxes(1, 2))                     # (S, N_p, J, n_angle)
-    s, n_angle = len(q), a.shape[3]
+    s, _, _, n_angle = a.shape
     n_pairs = len(pairs[0])
     cross = (a[:, pairs[0]] * a[:, pairs[1]].conj()).sum(axis=2)  # (S, n_pairs, n_angle)
-    c = cross.transpose(0, 2, 1)[:, :, None, :] * dh.transpose(0, 2, 1)[:, None]
-    rows = n_angle * dh.shape[2]
-    c = c.reshape(s, rows, n_pairs)
-    # Re(c @ eh) from rows [Re c, -Im c]
-    lhs = np.empty((s, rows, 2, n_pairs))
-    lhs[:, :, 0], lhs[:, :, 1] = 2.0 * c.real, -2.0 * c.imag
-    out = (lhs.reshape(s, rows, 2 * n_pairs) @ eh_ri).reshape(s, n_angle, -1)
+    cross = cross.transpose(0, 2, 1)
+    # Re(cross @ hh) from rows [Re cross, -Im cross]
+    lhs = np.empty((s, n_angle, 2, n_pairs))
+    lhs[:, :, 0], lhs[:, :, 1] = 2.0 * cross.real, -2.0 * cross.imag
+    out = np.matmul(lhs.reshape(s, n_angle, 2 * n_pairs), hh_ri, out=out)
     out += (a.real ** 2 + a.imag ** 2).sum(axis=(1, 2))[:, :, None]
     return out.reshape(s, -1)
 
@@ -340,41 +357,65 @@ def _lattice_projection(swc: np.ndarray, dh: np.ndarray, eh_ri: np.ndarray,
 class _WindowStack:
     """One neighborhood's offset windows for a block of solvers.
 
-    Holds each solver's windowed factors, copied out of the shared superset
-    factors, so that every solver of the block is scored by one batched
-    computation. Picks are flat indices into the window lattice (angle,
-    doppler, delay) in C order.
+    Every solver of the block is scored by one batched computation on its
+    windows of the grid's superset factors: the spatial factor's and the
+    penalty's are copied once per block, the Doppler-delay factors' at each
+    call. The large kernel outputs go to the arrays of ``scratch``, which
+    every block and neighborhood of one ``averaged_ssr`` call shares (the
+    neighborhoods are scored one at a time), so that the scores land in
+    the same memory at every step. Picks are flat indices into the window
+    lattice (angle, doppler, delay) in C order.
     """
 
-    def __init__(self, grid: _FactoredGrid, starts: np.ndarray):
-        spec = grid.spec
+    def __init__(self, grid: _FactoredGrid, starts: np.ndarray, scratch: dict):
         self.grid = grid
         self.starts = starts
-        self.shape = (spec.angle.n_points, spec.doppler.n_points, spec.delay.n_points)
-        ia, iv, it = (starts[:, k, None] + np.arange(n)
-                      for k, n in enumerate(self.shape))
-        self.lattice = (ia[:, :, None, None], iv[:, None, :, None],
-                        it[:, None, None, :])
-        # solver-major copies, contiguous for the batched matmuls
-        self.swc = np.ascontiguousarray(grid.swc[:, :, ia].transpose(2, 0, 1, 3))
-        self.dc, self.dh = (np.ascontiguousarray(x[:, iv].transpose(1, 0, 2))
-                            for x in (grid.dc, grid.dh))
-        self.ec_ri, self.eh_ri = (np.ascontiguousarray(x[:, it].transpose(1, 0, 2))
-                                  for x in (grid.ec_ri, grid.eh_ri))
-        self.penalty2 = self.gather(grid.center_penalty) ** 2
+        self.shape = grid.window
+        self.scratch = scratch
+        # each solver's window of the conjugated spatial factor
+        self.swc = grid.swc_windows[starts[:, 0]]
+        penalty = self.gather(grid.penalty_windows)
+        self.penalty2 = np.square(penalty, out=penalty)
 
-    def gather(self, superset_values: np.ndarray) -> np.ndarray:
-        """Each solver's window of a superset-lattice array: (S, n_window)."""
-        return superset_values[self.lattice].reshape(len(self.starts), -1)
+    def buffer(self, name: str, shape: tuple) -> np.ndarray:
+        """The float scratch array ``name`` as ``shape``: valid until the
+        next request for ``name``."""
+        size = int(np.prod(shape))
+        buf = self.scratch.get(name)
+        if buf is None or buf.size < size:
+            buf = self.scratch[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+    def gather(self, windows: np.ndarray) -> np.ndarray:
+        """Each solver's window of a superset-lattice array, from all its
+        ``windows`` (``_FactoredGrid.windows``): (S, n_window)."""
+        return windows[tuple(self.starts.T)].reshape(len(self.starts), -1)
+
+    def penalty_rows(self, sel) -> np.ndarray:
+        """``penalty2`` of solvers ``sel``."""
+        if isinstance(sel, slice):
+            return self.penalty2[sel]
+        return np.take(self.penalty2, sel, axis=0,
+                       out=self.buffer("penalty2", (len(sel), self.penalty2.shape[1])))
 
     def power(self, vectors: np.ndarray, sel) -> np.ndarray:
         """|column^H v|^2 over the windows of solvers ``sel``: (S, n_window)."""
-        return _lattice_power(self.swc[sel], self.dc[sel], self.ec_ri[sel], vectors)
+        _, iv, it = self.starts[sel].T
+        a = _angle_terms(self.swc[sel], vectors[:, None])[:, :, 0]
+        s, n_bins, n_angle = a.shape
+        n_dd = self.shape[1] * self.shape[2]
+        h = self.grid.h_windows[iv, it].reshape(s, 2 * n_bins, n_dd)
+        return _lattice_power(a, h, out=self.buffer("power", (s, 2 * n_angle, n_dd)))
 
     def projection(self, q: np.ndarray, sel) -> np.ndarray:
         """sum_j |column^H q_j|^2 over the windows of solvers ``sel``."""
-        return _lattice_projection(self.swc[sel], self.dh[sel], self.eh_ri[sel],
-                                   self.grid.pairs, q)
+        _, iv, it = self.starts[sel].T
+        a = _angle_terms(self.swc[sel], q.swapaxes(1, 2))
+        s, _, _, n_angle = a.shape
+        n_dd = self.shape[1] * self.shape[2]
+        hh = self.grid.hh_windows[iv, it].reshape(s, len(self.grid.hh_ri), n_dd)
+        return _lattice_projection(a, hh, self.grid.pairs,
+                                   out=self.buffer("projection", (s, n_angle, n_dd)))
 
     def columns(self, loc: np.ndarray, sel) -> np.ndarray:
         """The picked (weighted) columns of solvers ``sel``: (S, N_p * N_r)."""
@@ -397,7 +438,7 @@ def _residual_perp(y: np.ndarray, cols: np.ndarray):
     return q, y - (q @ coef[:, :, None])[:, :, 0]
 
 
-def _solve_block(y: np.ndarray, wins: list, y_scores: list,
+def _solve_block(y: np.ndarray, wins: list, y_windows: list,
                  sweeps: int) -> np.ndarray:
     """One-pick-per-neighborhood matching pursuit for a block of solvers.
 
@@ -406,9 +447,9 @@ def _solve_block(y: np.ndarray, wins: list, y_scores: list,
     neighborhood's pick against the residual of the others (scored on the
     projected-column correlation, i.e. exact least-squares improvement)
     until no pick changes. All solvers of the block move through these
-    steps together. Scores are compared squared. ``y_scores[tid]`` is the
-    squared score of ``y`` itself on neighborhood tid's superset lattice,
-    which every greedy start shares.
+    steps together. Scores are compared squared. ``y_windows[tid]`` holds
+    the windows of the squared score of ``y`` itself on neighborhood tid's
+    superset lattice, which every greedy start shares.
     Returns the window-local flat pick of every solver per neighborhood.
     """
     n_tid = len(wins)
@@ -416,6 +457,8 @@ def _solve_block(y: np.ndarray, wins: list, y_scores: list,
     rows = np.arange(n_solvers)
     loc = np.zeros((n_solvers, n_tid), dtype=int)
     picked = np.zeros((n_solvers, n_tid), dtype=bool)
+    # every solver's picked column per neighborhood
+    cols = np.empty((n_solvers, n_tid, len(y)), dtype=complex)
     for step in range(n_tid):
         best = np.full(n_solvers, -np.inf)
         best_tid = np.zeros(n_solvers, dtype=int)
@@ -425,10 +468,10 @@ def _solve_block(y: np.ndarray, wins: list, y_scores: list,
             if sel is None:
                 continue
             if step == 0:
-                scores = win.gather(y_scores[tid])
+                scores = win.gather(y_windows[tid])
             else:
                 scores = win.power(residual[sel], sel)
-                scores /= win.penalty2[sel]
+                scores /= win.penalty_rows(sel)
             arg = np.argmax(scores, axis=1)
             val = np.take_along_axis(scores, arg[:, None], axis=1)[:, 0]
             better = val > best[sel] * (1.0 + TIE_RTOL) ** 2
@@ -436,11 +479,13 @@ def _solve_block(y: np.ndarray, wins: list, y_scores: list,
             best[upd], best_tid[upd], best_loc[upd] = val[better], tid, arg[better]
         picked[rows, best_tid] = True
         loc[rows, best_tid] = best_loc
+        for tid, win in enumerate(wins):
+            new = _rows(best_tid == tid)
+            if new is not None:
+                cols[new, tid] = win.columns(loc[new, tid], new)
         if step + 1 < n_tid:
-            cols = np.stack([w.columns(loc[:, t], rows) for t, w in enumerate(wins)],
-                            axis=1)
-            cols = cols[picked].reshape(n_solvers, step + 1, -1).swapaxes(1, 2)
-            _, residual = _residual_perp(y, cols)
+            _, residual = _residual_perp(
+                y, cols[picked].reshape(n_solvers, step + 1, -1).swapaxes(1, 2))
     # A sweep re-scores a neighborhood only where another neighborhood's pick
     # moved since its last scoring: otherwise the scores, and so the pick,
     # would repeat. A solver whose sweep changed nothing is thereby left
@@ -455,19 +500,19 @@ def _solve_block(y: np.ndarray, wins: list, y_scores: list,
             sel = _rows(np.delete(moved, tid, axis=1).max(axis=1) > scored[:, tid])
             if sel is None:
                 continue
-            others = np.stack([w.columns(loc[sel, t], sel)
-                               for t, w in enumerate(wins) if t != tid], axis=2)
+            others = np.delete(cols[sel], tid, axis=1).swapaxes(1, 2)
             q, resid_perp = _residual_perp(y, others)
             # scores^2 = |col^H r_perp|^2 / ((norm^2 - |Q^H col|^2) penalty^2)
             den2 = win.projection(q, sel)
             np.subtract(win.grid.norm ** 2, den2, out=den2)
             np.maximum(den2, PERP_FLOOR * win.grid.norm ** 2, out=den2)
-            den2 *= win.penalty2[sel]
+            den2 *= win.penalty_rows(sel)
             scores = win.power(resid_perp, sel)
             scores /= den2
             new = np.argmax(scores, axis=1)
             moved[rows[sel][new != loc[sel, tid]], tid] = clock
             loc[sel, tid] = new
+            cols[sel, tid] = win.columns(new, sel)
             scored[sel, tid] = clock
     return loc
 
@@ -480,16 +525,19 @@ def _solve_batched(y: np.ndarray, grids: list, starts: np.ndarray,
     neighborhood tid begins. Solvers run in blocks of ``SOLVER_BLOCK``; the
     blocks' arrays are released on return, before the per-solver residuals.
     """
-    y_scores = [grid.power(y) / grid.center_penalty ** 2 for grid in grids]
+    y_windows = [grid.windows(grid.power(y) / grid.center_penalty ** 2) for grid in grids]
+    scratch = {}
     n_solvers = starts.shape[1]
     picks = np.empty((n_solvers, len(grids), 3), dtype=int)
     for b0 in range(0, n_solvers, SOLVER_BLOCK):
-        wins = [_WindowStack(grid, st[b0:b0 + SOLVER_BLOCK])
+        wins = [_WindowStack(grid, st[b0:b0 + SOLVER_BLOCK], scratch)
                 for grid, st in zip(grids, starts)]
-        loc = _solve_block(y, wins, y_scores, sweeps=sweeps)
+        loc = _solve_block(y, wins, y_windows, sweeps=sweeps)
         for tid, win in enumerate(wins):
             picks[b0:b0 + len(loc), tid] = (np.column_stack(
                 np.unravel_index(loc[:, tid], win.shape)) + win.starts)
+        # free this block's windows before the next block gathers its own
+        del wins, win
     return picks
 
 
@@ -528,25 +576,29 @@ def averaged_ssr(snapshot: VirtualSnapshot, specs, cfg: SystemConfig,
     y = snapshot.values * weights
     grids = [_FactoredGrid(spec, snapshot.bin_meta, snapshot.n_rx, cfg, weights)
              for spec in specs]
-    sizes = [[ax.n_points for ax in (s.angle, s.doppler, s.delay)] for s in specs]
+    sizes = np.array([grid.window for grid in grids])
     # solver s draws k in [0, n_points) per neighborhood and axis from its
-    # own substream; its window starts at superset index n_points - 1 - k
-    starts = np.empty((len(specs), n_solvers, 3), dtype=int)
+    # own substream, in (neighborhood, axis) order; its window starts at
+    # superset index n_points - 1 - k. One integers() call on the array of
+    # sizes draws the same stream as one scalar call per size.
+    starts = np.empty((n_solvers, len(specs), 3), dtype=int)
     for s in range(n_solvers):
-        rng = substream(seed, s)
-        for tid, axis_sizes in enumerate(sizes):
-            starts[tid, s] = [n - 1 - rng.integers(n) for n in axis_sizes]
+        starts[s] = substream(seed, s).integers(sizes)
+    starts = (sizes - 1 - starts).transpose(1, 0, 2)
     picks = _solve_batched(y, grids, starts, sweeps)
     # Final residuals stay per solver, least squares on the columns in
     # neighborhood order: solutions that differ along the delay-Doppler
     # ridge tie up to rounding, so this arithmetic decides the minimum.
+    tid_picks = list(zip(grids, picks.transpose(1, 0, 2)))
+    cols = np.stack([g.columns(*p.T) for g, p in tid_picks], axis=2)
+    points = np.stack([np.column_stack([g.angles[p[:, 0]], g.dopplers[p[:, 1]],
+                                        g.delays[p[:, 2]]])
+                       for g, p in tid_picks], axis=1)
     solver_estimates = []
-    for solver_picks in picks:
-        cols = np.column_stack([g.columns(*p)
-                                for g, p in zip(grids, solver_picks)])
-        coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
-        points = np.array([g.point(p) for g, p in zip(grids, solver_picks)])
-        solver_estimates.append((points, float(np.linalg.norm(y - cols @ coef))))
+    for solver_cols, solver_points in zip(cols, points):
+        coef, *_ = np.linalg.lstsq(solver_cols, y, rcond=None)
+        solver_estimates.append((solver_points,
+                                 float(np.linalg.norm(y - solver_cols @ coef))))
     estimates, residual = min(solver_estimates, key=lambda e: e[1])
     return AveragedSsrResult(estimates=estimates, residual=residual,
                              solver_estimates=solver_estimates)

@@ -3,7 +3,10 @@
 ``serial_averaged_ssr`` runs the bagged solvers of
 :func:`otfs_isac.virtual_array.averaged_ssr` one after another, each scoring
 its own offset window with explicit einsum contractions: the algorithm as
-written, without batching across solvers. ``steering_columns`` is the
+written, without batching across solvers. ``exhaustive_ssr_minimum`` is the
+global optimum the solvers search for: the least-squares residual of every
+choice of one superset-lattice column per neighborhood, on tiny lattices.
+``steering_columns`` is the
 dictionary column as one explicit phase expression, which
 :func:`otfs_isac.virtual_array.angle_surface` must reproduce.
 
@@ -29,6 +32,8 @@ one-SVD profile solve of :mod:`otfs_isac.coarse` are checked.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -69,6 +74,14 @@ def steering_columns(angles, dopplers, delays, bin_meta, n_rx: int,
     return np.exp(2j * np.pi * phase) * np.exp(-2j * np.pi * dopplers * delays)[None, :]
 
 
+def window_draws(specs, seed: int, solver: int) -> list:
+    """One solver's window draws k per neighborhood and axis, one scalar
+    ``integers`` call at a time from its substream."""
+    rng = substream(seed, solver)
+    return [tuple(rng.integers(ax.n_points) for ax in (spec.angle, spec.doppler, spec.delay))
+            for spec in specs]
+
+
 def window_box(grid: _FactoredGrid, draws: tuple) -> tuple:
     """Superset-lattice slices of the window of one solver's draws k per axis:
     each window starts at index n_points - 1 - k."""
@@ -82,18 +95,18 @@ def window_box(grid: _FactoredGrid, draws: tuple) -> tuple:
 
 def correlations(grid: _FactoredGrid, residual: np.ndarray, box) -> np.ndarray:
     """|column^H residual| over one window of the lattice."""
-    sw, g = grid.sw[:, :, box[0]], grid.g[:, box[1], :][:, :, box[2]]
-    r = residual.reshape(sw.shape[0], grid.n_rx)
-    t = np.einsum("pni,pn->pi", sw.conj(), r)
-    return np.abs(np.einsum("pvt,pi->ivt", g.conj(), t))
+    sw, g = grid.sw[box[0]], grid.g[box[1], box[2]]
+    r = residual.reshape(sw.shape[1], grid.n_rx)
+    t = np.einsum("ipn,pn->pi", sw.conj(), r)
+    return np.abs(np.einsum("vtp,pi->ivt", g.conj(), t))
 
 
 def projections(grid: _FactoredGrid, q: np.ndarray, box) -> np.ndarray:
     """|Q^H column|^2 summed over the orthonormal columns of Q, on one window."""
-    sw, g = grid.sw[:, :, box[0]], grid.g[:, box[1], :][:, :, box[2]]
-    qr_ = q.reshape(sw.shape[0], grid.n_rx, q.shape[1])
-    qs = np.einsum("pnj,pni->jpi", qr_.conj(), sw)
-    m = np.einsum("jpi,pvt->jivt", qs, g)
+    sw, g = grid.sw[box[0]], grid.g[box[1], box[2]]
+    qr_ = q.reshape(sw.shape[1], grid.n_rx, q.shape[1])
+    qs = np.einsum("pnj,ipn->jpi", qr_.conj(), sw)
+    m = np.einsum("jpi,vtp->jivt", qs, g)
     return np.sum(np.abs(m) ** 2, axis=0)
 
 
@@ -159,16 +172,36 @@ def serial_averaged_ssr(snapshot, specs, cfg, n_solvers: int, seed: int = 0,
              for spec in specs]
     solver_estimates = []
     for s in range(n_solvers):
-        rng = substream(seed, s)
-        boxes = []
-        for spec, grid in zip(specs, grids):
-            draws = tuple(rng.integers(ax.n_points)
-                          for ax in (spec.angle, spec.doppler, spec.delay))
-            boxes.append(window_box(grid, draws))
+        boxes = [window_box(grid, d) for grid, d in zip(grids, window_draws(specs, seed, s))]
         solver_estimates.append(solve_windows(y, grids, boxes, sweeps=sweeps))
     estimates, residual = min(solver_estimates, key=lambda e: e[1])
     return {"solver_estimates": solver_estimates, "estimates": estimates,
             "residual": residual}
+
+
+def exhaustive_ssr_minimum(snapshot, specs, cfg) -> tuple:
+    """Smallest residual over one superset-lattice pick per neighborhood.
+
+    Returns (points, residual norm) of the best choice, each candidate's
+    residual computed as ``averaged_ssr`` computes its solvers' residuals:
+    least squares on the whitened snapshot, columns in neighborhood order.
+    Every combination is tried, so the lattices must be tiny.
+    """
+    weights = snapshot.row_weights
+    y = snapshot.values * weights
+    grids = [_FactoredGrid(spec, snapshot.bin_meta, snapshot.n_rx, cfg, weights)
+             for spec in specs]
+    lattices = [list(itertools.product(*(range(n) for n in (
+        g.angles.size, g.dopplers.size, g.delays.size)))) for g in grids]
+    best = (np.inf, None)
+    for picks in itertools.product(*lattices):
+        cols = np.column_stack([g.columns(*p) for g, p in zip(grids, picks)])
+        coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
+        residual = float(np.linalg.norm(y - cols @ coef))
+        if residual < best[0]:
+            best = (residual, picks)
+    residual, picks = best
+    return np.array([g.point(p) for g, p in zip(grids, picks)]), residual
 
 
 def isfft_matrix(n: int, m: int) -> np.ndarray:

@@ -60,6 +60,19 @@ def test_validate_config_reports_errors_on_stderr(tmp_path, capsys):
     assert len(payload["details"]) >= 2
 
 
+def test_overlong_json_integer_is_invalid_scenario(tmp_path, capsys):
+    """The JSON decoder rejects a 5,001-digit integer with a plain ValueError."""
+    path = tmp_path / "scenario.json"
+    path.write_text(Path(write_scenario(tmp_path)).read_text()[:-1]
+                    + ', "min_bits": ' + "9" * 5001 + "}")
+    assert main(["validate-config", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == "invalid-scenario"
+    assert "invalid JSON" in payload["details"][0]
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     assert main(["validate-config", "--scenario",
                  str(tmp_path / "missing.json")]) == 1

@@ -1,5 +1,7 @@
 """Virtual-array snapshot, steering columns, and sparse recovery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from otfs_isac.virtual_array import (SOLVER_BLOCK, AxisSpec, NeighborhoodSpec,
                                      SsrDictionary, _FactoredGrid, angle_surface,
                                      averaged_ssr, build_virtual_snapshot,
                                      default_neighborhood, omp)
-from oracles import serial_averaged_ssr, steering_columns
+from oracles import (exhaustive_ssr_minimum, serial_averaged_ssr, steering_columns,
+                     window_draws)
 
 
 def small_cfg(**kw):
@@ -84,6 +87,44 @@ def test_grid_columns_match_steering_formula():
                     * np.exp(-2j * np.pi * nu * tau)
                     * np.exp(2j * np.pi * (nu * n_p * dt - m_p * df * tau)))
                 assert abs(cols[c, row] - expected) < 1e-12
+
+
+@pytest.mark.parametrize("n_bins, n_solvers, sel", [
+    (4, 5, slice(None)),
+    (4, 5, np.array([0, 2, 3])),
+    (4, 1, slice(None)),
+    # a single private bin has no bin pairs: the projection has no cross terms
+    (1, 3, np.array([1])),
+    (1, 1, slice(None)),
+])
+def test_window_kernels_match_direct_sums(n_bins, n_solvers, sel):
+    """The window scores against |C^H v|^2 and sum_j |C^H q_j|^2 with C built
+    column by column from the grid's column builder."""
+    cfg = small_cfg()
+    bin_meta = ((1, (2, 3)), (3, (0, 5)), (0, (4, 1)), (2, (7, 7)))[:n_bins]
+    rng = np.random.default_rng(n_bins * 10 + n_solvers)
+    weights = np.repeat(rng.uniform(0.5, 1.5, n_bins), cfg.n_rx)
+    spec = NeighborhoodSpec(angle=AxisSpec(0.3, 0.02, 0.08),
+                            doppler=AxisSpec(1234.0, 150.0, 450.0),
+                            delay=AxisSpec(2.2e-7, 1e-8, 5e-8))
+    grid = _FactoredGrid(spec, bin_meta, cfg.n_rx, cfg, weights)
+    shape = [ax.n_points for ax in (spec.angle, spec.doppler, spec.delay)]
+    starts = rng.integers(0, shape, size=(n_solvers, 3))
+    win = virtual_array._WindowStack(grid, starts, {})
+    rows = np.arange(n_solvers)[sel]
+    n_rows, n_j = len(bin_meta) * cfg.n_rx, 2
+    v = rng.standard_normal((len(rows), n_rows)) + 1j * rng.standard_normal((len(rows), n_rows))
+    q = (rng.standard_normal((len(rows), n_rows, n_j))
+         + 1j * rng.standard_normal((len(rows), n_rows, n_j)))
+    power, projection = win.power(v, sel), win.projection(q, sel)
+    assert power.shape == projection.shape == (len(rows), np.prod(shape))
+    for i, s in enumerate(rows):
+        ia, iv, it = np.ix_(*(st + np.arange(n) for st, n in zip(starts[s], shape)))
+        cols = grid.columns(*np.broadcast_arrays(ia, iv, it)).reshape(-1, n_rows)
+        expected = np.abs(cols.conj() @ v[i]) ** 2
+        assert np.max(np.abs(power[i] - expected)) <= 1e-12 * expected.max()
+        expected = np.sum(np.abs(cols.conj() @ q[i]) ** 2, axis=1)
+        assert np.max(np.abs(projection[i] - expected)) <= 1e-12 * expected.max()
 
 
 def test_angle_surface_matches_steering_columns():
@@ -252,6 +293,61 @@ def test_averaged_ssr_matches_serial_oracle(case, kwargs):
     assert res.residual == pytest.approx(ref["residual"], rel=1e-12, abs=0.0)
 
 
+# private bins off the n = m diagonal, so no two lattice columns coincide
+SCATTERED_BINS = make_allocation(4, [(0, (0, 0)), (1, (1, 5)), (2, (3, 2)),
+                                     (3, (6, 11))])
+
+
+def _tiny_ssr_case(offsets, snr_db, seed, alloc=None):
+    """Targets at (angle deg, Doppler bins, delay bins) offsets from lattice
+    centers, with one tiny search box per target: 5 x 3 x 3 superset points."""
+    cfg = small_cfg(n_rx=8)
+    dnu, dtau = cfg.doppler_spacing_hz, cfg.delay_spacing_s
+    targets, specs = [], []
+    for k, (da, dv, dt) in enumerate(offsets):
+        center = (np.deg2rad(-20.0 + 35.0 * k), (1 + 2 * k) * dnu, (2 + 5 * k) * dtau)
+        targets.append(Target(angle_rad=center[0] + np.deg2rad(da),
+                              doppler_hz=center[1] + dv * dnu,
+                              delay_s=center[2] + dt * dtau,
+                              gain=(1.0 - 0.2 * k) * np.exp(0.9j * k)))
+        specs.append(NeighborhoodSpec(
+            angle=AxisSpec(center[0], np.deg2rad(1.0), np.deg2rad(2.0)),
+            doppler=AxisSpec(center[1], 0.25 * dnu, 0.25 * dnu),
+            delay=AxisSpec(center[2], 0.25 * dtau, 0.25 * dtau)))
+    snap, _, _ = make_snapshot(cfg, targets, snr_db=snr_db, seed=seed,
+                               alloc=alloc or SCATTERED_BINS)
+    return snap, specs, cfg
+
+
+@pytest.mark.parametrize("offsets", [
+    [(1.3, 0.2, 0.05)],
+    [(1.3, 0.2, 0.05), (-0.8, -0.15, 0.0)],
+])
+def test_averaged_ssr_finds_the_exhaustive_minimum_without_noise(offsets):
+    """Noise-free, well-separated targets off the lattice: the bagged search
+    returns the global optimum over one superset pick per neighborhood."""
+    snap, specs, cfg = _tiny_ssr_case(offsets, snr_db=None, seed=7)
+    points, minimum = exhaustive_ssr_minimum(snap, specs, cfg)
+    assert minimum > 1e-3 * np.linalg.norm(snap.values * snap.row_weights)
+    res = averaged_ssr(snap, specs, cfg, n_solvers=32, seed=5)
+    np.testing.assert_array_equal(res.estimates, points)
+    assert res.residual == pytest.approx(minimum, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("alloc", [SCATTERED_BINS, diagonal_allocation(4)])
+def test_averaged_ssr_never_beats_the_exhaustive_minimum(seed, alloc):
+    """Noisy targets one step from the box edges: every solver's residual is
+    that of some one-pick-per-neighborhood choice, so none can undercut the
+    exhaustive minimum."""
+    snap, specs, cfg = _tiny_ssr_case([(1.6, 0.3, -0.3), (-1.9, -0.2, 0.2)],
+                                      snr_db=5.0, seed=seed, alloc=alloc)
+    _, minimum = exhaustive_ssr_minimum(snap, specs, cfg)
+    res = averaged_ssr(snap, specs, cfg, n_solvers=8, seed=seed)
+    assert min(r for _, r in res.solver_estimates) >= minimum * (1.0 - 1e-12)
+    assert res.residual >= minimum * (1.0 - 1e-12)
+
+
 @pytest.mark.parametrize("ratio, n_points", [(1.5, 3), (3.5, 5)])
 def test_windows_and_picks_stay_inside_the_superset_lattice(monkeypatch, ratio,
                                                             n_points):
@@ -271,9 +367,9 @@ def test_windows_and_picks_stay_inside_the_superset_lattice(monkeypatch, ratio,
     seen = []
 
     class SpyStack(virtual_array._WindowStack):
-        def __init__(self, grid, starts):
+        def __init__(self, grid, starts, *args):
             seen.append(starts.copy())
-            super().__init__(grid, starts)
+            super().__init__(grid, starts, *args)
 
     monkeypatch.setattr(virtual_array, "_WindowStack", SpyStack)
     res = averaged_ssr(snap, [spec], cfg, n_solvers=SOLVER_BLOCK, seed=2)
@@ -285,6 +381,59 @@ def test_windows_and_picks_stay_inside_the_superset_lattice(monkeypatch, ratio,
         for ax, value, s in zip(axes, points[0], start):
             window = ax.superset_points()[s:s + ax.n_points]
             assert window[0] - 1e-9 * ax.step <= value <= window[-1] + 1e-9 * ax.step
+
+
+def test_averaged_ssr_peak_memory_in_the_ssr_close_geometry():
+    """One call with the shipped ssr_close_angles geometry (64x128 grid,
+    3 neighborhoods, 64 solvers, 4 private bins, 16 Rx) allocates at most
+    11 MiB at its peak; keeping per-block copies of every solver's
+    Doppler-delay windows would exceed it."""
+    cfg = SystemConfig(n_doppler=64, m_delay=128, n_tx=4, n_rx=16)
+    dnu, dtau = cfg.doppler_spacing_hz, cfg.delay_spacing_s
+    targets = [Target(angle_rad=np.deg2rad(a), doppler_hz=(3.3 + 5 * k) * dnu,
+                      delay_s=(4.6 + 7 * k) * dtau)
+               for k, a in enumerate((12.0, 14.0, 16.0))]
+    snap, _, _ = make_snapshot(cfg, targets, snr_db=20.0, seed=0)
+    specs = [default_neighborhood(
+        CoarseEstimate(np.deg2rad(13.0), 0, 0, round(t.doppler_hz / dnu) * dnu,
+                       round(t.delay_s / dtau) * dtau, 0.0, 0.0, 1.0), cfg)
+        for t in targets]
+    tracemalloc.start()
+    try:
+        averaged_ssr(snap, specs, cfg, n_solvers=64, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 2 ** 20
+
+
+def test_window_starts_follow_the_scalar_draws(monkeypatch):
+    """The window starts of every block equal n_points - 1 - k for the draws
+    k that one scalar ``integers`` call per neighborhood and axis makes."""
+    cfg = small_cfg(n_rx=8)
+    t = Target(angle_rad=0.1, delay_s=2 * cfg.delay_spacing_s,
+               doppler_hz=cfg.doppler_spacing_hz)
+    snap, _, _ = make_snapshot(cfg, [t], snr_db=10.0, seed=1)
+    est = CoarseEstimate(0.1, 1, 2, t.doppler_hz, t.delay_s, 0.0, 0.0, 1.0)
+    specs = [default_neighborhood(est, cfg, angle_width_deg=w, doppler_width_bins=0.1 * d,
+                                  delay_width_bins=0.1 * d)
+             for w, d in ((4.0, 1), (7.0, 3))]
+    seen = []
+
+    class SpyStack(virtual_array._WindowStack):
+        def __init__(self, grid, starts, *args):
+            seen.append(starts.copy())
+            super().__init__(grid, starts, *args)
+
+    monkeypatch.setattr(virtual_array, "_WindowStack", SpyStack)
+    n_solvers = SOLVER_BLOCK + 3
+    averaged_ssr(snap, specs, cfg, n_solvers=n_solvers, seed=11)
+    starts = np.stack([np.concatenate(seen[tid::len(specs)]) for tid in range(len(specs))],
+                      axis=1)
+    for s in range(n_solvers):
+        for tid, (spec, draws) in enumerate(zip(specs, window_draws(specs, 11, s))):
+            axes = (spec.angle, spec.doppler, spec.delay)
+            assert list(starts[s, tid]) == [ax.n_points - 1 - k for ax, k in zip(axes, draws)]
 
 
 def test_averaged_ssr_needs_a_neighborhood():
