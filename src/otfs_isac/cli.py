@@ -69,13 +69,20 @@ def _run(scenario: Scenario, args, **kwargs) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    for flag, value, low in (("--parallel", args.parallel, 1),
-                             ("--trials", args.trials, 1),
-                             ("--seed", args.seed, 0)):
+def _flag_error(args):
+    """Exit code of the error for the first count flag below its least
+    value, or None; a subcommand without the flag skips it."""
+    for name, low in (("parallel", 1), ("trials", 1), ("seed", 0)):
+        value = getattr(args, name, None)
         if value is not None and value < low:
-            return _fail("invalid-argument",
-                         f"{flag} must be >= {low}, got {value}")
+            return _fail("invalid-argument", f"--{name} must be >= {low}, got {value}")
+    return None
+
+
+def _cmd_simulate(args) -> int:
+    error = _flag_error(args)
+    if error is not None:
+        return error
     scenario, error = _load(args.scenario)
     if scenario is None:
         return error
@@ -130,6 +137,9 @@ def _cmd_validate_config(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    error = _flag_error(args)
+    if error is not None:
+        return error
     raw = {
         "name": "demo-three-close-targets",
         "experiment_kind": "demo-spectrum",

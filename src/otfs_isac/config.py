@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .schema import COUNT, POSITIVE, field_errors, param
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -16,28 +17,24 @@ class SystemConfig:
 
     The frame is N subsymbols by M subcarriers. Subsymbol duration is tied to
     subcarrier spacing by dt = 1/df (orthogonality). Antenna spacings are in
-    meters; ``half_wavelength_spacing`` builds the usual 0.5-lambda arrays.
+    meters; None (the default) means half a wavelength. Each field's unit and
+    bound are the scenario schema's (``schema.param``).
     """
 
-    n_doppler: int = 64          # N, subsymbols
-    m_delay: int = 128           # M, subcarriers
-    subcarrier_spacing_hz: float = 120e3
-    carrier_freq_hz: float = 24.25e9
-    n_tx: int = 4
-    n_rx: int = 16
-    n_comm_rx: int = 8
-    tx_spacing_m: float | None = None   # defaults to lambda/2
-    rx_spacing_m: float | None = None
+    n_doppler: int = param(64, bound=COUNT)              # N, subsymbols
+    m_delay: int = param(128, bound=COUNT)               # M, subcarriers
+    subcarrier_spacing_hz: float = param(120e3, "Hz", POSITIVE)
+    carrier_freq_hz: float = param(24.25e9, "Hz", POSITIVE)
+    n_tx: int = param(4, bound=COUNT)
+    n_rx: int = param(16, bound=COUNT)
+    n_comm_rx: int = param(8, bound=COUNT)
+    tx_spacing_m: float | None = param(None, "m", POSITIVE)    # None: lambda/2
+    rx_spacing_m: float | None = param(None, "m", POSITIVE)
 
     def __post_init__(self):
-        if min(self.n_doppler, self.m_delay, self.n_tx, self.n_rx, self.n_comm_rx) <= 0:
-            raise ValueError("counts must be positive")
-        if not all(0 < f < math.inf for f in (self.subcarrier_spacing_hz,
-                                              self.carrier_freq_hz)):
-            raise ValueError("frequencies must be positive and finite")
-        if not all(g is None or 0 < g < math.inf for g in (self.tx_spacing_m,
-                                                           self.rx_spacing_m)):
-            raise ValueError("antenna spacings must be positive and finite")
+        errors = field_errors(self)
+        if errors:
+            raise ValueError("; ".join(errors))
 
     @property
     def wavelength_m(self) -> float:

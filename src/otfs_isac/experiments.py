@@ -60,7 +60,7 @@ def _angle_floor(true_rad: float, cfg, pad_factor: int) -> float:
 
 
 def _random_single_target(scenario: Scenario, rng) -> Target:
-    cfg = scenario.config
+    cfg = scenario.system
     res = resolution_report(cfg)
     angle = rng.uniform(*RANDOM_ANGLE_RANGE_DEG)
     rng_m = rng.uniform(0.1 * res["range_max_m"], 0.8 * res["range_max_m"])
@@ -71,8 +71,8 @@ def _random_single_target(scenario: Scenario, rng) -> Target:
 
 def _with_random_gains(scenario: Scenario, rng) -> list:
     """The scenario's targets, each with a fresh unit-magnitude gain."""
-    gains = unit_phases(rng, len(scenario.targets))
-    return [replace(t, gain=g) for t, g in zip(scenario.targets, gains)]
+    gains = unit_phases(rng, len(scenario.paths))
+    return [replace(t, gain=g) for t, g in zip(scenario.paths, gains)]
 
 
 # --- the trial skeleton: transmit, receive, refine ------------------------
@@ -83,7 +83,7 @@ def _scene(scenario: Scenario, targets, snr_db, snr_idx, trial, rng):
     The bits come from ``rng`` (purpose 0, after the targets), the noise
     from purpose 1.
     """
-    cfg, alloc = scenario.config, scenario.allocation
+    cfg, alloc = scenario.system, scenario.bin_allocation
     bits = rng.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
     dd, tf = transmit_chain(bits, alloc, cfg)
     rx_tf = radar_receive(tf, targets, cfg, snr_db=snr_db,
@@ -103,7 +103,7 @@ def _refine(scenario: Scenario, scene, n_targets, n_angles, peaks_per_angle,
     Returns (snapshot, specs, result), or None when the coarse stage fails.
     The neighborhoods cycle through the coarse estimates, one per target.
     """
-    cfg, est = scenario.config, scenario.estimator
+    cfg, est = scenario.system, scenario.estimator
     dd, tf, rx_tf, rx_dd = scene
     try:
         coarse = coarse_pipeline(rx_dd, dd, cfg, n_angles=n_angles,
@@ -111,7 +111,7 @@ def _refine(scenario: Scenario, scene, n_targets, n_angles, peaks_per_angle,
                                  pad_factor=est.dft_pad_factor)
     except OtfsIsacError:
         return None
-    snapshot = build_virtual_snapshot(rx_tf, tf, scenario.allocation)
+    snapshot = build_virtual_snapshot(rx_tf, tf, scenario.bin_allocation)
     specs = [default_neighborhood(
         c, cfg,
         angle_step_deg=est.angle_step_deg, angle_width_deg=est.angle_width_deg,
@@ -128,10 +128,10 @@ def _refine(scenario: Scenario, scene, n_targets, n_angles, peaks_per_angle,
 # --- one (snr, trial) record per experiment kind -------------------------
 
 def _trial_coarse_angle_mse(scenario, snr_db, snr_idx, trial):
-    cfg = scenario.config
+    cfg = scenario.system
     est = scenario.estimator
     rng = _rng(scenario, snr_idx, trial, 0)
-    target = (scenario.targets[0] if scenario.targets
+    target = (scenario.paths[0] if scenario.paths
               else _random_single_target(scenario, rng))
     _, _, _, rx_dd = _scene(scenario, [target], snr_db, snr_idx, trial, rng)
     true = target.angle_rad
@@ -151,7 +151,7 @@ def _trial_coarse_angle_mse(scenario, snr_db, snr_idx, trial):
 
 
 def _trial_dd_correlation(scenario, snr_db, snr_idx, trial):
-    cfg = scenario.config
+    cfg = scenario.system
     est = scenario.estimator
     rng = _rng(scenario, snr_idx, trial, 0)
     targets = _with_random_gains(scenario, rng)
@@ -208,12 +208,11 @@ def _trial_ssr_angle(scenario, snr_db, snr_idx, trial):
 
 
 def _trial_ssr_velocity(scenario, snr_db, snr_idx, trial):
-    cfg = scenario.config
+    cfg = scenario.system
     rng = _rng(scenario, snr_idx, trial, 0)
     if scenario.targets:
         template = scenario.targets[0]
-        angle_deg = float(np.rad2deg(template.angle_rad))
-        range_m = template.range_m
+        angle_deg, range_m = template.angle_deg, template.range_m
     else:
         angle_deg = 10.0
         range_m = 8.0 * resolution_report(cfg)["range_resolution_m"]
@@ -234,15 +233,15 @@ def _trial_ssr_velocity(scenario, snr_db, snr_idx, trial):
 
 
 def _trial_comm_ber(scenario, snr_db, snr_idx, trial):
-    errors, bits = ber_frame(scenario.config, scenario.allocation,
-                             list(scenario.targets), snr_db,
+    errors, bits = ber_frame(scenario.system, scenario.bin_allocation,
+                             list(scenario.paths), snr_db,
                              seed=scenario.seed * 1_000_003 + snr_idx,
                              frame_index=trial)
     return [("bit_errors", float(errors)), ("bit_count", float(bits))]
 
 
 def _trial_crlb(scenario, snr_db, snr_idx, trial):
-    report = crlb_report(scenario.config, snr_db)
+    report = crlb_report(scenario.system, snr_db)
     return sorted(report.items())
 
 
@@ -259,8 +258,8 @@ _TRIAL_FUNCS = {
 def _run_cell(args):
     scenario, snr_idx, trial = args
     snr_db = scenario.snr_db_values[snr_idx]
-    return snr_idx, trial, _TRIAL_FUNCS[scenario.kind](scenario, snr_db,
-                                                       snr_idx, trial)
+    trial_func = _TRIAL_FUNCS[scenario.experiment_kind]
+    return snr_idx, trial, trial_func(scenario, snr_db, snr_idx, trial)
 
 
 def _aggregate(kind: str, per_snr: dict) -> list:
@@ -294,11 +293,12 @@ def run_scenario(scenario: Scenario, out_dir, trials: int | None = None,
     identical for any pool size because every trial owns its RNG sub-stream
     and rows are merged in (snr, trial) order.
     """
-    if scenario.kind not in _TRIAL_FUNCS and scenario.kind != "demo-spectrum":
-        raise ValueError(f"unknown experiment kind {scenario.kind!r}")
+    kind = scenario.experiment_kind
+    if kind not in _TRIAL_FUNCS and kind != "demo-spectrum":
+        raise ValueError(f"unknown experiment kind {kind!r}")
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    if scenario.kind == "demo-spectrum":
+    if kind == "demo-spectrum":
         return _run_demo_spectrum(scenario, out_dir)
     n_trials = scenario.trials_per_snr(trials)
     cells = [(scenario, si, t)
@@ -323,7 +323,7 @@ def run_scenario(scenario: Scenario, out_dir, trials: int | None = None,
                              ["snr_db", "trial", "metric", "value"], trial_rows),
         "aggregate": _write_csv(out_dir, "aggregate.csv",
                                 ["snr_db", "metric", "value"],
-                                _aggregate(scenario.kind, per_snr)),
+                                _aggregate(kind, per_snr)),
         "manifest": _write_manifest(out_dir, scenario,
                                     {"trials": "trials.csv",
                                      "aggregate": "aggregate.csv"},
@@ -356,7 +356,7 @@ def _write_manifest(out_dir: str, scenario: Scenario, outputs: dict,
 
 def _run_demo_spectrum(scenario: Scenario, out_dir: str) -> dict:
     """Single showcase run: averaged DFT spectrum plus SSR angle surfaces."""
-    cfg = scenario.config
+    cfg = scenario.system
     est = scenario.estimator
     snr_db = scenario.snr_db_values[0]
     rng = _rng(scenario, 0, 0, 0)

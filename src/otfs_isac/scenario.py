@@ -4,22 +4,27 @@ A scenario bundles the system configuration, target list, bin allocation,
 estimator settings, and Monte Carlo controls for one experiment. Field names
 carry explicit units (``_hz``, ``_m``, ``_mps``, ``_deg``) so files remain
 self-describing.
+
+Each object of the file is a dataclass whose fields are its keys. Their
+types, defaults, units and bounds (``schema.param``) are the one table that
+parses, validates and writes a scenario, so a run's manifest replays it.
+``scenario_from_dict`` adds the checks that relate fields to each other.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cached_property
 
-import numpy as np
-
-from .allocation import BinAllocation, diagonal_allocation, make_allocation
+from .allocation import BinAllocation, make_allocation
 from .coarse import resolution_report
 from .comm import modified_sffts, symbol_capacity
 from .config import SystemConfig, Target
 from .exceptions import ConfigValidationError, OtfsIsacError
+from .schema import COUNT, NON_NEGATIVE, POSITIVE, from_json, param, to_json
+from .virtual_array import AxisSpec
 
 EXPERIMENT_KINDS = (
     "coarse-angle-mse",
@@ -31,17 +36,6 @@ EXPERIMENT_KINDS = (
     "demo-spectrum",
 )
 
-_SYSTEM_FIELDS = {
-    "n_doppler": int,
-    "m_delay": int,
-    "subcarrier_spacing_hz": float,
-    "carrier_freq_hz": float,
-    "n_tx": int,
-    "n_rx": int,
-    "n_comm_rx": int,
-    "tx_spacing_m": float,
-    "rx_spacing_m": float,
-}
 # Bound on the bytes of the reduced-transform columns that validation builds
 # (N * M * sum_i |Z_i| complex values); a 64x128 grid with four diagonal
 # private bins needs 1.5 MiB.
@@ -73,36 +67,82 @@ RANDOM_VELOCITY_RANGE_MPS = (-100.0, 100.0)
 
 
 @dataclass(frozen=True)
-class EstimatorSettings:
-    """Knobs of the coarse and sparse-recovery estimators."""
+class TargetSpec:
+    """One target as the scenario gives it."""
 
-    dft_pad_factor: int = 16
-    peaks_per_angle: int = 1
-    n_angles: int | None = None          # default: number of targets
-    n_solvers: int = 64
-    ssr_sweeps: int = 3
-    angle_step_deg: float = 1.0
-    angle_width_deg: float = 10.0
-    doppler_step_bins: float = 0.1
-    doppler_width_bins: float = 2.0
-    delay_step_bins: float = 0.1
-    delay_width_bins: float = 2.0
+    angle_deg: float = param(unit="deg", bound="(-90, 90)")
+    range_m: float = param(unit="m", bound=NON_NEGATIVE)
+    velocity_mps: float = param(unit="m/s")
 
 
 @dataclass(frozen=True)
-class Scenario:
-    """One fully specified, reproducible experiment."""
+class AllocationSpec:
+    """Private TF bins: ``private_bins`` lists [antenna, [n, m]] pairs, and
+    ``diagonal_private_bins`` = k gives antennas 0..k-1 the bin (i, i), with
+    k at most n_tx. A scenario gives at most one of them; with neither, every
+    antenna gets its diagonal bin."""
 
-    name: str
-    kind: str
-    config: SystemConfig
-    targets: tuple
-    allocation: BinAllocation
-    estimator: EstimatorSettings = field(default_factory=EstimatorSettings)
-    trials: int = 100
-    snr_db_values: tuple = (20.0,)
-    seed: int = 0
-    min_bits: int = 100_000              # comm-ber only
+    private_bins: tuple[tuple[int, tuple[int, int]], ...] | None = param(
+        None, bound=NON_NEGATIVE)
+    diagonal_private_bins: int | None = param(None, bound=NON_NEGATIVE)
+
+
+@dataclass(frozen=True)
+class EstimatorSettings:
+    """Knobs of the coarse and sparse-recovery estimators. Each search-box
+    width must be a whole number of its steps (``AxisSpec``)."""
+
+    dft_pad_factor: int = param(16, bound=COUNT)
+    peaks_per_angle: int = param(1, bound=COUNT)
+    # distinct angles the coarse stage looks for in ssr-angle and
+    # demo-spectrum (None: 1); dd-correlation looks for one per target, and
+    # coarse-angle-mse and ssr-velocity for one, whatever this is
+    n_angles: int | None = param(None, bound=COUNT)
+    n_solvers: int = param(64, bound=COUNT)
+    ssr_sweeps: int = param(3, bound=NON_NEGATIVE)
+    angle_step_deg: float = param(1.0, "deg", POSITIVE)
+    angle_width_deg: float = param(10.0, "deg", POSITIVE)
+    doppler_step_bins: float = param(0.1, "bins", POSITIVE)
+    doppler_width_bins: float = param(2.0, "bins", POSITIVE)
+    delay_step_bins: float = param(0.1, "bins", POSITIVE)
+    delay_width_bins: float = param(2.0, "bins", POSITIVE)
+
+
+@dataclass(frozen=True, kw_only=True)
+class Scenario:
+    """One fully specified, reproducible experiment.
+
+    The fields hold the validated input values as given (degrees, metres,
+    m/s, a None antenna spacing), so ``to_dict`` writes the input back and
+    ``scenario_from_dict(s.to_dict()) == s``. ``paths`` and
+    ``bin_allocation`` are derived from them.
+    """
+
+    name: str = "scenario"
+    experiment_kind: str = param(bound=EXPERIMENT_KINDS)
+    trials: int = param(100, bound=COUNT)
+    seed: int = param(0, bound=NON_NEGATIVE)
+    snr_db_values: tuple[float, ...] = param((20.0,), "dB", "(-inf, inf]")
+    min_bits: int = param(100_000, "bits", COUNT)        # comm-ber only
+    system: SystemConfig = SystemConfig()
+    targets: tuple[TargetSpec, ...] = ()
+    allocation: AllocationSpec = AllocationSpec()
+    estimator: EstimatorSettings = EstimatorSettings()
+
+    @cached_property
+    def paths(self) -> tuple:
+        """The targets as ``Target`` paths (angle in rad, delay, Doppler)."""
+        return tuple(Target.from_range_velocity(t.angle_deg, t.range_m, t.velocity_mps,
+                                                self.system.carrier_freq_hz)
+                     for t in self.targets)
+
+    @cached_property
+    def bin_allocation(self) -> BinAllocation:
+        spec, n_tx = self.allocation, self.system.n_tx
+        if spec.private_bins is not None:
+            return make_allocation(n_tx, spec.private_bins)
+        count = n_tx if spec.diagonal_private_bins is None else spec.diagonal_private_bins
+        return make_allocation(n_tx, [(i, (i, i)) for i in range(count)])
 
     def trials_per_snr(self, trials: int | None = None) -> int:
         """Trials a run makes at each SNR; ``trials`` overrides the count.
@@ -110,51 +150,19 @@ class Scenario:
         crlb and demo-spectrum run once; without an override, comm-ber runs
         enough frames to carry ``min_bits``.
         """
-        if self.kind in ("crlb", "demo-spectrum"):
+        if self.experiment_kind in ("crlb", "demo-spectrum"):
             return 1
         if trials is not None:
             return trials
-        if self.kind == "comm-ber":
-            bits_per_frame = 2 * sum(symbol_capacity(self.allocation, self.config))
+        if self.experiment_kind == "comm-ber":
+            bits_per_frame = 2 * sum(symbol_capacity(self.bin_allocation, self.system))
             return -(-self.min_bits // bits_per_frame)
         return self.trials
 
     def to_dict(self) -> dict:
-        """JSON-serializable form (used in output manifests)."""
-        return {
-            "name": self.name,
-            "experiment_kind": self.kind,
-            "trials": self.trials,
-            "seed": self.seed,
-            "snr_db_values": list(self.snr_db_values),
-            "min_bits": self.min_bits,
-            "system": {
-                "n_doppler": self.config.n_doppler,
-                "m_delay": self.config.m_delay,
-                "subcarrier_spacing_hz": self.config.subcarrier_spacing_hz,
-                "carrier_freq_hz": self.config.carrier_freq_hz,
-                "n_tx": self.config.n_tx,
-                "n_rx": self.config.n_rx,
-                "n_comm_rx": self.config.n_comm_rx,
-                "tx_spacing_m": self.config.g_t,
-                "rx_spacing_m": self.config.g_r,
-            },
-            "targets": [
-                {
-                    "angle_deg": float(np.rad2deg(t.angle_rad)),
-                    "range_m": float(t.range_m),
-                    "velocity_mps": float(t.velocity_mps(self.config.carrier_freq_hz)),
-                }
-                for t in self.targets
-            ],
-            "allocation": {
-                "private_bins": sorted(
-                    [ant, list(b)] for ant, b in self.allocation.private_bin_list()
-                ),
-            },
-            "estimator": {k: getattr(self.estimator, k)
-                          for k in EstimatorSettings.__dataclass_fields__},
-        }
+        """JSON form: the input with every default filled in (the
+        ``scenario`` block of the output manifests)."""
+        return to_json(self)
 
 
 def _check(errors, condition, message):
@@ -163,61 +171,10 @@ def _check(errors, condition, message):
     return condition
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    return _is_number(value) and math.isfinite(value)
-
-
-# estimator count fields and their least valid value
-_ESTIMATOR_COUNTS = {"dft_pad_factor": 1, "peaks_per_angle": 1, "n_solvers": 1,
-                     "ssr_sweeps": 0}
-# search-box axes: (step field, width field)
-_ESTIMATOR_AXES = (("angle_step_deg", "angle_width_deg"),
-                   ("doppler_step_bins", "doppler_width_bins"),
-                   ("delay_step_bins", "delay_width_bins"))
-
-
-def _check_estimator(errors, estimator: EstimatorSettings, n_rx: int,
-                     n_targets: int):
-    for key, low in _ESTIMATOR_COUNTS.items():
-        value = getattr(estimator, key)
-        _check(errors, _is_int(value) and value >= low,
-               f"estimator.{key}: expected an integer >= {low}, got {value!r}")
-    # bytes per unit of the counts that size what a run allocates and keeps
-    for key, unit_bytes, array in (
-            ("dft_pad_factor", 16 * n_rx, "angle spectrum"),
-            ("n_solvers", SOLVER_RECORD_BYTES + 48 * n_targets, "SSR solver state")):
-        value = getattr(estimator, key)
-        if _is_int(value):
-            _check(errors, value * unit_bytes <= MAX_GRID_STACK_BYTES,
-                   f"estimator.{key}: {value} needs {value * unit_bytes // 2 ** 20} "
-                   f"MiB of {array}, over the {MAX_GRID_STACK_BYTES // 2 ** 20} MiB bound")
-    _check(errors, estimator.n_angles is None
-           or (_is_int(estimator.n_angles) and estimator.n_angles >= 1),
-           f"estimator.n_angles: expected null or an integer >= 1, "
-           f"got {estimator.n_angles!r}")
-    for step_key, width_key in _ESTIMATOR_AXES:
-        step, width = getattr(estimator, step_key), getattr(estimator, width_key)
-        if not _check(errors, _is_finite(step) and step > 0,
-                      f"estimator.{step_key}: expected a number > 0, got {step!r}"):
-            continue
-        _check(errors, _is_finite(width) and width >= step,
-               f"estimator.{width_key}: expected a number >= {step_key} "
-               f"({step!r}), got {width!r}")
-
-
 def _check_name(errors, name):
     """The name becomes a directory under the output root: one plain component."""
     _check(errors,
-           isinstance(name, str) and name not in ("", ".", "..")
-           and not any(c in name for c in ("/", "\\", "\0")),
+           name not in ("", ".", "..") and not any(c in name for c in ("/", "\\", "\0")),
            f"name: {name!r} must be a non-empty string other than '.' and '..' "
            "without a path separator or NUL")
 
@@ -249,127 +206,26 @@ def _check_unaliased(errors, kind: str, targets, cfg: SystemConfig):
                f"m/s, outside {unambiguous}")
 
 
-def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
-    """Build and validate a Scenario; raises ConfigValidationError."""
-    errors: list[str] = []
-    if not isinstance(raw, dict):
-        raise ConfigValidationError(["top level: expected a JSON object"])
-
-    kind = raw.get("experiment_kind")
-    _check(errors, kind in EXPERIMENT_KINDS,
-           f"experiment_kind: {kind!r} not one of {EXPERIMENT_KINDS}")
-
-    system = raw.get("system", {})
-    cfg_kwargs = {}
-    if _check(errors, isinstance(system, dict), "system: expected an object"):
-        for key, value in system.items():
-            if key not in _SYSTEM_FIELDS:
-                errors.append(f"system.{key}: unknown field")
-                continue
-            want = _SYSTEM_FIELDS[key]
-            try:
-                if not (_is_int(value) if want is int else _is_number(value)):
-                    raise TypeError
-                cfg_kwargs[key] = want(value)
-            except (TypeError, OverflowError):
-                errors.append(f"system.{key}: expected {want.__name__}, got {value!r}")
-    try:
-        cfg = SystemConfig(**cfg_kwargs)
-    except (ValueError, TypeError) as exc:
-        errors.append(f"system: {exc}")
-        cfg = SystemConfig()
-    stack_bytes = cfg.n_doppler * cfg.m_delay * 16 * max(
-        cfg.n_rx, cfg.n_comm_rx * cfg.n_tx, cfg.n_tx ** 2)
-    if not _check(errors, stack_bytes <= MAX_GRID_STACK_BYTES,
-                  f"system: a {cfg.n_doppler}x{cfg.m_delay} grid with n_tx={cfg.n_tx}, "
-                  f"n_rx={cfg.n_rx} and n_comm_rx={cfg.n_comm_rx} needs "
-                  f"{stack_bytes // 2 ** 20} MiB per grid stack, over the "
-                  f"{MAX_GRID_STACK_BYTES // 2 ** 20} MiB bound"):
-        # stop here: the allocation below builds n_tx per-antenna sets
-        raise ConfigValidationError(errors)
-
-    targets = []
-    targets_raw = raw.get("targets", [])
-    if not _check(errors, isinstance(targets_raw, list), "targets: expected a list"):
-        targets_raw = []
-    for i, t in enumerate(targets_raw):
-        try:
-            values = [float(t[key]) for key in ("angle_deg", "range_m", "velocity_mps")]
-            if _check(errors, all(map(math.isfinite, values)),
-                      f"targets[{i}]: expected finite numbers, got {values}"):
-                targets.append(Target.from_range_velocity(*values, cfg.carrier_freq_hz))
-        except KeyError as exc:
-            errors.append(f"targets[{i}]: missing field {exc}")
-        except (TypeError, ValueError, OverflowError) as exc:
-            errors.append(f"targets[{i}]: {exc}")
-
-    alloc_raw = raw.get("allocation", {"diagonal_private_bins": cfg.n_tx})
-    alloc = None
-    if not isinstance(alloc_raw, dict):
-        errors.append("allocation: expected an object")
-    elif "private_bins" in alloc_raw:
-        try:
-            assignments = [(int(a), (int(b[0]), int(b[1])))
-                           for a, b in alloc_raw["private_bins"]]
-            alloc = make_allocation(cfg.n_tx, assignments)
-        except (OtfsIsacError, ValueError, TypeError, LookupError,
-                OverflowError) as exc:
-            errors.append(f"allocation: {exc}")
-    elif "diagonal_private_bins" in alloc_raw:
-        # checked before the bin list is built, so a huge count costs nothing
-        count = alloc_raw["diagonal_private_bins"]
-        if _check(errors, _is_int(count) and 0 <= count <= cfg.n_tx,
+def _check_allocation(errors, scenario: Scenario):
+    """At most one bin form, a diagonal count up to n_tx, distinct bins of
+    existing antennas inside the grid, and reduced transforms within bound."""
+    spec, cfg = scenario.allocation, scenario.system
+    count = spec.diagonal_private_bins
+    if spec.private_bins is not None and count is not None:
+        errors.append("allocation: give private_bins or diagonal_private_bins, not both")
+        return
+    # checked before the bin list is built, so a huge count costs nothing
+    if not _check(errors, count is None or count <= cfg.n_tx,
                   f"allocation.diagonal_private_bins: expected an integer in "
-                  f"[0, {cfg.n_tx}], got {count!r}"):
-            alloc = make_allocation(cfg.n_tx, [(i, (i, i)) for i in range(count)])
-    else:
-        errors.append("allocation: need private_bins or diagonal_private_bins")
-    if alloc is None:
-        alloc = diagonal_allocation(cfg.n_tx)
-
-    est_raw = raw.get("estimator", {})
-    if not _check(errors, isinstance(est_raw, dict), "estimator: expected an object"):
-        est_raw = {}
-    est_kwargs = {}
-    for key, value in est_raw.items():
-        if key not in EstimatorSettings.__dataclass_fields__:
-            errors.append(f"estimator.{key}: unknown field")
-        else:
-            est_kwargs[key] = value
+                  f"[0, {cfg.n_tx}] (n_tx), got {count!r}"):
+        return
     try:
-        estimator = EstimatorSettings(**est_kwargs)
-    except (TypeError, ValueError) as exc:
-        errors.append(f"estimator: {exc}")
-        estimator = EstimatorSettings()
-    _check_estimator(errors, estimator, cfg.n_rx, max(1, len(targets)))
-
-    scenario_name = raw.get("name", name)
-    _check_name(errors, scenario_name)
-    trials = raw.get("trials", 100)
-    _check(errors, _is_int(trials) and trials >= 1,
-           "trials: expected a positive integer")
-    seed = raw.get("seed", 0)
-    _check(errors, _is_int(seed) and seed >= 0,
-           "seed: expected a non-negative integer")
-    snrs = raw.get("snr_db_values", [20.0])
-    if _check(errors, isinstance(snrs, list) and len(snrs) > 0,
-              "snr_db_values: expected a non-empty list"):
-        try:
-            snrs = tuple(float(s) for s in snrs)
-        except (TypeError, ValueError, OverflowError):
-            errors.append("snr_db_values: entries must be numbers")
-            snrs = (20.0,)
-        _check(errors, not any(math.isnan(s) or s == -math.inf for s in snrs),
-               f"snr_db_values: NaN and -inf are not SNRs, got {list(snrs)}")
-    else:
-        snrs = (20.0,)
-    min_bits = raw.get("min_bits", 100_000)
-    _check(errors, _is_int(min_bits) and min_bits >= 1,
-           "min_bits: expected a positive integer")
-
-    # bin indices inside the grid, and the reduced transform must be full rank
+        alloc = scenario.bin_allocation
+    except OtfsIsacError as exc:    # an antenna out of range or a bin given twice
+        errors.append(f"allocation: {exc}")
+        return
     for ant, (n, m) in alloc.private_bin_list():
-        if not (0 <= n < cfg.n_doppler and 0 <= m < cfg.m_delay):
+        if not (n < cfg.n_doppler and m < cfg.m_delay):
             errors.append(f"allocation: bin {(n, m)} outside "
                           f"{cfg.n_doppler}x{cfg.m_delay} grid")
     n_zeroed = sum(len(z) for z in alloc.zero_bins)
@@ -379,37 +235,75 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
            f"zero-forced bins needs {transform_bytes / 2 ** 20:.0f} MiB of reduced "
            f"transforms, over the {MAX_REDUCED_TRANSFORM_BYTES // 2 ** 20} MiB bound")
 
-    if kind in ("dd-correlation", "ssr-angle", "comm-ber", "demo-spectrum"):
-        _check(errors, len(targets) >= 1, f"targets: {kind} needs at least one target")
-    if kind == "ssr-velocity":
-        _check(errors, len(targets) <= 1,
-               "targets: ssr-velocity uses a single randomized target; "
-               "list at most one as the angle/range template")
-    _check_unaliased(errors, kind, targets, cfg)
 
+def _check_estimator(errors, scenario: Scenario):
+    """What the counts allocate within bound, and each search box a whole
+    number of steps wide."""
+    est, n_rx = scenario.estimator, scenario.system.n_rx
+    # bytes per unit of the counts that size what a run allocates and keeps
+    for key, unit_bytes, array in (
+            ("dft_pad_factor", 16 * n_rx, "angle spectrum"),
+            ("n_solvers", SOLVER_RECORD_BYTES + 48 * max(1, len(scenario.targets)),
+             "SSR solver state")):
+        value = getattr(est, key)
+        _check(errors, value * unit_bytes <= MAX_GRID_STACK_BYTES,
+               f"estimator.{key}: {value} needs {value * unit_bytes // 2 ** 20} "
+               f"MiB of {array}, over the {MAX_GRID_STACK_BYTES // 2 ** 20} MiB bound")
+    for f in fields(EstimatorSettings):
+        if "_step_" in f.name:
+            width_key = f.name.replace("_step_", "_width_")
+            try:
+                AxisSpec(0.0, getattr(est, f.name), getattr(est, width_key))
+            except ValueError as exc:
+                errors.append(f"estimator.{width_key}: {exc}")
+
+
+def scenario_from_dict(raw: dict, name: str | None = None) -> Scenario:
+    """Build and validate a Scenario; raises ConfigValidationError.
+
+    ``name`` names a scenario whose ``raw`` has no name of its own.
+    """
+    if name is not None and isinstance(raw, dict):
+        raw = {"name": name, **raw}
+    errors: list[str] = []
+    scenario = from_json(Scenario, raw, "", errors)
     if errors:
         raise ConfigValidationError(errors)
-    scenario = Scenario(
-        name=scenario_name,
-        kind=kind,
-        config=cfg,
-        targets=tuple(targets),
-        allocation=alloc,
-        estimator=estimator,
-        trials=trials,
-        snr_db_values=snrs,
-        seed=seed,
-        min_bits=min_bits,
-    )
+
+    cfg, kind = scenario.system, scenario.experiment_kind
+    _check_name(errors, scenario.name)
+    _check(errors, scenario.snr_db_values, "snr_db_values: expected a non-empty list")
+    stack_bytes = cfg.n_doppler * cfg.m_delay * 16 * max(
+        cfg.n_rx, cfg.n_comm_rx * cfg.n_tx, cfg.n_tx ** 2)
+    if not _check(errors, stack_bytes <= MAX_GRID_STACK_BYTES,
+                  f"system: a {cfg.n_doppler}x{cfg.m_delay} grid with n_tx={cfg.n_tx}, "
+                  f"n_rx={cfg.n_rx} and n_comm_rx={cfg.n_comm_rx} needs "
+                  f"{stack_bytes // 2 ** 20} MiB per grid stack, over the "
+                  f"{MAX_GRID_STACK_BYTES // 2 ** 20} MiB bound"):
+        # stop here: the allocation builds n_tx per-antenna sets
+        raise ConfigValidationError(errors)
+    _check_allocation(errors, scenario)
+    _check_estimator(errors, scenario)
+    if kind in ("dd-correlation", "ssr-angle", "comm-ber", "demo-spectrum"):
+        _check(errors, scenario.targets, f"targets: {kind} needs at least one target")
+    if kind == "ssr-velocity":
+        _check(errors, len(scenario.targets) <= 1,
+               "targets: ssr-velocity uses a single randomized target; "
+               "list at most one as the angle/range template")
+    _check_unaliased(errors, kind, scenario.paths, cfg)
+    if errors:
+        raise ConfigValidationError(errors)
+
     # checked before the reduced transforms are built, and without
     # formatting the counts, which can be too long for str()
-    if len(snrs) * scenario.trials_per_snr() > MAX_TRIAL_CELLS:
+    n_snrs = len(scenario.snr_db_values)
+    if n_snrs * scenario.trials_per_snr() > MAX_TRIAL_CELLS:
         field = "min_bits" if kind == "comm-ber" else "trials"
         raise ConfigValidationError([
             f"{field}: the run would make more than {MAX_TRIAL_CELLS} "
-            f"(SNR, trial) cells for {len(snrs)} SNR value(s)"])
+            f"(SNR, trial) cells for {n_snrs} SNR value(s)"])
     try:
-        modified_sffts(alloc, cfg)     # also warms the cache for the run
+        modified_sffts(scenario.bin_allocation, cfg)     # also warms the cache for the run
     except OtfsIsacError as exc:
         raise ConfigValidationError(
             [f"allocation: reduced transform check failed: {exc}"])

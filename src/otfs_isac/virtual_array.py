@@ -16,6 +16,7 @@ ratios alongside the |X_p| row weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,9 @@ from .config import SystemConfig, substream
 from .exceptions import DictionaryTooLarge, DimensionMismatch, ZeroPrivateSymbol
 
 ZERO_SYMBOL_EPS = 1e-9
+# Relative slack of the whole-number width/step ratio of an AxisSpec; the
+# shipped 2.0 / 0.1 bins is 20.000000000000004.
+RATIO_RTOL = 1e-9
 # Bound on the superset-lattice columns of one averaged_ssr call.
 COLUMN_CAP = 500_000
 DEFAULT_N_SOLVERS = 64
@@ -62,9 +66,10 @@ class VirtualSnapshot:
 class AxisSpec:
     """One discretized search dimension of width W around ``center``.
 
-    A solver's window is ``n_points`` consecutive points of the superset
-    lattice, starting at any of its first ``n_points`` indices; the union of
-    all windows is the whole superset lattice.
+    W is a whole number of steps, so the superset lattice is centred on
+    ``center``. A solver's window is ``n_points`` consecutive points of the
+    superset lattice, starting at any of its first ``n_points`` indices; the
+    union of all windows is the whole superset lattice.
     """
 
     center: float
@@ -72,8 +77,12 @@ class AxisSpec:
     width: float
 
     def __post_init__(self):
-        if self.step <= 0 or self.width < self.step:
-            raise ValueError("need step > 0 and width >= step")
+        ratio = self.width / self.step if self.step > 0 else math.nan
+        if not (self.width >= self.step and math.isfinite(ratio)
+                and math.isclose(ratio, round(ratio), rel_tol=RATIO_RTOL)):
+            raise ValueError(f"need width >= step > 0 with an integer width/step ratio, "
+                             f"got step {float(self.step)!r} and width "
+                             f"{float(self.width)!r}")
 
     @property
     def n_points(self) -> int:

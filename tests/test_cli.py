@@ -10,6 +10,8 @@ import pytest
 
 from otfs_isac.cli import main
 
+SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
+
 
 def write_scenario(tmp_path, **overrides):
     raw = {
@@ -203,6 +205,32 @@ def test_simulate_bad_override_rejected(tmp_path, capsys, flag, value):
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "invalid-argument"
     assert not os.path.exists(tmp_path / "cli-unit")
+
+
+def test_demo_bad_seed_rejected(tmp_path, capsys):
+    assert main(["demo", "--seed", "-1", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "invalid-argument"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_manifest_scenario_replays_the_run(tmp_path, capsys):
+    """The manifest's scenario block, run as a scenario file, writes the
+    same trials.csv byte for byte."""
+    first = tmp_path / "first"
+    assert main(["simulate", "--scenario", str(SCENARIO_DIR / "ssr_close_angles.json"),
+                 "--trials", "2", "--out", str(first)]) == 0
+    manifest = json.loads(Path(json.loads(capsys.readouterr().out)
+                               ["outputs"]["manifest"]).read_text())
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(manifest["scenario"]))
+    second = tmp_path / "second"
+    assert main(["simulate", "--scenario", str(replay), "--trials",
+                 str(manifest["trials_run"]), "--out", str(second)]) == 0
+    name = manifest["scenario"]["name"]
+    assert ((second / name / "trials.csv").read_bytes()
+            == (first / name / "trials.csv").read_bytes())
 
 
 def test_simulate_oversize_trial_count_rejected(tmp_path, capsys):

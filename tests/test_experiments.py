@@ -111,7 +111,7 @@ def test_comm_ber_respects_min_bits(tmp_path):
 
 def test_unknown_kind_rejected(tmp_path):
     sc = scenario_from_dict(small_raw())
-    object.__setattr__(sc, "kind", "bogus")
+    object.__setattr__(sc, "experiment_kind", "bogus")
     with pytest.raises(ValueError):
         run_scenario(sc, tmp_path)
 

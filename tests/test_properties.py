@@ -160,6 +160,17 @@ def tiny_scenarios(draw, kind):
     }
 
 
+@PROPERTY
+@given(raw=st.sampled_from(EXPERIMENT_KINDS).flatmap(tiny_scenarios))
+def test_to_dict_round_trips_on_tiny_scenarios(raw):
+    """A valid scenario's JSON form reads back as an equal scenario."""
+    try:
+        sc = scenario_from_dict(raw)
+    except ConfigValidationError:
+        return
+    assert scenario_from_dict(json.loads(json.dumps(sc.to_dict()))) == sc
+
+
 def run_cli(argv):
     """(exit code, stderr) of one in-process ``otfs-isac`` call."""
     err = io.StringIO()

@@ -4,16 +4,20 @@ import glob
 import json
 import os
 import tracemalloc
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 import pytest
 
 import otfs_isac.scenario as scenario_module
 from otfs_isac.exceptions import ConfigValidationError
+from otfs_isac.schema import FINITE, json_type, to_json
 from otfs_isac.scenario import (EXPERIMENT_KINDS, EstimatorSettings, Scenario,
                                 load_scenario, scenario_from_dict)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 SMALL_SYSTEM = {"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 8}
 
 
@@ -32,34 +36,49 @@ def minimal_raw(**overrides):
     return raw
 
 
+def assert_echoes(raw, written):
+    """Every value of the input is written back unchanged."""
+    if isinstance(raw, dict):
+        for key, value in raw.items():
+            assert_echoes(value, written[key])
+    elif isinstance(raw, list):
+        assert len(written) == len(raw)
+        for value, copy in zip(raw, written):
+            assert_echoes(value, copy)
+    else:
+        assert written == raw, (written, raw)
+
+
 def test_minimal_scenario_parses():
     sc = scenario_from_dict(minimal_raw())
     assert isinstance(sc, Scenario)
-    assert sc.kind == "dd-correlation"
-    assert sc.config.n_doppler == 8
+    assert sc.experiment_kind == "dd-correlation"
+    assert sc.system.n_doppler == 8
     assert len(sc.targets) == 1
-    assert sc.targets[0].angle_rad == pytest.approx(np.deg2rad(5.0))
+    assert sc.targets[0].angle_deg == 5.0
+    assert sc.paths[0].angle_rad == pytest.approx(np.deg2rad(5.0))
     assert sc.snr_db_values == (10.0,)
     assert isinstance(sc.estimator, EstimatorSettings)
 
 
 def test_to_dict_is_json_serializable_and_round_trips():
-    sc = scenario_from_dict(minimal_raw())
+    raw = minimal_raw(targets=[{"angle_deg": 12.0, "range_m": 73.48,
+                                "velocity_mps": 54.54}])
+    sc = scenario_from_dict(raw)
     d = sc.to_dict()
-    json.dumps(d)  # must not raise
-    sc2 = scenario_from_dict(d)
-    assert (sc2.config.n_doppler, sc2.config.m_delay) == (8, 16)
-    assert sc2.config.g_t == pytest.approx(sc.config.g_t)
-    assert sc2.config.g_r == pytest.approx(sc.config.g_r)
-    assert sc2.allocation == sc.allocation
-    assert sc2.targets[0].delay_s == pytest.approx(sc.targets[0].delay_s)
+    assert_echoes(raw, d)
+    sc2 = scenario_from_dict(json.loads(json.dumps(d)))
+    assert sc2 == sc
+    assert (sc2.system.tx_spacing_m, sc2.system.rx_spacing_m) == (None, None)
+    assert sc2.paths == sc.paths
+    assert sc2.bin_allocation == sc.bin_allocation
 
 
 def test_explicit_private_bins():
     raw = minimal_raw(allocation={"private_bins": [[0, [0, 3]], [1, [2, 5]]]})
     sc = scenario_from_dict(raw)
-    assert sc.allocation.private_bins[0] == frozenset({(0, 3)})
-    assert sc.allocation.private_bins[1] == frozenset({(2, 5)})
+    assert sc.bin_allocation.private_bins[0] == frozenset({(0, 3)})
+    assert sc.bin_allocation.private_bins[1] == frozenset({(2, 5)})
 
 
 def test_all_errors_collected():
@@ -95,7 +114,7 @@ def test_kind_specific_target_requirements():
     with pytest.raises(ConfigValidationError):
         scenario_from_dict(minimal_raw(targets=[]))
     ok = minimal_raw(experiment_kind="coarse-angle-mse", targets=[])
-    assert scenario_from_dict(ok).kind == "coarse-angle-mse"
+    assert scenario_from_dict(ok).experiment_kind == "coarse-angle-mse"
     bad = minimal_raw(experiment_kind="ssr-velocity",
                       targets=[{"angle_deg": 1, "range_m": 1, "velocity_mps": 1},
                                {"angle_deg": 2, "range_m": 2, "velocity_mps": 2}])
@@ -131,7 +150,10 @@ def test_all_shipped_scenarios_validate():
     assert paths, "no shipped scenario files found"
     for path in paths:
         sc = load_scenario(path)
-        assert sc.kind in EXPERIMENT_KINDS
+        assert sc.experiment_kind in EXPERIMENT_KINDS
+        with open(path) as fh:
+            assert_echoes(json.load(fh), sc.to_dict())
+        assert scenario_from_dict(json.loads(json.dumps(sc.to_dict()))) == sc
 
 
 @pytest.mark.parametrize("field, value", [
@@ -192,15 +214,16 @@ def test_unnamed_file_named_after_its_stem(tmp_path):
     ({"allocation": {"diagonal_private_bins": -1}}, "allocation.diagonal_private_bins:"),
     ({"allocation": {"diagonal_private_bins": 10 ** 9}},
      "allocation.diagonal_private_bins:"),
-    ({"system": dict(SMALL_SYSTEM, rx_spacing_m=0.0)}, "system:"),
-    ({"system": dict(SMALL_SYSTEM, rx_spacing_m=-0.006)}, "system:"),
-    ({"system": dict(SMALL_SYSTEM, tx_spacing_m=0.0)}, "system:"),
-    ({"system": dict(SMALL_SYSTEM, tx_spacing_m=-1.0)}, "system:"),
-    ({"system": dict(SMALL_SYSTEM, subcarrier_spacing_hz=float("nan"))}, "system:"),
+    ({"system": dict(SMALL_SYSTEM, rx_spacing_m=0.0)}, "system.rx_spacing_m:"),
+    ({"system": dict(SMALL_SYSTEM, rx_spacing_m=-0.006)}, "system.rx_spacing_m:"),
+    ({"system": dict(SMALL_SYSTEM, tx_spacing_m=0.0)}, "system.tx_spacing_m:"),
+    ({"system": dict(SMALL_SYSTEM, tx_spacing_m=-1.0)}, "system.tx_spacing_m:"),
+    ({"system": dict(SMALL_SYSTEM, subcarrier_spacing_hz=float("nan"))},
+     "system.subcarrier_spacing_hz:"),
     ({"targets": [{"angle_deg": 5.0, "range_m": float("inf"), "velocity_mps": 1.0}]},
-     "targets[0]:"),
-    ({"snr_db_values": [10.0, float("nan")]}, "snr_db_values:"),
-    ({"snr_db_values": [float("-inf")]}, "snr_db_values:"),
+     "targets[0].range_m:"),
+    ({"snr_db_values": [10.0, float("nan")]}, "snr_db_values[1]:"),
+    ({"snr_db_values": [float("-inf")]}, "snr_db_values[0]:"),
     ({"system": dict(SMALL_SYSTEM, n_doppler=8.9)}, "system.n_doppler:"),
     ({"system": dict(SMALL_SYSTEM, m_delay=16.0)}, "system.m_delay:"),
     ({"system": dict(SMALL_SYSTEM, n_tx=True),
@@ -213,12 +236,49 @@ def test_unnamed_file_named_after_its_stem(tmp_path):
      "system.carrier_freq_hz:"),
     ({"system": dict(SMALL_SYSTEM, tx_spacing_m=True)}, "system.tx_spacing_m:"),
     ({"system": dict(SMALL_SYSTEM, rx_spacing_m="0.006")}, "system.rx_spacing_m:"),
+    ({"trails": 5}, "trails: unknown field"),
+    ({"targets": [{"angle_deg": "5.0", "range_m": 50.0, "velocity_mps": 10.0}]},
+     "targets[0].angle_deg:"),
+    ({"targets": [{"angle_deg": True, "range_m": 50.0, "velocity_mps": 10.0}]},
+     "targets[0].angle_deg:"),
+    ({"targets": [{"angle_deg": 90.0, "range_m": 50.0, "velocity_mps": 10.0}]},
+     "targets[0].angle_deg:"),
+    ({"targets": [{"angle_deg": 5.0, "range_m": -1.0, "velocity_mps": 10.0}]},
+     "targets[0].range_m:"),
+    ({"targets": [{"angle_deg": 10 ** 400, "range_m": 50.0, "velocity_mps": 10.0}]},
+     "targets[0].angle_deg:"),
+    ({"targets": [{"angle_deg": 5.0, "range_m": 50.0, "velocity_mps": 10.0,
+                   "rcs_m2": 1.0}]}, "targets[0].rcs_m2: unknown field"),
+    ({"snr_db_values": ["10"]}, "snr_db_values[0]:"),
+    ({"snr_db_values": [True]}, "snr_db_values[0]:"),
+    ({"snr_db_values": []}, "snr_db_values:"),
+    ({"system": dict(SMALL_SYSTEM, carrier_freq_hz=10 ** 400)},
+     "system.carrier_freq_hz:"),
+    ({"allocation": {"private_bins": [[0.9, [0, 3.7]], [1, [2, 5]]]}},
+     "allocation.private_bins[0][0]:"),
+    ({"allocation": {"private_bins": [[0.9, [0, 3.7]], [1, [2, 5]]]}},
+     "allocation.private_bins[0][1][1]:"),
+    ({"allocation": {"private_bins": [[0, [0, 3, 1]]]}}, "allocation.private_bins[0][1]:"),
+    ({"allocation": {"private_bins": [[0, [0, 3]]], "diagonal_private_bins": 2}},
+     "allocation: give private_bins or diagonal_private_bins, not both"),
+    ({"allocation": {"diagonal_private_bins": 2, "shape": "diagonal"}},
+     "allocation.shape: unknown field"),
+    ({"estimator": {"angle_width_deg": 3.5}}, "estimator.angle_width_deg:"),
+    ({"estimator": {"doppler_step_bins": 0.3, "doppler_width_bins": 1.0}},
+     "estimator.doppler_width_bins:"),
+    ({"experiment_kind": None}, "experiment_kind:"),
 ], ids=["targets-null", "estimator-list", "diagonal-negative", "diagonal-huge",
         "rx-spacing-zero", "rx-spacing-negative", "tx-spacing-zero",
         "tx-spacing-negative", "subcarrier-spacing-nan", "target-range-inf",
         "snr-nan", "snr-minus-inf", "n-doppler-float", "m-delay-integral-float",
         "n-tx-bool", "n-rx-string", "n-comm-rx-float", "subcarrier-spacing-bool",
-        "carrier-freq-string", "tx-spacing-bool", "rx-spacing-string"])
+        "carrier-freq-string", "tx-spacing-bool", "rx-spacing-string",
+        "top-level-typo", "angle-string", "angle-bool", "angle-90", "range-negative",
+        "angle-past-float-range", "target-extra-key", "snr-string", "snr-bool",
+        "snr-empty", "carrier-freq-past-float-range", "private-bin-antenna-float",
+        "private-bin-index-float", "private-bin-three-indices", "both-bin-forms",
+        "allocation-extra-key", "angle-width-3.5-steps", "doppler-width-3.33-steps",
+        "kind-null"])
 def test_malformed_input_is_a_validation_error(overrides, prefix):
     with pytest.raises(ConfigValidationError) as exc:
         scenario_from_dict(minimal_raw(**overrides))
@@ -397,7 +457,7 @@ def test_aliased_targets_allowed_where_no_target_is_estimated(kind):
     """comm-ber's targets are channel paths the receiver knows; crlb reads none."""
     raw = minimal_raw(experiment_kind=kind, targets=[
         {"angle_deg": 0.0, "range_m": 2000.0, "velocity_mps": 500.0}])
-    assert scenario_from_dict(raw).kind == kind
+    assert scenario_from_dict(raw).experiment_kind == kind
 
 
 def test_ssr_velocity_draw_range_must_be_unaliased():
@@ -417,5 +477,43 @@ def test_ssr_velocity_draw_range_must_be_unaliased():
 def test_edge_values_accepted():
     sc = scenario_from_dict(minimal_raw(allocation={"diagonal_private_bins": 0},
                                         snr_db_values=[float("inf")]))
-    assert sc.allocation.private_bin_list() == []
+    assert sc.bin_allocation.private_bin_list() == []
     assert sc.snr_db_values == (float("inf"),)
+
+
+def schema_rows(cls=Scenario, section="top"):
+    """(section, field, JSON type, default, unit, bound) of every field of the
+    scenario schema, nested objects after the field that holds them."""
+    rows = []
+    for f in fields(cls):
+        kind = typing.get_type_hints(cls)[f.name]
+        inner = typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else kind
+        if f.default is MISSING:
+            default = "required"
+        elif is_dataclass(f.default):
+            default = "{}"
+        else:
+            default = json.dumps(to_json(f.default))
+        bound = f.metadata.get("bound")
+        if isinstance(bound, tuple):
+            bound = ", ".join(bound)
+        elif bound is None and ("integer" in json_type(kind) or "number" in json_type(kind)):
+            bound = FINITE
+        rows.append((section, f.name, json_type(kind), default,
+                     f.metadata.get("unit", ""), bound or ""))
+        if is_dataclass(inner):
+            rows.extend(schema_rows(inner, f.name + ("[i]" if inner is not kind else "")))
+    return rows
+
+
+def readme_schema_rows():
+    """The rows of the README's scenario field table, without backticks."""
+    with open(README) as fh:
+        text = fh.read()
+    table = text[text.index("| Section | Field |"):].split("\n\n")[0]
+    return [tuple(cell.strip().replace("`", "") for cell in line.strip("|").split("|"))
+            for line in table.splitlines()[2:]]
+
+
+def test_readme_table_is_the_schema():
+    assert readme_schema_rows() == schema_rows()

@@ -159,6 +159,12 @@ def test_axis_spec_lattice():
         AxisSpec(0.0, -1.0, 4.0)
     with pytest.raises(ValueError):
         AxisSpec(0.0, 2.0, 1.0)
+    # a fractional width/step ratio would put the lattice off its centre: a
+    # width of 3.5 steps would span [-3.5, 4.5]
+    for width in (3.5, 2.5, 4.000001):
+        with pytest.raises(ValueError, match="integer width/step ratio"):
+            AxisSpec(0.0, 1.0, width)
+    assert AxisSpec(0.0, 0.1, 2.0).n_points == 21    # 2.0 / 0.1 = 20.000000000000004
 
 
 def test_omp_recovers_planted_support():
@@ -348,12 +354,11 @@ def test_averaged_ssr_never_beats_the_exhaustive_minimum(seed, alloc):
     assert res.residual >= minimum * (1.0 - 1e-12)
 
 
-@pytest.mark.parametrize("ratio, n_points", [(1.5, 3), (3.5, 5)])
+@pytest.mark.parametrize("ratio, n_points", [(2.0, 3), (4.0, 5)])
 def test_windows_and_picks_stay_inside_the_superset_lattice(monkeypatch, ratio,
                                                             n_points):
-    """Width/step ratios that round half to even: a window start taken from
-    the rounded fraction of the width would be -1 for the widest offset and
-    wrap to the far end of the lattice."""
+    """Every drawn window, the widest offset included, is a slice of the
+    superset lattice, and every pick lies inside its solver's window."""
     cfg = small_cfg(n_rx=8)
     t = Target(angle_rad=np.deg2rad(10.0), delay_s=3 * cfg.delay_spacing_s,
                doppler_hz=2 * cfg.doppler_spacing_hz)
