@@ -4,8 +4,7 @@ from .allocation import (BinAllocation, diagonal_allocation, make_allocation,
                          rate_accounting, zero_force)
 from .channel import complex_noise, radar_receive, tf_channel_grid
 from .coarse import (CoarseEstimate, coarse_pipeline, delay_doppler_peaks,
-                     estimate_angles, extract_angle_profiles, reference_profile,
-                     resolution_report)
+                     estimate_angles, extract_angle_profiles, resolution_report)
 from .config import SPEED_OF_LIGHT, SystemConfig, Target, substream
 from .comm import (ber_frame, lmmse_equalize_tf, qpsk_demodulate,
                    qpsk_modulate, recover_and_demap, tf_block_channel,

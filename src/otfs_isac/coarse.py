@@ -1,22 +1,27 @@
-"""Low-complexity coarse target estimation.
+"""Low-complexity coarse target estimation on the TF receive stack.
 
 Angles come from the covariance-domain Bartlett spectrum: the zero-padded
 DFT power across the receive array, averaged (non-coherently) over all DD
 bins, computed as a length-K DFT of the lag sums of the N_r x N_r sample
 covariance. Delay/Doppler indices then come from the peaks of a 2D circular
-cross-correlation between the per-angle receive profile and a reference
-profile built from the known transmit symbols.
+DD cross-correlation between each angle's receive profile and a reference
+profile built from the known transmit symbols. The SFFT is unitary up to a
+scale of sqrt(NM), so both steps are exact on TF grids: the DD covariance
+is the TF one, and a DD correlation is the SFFT of a TF product.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import rx_array_phase, tx_array_phase
 from .config import SPEED_OF_LIGHT, SystemConfig
 from .exceptions import (DimensionMismatch, IllConditionedSteering,
                          PeakSeparationFailure, TooManyTargets)
+from .transforms import isfft, sfft
 
 DEFAULT_PAD_FACTOR = 16
 STEERING_COND_LIMIT = 1e8
@@ -36,55 +41,39 @@ class CoarseEstimate:
     peak_strength: float
 
 
-def angle_to_spatial_freq(angle_rad, cfg: SystemConfig):
-    """omega = 2pi g_r sin(phi) / lambda."""
-    return 2.0 * np.pi * cfg.g_r * np.sin(angle_rad) / cfg.wavelength_m
-
-
-def _circular_local_maxima_1d(power: np.ndarray) -> np.ndarray:
-    left = np.roll(power, 1)
-    right = np.roll(power, -1)
-    return np.flatnonzero((power > left) & (power >= right))
-
-
-def estimate_angles(rx_dd: np.ndarray, n_targets: int, cfg: SystemConfig,
+def estimate_angles(rx_tf: np.ndarray, n_targets: int, cfg: SystemConfig,
                     pad_factor: int = DEFAULT_PAD_FACTOR, average: bool = True):
-    """Estimate target angles from the per-bin receive-array snapshots.
+    """Estimate target angles from the (N_r, N, M) TF receive stack.
 
-    ``rx_dd`` has shape (N_r, N, M). With ``average`` the magnitude-squared
-    spectra of all NM bins are averaged before peak picking; otherwise only
-    bin (0, 0) is used. Returns (angles, omega_grid, averaged_power) with
-    angles ordered by decreasing peak power.
+    With ``average`` the power spectra of all NM DD bins are averaged, which
+    by Parseval is the spectrum of the TF covariance S S^H; otherwise only DD
+    bin (0, 0), the sum of ``rx_tf`` over both grid axes, is used. Returns
+    (angles, omega_grid, averaged_power), angles by decreasing peak power.
     """
-    rx = np.asarray(rx_dd, dtype=complex)
+    rx = np.asarray(rx_tf, dtype=complex)
     n_rx = rx.shape[0]
     if n_targets >= n_rx:
         raise TooManyTargets(f"{n_targets} targets with only {n_rx} receive antennas")
-    snapshots = rx.reshape(n_rx, -1)
-    if not average:
-        snapshots = snapshots[:, :1]
+    snapshots = rx.reshape(n_rx, -1) if average else rx.sum(axis=(1, 2))[:, None]
     k = pad_factor * n_rx
-    # mean_s |sum_n x[n, s] e^{-j2pi q n / K}|^2 = sum_{n, n'} cov[n, n']
-    # e^{-j2pi q (n - n') / K}: a length-K DFT of the covariance summed along
-    # its diagonals, with lags folded mod K (exact for every K).
-    cov = snapshots @ snapshots.conj().T / snapshots.shape[1]
+    # mean_s |sum_n x[n, s] e^{-j2pi q n / K}|^2 over DD bins s = sum_{n, n'}
+    # cov[n, n'] e^{-j2pi q (n - n') / K}: a length-K DFT of the covariance
+    # summed along its diagonals, lags folded mod K (exact for every K).
+    cov = snapshots @ snapshots.conj().T
     lag = np.subtract.outer(np.arange(n_rx), np.arange(n_rx)) % k
     r = np.zeros(k, dtype=complex)
     np.add.at(r, lag, cov)
     power = np.fft.fft(r).real
     omegas = 2.0 * np.pi * np.fft.fftfreq(k)
     sin_phi = omegas * cfg.wavelength_m / (2.0 * np.pi * cfg.g_r)
-    valid = np.abs(sin_phi) <= 1.0
-
-    candidates = _circular_local_maxima_1d(power)
-    candidates = candidates[valid[candidates]]
-    candidates = candidates[np.argsort(power[candidates])[::-1]]
+    # circular local maxima inside the visible region, strongest first, at
+    # least one unpadded DFT bin (pad_factor padded bins) apart
+    candidates = np.flatnonzero((power > np.roll(power, 1)) & (power >= np.roll(power, -1))
+                                & (np.abs(sin_phi) <= 1.0))
     picked = []
-    min_sep = pad_factor  # one unpadded DFT bin
-    for idx in candidates:
-        dist = np.abs(idx - np.asarray(picked, dtype=float))
-        dist = np.minimum(dist, k - dist) if picked else dist
-        if not picked or dist.min() >= min_sep:
+    for idx in candidates[np.argsort(power[candidates])[::-1]]:
+        dist = np.abs(idx - np.asarray(picked))
+        if not picked or np.minimum(dist, k - dist).min() >= pad_factor:
             picked.append(int(idx))
         if len(picked) == n_targets:
             break
@@ -95,21 +84,20 @@ def estimate_angles(rx_dd: np.ndarray, n_targets: int, cfg: SystemConfig,
     return angles, omegas, power
 
 
-def extract_angle_profiles(rx_dd: np.ndarray, angles, cfg: SystemConfig) -> np.ndarray:
-    """Least-squares per-angle complex profiles A_j[k, l].
+def extract_angle_profiles(rx_tf: np.ndarray, angles, cfg: SystemConfig) -> np.ndarray:
+    """Least-squares per-angle complex TF profiles, shape (J, N, M).
 
-    Solves, per DD bin, y_{n_r} = sum_j A_j e^{j n_r omega_j} over the
+    Solves, per TF bin, y_{n_r} = sum_j A_j e^{j n_r omega_j} over the
     steering matrix of the estimated angles. One thin SVD of that N_r x J
     matrix gives both the conditioning check and the pseudo-inverse applied
-    to all bins. Shape (J, N, M).
+    to all bins. It acts across antennas only, so it commutes with the SFFT.
     """
-    rx = np.asarray(rx_dd, dtype=complex)
+    rx = np.asarray(rx_tf, dtype=complex)
     n_rx, n, m = rx.shape
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     if angles.size >= n_rx:
         raise TooManyTargets("need more receive antennas than angles")
-    omegas = angle_to_spatial_freq(angles, cfg)
-    steering = np.exp(1j * np.outer(np.arange(n_rx), omegas))
+    steering = rx_array_phase(angles[:, None], n_rx, cfg).T
     u, sv, vh = np.linalg.svd(steering, full_matrices=False)
     if sv[0] > STEERING_COND_LIMIT * sv[-1]:
         raise IllConditionedSteering(
@@ -119,40 +107,35 @@ def extract_angle_profiles(rx_dd: np.ndarray, angles, cfg: SystemConfig) -> np.n
     return profiles.reshape(angles.size, n, m)
 
 
-def reference_profile(tx_dd: np.ndarray, angle_rad: float, cfg: SystemConfig) -> np.ndarray:
-    """Transmit-side profile sum_t e^{-j2pi n_t g_t sin(phi)/lambda} x_t[k, l]."""
-    tx = np.asarray(tx_dd, dtype=complex)
-    n_tx = tx.shape[0]
-    phase = np.exp(-2j * np.pi * np.arange(n_tx) * cfg.g_t
-                   * np.sin(angle_rad) / cfg.wavelength_m)
-    return np.tensordot(phase, tx, axes=1)
+def delay_doppler_peaks(profiles_tf: np.ndarray, tx_dd: np.ndarray, angles,
+                        cfg: SystemConfig, n_peaks: int):
+    """Peaks of each angle's 2D circular DD cross-correlation with its
+    transmit reference, strongest ``n_peaks`` local maxima first.
 
-
-def cross_correlation_2d(a: np.ndarray, a_ref: np.ndarray) -> np.ndarray:
-    """Circular C[k,l] = sum_{k',l'} a[k',l'] conj(a_ref[k'-k, l'-l])."""
-    if a.shape != a_ref.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {a_ref.shape}")
-    return np.fft.ifft2(np.fft.fft2(a) * np.conj(np.fft.fft2(a_ref)))
-
-
-def delay_doppler_peaks(a: np.ndarray, a_ref: np.ndarray, n_peaks: int):
-    """Peaks of the 2D circular cross-correlation of ``a`` against ``a_ref``.
-
-    Returns the ``n_peaks`` strongest local maxima as [(k, l, strength), ...]
-    sorted by decreasing strength.
+    With TF profiles P_j (``profiles_tf``, (J, N, M)) and DD references
+    r_j = sum_t e^{-j2pi t g_t sin(phi_j)/lambda} x_t of the (N_t, N, M) DD
+    transmit stack, C_j[k, l] = sum_{k', l'} sfft(P_j)[k', l']
+    conj(r_j[k' - k, l' - l]) is N M sfft(P_j conj(isfft(r_j))): one ISFFT
+    and one SFFT of J grids. Returns per angle [(k, l, |C_j|), ...].
     """
-    mag = np.abs(cross_correlation_2d(a, a_ref))
-    is_max = np.ones_like(mag, dtype=bool)
-    for dk in (-1, 0, 1):
-        for dl in (-1, 0, 1):
-            if dk == 0 and dl == 0:
-                continue
-            shifted = np.roll(mag, (dk, dl), axis=(0, 1))
-            is_max &= mag >= shifted
-    kk, ll = np.nonzero(is_max)
-    strengths = mag[kk, ll]
-    order = np.argsort(strengths)[::-1]
-    return [(int(kk[i]), int(ll[i]), float(strengths[i])) for i in order[:n_peaks]]
+    profiles = np.asarray(profiles_tf, dtype=complex)
+    tx = np.asarray(tx_dd, dtype=complex)
+    phase = tx_array_phase(np.atleast_1d(np.asarray(angles, dtype=float))[:, None],
+                           tx.shape[0], cfg)
+    ref_tf = isfft(np.tensordot(phase, tx, axes=1))
+    if profiles.shape != ref_tf.shape:
+        raise DimensionMismatch(f"profiles {profiles.shape} vs references {ref_tf.shape}")
+    mag = np.abs(sfft(profiles * ref_tf.conj()))
+    mag *= profiles.shape[-2] * profiles.shape[-1]
+    is_max = np.all([mag >= np.roll(mag, shift, axis=(-2, -1))
+                     for shift in itertools.product((-1, 0, 1), repeat=2)], axis=0)
+    peaks = []
+    for angle_mag, angle_max in zip(mag, is_max):
+        kk, ll = np.nonzero(angle_max)
+        strengths = angle_mag[kk, ll]
+        order = np.argsort(strengths)[::-1][:n_peaks]
+        peaks.append([(int(kk[i]), int(ll[i]), float(strengths[i])) for i in order])
+    return peaks
 
 
 def indices_to_estimate(angle_rad: float, k: int, l: int, strength: float,
@@ -174,18 +157,16 @@ def indices_to_estimate(angle_rad: float, k: int, l: int, strength: float,
     )
 
 
-def coarse_pipeline(rx_dd: np.ndarray, tx_dd: np.ndarray, cfg: SystemConfig,
+def coarse_pipeline(rx_tf: np.ndarray, tx_dd: np.ndarray, cfg: SystemConfig,
                     n_angles: int, peaks_per_angle: int = 1,
                     pad_factor: int = DEFAULT_PAD_FACTOR):
-    """Full coarse chain: angles, per-angle profiles, delay/Doppler peaks."""
-    angles, _, _ = estimate_angles(rx_dd, n_angles, cfg, pad_factor=pad_factor)
-    profiles = extract_angle_profiles(rx_dd, angles, cfg)
-    estimates = []
-    for angle, profile in zip(angles, profiles):
-        ref = reference_profile(tx_dd, angle, cfg)
-        for (k, l, s) in delay_doppler_peaks(profile, ref, n_peaks=peaks_per_angle):
-            estimates.append(indices_to_estimate(angle, k, l, s, cfg))
-    return estimates
+    """Full coarse chain on the TF receive stack: angles, per-angle profiles,
+    delay/Doppler peaks. Estimates are grouped by angle, strongest first."""
+    angles, _, _ = estimate_angles(rx_tf, n_angles, cfg, pad_factor=pad_factor)
+    profiles = extract_angle_profiles(rx_tf, angles, cfg)
+    peaks = delay_doppler_peaks(profiles, tx_dd, angles, cfg, n_peaks=peaks_per_angle)
+    return [indices_to_estimate(angle, k, l, s, cfg)
+            for angle, angle_peaks in zip(angles, peaks) for (k, l, s) in angle_peaks]
 
 
 def resolution_report(cfg: SystemConfig) -> dict:

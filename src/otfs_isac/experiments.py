@@ -26,7 +26,6 @@ from .crlb import crlb_report
 from .channel import radar_receive
 from .exceptions import OtfsIsacError, PeakSeparationFailure
 from .scenario import RANDOM_VELOCITY_RANGE_MPS, Scenario
-from .transforms import sfft
 from .virtual_array import (angle_surface, averaged_ssr, build_virtual_snapshot,
                             default_neighborhood)
 
@@ -78,7 +77,7 @@ def _with_random_gains(scenario: Scenario, rng) -> list:
 # --- the trial skeleton: transmit, receive, refine ------------------------
 
 def _scene(scenario: Scenario, targets, snr_db, snr_idx, trial, rng):
-    """One frame through the radar channel; returns (dd, tf, rx_tf, rx_dd).
+    """One frame through the radar channel; returns (dd, tf, rx_tf).
 
     The bits come from ``rng`` (purpose 0, after the targets), the noise
     from purpose 1.
@@ -88,8 +87,7 @@ def _scene(scenario: Scenario, targets, snr_db, snr_idx, trial, rng):
     dd, tf = transmit_chain(bits, alloc, cfg)
     rx_tf = radar_receive(tf, targets, cfg, snr_db=snr_db,
                           rng=_rng(scenario, snr_idx, trial, 1))
-    rx_dd = sfft(rx_tf)
-    return dd, tf, rx_tf, rx_dd
+    return dd, tf, rx_tf
 
 
 def _solver_seed(scenario: Scenario, snr_idx: int, trial: int) -> int:
@@ -104,9 +102,9 @@ def _refine(scenario: Scenario, scene, n_targets, n_angles, peaks_per_angle,
     The neighborhoods cycle through the coarse estimates, one per target.
     """
     cfg, est = scenario.system, scenario.estimator
-    dd, tf, rx_tf, rx_dd = scene
+    dd, tf, rx_tf = scene
     try:
-        coarse = coarse_pipeline(rx_dd, dd, cfg, n_angles=n_angles,
+        coarse = coarse_pipeline(rx_tf, dd, cfg, n_angles=n_angles,
                                  peaks_per_angle=peaks_per_angle,
                                  pad_factor=est.dft_pad_factor)
     except OtfsIsacError:
@@ -133,12 +131,12 @@ def _trial_coarse_angle_mse(scenario, snr_db, snr_idx, trial):
     rng = _rng(scenario, snr_idx, trial, 0)
     target = (scenario.paths[0] if scenario.paths
               else _random_single_target(scenario, rng))
-    _, _, _, rx_dd = _scene(scenario, [target], snr_db, snr_idx, trial, rng)
+    _, _, rx_tf = _scene(scenario, [target], snr_db, snr_idx, trial, rng)
     true = target.angle_rad
     rows = []
     for mode, average in (("all_bins", True), ("single_bin", False)):
         try:
-            angles, _, _ = estimate_angles(rx_dd, 1, cfg,
+            angles, _, _ = estimate_angles(rx_tf, 1, cfg,
                                            pad_factor=est.dft_pad_factor,
                                            average=average)
             rows.append((f"angle_sq_err_{mode}_rad2", float((angles[0] - true) ** 2)))
@@ -155,13 +153,13 @@ def _trial_dd_correlation(scenario, snr_db, snr_idx, trial):
     est = scenario.estimator
     rng = _rng(scenario, snr_idx, trial, 0)
     targets = _with_random_gains(scenario, rng)
-    dd, _, _, rx_dd = _scene(scenario, targets, snr_db, snr_idx, trial, rng)
+    dd, _, rx_tf = _scene(scenario, targets, snr_db, snr_idx, trial, rng)
     res = resolution_report(cfg)
     sin_tol = 2.0 / (est.dft_pad_factor * cfg.n_rx)
     rows = []
     try:
-        estimates = coarse_pipeline(rx_dd, dd, cfg, n_angles=len(targets),
-                                    peaks_per_angle=est.peaks_per_angle,
+        # one peak per angle (validation holds peaks_per_angle to 1)
+        estimates = coarse_pipeline(rx_tf, dd, cfg, n_angles=len(targets),
                                     pad_factor=est.dft_pad_factor)
     except OtfsIsacError:
         rows.append(("recovered_all", 0.0))
@@ -363,7 +361,7 @@ def _run_demo_spectrum(scenario: Scenario, out_dir: str) -> dict:
     targets = _with_random_gains(scenario, rng)
     scene = _scene(scenario, targets, snr_db, 0, 0, rng)
 
-    _, omegas, power = estimate_angles(scene[3], 1, cfg,
+    _, omegas, power = estimate_angles(scene[2], 1, cfg,
                                        pad_factor=est.dft_pad_factor)
     lam_over_g = cfg.wavelength_m / (2.0 * np.pi * cfg.g_r)
     spectrum_path = _write_csv(out_dir, "spectrum.csv",

@@ -24,7 +24,7 @@ from .comm import modified_sffts, symbol_capacity
 from .config import SystemConfig, Target
 from .exceptions import ConfigValidationError, OtfsIsacError
 from .schema import COUNT, NON_NEGATIVE, POSITIVE, from_json, param, to_json
-from .virtual_array import AxisSpec
+from .virtual_array import COLUMN_CAP, AxisSpec
 
 EXPERIMENT_KINDS = (
     "coarse-angle-mse",
@@ -93,6 +93,8 @@ class EstimatorSettings:
     width must be a whole number of its steps (``AxisSpec``)."""
 
     dft_pad_factor: int = param(16, bound=COUNT)
+    # peaks per coarse angle in ssr-angle and demo-spectrum; dd-correlation
+    # pairs one estimate with each target and needs 1; the others ignore it
     peaks_per_angle: int = param(1, bound=COUNT)
     # distinct angles the coarse stage looks for in ssr-angle and
     # demo-spectrum (None: 1); dd-correlation looks for one per target, and
@@ -237,9 +239,9 @@ def _check_allocation(errors, scenario: Scenario):
 
 
 def _check_estimator(errors, scenario: Scenario):
-    """What the counts allocate within bound, and each search box a whole
-    number of steps wide."""
-    est, n_rx = scenario.estimator, scenario.system.n_rx
+    """What the counts allocate within bound, search boxes of whole steps and
+    at most ``COLUMN_CAP`` SSR columns, and one peak per dd-correlation angle."""
+    est, n_rx, kind = scenario.estimator, scenario.system.n_rx, scenario.experiment_kind
     # bytes per unit of the counts that size what a run allocates and keeps
     for key, unit_bytes, array in (
             ("dft_pad_factor", 16 * n_rx, "angle spectrum"),
@@ -249,13 +251,28 @@ def _check_estimator(errors, scenario: Scenario):
         _check(errors, value * unit_bytes <= MAX_GRID_STACK_BYTES,
                f"estimator.{key}: {value} needs {value * unit_bytes // 2 ** 20} "
                f"MiB of {array}, over the {MAX_GRID_STACK_BYTES // 2 ** 20} MiB bound")
+    # the superset columns that averaged_ssr caps: one lattice per target's
+    # neighborhood (ssr-velocity: one); a count can have hundreds of digits
+    columns = {"ssr-angle": len(scenario.targets), "demo-spectrum": len(scenario.targets),
+               "ssr-velocity": 1}.get(kind, 0)
+    box_keys = []
     for f in fields(EstimatorSettings):
         if "_step_" in f.name:
             width_key = f.name.replace("_step_", "_width_")
+            box_keys += [f.name, width_key]
             try:
-                AxisSpec(0.0, getattr(est, f.name), getattr(est, width_key))
+                columns *= AxisSpec(0.0, getattr(est, f.name),
+                                    getattr(est, width_key)).n_superset
             except ValueError as exc:
                 errors.append(f"estimator.{width_key}: {exc}")
+                columns = 0
+    _check(errors, columns <= COLUMN_CAP,
+           f"estimator.{'/'.join(box_keys)}: the {kind} search boxes hold "
+           f"{columns if columns < 10 ** 12 else 'over 10^12'} superset columns, "
+           f"over COLUMN_CAP = {COLUMN_CAP}")
+    _check(errors, kind != "dd-correlation" or est.peaks_per_angle == 1,
+           f"estimator.peaks_per_angle: dd-correlation pairs one estimate with each "
+           f"target and needs 1, got {est.peaks_per_angle}")
 
 
 def scenario_from_dict(raw: dict, name: str | None = None) -> Scenario:

@@ -26,9 +26,13 @@ equalization wrapped in ISFFT/SFFT and recovery from equalized DD grids.
 The TF-domain ``comm.ber_frame`` must count the same bit errors.
 
 ``padded_fft_estimate_angles`` and ``lstsq_angle_profiles`` are the coarse
-stage as first written: a zero-padded FFT of every snapshot and a generic
+stage as first written: a zero-padded FFT of every DD snapshot and a generic
 least-squares solve, against which the covariance-domain spectrum and the
 one-SVD profile solve of :mod:`otfs_isac.coarse` are checked.
+``dd_route_coarse_pipeline`` is the coarse chain on DD grids: the SFFT of
+the whole receive stack, the DD sample covariance and one ``fft2``
+correlation per angle. The TF-domain ``coarse.coarse_pipeline`` must find the
+same estimates.
 """
 
 from __future__ import annotations
@@ -41,10 +45,11 @@ from otfs_isac.channel import complex_noise, noise_variance, tf_channel_grid
 from otfs_isac.comm import (lmmse_equalize_tf, qpsk_modulate, random_pair_gains,
                             recover_and_demap, symbol_capacity, tf_block_channel,
                             transmit_chain)
-from otfs_isac.coarse import angle_to_spatial_freq
+from otfs_isac.coarse import extract_angle_profiles
 from otfs_isac.config import Target, substream
 from otfs_isac.crlb import snr_linear
-from otfs_isac.exceptions import DimensionMismatch, PeakSeparationFailure
+from otfs_isac.exceptions import (DimensionMismatch, PeakSeparationFailure,
+                                  TooManyTargets)
 from otfs_isac.transforms import isfft, sfft
 from otfs_isac.virtual_array import (DEFAULT_SWEEPS, PERP_FLOOR, TIE_RTOL,
                                      _FactoredGrid)
@@ -418,19 +423,11 @@ def asymptotic_fim(cfg, snr_db: float) -> np.ndarray:
     return 2.0 * snr_linear(snr_db) * cfg.n_rx * asymptotic_c_matrix(cfg)
 
 
-def padded_fft_estimate_angles(rx_dd, n_targets: int, cfg, pad_factor: int,
-                               average: bool = True):
-    """Angles from the mean |zero-padded DFT|^2 of the array snapshots.
-
-    Same (angles, omegas, power) contract as ``coarse.estimate_angles``:
-    circular local maxima inside the visible region, strongest first, at
-    least one unpadded DFT bin apart.
-    """
-    snapshots = np.asarray(rx_dd, dtype=complex).reshape(rx_dd.shape[0], -1)
-    if not average:
-        snapshots = snapshots[:, :1]
-    k = pad_factor * snapshots.shape[0]
-    power = np.mean(np.abs(np.fft.fft(snapshots, n=k, axis=0)) ** 2, axis=1)
+def separated_angle_peaks(power, n_targets: int, cfg, pad_factor: int):
+    """(angles, omegas, power) of ``coarse.estimate_angles`` from a length-K
+    spectrum: circular local maxima inside the visible region, strongest
+    first, at least one unpadded DFT bin apart."""
+    k = power.size
     omegas = 2.0 * np.pi * np.fft.fftfreq(k)
     sin_phi = omegas * cfg.wavelength_m / (2.0 * np.pi * cfg.g_r)
     maxima = ((power > np.roll(power, 1)) & (power >= np.roll(power, -1))
@@ -447,6 +444,58 @@ def padded_fft_estimate_angles(rx_dd, n_targets: int, cfg, pad_factor: int,
         raise PeakSeparationFailure(
             f"found {len(picked)} separated peaks, needed {n_targets}")
     return np.arcsin(sin_phi[picked]), omegas, power
+
+
+def padded_fft_estimate_angles(rx_dd, n_targets: int, cfg, pad_factor: int,
+                               average: bool = True):
+    """Angles from the mean |zero-padded DFT|^2 of the DD array snapshots."""
+    snapshots = np.asarray(rx_dd, dtype=complex).reshape(rx_dd.shape[0], -1)
+    if not average:
+        snapshots = snapshots[:, :1]
+    k = pad_factor * snapshots.shape[0]
+    power = np.mean(np.abs(np.fft.fft(snapshots, n=k, axis=0)) ** 2, axis=1)
+    return separated_angle_peaks(power, n_targets, cfg, pad_factor)
+
+
+def dd_route_coarse_pipeline(rx_tf, tx_dd, cfg, n_angles: int,
+                             peaks_per_angle: int = 1, pad_factor: int = 16):
+    """``coarse.coarse_pipeline`` as first written, on DD grids: the SFFT of
+    the whole receive stack, the angle spectrum from the DD sample
+    covariance (mean over the NM bins), profiles of the DD stack, and one
+    ``fft2`` circular correlation per angle against its DD reference.
+    Returns (angle, k, l, strength) tuples."""
+    rx_dd = sfft(rx_tf)
+    n_rx = rx_dd.shape[0]
+    if n_angles >= n_rx:
+        raise TooManyTargets(f"{n_angles} targets with only {n_rx} receive antennas")
+    snapshots = rx_dd.reshape(n_rx, -1)
+    cov = snapshots @ snapshots.conj().T / snapshots.shape[1]
+    k = pad_factor * n_rx
+    lag = np.subtract.outer(np.arange(n_rx), np.arange(n_rx)) % k
+    r = np.zeros(k, dtype=complex)
+    np.add.at(r, lag, cov)
+    angles, _, _ = separated_angle_peaks(np.fft.fft(r).real, n_angles, cfg, pad_factor)
+    profiles = extract_angle_profiles(rx_dd, angles, cfg)
+    tx = np.asarray(tx_dd, dtype=complex)
+    estimates = []
+    for angle, profile in zip(angles, profiles):
+        phase = np.exp(-2j * np.pi * np.arange(tx.shape[0]) * cfg.g_t
+                       * np.sin(angle) / cfg.wavelength_m)
+        ref = np.tensordot(phase, tx, axes=1)
+        mag = np.abs(np.fft.ifft2(np.fft.fft2(profile) * np.conj(np.fft.fft2(ref))))
+        is_max = np.ones_like(mag, dtype=bool)
+        for shift in itertools.product((-1, 0, 1), repeat=2):
+            is_max &= mag >= np.roll(mag, shift, axis=(0, 1))
+        kk, ll = np.nonzero(is_max)
+        strengths = mag[kk, ll]
+        for i in np.argsort(strengths)[::-1][:peaks_per_angle]:
+            estimates.append((float(angle), int(kk[i]), int(ll[i]), float(strengths[i])))
+    return estimates
+
+
+def angle_to_spatial_freq(angle_rad, cfg):
+    """omega = 2pi g_r sin(phi) / lambda."""
+    return 2.0 * np.pi * cfg.g_r * np.sin(angle_rad) / cfg.wavelength_m
 
 
 def lstsq_angle_profiles(rx_dd, angles, cfg) -> np.ndarray:

@@ -36,11 +36,6 @@ def random_frame(cfg, alloc, rng):
     return transmit_chain(bits, alloc, cfg)
 
 
-def receive_dd(tf, targets, cfg, snr_db, rng):
-    rx_tf = radar_receive(tf, targets, cfg, snr_db=snr_db, rng=rng)
-    return rx_tf, np.stack([sfft(g) for g in rx_tf])
-
-
 def test_criterion_01_transform_exactness():
     start = time.perf_counter()
     rng = np.random.default_rng(100)
@@ -101,8 +96,9 @@ def test_criterion_04_coarse_three_target_recovery():
                                          THREE_TARGET_RANGES_M,
                                          THREE_TARGET_VELOCITIES_MPS, gains)]
         dd, tf = random_frame(cfg, alloc, rng)
-        _, rx_dd = receive_dd(tf, targets, cfg, 20.0, substream(4, trial, 1))
-        estimates = coarse_pipeline(rx_dd, dd, cfg, n_angles=3, pad_factor=pad)
+        rx_tf = radar_receive(tf, targets, cfg, snr_db=20.0,
+                              rng=substream(4, trial, 1))
+        estimates = coarse_pipeline(rx_tf, dd, cfg, n_angles=3, pad_factor=pad)
         ok = len(estimates) == 3
         if ok:
             estimates = sorted(estimates, key=lambda e: e.angle_rad)
@@ -169,12 +165,12 @@ def test_criterion_06_coarse_angle_mse_statistics():
                 phi_deg, r, v, cfg.carrier_freq_hz,
                 gain=np.exp(2j * np.pi * rng.random()))
             _, tf = random_frame(cfg, alloc, rng)
-            _, rx_dd = receive_dd(tf, [target], cfg, snr_db,
-                                  substream(6, trial, 1))
+            rx_tf = radar_receive(tf, [target], cfg, snr_db=snr_db,
+                                  rng=substream(6, trial, 1))
             true = np.deg2rad(phi_deg)
-            a_avg, _, _ = estimate_angles(rx_dd, 1, cfg, pad_factor=pad,
+            a_avg, _, _ = estimate_angles(rx_tf, 1, cfg, pad_factor=pad,
                                           average=True)
-            a_one, _, _ = estimate_angles(rx_dd, 1, cfg, pad_factor=pad,
+            a_one, _, _ = estimate_angles(rx_tf, 1, cfg, pad_factor=pad,
                                           average=False)
             se_avg.append((a_avg[0] - true) ** 2)
             se_one.append((a_one[0] - true) ** 2)
@@ -213,17 +209,17 @@ def test_criterion_07_virtual_array_resolves_close_targets():
                    for a, r, v, g in zip(angles_deg, THREE_TARGET_RANGES_M,
                                          THREE_TARGET_VELOCITIES_MPS, gains)]
         dd, tf = random_frame(cfg, alloc, rng)
-        rx_tf, rx_dd = receive_dd(tf, targets, cfg, 20.0,
-                                  substream(7, trial, 1))
+        rx_tf = radar_receive(tf, targets, cfg, snr_db=20.0,
+                              rng=substream(7, trial, 1))
         # the averaged DFT spectrum shows a single dominant peak
-        _, omegas, power = estimate_angles(rx_dd, 1, cfg, pad_factor=16)
+        _, omegas, power = estimate_angles(rx_tf, 1, cfg, pad_factor=16)
         valid = np.abs(omegas * cfg.wavelength_m
                        / (2 * np.pi * cfg.g_r)) <= 1.0
         maxima = ((power > np.roll(power, 1)) & (power >= np.roll(power, -1))
                   & valid & (power >= 0.5 * power[valid].max()))
         one_peak += int(np.count_nonzero(maxima) == 1)
         # SSR separates all three angles to within 1 degree
-        coarse = coarse_pipeline(rx_dd, dd, cfg, n_angles=1, peaks_per_angle=3)
+        coarse = coarse_pipeline(rx_tf, dd, cfg, n_angles=1, peaks_per_angle=3)
         specs = [default_neighborhood(c, cfg) for c in coarse]
         snapshot = build_virtual_snapshot(rx_tf, tf, alloc)
         result = averaged_ssr(snapshot, specs, cfg, n_solvers=64,
@@ -256,9 +252,9 @@ def test_criterion_08_private_bin_monotonicity():
                                              THREE_TARGET_VELOCITIES_MPS,
                                              gains)]
             dd, tf = random_frame(cfg, alloc, rng)
-            rx_tf, rx_dd = receive_dd(tf, targets, cfg, 20.0,
-                                      substream(8, trial, 1))
-            coarse = coarse_pipeline(rx_dd, dd, cfg, n_angles=1,
+            rx_tf = radar_receive(tf, targets, cfg, snr_db=20.0,
+                                  rng=substream(8, trial, 1))
+            coarse = coarse_pipeline(rx_tf, dd, cfg, n_angles=1,
                                      peaks_per_angle=3)
             specs = [default_neighborhood(c, cfg) for c in coarse]
             snapshot = build_virtual_snapshot(rx_tf, tf, alloc)
@@ -353,9 +349,9 @@ def test_criterion_12_fractional_doppler_mse_tracks_crlb():
                 10.0, range_m, v, cfg.carrier_freq_hz,
                 gain=np.exp(2j * np.pi * rng.random()))
             dd, tf = random_frame(cfg, alloc, rng)
-            rx_tf, rx_dd = receive_dd(tf, [target], cfg, snr_db,
-                                      substream(99, trial, 1))
-            estimate = coarse_pipeline(rx_dd, dd, cfg, n_angles=1)[0]
+            rx_tf = radar_receive(tf, [target], cfg, snr_db=snr_db,
+                                  rng=substream(99, trial, 1))
+            estimate = coarse_pipeline(rx_tf, dd, cfg, n_angles=1)[0]
             snapshot = build_virtual_snapshot(rx_tf, tf, alloc)
             spec = default_neighborhood(estimate, cfg, doppler_step_bins=0.02,
                                         doppler_width_bins=3.0)

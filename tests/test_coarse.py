@@ -1,54 +1,79 @@
-"""Coarse estimation: DFT angle search and 2D correlation peaks."""
+"""Coarse estimation on the TF receive stack: DFT angle search and 2D
+correlation peaks, checked against DD-domain oracles."""
+
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from otfs_isac.coarse import (coarse_pipeline, cross_correlation_2d,
-                              delay_doppler_peaks, estimate_angles,
+from otfs_isac.coarse import (coarse_pipeline, delay_doppler_peaks, estimate_angles,
                               extract_angle_profiles, indices_to_estimate,
-                              reference_profile, resolution_report)
+                              resolution_report)
 from otfs_isac.comm import symbol_capacity, transmit_chain
-from otfs_isac.config import SPEED_OF_LIGHT, SystemConfig, Target, substream
+from otfs_isac.config import (SPEED_OF_LIGHT, SystemConfig, Target, substream,
+                              unit_phases)
 from otfs_isac.allocation import diagonal_allocation
 from otfs_isac.channel import radar_receive
 from otfs_isac.exceptions import (DimensionMismatch, IllConditionedSteering,
                                   PeakSeparationFailure, TooManyTargets)
-from otfs_isac.transforms import sfft
-from oracles import lstsq_angle_profiles, padded_fft_estimate_angles
+from otfs_isac.scenario import load_scenario
+from otfs_isac.transforms import isfft, sfft
+from oracles import (dd_route_coarse_pipeline, lstsq_angle_profiles,
+                     padded_fft_estimate_angles)
+
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "scenarios")
 
 EXACT = 1e-12
 
 
-def make_scene(cfg, targets, snr_db=None, seed=0):
-    alloc = diagonal_allocation(cfg.n_tx)
+def make_scene(cfg, targets, snr_db=None, seed=0, alloc=None):
+    """(DD transmit stack, TF receive stack) of one frame."""
+    alloc = alloc or diagonal_allocation(cfg.n_tx)
     rng = substream(seed, 0)
     bits = rng.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
     dd, tf = transmit_chain(bits, alloc, cfg)
-    rx_tf = radar_receive(tf, targets, cfg, snr_db=snr_db, rng=substream(seed, 1))
-    rx_dd = np.stack([sfft(g) for g in rx_tf])
-    return dd, rx_dd
+    return dd, radar_receive(tf, targets, cfg, snr_db=snr_db, rng=substream(seed, 1))
 
 
 def test_cross_correlation_matches_direct_sum():
+    """The peaks are the local maxima of |C_j|, C_j[k, l] = sum_{k', l'}
+    a_j[k', l'] conj(r_j[k' - k, l' - l]), summed directly on the DD grids
+    a_j = sfft(P_j) and r_j = sum_t e^{-j2pi t g_t sin(phi_j)/lambda} x_t."""
+    cfg = SystemConfig(n_doppler=4, m_delay=5, n_tx=3)
     rng = np.random.default_rng(20)
-    a = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-    b = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-    direct = np.zeros((4, 5), dtype=complex)
-    for k in range(4):
-        for l in range(5):
-            for kp in range(4):
-                for lp in range(5):
-                    direct[k, l] += a[kp, lp] * np.conj(b[(kp - k) % 4, (lp - l) % 5])
-    np.testing.assert_allclose(cross_correlation_2d(a, b), direct, atol=1e-10)
+    p, tx = (rng.standard_normal((count, 4, 5)) + 1j * rng.standard_normal((count, 4, 5))
+             for count in (2, 3))
+    angles = [0.3, -0.7]
+    a = sfft(p)
+    for j, peaks in enumerate(delay_doppler_peaks(p, tx, angles, cfg, n_peaks=20)):
+        r = sum(np.exp(-2j * np.pi * t * cfg.g_t * np.sin(angles[j]) / cfg.wavelength_m)
+                * tx[t] for t in range(3))
+        direct = np.zeros((4, 5), dtype=complex)
+        for k in range(4):
+            for l in range(5):
+                for kp in range(4):
+                    for lp in range(5):
+                        direct[k, l] += a[j, kp, lp] * np.conj(r[(kp - k) % 4, (lp - l) % 5])
+        mag = np.abs(direct)
+        maxima = {(k, l) for k in range(4) for l in range(5)
+                  if all(mag[k, l] >= mag[(k + dk) % 4, (l + dl) % 5]
+                         for dk in (-1, 0, 1) for dl in (-1, 0, 1))}
+        assert {(k, l) for k, l, _ in peaks} == maxima
+        strengths = [s for *_, s in peaks]
+        assert strengths == sorted(strengths, reverse=True)
+        np.testing.assert_allclose(strengths, [mag[k, l] for k, l, _ in peaks],
+                                   rtol=1e-12)
     with pytest.raises(DimensionMismatch):
-        cross_correlation_2d(a, b[:3])
+        delay_doppler_peaks(p, tx, angles[:1], cfg, n_peaks=1)
 
 
 def test_estimate_angles_noiseless_single_target():
     cfg = SystemConfig(n_doppler=8, m_delay=16, n_tx=2, n_rx=16)
     target = Target.from_range_velocity(23.0, 60.0, 30.0, cfg.carrier_freq_hz)
-    _, rx_dd = make_scene(cfg, [target])
-    angles, _, _ = estimate_angles(rx_dd, 1, cfg, pad_factor=64)
+    _, rx_tf = make_scene(cfg, [target])
+    angles, _, _ = estimate_angles(rx_tf, 1, cfg, pad_factor=64)
     # padded-DFT bin width in sin space is 2 / (pad * N_r)
     assert abs(np.sin(angles[0]) - np.sin(target.angle_rad)) <= 1.0 / (64 * 16)
 
@@ -93,17 +118,18 @@ def three_target_scene(n_rx, seed):
 @pytest.mark.parametrize("n_rx", [16, 7])
 @pytest.mark.parametrize("average", [True, False])
 def test_estimate_angles_matches_padded_fft_oracle(pad, n_rx, average):
-    cfg, _, rx_dd = three_target_scene(n_rx, seed=pad)
+    cfg, _, rx_tf = three_target_scene(n_rx, seed=pad)
+    rx_dd = sfft(rx_tf)
     for n_targets in (1, 2, 3):
         try:
             ref_angles, ref_omegas, ref_power = padded_fft_estimate_angles(
                 rx_dd, n_targets, cfg, pad, average=average)
         except PeakSeparationFailure:
             with pytest.raises(PeakSeparationFailure):
-                estimate_angles(rx_dd, n_targets, cfg, pad_factor=pad,
+                estimate_angles(rx_tf, n_targets, cfg, pad_factor=pad,
                                 average=average)
             continue
-        angles, omegas, power = estimate_angles(rx_dd, n_targets, cfg,
+        angles, omegas, power = estimate_angles(rx_tf, n_targets, cfg,
                                                 pad_factor=pad, average=average)
         assert_close_to_peak(power, ref_power)
         np.testing.assert_array_equal(omegas, ref_omegas)
@@ -123,24 +149,23 @@ def test_estimate_angles_all_zero_input(average):
                                         [-40.0]])
 @pytest.mark.parametrize("n_rx", [16, 7])
 def test_extract_angle_profiles_matches_lstsq_oracle(angles_deg, n_rx):
-    cfg, _, rx_dd = three_target_scene(n_rx, seed=n_rx)
+    cfg, _, rx_tf = three_target_scene(n_rx, seed=n_rx)
     angles = np.deg2rad(angles_deg)
-    assert_close_to_peak(extract_angle_profiles(rx_dd, angles, cfg),
-                         lstsq_angle_profiles(rx_dd, angles, cfg))
-
-
-def test_reference_profile_zero_angle():
-    tx = np.ones((3, 2, 2), dtype=complex)
-    np.testing.assert_allclose(reference_profile(tx, 0.0, SystemConfig()),
-                               3 * np.ones((2, 2)), atol=1e-12)
+    profiles = extract_angle_profiles(rx_tf, angles, cfg)
+    assert_close_to_peak(profiles, lstsq_angle_profiles(rx_tf, angles, cfg))
+    # the per-bin solve commutes with the SFFT
+    assert_close_to_peak(sfft(profiles), lstsq_angle_profiles(sfft(rx_tf), angles, cfg))
 
 
 def test_delay_doppler_peaks_planted():
+    # one transmit antenna: every angle's reference is the transmit grid
+    cfg = SystemConfig(n_doppler=8, m_delay=8, n_tx=1)
     rng = np.random.default_rng(21)
-    ref = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    shifted = np.exp(0.4j) * np.roll(ref, (2, 5), axis=(0, 1))
-    peaks = delay_doppler_peaks(shifted, ref, n_peaks=1)
-    assert (peaks[0][0], peaks[0][1]) == (2, 5)
+    ref = rng.standard_normal((1, 8, 8)) + 1j * rng.standard_normal((1, 8, 8))
+    shifted = np.exp(0.4j) * np.stack([np.roll(ref[0], (2, 5), axis=(0, 1)),
+                                       np.roll(ref[0], (7, 1), axis=(0, 1))])
+    peaks = delay_doppler_peaks(isfft(shifted), ref, [0.2, -0.4], cfg, n_peaks=1)
+    assert [p[0][:2] for p in peaks] == [(2, 5), (7, 1)]
 
 
 def test_indices_to_estimate_units():
@@ -159,8 +184,8 @@ def test_coarse_pipeline_on_grid_target_exact_bins():
                     delay_s=6 * cfg.delay_spacing_s,
                     doppler_hz=3 * cfg.doppler_spacing_hz,
                     gain=np.exp(0.7j))
-    dd, rx_dd = make_scene(cfg, [target])
-    est = coarse_pipeline(rx_dd, dd, cfg, n_angles=1)[0]
+    dd, rx_tf = make_scene(cfg, [target])
+    est = coarse_pipeline(rx_tf, dd, cfg, n_angles=1)[0]
     assert est.doppler_index == 3
     assert est.delay_index == 6
     assert abs(np.sin(est.angle_rad) - np.sin(target.angle_rad)) <= 1.0 / (16 * 16)
@@ -176,3 +201,24 @@ def test_resolution_report_values():
     dt = 1 / 120e3
     assert rep["velocity_resolution_mps"] == pytest.approx(lam / (2 * 64 * dt))
     assert rep["velocity_max_mps"] == pytest.approx(lam / (2 * dt))
+
+
+@pytest.mark.parametrize("name", ["coarse_three_targets", "ssr_close_angles"])
+def test_coarse_pipeline_matches_dd_route_oracle(name):
+    """The TF route finds the DD route's estimates on the shipped geometries."""
+    sc = load_scenario(os.path.join(SCENARIOS, name + ".json"))
+    cfg, est = sc.system, sc.estimator
+    n_angles = len(sc.paths) if sc.experiment_kind == "dd-correlation" else est.n_angles
+    for seed in range(20):
+        targets = [replace(t, gain=g)
+                   for t, g in zip(sc.paths, unit_phases(substream(seed, 2), len(sc.paths)))]
+        dd, rx_tf = make_scene(cfg, targets, snr_db=sc.snr_db_values[0], seed=seed,
+                               alloc=sc.bin_allocation)
+        got = coarse_pipeline(rx_tf, dd, cfg, n_angles, peaks_per_angle=est.peaks_per_angle,
+                              pad_factor=est.dft_pad_factor)
+        want = dd_route_coarse_pipeline(rx_tf, dd, cfg, n_angles, est.peaks_per_angle,
+                                        est.dft_pad_factor)
+        assert [(e.angle_rad, e.doppler_index % cfg.n_doppler, e.delay_index)
+                for e in got] == [w[:3] for w in want]
+        np.testing.assert_allclose([e.peak_strength for e in got], [w[3] for w in want],
+                                   rtol=EXACT)

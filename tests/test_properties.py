@@ -1,7 +1,8 @@
 """Property-based tests: transform round trips, stacked transforms and the
 transmit chain against their one-grid-at-a-time oracles, reduced-transform
-recovery, scenario validation on fuzzed input, and the command line run end
-to end on tiny fuzzed scenarios.
+recovery, the TF-domain coarse chain against its DD route, scenario
+validation on fuzzed input, and the command line run end to end on tiny
+fuzzed scenarios.
 
 Examples are derandomized, so every run checks the same inputs.
 """
@@ -18,13 +19,16 @@ from hypothesis import strategies as st
 
 from otfs_isac.allocation import make_allocation
 from otfs_isac.cli import main
+from otfs_isac.coarse import coarse_pipeline
 from otfs_isac.comm import (modified_sffts, recover_and_demap, symbol_capacity,
                             transmit_chain)
 from otfs_isac.config import SystemConfig
-from otfs_isac.exceptions import ConfigValidationError, SingularReducedMatrix
+from otfs_isac.exceptions import (ConfigValidationError, OtfsIsacError,
+                                  SingularReducedMatrix)
 from otfs_isac.scenario import EXPERIMENT_KINDS, EstimatorSettings, scenario_from_dict
 from otfs_isac.transforms import isfft, sfft
-from oracles import grid_isfft, grid_sfft, per_grid, serial_transmit_chain
+from oracles import (dd_route_coarse_pipeline, grid_isfft, grid_sfft, per_grid,
+                     serial_transmit_chain)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=50, deadline=None)
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -90,6 +94,31 @@ def test_transmit_chain_equals_per_antenna_oracle(case, seed):
     np.testing.assert_array_equal(tf, want_tf)
 
 
+@PROPERTY
+@given(n_rx=st.integers(2, 5), n_tx=st.integers(1, 3), n=st.integers(1, 6),
+       m=st.integers(1, 6), n_angles=st.integers(1, 3), peaks=st.integers(1, 3),
+       pad=st.integers(1, 4), seed=SEEDS)
+def test_coarse_pipeline_equals_dd_route_on_tiny_stacks(n_rx, n_tx, n, m, n_angles,
+                                                        peaks, pad, seed):
+    """Random TF receive and DD transmit stacks: the TF-domain coarse chain
+    finds the DD route's estimates, or raises the same error."""
+    rng = np.random.default_rng(seed)
+    rx_tf, tx_dd = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    for shape in ((n_rx, n, m), (n_tx, n, m)))
+    cfg = SystemConfig(n_doppler=n, m_delay=m, n_tx=n_tx, n_rx=n_rx)
+    try:
+        want = dd_route_coarse_pipeline(rx_tf, tx_dd, cfg, n_angles, peaks, pad)
+    except OtfsIsacError as exc:
+        with pytest.raises(type(exc)):
+            coarse_pipeline(rx_tf, tx_dd, cfg, n_angles, peaks, pad)
+        return
+    got = coarse_pipeline(rx_tf, tx_dd, cfg, n_angles, peaks, pad)
+    assert [(e.angle_rad, e.doppler_index % n, e.delay_index) for e in got] \
+        == [w[:3] for w in want]
+    np.testing.assert_allclose([e.peak_strength for e in got], [w[3] for w in want],
+                               rtol=1e-12)
+
+
 VALID_RAW = {
     "name": "fuzz",
     "experiment_kind": "dd-correlation",
@@ -134,16 +163,31 @@ def test_scenario_from_dict_fuzzed_slot_raises_only_validation_error(path, value
         pass
 
 
+# Estimator search boxes: the default, a small one, one far over COLUMN_CAP
+# and one whose angle width is not a whole number of steps. Repeats weight
+# the draws toward valid scenarios, so that most of them still run.
+SMALL_BOX = {f"{axis}_{key}_{unit}": value
+             for axis, unit in (("angle", "deg"), ("doppler", "bins"), ("delay", "bins"))
+             for key, value in (("step", 0.5), ("width", 1.0))}
+SEARCH_BOXES = st.sampled_from([{}, {}, {}, SMALL_BOX, SMALL_BOX,
+                                {"angle_step_deg": 1e-6}, {"angle_width_deg": 3.5}])
+PEAKS_PER_ANGLE = st.sampled_from([1, 1, 1, 2, 3])
+
+
 @st.composite
 def tiny_scenarios(draw, kind):
     """A scenario of this kind on a grid up to 6x6 with up to 3 transmit,
     4 radar receive and 3 comm receive antennas; its diagonal private bins
     may fall outside the grid. The targets lie inside the default grid's
-    unambiguous range (1249 m) and velocity (+-370.9 m/s)."""
+    unambiguous range (1249 m) and velocity (+-370.9 m/s). The SSR kinds and
+    dd-correlation also draw the search boxes and ``peaks_per_angle``."""
     n_tx = draw(st.integers(1, 3))
     target = st.fixed_dictionaries({"angle_deg": st.floats(-80.0, 80.0),
                                     "range_m": st.floats(0.0, 1240.0),
                                     "velocity_mps": st.floats(-370.0, 370.0)})
+    estimator = {"n_solvers": draw(st.integers(1, 4))}
+    if kind in ("ssr-angle", "ssr-velocity", "demo-spectrum", "dd-correlation"):
+        estimator.update(draw(SEARCH_BOXES), peaks_per_angle=draw(PEAKS_PER_ANGLE))
     return {
         "name": "fuzz",
         "experiment_kind": kind,
@@ -153,7 +197,7 @@ def tiny_scenarios(draw, kind):
                    "n_comm_rx": draw(st.integers(1, 3))},
         "targets": draw(st.lists(target, max_size=3)),
         "allocation": {"diagonal_private_bins": draw(st.integers(0, n_tx))},
-        "estimator": {"n_solvers": draw(st.integers(1, 4))},
+        "estimator": estimator,
         "snr_db_values": draw(st.lists(st.sampled_from([-10.0, 10.0, 40.0, math.inf]),
                                        min_size=1, max_size=2)),
         "seed": draw(st.integers(0, 1000)),

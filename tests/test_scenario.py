@@ -177,6 +177,37 @@ def test_bad_estimator_values_rejected(field, value):
     assert any(e.startswith(f"estimator.{field}:") for e in exc.value.errors)
 
 
+@pytest.mark.parametrize("kind, n_targets", [("ssr-angle", 2), ("demo-spectrum", 2),
+                                             ("ssr-velocity", 1)])
+def test_ssr_lattice_bound_counts_each_neighborhood(monkeypatch, kind, n_targets):
+    """The SSR kinds refine one search box per target (ssr-velocity: one);
+    each box here holds 21 * 41 * 41 = 35301 superset columns."""
+    columns = n_targets * 35_301
+    raw = minimal_raw(experiment_kind=kind, targets=[
+        {"angle_deg": a, "range_m": 50.0, "velocity_mps": 10.0}
+        for a in (5.0, 9.0)[:n_targets]])
+    monkeypatch.setattr(scenario_module, "COLUMN_CAP", columns)
+    scenario_from_dict(raw)
+    monkeypatch.setattr(scenario_module, "COLUMN_CAP", columns - 1)
+    with pytest.raises(ConfigValidationError) as exc:
+        scenario_from_dict(raw)
+    assert f"hold {columns} superset columns" in exc.value.errors[0]
+
+
+@pytest.mark.parametrize("kind", ["dd-correlation", "coarse-angle-mse"])
+def test_ssr_lattice_bound_skips_kinds_without_ssr(kind):
+    scenario_from_dict(minimal_raw(experiment_kind=kind,
+                                   estimator={"angle_step_deg": 1e-6}))
+
+
+@pytest.mark.parametrize("kind", ["ssr-angle", "ssr-velocity", "demo-spectrum"])
+def test_ssr_kinds_accept_several_peaks_per_angle(kind):
+    targets = [] if kind == "ssr-velocity" else minimal_raw()["targets"]
+    sc = scenario_from_dict(minimal_raw(experiment_kind=kind, targets=targets,
+                                        estimator={"peaks_per_angle": 3}))
+    assert sc.estimator.peaks_per_angle == 3
+
+
 def test_edge_estimator_values_accepted():
     est = {"n_solvers": 1, "ssr_sweeps": 0, "dft_pad_factor": 1,
            "peaks_per_angle": 1, "n_angles": None,
@@ -267,6 +298,9 @@ def test_unnamed_file_named_after_its_stem(tmp_path):
     ({"estimator": {"doppler_step_bins": 0.3, "doppler_width_bins": 1.0}},
      "estimator.doppler_width_bins:"),
     ({"experiment_kind": None}, "experiment_kind:"),
+    ({"experiment_kind": "ssr-angle", "estimator": {"angle_step_deg": 1e-6}},
+     "estimator.angle_step_deg/angle_width_deg/doppler_step_bins/"),
+    ({"estimator": {"peaks_per_angle": 2}}, "estimator.peaks_per_angle:"),
 ], ids=["targets-null", "estimator-list", "diagonal-negative", "diagonal-huge",
         "rx-spacing-zero", "rx-spacing-negative", "tx-spacing-zero",
         "tx-spacing-negative", "subcarrier-spacing-nan", "target-range-inf",
@@ -278,7 +312,7 @@ def test_unnamed_file_named_after_its_stem(tmp_path):
         "snr-empty", "carrier-freq-past-float-range", "private-bin-antenna-float",
         "private-bin-index-float", "private-bin-three-indices", "both-bin-forms",
         "allocation-extra-key", "angle-width-3.5-steps", "doppler-width-3.33-steps",
-        "kind-null"])
+        "kind-null", "ssr-lattice-over-cap", "dd-correlation-two-peaks"])
 def test_malformed_input_is_a_validation_error(overrides, prefix):
     with pytest.raises(ConfigValidationError) as exc:
         scenario_from_dict(minimal_raw(**overrides))
