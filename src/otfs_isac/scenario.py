@@ -62,6 +62,8 @@ MAX_TRIAL_CELLS = 100_000
 # inside the grid's unambiguous delay and Doppler intervals.
 RADAR_KINDS = ("coarse-angle-mse", "dd-correlation", "ssr-angle", "ssr-velocity",
                "demo-spectrum")
+# Kinds that refine by SSR on the virtual array of the private bins.
+SSR_KINDS = ("ssr-angle", "ssr-velocity", "demo-spectrum")
 # ssr-velocity draws each trial's target velocity uniformly from this range.
 RANDOM_VELOCITY_RANGE_MPS = (-100.0, 100.0)
 
@@ -210,7 +212,8 @@ def _check_unaliased(errors, kind: str, targets, cfg: SystemConfig):
 
 def _check_allocation(errors, scenario: Scenario):
     """At most one bin form, a diagonal count up to n_tx, distinct bins of
-    existing antennas inside the grid, and reduced transforms within bound."""
+    existing antennas inside the grid, at least one private bin for the kinds
+    that refine by SSR, and reduced transforms within bound."""
     spec, cfg = scenario.allocation, scenario.system
     count = spec.diagonal_private_bins
     if spec.private_bins is not None and count is not None:
@@ -226,7 +229,11 @@ def _check_allocation(errors, scenario: Scenario):
     except OtfsIsacError as exc:    # an antenna out of range or a bin given twice
         errors.append(f"allocation: {exc}")
         return
-    for ant, (n, m) in alloc.private_bin_list():
+    private, kind = alloc.private_bin_list(), scenario.experiment_kind
+    _check(errors, private or kind not in SSR_KINDS,
+           f"allocation: {kind} forms its virtual array from the private bins "
+           f"and needs at least one")
+    for ant, (n, m) in private:
         if not (n < cfg.n_doppler and m < cfg.m_delay):
             errors.append(f"allocation: bin {(n, m)} outside "
                           f"{cfg.n_doppler}x{cfg.m_delay} grid")

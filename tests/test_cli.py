@@ -137,13 +137,16 @@ def test_no_command_exits_nonzero():
 
 
 class _RecordingContext:
-    """Stands in for a multiprocessing context: records pool sizes, runs inline."""
+    """Stands in for a multiprocessing context: records pool sizes, runs the
+    worker initializer and the tasks inline."""
 
     def __init__(self):
         self.sizes = []
 
-    def Pool(self, processes):
+    def Pool(self, processes, initializer=None):
         self.sizes.append(processes)
+        if initializer is not None:
+            initializer()
         return _InlinePool()
 
 

@@ -1,14 +1,21 @@
 """Experiment runner: output files, aggregation, and determinism."""
 
+import ctypes
 import csv
 import json
 import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import otfs_isac
 from otfs_isac.experiments import run_scenario
 from otfs_isac.scenario import scenario_from_dict
+
+SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
 
 def small_raw(**overrides):
@@ -127,3 +134,66 @@ def test_demo_spectrum_outputs(tmp_path):
     surface = read_csv(paths["ssr_surface"])
     assert surface[0] == ["neighborhood", "angle_rad", "correlation"]
     assert os.path.exists(paths["manifest"])
+
+
+def libc_has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# minor page faults per trial of a warm run_scenario, in a fresh interpreter
+WARM_FAULTS = """
+import resource, sys, tempfile
+from otfs_isac.experiments import run_scenario
+from otfs_isac.scenario import load_scenario
+sc = load_scenario(sys.argv[1])
+with tempfile.TemporaryDirectory() as out:
+    run_scenario(sc, out, trials=2)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_scenario(sc, out, trials=4)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 4)
+"""
+
+
+@pytest.mark.skipif(not libc_has_mallopt(), reason="libc has no mallopt")
+def test_warm_trials_take_no_page_faults():
+    """Once warm, a trial reuses heap pages: about 1,900 minor faults per
+    trial with glibc's defaults, about 0 with the steady heap. Measured in a
+    fresh interpreter, because malloc's dynamic mmap threshold depends on
+    what the process allocated and freed before."""
+    package_root = os.path.dirname(os.path.dirname(otfs_isac.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                        os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", WARM_FAULTS,
+                          str(SCENARIO_DIR / "coarse_three_targets.json")],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert float(out.stdout) < 100
+
+
+def test_steady_heap_sets_top_pad_and_mmap_threshold(tmp_path, monkeypatch):
+    """Any mallopt call freezes glibc's dynamic mmap threshold, so the
+    threshold is raised along with the top pad."""
+    calls = []
+    libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    run_scenario(scenario_from_dict(small_raw()), tmp_path)
+    assert calls == [(-2, 64 << 20), (-3, 32 << 20)]
+
+
+def libc_not_found(name):
+    raise OSError("libc not found")
+
+
+@pytest.mark.parametrize("cdll", [libc_not_found, lambda name: object()],
+                         ids=["oserror", "no-mallopt"])
+def test_runs_without_mallopt(tmp_path, monkeypatch, cdll):
+    """Where libc cannot be loaded or has no mallopt, the heap is left alone
+    and the run writes the same files."""
+    sc = scenario_from_dict(small_raw())
+    expected = Path(run_scenario(sc, tmp_path / "mallopt")["trials"]).read_bytes()
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    paths = run_scenario(sc, tmp_path / "no-mallopt")
+    assert Path(paths["trials"]).read_bytes() == expected

@@ -301,6 +301,14 @@ def test_unnamed_file_named_after_its_stem(tmp_path):
     ({"experiment_kind": "ssr-angle", "estimator": {"angle_step_deg": 1e-6}},
      "estimator.angle_step_deg/angle_width_deg/doppler_step_bins/"),
     ({"estimator": {"peaks_per_angle": 2}}, "estimator.peaks_per_angle:"),
+    ({"experiment_kind": "ssr-angle", "allocation": {"diagonal_private_bins": 0}},
+     "allocation: ssr-angle forms its virtual array"),
+    ({"experiment_kind": "ssr-angle", "allocation": {"private_bins": []}},
+     "allocation: ssr-angle forms its virtual array"),
+    ({"experiment_kind": "ssr-velocity", "allocation": {"diagonal_private_bins": 0}},
+     "allocation: ssr-velocity forms its virtual array"),
+    ({"experiment_kind": "demo-spectrum", "allocation": {"private_bins": []}},
+     "allocation: demo-spectrum forms its virtual array"),
 ], ids=["targets-null", "estimator-list", "diagonal-negative", "diagonal-huge",
         "rx-spacing-zero", "rx-spacing-negative", "tx-spacing-zero",
         "tx-spacing-negative", "subcarrier-spacing-nan", "target-range-inf",
@@ -312,7 +320,9 @@ def test_unnamed_file_named_after_its_stem(tmp_path):
         "snr-empty", "carrier-freq-past-float-range", "private-bin-antenna-float",
         "private-bin-index-float", "private-bin-three-indices", "both-bin-forms",
         "allocation-extra-key", "angle-width-3.5-steps", "doppler-width-3.33-steps",
-        "kind-null", "ssr-lattice-over-cap", "dd-correlation-two-peaks"])
+        "kind-null", "ssr-lattice-over-cap", "dd-correlation-two-peaks",
+        "ssr-angle-no-diagonal-bins", "ssr-angle-empty-bin-list",
+        "ssr-velocity-no-private-bins", "demo-spectrum-no-private-bins"])
 def test_malformed_input_is_a_validation_error(overrides, prefix):
     with pytest.raises(ConfigValidationError) as exc:
         scenario_from_dict(minimal_raw(**overrides))
@@ -509,7 +519,9 @@ def test_ssr_velocity_draw_range_must_be_unaliased():
 
 
 def test_edge_values_accepted():
-    sc = scenario_from_dict(minimal_raw(allocation={"diagonal_private_bins": 0},
+    """dd-correlation reads no virtual array, so it runs without private bins."""
+    sc = scenario_from_dict(minimal_raw(experiment_kind="dd-correlation",
+                                        allocation={"diagonal_private_bins": 0},
                                         snr_db_values=[float("inf")]))
     assert sc.bin_allocation.private_bin_list() == []
     assert sc.snr_db_values == (float("inf"),)
