@@ -54,12 +54,7 @@ def radar_receive(tx_tf, targets, cfg: SystemConfig, snr_db: float | None = None
         # SNR is defined per DD-domain sample against unit-power symbols
         # (N0 = P_avg / 10^(snr/10)). The unit-scale DD demodulation sums NM
         # TF samples, so white TF noise of variance N0/NM lands in the DD
-        # domain with variance exactly N0. Under the steady heap that
-        # experiments.run_scenario sets up, "+=" and a new array both take
-        # no page faults and run at the same speed. A new array is kept for
-        # callers that leave glibc malloc at its defaults: freeing the old
-        # stack keeps malloc reusing heap pages there (0.6 minor faults per
-        # warm ssr_close_angles trial, 3,220 with "+=", numpy 2.4).
+        # domain with variance exactly N0.
         tf_noise_var = noise_variance(snr_db) / (cfg.n_doppler * cfg.m_delay)
         y = y + complex_noise(y.shape, tf_noise_var, rng)
     return y

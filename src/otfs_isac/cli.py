@@ -97,17 +97,17 @@ def _cmd_simulate(args) -> int:
                 parallel=min(args.parallel, os.cpu_count() or 1))
 
 
-def _config(**kwargs):
+def _config(args, **kwargs):
     """(config, None) for valid geometry flags, else (None, exit code of the error)."""
     try:
-        return SystemConfig(**kwargs), None
+        return SystemConfig(n_doppler=args.N, m_delay=args.M,
+                            subcarrier_spacing_hz=args.df, **kwargs), None
     except ValueError as exc:
         return None, _fail("invalid-argument", str(exc))
 
 
 def _cmd_crlb(args) -> int:
-    cfg, error = _config(n_doppler=args.N, m_delay=args.M,
-                         subcarrier_spacing_hz=args.df, n_rx=args.n_rx)
+    cfg, error = _config(args, n_rx=args.n_rx)
     if cfg is None:
         return error
     rows = crlb_curve(cfg, args.snr_db)
@@ -119,8 +119,7 @@ def _cmd_crlb(args) -> int:
 
 
 def _cmd_resolution(args) -> int:
-    cfg, error = _config(n_doppler=args.N, m_delay=args.M,
-                         subcarrier_spacing_hz=args.df)
+    cfg, error = _config(args)
     if cfg is None:
         return error
     for key, value in resolution_report(cfg).items():
@@ -174,21 +173,22 @@ def build_parser() -> argparse.ArgumentParser:
                           "(results are identical for any value)")
     sim.set_defaults(func=_cmd_simulate)
 
-    crlb = sub.add_parser("crlb", help="print estimation lower bounds")
-    crlb.add_argument("--N", type=int, default=64, help="Doppler bins")
-    crlb.add_argument("--M", type=int, default=128, help="delay bins")
-    crlb.add_argument("--df", type=float, default=120e3,
-                      help="subcarrier spacing in Hz")
-    crlb.add_argument("--n-rx", type=int, default=16, help="receive antennas")
+    # frame geometry flags of crlb and resolution, defaulting to SystemConfig's
+    defaults = SystemConfig()
+    geometry = argparse.ArgumentParser(add_help=False)
+    geometry.add_argument("--N", type=int, default=defaults.n_doppler, help="Doppler bins")
+    geometry.add_argument("--M", type=int, default=defaults.m_delay, help="delay bins")
+    geometry.add_argument("--df", type=float, default=defaults.subcarrier_spacing_hz,
+                          help="subcarrier spacing in Hz")
+
+    crlb = sub.add_parser("crlb", parents=[geometry], help="print estimation lower bounds")
+    crlb.add_argument("--n-rx", type=int, default=defaults.n_rx, help="receive antennas")
     crlb.add_argument("--snr-db", type=float, nargs="+",
                       default=[-20.0, -10.0, 0.0, 10.0, 20.0])
     crlb.set_defaults(func=_cmd_crlb)
 
-    res = sub.add_parser("resolution", help="print frame resolution limits")
-    res.add_argument("--N", type=int, default=64, help="Doppler bins")
-    res.add_argument("--M", type=int, default=128, help="delay bins")
-    res.add_argument("--df", type=float, default=120e3,
-                     help="subcarrier spacing in Hz")
+    res = sub.add_parser("resolution", parents=[geometry],
+                         help="print frame resolution limits")
     res.set_defaults(func=_cmd_resolution)
 
     val = sub.add_parser("validate-config", help="validate a scenario file")

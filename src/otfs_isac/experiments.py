@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import functools
 import itertools
 import json
 import multiprocessing
@@ -37,7 +38,7 @@ _M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
 
 
 def _steady_heap() -> None:
-    """Keep glibc's heap mapped between trials in this process.
+    """Keep glibc's heap mapped between calls in this process.
 
     A trial allocates and frees stacks of several MiB. With glibc's defaults
     their pages go back to the kernel when they are freed, so every trial
@@ -59,6 +60,13 @@ def _steady_heap() -> None:
         pass
 
 
+# Applied once, when the package is imported (its __init__ imports this
+# module): library callers and spawned --parallel workers, which import the
+# package to unpickle _run_cell, all run under the steady heap.
+_steady_heap()
+
+
+@functools.cache
 def _version_string() -> str:
     from . import __version__
     try:
@@ -318,7 +326,6 @@ def run_scenario(scenario: Scenario, out_dir, trials: int | None = None,
     identical for any pool size because every trial owns its RNG sub-stream
     and rows are merged in (snr, trial) order.
     """
-    _steady_heap()
     kind = scenario.experiment_kind
     if kind not in _TRIAL_FUNCS and kind != "demo-spectrum":
         raise ValueError(f"unknown experiment kind {kind!r}")
@@ -331,7 +338,7 @@ def run_scenario(scenario: Scenario, out_dir, trials: int | None = None,
              for si in range(len(scenario.snr_db_values))
              for t in range(n_trials)]
     if parallel > 1:
-        with multiprocessing.get_context("spawn").Pool(parallel, _steady_heap) as pool:
+        with multiprocessing.get_context("spawn").Pool(parallel) as pool:
             results = pool.map(_run_cell, cells)
     else:
         results = [_run_cell(c) for c in cells]

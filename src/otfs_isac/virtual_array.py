@@ -215,8 +215,6 @@ class _FactoredGrid:
 
     def __init__(self, spec: NeighborhoodSpec, bin_meta, n_rx: int,
                  cfg: SystemConfig, weights: np.ndarray):
-        self.spec = spec
-        self.n_rx = n_rx
         self.window = (spec.angle.n_points, spec.doppler.n_points, spec.delay.n_points)
         self.angles = spec.angle.superset_points()
         self.dopplers = spec.doppler.superset_points()
@@ -292,10 +290,6 @@ class _FactoredGrid:
         cols = self.sw[ia] * self.g[iv, it][..., None]
         return cols.reshape(*np.shape(ia), -1)
 
-    def point(self, idx: tuple) -> np.ndarray:
-        ia, iv, it = idx
-        return np.array([self.angles[ia], self.dopplers[iv], self.delays[it]])
-
 
 def _angle_terms(swc: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """a[s, p, c, i] = sum_n conj(sw[s, p, n, i]) v[s, c, (p, n)]."""
@@ -309,19 +303,17 @@ def _stack_ri(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x.real, x.imag])
 
 
-def _lattice_power(a: np.ndarray, h_ri: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def _lattice_power(a: np.ndarray, h_ri: np.ndarray) -> np.ndarray:
     """|column^H v|^2 over S solvers' lattices, one vector v per solver.
 
     ``a`` (S, N_p, n_angle) holds the angle terms sum_n conj(sw_pn) v_pn of
     each solver's vector and ``h_ri`` (S, 2 N_p, n_doppler * n_delay) the
     stacked real and imaginary parts of its lattice's Doppler-delay factor
-    h_p. The correlation sum_p a_p h_p is one real batched matmul, written
-    to ``out`` (S, 2 n_angle, n_doppler * n_delay) when given. Returns
-    (S, n_lattice) in (angle, doppler, delay) order, a view of ``out``. The
-    correlation is summed before squaring, unlike the projection's
-    Hermitian form, so a column nearly orthogonal to v keeps a near-zero
-    power: divided by a small denominator, it must not become a large score.
+    h_p. The correlation sum_p a_p h_p is one real batched matmul. Returns
+    (S, n_lattice) in (angle, doppler, delay) order. The correlation is
+    summed before squaring, unlike the projection's Hermitian form, so a
+    column nearly orthogonal to v keeps a near-zero power: divided by a
+    small denominator, it must not become a large score.
     """
     s, n_bins, n_angle = a.shape
     a = a.transpose(0, 2, 1)
@@ -329,15 +321,14 @@ def _lattice_power(a: np.ndarray, h_ri: np.ndarray,
     lhs = np.empty((s, 2, n_angle, 2, n_bins))
     lhs[:, 0, :, 0], lhs[:, 0, :, 1] = a.real, -a.imag
     lhs[:, 1, :, 0], lhs[:, 1, :, 1] = a.imag, a.real
-    out = np.matmul(lhs.reshape(s, 2 * n_angle, 2 * n_bins), h_ri, out=out)
-    np.square(out, out=out)
-    power = out[:, :n_angle]
-    power += out[:, n_angle:]
+    corr = np.matmul(lhs.reshape(s, 2 * n_angle, 2 * n_bins), h_ri)
+    np.square(corr, out=corr)
+    power = corr[:, :n_angle]
+    power += corr[:, n_angle:]
     return power.reshape(s, -1)
 
 
-def _lattice_projection(a: np.ndarray, hh_ri: np.ndarray, pairs: tuple,
-                        out: np.ndarray | None = None) -> np.ndarray:
+def _lattice_projection(a: np.ndarray, hh_ri: np.ndarray, pairs: tuple) -> np.ndarray:
     """sum_j |column^H q_j|^2 over S solvers' lattices.
 
     ``a`` (S, N_p, J, n_angle) holds the angle terms
@@ -345,11 +336,9 @@ def _lattice_projection(a: np.ndarray, hh_ri: np.ndarray, pairs: tuple,
     ``hh_ri`` (S, 2 n_pairs, n_doppler * n_delay) its lattice's pair
     products h_p conj(h_q) as stacked real and imaginary parts. The sum is
     sum_pj |a_pj|^2 + 2 Re sum_{p<q} sum_j a_pj conj(a_qj) conj(g_p) g_q,
-    one real batched matmul for all J, written to ``out``
-    (S, n_angle, n_doppler * n_delay) when given; the result is a view of
-    it. It loses absolute accuracy where the sum nearly cancels, which only
-    perturbs the denominator norm^2 - projection at the level its rounding
-    already has.
+    one real batched matmul for all J. It loses absolute accuracy where the
+    sum nearly cancels, which only perturbs the denominator
+    norm^2 - projection at the level its rounding already has.
     """
     s, _, _, n_angle = a.shape
     n_pairs = len(pairs[0])
@@ -358,9 +347,9 @@ def _lattice_projection(a: np.ndarray, hh_ri: np.ndarray, pairs: tuple,
     # Re(cross @ hh) from rows [Re cross, -Im cross]
     lhs = np.empty((s, n_angle, 2, n_pairs))
     lhs[:, :, 0], lhs[:, :, 1] = 2.0 * cross.real, -2.0 * cross.imag
-    out = np.matmul(lhs.reshape(s, n_angle, 2 * n_pairs), hh_ri, out=out)
-    out += (a.real ** 2 + a.imag ** 2).sum(axis=(1, 2))[:, :, None]
-    return out.reshape(s, -1)
+    proj = np.matmul(lhs.reshape(s, n_angle, 2 * n_pairs), hh_ri)
+    proj += (a.real ** 2 + a.imag ** 2).sum(axis=(1, 2))[:, :, None]
+    return proj.reshape(s, -1)
 
 
 class _WindowStack:
@@ -369,62 +358,40 @@ class _WindowStack:
     Every solver of the block is scored by one batched computation on its
     windows of the grid's superset factors: the spatial factor's and the
     penalty's are copied once per block, the Doppler-delay factors' at each
-    call. The large kernel outputs go to the arrays of ``scratch``, which
-    every block and neighborhood of one ``averaged_ssr`` call shares (the
-    neighborhoods are scored one at a time), so that the scores land in
-    the same memory at every step. Picks are flat indices into the window
-    lattice (angle, doppler, delay) in C order.
+    call. Picks are flat indices into the window lattice (angle, doppler,
+    delay) in C order.
     """
 
-    def __init__(self, grid: _FactoredGrid, starts: np.ndarray, scratch: dict):
+    def __init__(self, grid: _FactoredGrid, starts: np.ndarray):
         self.grid = grid
         self.starts = starts
         self.shape = grid.window
-        self.scratch = scratch
         # each solver's window of the conjugated spatial factor
         self.swc = grid.swc_windows[starts[:, 0]]
         penalty = self.gather(grid.penalty_windows)
         self.penalty2 = np.square(penalty, out=penalty)
-
-    def buffer(self, name: str, shape: tuple) -> np.ndarray:
-        """The float scratch array ``name`` as ``shape``: valid until the
-        next request for ``name``."""
-        size = int(np.prod(shape))
-        buf = self.scratch.get(name)
-        if buf is None or buf.size < size:
-            buf = self.scratch[name] = np.empty(size)
-        return buf[:size].reshape(shape)
 
     def gather(self, windows: np.ndarray) -> np.ndarray:
         """Each solver's window of a superset-lattice array, from all its
         ``windows`` (``_FactoredGrid.windows``): (S, n_window)."""
         return windows[tuple(self.starts.T)].reshape(len(self.starts), -1)
 
-    def penalty_rows(self, sel) -> np.ndarray:
-        """``penalty2`` of solvers ``sel``."""
-        if isinstance(sel, slice):
-            return self.penalty2[sel]
-        return np.take(self.penalty2, sel, axis=0,
-                       out=self.buffer("penalty2", (len(sel), self.penalty2.shape[1])))
-
     def power(self, vectors: np.ndarray, sel) -> np.ndarray:
         """|column^H v|^2 over the windows of solvers ``sel``: (S, n_window)."""
         _, iv, it = self.starts[sel].T
         a = _angle_terms(self.swc[sel], vectors[:, None])[:, :, 0]
-        s, n_bins, n_angle = a.shape
+        s, n_bins, _ = a.shape
         n_dd = self.shape[1] * self.shape[2]
         h = self.grid.h_windows[iv, it].reshape(s, 2 * n_bins, n_dd)
-        return _lattice_power(a, h, out=self.buffer("power", (s, 2 * n_angle, n_dd)))
+        return _lattice_power(a, h)
 
     def projection(self, q: np.ndarray, sel) -> np.ndarray:
         """sum_j |column^H q_j|^2 over the windows of solvers ``sel``."""
         _, iv, it = self.starts[sel].T
         a = _angle_terms(self.swc[sel], q.swapaxes(1, 2))
-        s, _, _, n_angle = a.shape
         n_dd = self.shape[1] * self.shape[2]
-        hh = self.grid.hh_windows[iv, it].reshape(s, len(self.grid.hh_ri), n_dd)
-        return _lattice_projection(a, hh, self.grid.pairs,
-                                   out=self.buffer("projection", (s, n_angle, n_dd)))
+        hh = self.grid.hh_windows[iv, it].reshape(len(a), len(self.grid.hh_ri), n_dd)
+        return _lattice_projection(a, hh, self.grid.pairs)
 
     def columns(self, loc: np.ndarray, sel) -> np.ndarray:
         """The picked (weighted) columns of solvers ``sel``: (S, N_p * N_r)."""
@@ -480,7 +447,7 @@ def _solve_block(y: np.ndarray, wins: list, y_windows: list,
                 scores = win.gather(y_windows[tid])
             else:
                 scores = win.power(residual[sel], sel)
-                scores /= win.penalty_rows(sel)
+                scores /= win.penalty2[sel]
             arg = np.argmax(scores, axis=1)
             val = np.take_along_axis(scores, arg[:, None], axis=1)[:, 0]
             better = val > best[sel] * (1.0 + TIE_RTOL) ** 2
@@ -515,7 +482,7 @@ def _solve_block(y: np.ndarray, wins: list, y_windows: list,
             den2 = win.projection(q, sel)
             np.subtract(win.grid.norm ** 2, den2, out=den2)
             np.maximum(den2, PERP_FLOOR * win.grid.norm ** 2, out=den2)
-            den2 *= win.penalty_rows(sel)
+            den2 *= win.penalty2[sel]
             scores = win.power(resid_perp, sel)
             scores /= den2
             new = np.argmax(scores, axis=1)
@@ -535,11 +502,10 @@ def _solve_batched(y: np.ndarray, grids: list, starts: np.ndarray,
     blocks' arrays are released on return, before the per-solver residuals.
     """
     y_windows = [grid.windows(grid.power(y) / grid.center_penalty ** 2) for grid in grids]
-    scratch = {}
     n_solvers = starts.shape[1]
     picks = np.empty((n_solvers, len(grids), 3), dtype=int)
     for b0 in range(0, n_solvers, SOLVER_BLOCK):
-        wins = [_WindowStack(grid, st[b0:b0 + SOLVER_BLOCK], scratch)
+        wins = [_WindowStack(grid, st[b0:b0 + SOLVER_BLOCK])
                 for grid, st in zip(grids, starts)]
         loc = _solve_block(y, wins, y_windows, sweeps=sweeps)
         for tid, win in enumerate(wins):

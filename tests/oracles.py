@@ -87,10 +87,9 @@ def window_draws(specs, seed: int, solver: int) -> list:
             for spec in specs]
 
 
-def window_box(grid: _FactoredGrid, draws: tuple) -> tuple:
-    """Superset-lattice slices of the window of one solver's draws k per axis:
-    each window starts at index n_points - 1 - k."""
-    spec = grid.spec
+def window_box(spec, draws: tuple) -> tuple:
+    """Superset-lattice slices of the window of one solver's draws k per axis
+    in neighborhood ``spec``: each window starts at index n_points - 1 - k."""
     box = []
     for ax, k in zip((spec.angle, spec.doppler, spec.delay), draws):
         start = ax.n_points - 1 - k
@@ -101,7 +100,7 @@ def window_box(grid: _FactoredGrid, draws: tuple) -> tuple:
 def correlations(grid: _FactoredGrid, residual: np.ndarray, box) -> np.ndarray:
     """|column^H residual| over one window of the lattice."""
     sw, g = grid.sw[box[0]], grid.g[box[1], box[2]]
-    r = residual.reshape(sw.shape[1], grid.n_rx)
+    r = residual.reshape(sw.shape[1:])
     t = np.einsum("ipn,pn->pi", sw.conj(), r)
     return np.abs(np.einsum("vtp,pi->ivt", g.conj(), t))
 
@@ -109,10 +108,16 @@ def correlations(grid: _FactoredGrid, residual: np.ndarray, box) -> np.ndarray:
 def projections(grid: _FactoredGrid, q: np.ndarray, box) -> np.ndarray:
     """|Q^H column|^2 summed over the orthonormal columns of Q, on one window."""
     sw, g = grid.sw[box[0]], grid.g[box[1], box[2]]
-    qr_ = q.reshape(sw.shape[1], grid.n_rx, q.shape[1])
+    qr_ = q.reshape(*sw.shape[1:], q.shape[1])
     qs = np.einsum("pnj,ipn->jpi", qr_.conj(), sw)
     m = np.einsum("jpi,vtp->jivt", qs, g)
     return np.sum(np.abs(m) ** 2, axis=0)
+
+
+def grid_point(grid: _FactoredGrid, idx: tuple) -> np.ndarray:
+    """(angle, doppler, delay) at superset indices ``idx`` of ``grid``."""
+    ia, iv, it = idx
+    return np.array([grid.angles[ia], grid.dopplers[iv], grid.delays[it]])
 
 
 def box_argmax(scores: np.ndarray, box: tuple) -> tuple:
@@ -164,7 +169,7 @@ def solve_windows(y: np.ndarray, grids: list, boxes: list,
     cols = np.column_stack([grids[t].columns(*p) for t, p in enumerate(picks)])
     coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
     residual_norm = float(np.linalg.norm(y - cols @ coef))
-    points = np.array([grids[t].point(p) for t, p in enumerate(picks)])
+    points = np.array([grid_point(g, p) for g, p in zip(grids, picks)])
     return points, residual_norm
 
 
@@ -177,7 +182,7 @@ def serial_averaged_ssr(snapshot, specs, cfg, n_solvers: int, seed: int = 0,
              for spec in specs]
     solver_estimates = []
     for s in range(n_solvers):
-        boxes = [window_box(grid, d) for grid, d in zip(grids, window_draws(specs, seed, s))]
+        boxes = [window_box(spec, d) for spec, d in zip(specs, window_draws(specs, seed, s))]
         solver_estimates.append(solve_windows(y, grids, boxes, sweeps=sweeps))
     estimates, residual = min(solver_estimates, key=lambda e: e[1])
     return {"solver_estimates": solver_estimates, "estimates": estimates,
@@ -206,7 +211,7 @@ def exhaustive_ssr_minimum(snapshot, specs, cfg) -> tuple:
         if residual < best[0]:
             best = (residual, picks)
     residual, picks = best
-    return np.array([g.point(p) for g, p in zip(grids, picks)]), residual
+    return np.array([grid_point(g, p) for g, p in zip(grids, picks)]), residual
 
 
 def isfft_matrix(n: int, m: int) -> np.ndarray:

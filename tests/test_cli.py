@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from otfs_isac.cli import main
+from otfs_isac.coarse import resolution_report
+from otfs_isac.config import SystemConfig
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
@@ -35,6 +37,13 @@ def test_resolution_prints_range_resolution(capsys):
     values = {line.split(" = ")[0]: float(line.split(" = ")[1])
               for line in out.strip().splitlines()}
     assert abs(values["range_resolution_m"] - 0.61) <= 0.01
+
+
+def test_resolution_defaults_are_the_system_config_defaults(capsys):
+    assert main(["resolution"]) == 0
+    expected = "".join(f"{key} = {value:.6g}\n"
+                       for key, value in resolution_report(SystemConfig()).items())
+    assert capsys.readouterr().out == expected
 
 
 def test_crlb_outputs_csv(capsys):
@@ -137,16 +146,14 @@ def test_no_command_exits_nonzero():
 
 
 class _RecordingContext:
-    """Stands in for a multiprocessing context: records pool sizes, runs the
-    worker initializer and the tasks inline."""
+    """Stands in for a multiprocessing context: records pool sizes and runs
+    the tasks inline."""
 
     def __init__(self):
         self.sizes = []
 
-    def Pool(self, processes, initializer=None):
+    def Pool(self, processes):
         self.sizes.append(processes)
-        if initializer is not None:
-            initializer()
         return _InlinePool()
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import otfs_isac
+from otfs_isac import experiments
 from otfs_isac.experiments import run_scenario
 from otfs_isac.scenario import scenario_from_dict
 
@@ -156,30 +157,69 @@ with tempfile.TemporaryDirectory() as out:
     print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 4)
 """
 
+# minor page faults of a warm averaged_ssr call made straight from the
+# library, in the ssr_close_angles geometry (64x128 grid, 16 Rx, 4 diagonal
+# private bins, 3 neighborhoods, 64 solvers)
+WARM_SSR_FAULTS = """
+import resource, types
+import numpy as np
+from otfs_isac.config import SystemConfig
+from otfs_isac.virtual_array import VirtualSnapshot, averaged_ssr, default_neighborhood
+cfg = SystemConfig()
+rng = np.random.default_rng(0)
+n_rows = 4 * cfg.n_rx
+snapshot = VirtualSnapshot(
+    values=rng.standard_normal(n_rows) + 1j * rng.standard_normal(n_rows),
+    bin_meta=tuple((p, (p, p)) for p in range(4)), n_rx=cfg.n_rx,
+    row_weights=rng.uniform(0.5, 1.5, n_rows))
+specs = [default_neighborhood(types.SimpleNamespace(
+    angle_rad=np.deg2rad(a), doppler_hz=(3 + 5 * k) * cfg.doppler_spacing_hz,
+    delay_s=(4 + 7 * k) * cfg.delay_spacing_s), cfg)
+    for k, a in enumerate((12.0, 14.0, 16.0))]
+averaged_ssr(snapshot, specs, cfg, n_solvers=64, seed=1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+averaged_ssr(snapshot, specs, cfg, n_solvers=64, seed=1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
-@pytest.mark.skipif(not libc_has_mallopt(), reason="libc has no mallopt")
-def test_warm_trials_take_no_page_faults():
-    """Once warm, a trial reuses heap pages: about 1,900 minor faults per
-    trial with glibc's defaults, about 0 with the steady heap. Measured in a
-    fresh interpreter, because malloc's dynamic mmap threshold depends on
-    what the process allocated and freed before."""
+
+def fresh_interpreter(script, *args):
+    """stdout of ``script`` run in a fresh interpreter on this package: malloc's
+    dynamic mmap threshold depends on what the process allocated and freed
+    before."""
     package_root = os.path.dirname(os.path.dirname(otfs_isac.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [package_root,
                                                         os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", WARM_FAULTS,
-                          str(SCENARIO_DIR / "coarse_three_targets.json")],
-                         env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert float(out.stdout) < 100
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=True).stdout
 
 
-def test_steady_heap_sets_top_pad_and_mmap_threshold(tmp_path, monkeypatch):
+@pytest.mark.skipif(not libc_has_mallopt(), reason="libc has no mallopt")
+@pytest.mark.parametrize("name", ["coarse_three_targets.json", "ssr_close_angles.json"])
+def test_warm_trials_take_no_page_faults(name):
+    """Once warm, a trial reuses heap pages: about 1,900 minor faults per
+    coarse_three_targets trial with glibc's defaults, about 0 with the
+    steady heap."""
+    assert float(fresh_interpreter(WARM_FAULTS, str(SCENARIO_DIR / name))) < 100
+
+
+@pytest.mark.skipif(not libc_has_mallopt(), reason="libc has no mallopt")
+def test_library_ssr_call_takes_no_page_faults():
+    """Importing the package sets the steady heap, so a caller of
+    averaged_ssr that never runs a scenario reuses heap pages too: about
+    2,000 minor faults per warm call on this snapshot with glibc's defaults,
+    about 0 with the steady heap."""
+    assert int(fresh_interpreter(WARM_SSR_FAULTS)) < 100
+
+
+def test_steady_heap_sets_top_pad_and_mmap_threshold(monkeypatch):
     """Any mallopt call freezes glibc's dynamic mmap threshold, so the
     threshold is raised along with the top pad."""
     calls = []
     libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
     monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
-    run_scenario(scenario_from_dict(small_raw()), tmp_path)
+    experiments._steady_heap()
     assert calls == [(-2, 64 << 20), (-3, 32 << 20)]
 
 
@@ -189,11 +229,26 @@ def libc_not_found(name):
 
 @pytest.mark.parametrize("cdll", [libc_not_found, lambda name: object()],
                          ids=["oserror", "no-mallopt"])
-def test_runs_without_mallopt(tmp_path, monkeypatch, cdll):
+def test_runs_without_mallopt(monkeypatch, cdll):
     """Where libc cannot be loaded or has no mallopt, the heap is left alone
-    and the run writes the same files."""
-    sc = scenario_from_dict(small_raw())
-    expected = Path(run_scenario(sc, tmp_path / "mallopt")["trials"]).read_bytes()
+    without an error."""
     monkeypatch.setattr(ctypes, "CDLL", cdll)
-    paths = run_scenario(sc, tmp_path / "no-mallopt")
-    assert Path(paths["trials"]).read_bytes() == expected
+    experiments._steady_heap()
+
+
+def test_git_describe_runs_once_per_process(tmp_path, monkeypatch):
+    """The manifest's version string is computed once, not once per run."""
+    calls = []
+    run = subprocess.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return run(*args, **kwargs)
+
+    experiments._version_string.cache_clear()
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    sc = scenario_from_dict(small_raw(experiment_kind="crlb", targets=[]))
+    manifests = [json.loads(Path(run_scenario(sc, tmp_path / d)["manifest"]).read_text())
+                 for d in ("a", "b")]
+    assert len(calls) == 1
+    assert manifests[0]["version"] == manifests[1]["version"]

@@ -99,7 +99,8 @@ def test_grid_columns_match_steering_formula():
 ])
 def test_window_kernels_match_direct_sums(n_bins, n_solvers, sel):
     """The window scores against |C^H v|^2 and sum_j |C^H q_j|^2 with C built
-    column by column from the grid's column builder."""
+    column by column from the grid's column builder. Each result owns its
+    memory: a second call leaves the first one's scores as they were."""
     cfg = small_cfg()
     bin_meta = ((1, (2, 3)), (3, (0, 5)), (0, (4, 1)), (2, (7, 7)))[:n_bins]
     rng = np.random.default_rng(n_bins * 10 + n_solvers)
@@ -110,13 +111,17 @@ def test_window_kernels_match_direct_sums(n_bins, n_solvers, sel):
     grid = _FactoredGrid(spec, bin_meta, cfg.n_rx, cfg, weights)
     shape = [ax.n_points for ax in (spec.angle, spec.doppler, spec.delay)]
     starts = rng.integers(0, shape, size=(n_solvers, 3))
-    win = virtual_array._WindowStack(grid, starts, {})
+    win = virtual_array._WindowStack(grid, starts)
     rows = np.arange(n_solvers)[sel]
     n_rows, n_j = len(bin_meta) * cfg.n_rx, 2
     v = rng.standard_normal((len(rows), n_rows)) + 1j * rng.standard_normal((len(rows), n_rows))
     q = (rng.standard_normal((len(rows), n_rows, n_j))
          + 1j * rng.standard_normal((len(rows), n_rows, n_j)))
     power, projection = win.power(v, sel), win.projection(q, sel)
+    kept = power.copy(), projection.copy()
+    win.power(2.0 * v, sel), win.projection(2.0 * q, sel)
+    np.testing.assert_array_equal(power, kept[0])
+    np.testing.assert_array_equal(projection, kept[1])
     assert power.shape == projection.shape == (len(rows), np.prod(shape))
     for i, s in enumerate(rows):
         ia, iv, it = np.ix_(*(st + np.arange(n) for st, n in zip(starts[s], shape)))
