@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import SystemConfig, Target
+from .crlb import snr_linear
 
 
 def tf_channel_grid(target: Target, cfg: SystemConfig) -> np.ndarray:
@@ -61,10 +62,9 @@ def radar_receive(tx_tf, targets, cfg: SystemConfig, snr_db: float | None = None
 
 
 def noise_variance(snr_db: float) -> float:
-    """Per-sample complex noise variance for the given SNR, unit signal power."""
-    if np.isinf(snr_db):
-        return 0.0
-    return 1.0 / 10.0 ** (snr_db / 10.0)
+    """Per-sample complex noise variance for the given SNR, unit signal power:
+    1 / snr_linear, 0 for an infinite SNR."""
+    return 1.0 / snr_linear(snr_db)
 
 
 def complex_noise(shape, noise_var: float, rng: np.random.Generator) -> np.ndarray:

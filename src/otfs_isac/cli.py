@@ -27,7 +27,9 @@ from .coarse import resolution_report
 from .config import SystemConfig
 from .crlb import crlb_curve
 from .exceptions import ConfigValidationError, OtfsIsacError
-from .scenario import MAX_TRIAL_CELLS, Scenario, load_scenario, scenario_from_dict
+from .scenario import (MAX_TRIAL_CELLS, SNR_DB_BOUND, Scenario, load_scenario,
+                       scenario_from_dict)
+from .schema import check
 from .experiments import run_scenario
 
 OUT_ENV_VAR = "OTFS_ISAC_OUT"
@@ -110,6 +112,10 @@ def _cmd_crlb(args) -> int:
     cfg, error = _config(args, n_rx=args.n_rx)
     if cfg is None:
         return error
+    for snr_db in args.snr_db:
+        message = check(float, snr_db, SNR_DB_BOUND)
+        if message:
+            return _fail("invalid-argument", f"--snr-db: {message}")
     rows = crlb_curve(cfg, args.snr_db)
     keys = list(rows[0].keys())
     print(",".join(keys))

@@ -1,14 +1,15 @@
 """Monte Carlo experiment runner: scenarios in, CSV/JSON data files out.
 
 Each experiment writes one long-format per-trial CSV (snr_db, trial, metric,
-value), one aggregate CSV (snr_db, metric, value), and a JSON manifest with
-the resolved configuration. Per-trial RNG sub-streams are keyed by (SNR
-index, trial index), so results are bit-identical regardless of the degree
-of parallelism.
+value), one aggregate CSV (snr_db, metric, value) as the kind's metric table
+declares, and a JSON manifest with the resolved configuration and failures.
+Per-trial RNG sub-streams are keyed by (SNR index, trial index), so results
+are bit-identical regardless of the degree of parallelism.
 """
 
 from __future__ import annotations
 
+import collections
 import csv
 import ctypes
 import functools
@@ -16,6 +17,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 from dataclasses import replace
 
@@ -26,12 +28,13 @@ from .comm import ber_frame, symbol_capacity, transmit_chain
 from .config import SPEED_OF_LIGHT, Target, substream, unit_phases
 from .crlb import crlb_report
 from .channel import radar_receive
-from .exceptions import OtfsIsacError, PeakSeparationFailure
+from .exceptions import OtfsIsacError
 from .scenario import RANDOM_VELOCITY_RANGE_MPS, Scenario
 from .virtual_array import (angle_surface, averaged_ssr, build_virtual_snapshot,
                             default_neighborhood)
 
 RANDOM_ANGLE_RANGE_DEG = (-60.0, 60.0)
+NAN = float("nan")
 
 # glibc mallopt parameters (malloc.h)
 _M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
@@ -81,69 +84,60 @@ def _version_string() -> str:
     return __version__
 
 
-def _rng(scenario: Scenario, snr_idx: int, trial: int, purpose: int):
-    return substream(scenario.seed, snr_idx, trial, purpose)
+# --- the trial skeleton: draw, transmit, receive, estimate -----------------
+
+# One (SNR, trial) cell of a run; ``truth`` is what the kind's estimates are
+# scored against and ``scene`` the (dd, tf, rx_tf) of its radar frame.
+Cell = collections.namedtuple("Cell", "scenario snr_db snr_idx trial truth scene",
+                              defaults=(None, ()))
 
 
-def _angle_floor(true_rad: float, cfg, pad_factor: int) -> float:
-    """Squared error of the nearest padded-DFT grid angle (quantization floor)."""
-    k = pad_factor * cfg.n_rx
-    sin_grid = np.fft.fftfreq(k) * cfg.wavelength_m / cfg.g_r
-    grid = np.arcsin(sin_grid[np.abs(sin_grid) <= 1.0])
-    return float((grid[np.argmin(np.abs(grid - true_rad))] - true_rad) ** 2)
-
-
-def _random_single_target(scenario: Scenario, rng) -> Target:
-    cfg = scenario.system
-    res = resolution_report(cfg)
-    angle = rng.uniform(*RANDOM_ANGLE_RANGE_DEG)
-    rng_m = rng.uniform(0.1 * res["range_max_m"], 0.8 * res["range_max_m"])
-    vel = rng.uniform(-0.4 * res["velocity_max_mps"], 0.4 * res["velocity_max_mps"])
-    return Target.from_range_velocity(angle, rng_m, vel, cfg.carrier_freq_hz,
-                                      gain=unit_phases(rng, 1)[0])
-
-
-def _with_random_gains(scenario: Scenario, rng) -> list:
-    """The scenario's targets, each with a fresh unit-magnitude gain."""
-    gains = unit_phases(rng, len(scenario.paths))
-    return [replace(t, gain=g) for t, g in zip(scenario.paths, gains)]
-
-
-# --- the trial skeleton: transmit, receive, refine ------------------------
-
-def _scene(scenario: Scenario, targets, snr_db, snr_idx, trial, rng):
-    """One frame through the radar channel; returns (dd, tf, rx_tf).
-
-    The bits come from ``rng`` (purpose 0, after the targets), the noise
-    from purpose 1.
-    """
+def _frame(cell: Cell, draw) -> Cell:
+    """``cell`` with the truth of ``draw`` and its targets' radar frame: targets
+    and bits from the purpose-0 stream, noise from purpose 1."""
+    scenario = cell.scenario
     cfg, alloc = scenario.system, scenario.bin_allocation
+    rng = substream(scenario.seed, cell.snr_idx, cell.trial, 0)
+    targets, truth = draw(scenario, rng)
     bits = rng.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
     dd, tf = transmit_chain(bits, alloc, cfg)
-    rx_tf = radar_receive(tf, targets, cfg, snr_db=snr_db,
-                          rng=_rng(scenario, snr_idx, trial, 1))
-    return dd, tf, rx_tf
+    rx_tf = radar_receive(tf, targets, cfg, snr_db=cell.snr_db,
+                          rng=substream(scenario.seed, cell.snr_idx, cell.trial, 1))
+    return cell._replace(truth=truth, scene=(dd, tf, rx_tf))
 
 
-def _solver_seed(scenario: Scenario, snr_idx: int, trial: int) -> int:
-    return scenario.seed * 1_000_003 + snr_idx * 10_007 + trial
+def _run_cell(args):
+    """(snr_idx, trial, rows, the exception type name of each failed call) of
+    one cell; a call that raises a package error writes its failure rows."""
+    scenario, snr_idx, trial = args
+    kind = KINDS[scenario.experiment_kind]
+    cell = Cell(scenario, scenario.snr_db_values[snr_idx], snr_idx, trial)
+    if kind.draw is not None:
+        cell = _frame(cell, kind.draw)
+    rows, failures = [], []
+    for estimate, failure_rows in kind.estimates:
+        try:
+            rows += estimate(cell)
+        except OtfsIsacError as exc:
+            rows += failure_rows
+            failures.append(type(exc).__name__)
+    return snr_idx, trial, rows, failures
 
 
-def _refine(scenario: Scenario, scene, n_targets, n_angles, peaks_per_angle,
-            solver_seed):
-    """Coarse estimates refined by bagged SSR on the virtual array.
+def _solver_seed(cell: Cell) -> int:
+    return cell.scenario.seed * 1_000_003 + cell.snr_idx * 10_007 + cell.trial
 
-    Returns (snapshot, specs, result), or None when the coarse stage fails.
-    The neighborhoods cycle through the coarse estimates, one per target.
-    """
+
+def _refine(cell: Cell, n_targets, n_angles, peaks_per_angle, solver_seed):
+    """The cell's coarse estimates refined by bagged SSR on the virtual array:
+    (snapshot, specs, result). The neighborhoods cycle through the coarse
+    estimates, one per target; a failed coarse stage raises."""
+    scenario = cell.scenario
     cfg, est = scenario.system, scenario.estimator
-    dd, tf, rx_tf = scene
-    try:
-        coarse = coarse_pipeline(rx_tf, dd, cfg, n_angles=n_angles,
-                                 peaks_per_angle=peaks_per_angle,
-                                 pad_factor=est.dft_pad_factor)
-    except OtfsIsacError:
-        return None
+    dd, tf, rx_tf = cell.scene
+    coarse = coarse_pipeline(rx_tf, dd, cfg, n_angles=n_angles,
+                             peaks_per_angle=peaks_per_angle,
+                             pad_factor=est.dft_pad_factor)
     snapshot = build_virtual_snapshot(rx_tf, tf, scenario.bin_allocation)
     specs = [default_neighborhood(
         c, cfg,
@@ -158,91 +152,31 @@ def _refine(scenario: Scenario, scene, n_targets, n_angles, peaks_per_angle,
     return snapshot, specs, result
 
 
-# --- one (snr, trial) record per experiment kind -------------------------
+def _single_target(scenario: Scenario, rng):
+    """The first listed target, else a random one; the truth is its angle."""
+    if scenario.paths:
+        target = scenario.paths[0]
+    else:
+        cfg = scenario.system
+        res = resolution_report(cfg)
+        angle = rng.uniform(*RANDOM_ANGLE_RANGE_DEG)
+        rng_m = rng.uniform(0.1 * res["range_max_m"], 0.8 * res["range_max_m"])
+        vel = rng.uniform(-0.4 * res["velocity_max_mps"], 0.4 * res["velocity_max_mps"])
+        target = Target.from_range_velocity(angle, rng_m, vel, cfg.carrier_freq_hz,
+                                            gain=unit_phases(rng, 1)[0])
+    return [target], target.angle_rad
 
-def _trial_coarse_angle_mse(scenario, snr_db, snr_idx, trial):
+
+def _random_gains(scenario: Scenario, rng):
+    """The scenario's targets with fresh unit-magnitude gains, as the truth too."""
+    gains = unit_phases(rng, len(scenario.paths))
+    targets = [replace(t, gain=g) for t, g in zip(scenario.paths, gains)]
+    return targets, targets
+
+
+def _random_velocity(scenario: Scenario, rng):
+    """One target at the template's angle and range and a random velocity, the truth."""
     cfg = scenario.system
-    est = scenario.estimator
-    rng = _rng(scenario, snr_idx, trial, 0)
-    target = (scenario.paths[0] if scenario.paths
-              else _random_single_target(scenario, rng))
-    _, _, rx_tf = _scene(scenario, [target], snr_db, snr_idx, trial, rng)
-    true = target.angle_rad
-    rows = []
-    for mode, average in (("all_bins", True), ("single_bin", False)):
-        try:
-            angles, _, _ = estimate_angles(rx_tf, 1, cfg,
-                                           pad_factor=est.dft_pad_factor,
-                                           average=average)
-            rows.append((f"angle_sq_err_{mode}_rad2", float((angles[0] - true) ** 2)))
-        except OtfsIsacError:
-            rows.append((f"angle_sq_err_{mode}_rad2", float("nan")))
-    rows.append(("angle_crlb_rad2",
-                 crlb_report(cfg, snr_db, ref_angle_rad=true)["angle_crlb_rad2"]))
-    rows.append(("angle_floor_rad2", _angle_floor(true, cfg, est.dft_pad_factor)))
-    return rows
-
-
-def _trial_dd_correlation(scenario, snr_db, snr_idx, trial):
-    cfg = scenario.system
-    est = scenario.estimator
-    rng = _rng(scenario, snr_idx, trial, 0)
-    targets = _with_random_gains(scenario, rng)
-    dd, _, rx_tf = _scene(scenario, targets, snr_db, snr_idx, trial, rng)
-    res = resolution_report(cfg)
-    sin_tol = 2.0 / (est.dft_pad_factor * cfg.n_rx)
-    rows = []
-    try:
-        # one peak per angle (validation holds peaks_per_angle to 1)
-        estimates = coarse_pipeline(rx_tf, dd, cfg, n_angles=len(targets),
-                                    pad_factor=est.dft_pad_factor)
-    except OtfsIsacError:
-        rows.append(("recovered_all", 0.0))
-        return rows
-    estimates = sorted(estimates, key=lambda e: e.angle_rad)
-    order = np.argsort([t.angle_rad for t in targets])
-    ok = len(estimates) == len(targets)
-    for j, e in zip(order, estimates):
-        t = targets[j]
-        rows.append((f"angle_abs_err_sin_t{j}",
-                     float(abs(np.sin(e.angle_rad) - np.sin(t.angle_rad)))))
-        rows.append((f"range_abs_err_m_t{j}", float(abs(e.range_m - t.range_m))))
-        rows.append((f"velocity_abs_err_mps_t{j}",
-                     float(abs(e.velocity_mps
-                               - t.velocity_mps(cfg.carrier_freq_hz)))))
-        ok = ok and abs(np.sin(e.angle_rad) - np.sin(t.angle_rad)) <= sin_tol + 1e-12
-        ok = ok and abs(e.range_m - t.range_m) <= res["range_resolution_m"]
-        ok = ok and (abs(e.velocity_mps - t.velocity_mps(cfg.carrier_freq_hz))
-                     <= res["velocity_resolution_mps"])
-    rows.append(("recovered_all", float(ok)))
-    return rows
-
-
-def _trial_ssr_angle(scenario, snr_db, snr_idx, trial):
-    est = scenario.estimator
-    rng = _rng(scenario, snr_idx, trial, 0)
-    targets = _with_random_gains(scenario, rng)
-    scene = _scene(scenario, targets, snr_db, snr_idx, trial, rng)
-    refined = _refine(scenario, scene, len(targets), est.n_angles or 1,
-                      est.peaks_per_angle, _solver_seed(scenario, snr_idx, trial))
-    if refined is None:
-        return [("coarse_failed", 1.0)]
-    est_angles = np.sort(refined[2].estimates[:, 0])
-    true = np.sort([t.angle_rad for t in targets])
-    # With every true angle at 0 the normalized error is undefined; nan is
-    # skipped by the aggregate like a failed estimate.
-    power = np.sum(true ** 2)
-    nmse = float(np.sum((est_angles - true) ** 2) / power) if power > 0 else float("nan")
-    rows = [("coarse_failed", 0.0), ("angle_nmse", nmse),
-            ("all_within_1deg",
-             float(np.max(np.abs(est_angles - true)) <= np.deg2rad(1.0) + 1e-12))]
-    rows.extend((f"angle_est_rad_t{j}", float(a)) for j, a in enumerate(est_angles))
-    return rows
-
-
-def _trial_ssr_velocity(scenario, snr_db, snr_idx, trial):
-    cfg = scenario.system
-    rng = _rng(scenario, snr_idx, trial, 0)
     if scenario.targets:
         template = scenario.targets[0]
         angle_deg, range_m = template.angle_deg, template.range_m
@@ -253,68 +187,157 @@ def _trial_ssr_velocity(scenario, snr_db, snr_idx, trial):
     target = Target.from_range_velocity(angle_deg, range_m, velocity,
                                         cfg.carrier_freq_hz,
                                         gain=unit_phases(rng, 1)[0])
-    scene = _scene(scenario, [target], snr_db, snr_idx, trial, rng)
-    refined = _refine(scenario, scene, 1, 1, 1,
-                      _solver_seed(scenario, snr_idx, trial))
-    if refined is None:
-        return [("coarse_failed", 1.0)]
-    v_hat = refined[2].estimates[0][1] * SPEED_OF_LIGHT / (2.0 * cfg.carrier_freq_hz)
+    return [target], velocity
+
+
+def _angle_sq_err(mode: str, cell: Cell):
+    angles, _, _ = estimate_angles(cell.scene[2], 1, cell.scenario.system,
+                                   pad_factor=cell.scenario.estimator.dft_pad_factor,
+                                   average=mode == "all_bins")
+    return [(f"angle_sq_err_{mode}_rad2", float((angles[0] - cell.truth) ** 2))]
+
+
+def _angle_bounds(cell: Cell):
+    """The CRLB and the quantization floor: the nearest padded-DFT grid angle's error."""
+    cfg, true = cell.scenario.system, cell.truth
+    k = cell.scenario.estimator.dft_pad_factor * cfg.n_rx
+    sin_grid = np.fft.fftfreq(k) * cfg.wavelength_m / cfg.g_r
+    grid = np.arcsin(sin_grid[np.abs(sin_grid) <= 1.0])
+    return [("angle_crlb_rad2",
+             crlb_report(cfg, cell.snr_db, ref_angle_rad=true)["angle_crlb_rad2"]),
+            ("angle_floor_rad2", float((grid[np.argmin(np.abs(grid - true))] - true) ** 2))]
+
+
+def _dd_correlation(cell: Cell):
+    cfg, est, targets = cell.scenario.system, cell.scenario.estimator, cell.truth
+    dd, _, rx_tf = cell.scene
+    res = resolution_report(cfg)
+    names = ("angle_abs_err_sin", "range_abs_err_m", "velocity_abs_err_mps")
+    limits = (2.0 / (est.dft_pad_factor * cfg.n_rx) + 1e-12, res["range_resolution_m"],
+              res["velocity_resolution_mps"])
+    # one peak per angle (validation holds peaks_per_angle to 1)
+    estimates = coarse_pipeline(rx_tf, dd, cfg, n_angles=len(targets),
+                                pad_factor=est.dft_pad_factor)
+    estimates = sorted(estimates, key=lambda e: e.angle_rad)
+    order = np.argsort([t.angle_rad for t in targets])
+    ok = len(estimates) == len(targets)
+    rows = []
+    for j, e in zip(order, estimates):
+        t = targets[j]
+        errors = (abs(np.sin(e.angle_rad) - np.sin(t.angle_rad)), abs(e.range_m - t.range_m),
+                  abs(e.velocity_mps - t.velocity_mps(cfg.carrier_freq_hz)))
+        rows += [(f"{name}_t{j}", float(error)) for name, error in zip(names, errors)]
+        ok = ok and all(error <= limit for error, limit in zip(errors, limits))
+    return rows + [("recovered_all", float(ok))]
+
+
+def _ssr_angle(cell: Cell):
+    est, targets = cell.scenario.estimator, cell.truth
+    _, _, result = _refine(cell, len(targets), est.n_angles or 1, est.peaks_per_angle,
+                           _solver_seed(cell))
+    est_angles = np.sort(result.estimates[:, 0])
+    true = np.sort([t.angle_rad for t in targets])
+    # With every true angle at 0 the normalized error is undefined; nan is
+    # skipped by the aggregate like a failed estimate.
+    power = np.sum(true ** 2)
+    nmse = float(np.sum((est_angles - true) ** 2) / power) if power > 0 else NAN
+    rows = [("coarse_failed", 0.0), ("angle_nmse", nmse),
+            ("all_within_1deg",
+             float(np.max(np.abs(est_angles - true)) <= np.deg2rad(1.0) + 1e-12))]
+    return rows + [(f"angle_est_rad_t{j}", float(a)) for j, a in enumerate(est_angles)]
+
+
+def _ssr_velocity(cell: Cell):
+    cfg = cell.scenario.system
+    _, _, result = _refine(cell, 1, 1, 1, _solver_seed(cell))
+    v_hat = result.estimates[0][1] * SPEED_OF_LIGHT / (2.0 * cfg.carrier_freq_hz)
     return [("coarse_failed", 0.0),
-            ("velocity_sq_err_mps2", float((v_hat - velocity) ** 2)),
+            ("velocity_sq_err_mps2", float((v_hat - cell.truth) ** 2)),
             ("velocity_crlb_mps2",
-             crlb_report(cfg, snr_db)["velocity_crlb_mps2"])]
+             crlb_report(cfg, cell.snr_db)["velocity_crlb_mps2"])]
 
 
-def _trial_comm_ber(scenario, snr_db, snr_idx, trial):
+def _comm_ber(cell: Cell):
+    scenario = cell.scenario
     errors, bits = ber_frame(scenario.system, scenario.bin_allocation,
-                             list(scenario.paths), snr_db,
-                             seed=scenario.seed * 1_000_003 + snr_idx,
-                             frame_index=trial)
+                             list(scenario.paths), cell.snr_db,
+                             seed=scenario.seed * 1_000_003 + cell.snr_idx,
+                             frame_index=cell.trial)
     return [("bit_errors", float(errors)), ("bit_count", float(bits))]
 
 
-def _trial_crlb(scenario, snr_db, snr_idx, trial):
-    report = crlb_report(scenario.system, snr_db)
-    return sorted(report.items())
+def _crlb(cell: Cell):
+    return sorted(crlb_report(cell.scenario.system, cell.snr_db).items())
 
 
-_TRIAL_FUNCS = {
-    "coarse-angle-mse": _trial_coarse_angle_mse,
-    "dd-correlation": _trial_dd_correlation,
-    "ssr-angle": _trial_ssr_angle,
-    "ssr-velocity": _trial_ssr_velocity,
-    "comm-ber": _trial_comm_ber,
-    "crlb": _trial_crlb,
+# An experiment kind: its draw (None: no radar frame), its (estimator call,
+# rows written when the call raises) pairs, and its metric table.
+Kind = collections.namedtuple("Kind", "draw estimates metrics")
+# A trials.csv metric ({j}: a target index), its unit, and its aggregate.csv
+# name and reduction: "mean", "sum" or "ratio to <metric>" (see _aggregate).
+Metric = collections.namedtuple("Metric", "name unit aggregate reduction", defaults=("mean",))
+KINDS = {
+    # each DFT mode is its own call, so a failed mode writes only its own nan
+    "coarse-angle-mse": Kind(_single_target, [
+        (functools.partial(_angle_sq_err, "all_bins"), [("angle_sq_err_all_bins_rad2", NAN)]),
+        (functools.partial(_angle_sq_err, "single_bin"),
+         [("angle_sq_err_single_bin_rad2", NAN)]),
+        (_angle_bounds, [])], (
+        Metric("angle_crlb_rad2", "rad^2", "angle_crlb_rad2_mean"),
+        Metric("angle_floor_rad2", "rad^2", "angle_floor_rad2_mean"),
+        Metric("angle_sq_err_all_bins_rad2", "rad^2", "angle_mse_all_bins_rad2_mean"),
+        Metric("angle_sq_err_single_bin_rad2", "rad^2", "angle_mse_single_bin_rad2_mean"))),
+    "dd-correlation": Kind(_random_gains, [(_dd_correlation, [("recovered_all", 0.0)])], (
+        Metric("angle_abs_err_sin_t{j}", "", "angle_abs_err_sin_t{j}_mean"),
+        Metric("range_abs_err_m_t{j}", "m", "range_abs_err_m_t{j}_mean"),
+        Metric("recovered_all", "", "recovered_all_rate"),
+        Metric("velocity_abs_err_mps_t{j}", "m/s", "velocity_abs_err_mps_t{j}_mean"))),
+    "ssr-angle": Kind(_random_gains, [(_ssr_angle, [("coarse_failed", 1.0)])], (
+        Metric("all_within_1deg", "", "all_within_1deg_rate"),
+        Metric("angle_est_rad_t{j}", "rad", "angle_est_rad_t{j}_mean"),
+        Metric("angle_nmse", "", "angle_nmse_mean"),
+        Metric("coarse_failed", "", "coarse_failed_rate"))),
+    "ssr-velocity": Kind(_random_velocity, [(_ssr_velocity, [("coarse_failed", 1.0)])], (
+        Metric("coarse_failed", "", "coarse_failed_rate"),
+        Metric("velocity_crlb_mps2", "(m/s)^2", "velocity_crlb_mps2_mean"),
+        Metric("velocity_sq_err_mps2", "(m/s)^2", "velocity_mse_mps2_mean"))),
+    "comm-ber": Kind(None, [(_comm_ber, [])], (
+        Metric("bit_errors", "bits", "ber", "ratio to bit_count"),
+        Metric("bit_count", "bits", "total_bits", "sum"))),
+    "crlb": Kind(None, [(_crlb, [])], (
+        Metric("angle_crlb_rad2", "rad^2", "angle_crlb_rad2_mean"),
+        Metric("nu_crlb", "Hz^2", "nu_crlb_mean"),
+        Metric("omega_crlb", "rad^2", "omega_crlb_mean"),
+        Metric("range_crlb_m2", "m^2", "range_crlb_m2_mean"),
+        Metric("tau_crlb", "s^2", "tau_crlb_mean"),
+        Metric("velocity_crlb_mps2", "(m/s)^2", "velocity_crlb_mps2_mean"))),
 }
 
 
-def _run_cell(args):
-    scenario, snr_idx, trial = args
-    snr_db = scenario.snr_db_values[snr_idx]
-    trial_func = _TRIAL_FUNCS[scenario.experiment_kind]
-    return snr_idx, trial, trial_func(scenario, snr_db, snr_idx, trial)
-
-
 def _aggregate(kind: str, per_snr: dict) -> list:
-    """Reduce metric lists to one aggregate row set per SNR."""
+    """One row per SNR and trials.csv metric, reduced as the kind's metric
+    table declares; a metric the table does not declare raises ValueError."""
     rows = []
     for snr_db, metrics in per_snr.items():
-        if kind == "comm-ber":
-            errors = sum(metrics.get("bit_errors", [0.0]))
-            bits = sum(metrics.get("bit_count", [1.0]))
-            rows.append((snr_db, "ber", errors / bits))
-            rows.append((snr_db, "total_bits", bits))
-            continue
-        for name, values in sorted(metrics.items()):
-            values = np.asarray(values, dtype=float)
-            finite = values[np.isfinite(values)]
-            mean = float(np.mean(finite)) if finite.size else float("nan")
-            if name.startswith(("angle_sq_err", "velocity_sq_err", "angle_nmse")):
-                rows.append((snr_db, name.replace("sq_err", "mse") + "_mean", mean))
-            elif name in ("recovered_all", "all_within_1deg", "coarse_failed"):
-                rows.append((snr_db, name + "_rate", mean))
-            else:
-                rows.append((snr_db, name + "_mean", mean))
+        undeclared = set(metrics)
+        for m in KINDS[kind].metrics:
+            pattern = re.escape(m.name).replace(r"\{j\}", r"(?P<j>\d+)")
+            for name in sorted(metrics):
+                hit = re.fullmatch(pattern, name)
+                if hit is None:
+                    continue
+                undeclared.discard(name)
+                values = metrics[name]
+                if m.reduction == "mean":
+                    kept = np.asarray(values)[~np.isnan(values)]
+                    value = float(np.mean(kept)) if kept.size else NAN
+                elif m.reduction == "sum":
+                    value = sum(values)
+                else:    # "ratio to <metric>": a ratio of sums
+                    value = sum(values) / sum(metrics[m.reduction.removeprefix("ratio to ")])
+                rows.append((snr_db, m.aggregate.format(**hit.groupdict()), value))
+        if undeclared:
+            raise ValueError(f"{kind} metrics {sorted(undeclared)} are not in its table")
     return rows
 
 
@@ -324,12 +347,12 @@ def run_scenario(scenario: Scenario, out_dir, trials: int | None = None,
 
     ``parallel`` > 1 dispatches trials to a process pool; output files are
     identical for any pool size because every trial owns its RNG sub-stream
-    and rows are merged in (snr, trial) order.
+    and rows are merged in (snr, trial) order. The manifest's ``failures``
+    counts the failed estimator calls of each SNR by exception type.
     """
     kind = scenario.experiment_kind
-    if kind not in _TRIAL_FUNCS and kind != "demo-spectrum":
+    if kind not in KINDS and kind != "demo-spectrum":
         raise ValueError(f"unknown experiment kind {kind!r}")
-    out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     if kind == "demo-spectrum":
         return _run_demo_spectrum(scenario, out_dir)
@@ -345,86 +368,62 @@ def run_scenario(scenario: Scenario, out_dir, trials: int | None = None,
 
     per_snr: dict = {}
     trial_rows = []
-    for snr_idx, trial, rows in results:
+    failures: dict = {}
+    for snr_idx, trial, rows, failed in results:
         snr_db = scenario.snr_db_values[snr_idx]
         bucket = per_snr.setdefault(snr_db, {})
+        failures.setdefault(repr(snr_db), collections.Counter()).update(failed)
         for metric, value in rows:
             trial_rows.append((snr_db, trial, metric, float(value)))
             bucket.setdefault(metric, []).append(float(value))
-    return {
-        "trials": _write_csv(out_dir, "trials.csv",
-                             ["snr_db", "trial", "metric", "value"], trial_rows),
-        "aggregate": _write_csv(out_dir, "aggregate.csv",
-                                ["snr_db", "metric", "value"],
-                                _aggregate(kind, per_snr)),
-        "manifest": _write_manifest(out_dir, scenario,
-                                    {"trials": "trials.csv",
-                                     "aggregate": "aggregate.csv"},
-                                    trials_run=n_trials),
-    }
+    return _write_outputs(out_dir, scenario, {
+        "trials": (["snr_db", "trial", "metric", "value"], trial_rows),
+        "aggregate": (["snr_db", "metric", "value"], _aggregate(kind, per_snr)),
+    }, trials_run=n_trials, failures=failures)
 
 
-def _write_csv(out_dir: str, name: str, header, rows) -> str:
-    """Write one CSV file; floats are written in full precision (repr)."""
-    path = os.path.join(out_dir, name)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([repr(float(v)) if isinstance(v, float) else v
-                          for v in row] for row in rows)
-    return path
-
-
-def _write_manifest(out_dir: str, scenario: Scenario, outputs: dict,
-                    **fields) -> str:
-    """manifest.json: version, resolved scenario, output file names."""
-    path = os.path.join(out_dir, "manifest.json")
+def _write_outputs(out_dir: str, scenario: Scenario, tables: dict, **fields) -> dict:
+    """Write each ``{key: (header, rows)}`` of ``tables`` to <key>.csv, floats
+    in full precision (repr), then manifest.json: version, resolved scenario,
+    output file names and ``fields``. Returns the paths by key."""
+    paths = {}
+    for key, (header, rows) in tables.items():
+        paths[key] = os.path.join(out_dir, f"{key}.csv")
+        with open(paths[key], "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([repr(float(v)) if isinstance(v, float) else v
+                              for v in row] for row in rows)
     manifest = {"version": _version_string(), "scenario": scenario.to_dict(),
-                "outputs": outputs, **fields}
-    with open(path, "w") as fh:
+                "outputs": {key: f"{key}.csv" for key in tables}, **fields}
+    paths["manifest"] = os.path.join(out_dir, "manifest.json")
+    with open(paths["manifest"], "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    return paths
 
 
 def _run_demo_spectrum(scenario: Scenario, out_dir: str) -> dict:
     """Single showcase run: averaged DFT spectrum plus SSR angle surfaces."""
     cfg = scenario.system
     est = scenario.estimator
-    snr_db = scenario.snr_db_values[0]
-    rng = _rng(scenario, 0, 0, 0)
-    targets = _with_random_gains(scenario, rng)
-    scene = _scene(scenario, targets, snr_db, 0, 0, rng)
-
-    _, omegas, power = estimate_angles(scene[2], 1, cfg,
+    cell = _frame(Cell(scenario, scenario.snr_db_values[0], 0, 0), _random_gains)
+    _, omegas, power = estimate_angles(cell.scene[2], 1, cfg,
                                        pad_factor=est.dft_pad_factor)
     lam_over_g = cfg.wavelength_m / (2.0 * np.pi * cfg.g_r)
-    spectrum_path = _write_csv(out_dir, "spectrum.csv",
-                               ["omega_rad", "sin_angle", "power"],
-                               [(w, w * lam_over_g, p)
-                                for w, p in zip(omegas, power)])
-
-    refined = _refine(scenario, scene, len(targets), est.n_angles or 1,
-                      est.peaks_per_angle, scenario.seed)
-    if refined is None:
-        raise PeakSeparationFailure("the coarse stage found no estimates to refine")
-    snapshot, specs, result = refined
+    snapshot, specs, result = _refine(cell, len(cell.truth), est.n_angles or 1,
+                                      est.peaks_per_angle, scenario.seed)
     surface = []
     for tid, spec in enumerate(specs):
         angles = spec.angle.superset_points()
         corr = angle_surface(snapshot, spec, result.estimates[tid], cfg)
         surface.extend((tid, a, c) for a, c in zip(angles, corr))
-    surface_path = _write_csv(out_dir, "ssr_surface.csv",
-                              ["neighborhood", "angle_rad", "correlation"],
-                              surface)
-
-    estimates = [(snr_db, f"angle_est_rad_t{tid}", result.estimates[tid][0])
+    estimates = [(cell.snr_db, f"angle_est_rad_t{tid}", result.estimates[tid][0])
                  for tid in range(len(specs))]
-    agg_path = _write_csv(out_dir, "aggregate.csv", ["snr_db", "metric", "value"],
-                          estimates + [(snr_db, "residual", result.residual)])
-    return {"spectrum": spectrum_path, "ssr_surface": surface_path,
-            "aggregate": agg_path,
-            "manifest": _write_manifest(out_dir, scenario,
-                                        {"spectrum": "spectrum.csv",
-                                         "ssr_surface": "ssr_surface.csv",
-                                         "aggregate": "aggregate.csv"})}
+    return _write_outputs(out_dir, scenario, {
+        "spectrum": (["omega_rad", "sin_angle", "power"],
+                     [(w, w * lam_over_g, p) for w, p in zip(omegas, power)]),
+        "ssr_surface": (["neighborhood", "angle_rad", "correlation"], surface),
+        "aggregate": (["snr_db", "metric", "value"],
+                      estimates + [(cell.snr_db, "residual", result.residual)]),
+    })

@@ -66,6 +66,12 @@ RADAR_KINDS = ("coarse-angle-mse", "dd-correlation", "ssr-angle", "ssr-velocity"
 SSR_KINDS = ("ssr-angle", "ssr-velocity", "demo-spectrum")
 # ssr-velocity draws each trial's target velocity uniformly from this range.
 RANDOM_VELOCITY_RANGE_MPS = (-100.0, 100.0)
+# Bound on an SNR in dB, shared by snr_db_values and ``crlb --snr-db``; inf is
+# a noise-free run. A power ratio of 10^30 either way is beyond any physical
+# link, and inside it 10^(snr/10) and its inverse are normal floats: outside
+# [-3082, 3082] dB one of them overflows, and below -3236 dB the noise
+# variance divides by zero.
+SNR_DB_BOUND = "[-300, 300] or inf"
 
 
 @dataclass(frozen=True)
@@ -126,7 +132,7 @@ class Scenario:
     experiment_kind: str = param(bound=EXPERIMENT_KINDS)
     trials: int = param(100, bound=COUNT)
     seed: int = param(0, bound=NON_NEGATIVE)
-    snr_db_values: tuple[float, ...] = param((20.0,), "dB", "(-inf, inf]")
+    snr_db_values: tuple[float, ...] = param((20.0,), "dB", SNR_DB_BOUND)
     min_bits: int = param(100_000, "bits", COUNT)        # comm-ber only
     system: SystemConfig = SystemConfig()
     targets: tuple[TargetSpec, ...] = ()

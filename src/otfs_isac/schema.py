@@ -28,15 +28,19 @@ _hints = functools.cache(typing.get_type_hints)
 def param(default=MISSING, unit: str = "", bound=None):
     """A dataclass field with the unit and the bound of its values.
 
-    ``bound`` is an interval such as ``"[1, inf)"`` for a number, which also
-    applies to every number inside a list, or a tuple of the choices for a
-    string. A number without a bound must be finite; a field without a
-    default is required.
+    ``bound`` is an interval such as ``"[1, inf)"`` for a number, optionally
+    followed by ``" or "`` and one more accepted value, as in
+    ``"[-300, 300] or inf"``; it also applies to every number inside a list.
+    For a string it is a tuple of the choices. A number without a bound must
+    be finite; a field without a default is required.
     """
     return field(default=default, metadata={"unit": unit, "bound": bound})
 
 
-def _within(value, interval: str) -> bool:
+def _within(value, bound: str) -> bool:
+    interval, _, extra = bound.partition(" or ")
+    if extra and value == float(extra):
+        return True
     low, high = (float(end) for end in interval[1:-1].split(","))
     return ((low < value if interval[0] == "(" else low <= value)
             and (value < high if interval[-1] == ")" else value <= high))

@@ -6,6 +6,7 @@ import pytest
 from otfs_isac.channel import (complex_noise, noise_variance, radar_receive,
                                rx_array_phase, tf_channel_grid, tx_array_phase)
 from otfs_isac.config import SystemConfig, Target
+from otfs_isac.crlb import snr_linear
 from otfs_isac.transforms import isfft, sfft
 from oracles import (complex_noise_reference, dd_channel_operator,
                      dd_circular_shift_operator, tf_channel_coeff)
@@ -125,6 +126,12 @@ def test_add_noise_infinite_snr_passthrough():
     np.testing.assert_array_equal(noise, np.zeros((2, 3, 3)))
     assert noise_variance(np.inf) == 0.0
     assert noise_variance(0.0) == 1.0
+
+
+@pytest.mark.parametrize("snr_db", [-300.0, -17.3, 0.0, 3.0, 20.0, 300.0])
+def test_noise_variance_is_one_over_snr_linear(snr_db):
+    """One dB-to-linear conversion: bit for bit the inverse of the CRLB's."""
+    assert noise_variance(snr_db) == 1.0 / snr_linear(snr_db) == 1.0 / 10.0 ** (snr_db / 10.0)
 
 
 @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 4, 6), (16, 64, 128)])

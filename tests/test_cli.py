@@ -286,6 +286,45 @@ def test_unexpected_exception_is_one_json_error(tmp_path, capsys, monkeypatch):
     assert "LinAlgError" in payload["message"]
 
 
+def cli_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return json.loads(captured.err)
+
+
+@pytest.mark.parametrize("snr_db", [-3300.0, -300.5, 300.5, 3083.0])
+@pytest.mark.parametrize("name", ["crlb_sweep.json", "comm_ber.json"])
+def test_snr_past_the_bound_is_a_documented_error(tmp_path, capsys, name, snr_db):
+    """Before the bound, 3083 dB overflowed and -3300 dB divided by zero:
+    both ended as internal-error."""
+    raw = json.loads((SCENARIO_DIR / name).read_text())
+    path = tmp_path / name
+    path.write_text(json.dumps(dict(raw, snr_db_values=[snr_db])))
+    for argv in (["validate-config", "--scenario", str(path)],
+                 ["simulate", "--scenario", str(path), "--out", str(tmp_path)]):
+        assert main(argv) == 1
+        error = cli_error(capsys)
+        assert error["error"] == "invalid-scenario"
+        assert error["details"] == [
+            f"snr_db_values[0]: expected number in [-300, 300] or inf, got {snr_db!r}"]
+    assert main(["crlb", "--snr-db", "10", str(snr_db)]) == 1
+    assert cli_error(capsys) == {
+        "error": "invalid-argument",
+        "message": f"--snr-db: expected number in [-300, 300] or inf, got {snr_db!r}"}
+
+
+@pytest.mark.parametrize("snr_db", [-300.0, 300.0, float("inf")])
+def test_snr_at_the_bound_runs(tmp_path, capsys, snr_db):
+    for name in ("comm_ber.json", "crlb_sweep.json"):
+        raw = json.loads((SCENARIO_DIR / name).read_text())
+        path = tmp_path / name
+        path.write_text(json.dumps(dict(raw, snr_db_values=[snr_db])))
+        assert main(["validate-config", "--scenario", str(path)]) == 0
+        assert main(["simulate", "--scenario", str(path), "--trials", "2",
+                     "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+    assert main(["crlb", "--snr-db", str(snr_db)]) == 0, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--N", "--n-rx"])
 def test_crlb_single_sample_axis_prints_inf(capsys, flag):
     assert main(["crlb", flag, "1", "--snr-db", "10"]) == 0

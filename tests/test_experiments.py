@@ -3,6 +3,7 @@
 import ctypes
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,10 +14,12 @@ import pytest
 
 import otfs_isac
 from otfs_isac import experiments
+from otfs_isac.exceptions import PeakSeparationFailure, TooManyTargets
 from otfs_isac.experiments import run_scenario
-from otfs_isac.scenario import scenario_from_dict
+from otfs_isac.scenario import EXPERIMENT_KINDS, scenario_from_dict
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def small_raw(**overrides):
@@ -52,20 +55,29 @@ def test_output_files_and_manifest(tmp_path):
     manifest = json.loads(Path(paths["manifest"]).read_text())
     assert manifest["scenario"]["name"] == "exp-unit"
     assert manifest["trials_run"] == 2
+    assert manifest["failures"] == {"20.0": {}}
     assert "version" in manifest
 
 
+def manifest_of(paths):
+    return json.loads(Path(paths["manifest"]).read_text())
+
+
+# a small scenario of every kind that runs trials (all but demo-spectrum)
 PARALLEL_CASES = {
     "coarse-angle-mse": dict(targets=[]),
     "dd-correlation": {},
     "ssr-angle": dict(estimator={"n_angles": 1, "n_solvers": 2}),
     "ssr-velocity": dict(estimator={"n_solvers": 2}),
     "comm-ber": dict(min_bits=1500),
+    "crlb": dict(targets=[]),
 }
+TRIAL_KINDS = [kind for kind in EXPERIMENT_KINDS if kind != "demo-spectrum"]
 
 
-@pytest.mark.parametrize("kind", sorted(PARALLEL_CASES))
+@pytest.mark.parametrize("kind", TRIAL_KINDS)
 def test_serial_parallel_identical(tmp_path, kind):
+    assert kind in PARALLEL_CASES, f"PARALLEL_CASES has no {kind} scenario"
     sc = scenario_from_dict(small_raw(experiment_kind=kind, trials=3,
                                       **PARALLEL_CASES[kind]))
     p1 = run_scenario(sc, tmp_path / "serial", parallel=1)
@@ -73,6 +85,141 @@ def test_serial_parallel_identical(tmp_path, kind):
     assert len(read_csv(p1["trials"])) > 3
     assert Path(p1["trials"]).read_text() == Path(p2["trials"]).read_text()
     assert Path(p1["aggregate"]).read_text() == Path(p2["aggregate"]).read_text()
+    assert manifest_of(p1)["failures"] == manifest_of(p2)["failures"]
+
+
+def declared_names(table, n_targets):
+    """{trials.csv name: aggregate.csv name} that a metric table declares for
+    ``n_targets`` targets."""
+    return {m.name.format(j=j): m.aggregate.format(j=j)
+            for m in table for j in range(max(n_targets, 1))}
+
+
+@pytest.mark.parametrize("kind", TRIAL_KINDS)
+def test_outputs_follow_the_metric_table(tmp_path, kind):
+    sc = scenario_from_dict(small_raw(experiment_kind=kind, trials=2,
+                                      **PARALLEL_CASES[kind]))
+    paths = run_scenario(sc, tmp_path)
+    table = experiments.KINDS[kind].metrics
+    declared = declared_names(table, len(sc.targets))
+    written = {r[2] for r in read_csv(paths["trials"])[1:]}
+    assert written <= set(declared)
+    aggregate = [r[1] for r in read_csv(paths["aggregate"])[1:]]
+    assert sorted(aggregate) == sorted(declared[name] for name in written)
+    # in table order
+    index = {name: i for i, m in enumerate(table)
+             for name in declared_names([m], len(sc.targets)).values()}
+    assert [index[a] for a in aggregate] == sorted(index[a] for a in aggregate)
+
+
+def test_readme_metric_table_is_the_code_table():
+    text = README.read_text()
+    table = text[text.index("| Kind | `trials.csv` metric |"):].split("\n\n")[0]
+    rows = [tuple(cell.strip().replace("`", "") for cell in line.strip("|").split("|"))
+            for line in table.splitlines()[2:]]
+    assert rows == [(kind, *m) for kind, spec in experiments.KINDS.items()
+                    for m in spec.metrics]
+
+
+def test_undeclared_metric_is_an_error(tmp_path, monkeypatch):
+    """A trial row whose metric the kind's table does not declare stops the
+    run instead of being reduced by a guess."""
+    crlb = experiments.KINDS["crlb"]
+    monkeypatch.setitem(experiments.KINDS, "crlb", crlb._replace(
+        estimates=[(lambda cell: [("angle_crlb_rad2", 1.0), ("bogus_rate", 1.0)], [])]))
+    sc = scenario_from_dict(small_raw(experiment_kind="crlb", targets=[]))
+    with pytest.raises(ValueError, match="bogus_rate"):
+        run_scenario(sc, tmp_path)
+
+
+def test_aggregate_reductions():
+    inf, nan = math.inf, math.nan
+    assert experiments._aggregate("coarse-angle-mse", {0.0: {
+        "angle_sq_err_single_bin_rad2": [nan, nan],
+        "angle_sq_err_all_bins_rad2": [nan, 1.0, 3.0],
+        "angle_crlb_rad2": [inf, inf]}})[:2] == [
+        (0.0, "angle_crlb_rad2_mean", inf), (0.0, "angle_mse_all_bins_rad2_mean", 2.0)]
+    assert math.isnan(experiments._aggregate("coarse-angle-mse", {0.0: {
+        "angle_sq_err_single_bin_rad2": [nan, nan]}})[0][2])
+    assert experiments._aggregate("comm-ber", {5.0: {
+        "bit_errors": [1.0, 2.0], "bit_count": [100.0, 300.0]}}) == [
+        (5.0, "ber", 3.0 / 400.0), (5.0, "total_bits", 400.0)]
+
+
+def test_infinite_bound_stays_infinite_in_the_aggregate(tmp_path):
+    """With one receive antenna the angle bound is infinite; the aggregate
+    skips only the nan of a failed estimate, so it stays inf."""
+    sc = scenario_from_dict(small_raw(experiment_kind="crlb", targets=[],
+                                      system={"n_doppler": 8, "m_delay": 16, "n_rx": 1}))
+    paths = run_scenario(sc, tmp_path)
+    trials = {r[2]: r[3] for r in read_csv(paths["trials"])[1:]}
+    agg = {r[1]: r[2] for r in read_csv(paths["aggregate"])[1:]}
+    assert trials["omega_crlb"] == trials["angle_crlb_rad2"] == "inf"
+    assert agg["omega_crlb_mean"] == agg["angle_crlb_rad2_mean"] == "inf"
+
+
+def test_manifest_counts_failures_by_type(tmp_path):
+    """ssr-angle with one receive antenna fails every trial with
+    TooManyTargets; the manifest says so, serial and parallel alike."""
+    sc = scenario_from_dict(small_raw(
+        experiment_kind="ssr-angle", trials=3, snr_db_values=[10.0, 20.0],
+        system={"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 1},
+        estimator={"n_angles": 1, "n_solvers": 2}))
+    serial = run_scenario(sc, tmp_path / "serial")
+    expected = {"10.0": {"TooManyTargets": 3}, "20.0": {"TooManyTargets": 3}}
+    assert manifest_of(serial)["failures"] == expected
+    assert {(r[2], r[3]) for r in read_csv(serial["trials"])[1:]} == {("coarse_failed", "1.0")}
+    assert manifest_of(run_scenario(sc, tmp_path / "parallel", parallel=2))["failures"] == expected
+
+
+def test_failed_coarse_mode_writes_its_nan_and_the_bounds(tmp_path):
+    """With one receive antenna both DFT modes fail; each writes its own nan
+    and the bounds are still written, one failure counted per mode."""
+    sc = scenario_from_dict(small_raw(
+        experiment_kind="coarse-angle-mse", targets=[], trials=2,
+        system={"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 1}))
+    paths = run_scenario(sc, tmp_path)
+    rows = [(r[1], r[2], r[3]) for r in read_csv(paths["trials"])[1:]]
+    assert [(t, m) for t, m, _ in rows] == [
+        (t, m) for t in "01" for m in ("angle_sq_err_all_bins_rad2",
+                                       "angle_sq_err_single_bin_rad2",
+                                       "angle_crlb_rad2", "angle_floor_rad2")]
+    assert [v for _, m, v in rows if m.startswith("angle_sq_err")] == ["nan"] * 4
+    assert manifest_of(paths)["failures"] == {"20.0": {"TooManyTargets": 4}}
+
+
+def test_each_coarse_mode_fails_alone(tmp_path, monkeypatch):
+    """A failure of the single-bin mode leaves the all-bins estimate."""
+    estimate_angles = experiments.estimate_angles
+
+    def single_bin_fails(*args, average=True, **kwargs):
+        if not average:
+            raise PeakSeparationFailure("no peak in DD bin (0, 0)")
+        return estimate_angles(*args, average=average, **kwargs)
+
+    monkeypatch.setattr(experiments, "estimate_angles", single_bin_fails)
+    sc = scenario_from_dict(small_raw(experiment_kind="coarse-angle-mse", targets=[]))
+    paths = run_scenario(sc, tmp_path)
+    trials = [(r[2], r[3]) for r in read_csv(paths["trials"])[1:]]
+    assert [v for m, v in trials if m == "angle_sq_err_single_bin_rad2"] == ["nan"] * 2
+    assert all(v != "nan" for m, v in trials if m != "angle_sq_err_single_bin_rad2")
+    assert manifest_of(paths)["failures"] == {"20.0": {"PeakSeparationFailure": 2}}
+
+
+def test_zero_private_symbol_fails_the_trial_not_the_run(tmp_path):
+    """On a 1x2 grid with one transmit antenna the private bin's symbol is
+    the sum of two QPSK symbols, so some frames send 0 there and the virtual
+    snapshot raises ZeroPrivateSymbol. That trial writes coarse_failed 1 and
+    the run goes on (before one trial's error stopped the whole run)."""
+    sc = scenario_from_dict(small_raw(
+        experiment_kind="ssr-angle", trials=8, seed=0,
+        system={"n_doppler": 1, "m_delay": 2, "n_tx": 1, "n_rx": 4},
+        targets=[{"angle_deg": 10.0, "range_m": 0.0, "velocity_mps": 0.0}],
+        allocation={"diagonal_private_bins": 1}, estimator={"n_solvers": 2}))
+    paths = run_scenario(sc, tmp_path)
+    failed = [r[3] for r in read_csv(paths["trials"])[1:] if r[2] == "coarse_failed"]
+    assert failed.count("1.0") == 3 and failed.count("0.0") == 5
+    assert manifest_of(paths)["failures"] == {"20.0": {"ZeroPrivateSymbol": 3}}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -134,7 +281,19 @@ def test_demo_spectrum_outputs(tmp_path):
     assert len(spectrum) > 10
     surface = read_csv(paths["ssr_surface"])
     assert surface[0] == ["neighborhood", "angle_rad", "correlation"]
-    assert os.path.exists(paths["manifest"])
+    assert manifest_of(paths)["outputs"] == {"spectrum": "spectrum.csv",
+                                             "ssr_surface": "ssr_surface.csv",
+                                             "aggregate": "aggregate.csv"}
+
+
+def test_demo_raises_the_coarse_stage_error(tmp_path):
+    """The demo has no failure rows: its coarse stage's own error stops it."""
+    sc = scenario_from_dict(small_raw(
+        experiment_kind="demo-spectrum",
+        system={"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 1},
+        estimator={"n_angles": 1, "n_solvers": 2}))
+    with pytest.raises(TooManyTargets):
+        run_scenario(sc, tmp_path)
 
 
 def libc_has_mallopt():

@@ -518,6 +518,21 @@ def test_ssr_velocity_draw_range_must_be_unaliased():
     scenario_from_dict(raw)
 
 
+@pytest.mark.parametrize("snr_db, ok", [
+    (-300.0, True), (300.0, True), (float("inf"), True), (-300.5, False),
+    (300.5, False), (3083.0, False), (-3300.0, False), (-float("inf"), False)])
+def test_snr_bound(snr_db, ok):
+    """A finite SNR lies in the physical [-300, 300] dB; inf is a noise-free run."""
+    raw = minimal_raw(snr_db_values=[10.0, snr_db])
+    if ok:
+        assert scenario_from_dict(raw).snr_db_values == (10.0, snr_db)
+        return
+    with pytest.raises(ConfigValidationError) as exc:
+        scenario_from_dict(raw)
+    assert exc.value.errors == [
+        f"snr_db_values[1]: expected number in [-300, 300] or inf, got {snr_db!r}"]
+
+
 def test_edge_values_accepted():
     """dd-correlation reads no virtual array, so it runs without private bins."""
     sc = scenario_from_dict(minimal_raw(experiment_kind="dd-correlation",
