@@ -63,7 +63,8 @@ def radar_receive(tx_tf, targets, cfg: SystemConfig, snr_db: float | None = None
 
 def noise_variance(snr_db: float) -> float:
     """Per-sample complex noise variance for the given SNR, unit signal power:
-    1 / snr_linear, 0 for an infinite SNR."""
+    1 / snr_linear, 0 for an infinite SNR. Raises ValueError outside
+    ``crlb.SNR_DB_BOUND``."""
     return 1.0 / snr_linear(snr_db)
 
 

@@ -25,10 +25,9 @@ from dataclasses import replace
 
 from .coarse import resolution_report
 from .config import SystemConfig
-from .crlb import crlb_curve
+from .crlb import SNR_DB_BOUND, crlb_curve
 from .exceptions import ConfigValidationError, OtfsIsacError
-from .scenario import (MAX_TRIAL_CELLS, SNR_DB_BOUND, Scenario, load_scenario,
-                       scenario_from_dict)
+from .scenario import MAX_TRIAL_CELLS, Scenario, load_scenario, scenario_from_dict
 from .schema import check
 from .experiments import run_scenario
 

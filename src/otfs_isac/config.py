@@ -6,9 +6,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import COUNT, POSITIVE, field_errors, param
+from .schema import COUNT, field_errors, param
 
 SPEED_OF_LIGHT = 299_792_458.0
+
+# Physical bounds of the frame and array geometry. Each spans every real link
+# by orders of magnitude and keeps the quantities derived from it (1/df, the
+# wavelength, lambda/g) normal floats, where 5e-324 or 1e300 overflows or
+# divides by zero. Subcarrier spacing: 1 Hz to 1 GHz (5G NR uses 15 to 960
+# kHz). Carrier: 1 MHz (MF radio) to 10 THz (far infrared). Antenna spacing:
+# 1 um to 1 km.
+SUBCARRIER_SPACING_BOUND_HZ = "[1, 1e9]"
+CARRIER_FREQ_BOUND_HZ = "[1e6, 1e13]"
+ANTENNA_SPACING_BOUND_M = "[1e-6, 1e3]"
 
 
 @dataclass(frozen=True)
@@ -23,13 +33,13 @@ class SystemConfig:
 
     n_doppler: int = param(64, bound=COUNT)              # N, subsymbols
     m_delay: int = param(128, bound=COUNT)               # M, subcarriers
-    subcarrier_spacing_hz: float = param(120e3, "Hz", POSITIVE)
-    carrier_freq_hz: float = param(24.25e9, "Hz", POSITIVE)
+    subcarrier_spacing_hz: float = param(120e3, "Hz", SUBCARRIER_SPACING_BOUND_HZ)
+    carrier_freq_hz: float = param(24.25e9, "Hz", CARRIER_FREQ_BOUND_HZ)
     n_tx: int = param(4, bound=COUNT)
     n_rx: int = param(16, bound=COUNT)
     n_comm_rx: int = param(8, bound=COUNT)
-    tx_spacing_m: float | None = param(None, "m", POSITIVE)    # None: lambda/2
-    rx_spacing_m: float | None = param(None, "m", POSITIVE)
+    tx_spacing_m: float | None = param(None, "m", ANTENNA_SPACING_BOUND_M)    # None: lambda/2
+    rx_spacing_m: float | None = param(None, "m", ANTENNA_SPACING_BOUND_M)
 
     def __post_init__(self):
         errors = field_errors(self)

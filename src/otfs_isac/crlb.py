@@ -13,10 +13,25 @@ import math
 import numpy as np
 
 from .config import SPEED_OF_LIGHT, SystemConfig
+from .schema import check
+
+# Bound on an SNR in dB, shared by snr_db_values, ``crlb --snr-db`` and every
+# function that reads an SNR through snr_linear; inf is a noise-free run. A
+# power ratio of 10^30 either way is beyond any physical link, and inside it
+# 10^(snr/10) and its inverse are normal floats: outside [-3082, 3082] dB one
+# of them overflows, and below -3236 dB the noise variance divides by zero.
+SNR_DB_BOUND = "[-300, 300] or inf"
 
 
 def snr_linear(snr_db: float) -> float:
-    """|beta|^2 P_avg / N0 for unit-power constellations and |beta| = 1."""
+    """|beta|^2 P_avg / N0 for unit-power constellations and |beta| = 1.
+
+    Raises ValueError for an SNR outside ``SNR_DB_BOUND``, -inf and nan
+    included.
+    """
+    message = check(float, snr_db, SNR_DB_BOUND)
+    if message:
+        raise ValueError(f"snr_db: {message}")
     return 10.0 ** (snr_db / 10.0)
 
 

@@ -15,6 +15,7 @@ import ctypes
 import functools
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -29,12 +30,15 @@ from .config import SPEED_OF_LIGHT, Target, substream, unit_phases
 from .crlb import crlb_report
 from .channel import radar_receive
 from .exceptions import OtfsIsacError
-from .scenario import RANDOM_VELOCITY_RANGE_MPS, Scenario
 from .virtual_array import (angle_surface, averaged_ssr, build_virtual_snapshot,
                             default_neighborhood)
 
+# ``Scenario`` is scenario.Scenario, which imports KINDS from here
+
 RANDOM_ANGLE_RANGE_DEG = (-60.0, 60.0)
+RANDOM_VELOCITY_RANGE_MPS = (-100.0, 100.0)     # of ssr-velocity's uniform draws
 NAN = float("nan")
+PER_TARGET = "one per target"
 
 # glibc mallopt parameters (malloc.h)
 _M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
@@ -128,10 +132,10 @@ def _solver_seed(cell: Cell) -> int:
     return cell.scenario.seed * 1_000_003 + cell.snr_idx * 10_007 + cell.trial
 
 
-def _refine(cell: Cell, n_targets, n_angles, peaks_per_angle, solver_seed):
+def _refine(cell: Cell, n_angles, peaks_per_angle, solver_seed):
     """The cell's coarse estimates refined by bagged SSR on the virtual array:
-    (snapshot, specs, result). The neighborhoods cycle through the coarse
-    estimates, one per target; a failed coarse stage raises."""
+    (snapshot, specs, result). The kind's search boxes cycle through the
+    coarse estimates; a failed coarse stage raises."""
     scenario = cell.scenario
     cfg, est = scenario.system, scenario.estimator
     dd, tf, rx_tf = cell.scene
@@ -146,7 +150,8 @@ def _refine(cell: Cell, n_targets, n_angles, peaks_per_angle, solver_seed):
         doppler_width_bins=est.doppler_width_bins,
         delay_step_bins=est.delay_step_bins,
         delay_width_bins=est.delay_width_bins)
-        for c in itertools.islice(itertools.cycle(coarse), n_targets)]
+        for c in itertools.islice(itertools.cycle(coarse),
+                                  KINDS[scenario.experiment_kind].n_boxes(scenario))]
     result = averaged_ssr(snapshot, specs, cfg, n_solvers=est.n_solvers,
                           seed=solver_seed, sweeps=est.ssr_sweeps)
     return snapshot, specs, result
@@ -233,7 +238,7 @@ def _dd_correlation(cell: Cell):
 
 def _ssr_angle(cell: Cell):
     est, targets = cell.scenario.estimator, cell.truth
-    _, _, result = _refine(cell, len(targets), est.n_angles or 1, est.peaks_per_angle,
+    _, _, result = _refine(cell, est.n_angles or 1, est.peaks_per_angle,
                            _solver_seed(cell))
     est_angles = np.sort(result.estimates[:, 0])
     true = np.sort([t.angle_rad for t in targets])
@@ -249,7 +254,7 @@ def _ssr_angle(cell: Cell):
 
 def _ssr_velocity(cell: Cell):
     cfg = cell.scenario.system
-    _, _, result = _refine(cell, 1, 1, 1, _solver_seed(cell))
+    _, _, result = _refine(cell, 1, 1, _solver_seed(cell))
     v_hat = result.estimates[0][1] * SPEED_OF_LIGHT / (2.0 * cfg.carrier_freq_hz)
     return [("coarse_failed", 0.0),
             ("velocity_sq_err_mps2", float((v_hat - cell.truth) ** 2)),
@@ -270,9 +275,23 @@ def _crlb(cell: Cell):
     return sorted(crlb_report(cell.scenario.system, cell.snr_db).items())
 
 
-# An experiment kind: its draw (None: no radar frame), its (estimator call,
-# rows written when the call raises) pairs, and its metric table.
-Kind = collections.namedtuple("Kind", "draw estimates metrics")
+class Kind(collections.namedtuple(
+        "Kind", "draw estimates metrics targets boxes trials velocities one_peak",
+        defaults=((0, math.inf), None, "trials", None, False))):
+    """An experiment kind, declared once: its ``draw`` of a trial's targets
+    and truth with a radar frame (None: no frame), its (estimator call, rows
+    written when the call raises) ``estimates`` and its ``metrics`` table.
+    Validation reads the rest: the fewest and most ``targets``, the SSR
+    search ``boxes`` (PER_TARGET or a count; None: no SSR), the scenario
+    field that sets the ``trials`` per SNR (None: one), the [low, high) m/s
+    ``velocities`` its draw picks, and whether it pairs ``one_peak`` with
+    each target. The README's kind table says what each one requires."""
+
+    def n_boxes(self, scenario) -> int:
+        """The SSR search boxes it refines for ``scenario``; 0 without SSR."""
+        return len(scenario.targets) if self.boxes == PER_TARGET else self.boxes or 0
+
+
 # A trials.csv metric ({j}: a target index), its unit, and its aggregate.csv
 # name and reduction: "mean", "sum" or "ratio to <metric>" (see _aggregate).
 Metric = collections.namedtuple("Metric", "name unit aggregate reduction", defaults=("mean",))
@@ -291,26 +310,34 @@ KINDS = {
         Metric("angle_abs_err_sin_t{j}", "", "angle_abs_err_sin_t{j}_mean"),
         Metric("range_abs_err_m_t{j}", "m", "range_abs_err_m_t{j}_mean"),
         Metric("recovered_all", "", "recovered_all_rate"),
-        Metric("velocity_abs_err_mps_t{j}", "m/s", "velocity_abs_err_mps_t{j}_mean"))),
+        Metric("velocity_abs_err_mps_t{j}", "m/s", "velocity_abs_err_mps_t{j}_mean")),
+        targets=(1, math.inf), one_peak=True),
     "ssr-angle": Kind(_random_gains, [(_ssr_angle, [("coarse_failed", 1.0)])], (
         Metric("all_within_1deg", "", "all_within_1deg_rate"),
         Metric("angle_est_rad_t{j}", "rad", "angle_est_rad_t{j}_mean"),
         Metric("angle_nmse", "", "angle_nmse_mean"),
-        Metric("coarse_failed", "", "coarse_failed_rate"))),
+        Metric("coarse_failed", "", "coarse_failed_rate")),
+        targets=(1, math.inf), boxes=PER_TARGET),
     "ssr-velocity": Kind(_random_velocity, [(_ssr_velocity, [("coarse_failed", 1.0)])], (
         Metric("coarse_failed", "", "coarse_failed_rate"),
         Metric("velocity_crlb_mps2", "(m/s)^2", "velocity_crlb_mps2_mean"),
-        Metric("velocity_sq_err_mps2", "(m/s)^2", "velocity_mse_mps2_mean"))),
+        Metric("velocity_sq_err_mps2", "(m/s)^2", "velocity_mse_mps2_mean")),
+        targets=(0, 1), boxes=1, velocities=RANDOM_VELOCITY_RANGE_MPS),
     "comm-ber": Kind(None, [(_comm_ber, [])], (
         Metric("bit_errors", "bits", "ber", "ratio to bit_count"),
-        Metric("bit_count", "bits", "total_bits", "sum"))),
+        Metric("bit_count", "bits", "total_bits", "sum")),
+        targets=(1, math.inf), trials="min_bits"),
     "crlb": Kind(None, [(_crlb, [])], (
         Metric("angle_crlb_rad2", "rad^2", "angle_crlb_rad2_mean"),
         Metric("nu_crlb", "Hz^2", "nu_crlb_mean"),
         Metric("omega_crlb", "rad^2", "omega_crlb_mean"),
         Metric("range_crlb_m2", "m^2", "range_crlb_m2_mean"),
         Metric("tau_crlb", "s^2", "tau_crlb_mean"),
-        Metric("velocity_crlb_mps2", "(m/s)^2", "velocity_crlb_mps2_mean"))),
+        Metric("velocity_crlb_mps2", "(m/s)^2", "velocity_crlb_mps2_mean")),
+        trials=None),
+    # one showcase run of its own (_run_demo_spectrum), not trials of estimates
+    "demo-spectrum": Kind(_random_gains, [], (), targets=(1, math.inf), boxes=PER_TARGET,
+                          trials=None),
 }
 
 
@@ -351,7 +378,7 @@ def run_scenario(scenario: Scenario, out_dir, trials: int | None = None,
     counts the failed estimator calls of each SNR by exception type.
     """
     kind = scenario.experiment_kind
-    if kind not in KINDS and kind != "demo-spectrum":
+    if kind not in KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
     os.makedirs(out_dir, exist_ok=True)
     if kind == "demo-spectrum":
@@ -411,8 +438,8 @@ def _run_demo_spectrum(scenario: Scenario, out_dir: str) -> dict:
     _, omegas, power = estimate_angles(cell.scene[2], 1, cfg,
                                        pad_factor=est.dft_pad_factor)
     lam_over_g = cfg.wavelength_m / (2.0 * np.pi * cfg.g_r)
-    snapshot, specs, result = _refine(cell, len(cell.truth), est.n_angles or 1,
-                                      est.peaks_per_angle, scenario.seed)
+    snapshot, specs, result = _refine(cell, est.n_angles or 1, est.peaks_per_angle,
+                                      scenario.seed)
     surface = []
     for tid, spec in enumerate(specs):
         angles = spec.angle.superset_points()

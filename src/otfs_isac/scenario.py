@@ -22,19 +22,11 @@ from .allocation import BinAllocation, make_allocation
 from .coarse import resolution_report
 from .comm import modified_sffts, symbol_capacity
 from .config import SystemConfig, Target
+from .crlb import SNR_DB_BOUND
 from .exceptions import ConfigValidationError, OtfsIsacError
+from .experiments import KINDS
 from .schema import COUNT, NON_NEGATIVE, POSITIVE, from_json, param, to_json
 from .virtual_array import COLUMN_CAP, AxisSpec
-
-EXPERIMENT_KINDS = (
-    "coarse-angle-mse",
-    "dd-correlation",
-    "ssr-angle",
-    "ssr-velocity",
-    "comm-ber",
-    "crlb",
-    "demo-spectrum",
-)
 
 # Bound on the bytes of the reduced-transform columns that validation builds
 # (N * M * sum_i |Z_i| complex values); a 64x128 grid with four diagonal
@@ -58,20 +50,6 @@ SOLVER_RECORD_BYTES = 216
 # them, 0.7-2.5 KB per cell for 2-10 rows; the shipped scenarios run at most
 # 500 cells.
 MAX_TRIAL_CELLS = 100_000
-# Kinds whose targets are estimated from the radar frame; their targets must lie
-# inside the grid's unambiguous delay and Doppler intervals.
-RADAR_KINDS = ("coarse-angle-mse", "dd-correlation", "ssr-angle", "ssr-velocity",
-               "demo-spectrum")
-# Kinds that refine by SSR on the virtual array of the private bins.
-SSR_KINDS = ("ssr-angle", "ssr-velocity", "demo-spectrum")
-# ssr-velocity draws each trial's target velocity uniformly from this range.
-RANDOM_VELOCITY_RANGE_MPS = (-100.0, 100.0)
-# Bound on an SNR in dB, shared by snr_db_values and ``crlb --snr-db``; inf is
-# a noise-free run. A power ratio of 10^30 either way is beyond any physical
-# link, and inside it 10^(snr/10) and its inverse are normal floats: outside
-# [-3082, 3082] dB one of them overflows, and below -3236 dB the noise
-# variance divides by zero.
-SNR_DB_BOUND = "[-300, 300] or inf"
 
 
 @dataclass(frozen=True)
@@ -101,12 +79,9 @@ class EstimatorSettings:
     width must be a whole number of its steps (``AxisSpec``)."""
 
     dft_pad_factor: int = param(16, bound=COUNT)
-    # peaks per coarse angle in ssr-angle and demo-spectrum; dd-correlation
-    # pairs one estimate with each target and needs 1; the others ignore it
+    # peaks per coarse angle, 1 where the kind pairs one with each target
     peaks_per_angle: int = param(1, bound=COUNT)
-    # distinct angles the coarse stage looks for in ssr-angle and
-    # demo-spectrum (None: 1); dd-correlation looks for one per target, and
-    # coarse-angle-mse and ssr-velocity for one, whatever this is
+    # distinct angles the coarse stage looks for where the kind reads it (None: 1)
     n_angles: int | None = param(None, bound=COUNT)
     n_solvers: int = param(64, bound=COUNT)
     ssr_sweeps: int = param(3, bound=NON_NEGATIVE)
@@ -129,11 +104,11 @@ class Scenario:
     """
 
     name: str = "scenario"
-    experiment_kind: str = param(bound=EXPERIMENT_KINDS)
+    experiment_kind: str = param(bound=tuple(KINDS))
     trials: int = param(100, bound=COUNT)
     seed: int = param(0, bound=NON_NEGATIVE)
     snr_db_values: tuple[float, ...] = param((20.0,), "dB", SNR_DB_BOUND)
-    min_bits: int = param(100_000, "bits", COUNT)        # comm-ber only
+    min_bits: int = param(100_000, "bits", COUNT)    # where it sets the trials
     system: SystemConfig = SystemConfig()
     targets: tuple[TargetSpec, ...] = ()
     allocation: AllocationSpec = AllocationSpec()
@@ -155,16 +130,15 @@ class Scenario:
         return make_allocation(n_tx, [(i, (i, i)) for i in range(count)])
 
     def trials_per_snr(self, trials: int | None = None) -> int:
-        """Trials a run makes at each SNR; ``trials`` overrides the count.
-
-        crlb and demo-spectrum run once; without an override, comm-ber runs
-        enough frames to carry ``min_bits``.
-        """
-        if self.experiment_kind in ("crlb", "demo-spectrum"):
+        """Trials a run makes at each SNR, set by the field the kind names
+        (``min_bits``: the frames that carry them); ``trials`` overrides it,
+        except for a kind of one trial per SNR."""
+        field = KINDS[self.experiment_kind].trials
+        if field is None:
             return 1
         if trials is not None:
             return trials
-        if self.experiment_kind == "comm-ber":
+        if field == "min_bits":
             bits_per_frame = 2 * sum(symbol_capacity(self.bin_allocation, self.system))
             return -(-self.min_bits // bits_per_frame)
         return self.trials
@@ -190,11 +164,11 @@ def _check_name(errors, name):
 
 
 def _check_unaliased(errors, kind: str, targets, cfg: SystemConfig):
-    """Radar targets must lie in the coarse stage's unambiguous intervals:
-    delay in [0, M) bins (range below range_max_m) and Doppler in the signed
-    [-N/2, N/2) bins (|velocity| below velocity_max_mps / 2). An aliased
-    target would be scored against a truth that the frame cannot show."""
-    if kind not in RADAR_KINDS:
+    """A radar frame's targets and velocity draws must lie in the coarse
+    stage's unambiguous intervals: delay in [0, M) bins (range below
+    range_max_m) and Doppler in the signed [-N/2, N/2) bins (|velocity| below
+    velocity_max_mps / 2), or be scored against a truth the frame cannot show."""
+    if KINDS[kind].draw is None:
         return
     rep = resolution_report(cfg)
     half_n = cfg.n_doppler / 2
@@ -208,18 +182,18 @@ def _check_unaliased(errors, kind: str, targets, cfg: SystemConfig):
         _check(errors, -half_n <= t.doppler_hz / cfg.doppler_spacing_hz < half_n,
                f"targets[{i}]: velocity {t.velocity_mps(cfg.carrier_freq_hz):.6g} m/s "
                f"outside {unambiguous}")
-    if kind == "ssr-velocity":
-        lo, hi = RANDOM_VELOCITY_RANGE_MPS
+    if KINDS[kind].velocities is not None:
+        lo, hi = KINDS[kind].velocities
         # the uniform draws stay below the top end
         _check(errors, -v_lim <= lo and hi <= v_lim,
-               f"experiment_kind: ssr-velocity draws velocities in [{lo:g}, {hi:g}) "
+               f"experiment_kind: {kind} draws velocities in [{lo:g}, {hi:g}) "
                f"m/s, outside {unambiguous}")
 
 
 def _check_allocation(errors, scenario: Scenario):
     """At most one bin form, a diagonal count up to n_tx, distinct bins of
-    existing antennas inside the grid, at least one private bin for the kinds
-    that refine by SSR, and reduced transforms within bound."""
+    existing antennas inside the grid, at least one private bin for a kind
+    that refines by SSR, and reduced transforms within bound."""
     spec, cfg = scenario.allocation, scenario.system
     count = spec.diagonal_private_bins
     if spec.private_bins is not None and count is not None:
@@ -236,7 +210,7 @@ def _check_allocation(errors, scenario: Scenario):
         errors.append(f"allocation: {exc}")
         return
     private, kind = alloc.private_bin_list(), scenario.experiment_kind
-    _check(errors, private or kind not in SSR_KINDS,
+    _check(errors, private or KINDS[kind].boxes is None,
            f"allocation: {kind} forms its virtual array from the private bins "
            f"and needs at least one")
     for ant, (n, m) in private:
@@ -253,7 +227,8 @@ def _check_allocation(errors, scenario: Scenario):
 
 def _check_estimator(errors, scenario: Scenario):
     """What the counts allocate within bound, search boxes of whole steps and
-    at most ``COLUMN_CAP`` SSR columns, and one peak per dd-correlation angle."""
+    at most ``COLUMN_CAP`` SSR columns, and one peak per angle for a kind that
+    pairs one peak with each target."""
     est, n_rx, kind = scenario.estimator, scenario.system.n_rx, scenario.experiment_kind
     # bytes per unit of the counts that size what a run allocates and keeps
     for key, unit_bytes, array in (
@@ -264,10 +239,9 @@ def _check_estimator(errors, scenario: Scenario):
         _check(errors, value * unit_bytes <= MAX_GRID_STACK_BYTES,
                f"estimator.{key}: {value} needs {value * unit_bytes // 2 ** 20} "
                f"MiB of {array}, over the {MAX_GRID_STACK_BYTES // 2 ** 20} MiB bound")
-    # the superset columns that averaged_ssr caps: one lattice per target's
-    # neighborhood (ssr-velocity: one); a count can have hundreds of digits
-    columns = {"ssr-angle": len(scenario.targets), "demo-spectrum": len(scenario.targets),
-               "ssr-velocity": 1}.get(kind, 0)
+    # the superset columns that averaged_ssr caps: one lattice per search box
+    # of the kind; a count can have hundreds of digits
+    columns = KINDS[kind].n_boxes(scenario)
     box_keys = []
     for f in fields(EstimatorSettings):
         if "_step_" in f.name:
@@ -283,8 +257,8 @@ def _check_estimator(errors, scenario: Scenario):
            f"estimator.{'/'.join(box_keys)}: the {kind} search boxes hold "
            f"{columns if columns < 10 ** 12 else 'over 10^12'} superset columns, "
            f"over COLUMN_CAP = {COLUMN_CAP}")
-    _check(errors, kind != "dd-correlation" or est.peaks_per_angle == 1,
-           f"estimator.peaks_per_angle: dd-correlation pairs one estimate with each "
+    _check(errors, not KINDS[kind].one_peak or est.peaks_per_angle == 1,
+           f"estimator.peaks_per_angle: {kind} pairs one estimate with each "
            f"target and needs 1, got {est.peaks_per_angle}")
 
 
@@ -314,12 +288,9 @@ def scenario_from_dict(raw: dict, name: str | None = None) -> Scenario:
         raise ConfigValidationError(errors)
     _check_allocation(errors, scenario)
     _check_estimator(errors, scenario)
-    if kind in ("dd-correlation", "ssr-angle", "comm-ber", "demo-spectrum"):
-        _check(errors, scenario.targets, f"targets: {kind} needs at least one target")
-    if kind == "ssr-velocity":
-        _check(errors, len(scenario.targets) <= 1,
-               "targets: ssr-velocity uses a single randomized target; "
-               "list at most one as the angle/range template")
+    fewest, most = KINDS[kind].targets
+    _check(errors, fewest <= len(scenario.targets) <= most,
+           f"targets: {kind} takes {fewest} to {most} targets, got {len(scenario.targets)}")
     _check_unaliased(errors, kind, scenario.paths, cfg)
     if errors:
         raise ConfigValidationError(errors)
@@ -328,7 +299,8 @@ def scenario_from_dict(raw: dict, name: str | None = None) -> Scenario:
     # formatting the counts, which can be too long for str()
     n_snrs = len(scenario.snr_db_values)
     if n_snrs * scenario.trials_per_snr() > MAX_TRIAL_CELLS:
-        field = "min_bits" if kind == "comm-ber" else "trials"
+        # a kind of one trial per SNR reaches the bound by its SNR count alone
+        field = KINDS[kind].trials or "trials"
         raise ConfigValidationError([
             f"{field}: the run would make more than {MAX_TRIAL_CELLS} "
             f"(SNR, trial) cells for {n_snrs} SNR value(s)"])

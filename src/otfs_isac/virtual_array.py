@@ -465,12 +465,15 @@ def _solve_block(y: np.ndarray, wins: list, y_windows: list,
     # A sweep re-scores a neighborhood only where another neighborhood's pick
     # moved since its last scoring: otherwise the scores, and so the pick,
     # would repeat. A solver whose sweep changed nothing is thereby left
-    # alone from then on. With one neighborhood the sweep score is the first
-    # greedy score, so no sweep can move the pick.
+    # alone from then on, and after a sweep that moved no pick the next one
+    # would re-score nothing, so the sweeps stop there. With one
+    # neighborhood the sweep score is the first greedy score, so no sweep
+    # can move the pick.
     scored = np.full((n_solvers, n_tid), -1)
     moved = np.zeros((n_solvers, n_tid), dtype=int)
     clock = 0
     for _ in range(sweeps if n_tid > 1 else 0):
+        start = clock
         for tid, win in enumerate(wins):
             clock += 1
             sel = _rows(np.delete(moved, tid, axis=1).max(axis=1) > scored[:, tid])
@@ -490,6 +493,8 @@ def _solve_block(y: np.ndarray, wins: list, y_windows: list,
             loc[sel, tid] = new
             cols[sel, tid] = win.columns(new, sel)
             scored[sel, tid] = clock
+        if moved.max() <= start:
+            break
     return loc
 
 

@@ -134,6 +134,13 @@ def test_noise_variance_is_one_over_snr_linear(snr_db):
     assert noise_variance(snr_db) == 1.0 / snr_linear(snr_db) == 1.0 / 10.0 ** (snr_db / 10.0)
 
 
+@pytest.mark.parametrize("snr_db", [-3300.0, -np.inf, 301.0])
+def test_noise_variance_outside_the_snr_bound_is_a_value_error(snr_db):
+    """1 / 10^(snr/10) divides by zero below -3236 dB; the bound stops it first."""
+    with pytest.raises(ValueError, match="snr_db:"):
+        noise_variance(snr_db)
+
+
 @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 4, 6), (16, 64, 128)])
 @pytest.mark.parametrize("noise_var", [1e-6, 0.37, 1.0, 42.0])
 def test_complex_noise_equals_one_expression_draw(shape, noise_var):

@@ -333,7 +333,8 @@ def test_crlb_single_sample_axis_prints_inf(capsys, flag):
 
 
 @pytest.mark.parametrize("argv", [["crlb", "--N", "0"], ["resolution", "--M", "0"],
-                                  ["resolution", "--df", "-5"]])
+                                  ["resolution", "--df", "-5"], ["crlb", "--df", "5e-324"],
+                                  ["crlb", "--df", "1e300"], ["resolution", "--df", "0.5"]])
 def test_bad_geometry_flag_is_invalid_argument(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()

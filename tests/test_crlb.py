@@ -35,6 +35,15 @@ def test_snr_linear():
     assert snr_linear(10.0) == pytest.approx(10.0)
 
 
+@pytest.mark.parametrize("snr_db", [300.5, 3083.0, -3300.0, -np.inf, np.nan])
+def test_snr_outside_the_bound_is_a_value_error(snr_db):
+    """10^(snr/10) overflows past 3082 dB; the bound stops it for library callers."""
+    with pytest.raises(ValueError, match=r"snr_db: expected number in \[-300, 300\] or inf"):
+        snr_linear(snr_db)
+    with pytest.raises(ValueError, match="snr_db:"):
+        crlb_report(SystemConfig(), snr_db)
+
+
 def test_fim_scaling():
     cfg = SystemConfig(n_doppler=8, m_delay=8, n_rx=4)
     np.testing.assert_allclose(asymptotic_fim(cfg, 10.0),

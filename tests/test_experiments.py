@@ -16,7 +16,7 @@ import otfs_isac
 from otfs_isac import experiments
 from otfs_isac.exceptions import PeakSeparationFailure, TooManyTargets
 from otfs_isac.experiments import run_scenario
-from otfs_isac.scenario import EXPERIMENT_KINDS, scenario_from_dict
+from otfs_isac.scenario import scenario_from_dict
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 README = Path(__file__).parent.parent / "README.md"
@@ -72,7 +72,7 @@ PARALLEL_CASES = {
     "comm-ber": dict(min_bits=1500),
     "crlb": dict(targets=[]),
 }
-TRIAL_KINDS = [kind for kind in EXPERIMENT_KINDS if kind != "demo-spectrum"]
+TRIAL_KINDS = [kind for kind in experiments.KINDS if kind != "demo-spectrum"]
 
 
 @pytest.mark.parametrize("kind", TRIAL_KINDS)
@@ -119,6 +119,36 @@ def test_readme_metric_table_is_the_code_table():
             for line in table.splitlines()[2:]]
     assert rows == [(kind, *m) for kind, spec in experiments.KINDS.items()
                     for m in spec.metrics]
+
+
+def kind_table_row(name, kind):
+    """A kind's row of the README kind table, as experiments.KINDS declares it."""
+    fewest, most = kind.targets
+    return (name, "yes" if kind.draw else "",
+            f"[{fewest}, {most}]" if most < math.inf else f"[{fewest}, inf)",
+            str(kind.boxes or ""), kind.trials or "one",
+            "[{:g}, {:g})".format(*kind.velocities) if kind.velocities else "",
+            "yes" if kind.one_peak else "")
+
+
+def test_readme_kind_table_is_the_code_table():
+    text = README.read_text()
+    table = text[text.index("| Kind | Radar frame |"):].split("\n\n")[0]
+    rows = [tuple(cell.strip().replace("`", "") for cell in line.strip("|").split("|"))
+            for line in table.splitlines()[2:]]
+    assert rows == [kind_table_row(name, kind) for name, kind in experiments.KINDS.items()]
+
+
+def test_ssr_sweeps_stop_at_their_fixed_point(tmp_path):
+    """Sweeps past the one that moves no pick change nothing, so an absurd
+    sweep count finishes and writes what 50 sweeps write."""
+    raw = json.loads((SCENARIO_DIR / "ssr_close_angles.json").read_text())
+    trials = []
+    for sweeps in (50, 10 ** 18):
+        raw["estimator"]["ssr_sweeps"] = sweeps
+        paths = run_scenario(scenario_from_dict(raw), tmp_path / str(sweeps), trials=1)
+        trials.append(Path(paths["trials"]).read_bytes())
+    assert trials[0] == trials[1]
 
 
 def test_undeclared_metric_is_an_error(tmp_path, monkeypatch):

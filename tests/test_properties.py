@@ -2,15 +2,22 @@
 transmit chain against their one-grid-at-a-time oracles, reduced-transform
 recovery, the TF-domain coarse chain against its DD route, scenario
 validation on fuzzed input, and the command line run end to end on tiny
-fuzzed scenarios.
+fuzzed scenarios and on the shipped scenarios at the edges of every bound.
 
 Examples are derandomized, so every run checks the same inputs.
 """
 
 import contextlib
+import copy
+import glob
 import io
 import json
 import math
+import os
+import types
+import typing
+import warnings
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -25,7 +32,9 @@ from otfs_isac.comm import (modified_sffts, recover_and_demap, symbol_capacity,
 from otfs_isac.config import SystemConfig
 from otfs_isac.exceptions import (ConfigValidationError, OtfsIsacError,
                                   SingularReducedMatrix)
-from otfs_isac.scenario import EXPERIMENT_KINDS, EstimatorSettings, scenario_from_dict
+from otfs_isac.experiments import KINDS
+from otfs_isac.scenario import EstimatorSettings, Scenario, scenario_from_dict
+from otfs_isac.schema import FINITE
 from otfs_isac.transforms import isfft, sfft
 from oracles import (dd_route_coarse_pipeline, grid_isfft, grid_sfft, per_grid,
                      serial_transmit_chain)
@@ -179,14 +188,15 @@ def tiny_scenarios(draw, kind):
     """A scenario of this kind on a grid up to 6x6 with up to 3 transmit,
     4 radar receive and 3 comm receive antennas; its diagonal private bins
     may fall outside the grid. The targets lie inside the default grid's
-    unambiguous range (1249 m) and velocity (+-370.9 m/s). The SSR kinds and
-    dd-correlation also draw the search boxes and ``peaks_per_angle``."""
+    unambiguous range (1249 m) and velocity (+-370.9 m/s). A kind that refines
+    SSR search boxes or takes one peak per angle (``experiments.KINDS``)
+    also draws the search boxes and ``peaks_per_angle``."""
     n_tx = draw(st.integers(1, 3))
     target = st.fixed_dictionaries({"angle_deg": st.floats(-80.0, 80.0),
                                     "range_m": st.floats(0.0, 1240.0),
                                     "velocity_mps": st.floats(-370.0, 370.0)})
     estimator = {"n_solvers": draw(st.integers(1, 4))}
-    if kind in ("ssr-angle", "ssr-velocity", "demo-spectrum", "dd-correlation"):
+    if KINDS[kind].boxes is not None or KINDS[kind].one_peak:
         estimator.update(draw(SEARCH_BOXES), peaks_per_angle=draw(PEAKS_PER_ANGLE))
     return {
         "name": "fuzz",
@@ -205,7 +215,7 @@ def tiny_scenarios(draw, kind):
 
 
 @PROPERTY
-@given(raw=st.sampled_from(EXPERIMENT_KINDS).flatmap(tiny_scenarios))
+@given(raw=st.sampled_from(list(KINDS)).flatmap(tiny_scenarios))
 def test_to_dict_round_trips_on_tiny_scenarios(raw):
     """A valid scenario's JSON form reads back as an equal scenario."""
     try:
@@ -234,7 +244,7 @@ def assert_clean_exit(code, err):
 CLI_PROPERTY = settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+@pytest.mark.parametrize("kind", KINDS)
 @settings(CLI_PROPERTY, max_examples=25)
 @given(data=st.data())
 def test_cli_runs_or_fails_cleanly_on_tiny_scenarios(tmp_path, kind, data):
@@ -249,7 +259,7 @@ def test_cli_runs_or_fails_cleanly_on_tiny_scenarios(tmp_path, kind, data):
 
 
 @settings(CLI_PROPERTY, max_examples=5)
-@given(raw=st.sampled_from([k for k in EXPERIMENT_KINDS if k != "demo-spectrum"])
+@given(raw=st.sampled_from([k for k in KINDS if k != "demo-spectrum"])
        .flatmap(tiny_scenarios))
 def test_cli_parallel_run_equals_serial_on_tiny_scenarios(tmp_path, raw):
     path = tmp_path / "scenario.json"
@@ -262,3 +272,78 @@ def test_cli_parallel_run_equals_serial_on_tiny_scenarios(tmp_path, raw):
         assume(code == 0)
         outputs.append((out / "fuzz" / "trials.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+
+
+def bound_edges(kind, bound) -> list:
+    """Every choice of a string ``bound``; else the value at each end of a
+    number's bound (an infinite end as +-10**18 or +-1e300, an open end as
+    the nearest float inside) and its one extra value."""
+    if isinstance(bound, tuple):
+        return list(bound)
+    interval, _, extra = (bound or FINITE).partition(" or ")
+    ends = [float(end) for end in interval[1:-1].split(",")]
+    values = []
+    for end, other, closed in zip(ends, ends[::-1], (interval[0] == "[", interval[-1] == "]")):
+        if math.isinf(end):
+            big = 10 ** 18 if kind is int else 1e300
+            values.append(big if end > 0 else -big)
+        else:
+            values.append(kind(end) if closed else float(np.nextafter(end, other)))
+    return values + ([float(extra)] if extra else [])
+
+
+def edge_cases(cls=Scenario, path=()):
+    """(key path, value) for each edge of each checked field of the scenario
+    schema: a list gets a one-item list, and a list of objects is entered
+    (its key stands for every item)."""
+    for f in fields(cls):
+        kind = typing.get_type_hints(cls)[f.name]
+        if typing.get_origin(kind) is types.UnionType:
+            kind = typing.get_args(kind)[0]
+        item = typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else None
+        bound = f.metadata.get("bound")
+        if is_dataclass(kind) or is_dataclass(item):
+            yield from edge_cases(item or kind, path + (f.name,))
+        elif kind is str:
+            yield from ((path + (f.name,), v) for v in bound or ())
+        elif item is None:
+            yield from ((path + (f.name,), v) for v in bound_edges(kind, bound))
+        elif item is float:
+            yield from ((path + (f.name,), [v]) for v in bound_edges(float, bound))
+        else:    # private_bins: [antenna, [n, m]] pairs
+            yield from ((path + (f.name,), [[v, [v, v]]]) for v in bound_edges(int, bound))
+
+
+@pytest.mark.parametrize("scenario_file", sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.json"))),
+                         ids=os.path.basename)
+def test_cli_runs_or_fails_cleanly_at_every_bound_edge(tmp_path, scenario_file):
+    """A shipped scenario with one field of the schema at an edge of its
+    bound runs, or fails with one documented JSON error, and writes nothing
+    else to stderr, no warning either. An allocation field replaces the whole
+    allocation, and a target field is set on every listed target."""
+    with open(scenario_file) as fh:
+        shipped = json.load(fh)
+    path = tmp_path / "scenario.json"
+    for keys, value in edge_cases():
+        raw = copy.deepcopy(shipped)
+        if keys[0] == "allocation":
+            raw["allocation"] = {}
+        node = raw
+        for key in keys[:-1]:
+            node = node.setdefault(key, {})
+        if node == []:    # no listed target to set
+            continue
+        for item in node if isinstance(node, list) else [node]:
+            item[keys[-1]] = value
+        path.write_text(json.dumps(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = run_cli(["simulate", "--scenario", str(path), "--trials", "1",
+                                 "--out", str(tmp_path / "out")])
+        # stderr holds nothing on success and one JSON error line otherwise
+        assert len(err.splitlines()) == (code != 0), (keys, value, err)
+        if code:
+            assert json.loads(err)["error"] != "internal-error", (keys, value, err)

@@ -13,8 +13,9 @@ import pytest
 import otfs_isac.scenario as scenario_module
 from otfs_isac.exceptions import ConfigValidationError
 from otfs_isac.schema import FINITE, json_type, to_json
-from otfs_isac.scenario import (EXPERIMENT_KINDS, EstimatorSettings, Scenario,
-                                load_scenario, scenario_from_dict)
+from otfs_isac.experiments import KINDS
+from otfs_isac.scenario import (EstimatorSettings, Scenario, load_scenario,
+                                scenario_from_dict)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -150,7 +151,7 @@ def test_all_shipped_scenarios_validate():
     assert paths, "no shipped scenario files found"
     for path in paths:
         sc = load_scenario(path)
-        assert sc.experiment_kind in EXPERIMENT_KINDS
+        assert sc.experiment_kind in KINDS
         with open(path) as fh:
             assert_echoes(json.load(fh), sc.to_dict())
         assert scenario_from_dict(json.loads(json.dumps(sc.to_dict()))) == sc
@@ -285,6 +286,14 @@ def test_unnamed_file_named_after_its_stem(tmp_path):
     ({"snr_db_values": []}, "snr_db_values:"),
     ({"system": dict(SMALL_SYSTEM, carrier_freq_hz=10 ** 400)},
      "system.carrier_freq_hz:"),
+    ({"system": dict(SMALL_SYSTEM, subcarrier_spacing_hz=5e-324)},
+     "system.subcarrier_spacing_hz:"),
+    ({"system": dict(SMALL_SYSTEM, subcarrier_spacing_hz=1e9 * (1 + 1e-15))},
+     "system.subcarrier_spacing_hz:"),
+    ({"system": dict(SMALL_SYSTEM, carrier_freq_hz=5e-324)}, "system.carrier_freq_hz:"),
+    ({"system": dict(SMALL_SYSTEM, carrier_freq_hz=1.1e13)}, "system.carrier_freq_hz:"),
+    ({"system": dict(SMALL_SYSTEM, rx_spacing_m=5e-324)}, "system.rx_spacing_m:"),
+    ({"system": dict(SMALL_SYSTEM, tx_spacing_m=1e300)}, "system.tx_spacing_m:"),
     ({"allocation": {"private_bins": [[0.9, [0, 3.7]], [1, [2, 5]]]}},
      "allocation.private_bins[0][0]:"),
     ({"allocation": {"private_bins": [[0.9, [0, 3.7]], [1, [2, 5]]]}},
@@ -317,7 +326,9 @@ def test_unnamed_file_named_after_its_stem(tmp_path):
         "carrier-freq-string", "tx-spacing-bool", "rx-spacing-string",
         "top-level-typo", "angle-string", "angle-bool", "angle-90", "range-negative",
         "angle-past-float-range", "target-extra-key", "snr-string", "snr-bool",
-        "snr-empty", "carrier-freq-past-float-range", "private-bin-antenna-float",
+        "snr-empty", "carrier-freq-past-float-range", "subcarrier-spacing-denormal",
+        "subcarrier-spacing-over-1e9", "carrier-freq-denormal", "carrier-freq-over-1e13",
+        "rx-spacing-denormal", "tx-spacing-1e300", "private-bin-antenna-float",
         "private-bin-index-float", "private-bin-three-indices", "both-bin-forms",
         "allocation-extra-key", "angle-width-3.5-steps", "doppler-width-3.33-steps",
         "kind-null", "ssr-lattice-over-cap", "dd-correlation-two-peaks",
@@ -531,6 +542,32 @@ def test_snr_bound(snr_db, ok):
         scenario_from_dict(raw)
     assert exc.value.errors == [
         f"snr_db_values[1]: expected number in [-300, 300] or inf, got {snr_db!r}"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_private_bins_needed_exactly_by_the_kinds_with_ssr_boxes(kind):
+    """A kind that refines SSR search boxes forms its virtual array from the
+    private bins; every other kind runs without one."""
+    raw = minimal_raw(experiment_kind=kind, allocation={"diagonal_private_bins": 0})
+    if KINDS[kind].boxes is None:
+        assert scenario_from_dict(raw).bin_allocation.private_bin_list() == []
+        return
+    with pytest.raises(ConfigValidationError) as exc:
+        scenario_from_dict(raw)
+    assert exc.value.errors == [f"allocation: {kind} forms its virtual array from "
+                                "the private bins and needs at least one"]
+
+
+def test_physical_geometry_edges_accepted():
+    """Each end of the subcarrier, carrier and antenna spacing bounds is valid."""
+    for system in ({"subcarrier_spacing_hz": 1.0, "carrier_freq_hz": 1e6,
+                    "tx_spacing_m": 1e-6, "rx_spacing_m": 1e3},
+                   {"subcarrier_spacing_hz": 1e9, "carrier_freq_hz": 1e13,
+                    "tx_spacing_m": 1e3, "rx_spacing_m": 1e-6}):
+        raw = minimal_raw(experiment_kind="crlb", targets=[],
+                          system=dict(SMALL_SYSTEM, **system))
+        assert scenario_from_dict(raw).system.subcarrier_spacing_hz == system[
+            "subcarrier_spacing_hz"]
 
 
 def test_edge_values_accepted():
