@@ -10,7 +10,7 @@ from .allocation import BinAllocation, zero_force
 from .channel import complex_noise, noise_variance, tf_channel_grid
 from .config import SystemConfig, substream, unit_phases
 from .exceptions import BitCountMismatch
-from .transforms import build_modified_sfft, isfft
+from .transforms import ModifiedSfft, build_modified_sfft, isfft
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # Distinct (allocation, grid) pairs whose reduced transforms stay cached.
@@ -60,14 +60,15 @@ def transmit_chain(bits: np.ndarray, alloc: BinAllocation, cfg: SystemConfig):
 
 
 @functools.lru_cache(maxsize=_MSFFT_CACHE_SIZE)
-def _modified_sffts(alloc: BinAllocation, n: int, m: int) -> tuple:
-    return tuple(build_modified_sfft(n, m, zeroed) for zeroed in alloc.zero_bins)
+def _modified_sfft(alloc: BinAllocation, n: int, m: int) -> ModifiedSfft:
+    return build_modified_sfft(n, m, alloc.zero_bins)
 
 
-def modified_sffts(alloc: BinAllocation, cfg: SystemConfig) -> tuple:
-    """Per-antenna reduced inverse transforms for this allocation, built once
-    per (allocation, grid) in each process and shared, with read-only arrays."""
-    return _modified_sffts(alloc, cfg.n_doppler, cfg.m_delay)
+def modified_sfft(alloc: BinAllocation, cfg: SystemConfig) -> ModifiedSfft:
+    """The reduced inverse transform of this allocation's (N_t, N, M) stack,
+    built once per (allocation, grid) in each process and shared, with
+    read-only arrays."""
+    return _modified_sfft(alloc, cfg.n_doppler, cfg.m_delay)
 
 
 def recover_and_demap(tf: np.ndarray, alloc: BinAllocation,
@@ -78,8 +79,7 @@ def recover_and_demap(tf: np.ndarray, alloc: BinAllocation,
     yields the information symbols, which are then hard-demapped: the
     inverse of :func:`transmit_chain`'s TF output.
     """
-    return np.concatenate([qpsk_demodulate(msfft.recover(grid))
-                           for msfft, grid in zip(modified_sffts(alloc, cfg), tf)])
+    return qpsk_demodulate(modified_sfft(alloc, cfg).recover(tf))
 
 
 def random_pair_gains(n_paths: int, cfg: SystemConfig,
@@ -89,19 +89,41 @@ def random_pair_gains(n_paths: int, cfg: SystemConfig,
 
 
 def tf_block_channel(paths, cfg: SystemConfig, pair_gains: np.ndarray) -> np.ndarray:
-    """Per-TF-bin MIMO coefficient matrices B[n, m] of shape (N_c, N_t).
+    """Per-TF-bin MIMO coefficients B[c, a, n, m], shape (N_c, N_t, N, M).
 
     Because every path acts multiplicatively on TF samples, the stacked DD
     channel is block-diagonalized by the (unitary up to scale) DD<->TF
-    transforms; B[n, m] = sum_paths gains[:, :, path] * h_path_tf[n, m],
-    one (NM x J) @ (J x N_c N_t) product over the paths' TF grids.
+    transforms; the (N_c, N_t) matrix of bin (n, m) is B[:, :, n, m] =
+    sum_paths gains[:, :, path] * h_path_tf[n, m], one (N_c N_t x J) @
+    (J x NM) product over the paths' TF grids.
     """
     n, m, n_paths = cfg.n_doppler, cfg.m_delay, len(paths)
     h_tf = np.empty((n_paths, n * m), dtype=complex)
     for j, path in enumerate(paths):
         h_tf[j] = tf_channel_grid(path, cfg).ravel()
     gains = pair_gains.reshape(cfg.n_comm_rx * cfg.n_tx, n_paths)
-    return (h_tf.T @ gains.T).reshape(n, m, cfg.n_comm_rx, cfg.n_tx)
+    return (gains @ h_tf).reshape(cfg.n_comm_rx, cfg.n_tx, n, m)
+
+
+def _solve_hermitian(system: np.ndarray) -> np.ndarray:
+    """Solve A[:, :, i] @ x[:, i] = b[:, i] for every column i at once.
+
+    ``system`` is a (K, K + 1, L) stack of augmented matrices [A | b] whose
+    A is Hermitian positive definite; only its upper triangle is read, and
+    ``system`` is overwritten. Gaussian elimination without pivoting, which
+    is stable on such matrices, runs as whole-stack array operations with
+    the real pivots D of A = L D L^H. Returns x, shape (K, L).
+    """
+    k_dim = system.shape[0]
+    for k in range(k_dim):
+        factors = system[k, k + 1:k_dim].conj()          # D[k] * column k of L
+        # row k becomes row k of L^H, and its last entry (D^-1 L^-1 b)[k]
+        system[k, k + 1:] *= 1.0 / system[k, k].real
+        system[k + 1:, k + 1:] -= factors[:, None] * system[k, k + 1:]
+    x = system[:, k_dim]
+    for k in range(k_dim - 1, 0, -1):
+        x[:k] -= system[:k, k] * x[k]
+    return x
 
 
 def lmmse_equalize_tf(y_tf: np.ndarray, blocks: np.ndarray,
@@ -111,17 +133,21 @@ def lmmse_equalize_tf(y_tf: np.ndarray, blocks: np.ndarray,
     The stacked DD channel H factors as (unitary) * blockdiag(B[n,m]) *
     (unitary) with the same scale on both sides, so (H^H H + s I)^{-1} H^H y
     reduces to NM independent small solves on the TF receive grids. ``y_tf``
-    has shape (N_c, N, M); returns the TF estimates of shape (N_t, N, M).
+    has shape (N_c, N, M) and ``blocks`` (N_c, N_t, N, M); returns the TF
+    estimates of shape (N_t, N, M). The Gram matrices B^H B + s I are
+    Hermitian positive definite for s > 0, so every bin is solved at once by
+    :func:`_solve_hermitian`.
     """
-    n_c, n, m = y_tf.shape
-    b = blocks.reshape(n * m, n_c, -1)                 # (NM, N_c, N_t)
-    n_t = b.shape[2]
-    b_h = b.conj().transpose(0, 2, 1)                  # (NM, N_t, N_c)
-    gram = b_h @ b                                     # (NM, N_t, N_t)
-    gram[:, np.arange(n_t), np.arange(n_t)] += noise_var
-    rhs = b_h @ y_tf.reshape(n_c, -1).T[..., None]     # (NM, N_t, 1)
-    x_tf = np.linalg.solve(gram, rhs)[..., 0]          # (NM, N_t)
-    return x_tf.T.reshape(n_t, n, m)
+    n_c, n_t, n, m = blocks.shape
+    b = blocks.reshape(n_c, n_t, n * m)
+    b_h = b.conj()
+    # per bin [B^H B + s I | B^H y], upper triangle summed over the receivers
+    system = np.zeros((n_t, n_t + 1, n * m), dtype=complex)
+    for i in range(n_t):
+        system[i, i:n_t] = np.sum(b_h[:, i, None] * b[:, i:], axis=0)
+    system[np.arange(n_t), np.arange(n_t)] += noise_var
+    system[:, n_t] = np.sum(b_h * y_tf.reshape(n_c, 1, n * m), axis=0)
+    return _solve_hermitian(system).reshape(n_t, n, m)
 
 
 def ber_frame(cfg: SystemConfig, alloc: BinAllocation, paths, snr_db: float,
@@ -143,11 +169,8 @@ def ber_frame(cfg: SystemConfig, alloc: BinAllocation, paths, snr_db: float,
     dd, _ = transmit_chain(bits, alloc, cfg)
     gains = random_pair_gains(len(paths), cfg, rng_chan)
     blocks = tf_block_channel(paths, cfg, gains)
-    # y[:, n, m] = B[n, m] @ x[:, n, m] for every TF bin, as one batched matmul
-    n_bins = cfg.n_doppler * cfg.m_delay
-    x_tf = isfft(dd).reshape(cfg.n_tx, n_bins).T[..., None]          # (NM, N_t, 1)
-    y_bins = blocks.reshape(n_bins, cfg.n_comm_rx, cfg.n_tx) @ x_tf   # (NM, N_c, 1)
-    y = y_bins[..., 0].T.reshape(cfg.n_comm_rx, cfg.n_doppler, cfg.m_delay)
+    # y[:, n, m] = B[:, :, n, m] @ x[:, n, m] for every TF bin at once
+    y = np.sum(blocks * isfft(dd), axis=1)                            # (N_c, N, M)
     if np.isinf(snr_db):
         noise_var = 1e-12    # no noise is added; only regularizes the LMMSE solve
     else:

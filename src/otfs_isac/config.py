@@ -19,6 +19,10 @@ SPEED_OF_LIGHT = 299_792_458.0
 SUBCARRIER_SPACING_BOUND_HZ = "[1, 1e9]"
 CARRIER_FREQ_BOUND_HZ = "[1e6, 1e13]"
 ANTENNA_SPACING_BOUND_M = "[1e-6, 1e3]"
+# A target moves slower than light, |v| < c, so its Doppler 2 v f_c / c stays
+# below 2 f_c. A velocity of 1e300 m/s would make the Doppler inf and the
+# channel grid NaN, and a comm-ber run would still exit 0.
+VELOCITY_BOUND_MPS = "(-299792458, 299792458)"
 
 
 @dataclass(frozen=True)

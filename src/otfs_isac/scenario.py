@@ -20,22 +20,23 @@ from functools import cached_property
 
 from .allocation import BinAllocation, make_allocation
 from .coarse import resolution_report
-from .comm import modified_sffts, symbol_capacity
-from .config import SystemConfig, Target
+from .comm import modified_sfft, symbol_capacity
+from .config import VELOCITY_BOUND_MPS, SystemConfig, Target
 from .crlb import SNR_DB_BOUND
 from .exceptions import ConfigValidationError, OtfsIsacError
 from .experiments import KINDS
 from .schema import COUNT, NON_NEGATIVE, POSITIVE, from_json, param, to_json
 from .virtual_array import COLUMN_CAP, AxisSpec
 
-# Bound on the bytes of the reduced-transform columns that validation builds
-# (N * M * sum_i |Z_i| complex values); a 64x128 grid with four diagonal
+# Bound on the bytes of the reduced-transform corrections that validation
+# builds (N * M * sum_i |Z_i| complex values); a 64x128 grid with four diagonal
 # private bins needs 1.5 MiB.
 MAX_REDUCED_TRANSFORM_BYTES = 256 * 2 ** 20
 # Bound on the bytes of the largest per-frame grid stack a run allocates: the
 # radar receive stack (N_r * N * M), the comm channel blocks (N_c * N_t * N * M)
-# and the LMMSE Gram stack (N_t^2 * N * M) complex values. The shipped 64x128
-# scenarios need 4 MiB. The arrays that the estimator counts size share the
+# and the LMMSE systems [Gram | rhs] (N_t * (N_t + 1) * N * M) complex values;
+# no other per-frame array of the comm chain is larger than these. The shipped
+# 64x128 scenarios need 4 MiB. The arrays that the estimator counts size share the
 # bound: the coarse angle spectrum (dft_pad_factor * N_r complex bins, 4 KiB
 # shipped) and what each SSR solver keeps (SOLVER_RECORD_BYTES plus
 # 48 bytes per target: its 3 integer window starts and 3 float point values).
@@ -58,7 +59,7 @@ class TargetSpec:
 
     angle_deg: float = param(unit="deg", bound="(-90, 90)")
     range_m: float = param(unit="m", bound=NON_NEGATIVE)
-    velocity_mps: float = param(unit="m/s")
+    velocity_mps: float = param(unit="m/s", bound=VELOCITY_BOUND_MPS)
 
 
 @dataclass(frozen=True)
@@ -278,7 +279,7 @@ def scenario_from_dict(raw: dict, name: str | None = None) -> Scenario:
     _check_name(errors, scenario.name)
     _check(errors, scenario.snr_db_values, "snr_db_values: expected a non-empty list")
     stack_bytes = cfg.n_doppler * cfg.m_delay * 16 * max(
-        cfg.n_rx, cfg.n_comm_rx * cfg.n_tx, cfg.n_tx ** 2)
+        cfg.n_rx, cfg.n_comm_rx * cfg.n_tx, cfg.n_tx * (cfg.n_tx + 1))
     if not _check(errors, stack_bytes <= MAX_GRID_STACK_BYTES,
                   f"system: a {cfg.n_doppler}x{cfg.m_delay} grid with n_tx={cfg.n_tx}, "
                   f"n_rx={cfg.n_rx} and n_comm_rx={cfg.n_comm_rx} needs "
@@ -305,7 +306,7 @@ def scenario_from_dict(raw: dict, name: str | None = None) -> Scenario:
             f"{field}: the run would make more than {MAX_TRIAL_CELLS} "
             f"(SNR, trial) cells for {n_snrs} SNR value(s)"])
     try:
-        modified_sffts(scenario.bin_allocation, cfg)     # also warms the cache for the run
+        modified_sfft(scenario.bin_allocation, cfg)     # also warms the cache for the run
     except OtfsIsacError as exc:
         raise ConfigValidationError(
             [f"allocation: reduced transform check failed: {exc}"])

@@ -56,46 +56,45 @@ def _tf_linear(bins, n, m):
 
 @dataclass(frozen=True)
 class ModifiedSfft:
-    """Reduced inverse transform for grids with zero-forced TF bins.
+    """Reduced inverse transform for a stack of grids with zero-forced TF bins.
 
-    Recovers the (NM - |zeroed|) information symbols of a DD grid that was
-    transmitted with the DD bins at the ``zeroed`` (row, col) positions left
-    empty and the TF bins at those positions forced to zero after the forward
-    transform. Both grids are row-major, so one linear index array serves
-    both domains. The reduced forward matrix must be full rank. The arrays
-    are read-only.
+    Grid i of the stack was transmitted with the DD bins at the
+    ``zeroed[i]`` (row, col) positions left empty and the TF bins at those
+    positions forced to zero after the forward transform. :meth:`recover`
+    returns the information symbols of every grid. Both domains are
+    row-major, so one linear index array per grid serves both. Each reduced
+    forward matrix must be full rank. The arrays are read-only.
     """
 
     n_doppler: int
     m_delay: int
     zeroed: tuple
-    _index: np.ndarray = field(repr=False)
-    _columns: np.ndarray = field(repr=False)
-    _schur: np.ndarray = field(repr=False)
+    _empty: np.ndarray = field(repr=False)        # (len(zeroed), N, M), True at zeroed
+    _index: tuple = field(repr=False)             # per grid, sorted linear indices
+    _correction: tuple = field(repr=False)        # per grid, columns @ inv(schur), NM x r
 
     @property
     def n_info_symbols(self) -> int:
-        return self.n_doppler * self.m_delay - len(self.zeroed)
+        return int(self._empty.size - np.count_nonzero(self._empty))
 
     def recover(self, tf: np.ndarray) -> np.ndarray:
-        """Recover information symbols from a TF grid.
+        """Recover the information symbols from a TF stack (len(zeroed), N, M).
 
-        Returns the DD symbols in row-major order, skipping the empty DD
-        positions. The samples at the zero-forced TF bins are ignored.
+        Returns the DD symbols grid by grid, each in row-major order,
+        skipping the empty DD positions. The samples at the zero-forced TF
+        bins are ignored.
         """
         tf = np.asarray(tf, dtype=complex)
-        n, m = self.n_doppler, self.m_delay
-        if tf.shape != (n, m):
-            raise DimensionMismatch(f"expected {(n, m)} TF grid, got {tf.shape}")
-        flat = tf.ravel().copy()
-        flat[self._index] = 0.0
-        x = sfft(flat.reshape(n, m)).ravel()
-        if self._index.size:
-            # Solve for the unknown zero-forced TF values so that the empty DD
-            # positions come out exactly zero, then correct the SFFT output.
-            u = np.linalg.solve(self._schur, -x[self._index])
-            x += self._columns @ u
-        return np.delete(x, self._index)
+        if tf.shape != self._empty.shape:
+            raise DimensionMismatch(f"expected {self._empty.shape} TF stack, got {tf.shape}")
+        x = sfft(np.where(self._empty, 0.0, tf)).reshape(len(self.zeroed), -1)
+        # The unknown zero-forced TF values u solve schur @ u = -x[index], so
+        # that the empty DD positions come out exactly zero; the SFFT output
+        # is corrected by columns @ u = -correction @ x[index].
+        for grid, index, correction in zip(x, self._index, self._correction):
+            if index.size:
+                grid -= correction @ grid[index]
+        return x[~self._empty.reshape(x.shape)]
 
 
 def _sfft_columns(n: int, m: int, index: np.ndarray) -> np.ndarray:
@@ -108,27 +107,41 @@ def _sfft_columns(n: int, m: int, index: np.ndarray) -> np.ndarray:
 
 
 def build_modified_sfft(n: int, m: int, zeroed) -> ModifiedSfft:
-    """Construct the reduced inverse transform for one zero-forced TF set.
+    """Construct the reduced inverse transform of a stack of grids.
 
-    The DD bins left empty sit at the same (row, col) positions. Raises
-    :class:`DimensionMismatch` for a bin outside the grid and
-    :class:`SingularReducedMatrix` if the reduced forward matrix is rank
-    deficient (a different bin placement must be chosen in that case).
+    ``zeroed`` holds one zero-forced TF set per grid; the DD bins left empty
+    sit at the same (row, col) positions. Raises :class:`DimensionMismatch`
+    for a bin outside the grid and :class:`SingularReducedMatrix` if a
+    reduced forward matrix is rank deficient (a different bin placement must
+    be chosen in that case).
     """
-    zeroed = sorted(set((int(a), int(b)) for a, b in zeroed))
-    index = _tf_linear(zeroed, n, m)
-    columns = _sfft_columns(n, m, index)
-    # Invertibility of the reduced forward matrix is equivalent to
-    # invertibility of the r x r block of the inverse transform at the removed
-    # positions (Schur complement of a full-rank matrix), which stays cheap
-    # even on large grids.
-    schur = columns[index, :]
-    if index.size:
-        sv = np.linalg.svd(schur, compute_uv=False)
-        if sv[-1] <= _RANK_RTOL * sv[0]:
-            raise SingularReducedMatrix(
-                f"reduced transform is rank deficient for zeroed={zeroed}")
-    for array in (index, columns, schur):
+    zeroed = tuple(tuple(sorted(set((int(a), int(b)) for a, b in bins)))
+                   for bins in zeroed)
+    empty = np.zeros((len(zeroed), n * m), dtype=bool)
+    indices, corrections = [], []
+    for grid_empty, bins in zip(empty, zeroed):
+        index = _tf_linear(bins, n, m)
+        columns = _sfft_columns(n, m, index)
+        # Invertibility of the reduced forward matrix is equivalent to
+        # invertibility of the r x r block of the inverse transform at the
+        # removed positions (Schur complement of a full-rank matrix), which
+        # stays cheap even on large grids.
+        schur = columns[index, :]
+        if index.size:
+            u, sv, vh = np.linalg.svd(schur)
+            if sv[-1] <= _RANK_RTOL * sv[0]:
+                raise SingularReducedMatrix(
+                    f"reduced transform is rank deficient for zeroed={list(bins)}")
+            # the correction columns @ inv(schur), with inv(schur) = V S^-1 U^H
+            # from the same decomposition, formed in place one row of the
+            # grid at a time so that no second NM x r array is allocated
+            inverse = (vh.conj().T / sv) @ u.conj().T
+            for rows in columns.reshape(n, m, -1):
+                rows[...] = rows @ inverse
+        grid_empty[index] = True
+        indices.append(index)
+        corrections.append(columns)
+    empty = empty.reshape(len(zeroed), n, m)
+    for array in (empty, *indices, *corrections):
         array.flags.writeable = False
-    return ModifiedSfft(n, m, tuple(zeroed), index, columns, schur)
-
+    return ModifiedSfft(n, m, zeroed, empty, tuple(indices), tuple(corrections))

@@ -23,7 +23,10 @@ transforms and the mask-based transmit chain must match them bit for bit.
 ``dd_route_ber_frame`` is the communication link as first written, in the
 DD domain: SFFT after the channel, noise added to the DD grids, LMMSE
 equalization wrapped in ISFFT/SFFT and recovery from equalized DD grids.
-The TF-domain ``comm.ber_frame`` must count the same bit errors.
+Its equalizer is ``stacked_lmmse_equalize_tf``, one ``np.linalg.solve`` per
+TF bin, and its recovery inverts each antenna's reduced ISFFT matrix
+explicitly, so it calls neither stage that it checks. The TF-domain
+``comm.ber_frame`` must count the same bit errors.
 
 ``padded_fft_estimate_angles`` and ``lstsq_angle_profiles`` are the coarse
 stage as first written: a zero-padded FFT of every DD snapshot and a generic
@@ -42,9 +45,8 @@ import itertools
 import numpy as np
 
 from otfs_isac.channel import complex_noise, noise_variance, tf_channel_grid
-from otfs_isac.comm import (lmmse_equalize_tf, qpsk_modulate, random_pair_gains,
-                            recover_and_demap, symbol_capacity, tf_block_channel,
-                            transmit_chain)
+from otfs_isac.comm import (qpsk_demodulate, qpsk_modulate, random_pair_gains,
+                            symbol_capacity, tf_block_channel, transmit_chain)
 from otfs_isac.coarse import extract_angle_profiles
 from otfs_isac.config import Target, substream
 from otfs_isac.crlb import snr_linear
@@ -346,6 +348,31 @@ def lmmse_equalize(y: np.ndarray, h: np.ndarray, noise_var: float) -> np.ndarray
     return np.linalg.solve(gram, h.conj().T @ y)
 
 
+def stacked_lmmse_equalize_tf(y_tf: np.ndarray, blocks: np.ndarray,
+                              noise_var: float) -> np.ndarray:
+    """``comm.lmmse_equalize_tf`` as a stack of per-bin problems: the
+    (NM, N_t, N_t) Gram matrices and right-hand sides as batched products,
+    then one ``np.linalg.solve`` per TF bin. ``y_tf`` is (N_c, N, M) and
+    ``blocks`` (N_c, N_t, N, M); returns (N_t, N, M)."""
+    n_c, n_t, n, m = blocks.shape
+    b = blocks.reshape(n_c, n_t, n * m).transpose(2, 0, 1)   # (NM, N_c, N_t)
+    b_h = b.conj().transpose(0, 2, 1)                        # (NM, N_t, N_c)
+    gram = b_h @ b
+    gram[:, np.arange(n_t), np.arange(n_t)] += noise_var
+    rhs = b_h @ y_tf.reshape(n_c, -1).T[..., None]           # (NM, N_t, 1)
+    return np.linalg.solve(gram, rhs)[..., 0].T.reshape(n_t, n, m)
+
+
+def explicit_recover(tf: np.ndarray, alloc, cfg) -> np.ndarray:
+    """Information symbols of the (N_t, N, M) TF stack: per antenna, the
+    inverse of the ISFFT matrix restricted to the kept DD and TF positions,
+    applied to the kept TF samples."""
+    g = isfft_matrix(cfg.n_doppler, cfg.m_delay)
+    keep = ~alloc.zero_mask(cfg.n_doppler, cfg.m_delay).reshape(len(tf), -1)
+    return np.concatenate([np.linalg.inv(g[np.ix_(k, k)]) @ grid.ravel()[k]
+                           for k, grid in zip(keep, tf)])
+
+
 def dd_route_ber_frame(cfg, alloc, paths, snr_db: float, seed: int,
                        frame_index: int = 0) -> tuple[int, int]:
     """``comm.ber_frame`` with the receive chain on DD grids: same streams,
@@ -356,14 +383,14 @@ def dd_route_ber_frame(cfg, alloc, paths, snr_db: float, seed: int,
     bits = rng_bits.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
     dd, _ = transmit_chain(bits, alloc, cfg)
     blocks = tf_block_channel(paths, cfg, random_pair_gains(len(paths), cfg, rng_chan))
-    y_dd = sfft(np.einsum("nmca,anm->cnm", blocks, isfft(dd)))
+    y_dd = sfft(np.einsum("canm,anm->cnm", blocks, isfft(dd)))
     if np.isinf(snr_db):
         noise_var = 1e-12
     else:
         noise_var = noise_variance(snr_db)
         y_dd = y_dd + complex_noise(y_dd.shape, noise_var, rng_noise)
-    x_dd = sfft(lmmse_equalize_tf(isfft(y_dd), blocks, noise_var))
-    decoded = recover_and_demap(isfft(x_dd), alloc, cfg)
+    x_dd = sfft(stacked_lmmse_equalize_tf(isfft(y_dd), blocks, noise_var))
+    decoded = qpsk_demodulate(explicit_recover(isfft(x_dd), alloc, cfg))
     return int(np.count_nonzero(decoded != bits)), bits.size
 
 

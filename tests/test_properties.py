@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from otfs_isac.allocation import make_allocation
 from otfs_isac.cli import main
 from otfs_isac.coarse import coarse_pipeline
-from otfs_isac.comm import (modified_sffts, recover_and_demap, symbol_capacity,
+from otfs_isac.comm import (modified_sfft, recover_and_demap, symbol_capacity,
                             transmit_chain)
 from otfs_isac.config import SystemConfig
 from otfs_isac.exceptions import (ConfigValidationError, OtfsIsacError,
@@ -82,7 +82,7 @@ def allocations(draw):
 def test_modified_sfft_recovers_transmitted_bits(case, seed):
     cfg, alloc = case
     try:
-        modified_sffts(alloc, cfg)
+        modified_sfft(alloc, cfg)
     except SingularReducedMatrix:
         return
     bits = np.random.default_rng(seed).integers(

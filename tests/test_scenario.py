@@ -343,7 +343,7 @@ def test_malformed_input_is_a_validation_error(overrides, prefix):
 def test_oversize_grid_rejected_before_building_transforms(monkeypatch):
     def build(*args):
         pytest.fail("reduced transforms built for an oversize grid")
-    monkeypatch.setattr(scenario_module, "modified_sffts", build)
+    monkeypatch.setattr(scenario_module, "modified_sfft", build)
     raw = minimal_raw(system=dict(SMALL_SYSTEM, n_doppler=4096, m_delay=8192, n_tx=4),
                       allocation={"diagonal_private_bins": 4})
     tracemalloc.start()
@@ -390,7 +390,7 @@ def test_oversize_grid_without_private_bins_rejected(system):
 @pytest.mark.parametrize("counts, grids", [
     ({"n_rx": 8, "n_comm_rx": 1, "n_tx": 2}, 8),    # radar receive stack
     ({"n_rx": 2, "n_comm_rx": 4, "n_tx": 2}, 8),    # comm channel blocks
-    ({"n_rx": 2, "n_comm_rx": 1, "n_tx": 3}, 9),    # LMMSE Gram stack
+    ({"n_rx": 2, "n_comm_rx": 1, "n_tx": 3}, 12),   # LMMSE systems [Gram | rhs]
 ])
 def test_grid_stack_bound_counts_the_largest_stack(monkeypatch, counts, grids):
     """Each stack decides the bound when it is the largest; 8 x 16 grids. One
@@ -513,6 +513,20 @@ def test_aliased_targets_allowed_where_no_target_is_estimated(kind):
     raw = minimal_raw(experiment_kind=kind, targets=[
         {"angle_deg": 0.0, "range_m": 2000.0, "velocity_mps": 500.0}])
     assert scenario_from_dict(raw).experiment_kind == kind
+
+
+@pytest.mark.parametrize("velocity_mps", [1e300, -299792458.0, 299792458.0])
+def test_comm_ber_target_at_or_past_light_speed_rejected(velocity_mps):
+    """comm-ber's paths skip the aliasing check, so only the bound |v| < c
+    keeps a velocity of 1e300 m/s from an inf Doppler and a NaN channel."""
+    with open(os.path.join(SCENARIO_DIR, "comm_ber.json")) as fh:
+        raw = json.load(fh)
+    for target in raw["targets"]:
+        target["velocity_mps"] = velocity_mps
+    with pytest.raises(ConfigValidationError) as exc:
+        scenario_from_dict(raw)
+    assert any(e.startswith("targets[0].velocity_mps: expected number in "
+                            "(-299792458, 299792458)") for e in exc.value.errors)
 
 
 def test_ssr_velocity_draw_range_must_be_unaliased():

@@ -95,21 +95,21 @@ def test_modified_sfft_recovers_symbols():
     rng = np.random.default_rng(6)
     n, m = 8, 8
     zeroed = [(0, 0), (1, 3), (5, 2)]
-    msfft = build_modified_sfft(n, m, zeroed)
+    msfft = build_modified_sfft(n, m, [zeroed])
     symbols = rng.standard_normal(msfft.n_info_symbols) \
         + 1j * rng.standard_normal(msfft.n_info_symbols)
     dd = dd_with_empty_bins(symbols, n, m, zeroed)
     tf = isfft(dd)
     for (a, b) in zeroed:
         tf[a, b] = 0.0
-    np.testing.assert_allclose(msfft.recover(tf), symbols, atol=1e-10)
+    np.testing.assert_allclose(msfft.recover(tf[None]), symbols, atol=1e-10)
 
 
 def test_modified_sfft_agrees_with_explicit_operator():
     rng = np.random.default_rng(7)
     n, m = 4, 8
     zeroed = [(3, 2), (2, 4)]
-    msfft = build_modified_sfft(n, m, zeroed)
+    msfft = build_modified_sfft(n, m, [zeroed])
     symbols = rng.standard_normal(msfft.n_info_symbols) \
         + 1j * rng.standard_normal(msfft.n_info_symbols)
     dd = dd_with_empty_bins(symbols, n, m, zeroed)
@@ -124,25 +124,25 @@ def test_modified_sfft_agrees_with_explicit_operator():
     reduced_obs = tf.ravel()[keep]
     operator = np.linalg.inv(isfft_matrix(n, m)[np.ix_(keep, keep)])
     np.testing.assert_allclose(operator @ reduced_obs, symbols, atol=1e-10)
-    np.testing.assert_allclose(msfft.recover(tf), symbols, atol=1e-10)
+    np.testing.assert_allclose(msfft.recover(tf[None]), symbols, atol=1e-10)
 
 
 def test_modified_sfft_trivial_empty_sets():
-    msfft = build_modified_sfft(4, 4, [])
+    msfft = build_modified_sfft(4, 4, [[]])
     rng = np.random.default_rng(8)
     dd = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    np.testing.assert_allclose(msfft.recover(isfft(dd)), dd.ravel(), atol=1e-10)
+    np.testing.assert_allclose(msfft.recover(isfft(dd)[None]), dd.ravel(), atol=1e-10)
 
 
 def test_singular_bin_choice_rejected():
     # Zeroing (0,0) and (4,0) on an 8x8 grid gives an all-ones 2x2 reduced
     # block.
     with pytest.raises(SingularReducedMatrix):
-        build_modified_sfft(8, 8, [(0, 0), (4, 0)])
+        build_modified_sfft(8, 8, [[(0, 0), (4, 0)]])
 
 
 def test_bin_outside_grid_rejected():
     with pytest.raises(DimensionMismatch):
-        build_modified_sfft(4, 4, [(9, 0)])
+        build_modified_sfft(4, 4, [[(9, 0)]])
     with pytest.raises(DimensionMismatch):
-        build_modified_sfft(4, 4, [(0, 4)])
+        build_modified_sfft(4, 4, [[(0, 4)]])
