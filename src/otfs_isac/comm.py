@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -150,6 +151,18 @@ def lmmse_equalize_tf(y_tf: np.ndarray, blocks: np.ndarray,
     return _solve_hermitian(system).reshape(n_t, n, m)
 
 
+def undefined_noiseless_ber(cfg: SystemConfig, snr_db: float) -> bool:
+    """Whether the link has no bit error count of its own at ``snr_db``.
+
+    Without noise the LMMSE is regularized by N0 = 1e-12 only. With fewer
+    comm receivers than transmitters every TF bin's Gram matrix is then
+    singular up to that regularizer, the null-space part of each estimate
+    is rounding amplified about 1e12 times, and the bit errors depend on
+    the linear solver rather than on the link.
+    """
+    return math.isinf(snr_db) and cfg.n_comm_rx < cfg.n_tx
+
+
 def ber_frame(cfg: SystemConfig, alloc: BinAllocation, paths, snr_db: float,
               seed: int, frame_index: int = 0) -> tuple[int, int]:
     """One Monte Carlo communication frame; returns (bit_errors, bit_count).
@@ -158,8 +171,12 @@ def ber_frame(cfg: SystemConfig, alloc: BinAllocation, paths, snr_db: float,
     N0 = P_avg / 10^(snr_db/10) per DD receive sample with unit-power
     constellations (P_avg = 1); it is drawn in the DD domain and carried to
     TF once. Channel, equalization and recovery all run on TF grids, which
-    equals the stacked DD-operator route exactly.
+    equals the stacked DD-operator route exactly. Raises ValueError where
+    the bit errors are not the link's (:func:`undefined_noiseless_ber`).
     """
+    if undefined_noiseless_ber(cfg, snr_db):
+        raise ValueError(f"no noise-free BER with n_comm_rx={cfg.n_comm_rx} < "
+                         f"n_tx={cfg.n_tx}: the LMMSE is singular without noise")
     rng_bits = substream(seed, frame_index, 0)
     rng_chan = substream(seed, frame_index, 1)
     rng_noise = substream(seed, frame_index, 2)

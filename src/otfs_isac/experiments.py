@@ -276,16 +276,18 @@ def _crlb(cell: Cell):
 
 
 class Kind(collections.namedtuple(
-        "Kind", "draw estimates metrics targets boxes trials velocities one_peak",
-        defaults=((0, math.inf), None, "trials", None, False))):
+        "Kind", "draw estimates metrics targets boxes trials velocities one_peak comm_link",
+        defaults=((0, math.inf), None, "trials", None, False, False))):
     """An experiment kind, declared once: its ``draw`` of a trial's targets
     and truth with a radar frame (None: no frame), its (estimator call, rows
     written when the call raises) ``estimates`` and its ``metrics`` table.
     Validation reads the rest: the fewest and most ``targets``, the SSR
     search ``boxes`` (PER_TARGET or a count; None: no SSR), the scenario
     field that sets the ``trials`` per SNR (None: one), the [low, high) m/s
-    ``velocities`` its draw picks, and whether it pairs ``one_peak`` with
-    each target. The README's kind table says what each one requires."""
+    ``velocities`` its draw picks, whether it pairs ``one_peak`` with
+    each target, and whether its trials run the ``comm_link`` (see
+    ``comm.undefined_noiseless_ber``). The README's kind table says what
+    each one requires."""
 
     def n_boxes(self, scenario) -> int:
         """The SSR search boxes it refines for ``scenario``; 0 without SSR."""
@@ -326,7 +328,7 @@ KINDS = {
     "comm-ber": Kind(None, [(_comm_ber, [])], (
         Metric("bit_errors", "bits", "ber", "ratio to bit_count"),
         Metric("bit_count", "bits", "total_bits", "sum")),
-        targets=(1, math.inf), trials="min_bits"),
+        targets=(1, math.inf), trials="min_bits", comm_link=True),
     "crlb": Kind(None, [(_crlb, [])], (
         Metric("angle_crlb_rad2", "rad^2", "angle_crlb_rad2_mean"),
         Metric("nu_crlb", "Hz^2", "nu_crlb_mean"),

@@ -20,7 +20,7 @@ from functools import cached_property
 
 from .allocation import BinAllocation, make_allocation
 from .coarse import resolution_report
-from .comm import modified_sfft, symbol_capacity
+from .comm import modified_sfft, symbol_capacity, undefined_noiseless_ber
 from .config import VELOCITY_BOUND_MPS, SystemConfig, Target
 from .crlb import SNR_DB_BOUND
 from .exceptions import ConfigValidationError, OtfsIsacError
@@ -293,6 +293,11 @@ def scenario_from_dict(raw: dict, name: str | None = None) -> Scenario:
     _check(errors, fewest <= len(scenario.targets) <= most,
            f"targets: {kind} takes {fewest} to {most} targets, got {len(scenario.targets)}")
     _check_unaliased(errors, kind, scenario.paths, cfg)
+    _check(errors, not KINDS[kind].comm_link or not any(
+        undefined_noiseless_ber(cfg, snr_db) for snr_db in scenario.snr_db_values),
+           f"snr_db_values: inf (no noise) needs n_comm_rx >= n_tx for {kind}, got "
+           f"n_comm_rx={cfg.n_comm_rx} and n_tx={cfg.n_tx}: without noise the "
+           f"LMMSE is singular and the bit errors depend on the solver")
     if errors:
         raise ConfigValidationError(errors)
 

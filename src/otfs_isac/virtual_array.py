@@ -16,11 +16,12 @@ ratios alongside the |X_p| row weights.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .allocation import BinAllocation
 from .config import SystemConfig, substream
@@ -34,10 +35,21 @@ RATIO_RTOL = 1e-9
 COLUMN_CAP = 500_000
 DEFAULT_N_SOLVERS = 64
 DEFAULT_SWEEPS = 3
-# Solvers advanced together by one batched computation. Fixed, so that the
-# batch's temporaries do not grow with n_solvers; 16 ran fastest of 8, 12, 16,
-# 24 and 32 on the shipped ssr_close_angles scenario and keeps them to a few MB.
-SOLVER_BLOCK = 16
+# Scored (angle, distinct column) cells of one neighborhood's windows that
+# one block of solvers holds at once: the solvers advanced together by one
+# batched computation are CELL_BUDGET // (A * J) for a window of A angles and
+# J distinct Doppler-delay columns. Fixed, so that the batch's temporaries do
+# not grow with n_solvers. It is 16 solvers of the shipped 11 x 21 x 21 window
+# when every cell is its own column, the fixed block that ran fastest of 8,
+# 12, 16, 24 and 32 when every cell was scored, and all 64 solvers of
+# ssr_close_angles, whose windows hold 61 distinct columns.
+CELL_BUDGET = 16 * 11 * 21 * 21
+# Cycles to which Doppler-delay cells' phases n_p nu dt - m_p tau df are
+# rounded before they are compared: cells whose rounded phases agree on every
+# private bin hold one column. True duplicates agree to rounding (about
+# 1e-16), so at worst one straddling a rounding boundary is scored twice;
+# columns this close score alike to 1e-12 relative.
+PHASE_QUANTUM = 1e-12
 # Floor on |column_perp|^2 / |column|^2 in a replacement sweep's score. A
 # column in the span of the other picks (another neighborhood's pick, or a
 # duplicate of it along the delay-Doppler ridge) has a perpendicular part of
@@ -203,6 +215,46 @@ def omp(values: np.ndarray, dictionary: SsrDictionary, k_sparse: int | None = No
     )
 
 
+def _centered(n: int) -> np.ndarray:
+    """Squared distance of each of n lattice points from the lattice centre,
+    in units of the lattice span."""
+    x = np.arange(n, dtype=float) - (n - 1) / 2.0
+    return (x / max(n - 1, 1)) ** 2
+
+
+@functools.lru_cache(maxsize=8)
+def _window_columns(doppler_steps: tuple, delay_steps: tuple, n_doppler: int,
+                    n_delay: int) -> np.ndarray:
+    """The distinct Doppler-delay columns of an (n_doppler, n_delay) window.
+
+    Cell (v, t) has, on private bin p, the phase v a_p - t b_p mod 1 in
+    cycles relative to cell (0, 0), with a_p = ``doppler_steps[p]`` and
+    b_p = ``delay_steps[p]``; two cells hold one column, up to the unit
+    phase exp(-j2pi nu tau) common to all private bins, when these agree on
+    every bin. That depends on the cells' offset only, so every window of a
+    lattice has the same groups. Phases are compared rounded to
+    ``PHASE_QUANTUM``. Returns each group's window-local flat cells, (J, K),
+    rows ascending and padded with n_doppler * n_delay, groups in the order
+    of their first cells; read-only, as it is cached per lattice.
+    """
+    v, t = np.divmod(np.arange(n_doppler * n_delay), n_delay)
+    phase = v[:, None] * np.array(doppler_steps) - t[:, None] * np.array(delay_steps)
+    phase -= np.floor(phase)
+    turns = round(1 / PHASE_QUANTUM)
+    key = np.rint(phase * turns).astype(np.int64) % turns
+    _, first, label = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    label = rank[label.ravel()]
+    counts = np.bincount(label)
+    order = np.argsort(label, kind="stable")
+    members = np.full((counts.size, counts.max()), label.size)
+    members[label[order], np.arange(label.size)
+            - np.repeat(np.cumsum(counts) - counts, counts)] = order
+    members.flags.writeable = False
+    return members
+
+
 class _FactoredGrid:
     """Superset dictionary of one neighborhood in factored form.
 
@@ -211,6 +263,8 @@ class _FactoredGrid:
     on (nu, tau) and the private bin p only). Correlations against a
     residual therefore cost O(N_p (N_r + n_dd) n_angle) instead of touching
     every column, which is what makes many bagged solvers affordable.
+    ``members`` lists the distinct Doppler-delay columns of a window
+    (:func:`_window_columns`); the solvers score each of them once.
     """
 
     def __init__(self, spec: NeighborhoodSpec, bin_meta, n_rx: int,
@@ -243,14 +297,19 @@ class _FactoredGrid:
         # combination nu*dt - tau*df, producing exactly duplicated columns
         # along that ridge; without a tie-break the estimate drifts randomly
         # along it. The penalty is far below genuine likelihood differences
-        # but above noise-level differences between duplicates.
-        def centered(nn):
-            x = np.arange(nn, dtype=float) - (nn - 1) / 2.0
-            return (x / max(nn - 1, 1)) ** 2
-        d2 = (centered(self.angles.size)[:, None, None]
-              + centered(self.dopplers.size)[None, :, None]
-              + centered(self.delays.size)[None, None, :])
-        self.center_penalty = 1.0 + 1e-3 * d2
+        # but above noise-level differences between duplicates. Its
+        # Doppler-delay term dd_penalty is summed first, so that at every
+        # angle the penalty orders a Doppler-delay lattice's cells as
+        # dd_penalty does.
+        self.dd_penalty = (_centered(self.dopplers.size)[:, None]
+                           + _centered(self.delays.size)[None, :])
+        self.center_penalty = 1.0 + 1e-3 * (_centered(self.angles.size)[:, None, None]
+                                            + self.dd_penalty)
+        # the window's distinct Doppler-delay columns: per private bin, the
+        # phase in cycles of one Doppler and of one delay lattice step
+        self.members = _window_columns(tuple(n_p * spec.doppler.step * dt),
+                                       tuple(m_p * spec.delay.step * df),
+                                       *self.window[1:])
         # Scoring factors. g_p(nu, tau) = D_p(nu) E_p(tau) exp(-j2pi nu tau):
         # the last factor is common to all private bins, a unit phase per
         # column, so it drops out of every |column^H v|. Scoring works on
@@ -265,23 +324,15 @@ class _FactoredGrid:
         self.pairs = np.triu_indices(n_bins, 1)
         self.h_ri = _stack_ri(h)
         self.hh_ri = _stack_ri(h[self.pairs[0]] * h[self.pairs[1]].conj())
-        # every window of the scoring factors and of the penalty, indexed by
-        # the window's start
-        self.swc_windows = sliding_window_view(self.swc, self.window[0], axis=2).transpose(
-            2, 0, 1, 3)
+        # every window of them, indexed by the window's start
         self.h_windows, self.hh_windows = (
             sliding_window_view(x, self.window[1:], axis=(1, 2)).transpose(1, 2, 0, 3, 4)
             for x in (self.h_ri, self.hh_ri))
-        self.penalty_windows = self.windows(self.center_penalty)
-
-    def windows(self, superset_values: np.ndarray) -> np.ndarray:
-        """Every window of a superset-lattice array, indexed by its start:
-        (*n_starts, *window)."""
-        return sliding_window_view(superset_values, self.window)
 
     def power(self, values: np.ndarray) -> np.ndarray:
         """|column^H values|^2 over the whole superset lattice, shape (A, V, T)."""
-        a = _angle_terms(self.swc[None], values[None, None])[:, :, 0]
+        every_angle = np.arange(self.angles.size)[None]
+        a = _angle_terms(self.swc, values[None, None], every_angle)[:, :, 0]
         power = _lattice_power(a, self.h_ri.reshape(1, len(self.h_ri), -1))
         return power.reshape(self.center_penalty.shape)
 
@@ -291,11 +342,17 @@ class _FactoredGrid:
         return cols.reshape(*np.shape(ia), -1)
 
 
-def _angle_terms(swc: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """a[s, p, c, i] = sum_n conj(sw[s, p, n, i]) v[s, c, (p, n)]."""
+def _angle_terms(swc: np.ndarray, vectors: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """a[s, p, c, i] = sum_n conj(sw[p, n, angles[s, i]]) v[s, c, (p, n)].
+
+    ``swc`` is the grid's whole (N_p, N_r, n_angles) conjugated spatial
+    factor: one matmul per private bin forms the terms at every angle, and
+    each solver s keeps those of its own ``angles[s]``."""
     s, c = vectors.shape[:2]
-    n_bins, n_rx = swc.shape[1:3]
-    return vectors.reshape(s, c, n_bins, n_rx).transpose(0, 2, 1, 3) @ swc
+    n_bins, n_rx, n_angles = swc.shape
+    a = vectors.reshape(s * c, n_bins, n_rx).transpose(1, 0, 2) @ swc
+    index = (np.arange(s * c) * n_angles).reshape(s, c, 1) + angles[:, None, :]
+    return np.take(a.reshape(n_bins, -1), index, axis=1).transpose(1, 0, 2, 3)
 
 
 def _stack_ri(x: np.ndarray) -> np.ndarray:
@@ -307,10 +364,10 @@ def _lattice_power(a: np.ndarray, h_ri: np.ndarray) -> np.ndarray:
     """|column^H v|^2 over S solvers' lattices, one vector v per solver.
 
     ``a`` (S, N_p, n_angle) holds the angle terms sum_n conj(sw_pn) v_pn of
-    each solver's vector and ``h_ri`` (S, 2 N_p, n_doppler * n_delay) the
-    stacked real and imaginary parts of its lattice's Doppler-delay factor
-    h_p. The correlation sum_p a_p h_p is one real batched matmul. Returns
-    (S, n_lattice) in (angle, doppler, delay) order. The correlation is
+    each solver's vector and ``h_ri`` (S, 2 N_p, n_dd) the stacked real and
+    imaginary parts of the Doppler-delay factor h_p at its n_dd scored
+    Doppler-delay cells. The correlation sum_p a_p h_p is one real batched
+    matmul. Returns (S, n_angle * n_dd) in (angle, cell) order. The correlation is
     summed before squaring, unlike the projection's Hermitian form, so a
     column nearly orthogonal to v keeps a near-zero power: divided by a
     small denominator, it must not become a large score.
@@ -329,12 +386,12 @@ def _lattice_power(a: np.ndarray, h_ri: np.ndarray) -> np.ndarray:
 
 
 def _lattice_projection(a: np.ndarray, hh_ri: np.ndarray, pairs: tuple) -> np.ndarray:
-    """sum_j |column^H q_j|^2 over S solvers' lattices.
+    """sum_j |column^H q_j|^2 over S solvers' scored cells.
 
     ``a`` (S, N_p, J, n_angle) holds the angle terms
     a_pj = sum_n conj(sw_pn) q_pnj of each solver's J vectors, and
-    ``hh_ri`` (S, 2 n_pairs, n_doppler * n_delay) its lattice's pair
-    products h_p conj(h_q) as stacked real and imaginary parts. The sum is
+    ``hh_ri`` (S, 2 n_pairs, n_dd) the pair products h_p conj(h_q) at its
+    scored cells as stacked real and imaginary parts. The sum is
     sum_pj |a_pj|^2 + 2 Re sum_{p<q} sum_j a_pj conj(a_qj) conj(g_p) g_q,
     one real batched matmul for all J. It loses absolute accuracy where the
     sum nearly cancels, which only perturbs the denominator
@@ -356,42 +413,81 @@ class _WindowStack:
     """One neighborhood's offset windows for a block of solvers.
 
     Every solver of the block is scored by one batched computation on its
-    windows of the grid's superset factors: the spatial factor's and the
-    penalty's are copied once per block, the Doppler-delay factors' at each
-    call. Picks are flat indices into the window lattice (angle, doppler,
-    delay) in C order.
+    window's distinct columns: the grid's ``members`` at each of the
+    window's angles, J of them per angle. Of a group of cells that hold one
+    column, the solver scores only the least-penalty cell. The angle term of
+    the penalty is common to a group, so the Doppler-delay term decides, and
+    on an exact tie the lowest flat index wins. Scores are (S, A * J) in
+    (angle, group) order. The penalty's values are gathered once per block,
+    the Doppler-delay factors' at each call: as slices of the superset
+    lattice when every cell holds its own column, else by index. Picks are
+    flat indices into the window lattice (angle, doppler, delay) in C order.
     """
 
     def __init__(self, grid: _FactoredGrid, starts: np.ndarray):
         self.grid = grid
         self.starts = starts
         self.shape = grid.window
-        # each solver's window of the conjugated spatial factor
-        self.swc = grid.swc_windows[starts[:, 0]]
-        penalty = self.gather(grid.penalty_windows)
+        _, n_doppler, n_delay = grid.window
+        # each solver's window of the angle lattice
+        self.angles = starts[:, :1] + np.arange(self.shape[0])
+        # each group's least-penalty cell in each solver's window, as a
+        # window-local Doppler-delay index and as a superset one; None when
+        # every cell is its own column, so that the window is scored whole
+        self.rep = None
+        members = grid.members
+        if members.shape[1] > 1:
+            pad = members == n_doppler * n_delay
+            mv, mt = np.divmod(np.where(pad, 0, members), n_delay)
+            n_sup = grid.delays.size
+            origin = starts[:, 1, None, None] * n_sup + starts[:, 2, None, None]
+            pen = grid.dd_penalty.take(origin + mv * n_sup + mt)
+            pen[:, pad] = np.inf
+            self.rep = members[np.arange(len(members)), pen.argmin(axis=2)]
+            rv, rt = np.divmod(self.rep, n_delay)
+            self.cells = origin[:, :, 0] + rv * n_sup + rt
+        penalty = self.gather(grid.center_penalty)
         self.penalty2 = np.square(penalty, out=penalty)
 
-    def gather(self, windows: np.ndarray) -> np.ndarray:
-        """Each solver's window of a superset-lattice array, from all its
-        ``windows`` (``_FactoredGrid.windows``): (S, n_window)."""
-        return windows[tuple(self.starts.T)].reshape(len(self.starts), -1)
+    def gather(self, superset_values: np.ndarray) -> np.ndarray:
+        """Each solver's scored cells of a superset-lattice array: (S, A * J)."""
+        if self.rep is None:
+            # a window starts at any of the first n_points indices of an axis
+            windows = as_strided(superset_values, self.shape * 2,
+                                 superset_values.strides * 2, writeable=False)
+            return windows[tuple(self.starts.T)].reshape(len(self.starts), -1)
+        return superset_values.take(self.angles[:, :, None] * superset_values[0].size
+                                    + self.cells[:, None, :]).reshape(len(self.starts), -1)
+
+    def dd_factor(self, table: np.ndarray, windows: np.ndarray, sel) -> np.ndarray:
+        """A (K, V_s, T_s) Doppler-delay table of the grid, whose windows are
+        ``windows``, at the scored cells of solvers ``sel``: (S, K, J)."""
+        k, n_sup_doppler, n_sup_delay = table.shape
+        if self.rep is None:
+            _, iv, it = self.starts[sel].T
+            return windows[iv, it].reshape(len(iv), k, self.shape[1] * self.shape[2])
+        return np.take(table.reshape(k, n_sup_doppler * n_sup_delay), self.cells[sel],
+                       axis=1).transpose(1, 0, 2)
 
     def power(self, vectors: np.ndarray, sel) -> np.ndarray:
-        """|column^H v|^2 over the windows of solvers ``sel``: (S, n_window)."""
-        _, iv, it = self.starts[sel].T
-        a = _angle_terms(self.swc[sel], vectors[:, None])[:, :, 0]
-        s, n_bins, _ = a.shape
-        n_dd = self.shape[1] * self.shape[2]
-        h = self.grid.h_windows[iv, it].reshape(s, 2 * n_bins, n_dd)
-        return _lattice_power(a, h)
+        """|column^H v|^2 over the scored cells of solvers ``sel``: (S, A * J)."""
+        a = _angle_terms(self.grid.swc, vectors[:, None], self.angles[sel])[:, :, 0]
+        return _lattice_power(a, self.dd_factor(self.grid.h_ri, self.grid.h_windows, sel))
 
     def projection(self, q: np.ndarray, sel) -> np.ndarray:
-        """sum_j |column^H q_j|^2 over the windows of solvers ``sel``."""
-        _, iv, it = self.starts[sel].T
-        a = _angle_terms(self.swc[sel], q.swapaxes(1, 2))
-        n_dd = self.shape[1] * self.shape[2]
-        hh = self.grid.hh_windows[iv, it].reshape(len(a), len(self.grid.hh_ri), n_dd)
+        """sum_j |column^H q_j|^2 over the scored cells of solvers ``sel``."""
+        a = _angle_terms(self.grid.swc, q.swapaxes(1, 2), self.angles[sel])
+        hh = self.dd_factor(self.grid.hh_ri, self.grid.hh_windows, sel)
         return _lattice_projection(a, hh, self.grid.pairs)
+
+    def cell(self, arg: np.ndarray, sel) -> np.ndarray:
+        """The window-local flat cells of scored-cell indices ``arg`` of
+        solvers ``sel``."""
+        if self.rep is None:
+            return arg
+        angle, group = np.divmod(arg, self.rep.shape[1])
+        dd = np.take_along_axis(self.rep[sel], group[:, None], axis=1)[:, 0]
+        return angle * (self.shape[1] * self.shape[2]) + dd
 
     def columns(self, loc: np.ndarray, sel) -> np.ndarray:
         """The picked (weighted) columns of solvers ``sel``: (S, N_p * N_r)."""
@@ -414,7 +510,7 @@ def _residual_perp(y: np.ndarray, cols: np.ndarray):
     return q, y - (q @ coef[:, :, None])[:, :, 0]
 
 
-def _solve_block(y: np.ndarray, wins: list, y_windows: list,
+def _solve_block(y: np.ndarray, wins: list, y_scores: list,
                  sweeps: int) -> np.ndarray:
     """One-pick-per-neighborhood matching pursuit for a block of solvers.
 
@@ -423,9 +519,9 @@ def _solve_block(y: np.ndarray, wins: list, y_windows: list,
     neighborhood's pick against the residual of the others (scored on the
     projected-column correlation, i.e. exact least-squares improvement)
     until no pick changes. All solvers of the block move through these
-    steps together. Scores are compared squared. ``y_windows[tid]`` holds
-    the windows of the squared score of ``y`` itself on neighborhood tid's
-    superset lattice, which every greedy start shares.
+    steps together. Scores are compared squared. ``y_scores[tid]`` holds
+    the squared score of ``y`` itself on neighborhood tid's superset
+    lattice, which every greedy start shares.
     Returns the window-local flat pick of every solver per neighborhood.
     """
     n_tid = len(wins)
@@ -444,7 +540,7 @@ def _solve_block(y: np.ndarray, wins: list, y_windows: list,
             if sel is None:
                 continue
             if step == 0:
-                scores = win.gather(y_windows[tid])
+                scores = win.gather(y_scores[tid])
             else:
                 scores = win.power(residual[sel], sel)
                 scores /= win.penalty2[sel]
@@ -452,7 +548,8 @@ def _solve_block(y: np.ndarray, wins: list, y_windows: list,
             val = np.take_along_axis(scores, arg[:, None], axis=1)[:, 0]
             better = val > best[sel] * (1.0 + TIE_RTOL) ** 2
             upd = rows[sel][better]
-            best[upd], best_tid[upd], best_loc[upd] = val[better], tid, arg[better]
+            best[upd], best_tid[upd] = val[better], tid
+            best_loc[upd] = win.cell(arg, sel)[better]
         picked[rows, best_tid] = True
         loc[rows, best_tid] = best_loc
         for tid, win in enumerate(wins):
@@ -488,7 +585,7 @@ def _solve_block(y: np.ndarray, wins: list, y_windows: list,
             den2 *= win.penalty2[sel]
             scores = win.power(resid_perp, sel)
             scores /= den2
-            new = np.argmax(scores, axis=1)
+            new = win.cell(np.argmax(scores, axis=1), sel)
             moved[rows[sel][new != loc[sel, tid]], tid] = clock
             loc[sel, tid] = new
             cols[sel, tid] = win.columns(new, sel)
@@ -498,21 +595,27 @@ def _solve_block(y: np.ndarray, wins: list, y_windows: list,
     return loc
 
 
+def _solver_block(grids: list) -> int:
+    """Solvers per block: as many as keep every neighborhood's scored cells
+    within ``CELL_BUDGET``, and at least one."""
+    return max(1, CELL_BUDGET // max(g.window[0] * len(g.members) for g in grids))
+
+
 def _solve_batched(y: np.ndarray, grids: list, starts: np.ndarray,
                    sweeps: int) -> np.ndarray:
     """Superset-lattice picks (solver, neighborhood, axis) of all solvers.
 
     ``starts[tid, s]`` is the superset index where solver s's window of
-    neighborhood tid begins. Solvers run in blocks of ``SOLVER_BLOCK``; the
+    neighborhood tid begins. Solvers run in blocks of ``_solver_block``; the
     blocks' arrays are released on return, before the per-solver residuals.
     """
-    y_windows = [grid.windows(grid.power(y) / grid.center_penalty ** 2) for grid in grids]
+    y_scores = [grid.power(y) / grid.center_penalty ** 2 for grid in grids]
     n_solvers = starts.shape[1]
+    block = _solver_block(grids)
     picks = np.empty((n_solvers, len(grids), 3), dtype=int)
-    for b0 in range(0, n_solvers, SOLVER_BLOCK):
-        wins = [_WindowStack(grid, st[b0:b0 + SOLVER_BLOCK])
-                for grid, st in zip(grids, starts)]
-        loc = _solve_block(y, wins, y_windows, sweeps=sweeps)
+    for b0 in range(0, n_solvers, block):
+        wins = [_WindowStack(grid, st[b0:b0 + block]) for grid, st in zip(grids, starts)]
+        loc = _solve_block(y, wins, y_scores, sweeps=sweeps)
         for tid, win in enumerate(wins):
             picks[b0:b0 + len(loc), tid] = (np.column_stack(
                 np.unravel_index(loc[:, tid], win.shape)) + win.starts)
@@ -537,7 +640,7 @@ def averaged_ssr(snapshot: VirtualSnapshot, specs, cfg: SystemConfig,
     neighborhood, then runs the constrained matching pursuit of
     :func:`_solve_block` on the whitened snapshot. The windows are integer
     index ranges of one superset lattice per neighborhood, and the solvers
-    run in blocks of ``SOLVER_BLOCK`` as one batched computation. Each
+    run in blocks of ``_solver_block`` as one batched computation. Each
     solver's result equals that of running it alone.
 
     The answer is the solution with the smallest residual norm: the bagged

@@ -211,6 +211,20 @@ def test_ber_frame_noiseless_zero_errors():
     assert bits == 2 * sum(symbol_capacity(alloc, cfg))
 
 
+def test_ber_frame_without_noise_needs_as_many_receivers_as_transmitters():
+    """With fewer comm receivers than transmitters the noise-free LMMSE is
+    singular, so the link has no bit error count of its own there: an
+    infinite SNR is an error, a finite one runs, and so does an infinite
+    SNR with n_comm_rx = n_tx."""
+    cfg = small_cfg(n_comm_rx=2)
+    alloc = diagonal_allocation(cfg.n_tx)
+    with pytest.raises(ValueError, match="n_comm_rx=2 < n_tx=3"):
+        ber_frame(cfg, alloc, on_grid_paths(cfg), math.inf, seed=1)
+    ber_frame(cfg, alloc, on_grid_paths(cfg), 30.0, seed=1)
+    cfg = small_cfg(n_comm_rx=3)
+    assert ber_frame(cfg, alloc, on_grid_paths(cfg), math.inf, seed=1)[0] == 0
+
+
 def test_ber_frame_deterministic():
     cfg = small_cfg()
     alloc = diagonal_allocation(cfg.n_tx)

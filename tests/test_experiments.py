@@ -128,7 +128,7 @@ def kind_table_row(name, kind):
             f"[{fewest}, {most}]" if most < math.inf else f"[{fewest}, inf)",
             str(kind.boxes or ""), kind.trials or "one",
             "[{:g}, {:g})".format(*kind.velocities) if kind.velocities else "",
-            "yes" if kind.one_peak else "")
+            "yes" if kind.one_peak else "", "yes" if kind.comm_link else "")
 
 
 def test_readme_kind_table_is_the_code_table():

@@ -529,6 +529,32 @@ def test_comm_ber_target_at_or_past_light_speed_rejected(velocity_mps):
                             "(-299792458, 299792458)") for e in exc.value.errors)
 
 
+@pytest.mark.parametrize("kind, n_comm_rx, snr_db_values, rejected", [
+    ("comm-ber", 3, [10.0, float("inf")], True),
+    ("comm-ber", 4, [10.0, float("inf")], False),
+    ("comm-ber", 3, [10.0, 300.0], False),
+    # only the comm link reads n_comm_rx
+    ("dd-correlation", 3, [float("inf")], False),
+])
+def test_noise_free_comm_ber_needs_as_many_receivers_as_transmitters(
+        kind, n_comm_rx, snr_db_values, rejected):
+    """Without noise a link with fewer comm receivers than transmitters has
+    a singular LMMSE and no bit error count of its own."""
+    with open(os.path.join(SCENARIO_DIR, "comm_ber.json")) as fh:
+        raw = json.load(fh)
+    raw.update(experiment_kind=kind, snr_db_values=snr_db_values)
+    raw["system"]["n_comm_rx"] = n_comm_rx
+    if not rejected:
+        assert scenario_from_dict(raw).system.n_comm_rx == n_comm_rx
+        return
+    with pytest.raises(ConfigValidationError) as exc:
+        scenario_from_dict(raw)
+    assert exc.value.errors == [
+        "snr_db_values: inf (no noise) needs n_comm_rx >= n_tx for comm-ber, got "
+        "n_comm_rx=3 and n_tx=4: without noise the LMMSE is singular and the bit "
+        "errors depend on the solver"]
+
+
 def test_ssr_velocity_draw_range_must_be_unaliased():
     """At 30 kHz spacing the limit is 92.7 m/s, inside the +-100 m/s draws."""
     raw = minimal_raw(experiment_kind="ssr-velocity", targets=[],

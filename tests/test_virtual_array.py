@@ -13,8 +13,8 @@ from otfs_isac.comm import symbol_capacity, transmit_chain
 from otfs_isac.config import SystemConfig, Target, substream
 from otfs_isac.exceptions import (DictionaryTooLarge, DimensionMismatch,
                                   ZeroPrivateSymbol)
-from otfs_isac.virtual_array import (SOLVER_BLOCK, AxisSpec, NeighborhoodSpec,
-                                     SsrDictionary, _FactoredGrid, angle_surface,
+from otfs_isac.virtual_array import (AxisSpec, NeighborhoodSpec, SsrDictionary,
+                                     _FactoredGrid, _solver_block, angle_surface,
                                      averaged_ssr, build_virtual_snapshot,
                                      default_neighborhood, omp)
 from oracles import (exhaustive_ssr_minimum, serial_averaged_ssr, steering_columns,
@@ -89,6 +89,16 @@ def test_grid_columns_match_steering_formula():
                 assert abs(cols[c, row] - expected) < 1e-12
 
 
+def group_of_cells(grid) -> np.ndarray:
+    """The group of every window-local Doppler-delay cell of ``grid``."""
+    n_cells = grid.window[1] * grid.window[2]
+    group = np.full(n_cells, -1)
+    for k, members in enumerate(grid.members):
+        group[members[members < n_cells]] = k
+    assert (group >= 0).all()
+    return group
+
+
 @pytest.mark.parametrize("n_bins, n_solvers, sel", [
     (4, 5, slice(None)),
     (4, 5, np.array([0, 2, 3])),
@@ -96,20 +106,35 @@ def test_grid_columns_match_steering_formula():
     # a single private bin has no bin pairs: the projection has no cross terms
     (1, 3, np.array([1])),
     (1, 1, slice(None)),
+    # diagonal private bins: cells along nu dt - tau df = const share a column
+    ("diagonal", 5, np.array([0, 2, 3])),
 ])
 def test_window_kernels_match_direct_sums(n_bins, n_solvers, sel):
     """The window scores against |C^H v|^2 and sum_j |C^H q_j|^2 with C built
-    column by column from the grid's column builder. Each result owns its
-    memory: a second call leaves the first one's scores as they were."""
+    column by column from the grid's column builder, at every cell of every
+    window through the cell's group. Each result owns its memory: a second
+    call leaves the first one's scores as they were."""
     cfg = small_cfg()
-    bin_meta = ((1, (2, 3)), (3, (0, 5)), (0, (4, 1)), (2, (7, 7)))[:n_bins]
-    rng = np.random.default_rng(n_bins * 10 + n_solvers)
-    weights = np.repeat(rng.uniform(0.5, 1.5, n_bins), cfg.n_rx)
+    dnu, dtau = cfg.doppler_spacing_hz, cfg.delay_spacing_s
     spec = NeighborhoodSpec(angle=AxisSpec(0.3, 0.02, 0.08),
                             doppler=AxisSpec(1234.0, 150.0, 450.0),
                             delay=AxisSpec(2.2e-7, 1e-8, 5e-8))
+    if n_bins == "diagonal":
+        bin_meta = tuple((p, (p + 1, p + 1)) for p in range(4))
+        spec = NeighborhoodSpec(angle=spec.angle,
+                                doppler=AxisSpec(3 * dnu, 0.1 * dnu, 0.4 * dnu),
+                                delay=AxisSpec(2 * dtau, 0.1 * dtau, 0.5 * dtau))
+    else:
+        bin_meta = ((1, (2, 3)), (3, (0, 5)), (0, (4, 1)), (2, (7, 7)))[:n_bins]
+    seed = 99 if n_bins == "diagonal" else n_bins * 10 + n_solvers
+    rng = np.random.default_rng(seed)
+    weights = np.repeat(rng.uniform(0.5, 1.5, len(bin_meta)), cfg.n_rx)
     grid = _FactoredGrid(spec, bin_meta, cfg.n_rx, cfg, weights)
     shape = [ax.n_points for ax in (spec.angle, spec.doppler, spec.delay)]
+    group = group_of_cells(grid)
+    n_groups = len(grid.members)
+    if n_bins == "diagonal":
+        assert n_groups < shape[1] * shape[2]
     starts = rng.integers(0, shape, size=(n_solvers, 3))
     win = virtual_array._WindowStack(grid, starts)
     rows = np.arange(n_solvers)[sel]
@@ -122,14 +147,17 @@ def test_window_kernels_match_direct_sums(n_bins, n_solvers, sel):
     win.power(2.0 * v, sel), win.projection(2.0 * q, sel)
     np.testing.assert_array_equal(power, kept[0])
     np.testing.assert_array_equal(projection, kept[1])
-    assert power.shape == projection.shape == (len(rows), np.prod(shape))
+    assert power.shape == projection.shape == (len(rows), shape[0] * n_groups)
     for i, s in enumerate(rows):
         ia, iv, it = np.ix_(*(st + np.arange(n) for st, n in zip(starts[s], shape)))
         cols = grid.columns(*np.broadcast_arrays(ia, iv, it)).reshape(-1, n_rows)
+        at_cells = np.s_[:, group]
         expected = np.abs(cols.conj() @ v[i]) ** 2
-        assert np.max(np.abs(power[i] - expected)) <= 1e-12 * expected.max()
+        got = power[i].reshape(shape[0], n_groups)[at_cells].ravel()
+        assert np.max(np.abs(got - expected)) <= 1e-12 * expected.max()
         expected = np.sum(np.abs(cols.conj() @ q[i]) ** 2, axis=1)
-        assert np.max(np.abs(projection[i] - expected)) <= 1e-12 * expected.max()
+        got = projection[i].reshape(shape[0], n_groups)[at_cells].ravel()
+        assert np.max(np.abs(got - expected)) <= 1e-12 * expected.max()
 
 
 def test_angle_surface_matches_steering_columns():
@@ -274,7 +302,8 @@ def _ssr_case(centers_deg, target_deg, snr_db=15.0, seed=3, alloc=None):
     ("one", {}),
     ("identical", {}),
     ("three", {"sweeps": 0}),
-    ("three", {"n_solvers": SOLVER_BLOCK + 3}),
+    # enough solvers for two blocks
+    ("three", {"n_solvers": "block + 3"}),
     ("one-private-bin", {}),
 ])
 def test_averaged_ssr_matches_serial_oracle(case, kwargs):
@@ -293,6 +322,10 @@ def test_averaged_ssr_matches_serial_oracle(case, kwargs):
     if case == "identical":
         specs = [specs[0], specs[0]]
     kwargs = {"n_solvers": 20, "seed": 4, **kwargs}
+    if kwargs["n_solvers"] == "block + 3":
+        kwargs["n_solvers"] = _solver_block(
+            [_FactoredGrid(spec, snap.bin_meta, snap.n_rx, cfg, snap.row_weights)
+             for spec in specs]) + 3
     res = averaged_ssr(snap, specs, cfg, **kwargs)
     ref = serial_averaged_ssr(snap, specs, cfg, **kwargs)
     assert len(res.solver_estimates) == kwargs["n_solvers"]
@@ -382,7 +415,7 @@ def test_windows_and_picks_stay_inside_the_superset_lattice(monkeypatch, ratio,
             super().__init__(grid, starts, *args)
 
     monkeypatch.setattr(virtual_array, "_WindowStack", SpyStack)
-    res = averaged_ssr(snap, [spec], cfg, n_solvers=SOLVER_BLOCK, seed=2)
+    res = averaged_ssr(snap, [spec], cfg, n_solvers=16, seed=2)
     (starts,) = seen
     assert starts.min() >= 0 and starts.max() + n_points <= 2 * n_points - 1
     # the widest offset, k = n_points - 1, is drawn
@@ -391,6 +424,103 @@ def test_windows_and_picks_stay_inside_the_superset_lattice(monkeypatch, ratio,
         for ax, value, s in zip(axes, points[0], start):
             window = ax.superset_points()[s:s + ax.n_points]
             assert window[0] - 1e-9 * ax.step <= value <= window[-1] + 1e-9 * ax.step
+
+
+def ssr_close_grid(bin_meta):
+    """A neighborhood grid of the shipped ssr_close_angles geometry: 64x128
+    grid, 16 Rx, the default 11 x 21 x 21 window."""
+    cfg = SystemConfig(n_doppler=64, m_delay=128, n_tx=4, n_rx=16)
+    est = CoarseEstimate(np.deg2rad(13.0), 0, 0, 8 * cfg.doppler_spacing_hz,
+                         12 * cfg.delay_spacing_s, 0.0, 0.0, 1.0)
+    weights = np.repeat(np.linspace(0.6, 1.4, len(bin_meta)), cfg.n_rx)
+    return _FactoredGrid(default_neighborhood(est, cfg), bin_meta, cfg.n_rx, cfg, weights)
+
+
+def all_window_starts(grid) -> np.ndarray:
+    """One solver per Doppler-delay window start, angle windows cycling."""
+    n_angle, n_doppler, n_delay = grid.window
+    iv, it = np.divmod(np.arange(n_doppler * n_delay), n_delay)
+    return np.column_stack([np.arange(iv.size) % n_angle, iv, it])
+
+
+def unit_phase_free(cols: np.ndarray) -> np.ndarray:
+    """Columns with their first entry's phase divided out: the unit phase
+    exp(-j2pi nu tau) that all rows of a column share drops out."""
+    return cols * (abs(cols[..., :1]) / cols[..., :1])
+
+
+@pytest.mark.parametrize("cfg_grid", ["small", "ssr-close"])
+def test_scattered_bins_keep_every_cell_a_column(cfg_grid):
+    """Private bins off the n = m diagonal: every Doppler-delay cell of a
+    window is its own group, so the solvers score every cell."""
+    bin_meta = tuple((owner, b) for owner, b in SCATTERED_BINS.private_bin_list())
+    if cfg_grid == "small":
+        snap, specs, cfg = _ssr_case([12.0], [11.0], alloc=SCATTERED_BINS)
+        grid = _FactoredGrid(specs[0], bin_meta, snap.n_rx, cfg, snap.row_weights)
+    else:
+        grid = ssr_close_grid(bin_meta)
+    n_cells = grid.window[1] * grid.window[2]
+    np.testing.assert_array_equal(grid.members, np.arange(n_cells)[:, None])
+
+
+def test_ssr_close_windows_hold_61_distinct_columns():
+    """Diagonal private bins on the ssr_close_angles lattice: each 21 x 21
+    window holds 61 distinct Doppler-delay columns (nu dt - tau df takes 61
+    values). Every cell's column equals its group's scored cell's column
+    within 1e-12, up to the unit phase common to its rows, and cells of
+    different groups hold different columns."""
+    grid = ssr_close_grid(tuple((p, (p, p)) for p in range(4)))
+    n_angle, n_doppler, n_delay = grid.window
+    assert (n_doppler, n_delay) == (21, 21)
+    assert len(grid.members) == 61
+    group = group_of_cells(grid)
+    # every fifth Doppler-delay window start
+    starts = all_window_starts(grid)[::5]
+    win = virtual_array._WindowStack(grid, starts)
+    iv, it = np.divmod(np.arange(n_doppler * n_delay), n_delay)
+    for s, (ia, v0, t0) in enumerate(starts):
+        cells = unit_phase_free(grid.columns(np.full(iv.size, ia), v0 + iv, t0 + it))
+        rv, rt = np.divmod(win.rep[s], n_delay)
+        reps = unit_phase_free(grid.columns(np.full(rv.size, ia), v0 + rv, t0 + rt))
+        scale = np.abs(cells).max()
+        assert np.abs(cells - reps[group]).max() <= 1e-12 * scale
+        if s % 45 == 0:
+            # the groups are exactly the classes of equal columns
+            dist = np.abs(cells[:, None] - cells[None, :]).max(axis=2)
+            np.testing.assert_array_equal(dist <= 1e-9 * scale,
+                                          group[:, None] == group[None, :])
+
+
+@pytest.mark.parametrize("alloc, tied", [
+    (diagonal_allocation(4), False),
+    # m = 2n: groups run along the lattice diagonal, symmetric about the
+    # centre, so a group's two middle cells can tie
+    (make_allocation(4, [(0, (1, 2)), (1, (2, 4)), (2, (3, 6))]), True),
+], ids=["diagonal", "m-2n"])
+def test_each_group_scores_its_least_penalty_cell(alloc, tied):
+    """Of each group of a window, the solver scores the cell of least
+    Doppler-delay penalty, the lowest flat index on an exact tie; its
+    penalty is then the group's least at every angle of the window."""
+    grid = ssr_close_grid(tuple(alloc.private_bin_list()))
+    n_angle, n_doppler, n_delay = grid.window
+    n_groups = len(grid.members)
+    assert n_groups < n_doppler * n_delay
+    starts = all_window_starts(grid)
+    win = virtual_array._WindowStack(grid, starts)
+    penalty2 = win.penalty2.reshape(len(starts), n_angle, n_groups)
+    ties = 0
+    for s, (ia, v0, t0) in enumerate(starts):
+        box = np.s_[ia:ia + n_angle, v0:v0 + n_doppler, t0:t0 + n_delay]
+        dd = grid.dd_penalty[box[1:]].ravel()
+        window_penalty = grid.center_penalty[box].reshape(n_angle, -1)
+        for k, members in enumerate(grid.members):
+            members = members[members < dd.size]
+            least = members[dd[members] == dd[members].min()]
+            ties += least.size > 1
+            assert win.rep[s, k] == least[0]
+            np.testing.assert_array_equal(
+                penalty2[s, :, k], window_penalty[:, members].min(axis=1) ** 2)
+    assert (ties > 0) == tied
 
 
 def test_averaged_ssr_peak_memory_in_the_ssr_close_geometry():
@@ -436,8 +566,10 @@ def test_window_starts_follow_the_scalar_draws(monkeypatch):
             super().__init__(grid, starts, *args)
 
     monkeypatch.setattr(virtual_array, "_WindowStack", SpyStack)
-    n_solvers = SOLVER_BLOCK + 3
+    n_solvers = _solver_block([_FactoredGrid(spec, snap.bin_meta, snap.n_rx, cfg,
+                                             snap.row_weights) for spec in specs]) + 3
     averaged_ssr(snap, specs, cfg, n_solvers=n_solvers, seed=11)
+    assert len(seen) == 2 * len(specs)
     starts = np.stack([np.concatenate(seen[tid::len(specs)]) for tid in range(len(specs))],
                       axis=1)
     for s in range(n_solvers):
