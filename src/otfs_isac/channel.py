@@ -7,6 +7,8 @@ and Doppler without a time-domain simulation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import SystemConfig, Target
@@ -51,7 +53,7 @@ def radar_receive(tx_tf, targets, cfg: SystemConfig, snr_db: float | None = None
         a_r = rx_array_phase(tgt.angle_rad, cfg.n_rx, cfg)
         combined = np.tensordot(a_t, tx, axes=1) * tf_channel_grid(tgt, cfg)
         y += a_r[:, None, None] * combined
-    if snr_db is not None and not np.isinf(snr_db):
+    if snr_db is not None and snr_db != math.inf:
         # SNR is defined per DD-domain sample against unit-power symbols
         # (N0 = P_avg / 10^(snr/10)). The unit-scale DD demodulation sums NM
         # TF samples, so white TF noise of variance N0/NM lands in the DD

@@ -160,7 +160,7 @@ def undefined_noiseless_ber(cfg: SystemConfig, snr_db: float) -> bool:
     is rounding amplified about 1e12 times, and the bit errors depend on
     the linear solver rather than on the link.
     """
-    return math.isinf(snr_db) and cfg.n_comm_rx < cfg.n_tx
+    return snr_db == math.inf and cfg.n_comm_rx < cfg.n_tx
 
 
 def ber_frame(cfg: SystemConfig, alloc: BinAllocation, paths, snr_db: float,
@@ -188,7 +188,7 @@ def ber_frame(cfg: SystemConfig, alloc: BinAllocation, paths, snr_db: float,
     blocks = tf_block_channel(paths, cfg, gains)
     # y[:, n, m] = B[:, :, n, m] @ x[:, n, m] for every TF bin at once
     y = np.sum(blocks * isfft(dd), axis=1)                            # (N_c, N, M)
-    if np.isinf(snr_db):
+    if snr_db == math.inf:
         noise_var = 1e-12    # no noise is added; only regularizes the LMMSE solve
     else:
         noise_var = noise_variance(snr_db)

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .allocation import BinAllocation
 from .config import SystemConfig, substream
@@ -37,13 +36,19 @@ DEFAULT_N_SOLVERS = 64
 DEFAULT_SWEEPS = 3
 # Scored (angle, distinct column) cells of one neighborhood's windows that
 # one block of solvers holds at once: the solvers advanced together by one
-# batched computation are CELL_BUDGET // (A * J) for a window of A angles and
-# J distinct Doppler-delay columns. Fixed, so that the batch's temporaries do
-# not grow with n_solvers. It is 16 solvers of the shipped 11 x 21 x 21 window
-# when every cell is its own column, the fixed block that ran fastest of 8,
-# 12, 16, 24 and 32 when every cell was scored, and all 64 solvers of
-# ssr_close_angles, whose windows hold 61 distinct columns.
+# batched computation are at most CELL_BUDGET // (A * J) for a window of A
+# angles and J distinct Doppler-delay columns. It is 16 solvers of the shipped
+# 11 x 21 x 21 window when every cell is its own column, the fixed block that
+# ran fastest of 8, 12, 16, 24 and 32 when every cell was scored, and all 64
+# solvers of ssr_close_angles, whose windows hold 61 distinct columns.
 CELL_BUDGET = 16 * 11 * 21 * 21
+# Most solvers in one block. Each solver also holds vectors of N_p * N_r
+# entries per neighborhood (its picks, their bases, its residuals), which
+# CELL_BUDGET does not count: small windows would otherwise put thousands of
+# solvers in one block. With this cap a block's vectors are never more than a
+# few times the final residuals' column stack at the default solver count,
+# whatever n_solvers is.
+MAX_BLOCK = DEFAULT_N_SOLVERS
 # Cycles to which Doppler-delay cells' phases n_p nu dt - m_p tau df are
 # rounded before they are compared: cells whose rounded phases agree on every
 # private bin hold one column. True duplicates agree to rounding (about
@@ -310,6 +315,12 @@ class _FactoredGrid:
         self.members = _window_columns(tuple(n_p * spec.doppler.step * dt),
                                        tuple(m_p * spec.delay.step * df),
                                        *self.window[1:])
+        # each member's flat superset offset from its window's first cell,
+        # the padding repeating the group's first member
+        n_cells = self.window[1] * self.window[2]
+        mv, mt = np.divmod(np.where(self.members == n_cells, self.members[:, :1],
+                                    self.members), self.window[2])
+        self.offsets = mv * self.delays.size + mt
         # Scoring factors. g_p(nu, tau) = D_p(nu) E_p(tau) exp(-j2pi nu tau):
         # the last factor is common to all private bins, a unit phase per
         # column, so it drops out of every |column^H v|. Scoring works on
@@ -324,10 +335,6 @@ class _FactoredGrid:
         self.pairs = np.triu_indices(n_bins, 1)
         self.h_ri = _stack_ri(h)
         self.hh_ri = _stack_ri(h[self.pairs[0]] * h[self.pairs[1]].conj())
-        # every window of them, indexed by the window's start
-        self.h_windows, self.hh_windows = (
-            sliding_window_view(x, self.window[1:], axis=(1, 2)).transpose(1, 2, 0, 3, 4)
-            for x in (self.h_ri, self.hh_ri))
 
     def power(self, values: np.ndarray) -> np.ndarray:
         """|column^H values|^2 over the whole superset lattice, shape (A, V, T)."""
@@ -418,75 +425,58 @@ class _WindowStack:
     column, the solver scores only the least-penalty cell. The angle term of
     the penalty is common to a group, so the Doppler-delay term decides, and
     on an exact tie the lowest flat index wins. Scores are (S, A * J) in
-    (angle, group) order. The penalty's values are gathered once per block,
-    the Doppler-delay factors' at each call: as slices of the superset
-    lattice when every cell holds its own column, else by index. Picks are
-    flat indices into the window lattice (angle, doppler, delay) in C order.
+    (angle, group) order, gathered by index from the superset lattice: the
+    squared penalty and ``first``, the squared scores ``y_scores`` of y that
+    the first greedy step reads, once per block, and the Doppler-delay
+    factors at each call. Picks are flat indices into the window lattice
+    (angle, doppler, delay) in C order.
     """
 
-    def __init__(self, grid: _FactoredGrid, starts: np.ndarray):
+    def __init__(self, grid: _FactoredGrid, starts: np.ndarray, y_scores: np.ndarray):
         self.grid = grid
         self.starts = starts
         self.shape = grid.window
-        _, n_doppler, n_delay = grid.window
         # each solver's window of the angle lattice
         self.angles = starts[:, :1] + np.arange(self.shape[0])
-        # each group's least-penalty cell in each solver's window, as a
-        # window-local Doppler-delay index and as a superset one; None when
-        # every cell is its own column, so that the window is scored whole
-        self.rep = None
-        members = grid.members
-        if members.shape[1] > 1:
-            pad = members == n_doppler * n_delay
-            mv, mt = np.divmod(np.where(pad, 0, members), n_delay)
-            n_sup = grid.delays.size
-            origin = starts[:, 1, None, None] * n_sup + starts[:, 2, None, None]
-            pen = grid.dd_penalty.take(origin + mv * n_sup + mt)
-            pen[:, pad] = np.inf
-            self.rep = members[np.arange(len(members)), pen.argmin(axis=2)]
-            rv, rt = np.divmod(self.rep, n_delay)
-            self.cells = origin[:, :, 0] + rv * n_sup + rt
-        penalty = self.gather(grid.center_penalty)
-        self.penalty2 = np.square(penalty, out=penalty)
+        # each group's least-penalty cell in each solver's window, as a flat
+        # superset Doppler-delay index (cells) and a window-local one (rep).
+        # argmin takes the first least, so a padding copy never wins.
+        origin = starts[:, 1, None] * grid.delays.size + starts[:, 2, None]
+        n_groups, n_members = grid.members.shape
+        least = grid.dd_penalty.take(origin[:, :, None] + grid.offsets).argmin(axis=2)
+        least += np.arange(n_groups) * n_members
+        self.cells = origin + grid.offsets.take(least)
+        self.rep = grid.members.take(least)
+        # flat superset indices of the scored cells
+        index = (self.angles[:, :, None] * grid.dd_penalty.size
+                 + self.cells[:, None, :]).reshape(len(starts), -1)
+        self.penalty2 = grid.center_penalty.take(index)
+        np.square(self.penalty2, out=self.penalty2)
+        self.first = y_scores.take(index)
 
-    def gather(self, superset_values: np.ndarray) -> np.ndarray:
-        """Each solver's scored cells of a superset-lattice array: (S, A * J)."""
-        if self.rep is None:
-            # a window starts at any of the first n_points indices of an axis
-            windows = as_strided(superset_values, self.shape * 2,
-                                 superset_values.strides * 2, writeable=False)
-            return windows[tuple(self.starts.T)].reshape(len(self.starts), -1)
-        return superset_values.take(self.angles[:, :, None] * superset_values[0].size
-                                    + self.cells[:, None, :]).reshape(len(self.starts), -1)
-
-    def dd_factor(self, table: np.ndarray, windows: np.ndarray, sel) -> np.ndarray:
-        """A (K, V_s, T_s) Doppler-delay table of the grid, whose windows are
-        ``windows``, at the scored cells of solvers ``sel``: (S, K, J)."""
-        k, n_sup_doppler, n_sup_delay = table.shape
-        if self.rep is None:
-            _, iv, it = self.starts[sel].T
-            return windows[iv, it].reshape(len(iv), k, self.shape[1] * self.shape[2])
-        return np.take(table.reshape(k, n_sup_doppler * n_sup_delay), self.cells[sel],
+    def dd_factor(self, table: np.ndarray, sel) -> np.ndarray:
+        """A (K, V_s, T_s) Doppler-delay table of the grid at the scored
+        cells of solvers ``sel``: (S, K, J)."""
+        k, n_doppler, n_delay = table.shape
+        return np.take(table.reshape(k, n_doppler * n_delay), self.cells[sel],
                        axis=1).transpose(1, 0, 2)
 
     def power(self, vectors: np.ndarray, sel) -> np.ndarray:
         """|column^H v|^2 over the scored cells of solvers ``sel``: (S, A * J)."""
         a = _angle_terms(self.grid.swc, vectors[:, None], self.angles[sel])[:, :, 0]
-        return _lattice_power(a, self.dd_factor(self.grid.h_ri, self.grid.h_windows, sel))
+        return _lattice_power(a, self.dd_factor(self.grid.h_ri, sel))
 
     def projection(self, q: np.ndarray, sel) -> np.ndarray:
         """sum_j |column^H q_j|^2 over the scored cells of solvers ``sel``."""
         a = _angle_terms(self.grid.swc, q.swapaxes(1, 2), self.angles[sel])
-        hh = self.dd_factor(self.grid.hh_ri, self.grid.hh_windows, sel)
-        return _lattice_projection(a, hh, self.grid.pairs)
+        return _lattice_projection(a, self.dd_factor(self.grid.hh_ri, sel),
+                                   self.grid.pairs)
 
     def cell(self, arg: np.ndarray, sel) -> np.ndarray:
         """The window-local flat cells of scored-cell indices ``arg`` of
         solvers ``sel``."""
-        if self.rep is None:
-            return arg
         angle, group = np.divmod(arg, self.rep.shape[1])
-        dd = np.take_along_axis(self.rep[sel], group[:, None], axis=1)[:, 0]
+        dd = self.rep[np.arange(len(self.rep))[sel], group]
         return angle * (self.shape[1] * self.shape[2]) + dd
 
     def columns(self, loc: np.ndarray, sel) -> np.ndarray:
@@ -510,8 +500,7 @@ def _residual_perp(y: np.ndarray, cols: np.ndarray):
     return q, y - (q @ coef[:, :, None])[:, :, 0]
 
 
-def _solve_block(y: np.ndarray, wins: list, y_scores: list,
-                 sweeps: int) -> np.ndarray:
+def _solve_block(y: np.ndarray, wins: list, sweeps: int) -> np.ndarray:
     """One-pick-per-neighborhood matching pursuit for a block of solvers.
 
     Greedy initialization picks the best column over all neighborhoods, one
@@ -519,9 +508,7 @@ def _solve_block(y: np.ndarray, wins: list, y_scores: list,
     neighborhood's pick against the residual of the others (scored on the
     projected-column correlation, i.e. exact least-squares improvement)
     until no pick changes. All solvers of the block move through these
-    steps together. Scores are compared squared. ``y_scores[tid]`` holds
-    the squared score of ``y`` itself on neighborhood tid's superset
-    lattice, which every greedy start shares.
+    steps together. Scores are compared squared.
     Returns the window-local flat pick of every solver per neighborhood.
     """
     n_tid = len(wins)
@@ -540,7 +527,8 @@ def _solve_block(y: np.ndarray, wins: list, y_scores: list,
             if sel is None:
                 continue
             if step == 0:
-                scores = win.gather(y_scores[tid])
+                # read once, so released here
+                scores, win.first = win.first, None
             else:
                 scores = win.power(residual[sel], sel)
                 scores /= win.penalty2[sel]
@@ -597,8 +585,9 @@ def _solve_block(y: np.ndarray, wins: list, y_scores: list,
 
 def _solver_block(grids: list) -> int:
     """Solvers per block: as many as keep every neighborhood's scored cells
-    within ``CELL_BUDGET``, and at least one."""
-    return max(1, CELL_BUDGET // max(g.window[0] * len(g.members) for g in grids))
+    within ``CELL_BUDGET``, at most ``MAX_BLOCK``, and at least one."""
+    cells = max(g.window[0] * len(g.members) for g in grids)
+    return max(1, min(MAX_BLOCK, CELL_BUDGET // cells))
 
 
 def _solve_batched(y: np.ndarray, grids: list, starts: np.ndarray,
@@ -614,8 +603,9 @@ def _solve_batched(y: np.ndarray, grids: list, starts: np.ndarray,
     block = _solver_block(grids)
     picks = np.empty((n_solvers, len(grids), 3), dtype=int)
     for b0 in range(0, n_solvers, block):
-        wins = [_WindowStack(grid, st[b0:b0 + block]) for grid, st in zip(grids, starts)]
-        loc = _solve_block(y, wins, y_scores, sweeps=sweeps)
+        wins = [_WindowStack(grid, st[b0:b0 + block], ys)
+                for grid, st, ys in zip(grids, starts, y_scores)]
+        loc = _solve_block(y, wins, sweeps=sweeps)
         for tid, win in enumerate(wins):
             picks[b0:b0 + len(loc), tid] = (np.column_stack(
                 np.unravel_index(loc[:, tid], win.shape)) + win.starts)

@@ -141,6 +141,15 @@ def test_noise_variance_outside_the_snr_bound_is_a_value_error(snr_db):
         noise_variance(snr_db)
 
 
+def test_radar_receive_minus_infinite_snr_is_a_value_error():
+    """-inf dB is infinite noise, not none: outside the bound, unlike +inf."""
+    cfg = small_cfg()
+    tx = np.zeros((2, 8, 8), dtype=complex)
+    with pytest.raises(ValueError, match="snr_db:"):
+        radar_receive(tx, [], cfg, snr_db=-np.inf, rng=np.random.default_rng(0))
+    assert not radar_receive(tx, [], cfg, snr_db=np.inf).any()
+
+
 @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 4, 6), (16, 64, 128)])
 @pytest.mark.parametrize("noise_var", [1e-6, 0.37, 1.0, 42.0])
 def test_complex_noise_equals_one_expression_draw(shape, noise_var):

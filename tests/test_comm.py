@@ -1,6 +1,7 @@
 """Communication chain: mapping, equalization factorization, BER."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from otfs_isac.comm import (ber_frame, lmmse_equalize_tf, modified_sfft,
                             recover_and_demap, symbol_capacity,
                             tf_block_channel, transmit_chain)
 from otfs_isac.config import SystemConfig, Target, substream
+from otfs_isac.crlb import SNR_DB_BOUND
 from otfs_isac.exceptions import (BitCountMismatch, DimensionMismatch,
                                   SingularReducedMatrix)
 from otfs_isac.transforms import build_modified_sfft, isfft, sfft
@@ -215,11 +217,14 @@ def test_ber_frame_without_noise_needs_as_many_receivers_as_transmitters():
     """With fewer comm receivers than transmitters the noise-free LMMSE is
     singular, so the link has no bit error count of its own there: an
     infinite SNR is an error, a finite one runs, and so does an infinite
-    SNR with n_comm_rx = n_tx."""
+    SNR with n_comm_rx = n_tx. An SNR of -inf is infinite noise, not none:
+    it is outside the SNR bound."""
     cfg = small_cfg(n_comm_rx=2)
     alloc = diagonal_allocation(cfg.n_tx)
     with pytest.raises(ValueError, match="n_comm_rx=2 < n_tx=3"):
         ber_frame(cfg, alloc, on_grid_paths(cfg), math.inf, seed=1)
+    with pytest.raises(ValueError, match=re.escape(f"snr_db: expected number in {SNR_DB_BOUND}")):
+        ber_frame(cfg, alloc, on_grid_paths(cfg), -math.inf, seed=1)
     ber_frame(cfg, alloc, on_grid_paths(cfg), 30.0, seed=1)
     cfg = small_cfg(n_comm_rx=3)
     assert ber_frame(cfg, alloc, on_grid_paths(cfg), math.inf, seed=1)[0] == 0

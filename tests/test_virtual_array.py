@@ -112,8 +112,9 @@ def group_of_cells(grid) -> np.ndarray:
 def test_window_kernels_match_direct_sums(n_bins, n_solvers, sel):
     """The window scores against |C^H v|^2 and sum_j |C^H q_j|^2 with C built
     column by column from the grid's column builder, at every cell of every
-    window through the cell's group. Each result owns its memory: a second
-    call leaves the first one's scores as they were."""
+    window through the cell's group, and the first step's gathered scores
+    against |C^H y|^2 over the squared penalty. Each result owns its
+    memory: a second call leaves the first one's scores as they were."""
     cfg = small_cfg()
     dnu, dtau = cfg.doppler_spacing_hz, cfg.delay_spacing_s
     spec = NeighborhoodSpec(angle=AxisSpec(0.3, 0.02, 0.08),
@@ -136,9 +137,20 @@ def test_window_kernels_match_direct_sums(n_bins, n_solvers, sel):
     if n_bins == "diagonal":
         assert n_groups < shape[1] * shape[2]
     starts = rng.integers(0, shape, size=(n_solvers, 3))
-    win = virtual_array._WindowStack(grid, starts)
-    rows = np.arange(n_solvers)[sel]
     n_rows, n_j = len(bin_meta) * cfg.n_rx, 2
+    y = rng.standard_normal(n_rows) + 1j * rng.standard_normal(n_rows)
+    win = virtual_array._WindowStack(grid, starts,
+                                     grid.power(y) / grid.center_penalty ** 2)
+    for s in range(n_solvers):
+        ia, iv, it = np.ix_(*(st + np.arange(n) for st, n in zip(starts[s], shape)))
+        cols = grid.columns(*np.broadcast_arrays(ia, iv, it)).reshape(-1, n_rows)
+        penalty = grid.center_penalty[ia, iv, it].reshape(shape[0], -1)
+        expected = (np.abs(cols.conj() @ y) ** 2).reshape(shape[0], -1)
+        least = win.penalty2[s].reshape(shape[0], n_groups)[:, group]
+        got = win.first[s].reshape(shape[0], n_groups)[:, group] * least
+        assert np.all(least <= penalty ** 2)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * expected.max()
+    rows = np.arange(n_solvers)[sel]
     v = rng.standard_normal((len(rows), n_rows)) + 1j * rng.standard_normal((len(rows), n_rows))
     q = (rng.standard_normal((len(rows), n_rows, n_j))
          + 1j * rng.standard_normal((len(rows), n_rows, n_j)))
@@ -410,9 +422,9 @@ def test_windows_and_picks_stay_inside_the_superset_lattice(monkeypatch, ratio,
     seen = []
 
     class SpyStack(virtual_array._WindowStack):
-        def __init__(self, grid, starts, *args):
+        def __init__(self, grid, starts, y_scores):
             seen.append(starts.copy())
-            super().__init__(grid, starts, *args)
+            super().__init__(grid, starts, y_scores)
 
     monkeypatch.setattr(virtual_array, "_WindowStack", SpyStack)
     res = averaged_ssr(snap, [spec], cfg, n_solvers=16, seed=2)
@@ -476,7 +488,7 @@ def test_ssr_close_windows_hold_61_distinct_columns():
     group = group_of_cells(grid)
     # every fifth Doppler-delay window start
     starts = all_window_starts(grid)[::5]
-    win = virtual_array._WindowStack(grid, starts)
+    win = virtual_array._WindowStack(grid, starts, np.zeros(grid.center_penalty.shape))
     iv, it = np.divmod(np.arange(n_doppler * n_delay), n_delay)
     for s, (ia, v0, t0) in enumerate(starts):
         cells = unit_phase_free(grid.columns(np.full(iv.size, ia), v0 + iv, t0 + it))
@@ -506,7 +518,7 @@ def test_each_group_scores_its_least_penalty_cell(alloc, tied):
     n_groups = len(grid.members)
     assert n_groups < n_doppler * n_delay
     starts = all_window_starts(grid)
-    win = virtual_array._WindowStack(grid, starts)
+    win = virtual_array._WindowStack(grid, starts, np.zeros(grid.center_penalty.shape))
     penalty2 = win.penalty2.reshape(len(starts), n_angle, n_groups)
     ties = 0
     for s, (ia, v0, t0) in enumerate(starts):
@@ -547,6 +559,40 @@ def test_averaged_ssr_peak_memory_in_the_ssr_close_geometry():
     assert peak <= 11 * 2 ** 20
 
 
+def test_small_windows_keep_the_block_and_its_memory_bounded():
+    """Two-point windows on every axis score at most 2 x 4 cells, so the
+    cell budget alone would put thousands of solvers in one block, each
+    holding vectors of N_p * N_r entries per neighborhood. Blocks hold at
+    most MAX_BLOCK solvers, so the solve's traced peak does not grow with
+    n_solvers: four blocks' worth of solvers peak as one block does."""
+    cfg = small_cfg(n_rx=256)
+    dnu, dtau = cfg.doppler_spacing_hz, cfg.delay_spacing_s
+    targets = [Target(angle_rad=np.deg2rad(-20.0 + 20.0 * k), doppler_hz=(1.3 + 2 * k) * dnu,
+                      delay_s=(2.4 + 4 * k) * dtau) for k in range(3)]
+    snap, _, _ = make_snapshot(cfg, targets, snr_db=20.0, seed=3)
+    specs = [NeighborhoodSpec(angle=AxisSpec(t.angle_rad, np.deg2rad(1.0), np.deg2rad(1.0)),
+                              doppler=AxisSpec(round(t.doppler_hz / dnu) * dnu, 0.1 * dnu, 0.1 * dnu),
+                              delay=AxisSpec(round(t.delay_s / dtau) * dtau, 0.1 * dtau, 0.1 * dtau))
+             for t in targets]
+    grids = [_FactoredGrid(spec, snap.bin_meta, snap.n_rx, cfg, snap.row_weights)
+             for spec in specs]
+    assert all(g.window == (2, 2, 2) for g in grids)
+    assert virtual_array.CELL_BUDGET // 8 > 100 * virtual_array.MAX_BLOCK
+    assert _solver_block(grids) == virtual_array.MAX_BLOCK
+    y = snap.values * snap.row_weights
+    rng = np.random.default_rng(5)
+    peaks = []
+    for n_solvers in (virtual_array.MAX_BLOCK, 4 * virtual_array.MAX_BLOCK):
+        starts = rng.integers(0, 2, size=(len(grids), n_solvers, 3))
+        tracemalloc.start()
+        try:
+            virtual_array._solve_batched(y, grids, starts, sweeps=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
+
+
 def test_window_starts_follow_the_scalar_draws(monkeypatch):
     """The window starts of every block equal n_points - 1 - k for the draws
     k that one scalar ``integers`` call per neighborhood and axis makes."""
@@ -561,9 +607,9 @@ def test_window_starts_follow_the_scalar_draws(monkeypatch):
     seen = []
 
     class SpyStack(virtual_array._WindowStack):
-        def __init__(self, grid, starts, *args):
+        def __init__(self, grid, starts, y_scores):
             seen.append(starts.copy())
-            super().__init__(grid, starts, *args)
+            super().__init__(grid, starts, y_scores)
 
     monkeypatch.setattr(virtual_array, "_WindowStack", SpyStack)
     n_solvers = _solver_block([_FactoredGrid(spec, snap.bin_meta, snap.n_rx, cfg,
