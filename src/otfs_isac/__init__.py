@@ -14,8 +14,8 @@ from .transforms import ModifiedSfft, build_modified_sfft, isfft, sfft
 from .experiments import run_scenario
 from .scenario import (EstimatorSettings, Scenario, load_scenario,
                        scenario_from_dict)
-from .virtual_array import (AxisSpec, NeighborhoodSpec, SsrDictionary,
-                            VirtualSnapshot, averaged_ssr, build_virtual_snapshot,
-                            default_neighborhood, omp)
+from .virtual_array import (AxisSpec, NeighborhoodSpec, VirtualSnapshot,
+                            averaged_ssr, build_virtual_snapshot,
+                            default_neighborhood)
 
 __version__ = "0.1.0"

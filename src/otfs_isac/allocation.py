@@ -76,9 +76,11 @@ def make_allocation(n_tx: int, private_assignments=()) -> BinAllocation:
     )
 
 
-def diagonal_allocation(n_tx: int) -> BinAllocation:
-    """One private bin per antenna on the TF diagonal: P_i = {(i, i)}."""
-    return make_allocation(n_tx, [(i, (i, i)) for i in range(n_tx)])
+def diagonal_allocation(n_tx: int, count: int | None = None) -> BinAllocation:
+    """One private bin on the TF diagonal, P_i = {(i, i)}, for each of the
+    first ``count`` antennas (all ``n_tx`` when None)."""
+    count = n_tx if count is None else count
+    return make_allocation(n_tx, [(i, (i, i)) for i in range(count)])
 
 
 def zero_force(tf: np.ndarray, alloc: BinAllocation) -> np.ndarray:

@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-from .allocation import BinAllocation, make_allocation
+from .allocation import BinAllocation, diagonal_allocation, make_allocation
 from .coarse import resolution_report
 from .comm import modified_sfft, symbol_capacity, undefined_noiseless_ber
 from .config import VELOCITY_BOUND_MPS, SystemConfig, Target
@@ -127,8 +127,7 @@ class Scenario:
         spec, n_tx = self.allocation, self.system.n_tx
         if spec.private_bins is not None:
             return make_allocation(n_tx, spec.private_bins)
-        count = n_tx if spec.diagonal_private_bins is None else spec.diagonal_private_bins
-        return make_allocation(n_tx, [(i, (i, i)) for i in range(count)])
+        return diagonal_allocation(n_tx, spec.diagonal_private_bins)
 
     def trials_per_snr(self, trials: int | None = None) -> int:
         """Trials a run makes at each SNR, set by the field the kind names

@@ -1,4 +1,4 @@
-"""Virtual-array snapshot, overcomplete dictionary, and sparse recovery.
+"""Virtual-array snapshot and the bagged sparse recovery over it.
 
 The receive signals on private TF bins are free of inter-antenna mixing, so
 dividing out the known transmit symbol turns each private bin into an extra
@@ -45,9 +45,8 @@ CELL_BUDGET = 16 * 11 * 21 * 21
 # Most solvers in one block. Each solver also holds vectors of N_p * N_r
 # entries per neighborhood (its picks, their bases, its residuals), which
 # CELL_BUDGET does not count: small windows would otherwise put thousands of
-# solvers in one block. With this cap a block's vectors are never more than a
-# few times the final residuals' column stack at the default solver count,
-# whatever n_solvers is.
+# solvers in one block. With this cap a block's vectors, and so the memory of
+# a whole averaged_ssr call, do not grow with n_solvers.
 MAX_BLOCK = DEFAULT_N_SOLVERS
 # Cycles to which Doppler-delay cells' phases n_p nu dt - m_p tau df are
 # rounded before they are compared: cells whose rounded phases agree on every
@@ -124,16 +123,6 @@ class NeighborhoodSpec:
     delay: AxisSpec
 
 
-@dataclass(frozen=True)
-class SsrDictionary:
-    """Unit-norm steering dictionary over the discretized target space."""
-
-    matrix: np.ndarray           # (N_p * N_r, n_columns), columns unit l2
-    grid_points: np.ndarray      # (n_columns, 3): angle, doppler, delay
-    target_ids: np.ndarray       # (n_columns,) neighborhood index
-    column_norms: np.ndarray     # pre-normalization norms
-
-
 def build_virtual_snapshot(rx_tf: np.ndarray, tx_tf: np.ndarray,
                            alloc: BinAllocation) -> VirtualSnapshot:
     """Form the virtual-array snapshot from the private TF bins.
@@ -161,63 +150,6 @@ def build_virtual_snapshot(rx_tf: np.ndarray, tx_tf: np.ndarray,
     meta = tuple((owner, bin_) for owner, bin_ in bins)
     return VirtualSnapshot(values=values, bin_meta=meta, n_rx=n_rx,
                            row_weights=weights)
-
-
-@dataclass
-class OmpResult:
-    support: list
-    coefficients: np.ndarray     # physical-scale (de-normalized) amplitudes
-    residual_history: list
-    rank_deficient: bool
-
-    @property
-    def final_residual(self) -> float:
-        return self.residual_history[-1]
-
-
-def omp(values: np.ndarray, dictionary: SsrDictionary, k_sparse: int | None = None,
-        residual_tol: float | None = None) -> OmpResult:
-    """Orthogonal matching pursuit over the normalized dictionary.
-
-    Stops after ``k_sparse`` selections, or when the residual norm drops
-    below ``residual_tol``. Each iteration re-solves least squares on the
-    selected support, so the residual norm is non-increasing.
-    """
-    a = dictionary.matrix
-    y = np.asarray(values, dtype=complex).ravel()
-    if y.size != a.shape[0]:
-        raise DimensionMismatch(f"snapshot length {y.size} vs {a.shape[0]} dictionary rows")
-    if k_sparse is None and residual_tol is None:
-        raise ValueError("need a stopping rule: k_sparse or residual_tol")
-    if k_sparse is not None and k_sparse > a.shape[0]:
-        raise ValueError("k_sparse exceeds number of measurements")
-    limit = k_sparse if k_sparse is not None else a.shape[0]
-    support: list[int] = []
-    coef = np.zeros(0, dtype=complex)
-    residual = y.copy()
-    history = [float(np.linalg.norm(residual))]
-    rank_deficient = False
-    for _ in range(limit):
-        if residual_tol is not None and history[-1] < residual_tol:
-            break
-        corr = np.abs(a.conj().T @ residual)
-        corr[support] = -1.0
-        pick = int(np.argmax(corr))
-        support.append(pick)
-        sub = a[:, support]
-        if np.linalg.matrix_rank(sub) < len(support):
-            rank_deficient = True
-            coef = np.linalg.pinv(sub) @ y
-        else:
-            coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
-        residual = y - sub @ coef
-        history.append(float(np.linalg.norm(residual)))
-    return OmpResult(
-        support=support,
-        coefficients=coef / dictionary.column_norms[support],
-        residual_history=history,
-        rank_deficient=rank_deficient,
-    )
 
 
 def _centered(n: int) -> np.ndarray:
@@ -479,10 +411,21 @@ class _WindowStack:
         dd = self.rep[np.arange(len(self.rep))[sel], group]
         return angle * (self.shape[1] * self.shape[2]) + dd
 
+    def superset(self, loc: np.ndarray, sel) -> np.ndarray:
+        """Superset indices (angle, doppler, delay) of window-local flat
+        cells ``loc`` of solvers ``sel``: (3, S)."""
+        return np.unravel_index(loc, self.shape) + self.starts[sel].T
+
     def columns(self, loc: np.ndarray, sel) -> np.ndarray:
         """The picked (weighted) columns of solvers ``sel``: (S, N_p * N_r)."""
-        return self.grid.columns(*(np.unravel_index(loc, self.shape)
-                                   + self.starts[sel].T))
+        return self.grid.columns(*self.superset(loc, sel))
+
+    def points(self, loc: np.ndarray) -> np.ndarray:
+        """The lattice points (angle, doppler, delay) of every solver's
+        window-local flat pick ``loc``: (S, 3)."""
+        ia, iv, it = self.superset(loc, slice(None))
+        return np.column_stack([self.grid.angles[ia], self.grid.dopplers[iv],
+                                self.grid.delays[it]])
 
 
 def _rows(mask: np.ndarray):
@@ -500,7 +443,7 @@ def _residual_perp(y: np.ndarray, cols: np.ndarray):
     return q, y - (q @ coef[:, :, None])[:, :, 0]
 
 
-def _solve_block(y: np.ndarray, wins: list, sweeps: int) -> np.ndarray:
+def _solve_block(y: np.ndarray, wins: list, sweeps: int) -> tuple:
     """One-pick-per-neighborhood matching pursuit for a block of solvers.
 
     Greedy initialization picks the best column over all neighborhoods, one
@@ -509,7 +452,8 @@ def _solve_block(y: np.ndarray, wins: list, sweeps: int) -> np.ndarray:
     projected-column correlation, i.e. exact least-squares improvement)
     until no pick changes. All solvers of the block move through these
     steps together. Scores are compared squared.
-    Returns the window-local flat pick of every solver per neighborhood.
+    Returns ``(loc, cols)``: the window-local flat pick of every solver per
+    neighborhood, (S, n_tid), and the picked columns, (S, n_tid, N_p * N_r).
     """
     n_tid = len(wins)
     n_solvers = len(wins[0].starts)
@@ -580,7 +524,7 @@ def _solve_block(y: np.ndarray, wins: list, sweeps: int) -> np.ndarray:
             scored[sel, tid] = clock
         if moved.max() <= start:
             break
-    return loc
+    return loc, cols
 
 
 def _solver_block(grids: list) -> int:
@@ -591,27 +535,36 @@ def _solver_block(grids: list) -> int:
 
 
 def _solve_batched(y: np.ndarray, grids: list, starts: np.ndarray,
-                   sweeps: int) -> np.ndarray:
-    """Superset-lattice picks (solver, neighborhood, axis) of all solvers.
+                   sweeps: int) -> list:
+    """Every solver's ``(points, residual)``: its picked lattice points,
+    (neighborhood, axis), and the residual norm of y off its picked columns.
 
     ``starts[tid, s]`` is the superset index where solver s's window of
-    neighborhood tid begins. Solvers run in blocks of ``_solver_block``; the
-    blocks' arrays are released on return, before the per-solver residuals.
+    neighborhood tid begins. Solvers run in blocks of ``_solver_block``, and
+    each block finishes its own solvers and is released before the next one
+    starts, so only the records grow with the number of solvers.
     """
     y_scores = [grid.power(y) / grid.center_penalty ** 2 for grid in grids]
     n_solvers = starts.shape[1]
     block = _solver_block(grids)
-    picks = np.empty((n_solvers, len(grids), 3), dtype=int)
+    estimates = []
     for b0 in range(0, n_solvers, block):
         wins = [_WindowStack(grid, st[b0:b0 + block], ys)
                 for grid, st, ys in zip(grids, starts, y_scores)]
-        loc = _solve_block(y, wins, sweeps=sweeps)
-        for tid, win in enumerate(wins):
-            picks[b0:b0 + len(loc), tid] = (np.column_stack(
-                np.unravel_index(loc[:, tid], win.shape)) + win.starts)
-        # free this block's windows before the next block gathers its own
-        del wins, win
-    return picks
+        loc, cols = _solve_block(y, wins, sweeps=sweeps)
+        points = np.stack([win.points(loc[:, tid]) for tid, win in enumerate(wins)],
+                          axis=1)
+        # Final residuals stay per solver, least squares on the columns in
+        # neighborhood order as one C-contiguous (N_p * N_r, n_tid) array:
+        # solutions that differ along the delay-Doppler ridge tie up to
+        # rounding, so this arithmetic decides the minimum.
+        for s, solver_points in enumerate(points):
+            a = np.ascontiguousarray(cols[s].T)
+            coef, *_ = np.linalg.lstsq(a, y, rcond=None)
+            estimates.append((solver_points, float(np.linalg.norm(y - a @ coef))))
+        # free this block's arrays before the next block gathers its own
+        del wins, cols
+    return estimates
 
 
 @dataclass(frozen=True)
@@ -631,7 +584,9 @@ def averaged_ssr(snapshot: VirtualSnapshot, specs, cfg: SystemConfig,
     :func:`_solve_block` on the whitened snapshot. The windows are integer
     index ranges of one superset lattice per neighborhood, and the solvers
     run in blocks of ``_solver_block`` as one batched computation. Each
-    solver's result equals that of running it alone.
+    block finishes its own solvers (:func:`_solve_batched`), so the call's
+    memory does not grow with ``n_solvers`` beyond the per-solver records.
+    Each solver's result equals that of running it alone.
 
     The answer is the solution with the smallest residual norm: the bagged
     solvers act as random restarts of the grid maximum-likelihood search.
@@ -658,20 +613,7 @@ def averaged_ssr(snapshot: VirtualSnapshot, specs, cfg: SystemConfig,
     for s in range(n_solvers):
         starts[s] = substream(seed, s).integers(sizes)
     starts = (sizes - 1 - starts).transpose(1, 0, 2)
-    picks = _solve_batched(y, grids, starts, sweeps)
-    # Final residuals stay per solver, least squares on the columns in
-    # neighborhood order: solutions that differ along the delay-Doppler
-    # ridge tie up to rounding, so this arithmetic decides the minimum.
-    tid_picks = list(zip(grids, picks.transpose(1, 0, 2)))
-    cols = np.stack([g.columns(*p.T) for g, p in tid_picks], axis=2)
-    points = np.stack([np.column_stack([g.angles[p[:, 0]], g.dopplers[p[:, 1]],
-                                        g.delays[p[:, 2]]])
-                       for g, p in tid_picks], axis=1)
-    solver_estimates = []
-    for solver_cols, solver_points in zip(cols, points):
-        coef, *_ = np.linalg.lstsq(solver_cols, y, rcond=None)
-        solver_estimates.append((solver_points,
-                                 float(np.linalg.norm(y - solver_cols @ coef))))
+    solver_estimates = _solve_batched(y, grids, starts, sweeps)
     estimates, residual = min(solver_estimates, key=lambda e: e[1])
     return AveragedSsrResult(estimates=estimates, residual=residual,
                              solver_estimates=solver_estimates)

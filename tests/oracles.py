@@ -8,7 +8,11 @@ global optimum the solvers search for: the least-squares residual of every
 choice of one superset-lattice column per neighborhood, on tiny lattices.
 ``steering_columns`` is the
 dictionary column as one explicit phase expression, which
-:func:`otfs_isac.virtual_array.angle_surface` must reproduce.
+:func:`otfs_isac.virtual_array.angle_surface` must reproduce. ``omp`` is
+the reference orthogonal matching pursuit over an explicit ``SsrDictionary``
+(Tropp and Gilbert, IEEE Trans. Inf. Theory 2007), which acceptance
+criterion 09 checks against exhaustive search; the package's own search is
+the bagged ``averaged_ssr``.
 
 The explicit (NM x NM) matrices, the stacked LMMSE solve, the per-bin TF
 channel, the single-path DD response and the numeric FIM are direct forms of
@@ -41,6 +45,7 @@ same estimates.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,6 +219,71 @@ def exhaustive_ssr_minimum(snapshot, specs, cfg) -> tuple:
             best = (residual, picks)
     residual, picks = best
     return np.array([grid_point(g, p) for g, p in zip(grids, picks)]), residual
+
+
+@dataclass(frozen=True)
+class SsrDictionary:
+    """Unit-norm dictionary for ``omp``."""
+
+    matrix: np.ndarray           # (n_rows, n_columns), columns unit l2
+    column_norms: np.ndarray     # pre-normalization norms
+
+
+@dataclass
+class OmpResult:
+    support: list
+    coefficients: np.ndarray     # physical-scale (de-normalized) amplitudes
+    residual_history: list
+    rank_deficient: bool
+
+    @property
+    def final_residual(self) -> float:
+        return self.residual_history[-1]
+
+
+def omp(values: np.ndarray, dictionary: SsrDictionary, k_sparse: int | None = None,
+        residual_tol: float | None = None) -> OmpResult:
+    """Orthogonal matching pursuit over the normalized dictionary.
+
+    Stops after ``k_sparse`` selections, or when the residual norm drops
+    below ``residual_tol``. Each iteration re-solves least squares on the
+    selected support, so the residual norm is non-increasing.
+    """
+    a = dictionary.matrix
+    y = np.asarray(values, dtype=complex).ravel()
+    if y.size != a.shape[0]:
+        raise DimensionMismatch(f"snapshot length {y.size} vs {a.shape[0]} dictionary rows")
+    if k_sparse is None and residual_tol is None:
+        raise ValueError("need a stopping rule: k_sparse or residual_tol")
+    if k_sparse is not None and k_sparse > a.shape[0]:
+        raise ValueError("k_sparse exceeds number of measurements")
+    limit = k_sparse if k_sparse is not None else a.shape[0]
+    support: list[int] = []
+    coef = np.zeros(0, dtype=complex)
+    residual = y.copy()
+    history = [float(np.linalg.norm(residual))]
+    rank_deficient = False
+    for _ in range(limit):
+        if residual_tol is not None and history[-1] < residual_tol:
+            break
+        corr = np.abs(a.conj().T @ residual)
+        corr[support] = -1.0
+        pick = int(np.argmax(corr))
+        support.append(pick)
+        sub = a[:, support]
+        if np.linalg.matrix_rank(sub) < len(support):
+            rank_deficient = True
+            coef = np.linalg.pinv(sub) @ y
+        else:
+            coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
+        residual = y - sub @ coef
+        history.append(float(np.linalg.norm(residual)))
+    return OmpResult(
+        support=support,
+        coefficients=coef / dictionary.column_norms[support],
+        residual_history=history,
+        rank_deficient=rank_deficient,
+    )
 
 
 def isfft_matrix(n: int, m: int) -> np.ndarray:

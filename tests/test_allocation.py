@@ -19,6 +19,12 @@ def test_diagonal_allocation_structure():
         assert alloc.zero_bins[i] == frozenset((j, j) for j in range(4) if j != i)
 
 
+def test_diagonal_allocation_of_the_first_count_antennas():
+    assert diagonal_allocation(4, 2) == make_allocation(4, [(0, (0, 0)), (1, (1, 1))])
+    assert diagonal_allocation(4, 4) == diagonal_allocation(4)
+    assert diagonal_allocation(3, 0).n_private_total == 0
+
+
 def test_private_bin_list_order():
     alloc = make_allocation(2, [(1, (0, 3)), (0, (2, 1)), (1, (0, 1))])
     assert alloc.private_bin_list() == [(0, (2, 1)), (1, (0, 1)), (1, (0, 3))]

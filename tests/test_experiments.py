@@ -121,6 +121,16 @@ def test_readme_metric_table_is_the_code_table():
                     for m in spec.metrics]
 
 
+def test_readme_quick_start_runs(capsys):
+    """The README's library example runs as written against the package's
+    exports and prints a refined angle near its target's 12 degrees."""
+    text = README.read_text()
+    section = text[text.index("## Quick start (library)"):]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README quick start", "exec"), {})
+    assert abs(float(capsys.readouterr().out) - 12.0) < 0.5
+
+
 def kind_table_row(name, kind):
     """A kind's row of the README kind table, as experiments.KINDS declares it."""
     fewest, most = kind.targets

@@ -13,12 +13,11 @@ from otfs_isac.comm import symbol_capacity, transmit_chain
 from otfs_isac.config import SystemConfig, Target, substream
 from otfs_isac.exceptions import (DictionaryTooLarge, DimensionMismatch,
                                   ZeroPrivateSymbol)
-from otfs_isac.virtual_array import (AxisSpec, NeighborhoodSpec, SsrDictionary,
-                                     _FactoredGrid, _solver_block, angle_surface,
-                                     averaged_ssr, build_virtual_snapshot,
-                                     default_neighborhood, omp)
-from oracles import (exhaustive_ssr_minimum, serial_averaged_ssr, steering_columns,
-                     window_draws)
+from otfs_isac.virtual_array import (AxisSpec, NeighborhoodSpec, _FactoredGrid,
+                                     _solver_block, angle_surface, averaged_ssr,
+                                     build_virtual_snapshot, default_neighborhood)
+from oracles import (SsrDictionary, exhaustive_ssr_minimum, omp, serial_averaged_ssr,
+                     steering_columns, window_draws)
 
 
 def small_cfg(**kw):
@@ -216,8 +215,7 @@ def test_omp_recovers_planted_support():
     rng = np.random.default_rng(40)
     a = rng.standard_normal((32, 50)) + 1j * rng.standard_normal((32, 50))
     norms = np.linalg.norm(a, axis=0)
-    d = SsrDictionary(matrix=a / norms, grid_points=np.zeros((50, 3)),
-                      target_ids=np.zeros(50, dtype=int), column_norms=norms)
+    d = SsrDictionary(matrix=a / norms, column_norms=norms)
     support = [7, 23, 41]
     coef = np.array([1.0 + 0.5j, -0.8 + 0.2j, 0.6 - 0.9j])
     y = d.matrix[:, support] @ coef
@@ -235,8 +233,7 @@ def test_omp_stopping_rules():
     rng = np.random.default_rng(41)
     a = rng.standard_normal((16, 20)) + 1j * rng.standard_normal((16, 20))
     norms = np.linalg.norm(a, axis=0)
-    d = SsrDictionary(matrix=a / norms, grid_points=np.zeros((20, 3)),
-                      target_ids=np.zeros(20, dtype=int), column_norms=norms)
+    d = SsrDictionary(matrix=a / norms, column_norms=norms)
     y = d.matrix[:, 3] * 2.0
     res = omp(y, d, residual_tol=1e-8)
     assert res.support == [3]
@@ -563,8 +560,9 @@ def test_small_windows_keep_the_block_and_its_memory_bounded():
     """Two-point windows on every axis score at most 2 x 4 cells, so the
     cell budget alone would put thousands of solvers in one block, each
     holding vectors of N_p * N_r entries per neighborhood. Blocks hold at
-    most MAX_BLOCK solvers, so the solve's traced peak does not grow with
-    n_solvers: four blocks' worth of solvers peak as one block does."""
+    most MAX_BLOCK solvers and each finishes its own solvers, so the traced
+    peak of a whole averaged_ssr call does not grow with n_solvers: four
+    blocks' worth of solvers peak as one block does."""
     cfg = small_cfg(n_rx=256)
     dnu, dtau = cfg.doppler_spacing_hz, cfg.delay_spacing_s
     targets = [Target(angle_rad=np.deg2rad(-20.0 + 20.0 * k), doppler_hz=(1.3 + 2 * k) * dnu,
@@ -579,14 +577,11 @@ def test_small_windows_keep_the_block_and_its_memory_bounded():
     assert all(g.window == (2, 2, 2) for g in grids)
     assert virtual_array.CELL_BUDGET // 8 > 100 * virtual_array.MAX_BLOCK
     assert _solver_block(grids) == virtual_array.MAX_BLOCK
-    y = snap.values * snap.row_weights
-    rng = np.random.default_rng(5)
     peaks = []
     for n_solvers in (virtual_array.MAX_BLOCK, 4 * virtual_array.MAX_BLOCK):
-        starts = rng.integers(0, 2, size=(len(grids), n_solvers, 3))
         tracemalloc.start()
         try:
-            virtual_array._solve_batched(y, grids, starts, sweeps=3)
+            averaged_ssr(snap, specs, cfg, n_solvers=n_solvers, seed=5)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
