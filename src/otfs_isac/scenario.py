@@ -19,14 +19,14 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .allocation import BinAllocation, diagonal_allocation, make_allocation
-from .coarse import resolution_report
+from .coarse import DEFAULT_PAD_FACTOR, resolution_report
 from .comm import modified_sfft, symbol_capacity, undefined_noiseless_ber
 from .config import VELOCITY_BOUND_MPS, SystemConfig, Target
 from .crlb import SNR_DB_BOUND
 from .exceptions import ConfigValidationError, OtfsIsacError
 from .experiments import KINDS
 from .schema import COUNT, NON_NEGATIVE, POSITIVE, from_json, param, to_json
-from .virtual_array import COLUMN_CAP, AxisSpec
+from .virtual_array import COLUMN_CAP, DEFAULT_N_SOLVERS, DEFAULT_SWEEPS, AxisSpec
 
 # Bound on the bytes of the reduced-transform corrections that validation
 # builds (N * M * sum_i |Z_i| complex values); a 64x128 grid with four diagonal
@@ -79,13 +79,13 @@ class EstimatorSettings:
     """Knobs of the coarse and sparse-recovery estimators. Each search-box
     width must be a whole number of its steps (``AxisSpec``)."""
 
-    dft_pad_factor: int = param(16, bound=COUNT)
+    dft_pad_factor: int = param(DEFAULT_PAD_FACTOR, bound=COUNT)
     # peaks per coarse angle, 1 where the kind pairs one with each target
     peaks_per_angle: int = param(1, bound=COUNT)
     # distinct angles the coarse stage looks for where the kind reads it (None: 1)
     n_angles: int | None = param(None, bound=COUNT)
-    n_solvers: int = param(64, bound=COUNT)
-    ssr_sweeps: int = param(3, bound=NON_NEGATIVE)
+    n_solvers: int = param(DEFAULT_N_SOLVERS, bound=COUNT)
+    ssr_sweeps: int = param(DEFAULT_SWEEPS, bound=NON_NEGATIVE)
     angle_step_deg: float = param(1.0, "deg", POSITIVE)
     angle_width_deg: float = param(10.0, "deg", POSITIVE)
     doppler_step_bins: float = param(0.1, "bins", POSITIVE)

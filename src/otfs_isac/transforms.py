@@ -66,16 +66,10 @@ class ModifiedSfft:
     forward matrix must be full rank. The arrays are read-only.
     """
 
-    n_doppler: int
-    m_delay: int
     zeroed: tuple
     _empty: np.ndarray = field(repr=False)        # (len(zeroed), N, M), True at zeroed
     _index: tuple = field(repr=False)             # per grid, sorted linear indices
     _correction: tuple = field(repr=False)        # per grid, columns @ inv(schur), NM x r
-
-    @property
-    def n_info_symbols(self) -> int:
-        return int(self._empty.size - np.count_nonzero(self._empty))
 
     def recover(self, tf: np.ndarray) -> np.ndarray:
         """Recover the information symbols from a TF stack (len(zeroed), N, M).
@@ -144,4 +138,4 @@ def build_modified_sfft(n: int, m: int, zeroed) -> ModifiedSfft:
     empty = empty.reshape(len(zeroed), n, m)
     for array in (empty, *indices, *corrections):
         array.flags.writeable = False
-    return ModifiedSfft(n, m, zeroed, empty, tuple(indices), tuple(corrections))
+    return ModifiedSfft(zeroed, empty, tuple(indices), tuple(corrections))

@@ -220,28 +220,25 @@ class _FactoredGrid:
         spatial = (np.arange(n_rx)[None, :] * cfg.g_r - owners[:, None] * cfg.g_t) / lam
         self.sw = (w[None] * np.exp(2j * np.pi * spatial[None]
                                     * np.sin(self.angles)[:, None, None]))
-        # delay-Doppler factor: (n_dopplers, n_delays, n_bins)
         dt, df = cfg.symbol_duration_s, cfg.subcarrier_spacing_hz
-        phase = (dt * np.einsum("p,v->vp", n_p, self.dopplers)[:, None, :]
-                 - df * np.einsum("p,t->tp", m_p, self.delays)[None, :, :]
-                 - np.outer(self.dopplers, self.delays)[:, :, None])
-        self.g = np.exp(2j * np.pi * phase)
+        # columns() forms the Doppler-delay factor at the cells asked for
+        self.n_p, self.m_p, self.dt, self.df = n_p, m_p, dt, df
         # all factors have unit magnitude, so every weighted column has the
         # same norm
         self.norm = float(np.sqrt(n_rx * np.sum(w[:, 0] ** 2)))
-        # Weak preference toward the window center. Collinear private bins
-        # (n_p = m_p) make delay and Doppler observable only through the
-        # combination nu*dt - tau*df, producing exactly duplicated columns
-        # along that ridge; without a tie-break the estimate drifts randomly
-        # along it. The penalty is far below genuine likelihood differences
-        # but above noise-level differences between duplicates. Its
-        # Doppler-delay term dd_penalty is summed first, so that at every
-        # angle the penalty orders a Doppler-delay lattice's cells as
-        # dd_penalty does.
+        # Weak preference toward the window center, the penalty
+        # 1 + 1e-3 (angle_penalty + dd_penalty) that _WindowStack forms at
+        # its scored cells. Collinear private bins (n_p = m_p) make delay
+        # and Doppler observable only through the combination
+        # nu*dt - tau*df, producing exactly duplicated columns along that
+        # ridge; without a tie-break the estimate drifts randomly along it.
+        # The penalty is far below genuine likelihood differences but above
+        # noise-level differences between duplicates. Its Doppler-delay term
+        # dd_penalty is summed first, so that at every angle the penalty
+        # orders a Doppler-delay lattice's cells as dd_penalty does.
+        self.angle_penalty = _centered(self.angles.size)
         self.dd_penalty = (_centered(self.dopplers.size)[:, None]
                            + _centered(self.delays.size)[None, :])
-        self.center_penalty = 1.0 + 1e-3 * (_centered(self.angles.size)[:, None, None]
-                                            + self.dd_penalty)
         # the window's distinct Doppler-delay columns: per private bin, the
         # phase in cycles of one Doppler and of one delay lattice step
         self.members = _window_columns(tuple(n_p * spec.doppler.step * dt),
@@ -273,11 +270,14 @@ class _FactoredGrid:
         every_angle = np.arange(self.angles.size)[None]
         a = _angle_terms(self.swc, values[None, None], every_angle)[:, :, 0]
         power = _lattice_power(a, self.h_ri.reshape(1, len(self.h_ri), -1))
-        return power.reshape(self.center_penalty.shape)
+        return power.reshape(self.angles.size, self.dopplers.size, self.delays.size)
 
     def columns(self, ia, iv, it) -> np.ndarray:
         """Weighted columns at superset indices of one shape S: (*S, N_p * N_r)."""
-        cols = self.sw[ia] * self.g[iv, it][..., None]
+        nu, tau = self.dopplers[iv][..., None], self.delays[it][..., None]
+        dd = np.exp(2j * np.pi * (self.dt * (self.n_p * nu) - self.df * (self.m_p * tau)
+                                  - nu * tau))
+        cols = self.sw[ia] * dd[..., None]
         return cols.reshape(*np.shape(ia), -1)
 
 
@@ -357,14 +357,12 @@ class _WindowStack:
     column, the solver scores only the least-penalty cell. The angle term of
     the penalty is common to a group, so the Doppler-delay term decides, and
     on an exact tie the lowest flat index wins. Scores are (S, A * J) in
-    (angle, group) order, gathered by index from the superset lattice: the
-    squared penalty and ``first``, the squared scores ``y_scores`` of y that
-    the first greedy step reads, once per block, and the Doppler-delay
-    factors at each call. Picks are flat indices into the window lattice
-    (angle, doppler, delay) in C order.
+    (angle, group) order, with the Doppler-delay factors gathered by index
+    from the superset lattice at each call. Picks are flat indices into the
+    window lattice (angle, doppler, delay) in C order.
     """
 
-    def __init__(self, grid: _FactoredGrid, starts: np.ndarray, y_scores: np.ndarray):
+    def __init__(self, grid: _FactoredGrid, starts: np.ndarray):
         self.grid = grid
         self.starts = starts
         self.shape = grid.window
@@ -379,12 +377,10 @@ class _WindowStack:
         least += np.arange(n_groups) * n_members
         self.cells = origin + grid.offsets.take(least)
         self.rep = grid.members.take(least)
-        # flat superset indices of the scored cells
-        index = (self.angles[:, :, None] * grid.dd_penalty.size
-                 + self.cells[:, None, :]).reshape(len(starts), -1)
-        self.penalty2 = grid.center_penalty.take(index)
-        np.square(self.penalty2, out=self.penalty2)
-        self.first = y_scores.take(index)
+        # the squared penalty at the scored cells
+        penalty = (grid.angle_penalty[self.angles][:, :, None]
+                   + grid.dd_penalty.take(self.cells)[:, None, :])
+        self.penalty2 = ((1.0 + 1e-3 * penalty) ** 2).reshape(len(starts), -1)
 
     def dd_factor(self, table: np.ndarray, sel) -> np.ndarray:
         """A (K, V_s, T_s) Doppler-delay table of the grid at the scored
@@ -451,7 +447,8 @@ def _solve_block(y: np.ndarray, wins: list, sweeps: int) -> tuple:
     neighborhood's pick against the residual of the others (scored on the
     projected-column correlation, i.e. exact least-squares improvement)
     until no pick changes. All solvers of the block move through these
-    steps together. Scores are compared squared.
+    steps together, and every greedy step scores each solver's residual off
+    its picks so far (y itself at the first). Scores are compared squared.
     Returns ``(loc, cols)``: the window-local flat pick of every solver per
     neighborhood, (S, n_tid), and the picked columns, (S, n_tid, N_p * N_r).
     """
@@ -462,6 +459,7 @@ def _solve_block(y: np.ndarray, wins: list, sweeps: int) -> tuple:
     picked = np.zeros((n_solvers, n_tid), dtype=bool)
     # every solver's picked column per neighborhood
     cols = np.empty((n_solvers, n_tid, len(y)), dtype=complex)
+    residual = np.broadcast_to(y, (n_solvers, len(y)))
     for step in range(n_tid):
         best = np.full(n_solvers, -np.inf)
         best_tid = np.zeros(n_solvers, dtype=int)
@@ -470,12 +468,8 @@ def _solve_block(y: np.ndarray, wins: list, sweeps: int) -> tuple:
             sel = _rows(~picked[:, tid])
             if sel is None:
                 continue
-            if step == 0:
-                # read once, so released here
-                scores, win.first = win.first, None
-            else:
-                scores = win.power(residual[sel], sel)
-                scores /= win.penalty2[sel]
+            scores = win.power(residual[sel], sel)
+            scores /= win.penalty2[sel]
             arg = np.argmax(scores, axis=1)
             val = np.take_along_axis(scores, arg[:, None], axis=1)[:, 0]
             better = val > best[sel] * (1.0 + TIE_RTOL) ** 2
@@ -544,13 +538,11 @@ def _solve_batched(y: np.ndarray, grids: list, starts: np.ndarray,
     each block finishes its own solvers and is released before the next one
     starts, so only the records grow with the number of solvers.
     """
-    y_scores = [grid.power(y) / grid.center_penalty ** 2 for grid in grids]
     n_solvers = starts.shape[1]
     block = _solver_block(grids)
     estimates = []
     for b0 in range(0, n_solvers, block):
-        wins = [_WindowStack(grid, st[b0:b0 + block], ys)
-                for grid, st, ys in zip(grids, starts, y_scores)]
+        wins = [_WindowStack(grid, st[b0:b0 + block]) for grid, st in zip(grids, starts)]
         loc, cols = _solve_block(y, wins, sweeps=sweeps)
         points = np.stack([win.points(loc[:, tid]) for tid, win in enumerate(wins)],
                           axis=1)
@@ -588,8 +580,12 @@ def averaged_ssr(snapshot: VirtualSnapshot, specs, cfg: SystemConfig,
     memory does not grow with ``n_solvers`` beyond the per-solver records.
     Each solver's result equals that of running it alone.
 
-    The answer is the solution with the smallest residual norm: the bagged
-    solvers act as random restarts of the grid maximum-likelihood search.
+    The answer is the solution with the smallest residual norm. Each solver
+    is a local search on its windows, so the answer reaches the grid
+    maximum-likelihood optimum only with enough solvers: on noise-free
+    two-target instances with tiny boxes and 4 solvers it matched the
+    exhaustive minimum in 5 of 18 instances and was up to 2.9 times above
+    it otherwise.
     """
     specs = list(specs)
     if not specs:

@@ -59,7 +59,7 @@ from otfs_isac.exceptions import (DimensionMismatch, PeakSeparationFailure,
                                   TooManyTargets)
 from otfs_isac.transforms import isfft, sfft
 from otfs_isac.virtual_array import (DEFAULT_SWEEPS, PERP_FLOOR, TIE_RTOL,
-                                     _FactoredGrid)
+                                     _FactoredGrid, _centered)
 
 
 def steering_columns(angles, dopplers, delays, bin_meta, n_rx: int,
@@ -104,9 +104,26 @@ def window_box(spec, draws: tuple) -> tuple:
     return tuple(box)
 
 
+def dd_table(grid: _FactoredGrid) -> np.ndarray:
+    """The Doppler-delay factor of ``grid``'s columns over its whole superset
+    lattice, (n_dopplers, n_delays, N_p)."""
+    phase = (grid.dt * np.einsum("p,v->vp", grid.n_p, grid.dopplers)[:, None, :]
+             - grid.df * np.einsum("p,t->tp", grid.m_p, grid.delays)[None, :, :]
+             - np.outer(grid.dopplers, grid.delays)[:, :, None])
+    return np.exp(2j * np.pi * phase)
+
+
+def penalty_table(grid: _FactoredGrid) -> np.ndarray:
+    """The centre penalty over ``grid``'s whole superset lattice, (A, V, T):
+    1 + 1e-3 times the squared angle, Doppler and delay distances from the
+    centre, the Doppler-delay terms summed first."""
+    dd = _centered(grid.dopplers.size)[:, None] + _centered(grid.delays.size)[None, :]
+    return 1.0 + 1e-3 * (_centered(grid.angles.size)[:, None, None] + dd)
+
+
 def correlations(grid: _FactoredGrid, residual: np.ndarray, box) -> np.ndarray:
     """|column^H residual| over one window of the lattice."""
-    sw, g = grid.sw[box[0]], grid.g[box[1], box[2]]
+    sw, g = grid.sw[box[0]], dd_table(grid)[box[1], box[2]]
     r = residual.reshape(sw.shape[1:])
     t = np.einsum("ipn,pn->pi", sw.conj(), r)
     return np.abs(np.einsum("vtp,pi->ivt", g.conj(), t))
@@ -114,7 +131,7 @@ def correlations(grid: _FactoredGrid, residual: np.ndarray, box) -> np.ndarray:
 
 def projections(grid: _FactoredGrid, q: np.ndarray, box) -> np.ndarray:
     """|Q^H column|^2 summed over the orthonormal columns of Q, on one window."""
-    sw, g = grid.sw[box[0]], grid.g[box[1], box[2]]
+    sw, g = grid.sw[box[0]], dd_table(grid)[box[1], box[2]]
     qr_ = q.reshape(*sw.shape[1:], q.shape[1])
     qs = np.einsum("pnj,ipn->jpi", qr_.conj(), sw)
     m = np.einsum("jpi,vtp->jivt", qs, g)
@@ -136,6 +153,7 @@ def solve_windows(y: np.ndarray, grids: list, boxes: list,
                   sweeps: int = DEFAULT_SWEEPS):
     """One solver: greedy one-pick-per-neighborhood start, then sweeps."""
     n_tid = len(grids)
+    penalties = [penalty_table(grid) for grid in grids]
     picks: list = [None] * n_tid
     residual = y.copy()
     for _ in range(n_tid):
@@ -143,7 +161,7 @@ def solve_windows(y: np.ndarray, grids: list, boxes: list,
         for tid, (grid, box) in enumerate(zip(grids, boxes)):
             if picks[tid] is not None:
                 continue
-            corr = correlations(grid, residual, box) / grid.center_penalty[box]
+            corr = correlations(grid, residual, box) / penalties[tid][box]
             idx = box_argmax(corr, box)
             if corr.max() > best[0] * (1.0 + TIE_RTOL):
                 best = (corr.max(), tid, idx)
@@ -164,9 +182,9 @@ def solve_windows(y: np.ndarray, grids: list, boxes: list,
                 den = np.sqrt(np.maximum(
                     grid.norm ** 2 - projections(grid, q, box),
                     PERP_FLOOR * grid.norm ** 2))
-                scores = num / (den * grid.center_penalty[box])
+                scores = num / (den * penalties[tid][box])
             else:
-                scores = correlations(grid, y, box) / grid.center_penalty[box]
+                scores = correlations(grid, y, box) / penalties[tid][box]
             idx = box_argmax(scores, box)
             if idx != picks[tid]:
                 picks[tid] = idx

@@ -1,6 +1,7 @@
 """Scenario parsing and validation."""
 
 import glob
+import inspect
 import json
 import os
 import tracemalloc
@@ -16,6 +17,7 @@ from otfs_isac.schema import FINITE, json_type, to_json
 from otfs_isac.experiments import KINDS
 from otfs_isac.scenario import (EstimatorSettings, Scenario, load_scenario,
                                 scenario_from_dict)
+from otfs_isac.virtual_array import default_neighborhood
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -60,6 +62,18 @@ def test_minimal_scenario_parses():
     assert sc.paths[0].angle_rad == pytest.approx(np.deg2rad(5.0))
     assert sc.snr_db_values == (10.0,)
     assert isinstance(sc.estimator, EstimatorSettings)
+
+
+def test_default_neighborhood_defaults_are_the_estimator_box_defaults():
+    """``default_neighborhood``'s keyword defaults are the six search-box
+    fields of ``EstimatorSettings``, with the same values."""
+    box = {f.name: f.default for f in fields(EstimatorSettings)
+           if "_step_" in f.name or "_width_" in f.name}
+    defaults = {name: p.default
+                for name, p in inspect.signature(default_neighborhood).parameters.items()
+                if p.default is not inspect.Parameter.empty}
+    assert len(box) == 6
+    assert defaults == box
 
 
 def test_to_dict_is_json_serializable_and_round_trips():

@@ -16,8 +16,8 @@ from otfs_isac.exceptions import (DictionaryTooLarge, DimensionMismatch,
 from otfs_isac.virtual_array import (AxisSpec, NeighborhoodSpec, _FactoredGrid,
                                      _solver_block, angle_surface, averaged_ssr,
                                      build_virtual_snapshot, default_neighborhood)
-from oracles import (SsrDictionary, exhaustive_ssr_minimum, omp, serial_averaged_ssr,
-                     steering_columns, window_draws)
+from oracles import (SsrDictionary, exhaustive_ssr_minimum, omp, penalty_table,
+                     serial_averaged_ssr, steering_columns, window_draws)
 
 
 def small_cfg(**kw):
@@ -111,8 +111,8 @@ def group_of_cells(grid) -> np.ndarray:
 def test_window_kernels_match_direct_sums(n_bins, n_solvers, sel):
     """The window scores against |C^H v|^2 and sum_j |C^H q_j|^2 with C built
     column by column from the grid's column builder, at every cell of every
-    window through the cell's group, and the first step's gathered scores
-    against |C^H y|^2 over the squared penalty. Each result owns its
+    window through the cell's group, and the first greedy step's scores of
+    y against |C^H y|^2 over the squared penalty. Each result owns its
     memory: a second call leaves the first one's scores as they were."""
     cfg = small_cfg()
     dnu, dtau = cfg.doppler_spacing_hz, cfg.delay_spacing_s
@@ -138,15 +138,16 @@ def test_window_kernels_match_direct_sums(n_bins, n_solvers, sel):
     starts = rng.integers(0, shape, size=(n_solvers, 3))
     n_rows, n_j = len(bin_meta) * cfg.n_rx, 2
     y = rng.standard_normal(n_rows) + 1j * rng.standard_normal(n_rows)
-    win = virtual_array._WindowStack(grid, starts,
-                                     grid.power(y) / grid.center_penalty ** 2)
+    win = virtual_array._WindowStack(grid, starts)
+    first = win.power(np.broadcast_to(y, (n_solvers, n_rows)), slice(None)) / win.penalty2
+    penalties = penalty_table(grid)
     for s in range(n_solvers):
         ia, iv, it = np.ix_(*(st + np.arange(n) for st, n in zip(starts[s], shape)))
         cols = grid.columns(*np.broadcast_arrays(ia, iv, it)).reshape(-1, n_rows)
-        penalty = grid.center_penalty[ia, iv, it].reshape(shape[0], -1)
+        penalty = penalties[ia, iv, it].reshape(shape[0], -1)
         expected = (np.abs(cols.conj() @ y) ** 2).reshape(shape[0], -1)
         least = win.penalty2[s].reshape(shape[0], n_groups)[:, group]
-        got = win.first[s].reshape(shape[0], n_groups)[:, group] * least
+        got = first[s].reshape(shape[0], n_groups)[:, group] * least
         assert np.all(least <= penalty ** 2)
         assert np.max(np.abs(got - expected)) <= 1e-12 * expected.max()
     rows = np.arange(n_solvers)[sel]
@@ -419,9 +420,9 @@ def test_windows_and_picks_stay_inside_the_superset_lattice(monkeypatch, ratio,
     seen = []
 
     class SpyStack(virtual_array._WindowStack):
-        def __init__(self, grid, starts, y_scores):
+        def __init__(self, grid, starts):
             seen.append(starts.copy())
-            super().__init__(grid, starts, y_scores)
+            super().__init__(grid, starts)
 
     monkeypatch.setattr(virtual_array, "_WindowStack", SpyStack)
     res = averaged_ssr(snap, [spec], cfg, n_solvers=16, seed=2)
@@ -485,7 +486,7 @@ def test_ssr_close_windows_hold_61_distinct_columns():
     group = group_of_cells(grid)
     # every fifth Doppler-delay window start
     starts = all_window_starts(grid)[::5]
-    win = virtual_array._WindowStack(grid, starts, np.zeros(grid.center_penalty.shape))
+    win = virtual_array._WindowStack(grid, starts)
     iv, it = np.divmod(np.arange(n_doppler * n_delay), n_delay)
     for s, (ia, v0, t0) in enumerate(starts):
         cells = unit_phase_free(grid.columns(np.full(iv.size, ia), v0 + iv, t0 + it))
@@ -515,13 +516,14 @@ def test_each_group_scores_its_least_penalty_cell(alloc, tied):
     n_groups = len(grid.members)
     assert n_groups < n_doppler * n_delay
     starts = all_window_starts(grid)
-    win = virtual_array._WindowStack(grid, starts, np.zeros(grid.center_penalty.shape))
+    win = virtual_array._WindowStack(grid, starts)
     penalty2 = win.penalty2.reshape(len(starts), n_angle, n_groups)
+    penalties = penalty_table(grid)
     ties = 0
     for s, (ia, v0, t0) in enumerate(starts):
         box = np.s_[ia:ia + n_angle, v0:v0 + n_doppler, t0:t0 + n_delay]
         dd = grid.dd_penalty[box[1:]].ravel()
-        window_penalty = grid.center_penalty[box].reshape(n_angle, -1)
+        window_penalty = penalties[box].reshape(n_angle, -1)
         for k, members in enumerate(grid.members):
             members = members[members < dd.size]
             least = members[dd[members] == dd[members].min()]
@@ -602,9 +604,9 @@ def test_window_starts_follow_the_scalar_draws(monkeypatch):
     seen = []
 
     class SpyStack(virtual_array._WindowStack):
-        def __init__(self, grid, starts, y_scores):
+        def __init__(self, grid, starts):
             seen.append(starts.copy())
-            super().__init__(grid, starts, y_scores)
+            super().__init__(grid, starts)
 
     monkeypatch.setattr(virtual_array, "_WindowStack", SpyStack)
     n_solvers = _solver_block([_FactoredGrid(spec, snap.bin_meta, snap.n_rx, cfg,
