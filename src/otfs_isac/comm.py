@@ -42,13 +42,12 @@ def symbol_capacity(alloc: BinAllocation, cfg: SystemConfig):
     return [nm - len(z) for z in alloc.zero_bins]
 
 
-def transmit_chain(bits: np.ndarray, alloc: BinAllocation, cfg: SystemConfig):
-    """Map bits to per-antenna DD grids, transform, and zero-force.
+def dd_frame(bits: np.ndarray, alloc: BinAllocation, cfg: SystemConfig) -> np.ndarray:
+    """Map bits to the per-antenna DD grids, shape (N_t, N, M).
 
-    Returns (dd_grids, tf_grids) of shape (N_t, N, M); tf_grids carry exact
-    zeros at each antenna's zero set. Bit count must match the allocation's
-    total symbol capacity at 2 bits/symbol. The symbols fill the DD grids
-    antenna by antenna, each row-major, skipping the empty DD bins.
+    Bit count must match the allocation's total symbol capacity at 2
+    bits/symbol. The symbols fill the DD grids antenna by antenna, each
+    row-major, skipping the empty DD bins, which stay 0.
     """
     bits = np.asarray(bits, dtype=int).ravel()
     caps = symbol_capacity(alloc, cfg)
@@ -57,6 +56,16 @@ def transmit_chain(bits: np.ndarray, alloc: BinAllocation, cfg: SystemConfig):
     empty = alloc.zero_mask(cfg.n_doppler, cfg.m_delay)
     dd = np.zeros(empty.shape, dtype=complex)
     dd[~empty] = qpsk_modulate(bits)
+    return dd
+
+
+def transmit_chain(bits: np.ndarray, alloc: BinAllocation, cfg: SystemConfig):
+    """The radar frame: :func:`dd_frame`, one ISFFT, and zero-forcing.
+
+    Returns (dd_grids, tf_grids) of shape (N_t, N, M); tf_grids carry exact
+    zeros at each antenna's zero set.
+    """
+    dd = dd_frame(bits, alloc, cfg)
     return dd, zero_force(isfft(dd), alloc)
 
 
@@ -96,14 +105,24 @@ def tf_block_channel(paths, cfg: SystemConfig, pair_gains: np.ndarray) -> np.nda
     channel is block-diagonalized by the (unitary up to scale) DD<->TF
     transforms; the (N_c, N_t) matrix of bin (n, m) is B[:, :, n, m] =
     sum_paths gains[:, :, path] * h_path_tf[n, m], one (N_c N_t x J) @
-    (J x NM) product over the paths' TF grids.
+    (J x NM) product over the paths' TF grids. Those grids are built once
+    per (paths, config) and kept, read-only, until another pair asks.
     """
-    n, m, n_paths = cfg.n_doppler, cfg.m_delay, len(paths)
-    h_tf = np.empty((n_paths, n * m), dtype=complex)
+    h_tf = _path_tf_grids(tuple(paths), cfg)
+    gains = pair_gains.reshape(cfg.n_comm_rx * cfg.n_tx, len(h_tf))
+    return (gains @ h_tf).reshape(cfg.n_comm_rx, cfg.n_tx, cfg.n_doppler, cfg.m_delay)
+
+
+# One entry: a run serves one (paths, config), and a validated scenario's
+# grids take up to MAX_GRID_STACK_BYTES (256 MiB).
+@functools.lru_cache(maxsize=1)
+def _path_tf_grids(paths: tuple, cfg: SystemConfig) -> np.ndarray:
+    """The paths' flattened TF grids, shape (J, N M), read-only."""
+    h_tf = np.empty((len(paths), cfg.n_doppler * cfg.m_delay), dtype=complex)
     for j, path in enumerate(paths):
         h_tf[j] = tf_channel_grid(path, cfg).ravel()
-    gains = pair_gains.reshape(cfg.n_comm_rx * cfg.n_tx, n_paths)
-    return (gains @ h_tf).reshape(cfg.n_comm_rx, cfg.n_tx, n, m)
+    h_tf.flags.writeable = False
+    return h_tf
 
 
 def _solve_hermitian(system: np.ndarray) -> np.ndarray:
@@ -171,8 +190,12 @@ def ber_frame(cfg: SystemConfig, alloc: BinAllocation, paths, snr_db: float,
     N0 = P_avg / 10^(snr_db/10) per DD receive sample with unit-power
     constellations (P_avg = 1); it is drawn in the DD domain and carried to
     TF once. Channel, equalization and recovery all run on TF grids, which
-    equals the stacked DD-operator route exactly. Raises ValueError where
-    the bit errors are not the link's (:func:`undefined_noiseless_ber`).
+    equals the stacked DD-operator route exactly. The frame is built once
+    (:func:`dd_frame`, one zero-mask build) and transformed once: a noisy
+    frame runs two ISFFTs, a noise-free one a single ISFFT. The paths' TF
+    grids and the reduced transforms are cached per run. Raises
+    ValueError where the bit errors are not the link's
+    (:func:`undefined_noiseless_ber`).
     """
     if undefined_noiseless_ber(cfg, snr_db):
         raise ValueError(f"no noise-free BER with n_comm_rx={cfg.n_comm_rx} < "
@@ -182,12 +205,14 @@ def ber_frame(cfg: SystemConfig, alloc: BinAllocation, paths, snr_db: float,
     rng_noise = substream(seed, frame_index, 2)
     caps = symbol_capacity(alloc, cfg)
     bits = rng_bits.integers(0, 2, size=2 * sum(caps))
-    # The link sends isfft(dd), not the zero-forced radar frame tf.
-    dd, _ = transmit_chain(bits, alloc, cfg)
+    # The link sends isfft(dd), not the zero-forced radar frame of
+    # transmit_chain. Sending that changes the bit errors of every recorded
+    # run, so it waits for the next change of the random streams.
+    x = isfft(dd_frame(bits, alloc, cfg))
     gains = random_pair_gains(len(paths), cfg, rng_chan)
     blocks = tf_block_channel(paths, cfg, gains)
     # y[:, n, m] = B[:, :, n, m] @ x[:, n, m] for every TF bin at once
-    y = np.sum(blocks * isfft(dd), axis=1)                            # (N_c, N, M)
+    y = np.sum(blocks * x, axis=1)                                    # (N_c, N, M)
     if snr_db == math.inf:
         noise_var = 1e-12    # no noise is added; only regularizes the LMMSE solve
     else:

@@ -265,7 +265,7 @@ def _ssr_velocity(cell: Cell):
 def _comm_ber(cell: Cell):
     scenario = cell.scenario
     errors, bits = ber_frame(scenario.system, scenario.bin_allocation,
-                             list(scenario.paths), cell.snr_db,
+                             scenario.paths, cell.snr_db,
                              seed=scenario.seed * 1_000_003 + cell.snr_idx,
                              frame_index=cell.trial)
     return [("bit_errors", float(errors)), ("bit_count", float(bits))]

@@ -32,10 +32,11 @@ from .virtual_array import COLUMN_CAP, DEFAULT_N_SOLVERS, DEFAULT_SWEEPS, AxisSp
 # builds (N * M * sum_i |Z_i| complex values); a 64x128 grid with four diagonal
 # private bins needs 1.5 MiB.
 MAX_REDUCED_TRANSFORM_BYTES = 256 * 2 ** 20
-# Bound on the bytes of the largest per-frame grid stack a run allocates: the
-# radar receive stack (N_r * N * M), the comm channel blocks (N_c * N_t * N * M)
-# and the LMMSE systems [Gram | rhs] (N_t * (N_t + 1) * N * M) complex values;
-# no other per-frame array of the comm chain is larger than these. The shipped
+# Bound on the bytes of the largest grid stack a run allocates: the radar
+# receive stack (N_r * N * M), the comm channel blocks (N_c * N_t * N * M), the
+# LMMSE systems [Gram | rhs] (N_t * (N_t + 1) * N * M) and, for a kind with a
+# comm link, the TF grids of its J paths (J * N * M, kept for the whole run)
+# complex values; no other array of the comm chain is larger than these. The shipped
 # 64x128 scenarios need 4 MiB. The arrays that the estimator counts size share the
 # bound: the coarse angle spectrum (dft_pad_factor * N_r complex bins, 4 KiB
 # shipped) and what each SSR solver keeps (SOLVER_RECORD_BYTES plus
@@ -155,6 +156,11 @@ def _check(errors, condition, message):
     return condition
 
 
+def _mib(nbytes: int) -> int:
+    """Whole MiB, rounded up, so a size over a bound never reads as the bound."""
+    return -(-nbytes // 2 ** 20)
+
+
 def _check_name(errors, name):
     """The name becomes a directory under the output root: one plain component."""
     _check(errors,
@@ -221,7 +227,7 @@ def _check_allocation(errors, scenario: Scenario):
     transform_bytes = cfg.n_doppler * cfg.m_delay * n_zeroed * 16
     _check(errors, transform_bytes <= MAX_REDUCED_TRANSFORM_BYTES,
            f"system: a {cfg.n_doppler}x{cfg.m_delay} grid with {n_zeroed} "
-           f"zero-forced bins needs {transform_bytes / 2 ** 20:.0f} MiB of reduced "
+           f"zero-forced bins needs {_mib(transform_bytes)} MiB of reduced "
            f"transforms, over the {MAX_REDUCED_TRANSFORM_BYTES // 2 ** 20} MiB bound")
 
 
@@ -237,7 +243,7 @@ def _check_estimator(errors, scenario: Scenario):
              "SSR solver state")):
         value = getattr(est, key)
         _check(errors, value * unit_bytes <= MAX_GRID_STACK_BYTES,
-               f"estimator.{key}: {value} needs {value * unit_bytes // 2 ** 20} "
+               f"estimator.{key}: {value} needs {_mib(value * unit_bytes)} "
                f"MiB of {array}, over the {MAX_GRID_STACK_BYTES // 2 ** 20} MiB bound")
     # the superset columns that averaged_ssr caps: one lattice per search box
     # of the kind; a count can have hundreds of digits
@@ -277,12 +283,14 @@ def scenario_from_dict(raw: dict, name: str | None = None) -> Scenario:
     cfg, kind = scenario.system, scenario.experiment_kind
     _check_name(errors, scenario.name)
     _check(errors, scenario.snr_db_values, "snr_db_values: expected a non-empty list")
+    n_paths = len(scenario.targets) if KINDS[kind].comm_link else 0
     stack_bytes = cfg.n_doppler * cfg.m_delay * 16 * max(
-        cfg.n_rx, cfg.n_comm_rx * cfg.n_tx, cfg.n_tx * (cfg.n_tx + 1))
+        cfg.n_rx, cfg.n_comm_rx * cfg.n_tx, cfg.n_tx * (cfg.n_tx + 1), n_paths)
+    counts = f"n_tx={cfg.n_tx}, n_rx={cfg.n_rx}, n_comm_rx={cfg.n_comm_rx}"
+    counts += f" and {n_paths} targets (path grids)" if n_paths else ""
     if not _check(errors, stack_bytes <= MAX_GRID_STACK_BYTES,
-                  f"system: a {cfg.n_doppler}x{cfg.m_delay} grid with n_tx={cfg.n_tx}, "
-                  f"n_rx={cfg.n_rx} and n_comm_rx={cfg.n_comm_rx} needs "
-                  f"{stack_bytes // 2 ** 20} MiB per grid stack, over the "
+                  f"system: a {cfg.n_doppler}x{cfg.m_delay} grid with {counts} needs "
+                  f"{_mib(stack_bytes)} MiB per grid stack, over the "
                   f"{MAX_GRID_STACK_BYTES // 2 ** 20} MiB bound"):
         # stop here: the allocation builds n_tx per-antenna sets
         raise ConfigValidationError(errors)

@@ -1,5 +1,6 @@
 """Communication chain: mapping, equalization factorization, BER."""
 
+import collections
 import math
 import re
 
@@ -9,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from otfs_isac import comm
-from otfs_isac.allocation import diagonal_allocation, make_allocation
+from otfs_isac.allocation import BinAllocation, diagonal_allocation, make_allocation
+from otfs_isac.channel import tf_channel_grid
 from otfs_isac.comm import (ber_frame, lmmse_equalize_tf, modified_sfft,
                             qpsk_demodulate, qpsk_modulate, random_pair_gains,
                             recover_and_demap, symbol_capacity,
@@ -348,3 +350,45 @@ def test_reduced_transforms_built_once_per_allocation(monkeypatch):
     for correction in msfft._correction:
         with pytest.raises(ValueError):
             correction[0, 0] = 0.0
+
+
+def test_link_invariants_built_once_over_repeated_frames(monkeypatch):
+    """Over repeated frames, each path's TF grid is built once in total, and
+    each frame builds the allocation's zero mask once. A noisy frame runs one
+    ISFFT for the signal and one for the noise, a noise-free frame only the
+    first."""
+    cfg = small_cfg()
+    alloc = diagonal_allocation(cfg.n_tx)
+    paths = tuple(on_grid_paths(cfg))
+    comm._path_tf_grids.cache_clear()
+    calls = collections.Counter()
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(comm, "tf_channel_grid", spy("grid", tf_channel_grid))
+    monkeypatch.setattr(BinAllocation, "zero_mask", spy("mask", BinAllocation.zero_mask))
+    monkeypatch.setattr(comm, "isfft", spy("isfft", isfft))
+    for frame in range(4):
+        for snr_db, transforms in ((5.0, 2), (math.inf, 1)):
+            before = calls.copy()
+            ber_frame(cfg, alloc, paths, snr_db, seed=3, frame_index=frame)
+            assert calls["isfft"] - before["isfft"] == transforms
+            assert calls["mask"] - before["mask"] == 1
+    assert calls["grid"] == len(paths)
+
+
+def test_cached_path_grids_are_read_only():
+    cfg = small_cfg()
+    alloc = diagonal_allocation(cfg.n_tx)
+    paths = on_grid_paths(cfg)
+    ber_frame(cfg, alloc, paths, 5.0, seed=3)
+    grids = comm._path_tf_grids(tuple(paths), cfg)
+    assert grids is comm._path_tf_grids(tuple(on_grid_paths(cfg)), cfg)
+    assert grids.shape == (len(paths), cfg.n_doppler * cfg.m_delay)
+    assert not grids.flags.writeable
+    with pytest.raises(ValueError):
+        grids[0, 0] = 0

@@ -4,6 +4,7 @@ import glob
 import inspect
 import json
 import os
+import re
 import tracemalloc
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -405,20 +406,34 @@ def test_oversize_grid_without_private_bins_rejected(system):
     ({"n_rx": 8, "n_comm_rx": 1, "n_tx": 2}, 8),    # radar receive stack
     ({"n_rx": 2, "n_comm_rx": 4, "n_tx": 2}, 8),    # comm channel blocks
     ({"n_rx": 2, "n_comm_rx": 1, "n_tx": 3}, 12),   # LMMSE systems [Gram | rhs]
+    ({"n_rx": 2, "n_comm_rx": 1, "n_tx": 1, "targets": 9}, 9),   # a comm link's path grids
 ])
 def test_grid_stack_bound_counts_the_largest_stack(monkeypatch, counts, grids):
     """Each stack decides the bound when it is the largest; 8 x 16 grids. One
-    SSR solver keeps the solver state, which shares the bound, below it."""
-    raw = minimal_raw(system=dict(SMALL_SYSTEM, **counts),
+    SSR solver keeps the solver state, which shares the bound, below it. A
+    comm link keeps one TF grid per target, and its message names them. The
+    message rounds the need up, so one byte over the bound reads as over it."""
+    system = dict(counts)
+    n_paths = system.pop("targets", 0)
+    raw = minimal_raw(system=dict(SMALL_SYSTEM, **system),
                       allocation={"diagonal_private_bins": 0},
                       estimator={"n_solvers": 1})
+    if n_paths:
+        raw.update(experiment_kind="comm-ber",
+                   targets=[{"angle_deg": 0.0, "range_m": 10.0 * j, "velocity_mps": 0.0}
+                            for j in range(n_paths)])
     monkeypatch.setattr(scenario_module, "MAX_GRID_STACK_BYTES", 8 * 16 * 16 * grids)
     scenario_from_dict(raw)
     monkeypatch.setattr(scenario_module, "MAX_GRID_STACK_BYTES",
                         8 * 16 * 16 * grids - 1)
     with pytest.raises(ConfigValidationError) as exc:
         scenario_from_dict(raw)
-    assert any("per grid stack" in e for e in exc.value.errors), exc.value.errors
+    messages = [e for e in exc.value.errors if "per grid stack" in e]
+    assert len(messages) == 1, exc.value.errors
+    assert not n_paths or f"{n_paths} targets" in messages[0]
+    need, bound = map(int, re.search(r"needs (\d+) MiB per grid stack, over the (\d+) MiB",
+                                     messages[0]).groups())
+    assert need > bound, messages[0]
 
 
 @pytest.mark.parametrize("field, value", [("dft_pad_factor", 10 ** 8),
