@@ -265,13 +265,6 @@ class _FactoredGrid:
         self.h_ri = _stack_ri(h)
         self.hh_ri = _stack_ri(h[self.pairs[0]] * h[self.pairs[1]].conj())
 
-    def power(self, values: np.ndarray) -> np.ndarray:
-        """|column^H values|^2 over the whole superset lattice, shape (A, V, T)."""
-        every_angle = np.arange(self.angles.size)[None]
-        a = _angle_terms(self.swc, values[None, None], every_angle)[:, :, 0]
-        power = _lattice_power(a, self.h_ri.reshape(1, len(self.h_ri), -1))
-        return power.reshape(self.angles.size, self.dopplers.size, self.delays.size)
-
     def columns(self, ia, iv, it) -> np.ndarray:
         """Weighted columns at superset indices of one shape S: (*S, N_p * N_r)."""
         nu, tau = self.dopplers[iv][..., None], self.delays[it][..., None]
@@ -627,8 +620,8 @@ def angle_surface(snapshot: VirtualSnapshot, spec: NeighborhoodSpec, estimate,
                          snapshot.row_weights)
     iv = np.argmin(np.abs(grid.dopplers - estimate[1]))
     it = np.argmin(np.abs(grid.delays - estimate[2]))
-    power = grid.power(snapshot.values * snapshot.row_weights)
-    return np.sqrt(power[:, iv, it]) / grid.norm
+    y = snapshot.values * snapshot.row_weights
+    return np.abs(grid.columns(np.arange(grid.angles.size), iv, it).conj() @ y) / grid.norm
 
 
 def default_neighborhood(estimate, cfg: SystemConfig,

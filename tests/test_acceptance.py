@@ -2,23 +2,28 @@
 
 Each test is self-contained and uses independent oracles (direct sums,
 explicit matrix algebra, exhaustive search) or published reference numbers
-as its expected values.
+as its expected values. The Monte Carlo criteria 04, 06, 07, 08 and 10 run
+their scenario through the shipped runner and score its trials.csv rows
+with their own limits and formulas.
 """
 
+import csv
 import itertools
+import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from otfs_isac.allocation import (diagonal_allocation, make_allocation,
-                                  rate_accounting)
+from otfs_isac import experiments
+from otfs_isac.allocation import diagonal_allocation, rate_accounting
 from otfs_isac.channel import radar_receive, tf_channel_grid
 from otfs_isac.coarse import coarse_pipeline, estimate_angles, resolution_report
-from otfs_isac.comm import ber_frame, symbol_capacity, transmit_chain
+from otfs_isac.comm import symbol_capacity, transmit_chain
 from otfs_isac.config import SPEED_OF_LIGHT, SystemConfig, Target, substream
 from otfs_isac.crlb import crlb_closed_form, crlb_report
+from otfs_isac.experiments import run_scenario
+from otfs_isac.scenario import scenario_from_dict
 from otfs_isac.transforms import isfft, sfft
 from otfs_isac.virtual_array import (averaged_ssr, build_virtual_snapshot,
                                      default_neighborhood)
@@ -28,6 +33,43 @@ from oracles import (SsrDictionary, asymptotic_fim, omp, single_path_response,
 THREE_TARGET_ANGLES_DEG = [7.0, -14.0, 22.0]
 THREE_TARGET_RANGES_M = [73.48, 64.29, 45.92]
 THREE_TARGET_VELOCITIES_MPS = [54.54, -98.17, 76.36]
+CLOSE_ANGLES_DEG = [12.0, 14.0, 16.0]
+
+
+def three_targets(angles_deg):
+    """Scenario targets at ``angles_deg`` with the three-target ranges and velocities."""
+    return [{"angle_deg": a, "range_m": r, "velocity_mps": v}
+            for a, r, v in zip(angles_deg, THREE_TARGET_RANGES_M,
+                               THREE_TARGET_VELOCITIES_MPS)]
+
+
+@pytest.fixture(autouse=True)
+def one_blas_thread_per_worker(monkeypatch):
+    """The workers that ``run_trials`` spawns inherit this: by default each
+    would start one OpenBLAS thread per core, too many for 2 workers, and
+    the criteria's small solves gain nothing from BLAS threads."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+def run_trials(out_dir, raw):
+    """The scenario of ``raw`` and its trials.csv, run by ``run_scenario`` on
+    2 workers, as {snr_db: {trial: {metric: value}}}."""
+    scenario = scenario_from_dict(raw)
+    paths = run_scenario(scenario, out_dir / scenario.name, parallel=2)
+    table = {}
+    with open(paths["trials"], newline="") as fh:
+        for row in csv.DictReader(fh):
+            cells = table.setdefault(float(row["snr_db"]), {})
+            cells.setdefault(int(row["trial"]), {})[row["metric"]] = float(row["value"])
+    return scenario, table
+
+
+def sorted_estimates(rows, n):
+    """The ``angle_est_rad_t{j}`` rows of one trial, sorted; None if one is missing."""
+    try:
+        return np.sort([rows[f"angle_est_rad_t{j}"] for j in range(n)])
+    except KeyError:
+        return None
 
 
 def random_frame(cfg, alloc, rng):
@@ -79,38 +121,28 @@ def test_criterion_03_resolution_reference_numbers():
     assert abs(rep["velocity_resolution_mps"] - 23.09) <= 0.01 * 23.09
 
 
-def test_criterion_04_coarse_three_target_recovery():
+def test_criterion_04_coarse_three_target_recovery(tmp_path):
     start = time.perf_counter()
     cfg = SystemConfig()  # N=64, M=128, N_t=4, N_r=16
-    alloc = diagonal_allocation(cfg.n_tx)
-    res = resolution_report(cfg)
     pad = 16
-    sin_tol = 2.0 / (pad * cfg.n_rx)   # one padded-DFT bin in sin space
-    hits = 0
-    for trial in range(100):
-        rng = substream(4, trial, 0)
-        gains = np.exp(2j * np.pi * rng.random(3))
-        targets = [Target.from_range_velocity(a, r, v, cfg.carrier_freq_hz, gain=g)
-                   for a, r, v, g in zip(THREE_TARGET_ANGLES_DEG,
-                                         THREE_TARGET_RANGES_M,
-                                         THREE_TARGET_VELOCITIES_MPS, gains)]
-        dd, tf = random_frame(cfg, alloc, rng)
-        rx_tf = radar_receive(tf, targets, cfg, snr_db=20.0,
-                              rng=substream(4, trial, 1))
-        estimates = coarse_pipeline(rx_tf, dd, cfg, n_angles=3, pad_factor=pad)
-        ok = len(estimates) == 3
-        if ok:
-            estimates = sorted(estimates, key=lambda e: e.angle_rad)
-            order = np.argsort(THREE_TARGET_ANGLES_DEG)
-            for j, e in zip(order, estimates):
-                ok &= abs(np.sin(e.angle_rad)
-                          - np.sin(np.deg2rad(THREE_TARGET_ANGLES_DEG[j]))) \
-                    <= sin_tol + 1e-12
-                ok &= abs(e.range_m - THREE_TARGET_RANGES_M[j]) \
-                    <= res["range_resolution_m"]
-                ok &= abs(e.velocity_mps - THREE_TARGET_VELOCITIES_MPS[j]) \
-                    <= res["velocity_resolution_mps"]
-        hits += ok
+    _, table = run_trials(tmp_path, {
+        "name": "criterion-04", "experiment_kind": "dd-correlation",
+        "targets": three_targets(THREE_TARGET_ANGLES_DEG),
+        "allocation": {"diagonal_private_bins": 4},
+        "estimator": {"dft_pad_factor": pad},
+        "trials": 100, "snr_db_values": [20.0], "seed": 4})
+    res = resolution_report(cfg)
+    limits = {   # the sine error within one padded-DFT bin
+        "angle_abs_err_sin": 2.0 / (pad * cfg.n_rx) + 1e-12,
+        "range_abs_err_m": res["range_resolution_m"],
+        "velocity_abs_err_mps": res["velocity_resolution_mps"],
+    }
+    trials = table[20.0]
+    assert sorted(trials) == list(range(100))
+    # a hit: all three targets estimated, each within every limit
+    hits = sum(all(f"{name}_t{j}" in rows and rows[f"{name}_t{j}"] <= limit
+                   for name, limit in limits.items() for j in range(3))
+               for rows in trials.values())
     assert hits >= 95
     assert time.perf_counter() - start < 120.0
 
@@ -142,41 +174,32 @@ def test_criterion_05_crlb_closed_forms_and_derivatives():
             assert abs(fd - analytic[i]) <= 1e-5 * max(abs(analytic[i]), 1e-12)
 
 
-def test_criterion_06_coarse_angle_mse_statistics():
+def test_criterion_06_coarse_angle_mse_statistics(tmp_path):
     cfg = SystemConfig()
-    alloc = diagonal_allocation(cfg.n_tx)
-    res = resolution_report(cfg)
     pad = 16
     n_trials = 300
+    sc, table = run_trials(tmp_path, {
+        "name": "criterion-06", "experiment_kind": "coarse-angle-mse",
+        "targets": [], "estimator": {"dft_pad_factor": pad},
+        "trials": n_trials, "snr_db_values": [-20.0, -10.0, 0.0, 10.0, 20.0],
+        "seed": 6})
     k = pad * cfg.n_rx
     sin_grid = np.fft.fftfreq(k) * cfg.wavelength_m / cfg.g_r
     angle_grid = np.arcsin(sin_grid[np.abs(sin_grid) <= 1.0])
     results = {}
-    for snr_db in (-20.0, -10.0, 0.0, 10.0, 20.0):
+    for si, snr_db in enumerate(sc.snr_db_values):
         se_avg, se_one, crlbs, floors = [], [], [], []
         for trial in range(n_trials):
-            rng = substream(6, trial, 0)
-            phi_deg = rng.uniform(-60, 60)
-            r = rng.uniform(10, 0.8 * res["range_max_m"])
-            v = rng.uniform(-0.4 * res["velocity_max_mps"],
-                            0.4 * res["velocity_max_mps"])
-            target = Target.from_range_velocity(
-                phi_deg, r, v, cfg.carrier_freq_hz,
-                gain=np.exp(2j * np.pi * rng.random()))
-            _, tf = random_frame(cfg, alloc, rng)
-            rx_tf = radar_receive(tf, [target], cfg, snr_db=snr_db,
-                                  rng=substream(6, trial, 1))
-            true = np.deg2rad(phi_deg)
-            a_avg, _, _ = estimate_angles(rx_tf, 1, cfg, pad_factor=pad,
-                                          average=True)
-            a_one, _, _ = estimate_angles(rx_tf, 1, cfg, pad_factor=pad,
-                                          average=False)
-            se_avg.append((a_avg[0] - true) ** 2)
-            se_one.append((a_one[0] - true) ** 2)
+            rows = table[snr_db][trial]
+            # the true angle: the kind's own draw on the runner's stream
+            true = experiments._single_target(sc, substream(sc.seed, si, trial, 0))[1]
+            floor = (angle_grid[np.argmin(np.abs(angle_grid - true))] - true) ** 2
+            assert rows["angle_floor_rad2"] == floor, f"SNR {snr_db} trial {trial}"
+            se_avg.append(rows["angle_sq_err_all_bins_rad2"])
+            se_one.append(rows["angle_sq_err_single_bin_rad2"])
             crlbs.append(crlb_report(cfg, snr_db,
                                      ref_angle_rad=true)["angle_crlb_rad2"])
-            floors.append(
-                (angle_grid[np.argmin(np.abs(angle_grid - true))] - true) ** 2)
+            floors.append(floor)
         results[snr_db] = tuple(map(np.mean, (se_avg, se_one, crlbs, floors)))
     for snr_db, (mse_avg, mse_one, crlb, floor) in results.items():
         # averaging over bins always helps
@@ -192,76 +215,57 @@ def test_criterion_06_coarse_angle_mse_statistics():
     assert abs(10 * np.log10(mse_avg / floor)) <= 3.0
 
 
-def test_criterion_07_virtual_array_resolves_close_targets():
+def test_criterion_07_virtual_array_resolves_close_targets(tmp_path):
     start = time.perf_counter()
     cfg = SystemConfig()  # N_r=16, N_p=4 via diagonal allocation
-    alloc = diagonal_allocation(cfg.n_tx)
-    angles_deg = [12.0, 14.0, 16.0]
-    true = np.deg2rad(np.sort(angles_deg))
+    true = np.deg2rad(np.sort(CLOSE_ANGLES_DEG))
+    sc, table = run_trials(tmp_path, {
+        "name": "criterion-07", "experiment_kind": "ssr-angle",
+        "targets": three_targets(CLOSE_ANGLES_DEG),
+        "estimator": {"n_angles": 1, "peaks_per_angle": 3, "n_solvers": 64},
+        "trials": 100, "snr_db_values": [20.0], "seed": 7})
+    # SSR separates all three angles to within 1 degree; a trial without
+    # estimates is a miss
     ssr_hits = 0
+    for rows in table[20.0].values():
+        estimated = sorted_estimates(rows, 3)
+        ssr_hits += int(estimated is not None and np.max(np.abs(estimated - true))
+                        <= np.deg2rad(1.0) + 1e-12)
+    # the averaged DFT spectrum of the runner's frames shows a single dominant peak
     one_peak = 0
     for trial in range(100):
-        rng = substream(7, trial, 0)
-        gains = np.exp(2j * np.pi * rng.random(3))
-        targets = [Target.from_range_velocity(a, r, v, cfg.carrier_freq_hz,
-                                              gain=g)
-                   for a, r, v, g in zip(angles_deg, THREE_TARGET_RANGES_M,
-                                         THREE_TARGET_VELOCITIES_MPS, gains)]
-        dd, tf = random_frame(cfg, alloc, rng)
-        rx_tf = radar_receive(tf, targets, cfg, snr_db=20.0,
-                              rng=substream(7, trial, 1))
-        # the averaged DFT spectrum shows a single dominant peak
-        _, omegas, power = estimate_angles(rx_tf, 1, cfg, pad_factor=16)
+        cell = experiments._frame(experiments.Cell(sc, 20.0, 0, trial),
+                                  experiments._random_gains)
+        _, omegas, power = estimate_angles(cell.scene[2], 1, cfg, pad_factor=16)
         valid = np.abs(omegas * cfg.wavelength_m
                        / (2 * np.pi * cfg.g_r)) <= 1.0
         maxima = ((power > np.roll(power, 1)) & (power >= np.roll(power, -1))
                   & valid & (power >= 0.5 * power[valid].max()))
         one_peak += int(np.count_nonzero(maxima) == 1)
-        # SSR separates all three angles to within 1 degree
-        coarse = coarse_pipeline(rx_tf, dd, cfg, n_angles=1, peaks_per_angle=3)
-        specs = [default_neighborhood(c, cfg) for c in coarse]
-        snapshot = build_virtual_snapshot(rx_tf, tf, alloc)
-        result = averaged_ssr(snapshot, specs, cfg, n_solvers=64,
-                              seed=7000 + trial)
-        estimated = np.sort(result.estimates[:, 0])
-        ssr_hits += int(np.max(np.abs(estimated - true))
-                        <= np.deg2rad(1.0) + 1e-12)
     assert one_peak >= 90
     assert ssr_hits >= 90
     assert time.perf_counter() - start < 300.0
 
 
-def test_criterion_08_private_bin_monotonicity():
-    cfg = SystemConfig(n_rx=8)
-    angles_deg = [12.0, 14.0, 16.0]
-    true = np.deg2rad(np.sort(angles_deg))
+def test_criterion_08_private_bin_monotonicity(tmp_path):
+    true = np.deg2rad(np.sort(CLOSE_ANGLES_DEG))
     allocations = {
-        1: make_allocation(cfg.n_tx, [(0, (0, 0))]),
-        4: diagonal_allocation(cfg.n_tx),
+        1: {"private_bins": [[0, [0, 0]]]},
+        4: {"diagonal_private_bins": 4},
     }
     nmse = {}
-    for n_p, alloc in allocations.items():
-        errors = []
-        for trial in range(300):
-            rng = substream(8, trial, 0)
-            gains = np.exp(2j * np.pi * rng.random(3))
-            targets = [Target.from_range_velocity(a, r, v, cfg.carrier_freq_hz,
-                                                  gain=g)
-                       for a, r, v, g in zip(angles_deg, THREE_TARGET_RANGES_M,
-                                             THREE_TARGET_VELOCITIES_MPS,
-                                             gains)]
-            dd, tf = random_frame(cfg, alloc, rng)
-            rx_tf = radar_receive(tf, targets, cfg, snr_db=20.0,
-                                  rng=substream(8, trial, 1))
-            coarse = coarse_pipeline(rx_tf, dd, cfg, n_angles=1,
-                                     peaks_per_angle=3)
-            specs = [default_neighborhood(c, cfg) for c in coarse]
-            snapshot = build_virtual_snapshot(rx_tf, tf, alloc)
-            result = averaged_ssr(snapshot, specs, cfg, n_solvers=8,
-                                  seed=8000 + trial)
-            estimated = np.sort(result.estimates[:, 0])
-            errors.append(np.sum((estimated - true) ** 2) / np.sum(true ** 2))
-        nmse[n_p] = np.mean(errors)
+    for n_p, allocation in allocations.items():
+        _, table = run_trials(tmp_path, {
+            "name": f"criterion-08-{n_p}-bins", "experiment_kind": "ssr-angle",
+            "system": {"n_rx": 8}, "targets": three_targets(CLOSE_ANGLES_DEG),
+            "allocation": allocation,
+            "estimator": {"n_angles": 1, "peaks_per_angle": 3, "n_solvers": 8},
+            "trials": 300, "snr_db_values": [20.0], "seed": 8})
+        estimates = [sorted_estimates(table[20.0][trial], 3) for trial in range(300)]
+        # every trial's coarse stage succeeded
+        assert all(e is not None for e in estimates), f"{n_p} bins"
+        nmse[n_p] = np.mean([np.sum((e - true) ** 2) / np.sum(true ** 2)
+                             for e in estimates])
     # 1.1: 95% confidence allowance; the observed margin is over an order of
     # magnitude
     assert nmse[4] <= 1.1 * nmse[1]
@@ -299,27 +303,27 @@ def test_criterion_09_omp_matches_exhaustive_search():
         assert omp_support == exhaustive == support, f"instance {instance}"
 
 
-def test_criterion_10_communication_exactness_and_trend():
-    cfg = SystemConfig(n_doppler=16, m_delay=32, n_tx=4, n_comm_rx=4)
-    alloc = diagonal_allocation(cfg.n_tx)
-
-    def paths(c):
-        return [Target(0.0, l * c.delay_spacing_s, k * c.doppler_spacing_hz)
-                for k, l in [(0, 0), (2, 3), (5, 7)]]
-
-    errors, bits = ber_frame(cfg, alloc, paths(cfg), np.inf, seed=1)
-    assert errors == 0 and bits > 0
+def test_criterion_10_communication_exactness_and_trend(tmp_path):
+    cfg = SystemConfig(n_doppler=16, m_delay=32, n_tx=4)
+    paths = [Target(0.0, l * cfg.delay_spacing_s, k * cfg.doppler_spacing_hz)
+             for k, l in [(0, 0), (2, 3), (5, 7)]]
+    targets = [{"angle_deg": 0.0, "range_m": p.range_m,
+                "velocity_mps": p.velocity_mps(cfg.carrier_freq_hz)} for p in paths]
     ber = {}
     for n_c in (4, 8, 16):
-        c = replace(cfg, n_comm_rx=n_c)
-        err = tot = frame = 0
-        while tot < 100_000:
-            e, b = ber_frame(c, alloc, paths(c), 20.0, seed=10,
-                             frame_index=frame)
-            err += e
-            tot += b
-            frame += 1
-        ber[n_c] = err / tot
+        _, table = run_trials(tmp_path, {
+            "name": f"criterion-10-{n_c}-rx", "experiment_kind": "comm-ber",
+            "system": {"n_doppler": 16, "m_delay": 32, "n_tx": 4, "n_comm_rx": n_c},
+            "targets": targets, "allocation": {"diagonal_private_bins": 4},
+            "min_bits": 100_000,
+            "snr_db_values": [20.0, math.inf] if n_c == 4 else [20.0], "seed": 10})
+        if n_c == 4:
+            # without noise every frame decodes exactly
+            assert all(rows["bit_errors"] == 0 and rows["bit_count"] > 0
+                       for rows in table[math.inf].values())
+        frames = table[20.0].values()
+        ber[n_c] = (sum(rows["bit_errors"] for rows in frames)
+                    / sum(rows["bit_count"] for rows in frames))
     assert ber[4] > ber[8] > ber[16]
 
 
