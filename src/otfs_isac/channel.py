@@ -8,6 +8,7 @@ and Doppler without a time-domain simulation.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -43,24 +44,20 @@ def radar_receive(tx_tf, targets, cfg: SystemConfig, snr_db: float | None = None
 
     Y_{n_r}[n,m] = sum_j sum_{n_t} e^{j2pi(n_r g_r - n_t g_t) sin(phi_j)/lambda}
     X_{n_t}[n,m] H^j[n,m], plus circular Gaussian noise drawn from ``rng``
-    when ``snr_db`` is set and finite.
+    when ``snr_db`` is set and finite. The noise is drawn on a second thread
+    (:class:`ReceiverNoise`) while the echo is built.
     """
     tx = np.asarray(tx_tf, dtype=complex)
-    n_tx = tx.shape[0]
-    y = np.zeros((cfg.n_rx,) + tx.shape[1:], dtype=complex)
-    for tgt in targets:
-        a_t = tx_array_phase(tgt.angle_rad, n_tx, cfg)
-        a_r = rx_array_phase(tgt.angle_rad, cfg.n_rx, cfg)
-        combined = np.tensordot(a_t, tx, axes=1) * tf_channel_grid(tgt, cfg)
-        y += a_r[:, None, None] * combined
-    if snr_db is not None and snr_db != math.inf:
-        # SNR is defined per DD-domain sample against unit-power symbols
-        # (N0 = P_avg / 10^(snr/10)). The unit-scale DD demodulation sums NM
-        # TF samples, so white TF noise of variance N0/NM lands in the DD
-        # domain with variance exactly N0.
-        tf_noise_var = noise_variance(snr_db) / (cfg.n_doppler * cfg.m_delay)
-        y = y + complex_noise(y.shape, tf_noise_var, rng)
-    return y
+    shape = (cfg.n_rx,) + tx.shape[1:]
+    with ReceiverNoise(shape, snr_db, cfg, rng) as noise:
+        y = np.zeros(shape, dtype=complex)
+        for tgt in targets:
+            a_t = tx_array_phase(tgt.angle_rad, tx.shape[0], cfg)
+            a_r = rx_array_phase(tgt.angle_rad, cfg.n_rx, cfg)
+            combined = np.tensordot(a_t, tx, axes=1) * tf_channel_grid(tgt, cfg)
+            for y_r, a in zip(y, a_r):     # no (N_r, N, M) temporary per target
+                y_r += a * combined
+        return noise.add_to(y)
 
 
 def noise_variance(snr_db: float) -> float:
@@ -70,17 +67,79 @@ def noise_variance(snr_db: float) -> float:
     return 1.0 / snr_linear(snr_db)
 
 
+def _draw_noise(parts: np.ndarray, noise_var: float, rng: np.random.Generator) -> None:
+    """Fill ``parts``, shape (2, ...), with the real then the imaginary parts
+    of circular complex Gaussian noise of variance ``noise_var``: one
+    standard-normal draw, which equals two draws of ``parts[0].shape`` in
+    turn, scaled in place by sqrt(noise_var / 2)."""
+    rng.standard_normal(out=parts)
+    parts *= np.sqrt(noise_var / 2.0)
+
+
 def complex_noise(shape, noise_var: float, rng: np.random.Generator) -> np.ndarray:
     """I.i.d. circular complex Gaussian noise of variance ``noise_var``.
 
     The real parts are drawn first, then the imaginary parts, each scaled by
-    sqrt(noise_var / 2) straight into the returned array through one reused
-    real buffer: the same values as sqrt(noise_var / 2) * (a + 1j * b).
+    sqrt(noise_var / 2): the same values as sqrt(noise_var / 2) * (a + 1j * b).
     """
-    scale = np.sqrt(noise_var / 2.0)
-    noise = np.empty(shape, dtype=complex)
-    draw = rng.standard_normal(shape)
-    np.multiply(draw, scale, out=noise.real)
-    rng.standard_normal(out=draw)
-    np.multiply(draw, scale, out=noise.imag)
+    parts = np.empty((2, *shape))
+    _draw_noise(parts, noise_var, rng)
+    noise = np.empty(parts.shape[1:], dtype=complex)
+    noise.real, noise.imag = parts
     return noise
+
+
+class ReceiverNoise:
+    """The white TF receiver noise of one radar receive stack of ``shape``,
+    drawn from ``rng`` on a background thread while the caller builds the
+    echo; nothing is drawn when ``snr_db`` is None or infinite.
+
+    Construction checks the SNR and starts the draw, :meth:`add_to` waits
+    for it and adds it to the echo in place, and leaving the ``with`` block
+    waits for the thread whatever happened, so none outlives the frame. An
+    error of the draw is raised by :meth:`add_to`. numpy's generators fill
+    arrays with the GIL released, so the draw runs beside the caller's
+    numpy work, and its values are those of :func:`complex_noise`.
+    """
+
+    def __init__(self, shape, snr_db: float | None, cfg: SystemConfig,
+                 rng: np.random.Generator | None):
+        self._thread = self._error = None
+        if snr_db is None or snr_db == math.inf:
+            return
+        # SNR is defined per DD-domain sample against unit-power symbols
+        # (N0 = P_avg / 10^(snr/10)). The unit-scale DD demodulation sums NM
+        # TF samples, so white TF noise of variance N0/NM lands in the DD
+        # domain with variance exactly N0.
+        tf_noise_var = noise_variance(snr_db) / (cfg.n_doppler * cfg.m_delay)
+        self._parts = np.empty((2, *shape))
+        # only numpy and private names run on the thread: a tracer of the
+        # public functions keeps one span stack, the caller's
+        self._thread = threading.Thread(target=self._draw, args=(tf_noise_var, rng),
+                                        name="otfs-isac-noise")
+        self._thread.start()
+
+    def _draw(self, noise_var, rng):
+        try:
+            _draw_noise(self._parts, noise_var, rng)
+        except BaseException as exc:     # raised again by add_to, in the caller
+            self._error = exc
+
+    def add_to(self, y: np.ndarray) -> np.ndarray:
+        """``y`` with the noise added in place (the bits of ``y +
+        complex_noise(...)``); ``y`` itself when there is no noise."""
+        if self._thread is None:
+            return y
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        y.real += self._parts[0]
+        y.imag += self._parts[1]
+        return y
+
+    def __enter__(self) -> "ReceiverNoise":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._thread is not None:
+            self._thread.join()

@@ -139,7 +139,9 @@ def _solve_hermitian(system: np.ndarray) -> np.ndarray:
         factors = system[k, k + 1:k_dim].conj()          # D[k] * column k of L
         # row k becomes row k of L^H, and its last entry (D^-1 L^-1 b)[k]
         system[k, k + 1:] *= 1.0 / system[k, k].real
-        system[k + 1:, k + 1:] -= factors[:, None] * system[k, k + 1:]
+        # the trailing rows' upper triangle and right-hand side
+        for i, factor in enumerate(factors, k + 1):
+            system[i, i:] -= factor * system[k, i:]
     x = system[:, k_dim]
     for k in range(k_dim - 1, 0, -1):
         x[:k] -= system[:k, k] * x[k]

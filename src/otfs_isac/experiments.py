@@ -28,7 +28,7 @@ from .coarse import coarse_pipeline, estimate_angles, resolution_report
 from .comm import ber_frame, symbol_capacity, transmit_chain
 from .config import SPEED_OF_LIGHT, Target, substream, unit_phases
 from .crlb import crlb_report
-from .channel import radar_receive
+from .channel import ReceiverNoise, radar_receive
 from .exceptions import OtfsIsacError
 from .virtual_array import (angle_surface, averaged_ssr, build_virtual_snapshot,
                             default_neighborhood)
@@ -98,15 +98,18 @@ Cell = collections.namedtuple("Cell", "scenario snr_db snr_idx trial truth scene
 
 def _frame(cell: Cell, draw) -> Cell:
     """``cell`` with the truth of ``draw`` and its targets' radar frame: targets
-    and bits from the purpose-0 stream, noise from purpose 1."""
+    and bits from the purpose-0 stream, noise from purpose 1. The noise is
+    drawn on a second thread while the targets, the transmit chain and the
+    echo are built."""
     scenario = cell.scenario
     cfg, alloc = scenario.system, scenario.bin_allocation
-    rng = substream(scenario.seed, cell.snr_idx, cell.trial, 0)
-    targets, truth = draw(scenario, rng)
-    bits = rng.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
-    dd, tf = transmit_chain(bits, alloc, cfg)
-    rx_tf = radar_receive(tf, targets, cfg, snr_db=cell.snr_db,
-                          rng=substream(scenario.seed, cell.snr_idx, cell.trial, 1))
+    with ReceiverNoise((cfg.n_rx, cfg.n_doppler, cfg.m_delay), cell.snr_db, cfg,
+                       substream(scenario.seed, cell.snr_idx, cell.trial, 1)) as noise:
+        rng = substream(scenario.seed, cell.snr_idx, cell.trial, 0)
+        targets, truth = draw(scenario, rng)
+        bits = rng.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
+        dd, tf = transmit_chain(bits, alloc, cfg)
+        rx_tf = noise.add_to(radar_receive(tf, targets, cfg))
     return cell._replace(truth=truth, scene=(dd, tf, rx_tf))
 
 
@@ -390,7 +393,7 @@ def run_scenario(scenario: Scenario, out_dir, trials: int | None = None,
              for si in range(len(scenario.snr_db_values))
              for t in range(n_trials)]
     if parallel > 1:
-        with multiprocessing.get_context("spawn").Pool(parallel) as pool:
+        with _spawn_pool(parallel) as pool:
             results = pool.map(_run_cell, cells)
     else:
         results = [_run_cell(c) for c in cells]
@@ -409,6 +412,27 @@ def run_scenario(scenario: Scenario, out_dir, trials: int | None = None,
         "trials": (["snr_db", "trial", "metric", "value"], trial_rows),
         "aggregate": (["snr_db", "metric", "value"], _aggregate(kind, per_snr)),
     }, trials_run=n_trials, failures=failures)
+
+
+# The BLAS thread variables a spawned worker gets as "1" unless the user set them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _spawn_pool(processes: int):
+    """A spawn-context pool whose workers start with one BLAS thread each.
+
+    By default OpenBLAS starts one thread per core in every worker, so the
+    workers oversubscribe the cores. Each of ``_BLAS_THREAD_VARS`` that is
+    unset is set to 1 only while the workers spawn, then removed again; a
+    value the user set is passed on as it is.
+    """
+    unset = [name for name in _BLAS_THREAD_VARS if name not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        return multiprocessing.get_context("spawn").Pool(processes)
+    finally:
+        for name in unset:
+            os.environ.pop(name, None)
 
 
 def _write_outputs(out_dir: str, scenario: Scenario, tables: dict, **fields) -> dict:

@@ -18,7 +18,10 @@ The explicit (NM x NM) matrices, the stacked LMMSE solve, the per-bin TF
 channel, the single-path DD response and the numeric FIM are direct forms of
 what the package computes with FFTs, per-TF-bin factorizations and closed
 forms; small grids only. ``complex_noise_reference`` is the noise draw as one
-complex expression, which the in-place draw must match byte for byte.
+complex expression, which the in-place draw must match byte for byte, and
+``radar_receive_reference`` the radar receive stack as first written: one
+``(N_r, N, M)`` term per target, then that noise drawn and added on the
+caller's thread, which the threaded draw must match byte for byte.
 
 ``grid_isfft``, ``grid_sfft`` and ``serial_transmit_chain`` are the transform
 and transmit layers as first written, one (N, M) grid at a time: the stacked
@@ -49,7 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from otfs_isac.channel import complex_noise, noise_variance, tf_channel_grid
+from otfs_isac.channel import (complex_noise, noise_variance, rx_array_phase,
+                                tf_channel_grid, tx_array_phase)
 from otfs_isac.comm import (qpsk_demodulate, qpsk_modulate, random_pair_gains,
                             symbol_capacity, tf_block_channel, transmit_chain)
 from otfs_isac.coarse import extract_angle_profiles
@@ -416,6 +420,20 @@ def complex_noise_reference(shape, noise_var: float, rng) -> np.ndarray:
     expression."""
     return np.sqrt(noise_var / 2.0) * (rng.standard_normal(shape)
                                        + 1j * rng.standard_normal(shape))
+
+
+def radar_receive_reference(tx, targets, cfg, snr_db, rng) -> np.ndarray:
+    """``channel.radar_receive`` as first written, synchronous: the echo summed
+    one (N_r, N, M) term per target, then ``y + complex_noise_reference``."""
+    y = np.zeros((cfg.n_rx,) + tx.shape[1:], dtype=complex)
+    for t in targets:
+        a_t = tx_array_phase(t.angle_rad, tx.shape[0], cfg)
+        a_r = rx_array_phase(t.angle_rad, cfg.n_rx, cfg)
+        y += a_r[:, None, None] * (np.tensordot(a_t, tx, axes=1) * tf_channel_grid(t, cfg))
+    if snr_db is None or snr_db == np.inf:
+        return y
+    tf_noise_var = noise_variance(snr_db) / (cfg.n_doppler * cfg.m_delay)
+    return y + complex_noise_reference(y.shape, tf_noise_var, rng)
 
 
 def tf_channel_coeff(target: Target, n: int, m: int, cfg) -> complex:

@@ -13,7 +13,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from otfs_isac import experiments
 from otfs_isac.allocation import diagonal_allocation, rate_accounting
@@ -41,14 +40,6 @@ def three_targets(angles_deg):
     return [{"angle_deg": a, "range_m": r, "velocity_mps": v}
             for a, r, v in zip(angles_deg, THREE_TARGET_RANGES_M,
                                THREE_TARGET_VELOCITIES_MPS)]
-
-
-@pytest.fixture(autouse=True)
-def one_blas_thread_per_worker(monkeypatch):
-    """The workers that ``run_trials`` spawns inherit this: by default each
-    would start one OpenBLAS thread per core, too many for 2 workers, and
-    the criteria's small solves gain nothing from BLAS threads."""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
 
 def run_trials(out_dir, raw):

@@ -1,15 +1,18 @@
 """Channel application: TF route vs delay-Doppler closed forms."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from otfs_isac.channel import (complex_noise, noise_variance, radar_receive,
+from otfs_isac.channel import (ReceiverNoise, complex_noise, noise_variance, radar_receive,
                                rx_array_phase, tf_channel_grid, tx_array_phase)
 from otfs_isac.config import SystemConfig, Target
 from otfs_isac.crlb import snr_linear
 from otfs_isac.transforms import isfft, sfft
 from oracles import (complex_noise_reference, dd_channel_operator,
-                     dd_circular_shift_operator, tf_channel_coeff)
+                     dd_circular_shift_operator, radar_receive_reference, tf_channel_coeff)
 
 
 def small_cfg(**kw):
@@ -141,13 +144,15 @@ def test_noise_variance_outside_the_snr_bound_is_a_value_error(snr_db):
         noise_variance(snr_db)
 
 
-def test_radar_receive_minus_infinite_snr_is_a_value_error():
-    """-inf dB is infinite noise, not none: outside the bound, unlike +inf."""
+def test_radar_receive_minus_infinite_snr_is_a_value_error(thread_starts):
+    """-inf dB is infinite noise, not none: outside the bound, unlike +inf.
+    The bound is checked before the noise thread starts."""
     cfg = small_cfg()
     tx = np.zeros((2, 8, 8), dtype=complex)
     with pytest.raises(ValueError, match="snr_db:"):
         radar_receive(tx, [], cfg, snr_db=-np.inf, rng=np.random.default_rng(0))
     assert not radar_receive(tx, [], cfg, snr_db=np.inf).any()
+    assert not thread_starts
 
 
 @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 4, 6), (16, 64, 128)])
@@ -159,3 +164,85 @@ def test_complex_noise_equals_one_expression_draw(shape, noise_var):
         want = complex_noise_reference(shape, noise_var, np.random.default_rng(seed))
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid", [(8, 8, 2, 4), (4, 16, 1, 3), (16, 32, 4, 8)],
+                         ids=lambda g: "x".join(map(str, g)))
+@pytest.mark.parametrize("snr_db", [-10.0, 3.0, 20.0, np.inf, None])
+def test_radar_receive_equals_the_synchronous_draw(grid, snr_db, thread_starts):
+    """The echo and the noise drawn on a second thread are the bytes of the
+    per-target sum plus ``complex_noise_reference`` drawn in line; a
+    noise-free stack starts no thread, and no thread outlives the call."""
+    n, m, n_tx, n_rx = grid
+    cfg = small_cfg(n_doppler=n, m_delay=m, n_tx=n_tx, n_rx=n_rx)
+    rng = np.random.default_rng(n * m + n_rx)
+    tx = rng.standard_normal((n_tx, n, m)) + 1j * rng.standard_normal((n_tx, n, m))
+    targets = [Target(angle_rad=0.2 * j - 0.3, delay_s=(1.5 + j) * cfg.delay_spacing_s,
+                      doppler_hz=(0.7 - j) * cfg.doppler_spacing_hz,
+                      gain=np.exp(1j * (0.4 + j))) for j in range(3)]
+    before = set(threading.enumerate())
+    for seed in (0, 9):
+        got = radar_receive(tx, targets, cfg, snr_db=snr_db,
+                            rng=np.random.default_rng(seed))
+        want = radar_receive_reference(tx, targets, cfg, snr_db,
+                                       np.random.default_rng(seed))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert len(thread_starts) == (0 if snr_db in (None, np.inf) else 2)
+    assert set(threading.enumerate()) == before
+
+
+def test_concurrent_receive_stacks_keep_their_own_noise():
+    """Each call owns its draw: receive stacks built on more threads than
+    cores, with a short switch interval, each equal their own in-line draw."""
+    cfg = small_cfg(n_doppler=16, m_delay=32)
+    tx = np.ones((2, 16, 32), dtype=complex)
+    target = [on_grid_target(cfg, 1, 2, angle_rad=0.2)]
+    want = {seed: radar_receive_reference(tx, target, cfg, 5.0, np.random.default_rng(seed))
+            for seed in range(6)}
+    got = {}
+
+    def receive(seed):
+        for _ in range(20):
+            y = radar_receive(tx, target, cfg, snr_db=5.0, rng=np.random.default_rng(seed))
+            got.setdefault(seed, set()).add(y.tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=receive, args=(seed,)) for seed in want]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {seed: {y.tobytes()} for seed, y in want.items()}
+
+
+class BrokenGenerator:
+    def standard_normal(self, *args, **kwargs):
+        raise FloatingPointError("draw failed")
+
+
+def test_a_failed_draw_raises_in_the_caller(capfd, monkeypatch):
+    """The draw's own exception reaches the caller of radar_receive, and the
+    thread neither prints a traceback nor outlives the call."""
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    before = set(threading.enumerate())
+    cfg = small_cfg()
+    with pytest.raises(FloatingPointError, match="draw failed") as info:
+        radar_receive(np.ones((2, 8, 8)), [], cfg, snr_db=3.0, rng=BrokenGenerator())
+    assert "_draw_noise" in {entry.name for entry in info.traceback}
+    assert not hooked and capfd.readouterr().err == ""
+    assert set(threading.enumerate()) == before
+
+
+def test_no_draw_outlives_a_failed_frame(thread_starts):
+    """Leaving the with block waits for the draw, also when the body raises
+    before the noise is added."""
+    with pytest.raises(ZeroDivisionError):
+        with ReceiverNoise((4, 8, 8), 3.0, small_cfg(), np.random.default_rng(0)):
+            1 / 0
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()

@@ -1,22 +1,28 @@
 """Experiment runner: output files, aggregation, and determinism."""
 
+import compileall
 import ctypes
 import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import threading
 import types
 from pathlib import Path
 
 import pytest
 
 import otfs_isac
-from otfs_isac import experiments
+from otfs_isac import channel, experiments
+from otfs_isac.comm import symbol_capacity, transmit_chain
+from otfs_isac.config import substream
 from otfs_isac.exceptions import PeakSeparationFailure, TooManyTargets
 from otfs_isac.experiments import run_scenario
 from otfs_isac.scenario import scenario_from_dict
+from oracles import radar_receive_reference
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 README = Path(__file__).parent.parent / "README.md"
@@ -86,6 +92,99 @@ def test_serial_parallel_identical(tmp_path, kind):
     assert Path(p1["trials"]).read_text() == Path(p2["trials"]).read_text()
     assert Path(p1["aggregate"]).read_text() == Path(p2["aggregate"]).read_text()
     assert manifest_of(p1)["failures"] == manifest_of(p2)["failures"]
+
+
+FRAME_KINDS = [kind for kind in TRIAL_KINDS if experiments.KINDS[kind].draw is not None]
+
+
+def frame_reference(cell, draw):
+    """(truth, dd, tf, rx_tf) of ``experiments._frame`` drawn in line, one
+    stage after another, with the synchronous receive oracle."""
+    sc = cell.scenario
+    cfg, alloc = sc.system, sc.bin_allocation
+    rng = substream(sc.seed, cell.snr_idx, cell.trial, 0)
+    targets, truth = draw(sc, rng)
+    bits = rng.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
+    dd, tf = transmit_chain(bits, alloc, cfg)
+    rx_tf = radar_receive_reference(tf, targets, cfg, cell.snr_db,
+                                    substream(sc.seed, cell.snr_idx, cell.trial, 1))
+    return truth, dd, tf, rx_tf
+
+
+@pytest.mark.parametrize("kind", FRAME_KINDS)
+@pytest.mark.parametrize("system", [{"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 8},
+                                    {"n_doppler": 16, "m_delay": 8, "n_tx": 3, "n_rx": 5}],
+                         ids=["8x16", "16x8"])
+def test_frame_equals_the_synchronous_frame(kind, system, thread_starts):
+    """Each trial's frame, its noise drawn on a second thread, is the bytes of
+    the frame drawn in line, at finite SNRs and at inf, where no thread
+    starts; no thread outlives a frame."""
+    sc = scenario_from_dict(small_raw(experiment_kind=kind, system=system,
+                                      snr_db_values=[-5.0, 12.5, math.inf],
+                                      **PARALLEL_CASES[kind]))
+    draw = experiments.KINDS[kind].draw
+    before = set(threading.enumerate())
+    for snr_idx, snr_db in enumerate(sc.snr_db_values):
+        for trial in range(2):
+            cell = experiments._frame(experiments.Cell(sc, snr_db, snr_idx, trial), draw)
+            truth, *scene = frame_reference(cell, draw)
+            assert repr(cell.truth) == repr(truth)
+            assert [a.tobytes() for a in cell.scene] == [a.tobytes() for a in scene]
+            assert set(threading.enumerate()) == before
+    assert len(thread_starts) == 2 * (len(sc.snr_db_values) - 1)
+
+
+def test_a_failed_frame_draw_raises_in_the_trial(capfd, monkeypatch):
+    """A draw that fails on the noise thread raises its own exception in the
+    caller of the frame, prints nothing and leaves no thread behind."""
+    def failing_draw(parts, noise_var, rng):
+        raise MemoryError("no room for the noise")
+
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    monkeypatch.setattr(channel, "_draw_noise", failing_draw)
+    sc = scenario_from_dict(small_raw())
+    before = set(threading.enumerate())
+    with pytest.raises(MemoryError, match="no room for the noise"):
+        experiments._frame(experiments.Cell(sc, 20.0, 0, 0), experiments._random_gains)
+    assert not hooked and capfd.readouterr().err == ""
+    assert set(threading.enumerate()) == before
+
+
+def test_public_layer_functions_run_on_the_main_thread(tmp_path):
+    """Only private package code runs on the noise thread: a tracer of the
+    public layer functions keeps a single span stack, the main thread's."""
+    package_dir = os.path.dirname(otfs_isac.__file__)
+    off_main = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package_dir):
+            off_main.append(frame.f_code.co_name)
+
+    threading.setprofile(profile)    # every thread started from here on
+    try:
+        run_scenario(scenario_from_dict(small_raw(trials=3)), tmp_path)
+    finally:
+        threading.setprofile(None)
+    assert "_draw_noise" in off_main
+    assert [name for name in off_main if not name.startswith("_")] == []
+
+
+@pytest.mark.parametrize("user_value", [None, "3"])
+def test_spawned_workers_get_one_blas_thread_unless_set(monkeypatch, user_value):
+    """Each BLAS thread variable the user left unset is 1 in a spawned
+    worker, a value the user set reaches it as set, and this process's
+    environment is left as it was."""
+    names = experiments._BLAS_THREAD_VARS
+    for name in names:
+        monkeypatch.delenv(name, raising=False)
+    if user_value is not None:
+        monkeypatch.setenv(names[0], user_value)
+    before = dict(os.environ)
+    with experiments._spawn_pool(1) as pool:
+        seen = pool.map(os.getenv, names)
+    assert seen == [user_value or "1"] + ["1"] * (len(names) - 1)
+    assert dict(os.environ) == before
 
 
 def declared_names(table, n_targets):
@@ -382,21 +481,37 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-def fresh_interpreter(script, *args):
-    """stdout of ``script`` run in a fresh interpreter on this package: malloc's
-    dynamic mmap threshold depends on what the process allocated and freed
-    before."""
-    package_root = os.path.dirname(os.path.dirname(otfs_isac.__file__))
+@pytest.fixture(scope="module")
+def fresh_interpreter(tmp_path_factory):
+    """Runs a script in a fresh interpreter on this package and returns its
+    stdout: malloc's dynamic mmap threshold depends on what the process
+    allocated and freed before.
+
+    That includes compiling the package's source when no cached bytecode is
+    found (``PYTHONDONTWRITEBYTECODE`` keeps it from being written), so the
+    interpreter imports a copy of the package compiled here. A
+    ``PYTHONPYCACHEPREFIX`` would not do: it moves the cache of numpy and
+    the standard library as well, which are then compiled at import.
+    """
+    root = tmp_path_factory.mktemp("compiled")
+    package = root / "otfs_isac"
+    shutil.copytree(os.path.dirname(otfs_isac.__file__), package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert compileall.compile_dir(package, quiet=1)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(root),
                                                         os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script, *args], env=env,
-                          capture_output=True, text=True, timeout=120, check=True).stdout
+
+    def run(script, *args):
+        return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True).stdout
+    return run
 
 
 @pytest.mark.skipif(not libc_has_mallopt(), reason="libc has no mallopt")
 @pytest.mark.parametrize("name", ["coarse_three_targets.json", "ssr_close_angles.json"])
-def test_warm_trials_take_no_page_faults(name):
+def test_warm_trials_take_no_page_faults(name, fresh_interpreter):
     """Once warm, a trial reuses heap pages: about 1,900 minor faults per
     coarse_three_targets trial with glibc's defaults, about 0 with the
     steady heap."""
@@ -404,7 +519,7 @@ def test_warm_trials_take_no_page_faults(name):
 
 
 @pytest.mark.skipif(not libc_has_mallopt(), reason="libc has no mallopt")
-def test_library_ssr_call_takes_no_page_faults():
+def test_library_ssr_call_takes_no_page_faults(fresh_interpreter):
     """Importing the package sets the steady heap, so a caller of
     averaged_ssr that never runs a scenario reuses heap pages too: about
     2,000 minor faults per warm call on this snapshot with glibc's defaults,
