@@ -15,6 +15,9 @@ import numpy as np
 from .config import SystemConfig, Target
 from .crlb import snr_linear
 
+# Samples per standard-normal call of a noise draw (256 KiB of float64).
+_NOISE_CHUNK = 1 << 15
+
 
 def tf_channel_grid(target: Target, cfg: SystemConfig) -> np.ndarray:
     """Single-path TF channel coefficients on the (N, M) grid, array factor
@@ -45,18 +48,26 @@ def radar_receive(tx_tf, targets, cfg: SystemConfig, snr_db: float | None = None
     Y_{n_r}[n,m] = sum_j sum_{n_t} e^{j2pi(n_r g_r - n_t g_t) sin(phi_j)/lambda}
     X_{n_t}[n,m] H^j[n,m], plus circular Gaussian noise drawn from ``rng``
     when ``snr_db`` is set and finite. The noise is drawn on a second thread
-    (:class:`ReceiverNoise`) while the echo is built.
+    (:class:`ReceiverNoise`) while the echo is built. Each antenna's grid
+    adds the J targets' terms in target order while it is in cache, with no
+    (N_r, N, M) temporary.
     """
     tx = np.asarray(tx_tf, dtype=complex)
     shape = (cfg.n_rx,) + tx.shape[1:]
     with ReceiverNoise(shape, snr_db, cfg, rng) as noise:
-        y = np.zeros(shape, dtype=complex)
-        for tgt in targets:
+        # (J, N, M) grids sum_{n_t} e^{-j2pi n_t g_t sin(phi_j)/lambda} X_{n_t} H^j
+        combined = np.empty((len(targets),) + tx.shape[1:], dtype=complex)
+        a_r = np.empty((cfg.n_rx, len(targets)), dtype=complex)
+        for j, tgt in enumerate(targets):
             a_t = tx_array_phase(tgt.angle_rad, tx.shape[0], cfg)
-            a_r = rx_array_phase(tgt.angle_rad, cfg.n_rx, cfg)
-            combined = np.tensordot(a_t, tx, axes=1) * tf_channel_grid(tgt, cfg)
-            for y_r, a in zip(y, a_r):     # no (N_r, N, M) temporary per target
-                y_r += a * combined
+            a_r[:, j] = rx_array_phase(tgt.angle_rad, cfg.n_rx, cfg)
+            np.multiply(np.tensordot(a_t, tx, axes=1), tf_channel_grid(tgt, cfg),
+                        out=combined[j])
+        y = np.zeros(shape, dtype=complex)
+        term = np.empty(tx.shape[1:], dtype=complex)
+        for y_r, a_rj in zip(y, a_r):
+            for a, grid in zip(a_rj, combined):
+                y_r += np.multiply(a, grid, out=term)
         return noise.add_to(y)
 
 
@@ -67,13 +78,21 @@ def noise_variance(snr_db: float) -> float:
     return 1.0 / snr_linear(snr_db)
 
 
-def _draw_noise(parts: np.ndarray, noise_var: float, rng: np.random.Generator) -> None:
-    """Fill ``parts``, shape (2, ...), with the real then the imaginary parts
-    of circular complex Gaussian noise of variance ``noise_var``: one
-    standard-normal draw, which equals two draws of ``parts[0].shape`` in
-    turn, scaled in place by sqrt(noise_var / 2)."""
-    rng.standard_normal(out=parts)
-    parts *= np.sqrt(noise_var / 2.0)
+def _draw_noise(noise: np.ndarray, noise_var: float, rng: np.random.Generator) -> None:
+    """Fill the complex array ``noise`` with circular Gaussian noise of
+    variance ``noise_var``: standard-normal draws of all the real parts in
+    turn, then of all the imaginary parts, scaled by sqrt(noise_var / 2).
+    The draws go through a buffer of _NOISE_CHUNK samples; consecutive
+    draws give the values of one draw of their total length."""
+    scale = np.sqrt(noise_var / 2.0)
+    flat = noise.reshape(-1)
+    chunk = np.empty(max(1, min(_NOISE_CHUNK, flat.size)))
+    for part in (flat.real, flat.imag):
+        for start in range(0, flat.size, chunk.size):
+            out = chunk[:flat.size - start]
+            rng.standard_normal(out=out)
+            out *= scale
+            part[start:start + out.size] = out
 
 
 def complex_noise(shape, noise_var: float, rng: np.random.Generator) -> np.ndarray:
@@ -82,24 +101,24 @@ def complex_noise(shape, noise_var: float, rng: np.random.Generator) -> np.ndarr
     The real parts are drawn first, then the imaginary parts, each scaled by
     sqrt(noise_var / 2): the same values as sqrt(noise_var / 2) * (a + 1j * b).
     """
-    parts = np.empty((2, *shape))
-    _draw_noise(parts, noise_var, rng)
-    noise = np.empty(parts.shape[1:], dtype=complex)
-    noise.real, noise.imag = parts
+    noise = np.empty(shape, dtype=complex)
+    _draw_noise(noise, noise_var, rng)
     return noise
 
 
 class ReceiverNoise:
     """The white TF receiver noise of one radar receive stack of ``shape``,
-    drawn from ``rng`` on a background thread while the caller builds the
-    echo; nothing is drawn when ``snr_db`` is None or infinite.
+    drawn from ``rng`` on a background thread while the caller works on
+    (the echo, or the estimates of an earlier frame); nothing is drawn when
+    ``snr_db`` is None or infinite.
 
     Construction checks the SNR and starts the draw, :meth:`add_to` waits
-    for it and adds it to the echo in place, and leaving the ``with`` block
-    waits for the thread whatever happened, so none outlives the frame. An
-    error of the draw is raised by :meth:`add_to`. numpy's generators fill
-    arrays with the GIL released, so the draw runs beside the caller's
-    numpy work, and its values are those of :func:`complex_noise`.
+    for it, adds it to the echo in place and frees the buffer, and
+    :meth:`join`, which leaving the ``with`` block calls whatever happened,
+    waits for the thread, so none outlives the frame. An error of the draw
+    is raised by :meth:`add_to`. numpy's generators fill arrays with the
+    GIL released, so the draw runs beside the caller's numpy work, and its
+    values are those of :func:`complex_noise`.
     """
 
     def __init__(self, shape, snr_db: float | None, cfg: SystemConfig,
@@ -112,7 +131,7 @@ class ReceiverNoise:
         # TF samples, so white TF noise of variance N0/NM lands in the DD
         # domain with variance exactly N0.
         tf_noise_var = noise_variance(snr_db) / (cfg.n_doppler * cfg.m_delay)
-        self._parts = np.empty((2, *shape))
+        self._noise = np.empty(shape, dtype=complex)
         # only numpy and private names run on the thread: a tracer of the
         # public functions keeps one span stack, the caller's
         self._thread = threading.Thread(target=self._draw, args=(tf_noise_var, rng),
@@ -121,7 +140,7 @@ class ReceiverNoise:
 
     def _draw(self, noise_var, rng):
         try:
-            _draw_noise(self._parts, noise_var, rng)
+            _draw_noise(self._noise, noise_var, rng)
         except BaseException as exc:     # raised again by add_to, in the caller
             self._error = exc
 
@@ -133,13 +152,17 @@ class ReceiverNoise:
         self._thread.join()
         if self._error is not None:
             raise self._error
-        y.real += self._parts[0]
-        y.imag += self._parts[1]
+        y += self._noise
+        self._noise = None
         return y
+
+    def join(self) -> None:
+        """Wait for the draw, if one was started; its error is dropped."""
+        if self._thread is not None:
+            self._thread.join()
 
     def __enter__(self) -> "ReceiverNoise":
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._thread is not None:
-            self._thread.join()
+        self.join()

@@ -7,12 +7,12 @@ covariance. Delay/Doppler indices then come from the peaks of a 2D circular
 DD cross-correlation between each angle's receive profile and a reference
 profile built from the known transmit symbols. The SFFT is unitary up to a
 scale of sqrt(NM), so both steps are exact on TF grids: the DD covariance
-is the TF one, and a DD correlation is the SFFT of a TF product.
+is the TF one, and a DD correlation is the SFFT of a TF product, so the
+transmit reference is the frame's TF stack, the ISFFT of its DD symbols.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +21,12 @@ from .channel import rx_array_phase, tx_array_phase
 from .config import SPEED_OF_LIGHT, SystemConfig
 from .exceptions import (DimensionMismatch, IllConditionedSteering,
                          PeakSeparationFailure, TooManyTargets)
-from .transforms import isfft, sfft
+from .transforms import sfft
 
 DEFAULT_PAD_FACTOR = 16
 STEERING_COND_LIMIT = 1e8
+# DD bins per block of the covariance sum in estimate_angles
+_COV_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ def estimate_angles(rx_tf: np.ndarray, n_targets: int, cfg: SystemConfig,
     # mean_s |sum_n x[n, s] e^{-j2pi q n / K}|^2 over DD bins s = sum_{n, n'}
     # cov[n, n'] e^{-j2pi q (n - n') / K}: a length-K DFT of the covariance
     # summed along its diagonals, lags folded mod K (exact for every K).
-    cov = snapshots @ snapshots.conj().T
+    cov = _covariance(snapshots)
     lag = np.subtract.outer(np.arange(n_rx), np.arange(n_rx)) % k
     r = np.zeros(k, dtype=complex)
     np.add.at(r, lag, cov)
@@ -103,32 +105,59 @@ def extract_angle_profiles(rx_tf: np.ndarray, angles, cfg: SystemConfig) -> np.n
         raise IllConditionedSteering(
             "estimated angles too close for least-squares separation; "
             "virtual-array refinement required")
-    profiles = (vh.conj().T / sv) @ (u.conj().T @ rx.reshape(n_rx, -1))
-    return profiles.reshape(angles.size, n, m)
+    pinv = (vh.conj().T / sv) @ u.conj().T
+    return (pinv @ rx.reshape(n_rx, -1)).reshape(angles.size, n, m)
 
 
-def delay_doppler_peaks(profiles_tf: np.ndarray, tx_dd: np.ndarray, angles,
+def _covariance(snapshots: np.ndarray) -> np.ndarray:
+    """S S^H of the (N_r, B) snapshots, summed over blocks of _COV_BLOCK
+    columns, so that only one block of conj(S) is held at a time."""
+    n_rx, n_bins = snapshots.shape
+    cov = np.zeros((n_rx, n_rx), dtype=complex)
+    block = np.empty((n_rx, min(_COV_BLOCK, n_bins)), dtype=complex)
+    for start in range(0, n_bins, _COV_BLOCK):
+        part = snapshots[:, start:start + _COV_BLOCK]
+        conj = block[:, :part.shape[1]]
+        np.conjugate(part, out=conj)
+        cov += part @ conj.T
+    return cov
+
+
+def _local_maxima(mag: np.ndarray) -> np.ndarray:
+    """Whether each entry of the (..., N, M) grids is at least each of its 8
+    circular neighbours: a circular 3 x 3 maximum, taken one axis after the
+    other, which the entry reaches."""
+    peak = mag
+    for axis in (-1, -2):
+        peak = np.maximum(peak, np.maximum(np.roll(peak, 1, axis), np.roll(peak, -1, axis)))
+    return mag >= peak
+
+
+def delay_doppler_peaks(profiles_tf: np.ndarray, tx_tf: np.ndarray, angles,
                         cfg: SystemConfig, n_peaks: int):
     """Peaks of each angle's 2D circular DD cross-correlation with its
     transmit reference, strongest ``n_peaks`` local maxima first.
 
-    With TF profiles P_j (``profiles_tf``, (J, N, M)) and DD references
-    r_j = sum_t e^{-j2pi t g_t sin(phi_j)/lambda} x_t of the (N_t, N, M) DD
-    transmit stack, C_j[k, l] = sum_{k', l'} sfft(P_j)[k', l']
-    conj(r_j[k' - k, l' - l]) is N M sfft(P_j conj(isfft(r_j))): one ISFFT
-    and one SFFT of J grids. Returns per angle [(k, l, |C_j|), ...].
+    With TF profiles P_j (``profiles_tf``, (J, N, M)) and TF references
+    R_j = sum_t e^{-j2pi t g_t sin(phi_j)/lambda} X_t of the (N_t, N, M)
+    transmit stack ``tx_tf`` (X = isfft of the DD symbols x, before
+    zero-forcing), C_j[k, l] = sum_{k', l'} sfft(P_j)[k', l']
+    conj(r_j[k' - k, l' - l]) with r_j = sfft(R_j) is N M sfft(P_j conj(R_j)):
+    one SFFT of J grids. Returns per angle [(k, l, |C_j|), ...] of the local
+    maxima of |C_j| (:func:`_local_maxima`).
     """
     profiles = np.asarray(profiles_tf, dtype=complex)
-    tx = np.asarray(tx_dd, dtype=complex)
+    tx = np.asarray(tx_tf, dtype=complex)
     phase = tx_array_phase(np.atleast_1d(np.asarray(angles, dtype=float))[:, None],
                            tx.shape[0], cfg)
-    ref_tf = isfft(np.tensordot(phase, tx, axes=1))
+    ref_tf = np.tensordot(phase, tx, axes=1)
     if profiles.shape != ref_tf.shape:
         raise DimensionMismatch(f"profiles {profiles.shape} vs references {ref_tf.shape}")
-    mag = np.abs(sfft(profiles * ref_tf.conj()))
+    np.conjugate(ref_tf, out=ref_tf)
+    mag = np.abs(sfft(np.multiply(profiles, ref_tf, out=ref_tf)))
+    del ref_tf                          # not held through the peak search
     mag *= profiles.shape[-2] * profiles.shape[-1]
-    is_max = np.all([mag >= np.roll(mag, shift, axis=(-2, -1))
-                     for shift in itertools.product((-1, 0, 1), repeat=2)], axis=0)
+    is_max = _local_maxima(mag)
     peaks = []
     for angle_mag, angle_max in zip(mag, is_max):
         kk, ll = np.nonzero(angle_max)
@@ -157,14 +186,16 @@ def indices_to_estimate(angle_rad: float, k: int, l: int, strength: float,
     )
 
 
-def coarse_pipeline(rx_tf: np.ndarray, tx_dd: np.ndarray, cfg: SystemConfig,
+def coarse_pipeline(rx_tf: np.ndarray, tx_tf: np.ndarray, cfg: SystemConfig,
                     n_angles: int, peaks_per_angle: int = 1,
                     pad_factor: int = DEFAULT_PAD_FACTOR):
-    """Full coarse chain on the TF receive stack: angles, per-angle profiles,
-    delay/Doppler peaks. Estimates are grouped by angle, strongest first."""
+    """Full coarse chain on the TF receive stack and the (N_t, N, M) TF
+    transmit stack before zero-forcing (``x`` of ``comm.transmit_chain``):
+    angles, per-angle profiles, delay/Doppler peaks. Estimates are grouped
+    by angle, strongest first."""
     angles, _, _ = estimate_angles(rx_tf, n_angles, cfg, pad_factor=pad_factor)
     profiles = extract_angle_profiles(rx_tf, angles, cfg)
-    peaks = delay_doppler_peaks(profiles, tx_dd, angles, cfg, n_peaks=peaks_per_angle)
+    peaks = delay_doppler_peaks(profiles, tx_tf, angles, cfg, n_peaks=peaks_per_angle)
     return [indices_to_estimate(angle, k, l, s, cfg)
             for angle, angle_peaks in zip(angles, peaks) for (k, l, s) in angle_peaks]
 

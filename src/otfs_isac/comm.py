@@ -14,17 +14,20 @@ from .exceptions import BitCountMismatch
 from .transforms import ModifiedSfft, build_modified_sfft, isfft
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# The Gray-mapped symbol of bit pair (b0, b1), at index 2 b0 + b1.
+_QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) * _INV_SQRT2
 # Distinct (allocation, grid) pairs whose reduced transforms stay cached.
 _MSFFT_CACHE_SIZE = 16
 
 
 def qpsk_modulate(bits: np.ndarray) -> np.ndarray:
-    """Gray-mapped unit-power QPSK; two bits per symbol."""
+    """Gray-mapped unit-power QPSK of 0/1 bits; two bits per symbol,
+    (1 - 2 b0 + j (1 - 2 b1)) / sqrt(2)."""
     bits = np.asarray(bits, dtype=int).ravel()
     if bits.size % 2:
         raise BitCountMismatch("QPSK needs an even number of bits")
     pairs = bits.reshape(-1, 2)
-    return ((1 - 2 * pairs[:, 0]) + 1j * (1 - 2 * pairs[:, 1])) * _INV_SQRT2
+    return _QPSK[2 * pairs[:, 0] + pairs[:, 1]]
 
 
 def qpsk_demodulate(symbols: np.ndarray) -> np.ndarray:
@@ -62,11 +65,13 @@ def dd_frame(bits: np.ndarray, alloc: BinAllocation, cfg: SystemConfig) -> np.nd
 def transmit_chain(bits: np.ndarray, alloc: BinAllocation, cfg: SystemConfig):
     """The radar frame: :func:`dd_frame`, one ISFFT, and zero-forcing.
 
-    Returns (dd_grids, tf_grids) of shape (N_t, N, M); tf_grids carry exact
-    zeros at each antenna's zero set.
+    Returns (dd, x, tf), each of shape (N_t, N, M): the DD grids, their
+    ISFFT ``x`` (the coarse stage's transmit reference) and the transmitted
+    ``tf``, ``x`` with exact zeros at each antenna's zero set.
     """
     dd = dd_frame(bits, alloc, cfg)
-    return dd, zero_force(isfft(dd), alloc)
+    x = isfft(dd)
+    return dd, x, zero_force(x, alloc)
 
 
 @functools.lru_cache(maxsize=_MSFFT_CACHE_SIZE)

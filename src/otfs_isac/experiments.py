@@ -69,7 +69,7 @@ def _steady_heap() -> None:
 
 # Applied once, when the package is imported (its __init__ imports this
 # module): library callers and spawned --parallel workers, which import the
-# package to unpickle _run_cell, all run under the steady heap.
+# package to unpickle _run_cells, all run under the steady heap.
 _steady_heap()
 
 
@@ -91,44 +91,71 @@ def _version_string() -> str:
 # --- the trial skeleton: draw, transmit, receive, estimate -----------------
 
 # One (SNR, trial) cell of a run; ``truth`` is what the kind's estimates are
-# scored against and ``scene`` the (dd, tf, rx_tf) of its radar frame.
+# scored against and ``scene`` the [x, tf, rx_tf] of its radar frame: the
+# transmit stack in TF before and after zero-forcing, and the receive stack.
 Cell = collections.namedtuple("Cell", "scenario snr_db snr_idx trial truth scene",
                               defaults=(None, ()))
 
 
-def _frame(cell: Cell, draw) -> Cell:
+def _noise(cell: Cell) -> ReceiverNoise:
+    """The receiver noise of ``cell``'s radar frame, its draw started on the
+    purpose-1 stream."""
+    scenario = cell.scenario
+    cfg = scenario.system
+    return ReceiverNoise((cfg.n_rx, cfg.n_doppler, cfg.m_delay), cell.snr_db, cfg,
+                         substream(scenario.seed, cell.snr_idx, cell.trial, 1))
+
+
+def _frame(cell: Cell, draw, noise: ReceiverNoise | None = None) -> Cell:
     """``cell`` with the truth of ``draw`` and its targets' radar frame: targets
-    and bits from the purpose-0 stream, noise from purpose 1. The noise is
-    drawn on a second thread while the targets, the transmit chain and the
-    echo are built."""
+    and bits from the purpose-0 stream, noise from purpose 1. ``noise`` is
+    the cell's :func:`_noise`, started here when None; its draw runs on a
+    second thread while the targets, the transmit chain and the echo are
+    built, and is joined before this returns or raises."""
     scenario = cell.scenario
     cfg, alloc = scenario.system, scenario.bin_allocation
-    with ReceiverNoise((cfg.n_rx, cfg.n_doppler, cfg.m_delay), cell.snr_db, cfg,
-                       substream(scenario.seed, cell.snr_idx, cell.trial, 1)) as noise:
+    if noise is None:
+        noise = _noise(cell)
+    with noise:
         rng = substream(scenario.seed, cell.snr_idx, cell.trial, 0)
         targets, truth = draw(scenario, rng)
         bits = rng.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
-        dd, tf = transmit_chain(bits, alloc, cfg)
+        _, x, tf = transmit_chain(bits, alloc, cfg)
         rx_tf = noise.add_to(radar_receive(tf, targets, cfg))
-    return cell._replace(truth=truth, scene=(dd, tf, rx_tf))
+    return cell._replace(truth=truth, scene=[x, tf, rx_tf])
 
 
-def _run_cell(args):
+def _run_cells(args):
     """(snr_idx, trial, rows, the exception type name of each failed call) of
-    one cell; a call that raises a package error writes its failure rows."""
-    scenario, snr_idx, trial = args
+    each of ``cells``, a contiguous list of one scenario's (snr_idx, trial),
+    run in order; a call that raises a package error writes its failure rows.
+
+    Once a cell's radar frame is built, the next cell's noise draw starts,
+    so that it runs while this cell is estimated as well as while the next
+    frame's signal is built. A pending draw is joined before this returns
+    or raises.
+    """
+    scenario, cells = args
     kind = KINDS[scenario.experiment_kind]
-    cell = Cell(scenario, scenario.snr_db_values[snr_idx], snr_idx, trial)
-    if kind.draw is not None:
-        cell = _frame(cell, kind.draw)
-    rows, failures = [], []
-    for estimate, failure_rows in kind.estimates:
-        try:
-            rows += estimate(cell)
-        except OtfsIsacError as exc:
-            rows += failure_rows
-            failures.append(type(exc).__name__)
-    return snr_idx, trial, rows, failures
+    cells = [Cell(scenario, scenario.snr_db_values[si], si, t) for si, t in cells]
+    results, pending = [], None
+    try:
+        for cell, following in zip(cells, cells[1:] + [None]):
+            if kind.draw is not None:
+                cell = _frame(cell, kind.draw, pending)
+                pending = _noise(following) if following else None
+            rows, failures = [], []
+            for estimate, failure_rows in kind.estimates:
+                try:
+                    rows += estimate(cell)
+                except OtfsIsacError as exc:
+                    rows += failure_rows
+                    failures.append(type(exc).__name__)
+            results.append((cell.snr_idx, cell.trial, rows, failures))
+    finally:
+        if pending is not None:
+            pending.join()
+    return results
 
 
 def _solver_seed(cell: Cell) -> int:
@@ -138,14 +165,17 @@ def _solver_seed(cell: Cell) -> int:
 def _refine(cell: Cell, n_angles, peaks_per_angle, solver_seed):
     """The cell's coarse estimates refined by bagged SSR on the virtual array:
     (snapshot, specs, result). The kind's search boxes cycle through the
-    coarse estimates; a failed coarse stage raises."""
+    coarse estimates; a failed coarse stage raises. Takes the receive stack
+    out of the cell's scene, so that it is freed before the SSR runs."""
     scenario = cell.scenario
     cfg, est = scenario.system, scenario.estimator
-    dd, tf, rx_tf = cell.scene
-    coarse = coarse_pipeline(rx_tf, dd, cfg, n_angles=n_angles,
+    x, tf, rx_tf = cell.scene
+    cell.scene[2] = None
+    coarse = coarse_pipeline(rx_tf, x, cfg, n_angles=n_angles,
                              peaks_per_angle=peaks_per_angle,
                              pad_factor=est.dft_pad_factor)
     snapshot = build_virtual_snapshot(rx_tf, tf, scenario.bin_allocation)
+    del rx_tf
     specs = [default_neighborhood(
         c, cfg,
         angle_step_deg=est.angle_step_deg, angle_width_deg=est.angle_width_deg,
@@ -218,13 +248,13 @@ def _angle_bounds(cell: Cell):
 
 def _dd_correlation(cell: Cell):
     cfg, est, targets = cell.scenario.system, cell.scenario.estimator, cell.truth
-    dd, _, rx_tf = cell.scene
+    x, _, rx_tf = cell.scene
     res = resolution_report(cfg)
     names = ("angle_abs_err_sin", "range_abs_err_m", "velocity_abs_err_mps")
     limits = (2.0 / (est.dft_pad_factor * cfg.n_rx) + 1e-12, res["range_resolution_m"],
               res["velocity_resolution_mps"])
     # one peak per angle (validation holds peaks_per_angle to 1)
-    estimates = coarse_pipeline(rx_tf, dd, cfg, n_angles=len(targets),
+    estimates = coarse_pipeline(rx_tf, x, cfg, n_angles=len(targets),
                                 pad_factor=est.dft_pad_factor)
     estimates = sorted(estimates, key=lambda e: e.angle_rad)
     order = np.argsort([t.angle_rad for t in targets])
@@ -377,7 +407,8 @@ def run_scenario(scenario: Scenario, out_dir, trials: int | None = None,
                  parallel: int = 1) -> dict:
     """Run the experiment and write trials.csv, aggregate.csv, manifest.json.
 
-    ``parallel`` > 1 dispatches trials to a process pool; output files are
+    ``parallel`` > 1 dispatches contiguous chunks of cells to a process
+    pool, and a serial run is one chunk (see ``_run_cells``); output files are
     identical for any pool size because every trial owns its RNG sub-stream
     and rows are merged in (snr, trial) order. The manifest's ``failures``
     counts the failed estimator calls of each SNR by exception type.
@@ -389,14 +420,15 @@ def run_scenario(scenario: Scenario, out_dir, trials: int | None = None,
     if kind == "demo-spectrum":
         return _run_demo_spectrum(scenario, out_dir)
     n_trials = scenario.trials_per_snr(trials)
-    cells = [(scenario, si, t)
-             for si in range(len(scenario.snr_db_values))
-             for t in range(n_trials)]
+    cells = [(si, t) for si in range(len(scenario.snr_db_values)) for t in range(n_trials)]
     if parallel > 1:
+        # contiguous chunks, about four per worker, as Pool.map cuts them
+        size = max(1, math.ceil(len(cells) / (4 * parallel)))
+        chunks = [(scenario, cells[i:i + size]) for i in range(0, len(cells), size)]
         with _spawn_pool(parallel) as pool:
-            results = pool.map(_run_cell, cells)
+            results = list(itertools.chain.from_iterable(pool.map(_run_cells, chunks)))
     else:
-        results = [_run_cell(c) for c in cells]
+        results = _run_cells((scenario, cells))
 
     per_snr: dict = {}
     trial_rows = []

@@ -4,7 +4,9 @@ Grids are plain complex ndarrays of shape (N, M): DD grids are indexed
 [k, l] (Doppler, delay), TF grids [n, m] (time, frequency). Vectorized forms
 are row-major with the second index fastest, i.e. position l + k*M (DD) and
 m + n*M (TF). The transforms act on the last two axes, so a stack of
-per-antenna grids of shape (..., N, M) is transformed in one call.
+per-antenna grids of shape (..., N, M) is transformed in one call. Each
+transform's second 1-D pass writes over its first pass's output, so a call
+allocates one array of the input's shape.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ def isfft(dd: np.ndarray) -> np.ndarray:
     dd = np.asarray(dd)
     if dd.ndim < 2:
         raise DimensionMismatch(f"expected (..., N, M) grids, got shape {dd.shape}")
-    out = np.fft.fft(np.fft.ifft(dd, axis=-2), axis=-1)
+    out = np.fft.ifft(dd, axis=-2)
+    np.fft.fft(out, axis=-1, out=out)
     out /= dd.shape[-1]
     return out
 
@@ -40,7 +43,8 @@ def sfft(tf: np.ndarray) -> np.ndarray:
     tf = np.asarray(tf)
     if tf.ndim < 2:
         raise DimensionMismatch(f"expected (..., N, M) grids, got shape {tf.shape}")
-    out = np.fft.fft(np.fft.ifft(tf, axis=-1), axis=-2)
+    out = np.fft.ifft(tf, axis=-1)
+    np.fft.fft(out, axis=-2, out=out)
     out *= tf.shape[-1]
     return out
 

@@ -487,7 +487,7 @@ def dd_route_ber_frame(cfg, alloc, paths, snr_db: float, seed: int,
     rng_chan = substream(seed, frame_index, 1)
     rng_noise = substream(seed, frame_index, 2)
     bits = rng_bits.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
-    dd, _ = transmit_chain(bits, alloc, cfg)
+    dd, _, _ = transmit_chain(bits, alloc, cfg)
     blocks = tf_block_channel(paths, cfg, random_pair_gains(len(paths), cfg, rng_chan))
     y_dd = sfft(np.einsum("canm,anm->cnm", blocks, isfft(dd)))
     if np.isinf(snr_db):
@@ -629,6 +629,13 @@ def dd_route_coarse_pipeline(rx_tf, tx_dd, cfg, n_angles: int,
         for i in np.argsort(strengths)[::-1][:peaks_per_angle]:
             estimates.append((float(angle), int(kk[i]), int(ll[i]), float(strengths[i])))
     return estimates
+
+
+def nine_shift_maxima(mag) -> np.ndarray:
+    """Whether each entry of the (..., N, M) grids is at least each of its
+    9 circular shifts by -1, 0 and 1 along both axes, as first written."""
+    return np.all([mag >= np.roll(mag, shift, axis=(-2, -1))
+                   for shift in itertools.product((-1, 0, 1), repeat=2)], axis=0)
 
 
 def angle_to_spatial_freq(angle_rad, cfg):

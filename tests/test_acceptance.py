@@ -340,10 +340,10 @@ def test_criterion_12_fractional_doppler_mse_tracks_crlb():
             target = Target.from_range_velocity(
                 10.0, range_m, v, cfg.carrier_freq_hz,
                 gain=np.exp(2j * np.pi * rng.random()))
-            dd, tf = random_frame(cfg, alloc, rng)
+            _, x, tf = random_frame(cfg, alloc, rng)
             rx_tf = radar_receive(tf, [target], cfg, snr_db=snr_db,
                                   rng=substream(99, trial, 1))
-            estimate = coarse_pipeline(rx_tf, dd, cfg, n_angles=1)[0]
+            estimate = coarse_pipeline(rx_tf, x, cfg, n_angles=1)[0]
             snapshot = build_virtual_snapshot(rx_tf, tf, alloc)
             spec = default_neighborhood(estimate, cfg, doppler_step_bins=0.02,
                                         doppler_width_bins=3.0)

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -237,6 +238,15 @@ def test_a_failed_draw_raises_in_the_caller(capfd, monkeypatch):
     assert "_draw_noise" in {entry.name for entry in info.traceback}
     assert not hooked and capfd.readouterr().err == ""
     assert set(threading.enumerate()) == before
+
+
+def test_add_to_frees_the_noise_buffer():
+    """The drawn noise is released as soon as it has been added."""
+    noise = ReceiverNoise((4, 8, 8), 3.0, small_cfg(), np.random.default_rng(0))
+    buffer = weakref.ref(noise._noise)
+    noise.add_to(np.zeros((4, 8, 8), dtype=complex))
+    assert buffer() is None
+    noise.join()
 
 
 def test_no_draw_outlives_a_failed_frame(thread_starts):

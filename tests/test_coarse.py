@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from otfs_isac import coarse
 from otfs_isac.coarse import (coarse_pipeline, delay_doppler_peaks, estimate_angles,
                               extract_angle_profiles, indices_to_estimate,
                               resolution_report)
@@ -20,7 +21,7 @@ from otfs_isac.exceptions import (DimensionMismatch, IllConditionedSteering,
 from otfs_isac.scenario import load_scenario
 from otfs_isac.transforms import isfft, sfft
 from oracles import (dd_route_coarse_pipeline, lstsq_angle_profiles,
-                     padded_fft_estimate_angles)
+                     nine_shift_maxima, padded_fft_estimate_angles)
 
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "scenarios")
@@ -33,7 +34,7 @@ def make_scene(cfg, targets, snr_db=None, seed=0, alloc=None):
     alloc = alloc or diagonal_allocation(cfg.n_tx)
     rng = substream(seed, 0)
     bits = rng.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
-    dd, tf = transmit_chain(bits, alloc, cfg)
+    dd, _, tf = transmit_chain(bits, alloc, cfg)
     return dd, radar_receive(tf, targets, cfg, snr_db=snr_db, rng=substream(seed, 1))
 
 
@@ -47,7 +48,7 @@ def test_cross_correlation_matches_direct_sum():
              for count in (2, 3))
     angles = [0.3, -0.7]
     a = sfft(p)
-    for j, peaks in enumerate(delay_doppler_peaks(p, tx, angles, cfg, n_peaks=20)):
+    for j, peaks in enumerate(delay_doppler_peaks(p, isfft(tx), angles, cfg, n_peaks=20)):
         r = sum(np.exp(-2j * np.pi * t * cfg.g_t * np.sin(angles[j]) / cfg.wavelength_m)
                 * tx[t] for t in range(3))
         direct = np.zeros((4, 5), dtype=complex)
@@ -66,7 +67,7 @@ def test_cross_correlation_matches_direct_sum():
         np.testing.assert_allclose(strengths, [mag[k, l] for k, l, _ in peaks],
                                    rtol=1e-12)
     with pytest.raises(DimensionMismatch):
-        delay_doppler_peaks(p, tx, angles[:1], cfg, n_peaks=1)
+        delay_doppler_peaks(p, isfft(tx), angles[:1], cfg, n_peaks=1)
 
 
 def test_estimate_angles_noiseless_single_target():
@@ -157,6 +158,30 @@ def test_extract_angle_profiles_matches_lstsq_oracle(angles_deg, n_rx):
     assert_close_to_peak(sfft(profiles), lstsq_angle_profiles(sfft(rx_tf), angles, cfg))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_separable_local_maxima_equal_the_nine_shift_test(n, m):
+    """The circular 3 x 3 maximum taken one axis after the other marks the
+    entries the 9-shift test marks, with ties and plateaus, and on axes of
+    1 and 2 bins, where the shifts wrap onto the entry or its one neighbour."""
+    rng = np.random.default_rng(10 * n + m)
+    for levels in (1, 2, 3, 1000):      # 1: one plateau; few levels: many ties
+        for _ in range(20):
+            mag = rng.integers(0, levels, size=(3, n, m)).astype(float)
+            np.testing.assert_array_equal(coarse._local_maxima(mag), nine_shift_maxima(mag))
+
+
+@pytest.mark.parametrize("n_rx", [1, 5, 16])
+@pytest.mark.parametrize("n_bins", [1, 7, coarse._COV_BLOCK, coarse._COV_BLOCK + 1,
+                                    3 * coarse._COV_BLOCK - 5])
+def test_blocked_covariance_is_the_full_product(n_rx, n_bins):
+    """S S^H summed over blocks of bins is within 1e-13 of the one product."""
+    rng = np.random.default_rng(n_rx * n_bins)
+    s = rng.standard_normal((n_rx, n_bins)) + 1j * rng.standard_normal((n_rx, n_bins))
+    want = s @ s.conj().T
+    assert np.abs(coarse._covariance(s) - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_delay_doppler_peaks_planted():
     # one transmit antenna: every angle's reference is the transmit grid
     cfg = SystemConfig(n_doppler=8, m_delay=8, n_tx=1)
@@ -164,7 +189,7 @@ def test_delay_doppler_peaks_planted():
     ref = rng.standard_normal((1, 8, 8)) + 1j * rng.standard_normal((1, 8, 8))
     shifted = np.exp(0.4j) * np.stack([np.roll(ref[0], (2, 5), axis=(0, 1)),
                                        np.roll(ref[0], (7, 1), axis=(0, 1))])
-    peaks = delay_doppler_peaks(isfft(shifted), ref, [0.2, -0.4], cfg, n_peaks=1)
+    peaks = delay_doppler_peaks(isfft(shifted), isfft(ref), [0.2, -0.4], cfg, n_peaks=1)
     assert [p[0][:2] for p in peaks] == [(2, 5), (7, 1)]
 
 
@@ -185,7 +210,7 @@ def test_coarse_pipeline_on_grid_target_exact_bins():
                     doppler_hz=3 * cfg.doppler_spacing_hz,
                     gain=np.exp(0.7j))
     dd, rx_tf = make_scene(cfg, [target])
-    est = coarse_pipeline(rx_tf, dd, cfg, n_angles=1)[0]
+    est = coarse_pipeline(rx_tf, isfft(dd), cfg, n_angles=1)[0]
     assert est.doppler_index == 3
     assert est.delay_index == 6
     assert abs(np.sin(est.angle_rad) - np.sin(target.angle_rad)) <= 1.0 / (16 * 16)
@@ -214,7 +239,8 @@ def test_coarse_pipeline_matches_dd_route_oracle(name):
                    for t, g in zip(sc.paths, unit_phases(substream(seed, 2), len(sc.paths)))]
         dd, rx_tf = make_scene(cfg, targets, snr_db=sc.snr_db_values[0], seed=seed,
                                alloc=sc.bin_allocation)
-        got = coarse_pipeline(rx_tf, dd, cfg, n_angles, peaks_per_angle=est.peaks_per_angle,
+        got = coarse_pipeline(rx_tf, isfft(dd), cfg, n_angles,
+                              peaks_per_angle=est.peaks_per_angle,
                               pad_factor=est.dft_pad_factor)
         want = dd_route_coarse_pipeline(rx_tf, dd, cfg, n_angles, est.peaks_per_angle,
                                         est.dft_pad_factor)

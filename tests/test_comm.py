@@ -1,6 +1,7 @@
 """Communication chain: mapping, equalization factorization, BER."""
 
 import collections
+import itertools
 import math
 import re
 
@@ -10,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from otfs_isac import comm
-from otfs_isac.allocation import BinAllocation, diagonal_allocation, make_allocation
+from otfs_isac.allocation import (BinAllocation, diagonal_allocation, make_allocation,
+                                 zero_force)
 from otfs_isac.channel import tf_channel_grid
 from otfs_isac.comm import (ber_frame, lmmse_equalize_tf, modified_sfft,
                             qpsk_demodulate, qpsk_modulate, random_pair_gains,
@@ -40,6 +42,14 @@ def on_grid_paths(cfg):
             for k, l in [(0, 0), (1, 2), (3, 5)]]
 
 
+def test_qpsk_table_is_the_arithmetic_mapping():
+    """Each of the four bit pairs maps to the bytes of the arithmetic
+    mapping (1 - 2 b0 + j (1 - 2 b1)) / sqrt(2)."""
+    pairs = np.array(list(itertools.product((0, 1), repeat=2)))
+    want = ((1 - 2 * pairs[:, 0]) + 1j * (1 - 2 * pairs[:, 1])) * (1.0 / np.sqrt(2.0))
+    assert qpsk_modulate(pairs.ravel()).tobytes() == want.tobytes()
+
+
 def test_qpsk_round_trip():
     rng = np.random.default_rng(30)
     bits = rng.integers(0, 2, size=128)
@@ -64,7 +74,8 @@ def test_transmit_chain_zero_forcing():
     alloc = diagonal_allocation(cfg.n_tx)
     rng = np.random.default_rng(31)
     bits = rng.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
-    dd, tf = transmit_chain(bits, alloc, cfg)
+    dd, x, tf = transmit_chain(bits, alloc, cfg)
+    np.testing.assert_array_equal(tf, zero_force(x, alloc))
     for i in range(cfg.n_tx):
         for (n, m) in alloc.zero_bins[i]:
             assert tf[i, n, m] == 0.0
@@ -84,7 +95,7 @@ def test_recover_inverts_transmit_noiseless():
         alloc = make_allocation(n_tx, assignments)
         rng = np.random.default_rng(32)
         bits = rng.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
-        dd, tf = transmit_chain(bits, alloc, cfg)
+        dd, _, tf = transmit_chain(bits, alloc, cfg)
         np.testing.assert_allclose(modified_sfft(alloc, cfg).recover(tf),
                                    dd[~alloc.zero_mask(cfg.n_doppler, cfg.m_delay)],
                                    rtol=0, atol=1e-12)

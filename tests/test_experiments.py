@@ -22,6 +22,7 @@ from otfs_isac.config import substream
 from otfs_isac.exceptions import PeakSeparationFailure, TooManyTargets
 from otfs_isac.experiments import run_scenario
 from otfs_isac.scenario import scenario_from_dict
+from otfs_isac.transforms import isfft
 from oracles import radar_receive_reference
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
@@ -98,17 +99,18 @@ FRAME_KINDS = [kind for kind in TRIAL_KINDS if experiments.KINDS[kind].draw is n
 
 
 def frame_reference(cell, draw):
-    """(truth, dd, tf, rx_tf) of ``experiments._frame`` drawn in line, one
-    stage after another, with the synchronous receive oracle."""
+    """(truth, x, tf, rx_tf) of ``experiments._frame`` drawn in line, one
+    stage after another, with the synchronous receive oracle; ``x`` is the
+    ISFFT of the DD frame, before zero-forcing."""
     sc = cell.scenario
     cfg, alloc = sc.system, sc.bin_allocation
     rng = substream(sc.seed, cell.snr_idx, cell.trial, 0)
     targets, truth = draw(sc, rng)
     bits = rng.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
-    dd, tf = transmit_chain(bits, alloc, cfg)
+    dd, _, tf = transmit_chain(bits, alloc, cfg)
     rx_tf = radar_receive_reference(tf, targets, cfg, cell.snr_db,
                                     substream(sc.seed, cell.snr_idx, cell.trial, 1))
-    return truth, dd, tf, rx_tf
+    return truth, isfft(dd), tf, rx_tf
 
 
 @pytest.mark.parametrize("kind", FRAME_KINDS)
@@ -152,8 +154,10 @@ def test_a_failed_frame_draw_raises_in_the_trial(capfd, monkeypatch):
 
 
 def test_public_layer_functions_run_on_the_main_thread(tmp_path):
-    """Only private package code runs on the noise thread: a tracer of the
-    public layer functions keeps a single span stack, the main thread's."""
+    """Only private package code runs on the noise threads of a serial run
+    of several cells, whose draws run ahead while earlier cells are
+    estimated: a tracer of the public layer functions keeps a single span
+    stack, the main thread's."""
     package_dir = os.path.dirname(otfs_isac.__file__)
     off_main = []
 
@@ -163,11 +167,112 @@ def test_public_layer_functions_run_on_the_main_thread(tmp_path):
 
     threading.setprofile(profile)    # every thread started from here on
     try:
-        run_scenario(scenario_from_dict(small_raw(trials=3)), tmp_path)
+        for kind in FRAME_KINDS:
+            run_scenario(scenario_from_dict(small_raw(
+                experiment_kind=kind, trials=3, snr_db_values=[-5.0, 20.0],
+                **PARALLEL_CASES[kind])), tmp_path / kind)
     finally:
         threading.setprofile(None)
     assert "_draw_noise" in off_main
     assert [name for name in off_main if not name.startswith("_")] == []
+
+
+def with_estimates(monkeypatch, *estimates, kind="dd-correlation"):
+    """Replace the (estimator call, failure rows) list of ``kind`` in KINDS."""
+    monkeypatch.setitem(experiments.KINDS, kind,
+                        experiments.KINDS[kind]._replace(estimates=list(estimates)))
+
+
+def test_each_draw_starts_before_the_previous_cell_is_estimated(tmp_path, monkeypatch,
+                                                                thread_starts):
+    """While a cell is estimated the next cell's noise is being drawn, the
+    last cell has no draw to start, and no draw outlives the run."""
+    started = []
+
+    def estimate(cell):
+        started.append(len(thread_starts))
+        return []
+
+    with_estimates(monkeypatch, (estimate, []))
+    before = set(threading.enumerate())
+    run_scenario(scenario_from_dict(small_raw(trials=4)), tmp_path)
+    assert started == [2, 3, 4, 4]
+    assert not any(thread.is_alive() for thread in thread_starts)
+    assert set(threading.enumerate()) == before
+
+
+def test_a_failed_estimate_writes_its_rows_and_leaves_no_draw(tmp_path, monkeypatch):
+    """A package error in one cell's estimate writes that cell's failure
+    rows; the run goes on, and no draw outlives it."""
+    def estimate(cell):
+        if cell.trial == 1:
+            raise PeakSeparationFailure("no separated peaks")
+        return [("recovered_all", 1.0)]
+
+    with_estimates(monkeypatch, (estimate, [("recovered_all", 0.0)]))
+    before = set(threading.enumerate())
+    paths = run_scenario(scenario_from_dict(small_raw(trials=3)), tmp_path)
+    assert read_csv(paths["trials"])[1:] == [["20.0", str(t), "recovered_all", value]
+                                             for t, value in enumerate(("1.0", "0.0", "1.0"))]
+    assert manifest_of(paths)["failures"] == {"20.0": {"PeakSeparationFailure": 1}}
+    assert set(threading.enumerate()) == before
+
+
+def test_an_unexpected_error_joins_the_pending_draw(tmp_path, monkeypatch, thread_starts):
+    """An error that is not a package error propagates out of the run, and
+    the draw already started for the next cell is joined first."""
+    def estimate(cell):
+        if cell.trial == 1:
+            raise RuntimeError("estimator bug")
+        return []
+
+    with_estimates(monkeypatch, (estimate, []))
+    with pytest.raises(RuntimeError, match="estimator bug"):
+        run_scenario(scenario_from_dict(small_raw(trials=4)), tmp_path)
+    assert len(thread_starts) == 3          # cells 0 and 1, and cell 2 ahead
+    assert not any(thread.is_alive() for thread in thread_starts)
+
+
+class InlinePool:
+    """A process pool stand-in that runs the chunks in this process and
+    records them."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, items):
+        self.chunks += [cells for _, cells in items]
+        return [func(item) for item in items]
+
+
+def test_parallel_cells_go_out_in_contiguous_chunks(tmp_path, monkeypatch):
+    """--parallel 2 hands out 9 cells in order, about four chunks per
+    worker: four of 2 cells and a last one of 1."""
+    pool = InlinePool()
+    monkeypatch.setattr(experiments, "_spawn_pool", lambda processes: pool)
+    run_scenario(scenario_from_dict(small_raw(trials=3, snr_db_values=[-5.0, 20.0, 30.0])),
+                 tmp_path, parallel=2)
+    cells = [(si, t) for si in range(3) for t in range(3)]
+    assert pool.chunks == [cells[i:i + 2] for i in range(0, 9, 2)]
+
+
+@pytest.mark.parametrize("kind", FRAME_KINDS)
+def test_chunked_parallel_run_is_the_serial_run(tmp_path, kind):
+    """A --parallel 2 run of 9 cells (chunks of 2 and a last one of 1, each
+    drawing its next cell's noise ahead) writes the serial run's bytes."""
+    sc = scenario_from_dict(small_raw(experiment_kind=kind, trials=3,
+                                      snr_db_values=[-5.0, 20.0, math.inf],
+                                      **PARALLEL_CASES[kind]))
+    serial = run_scenario(sc, tmp_path / "serial")
+    parallel = run_scenario(sc, tmp_path / "parallel", parallel=2)
+    for key in ("trials", "aggregate", "manifest"):
+        assert Path(serial[key]).read_bytes() == Path(parallel[key]).read_bytes()
 
 
 @pytest.mark.parametrize("user_value", [None, "3"])

@@ -87,7 +87,7 @@ def test_modified_sfft_recovers_transmitted_bits(case, seed):
         return
     bits = np.random.default_rng(seed).integers(
         0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
-    _, tf = transmit_chain(bits, alloc, cfg)
+    *_, tf = transmit_chain(bits, alloc, cfg)
     np.testing.assert_array_equal(recover_and_demap(tf, alloc, cfg), bits)
 
 
@@ -97,10 +97,11 @@ def test_transmit_chain_equals_per_antenna_oracle(case, seed):
     cfg, alloc = case
     bits = np.random.default_rng(seed).integers(
         0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
-    dd, tf = transmit_chain(bits, alloc, cfg)
+    dd, x, tf = transmit_chain(bits, alloc, cfg)
     want_dd, want_tf = serial_transmit_chain(bits, alloc, cfg)
     np.testing.assert_array_equal(dd, want_dd)
     np.testing.assert_array_equal(tf, want_tf)
+    np.testing.assert_array_equal(x, isfft(dd))
 
 
 @PROPERTY
@@ -119,9 +120,9 @@ def test_coarse_pipeline_equals_dd_route_on_tiny_stacks(n_rx, n_tx, n, m, n_angl
         want = dd_route_coarse_pipeline(rx_tf, tx_dd, cfg, n_angles, peaks, pad)
     except OtfsIsacError as exc:
         with pytest.raises(type(exc)):
-            coarse_pipeline(rx_tf, tx_dd, cfg, n_angles, peaks, pad)
+            coarse_pipeline(rx_tf, isfft(tx_dd), cfg, n_angles, peaks, pad)
         return
-    got = coarse_pipeline(rx_tf, tx_dd, cfg, n_angles, peaks, pad)
+    got = coarse_pipeline(rx_tf, isfft(tx_dd), cfg, n_angles, peaks, pad)
     assert [(e.angle_rad, e.doppler_index % n, e.delay_index) for e in got] \
         == [w[:3] for w in want]
     np.testing.assert_allclose([e.peak_strength for e in got], [w[3] for w in want],

@@ -30,7 +30,7 @@ def make_snapshot(cfg, targets, snr_db=None, seed=0, alloc=None):
     alloc = alloc or diagonal_allocation(cfg.n_tx)
     rng = substream(seed, 0)
     bits = rng.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
-    _, tf = transmit_chain(bits, alloc, cfg)
+    *_, tf = transmit_chain(bits, alloc, cfg)
     rx_tf = radar_receive(tf, targets, cfg, snr_db=snr_db, rng=substream(seed, 1))
     return build_virtual_snapshot(rx_tf, tf, alloc), tf, alloc
 
