@@ -18,6 +18,7 @@ variable; the --out flag wins when both are present.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ from .coarse import resolution_report
 from .config import SystemConfig
 from .crlb import SNR_DB_BOUND, crlb_curve
 from .exceptions import ConfigValidationError, OtfsIsacError
-from .scenario import MAX_TRIAL_CELLS, Scenario, load_scenario, scenario_from_dict
+from .scenario import Scenario, load_scenario, scenario_from_dict
 from .schema import check
 from .experiments import run_scenario
 
@@ -64,6 +65,8 @@ def _run(scenario: Scenario, args, **kwargs) -> int:
     out_dir = os.path.join(_resolve_out(args), scenario.name)
     try:
         paths = run_scenario(scenario, out_dir, **kwargs)
+    except ConfigValidationError as exc:    # the run-length bound of a --trials override
+        return _fail("invalid-argument", str(exc))
     except OtfsIsacError as exc:
         return _fail("simulation-error", str(exc))
     print(json.dumps({"scenario": scenario.name, "outputs": paths}, indent=2))
@@ -87,15 +90,9 @@ def _cmd_simulate(args) -> int:
     scenario, error = _load(args.scenario)
     if scenario is None:
         return error
-    cells = len(scenario.snr_db_values) * scenario.trials_per_snr(args.trials)
-    if cells > MAX_TRIAL_CELLS:
-        return _fail("invalid-argument",
-                     f"--trials {args.trials} makes {cells} (SNR, trial) cells, "
-                     f"over the bound of {MAX_TRIAL_CELLS} per run")
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-    return _run(scenario, args, trials=args.trials,
-                parallel=min(args.parallel, os.cpu_count() or 1))
+    return _run(scenario, args, trials=args.trials, parallel=args.parallel)
 
 
 def _config(args, **kwargs):
@@ -161,7 +158,9 @@ def _cmd_demo(args) -> int:
     return _run(scenario_from_dict(raw), args)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (``main`` reuses it)."""
     parser = argparse.ArgumentParser(
         prog="otfs-isac",
         description="MIMO OTFS integrated sensing and communication simulator")
@@ -174,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trials", type=int, default=None,
                      help="override the trial count")
     sim.add_argument("--parallel", type=int, default=1,
-                     help="worker processes, at most the CPU count "
-                          "(results are identical for any value)")
+                     help="worker processes, at most the CPU count and one per "
+                          "chunk of cells (results are identical for any value)")
     sim.set_defaults(func=_cmd_simulate)
 
     # frame geometry flags of crlb and resolution, defaulting to SystemConfig's

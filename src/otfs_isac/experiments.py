@@ -407,25 +407,37 @@ def run_scenario(scenario: Scenario, out_dir, trials: int | None = None,
                  parallel: int = 1) -> dict:
     """Run the experiment and write trials.csv, aggregate.csv, manifest.json.
 
-    ``parallel`` > 1 dispatches contiguous chunks of cells to a process
-    pool, and a serial run is one chunk (see ``_run_cells``); output files are
-    identical for any pool size because every trial owns its RNG sub-stream
-    and rows are merged in (snr, trial) order. The manifest's ``failures``
-    counts the failed estimator calls of each SNR by exception type.
+    The cells are cut into contiguous chunks, about four per worker, for
+    ``min(parallel, os.cpu_count())`` workers; a pool of at most that many
+    and at most one per chunk runs them, and a run of one worker runs in
+    this process (see ``_run_cells``). Output files are identical for any
+    ``parallel`` because every trial owns its RNG sub-stream and rows are
+    merged in (snr, trial) order. The manifest's ``failures`` counts the
+    failed estimator calls of each SNR by exception type.
+
+    Raises ValueError for ``parallel`` or ``trials`` below 1, and the
+    scenario's ConfigValidationError for a ``trials`` override that makes
+    more than ``MAX_TRIAL_CELLS`` cells, before ``out_dir`` is made.
     """
     kind = scenario.experiment_kind
     if kind not in KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    n_trials = scenario.trials_per_snr(trials)
     os.makedirs(out_dir, exist_ok=True)
     if kind == "demo-spectrum":
         return _run_demo_spectrum(scenario, out_dir)
-    n_trials = scenario.trials_per_snr(trials)
     cells = [(si, t) for si in range(len(scenario.snr_db_values)) for t in range(n_trials)]
-    if parallel > 1:
-        # contiguous chunks, about four per worker, as Pool.map cuts them
-        size = max(1, math.ceil(len(cells) / (4 * parallel)))
-        chunks = [(scenario, cells[i:i + size]) for i in range(0, len(cells), size)]
-        with _spawn_pool(parallel) as pool:
+    workers = min(parallel, os.cpu_count() or 1)
+    # contiguous chunks, about four per worker, as Pool.map cuts them
+    size = max(1, math.ceil(len(cells) / (4 * workers)))
+    chunks = [(scenario, cells[i:i + size]) for i in range(0, len(cells), size)]
+    workers = min(workers, len(chunks))
+    if workers > 1:
+        with _spawn_pool(workers) as pool:
             results = list(itertools.chain.from_iterable(pool.map(_run_cells, chunks)))
     else:
         results = _run_cells((scenario, cells))

@@ -133,16 +133,31 @@ class Scenario:
     def trials_per_snr(self, trials: int | None = None) -> int:
         """Trials a run makes at each SNR, set by the field the kind names
         (``min_bits``: the frames that carry them); ``trials`` overrides it,
-        except for a kind of one trial per SNR."""
+        except for a kind of one trial per SNR.
+
+        Raises ConfigValidationError, naming the field or ``trials`` for an
+        override, when the run would make more than ``MAX_TRIAL_CELLS``
+        (SNR, trial) cells.
+        """
         field = KINDS[self.experiment_kind].trials
         if field is None:
-            return 1
-        if trials is not None:
-            return trials
-        if field == "min_bits":
+            count = 1
+        elif trials is not None:
+            count = trials
+        elif field == "min_bits":
             bits_per_frame = 2 * sum(symbol_capacity(self.bin_allocation, self.system))
-            return -(-self.min_bits // bits_per_frame)
-        return self.trials
+            count = -(-self.min_bits // bits_per_frame)
+        else:
+            count = self.trials
+        # compared without formatting the count, which can be too long for str()
+        n_snrs = len(self.snr_db_values)
+        if n_snrs * count > MAX_TRIAL_CELLS:
+            # a kind of one trial per SNR reaches the bound by its SNR count alone
+            name = field if field is not None and trials is None else "trials"
+            raise ConfigValidationError([
+                f"{name}: the run would make more than {MAX_TRIAL_CELLS} "
+                f"(SNR, trial) cells for {n_snrs} SNR value(s)"])
+        return count
 
     def to_dict(self) -> dict:
         """JSON form: the input with every default filled in (the
@@ -308,15 +323,7 @@ def scenario_from_dict(raw: dict, name: str | None = None) -> Scenario:
     if errors:
         raise ConfigValidationError(errors)
 
-    # checked before the reduced transforms are built, and without
-    # formatting the counts, which can be too long for str()
-    n_snrs = len(scenario.snr_db_values)
-    if n_snrs * scenario.trials_per_snr() > MAX_TRIAL_CELLS:
-        # a kind of one trial per SNR reaches the bound by its SNR count alone
-        field = KINDS[kind].trials or "trials"
-        raise ConfigValidationError([
-            f"{field}: the run would make more than {MAX_TRIAL_CELLS} "
-            f"(SNR, trial) cells for {n_snrs} SNR value(s)"])
+    scenario.trials_per_snr()     # the run-length bound, checked before the reduced transforms
     try:
         modified_sfft(scenario.bin_allocation, cfg)     # also warms the cache for the run
     except OtfsIsacError as exc:

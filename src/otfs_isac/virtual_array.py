@@ -585,6 +585,8 @@ def averaged_ssr(snapshot: VirtualSnapshot, specs, cfg: SystemConfig,
         raise ValueError("need at least one neighborhood")
     if n_solvers < 1:
         raise ValueError("n_solvers must be >= 1")
+    if sweeps < 0:
+        raise ValueError("sweeps must be >= 0")
     total = sum(s.angle.n_superset * s.doppler.n_superset * s.delay.n_superset
                 for s in specs)
     if total > COLUMN_CAP:

@@ -8,14 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otfs_isac.cli import main
+import otfs_isac.scenario as scenario_module
+from otfs_isac import experiments
+from otfs_isac.cli import build_parser, main
 from otfs_isac.coarse import resolution_report
 from otfs_isac.config import SystemConfig
+from otfs_isac.exceptions import ConfigValidationError
+from otfs_isac.experiments import run_scenario
+from otfs_isac.scenario import scenario_from_dict
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
 
-def write_scenario(tmp_path, **overrides):
+def scenario_raw(**overrides):
     raw = {
         "name": "cli-unit",
         "experiment_kind": "crlb",
@@ -26,8 +31,18 @@ def write_scenario(tmp_path, **overrides):
         "seed": 2,
     }
     raw.update(overrides)
+    return raw
+
+
+# a coarse-angle-mse run of 8x16 grids, a few ms per cell
+TINY_COARSE = dict(experiment_kind="coarse-angle-mse",
+                   system={"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 8},
+                   allocation={"diagonal_private_bins": 2})
+
+
+def write_scenario(tmp_path, **overrides):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(scenario_raw(**overrides)))
     return str(path)
 
 
@@ -44,6 +59,29 @@ def test_resolution_defaults_are_the_system_config_defaults(capsys):
     expected = "".join(f"{key} = {value:.6g}\n"
                        for key, value in resolution_report(SystemConfig()).items())
     assert capsys.readouterr().out == expected
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_commands_share_the_parser_in_one_process(tmp_path, capsys):
+    """simulate, resolution and simulate again each exit 0 with their usual
+    output; the second simulate takes none of the first one's flags."""
+    path = write_scenario(tmp_path, **TINY_COARSE, trials=1)
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "a"),
+                 "--seed", "77", "--trials", "2"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert main(["resolution"]) == 0
+    expected = "".join(f"{key} = {value:.6g}\n"
+                       for key, value in resolution_report(SystemConfig()).items())
+    assert capsys.readouterr().out == expected
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "b")]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert first["scenario"] == second["scenario"] == "cli-unit"
+    manifests = [json.loads(Path(p["outputs"]["manifest"]).read_text())
+                 for p in (first, second)]
+    assert [(m["scenario"]["seed"], m["trials_run"]) for m in manifests] == [(77, 2), (2, 1)]
 
 
 def test_crlb_outputs_csv(capsys):
@@ -170,7 +208,6 @@ class _InlinePool:
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    import otfs_isac.experiments as experiments
     ctx = _RecordingContext()
     monkeypatch.setattr(experiments.multiprocessing, "get_context",
                         lambda method: ctx)
@@ -179,17 +216,55 @@ def recording_pool(monkeypatch):
 
 def test_simulate_parallel_capped_at_cpu_count(tmp_path, capsys, monkeypatch,
                                                recording_pool):
-    import otfs_isac.cli as cli
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    path = write_scenario(tmp_path, experiment_kind="coarse-angle-mse",
-                          system={"n_doppler": 8, "m_delay": 16,
-                                  "n_tx": 2, "n_rx": 8},
-                          allocation={"diagonal_private_bins": 2},
-                          snr_db_values=[20.0], trials=2)
+    """6 cells make 6 chunks for 3 CPUs, so the CPU count is what binds."""
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    path = write_scenario(tmp_path, **TINY_COARSE, snr_db_values=[20.0], trials=6)
     assert main(["simulate", "--scenario", path, "--out", str(tmp_path),
                  "--parallel", str(10 ** 9)]) == 0
     capsys.readouterr()
     assert recording_pool.sizes == [3]
+
+
+@pytest.mark.parametrize("cpus, trials, sizes", [
+    (3, 6, [3]),        # capped at the CPU count
+    (64, 2, [2]),       # capped at the chunk count: one cell each
+    (None, 6, []),      # an unknown CPU count is one CPU: no pool
+])
+def test_run_scenario_caps_its_workers(tmp_path, monkeypatch, recording_pool,
+                                       cpus, trials, sizes):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    sc = scenario_from_dict(scenario_raw(**TINY_COARSE, snr_db_values=[20.0]))
+    paths = run_scenario(sc, tmp_path / "out", trials=trials, parallel=10 ** 9)
+    assert recording_pool.sizes == sizes
+    assert json.loads(Path(paths["manifest"]).read_text())["trials_run"] == trials
+
+
+def test_one_cell_run_starts_no_pool(tmp_path, monkeypatch):
+    def no_pool(processes):
+        raise AssertionError(f"a pool of {processes} was started")
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "_spawn_pool", no_pool)
+    sc = scenario_from_dict(scenario_raw(**TINY_COARSE, snr_db_values=[20.0]))
+    paths = run_scenario(sc, tmp_path, trials=1, parallel=2)
+    assert os.path.exists(paths["trials"])
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"parallel": 0}, ValueError), ({"parallel": -3}, ValueError),
+    ({"trials": 0}, ValueError), ({"trials": -1}, ValueError),
+    ({"trials": 10 ** 12}, ConfigValidationError),
+], ids=["parallel-0", "parallel-neg", "trials-0", "trials-neg", "trials-over-bound"])
+def test_run_scenario_rejects_its_limits_before_any_cell(tmp_path, monkeypatch,
+                                                         recording_pool, kwargs, error):
+    """Bad counts raise before the output directory or any cell exists."""
+    def no_cells(chunk):
+        raise AssertionError("a cell ran")
+    monkeypatch.setattr(experiments, "_run_cells", no_cells)
+    sc = scenario_from_dict(scenario_raw(**TINY_COARSE, trials=2))
+    with pytest.raises(error):
+        run_scenario(sc, tmp_path / "out", **kwargs)
+    assert recording_pool.sizes == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-4"])
@@ -241,6 +316,26 @@ def test_manifest_scenario_replays_the_run(tmp_path, capsys):
     name = manifest["scenario"]["name"]
     assert ((second / name / "trials.csv").read_bytes()
             == (first / name / "trials.csv").read_bytes())
+
+
+@pytest.mark.parametrize("bound, code", [(4, 0), (3, 1)])
+def test_simulate_trials_at_the_cell_bound(tmp_path, capsys, monkeypatch, bound, code):
+    """--trials 2 over 2 SNRs makes 4 cells: it runs at a bound of 4 and is
+    an invalid-argument error, with no output directory, at a bound of 3."""
+    monkeypatch.setattr(scenario_module, "MAX_TRIAL_CELLS", bound)
+    path = write_scenario(tmp_path, **TINY_COARSE, trials=1)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", path, "--out", str(out),
+                 "--trials", "2"]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads(captured.out)["scenario"] == "cli-unit"
+        return
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "invalid-argument"
+    assert not out.exists()
 
 
 def test_simulate_oversize_trial_count_rejected(tmp_path, capsys):

@@ -253,8 +253,9 @@ class InlinePool:
 
 def test_parallel_cells_go_out_in_contiguous_chunks(tmp_path, monkeypatch):
     """--parallel 2 hands out 9 cells in order, about four chunks per
-    worker: four of 2 cells and a last one of 1."""
+    worker: four of 2 cells and a last one of 1, on a machine of 2 CPUs."""
     pool = InlinePool()
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(experiments, "_spawn_pool", lambda processes: pool)
     run_scenario(scenario_from_dict(small_raw(trials=3, snr_db_values=[-5.0, 20.0, 30.0])),
                  tmp_path, parallel=2)

@@ -270,6 +270,8 @@ def test_averaged_ssr_errors(monkeypatch):
     spec = default_neighborhood(est, cfg, angle_step_deg=1.0, angle_width_deg=4.0)
     with pytest.raises(ValueError):
         averaged_ssr(snap, [spec], cfg, n_solvers=0)
+    with pytest.raises(ValueError):
+        averaged_ssr(snap, [spec], cfg, sweeps=-1)
     monkeypatch.setattr(virtual_array, "COLUMN_CAP", 10)
     with pytest.raises(DictionaryTooLarge):
         averaged_ssr(snap, [spec], cfg)
