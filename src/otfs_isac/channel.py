@@ -7,9 +7,6 @@ and Doppler without a time-domain simulation.
 
 from __future__ import annotations
 
-import math
-import threading
-
 import numpy as np
 
 from .config import SystemConfig, Target
@@ -46,29 +43,46 @@ def radar_receive(tx_tf, targets, cfg: SystemConfig, snr_db: float | None = None
     """Monostatic receive TF grids, one per receive antenna.
 
     Y_{n_r}[n,m] = sum_j sum_{n_t} e^{j2pi(n_r g_r - n_t g_t) sin(phi_j)/lambda}
-    X_{n_t}[n,m] H^j[n,m], plus circular Gaussian noise drawn from ``rng``
-    when ``snr_db`` is set and finite. The noise is drawn on a second thread
-    (:class:`ReceiverNoise`) while the echo is built. Each antenna's grid
-    adds the J targets' terms in target order while it is in cache, with no
-    (N_r, N, M) temporary.
+    X_{n_t}[n,m] H^j[n,m], plus circular Gaussian noise of variance
+    :func:`receiver_noise_variance` drawn in line from ``rng`` after the
+    echo, ``y += complex_noise(...)``, when ``snr_db`` is set and finite.
+    Each antenna's grid adds the J targets' terms in target order while it
+    is in cache, with no (N_r, N, M) temporary.
     """
     tx = np.asarray(tx_tf, dtype=complex)
     shape = (cfg.n_rx,) + tx.shape[1:]
-    with ReceiverNoise(shape, snr_db, cfg, rng) as noise:
-        # (J, N, M) grids sum_{n_t} e^{-j2pi n_t g_t sin(phi_j)/lambda} X_{n_t} H^j
-        combined = np.empty((len(targets),) + tx.shape[1:], dtype=complex)
-        a_r = np.empty((cfg.n_rx, len(targets)), dtype=complex)
-        for j, tgt in enumerate(targets):
-            a_t = tx_array_phase(tgt.angle_rad, tx.shape[0], cfg)
-            a_r[:, j] = rx_array_phase(tgt.angle_rad, cfg.n_rx, cfg)
-            np.multiply(np.tensordot(a_t, tx, axes=1), tf_channel_grid(tgt, cfg),
-                        out=combined[j])
-        y = np.zeros(shape, dtype=complex)
-        term = np.empty(tx.shape[1:], dtype=complex)
-        for y_r, a_rj in zip(y, a_r):
-            for a, grid in zip(a_rj, combined):
-                y_r += np.multiply(a, grid, out=term)
-        return noise.add_to(y)
+    noise_var = receiver_noise_variance(snr_db, cfg)
+    # (J, N, M) grids sum_{n_t} e^{-j2pi n_t g_t sin(phi_j)/lambda} X_{n_t} H^j
+    combined = np.empty((len(targets),) + tx.shape[1:], dtype=complex)
+    a_r = np.empty((cfg.n_rx, len(targets)), dtype=complex)
+    for j, tgt in enumerate(targets):
+        a_t = tx_array_phase(tgt.angle_rad, tx.shape[0], cfg)
+        a_r[:, j] = rx_array_phase(tgt.angle_rad, cfg.n_rx, cfg)
+        np.multiply(np.tensordot(a_t, tx, axes=1), tf_channel_grid(tgt, cfg),
+                    out=combined[j])
+    y = np.zeros(shape, dtype=complex)
+    term = np.empty(tx.shape[1:], dtype=complex)
+    for y_r, a_rj in zip(y, a_r):
+        for a, grid in zip(a_rj, combined):
+            y_r += np.multiply(a, grid, out=term)
+    if noise_var:
+        y += complex_noise(shape, noise_var, rng)
+    return y
+
+
+def receiver_noise_variance(snr_db: float | None, cfg: SystemConfig) -> float:
+    """Per-sample variance of the white TF noise of a radar receive stack;
+    0 when ``snr_db`` is None or infinite. Raises ValueError outside
+    ``crlb.SNR_DB_BOUND``.
+
+    SNR is defined per DD-domain sample against unit-power symbols
+    (N0 = P_avg / 10^(snr/10)). The unit-scale DD demodulation sums NM TF
+    samples, so white TF noise of variance N0/NM lands in the DD domain
+    with variance exactly N0.
+    """
+    if snr_db is None:
+        return 0.0
+    return noise_variance(snr_db) / (cfg.n_doppler * cfg.m_delay)
 
 
 def noise_variance(snr_db: float) -> float:
@@ -78,12 +92,14 @@ def noise_variance(snr_db: float) -> float:
     return 1.0 / snr_linear(snr_db)
 
 
-def _draw_noise(noise: np.ndarray, noise_var: float, rng: np.random.Generator) -> None:
+def _draw_noise(noise: np.ndarray, noise_var: float, rng: np.random.Generator) -> np.ndarray:
     """Fill the complex array ``noise`` with circular Gaussian noise of
-    variance ``noise_var``: standard-normal draws of all the real parts in
-    turn, then of all the imaginary parts, scaled by sqrt(noise_var / 2).
-    The draws go through a buffer of _NOISE_CHUNK samples; consecutive
-    draws give the values of one draw of their total length."""
+    variance ``noise_var`` and return it: standard-normal draws of all the
+    real parts in turn, then of all the imaginary parts, scaled by
+    sqrt(noise_var / 2). The draws go through a buffer of _NOISE_CHUNK
+    samples; consecutive draws give the values of one draw of their total
+    length. numpy's generators fill arrays with the GIL released, so a draw
+    on another thread runs beside the caller's numpy work."""
     scale = np.sqrt(noise_var / 2.0)
     flat = noise.reshape(-1)
     chunk = np.empty(max(1, min(_NOISE_CHUNK, flat.size)))
@@ -93,6 +109,7 @@ def _draw_noise(noise: np.ndarray, noise_var: float, rng: np.random.Generator) -
             rng.standard_normal(out=out)
             out *= scale
             part[start:start + out.size] = out
+    return noise
 
 
 def complex_noise(shape, noise_var: float, rng: np.random.Generator) -> np.ndarray:
@@ -101,68 +118,5 @@ def complex_noise(shape, noise_var: float, rng: np.random.Generator) -> np.ndarr
     The real parts are drawn first, then the imaginary parts, each scaled by
     sqrt(noise_var / 2): the same values as sqrt(noise_var / 2) * (a + 1j * b).
     """
-    noise = np.empty(shape, dtype=complex)
-    _draw_noise(noise, noise_var, rng)
-    return noise
+    return _draw_noise(np.empty(shape, dtype=complex), noise_var, rng)
 
-
-class ReceiverNoise:
-    """The white TF receiver noise of one radar receive stack of ``shape``,
-    drawn from ``rng`` on a background thread while the caller works on
-    (the echo, or the estimates of an earlier frame); nothing is drawn when
-    ``snr_db`` is None or infinite.
-
-    Construction checks the SNR and starts the draw, :meth:`add_to` waits
-    for it, adds it to the echo in place and frees the buffer, and
-    :meth:`join`, which leaving the ``with`` block calls whatever happened,
-    waits for the thread, so none outlives the frame. An error of the draw
-    is raised by :meth:`add_to`. numpy's generators fill arrays with the
-    GIL released, so the draw runs beside the caller's numpy work, and its
-    values are those of :func:`complex_noise`.
-    """
-
-    def __init__(self, shape, snr_db: float | None, cfg: SystemConfig,
-                 rng: np.random.Generator | None):
-        self._thread = self._error = None
-        if snr_db is None or snr_db == math.inf:
-            return
-        # SNR is defined per DD-domain sample against unit-power symbols
-        # (N0 = P_avg / 10^(snr/10)). The unit-scale DD demodulation sums NM
-        # TF samples, so white TF noise of variance N0/NM lands in the DD
-        # domain with variance exactly N0.
-        tf_noise_var = noise_variance(snr_db) / (cfg.n_doppler * cfg.m_delay)
-        self._noise = np.empty(shape, dtype=complex)
-        # only numpy and private names run on the thread: a tracer of the
-        # public functions keeps one span stack, the caller's
-        self._thread = threading.Thread(target=self._draw, args=(tf_noise_var, rng),
-                                        name="otfs-isac-noise")
-        self._thread.start()
-
-    def _draw(self, noise_var, rng):
-        try:
-            _draw_noise(self._noise, noise_var, rng)
-        except BaseException as exc:     # raised again by add_to, in the caller
-            self._error = exc
-
-    def add_to(self, y: np.ndarray) -> np.ndarray:
-        """``y`` with the noise added in place (the bits of ``y +
-        complex_noise(...)``); ``y`` itself when there is no noise."""
-        if self._thread is None:
-            return y
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        y += self._noise
-        self._noise = None
-        return y
-
-    def join(self) -> None:
-        """Wait for the draw, if one was started; its error is dropped."""
-        if self._thread is not None:
-            self._thread.join()
-
-    def __enter__(self) -> "ReceiverNoise":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.join()

@@ -16,10 +16,8 @@ import functools
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import re
-import subprocess
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +26,7 @@ from .coarse import coarse_pipeline, estimate_angles, resolution_report
 from .comm import ber_frame, symbol_capacity, transmit_chain
 from .config import SPEED_OF_LIGHT, Target, substream, unit_phases
 from .crlb import crlb_report
-from .channel import ReceiverNoise, radar_receive
+from .channel import _draw_noise, radar_receive, receiver_noise_variance
 from .exceptions import OtfsIsacError
 from .virtual_array import (angle_surface, averaged_ssr, build_virtual_snapshot,
                             default_neighborhood)
@@ -75,6 +73,7 @@ _steady_heap()
 
 @functools.cache
 def _version_string() -> str:
+    import subprocess
     from . import __version__
     try:
         out = subprocess.run(
@@ -91,38 +90,43 @@ def _version_string() -> str:
 # --- the trial skeleton: draw, transmit, receive, estimate -----------------
 
 # One (SNR, trial) cell of a run; ``truth`` is what the kind's estimates are
-# scored against and ``scene`` the [x, tf, rx_tf] of its radar frame: the
-# transmit stack in TF before and after zero-forcing, and the receive stack.
+# scored against and ``scene`` the [x, rx_tf] of its radar frame: the transmit
+# stack in TF before zero-forcing, and the receive stack.
 Cell = collections.namedtuple("Cell", "scenario snr_db snr_idx trial truth scene",
                               defaults=(None, ()))
 
 
-def _noise(cell: Cell) -> ReceiverNoise:
-    """The receiver noise of ``cell``'s radar frame, its draw started on the
-    purpose-1 stream."""
-    scenario = cell.scenario
-    cfg = scenario.system
-    return ReceiverNoise((cfg.n_rx, cfg.n_doppler, cfg.m_delay), cell.snr_db, cfg,
-                         substream(scenario.seed, cell.snr_idx, cell.trial, 1))
+def _noise(cell: Cell, pool):
+    """The future of ``cell``'s receiver noise, a fresh (N_r, N, M) buffer
+    filled by ``_draw_noise`` from the purpose-1 stream on ``pool``'s
+    worker; None when the cell's SNR is infinite."""
+    cfg = cell.scenario.system
+    noise_var = receiver_noise_variance(cell.snr_db, cfg)
+    if not noise_var:
+        return None
+    buffer = np.empty((cfg.n_rx, cfg.n_doppler, cfg.m_delay), dtype=complex)
+    return pool.submit(_draw_noise, buffer, noise_var,
+                       substream(cell.scenario.seed, cell.snr_idx, cell.trial, 1))
 
 
-def _frame(cell: Cell, draw, noise: ReceiverNoise | None = None) -> Cell:
+def _frame(cell: Cell, draw, noise=None) -> Cell:
     """``cell`` with the truth of ``draw`` and its targets' radar frame: targets
     and bits from the purpose-0 stream, noise from purpose 1. ``noise`` is
-    the cell's :func:`_noise`, started here when None; its draw runs on a
-    second thread while the targets, the transmit chain and the echo are
-    built, and is joined before this returns or raises."""
+    the future of the cell's :func:`_noise`, added to the echo once it is
+    built; without one, ``radar_receive`` draws the noise in line."""
     scenario = cell.scenario
     cfg, alloc = scenario.system, scenario.bin_allocation
+    rng = substream(scenario.seed, cell.snr_idx, cell.trial, 0)
+    targets, truth = draw(scenario, rng)
+    bits = rng.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
+    _, x, tf = transmit_chain(bits, alloc, cfg)
     if noise is None:
-        noise = _noise(cell)
-    with noise:
-        rng = substream(scenario.seed, cell.snr_idx, cell.trial, 0)
-        targets, truth = draw(scenario, rng)
-        bits = rng.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
-        _, x, tf = transmit_chain(bits, alloc, cfg)
-        rx_tf = noise.add_to(radar_receive(tf, targets, cfg))
-    return cell._replace(truth=truth, scene=[x, tf, rx_tf])
+        rx_tf = radar_receive(tf, targets, cfg, cell.snr_db,
+                              substream(scenario.seed, cell.snr_idx, cell.trial, 1))
+    else:
+        rx_tf = radar_receive(tf, targets, cfg)
+        rx_tf += noise.result()
+    return cell._replace(truth=truth, scene=[x, rx_tf])
 
 
 def _run_cells(args):
@@ -130,20 +134,25 @@ def _run_cells(args):
     each of ``cells``, a contiguous list of one scenario's (snr_idx, trial),
     run in order; a call that raises a package error writes its failure rows.
 
-    Once a cell's radar frame is built, the next cell's noise draw starts,
-    so that it runs while this cell is estimated as well as while the next
-    frame's signal is built. A pending draw is joined before this returns
-    or raises.
+    The radar frames' noise is drawn on one worker thread for the whole
+    list: cell 0's draw is submitted before its frame is built, and each
+    later cell's once the previous cell's frame is built, so that it runs
+    while that cell is estimated as well as while its own frame's signal
+    is built. A failed draw raises in the frame that adds it, and the
+    worker is joined before this returns or raises.
     """
+    from concurrent.futures import ThreadPoolExecutor
     scenario, cells = args
     kind = KINDS[scenario.experiment_kind]
     cells = [Cell(scenario, scenario.snr_db_values[si], si, t) for si, t in cells]
-    results, pending = [], None
-    try:
+    results = []
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="otfs-isac-noise") as pool:
+        pending = _noise(cells[0], pool) if kind.draw is not None else None
         for cell, following in zip(cells, cells[1:] + [None]):
             if kind.draw is not None:
                 cell = _frame(cell, kind.draw, pending)
-                pending = _noise(following) if following else None
+                pending = None      # frees the added noise before the next buffer
+                pending = _noise(following, pool) if following else None
             rows, failures = [], []
             for estimate, failure_rows in kind.estimates:
                 try:
@@ -152,9 +161,6 @@ def _run_cells(args):
                     rows += failure_rows
                     failures.append(type(exc).__name__)
             results.append((cell.snr_idx, cell.trial, rows, failures))
-    finally:
-        if pending is not None:
-            pending.join()
     return results
 
 
@@ -169,12 +175,12 @@ def _refine(cell: Cell, n_angles, peaks_per_angle, solver_seed):
     out of the cell's scene, so that it is freed before the SSR runs."""
     scenario = cell.scenario
     cfg, est = scenario.system, scenario.estimator
-    x, tf, rx_tf = cell.scene
-    cell.scene[2] = None
+    x, rx_tf = cell.scene
+    cell.scene[1] = None
     coarse = coarse_pipeline(rx_tf, x, cfg, n_angles=n_angles,
                              peaks_per_angle=peaks_per_angle,
                              pad_factor=est.dft_pad_factor)
-    snapshot = build_virtual_snapshot(rx_tf, tf, scenario.bin_allocation)
+    snapshot = build_virtual_snapshot(rx_tf, x, scenario.bin_allocation)
     del rx_tf
     specs = [default_neighborhood(
         c, cfg,
@@ -229,7 +235,7 @@ def _random_velocity(scenario: Scenario, rng):
 
 
 def _angle_sq_err(mode: str, cell: Cell):
-    angles, _, _ = estimate_angles(cell.scene[2], 1, cell.scenario.system,
+    angles, _, _ = estimate_angles(cell.scene[1], 1, cell.scenario.system,
                                    pad_factor=cell.scenario.estimator.dft_pad_factor,
                                    average=mode == "all_bins")
     return [(f"angle_sq_err_{mode}_rad2", float((angles[0] - cell.truth) ** 2))]
@@ -248,7 +254,7 @@ def _angle_bounds(cell: Cell):
 
 def _dd_correlation(cell: Cell):
     cfg, est, targets = cell.scenario.system, cell.scenario.estimator, cell.truth
-    x, _, rx_tf = cell.scene
+    x, rx_tf = cell.scene
     res = resolution_report(cfg)
     names = ("angle_abs_err_sin", "range_abs_err_m", "velocity_abs_err_mps")
     limits = (2.0 / (est.dft_pad_factor * cfg.n_rx) + 1e-12, res["range_resolution_m"],
@@ -470,6 +476,7 @@ def _spawn_pool(processes: int):
     unset is set to 1 only while the workers spawn, then removed again; a
     value the user set is passed on as it is.
     """
+    import multiprocessing
     unset = [name for name in _BLAS_THREAD_VARS if name not in os.environ]
     os.environ.update(dict.fromkeys(unset, "1"))
     try:
@@ -505,7 +512,7 @@ def _run_demo_spectrum(scenario: Scenario, out_dir: str) -> dict:
     cfg = scenario.system
     est = scenario.estimator
     cell = _frame(Cell(scenario, scenario.snr_db_values[0], 0, 0), _random_gains)
-    _, omegas, power = estimate_angles(cell.scene[2], 1, cfg,
+    _, omegas, power = estimate_angles(cell.scene[1], 1, cfg,
                                        pad_factor=est.dft_pad_factor)
     lam_over_g = cfg.wavelength_m / (2.0 * np.pi * cfg.g_r)
     snapshot, specs, result = _refine(cell, est.n_angles or 1, est.peaks_per_angle,

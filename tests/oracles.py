@@ -20,8 +20,9 @@ what the package computes with FFTs, per-TF-bin factorizations and closed
 forms; small grids only. ``complex_noise_reference`` is the noise draw as one
 complex expression, which the in-place draw must match byte for byte, and
 ``radar_receive_reference`` the radar receive stack as first written: one
-``(N_r, N, M)`` term per target, then that noise drawn and added on the
-caller's thread, which the threaded draw must match byte for byte.
+``(N_r, N, M)`` term per target, then that noise drawn and added, which
+``radar_receive`` and the frames of the runner, whose noise is drawn on its
+worker thread, must match byte for byte.
 
 ``grid_isfft``, ``grid_sfft`` and ``serial_transmit_chain`` are the transform
 and transmit layers as first written, one (N, M) grid at a time: the stacked

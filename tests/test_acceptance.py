@@ -227,7 +227,7 @@ def test_criterion_07_virtual_array_resolves_close_targets(tmp_path):
     for trial in range(100):
         cell = experiments._frame(experiments.Cell(sc, 20.0, 0, trial),
                                   experiments._random_gains)
-        _, omegas, power = estimate_angles(cell.scene[2], 1, cfg, pad_factor=16)
+        _, omegas, power = estimate_angles(cell.scene[1], 1, cfg, pad_factor=16)
         valid = np.abs(omegas * cfg.wavelength_m
                        / (2 * np.pi * cfg.g_r)) <= 1.0
         maxima = ((power > np.roll(power, 1)) & (power >= np.roll(power, -1))

@@ -2,13 +2,13 @@
 
 import sys
 import threading
-import weakref
 
 import numpy as np
 import pytest
 
-from otfs_isac.channel import (ReceiverNoise, complex_noise, noise_variance, radar_receive,
-                               rx_array_phase, tf_channel_grid, tx_array_phase)
+from otfs_isac.channel import (complex_noise, noise_variance, radar_receive,
+                               receiver_noise_variance, rx_array_phase, tf_channel_grid,
+                               tx_array_phase)
 from otfs_isac.config import SystemConfig, Target
 from otfs_isac.crlb import snr_linear
 from otfs_isac.transforms import isfft, sfft
@@ -147,7 +147,7 @@ def test_noise_variance_outside_the_snr_bound_is_a_value_error(snr_db):
 
 def test_radar_receive_minus_infinite_snr_is_a_value_error(thread_starts):
     """-inf dB is infinite noise, not none: outside the bound, unlike +inf.
-    The bound is checked before the noise thread starts."""
+    Neither starts a thread."""
     cfg = small_cfg()
     tx = np.zeros((2, 8, 8), dtype=complex)
     with pytest.raises(ValueError, match="snr_db:"):
@@ -171,9 +171,9 @@ def test_complex_noise_equals_one_expression_draw(shape, noise_var):
                          ids=lambda g: "x".join(map(str, g)))
 @pytest.mark.parametrize("snr_db", [-10.0, 3.0, 20.0, np.inf, None])
 def test_radar_receive_equals_the_synchronous_draw(grid, snr_db, thread_starts):
-    """The echo and the noise drawn on a second thread are the bytes of the
-    per-target sum plus ``complex_noise_reference`` drawn in line; a
-    noise-free stack starts no thread, and no thread outlives the call."""
+    """The echo and its noise are the bytes of the per-target sum plus
+    ``complex_noise_reference``; the noise is drawn in line, so no call
+    starts a thread."""
     n, m, n_tx, n_rx = grid
     cfg = small_cfg(n_doppler=n, m_delay=m, n_tx=n_tx, n_rx=n_rx)
     rng = np.random.default_rng(n * m + n_rx)
@@ -181,15 +181,13 @@ def test_radar_receive_equals_the_synchronous_draw(grid, snr_db, thread_starts):
     targets = [Target(angle_rad=0.2 * j - 0.3, delay_s=(1.5 + j) * cfg.delay_spacing_s,
                       doppler_hz=(0.7 - j) * cfg.doppler_spacing_hz,
                       gain=np.exp(1j * (0.4 + j))) for j in range(3)]
-    before = set(threading.enumerate())
     for seed in (0, 9):
         got = radar_receive(tx, targets, cfg, snr_db=snr_db,
                             rng=np.random.default_rng(seed))
         want = radar_receive_reference(tx, targets, cfg, snr_db,
                                        np.random.default_rng(seed))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert len(thread_starts) == (0 if snr_db in (None, np.inf) else 2)
-    assert set(threading.enumerate()) == before
+    assert not thread_starts
 
 
 def test_concurrent_receive_stacks_keep_their_own_noise():
@@ -226,33 +224,24 @@ class BrokenGenerator:
         raise FloatingPointError("draw failed")
 
 
-def test_a_failed_draw_raises_in_the_caller(capfd, monkeypatch):
-    """The draw's own exception reaches the caller of radar_receive, and the
-    thread neither prints a traceback nor outlives the call."""
+def test_a_failed_draw_raises_in_the_caller(capfd, monkeypatch, thread_starts):
+    """The draw's own exception reaches the caller of radar_receive, with
+    nothing printed and no thread started."""
     hooked = []
     monkeypatch.setattr(threading, "excepthook", hooked.append)
-    before = set(threading.enumerate())
     cfg = small_cfg()
     with pytest.raises(FloatingPointError, match="draw failed") as info:
         radar_receive(np.ones((2, 8, 8)), [], cfg, snr_db=3.0, rng=BrokenGenerator())
     assert "_draw_noise" in {entry.name for entry in info.traceback}
     assert not hooked and capfd.readouterr().err == ""
-    assert set(threading.enumerate()) == before
+    assert not thread_starts
 
 
-def test_add_to_frees_the_noise_buffer():
-    """The drawn noise is released as soon as it has been added."""
-    noise = ReceiverNoise((4, 8, 8), 3.0, small_cfg(), np.random.default_rng(0))
-    buffer = weakref.ref(noise._noise)
-    noise.add_to(np.zeros((4, 8, 8), dtype=complex))
-    assert buffer() is None
-    noise.join()
-
-
-def test_no_draw_outlives_a_failed_frame(thread_starts):
-    """Leaving the with block waits for the draw, also when the body raises
-    before the noise is added."""
-    with pytest.raises(ZeroDivisionError):
-        with ReceiverNoise((4, 8, 8), 3.0, small_cfg(), np.random.default_rng(0)):
-            1 / 0
-    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+@pytest.mark.parametrize("snr_db", [-300.0, -17.3, 3.0, 300.0, np.inf, None])
+def test_receiver_noise_variance_is_n0_over_nm(snr_db):
+    """The TF noise of a receive stack is N0 / (N M), so that the unit-scale
+    SFFT's sum of NM samples gives DD noise of variance N0; none without an
+    SNR or at an infinite one."""
+    cfg = small_cfg(n_doppler=4, m_delay=16)
+    want = 0.0 if snr_db is None else noise_variance(snr_db) / 64
+    assert receiver_noise_variance(snr_db, cfg) == want

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, error reporting, env override."""
 
 import json
+import multiprocessing
 import os
 import tracemalloc
 from pathlib import Path
@@ -209,8 +210,7 @@ class _InlinePool:
 @pytest.fixture
 def recording_pool(monkeypatch):
     ctx = _RecordingContext()
-    monkeypatch.setattr(experiments.multiprocessing, "get_context",
-                        lambda method: ctx)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
     return ctx
 
 

@@ -11,12 +11,13 @@ import subprocess
 import sys
 import threading
 import types
+import weakref
 from pathlib import Path
 
 import pytest
 
 import otfs_isac
-from otfs_isac import channel, experiments
+from otfs_isac import experiments
 from otfs_isac.comm import symbol_capacity, transmit_chain
 from otfs_isac.config import substream
 from otfs_isac.exceptions import PeakSeparationFailure, TooManyTargets
@@ -99,9 +100,9 @@ FRAME_KINDS = [kind for kind in TRIAL_KINDS if experiments.KINDS[kind].draw is n
 
 
 def frame_reference(cell, draw):
-    """(truth, x, tf, rx_tf) of ``experiments._frame`` drawn in line, one
-    stage after another, with the synchronous receive oracle; ``x`` is the
-    ISFFT of the DD frame, before zero-forcing."""
+    """(truth, x, rx_tf) of ``experiments._frame`` drawn in line, one stage
+    after another, with the synchronous receive oracle; ``x`` is the ISFFT
+    of the DD frame, before zero-forcing."""
     sc = cell.scenario
     cfg, alloc = sc.system, sc.bin_allocation
     rng = substream(sc.seed, cell.snr_idx, cell.trial, 0)
@@ -110,51 +111,91 @@ def frame_reference(cell, draw):
     dd, _, tf = transmit_chain(bits, alloc, cfg)
     rx_tf = radar_receive_reference(tf, targets, cfg, cell.snr_db,
                                     substream(sc.seed, cell.snr_idx, cell.trial, 1))
-    return truth, isfft(dd), tf, rx_tf
+    return truth, isfft(dd), rx_tf
+
+
+def assert_frame_is_the_reference(cell, kind):
+    truth, *scene = frame_reference(cell, experiments.KINDS[kind].draw)
+    assert repr(cell.truth) == repr(truth)
+    assert [a.tobytes() for a in cell.scene] == [a.tobytes() for a in scene]
+
+
+FRAME_SYSTEMS = [{"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 8},
+                 {"n_doppler": 16, "m_delay": 8, "n_tx": 3, "n_rx": 5}]
 
 
 @pytest.mark.parametrize("kind", FRAME_KINDS)
-@pytest.mark.parametrize("system", [{"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 8},
-                                    {"n_doppler": 16, "m_delay": 8, "n_tx": 3, "n_rx": 5}],
-                         ids=["8x16", "16x8"])
+@pytest.mark.parametrize("system", FRAME_SYSTEMS, ids=["8x16", "16x8"])
 def test_frame_equals_the_synchronous_frame(kind, system, thread_starts):
-    """Each trial's frame, its noise drawn on a second thread, is the bytes of
-    the frame drawn in line, at finite SNRs and at inf, where no thread
-    starts; no thread outlives a frame."""
+    """A frame built outside a run, its noise drawn in line, is the bytes of
+    the reference frame at finite SNRs and at inf, and starts no thread."""
     sc = scenario_from_dict(small_raw(experiment_kind=kind, system=system,
                                       snr_db_values=[-5.0, 12.5, math.inf],
                                       **PARALLEL_CASES[kind]))
     draw = experiments.KINDS[kind].draw
-    before = set(threading.enumerate())
     for snr_idx, snr_db in enumerate(sc.snr_db_values):
         for trial in range(2):
             cell = experiments._frame(experiments.Cell(sc, snr_db, snr_idx, trial), draw)
-            truth, *scene = frame_reference(cell, draw)
-            assert repr(cell.truth) == repr(truth)
-            assert [a.tobytes() for a in cell.scene] == [a.tobytes() for a in scene]
-            assert set(threading.enumerate()) == before
-    assert len(thread_starts) == 2 * (len(sc.snr_db_values) - 1)
+            assert_frame_is_the_reference(cell, kind)
+    assert not thread_starts
 
 
-def test_a_failed_frame_draw_raises_in_the_trial(capfd, monkeypatch):
-    """A draw that fails on the noise thread raises its own exception in the
-    caller of the frame, prints nothing and leaves no thread behind."""
-    def failing_draw(parts, noise_var, rng):
+def with_estimates(monkeypatch, *estimates, kind="dd-correlation"):
+    """Replace the (estimator call, failure rows) list of ``kind`` in KINDS."""
+    monkeypatch.setitem(experiments.KINDS, kind,
+                        experiments.KINDS[kind]._replace(estimates=list(estimates)))
+
+
+def assert_one_joined_worker(thread_starts):
+    """The run drew its noise on a single worker thread, joined since."""
+    assert [thread.name for thread in thread_starts] == ["otfs-isac-noise_0"]
+    assert not thread_starts[0].is_alive()
+
+
+@pytest.mark.parametrize("kind", FRAME_KINDS)
+@pytest.mark.parametrize("system", FRAME_SYSTEMS, ids=["8x16", "16x8"])
+def test_run_frames_equal_the_synchronous_frame(tmp_path, monkeypatch, kind, system,
+                                                thread_starts):
+    """The frames of a run, each one's noise drawn on the worker while the
+    previous cell is estimated, are the bytes of the reference frames at
+    finite SNRs and at inf, where nothing is drawn."""
+    frames = []
+
+    def capture(cell):
+        frames.append(cell)
+        return []
+
+    with_estimates(monkeypatch, (capture, []), kind=kind)
+    sc = scenario_from_dict(small_raw(experiment_kind=kind, system=system, trials=2,
+                                      snr_db_values=[-5.0, 12.5, math.inf],
+                                      **PARALLEL_CASES[kind]))
+    run_scenario(sc, tmp_path)
+    assert [(cell.snr_idx, cell.trial) for cell in frames] == [
+        (si, t) for si in range(3) for t in range(2)]
+    for cell in frames:
+        assert_frame_is_the_reference(cell, kind)
+    assert_one_joined_worker(thread_starts)
+
+
+def test_a_failed_frame_draw_raises_in_the_trial(tmp_path, capfd, monkeypatch, thread_starts):
+    """A draw that fails on the worker raises its own exception from the run,
+    prints nothing, reaches no threading.excepthook and leaves no thread
+    behind."""
+    def failing_draw(noise, noise_var, rng):
         raise MemoryError("no room for the noise")
 
     hooked = []
     monkeypatch.setattr(threading, "excepthook", hooked.append)
-    monkeypatch.setattr(channel, "_draw_noise", failing_draw)
-    sc = scenario_from_dict(small_raw())
-    before = set(threading.enumerate())
-    with pytest.raises(MemoryError, match="no room for the noise"):
-        experiments._frame(experiments.Cell(sc, 20.0, 0, 0), experiments._random_gains)
+    monkeypatch.setattr(experiments, "_draw_noise", failing_draw)
+    with pytest.raises(MemoryError, match="no room for the noise") as info:
+        run_scenario(scenario_from_dict(small_raw(trials=3)), tmp_path)
+    assert "failing_draw" in {entry.name for entry in info.traceback}
     assert not hooked and capfd.readouterr().err == ""
-    assert set(threading.enumerate()) == before
+    assert_one_joined_worker(thread_starts)
 
 
 def test_public_layer_functions_run_on_the_main_thread(tmp_path):
-    """Only private package code runs on the noise threads of a serial run
+    """Only private package code runs on the noise worker of a serial run
     of several cells, whose draws run ahead while earlier cells are
     estimated: a tracer of the public layer functions keeps a single span
     stack, the main thread's."""
@@ -177,33 +218,62 @@ def test_public_layer_functions_run_on_the_main_thread(tmp_path):
     assert [name for name in off_main if not name.startswith("_")] == []
 
 
-def with_estimates(monkeypatch, *estimates, kind="dd-correlation"):
-    """Replace the (estimator call, failure rows) list of ``kind`` in KINDS."""
-    monkeypatch.setitem(experiments.KINDS, kind,
-                        experiments.KINDS[kind]._replace(estimates=list(estimates)))
+def recorded_submissions(monkeypatch):
+    """The trial of each cell whose noise draw the run submits, in order."""
+    submitted, noise = [], experiments._noise
+
+    def recording_noise(cell, pool):
+        submitted.append(cell.trial)
+        return noise(cell, pool)
+
+    monkeypatch.setattr(experiments, "_noise", recording_noise)
+    return submitted
 
 
 def test_each_draw_starts_before_the_previous_cell_is_estimated(tmp_path, monkeypatch,
                                                                 thread_starts):
     """While a cell is estimated the next cell's noise is being drawn, the
-    last cell has no draw to start, and no draw outlives the run."""
-    started = []
+    last cell has no draw to submit, and all are drawn on one worker that
+    does not outlive the run."""
+    submitted, started = recorded_submissions(monkeypatch), []
 
     def estimate(cell):
-        started.append(len(thread_starts))
+        started.append(len(submitted))
         return []
 
     with_estimates(monkeypatch, (estimate, []))
     before = set(threading.enumerate())
     run_scenario(scenario_from_dict(small_raw(trials=4)), tmp_path)
-    assert started == [2, 3, 4, 4]
-    assert not any(thread.is_alive() for thread in thread_starts)
+    assert submitted == [0, 1, 2, 3] and started == [2, 3, 4, 4]
+    assert_one_joined_worker(thread_starts)
     assert set(threading.enumerate()) == before
 
 
-def test_a_failed_estimate_writes_its_rows_and_leaves_no_draw(tmp_path, monkeypatch):
+def test_added_noise_is_freed_before_the_next_draw(tmp_path, monkeypatch):
+    """A frame's noise buffer is released once it is added to the echo,
+    before the next cell's buffer is made, so a run holds one at a time."""
+    buffers, alive = [], []
+    draw, noise = experiments._draw_noise, experiments._noise
+
+    def recording_draw(buffer, *args):
+        buffers.append(weakref.ref(buffer))
+        return draw(buffer, *args)
+
+    def counting_noise(cell, pool):
+        # every earlier draw has been added, so it has recorded its buffer
+        alive.append(sum(ref() is not None for ref in buffers))
+        return noise(cell, pool)
+
+    monkeypatch.setattr(experiments, "_draw_noise", recording_draw)
+    monkeypatch.setattr(experiments, "_noise", counting_noise)
+    run_scenario(scenario_from_dict(small_raw(trials=4)), tmp_path)
+    assert alive == [0, 0, 0, 0] and len(buffers) == 4
+
+
+def test_a_failed_estimate_writes_its_rows_and_leaves_no_draw(tmp_path, monkeypatch,
+                                                              thread_starts):
     """A package error in one cell's estimate writes that cell's failure
-    rows; the run goes on, and no draw outlives it."""
+    rows; the run goes on, and its one worker does not outlive it."""
     def estimate(cell):
         if cell.trial == 1:
             raise PeakSeparationFailure("no separated peaks")
@@ -215,12 +285,16 @@ def test_a_failed_estimate_writes_its_rows_and_leaves_no_draw(tmp_path, monkeypa
     assert read_csv(paths["trials"])[1:] == [["20.0", str(t), "recovered_all", value]
                                              for t, value in enumerate(("1.0", "0.0", "1.0"))]
     assert manifest_of(paths)["failures"] == {"20.0": {"PeakSeparationFailure": 1}}
+    assert_one_joined_worker(thread_starts)
     assert set(threading.enumerate()) == before
 
 
 def test_an_unexpected_error_joins_the_pending_draw(tmp_path, monkeypatch, thread_starts):
     """An error that is not a package error propagates out of the run, and
-    the draw already started for the next cell is joined first."""
+    the worker, with the draw already submitted for the next cell, is
+    joined first."""
+    submitted = recorded_submissions(monkeypatch)
+
     def estimate(cell):
         if cell.trial == 1:
             raise RuntimeError("estimator bug")
@@ -229,8 +303,8 @@ def test_an_unexpected_error_joins_the_pending_draw(tmp_path, monkeypatch, threa
     with_estimates(monkeypatch, (estimate, []))
     with pytest.raises(RuntimeError, match="estimator bug"):
         run_scenario(scenario_from_dict(small_raw(trials=4)), tmp_path)
-    assert len(thread_starts) == 3          # cells 0 and 1, and cell 2 ahead
-    assert not any(thread.is_alive() for thread in thread_starts)
+    assert submitted == [0, 1, 2]           # cells 0 and 1, and cell 2 ahead
+    assert_one_joined_worker(thread_starts)
 
 
 class InlinePool:
@@ -613,6 +687,16 @@ def fresh_interpreter(tmp_path_factory):
                               capture_output=True, text=True, timeout=120,
                               check=True).stdout
     return run
+
+
+def test_importing_the_package_loads_no_process_or_pool_module(fresh_interpreter):
+    """multiprocessing, subprocess and concurrent.futures are imported in the
+    functions that use them, so ``import otfs_isac`` loads none of them."""
+    loaded = fresh_interpreter(
+        "import sys, otfs_isac\n"
+        "print([m for m in ('concurrent.futures', 'multiprocessing', 'subprocess')"
+        " if m in sys.modules])")
+    assert loaded.strip() == "[]"
 
 
 @pytest.mark.skipif(not libc_has_mallopt(), reason="libc has no mallopt")

@@ -354,6 +354,27 @@ SCATTERED_BINS = make_allocation(4, [(0, (0, 0)), (1, (1, 5)), (2, (3, 2)),
                                      (3, (6, 11))])
 
 
+@pytest.mark.parametrize("alloc", [diagonal_allocation(4), diagonal_allocation(4, 2),
+                                   SCATTERED_BINS], ids=["diagonal", "diagonal-2", "scattered"])
+def test_snapshot_from_x_is_the_snapshot_from_tf(alloc):
+    """An antenna never zero-forces its own private bin, so the snapshot
+    taken against the transmit stack before zero-forcing is the bytes of the
+    one taken against the transmitted stack."""
+    cfg = small_cfg()
+    targets = [Target(angle_rad=0.2, delay_s=1.1e-7, doppler_hz=4321.0, gain=0.8 + 0.3j)]
+    for seed in range(3):
+        rng = substream(seed, 0)
+        bits = rng.integers(0, 2, size=2 * sum(symbol_capacity(alloc, cfg)))
+        _, x, tf = transmit_chain(bits, alloc, cfg)
+        assert not np.array_equal(x, tf)
+        rx_tf = radar_receive(tf, targets, cfg, snr_db=10.0, rng=substream(seed, 1))
+        from_x = build_virtual_snapshot(rx_tf, x, alloc)
+        from_tf = build_virtual_snapshot(rx_tf, tf, alloc)
+        assert from_x.bin_meta == from_tf.bin_meta
+        assert from_x.values.tobytes() == from_tf.values.tobytes()
+        assert from_x.row_weights.tobytes() == from_tf.row_weights.tobytes()
+
+
 def _tiny_ssr_case(offsets, snr_db, seed, alloc=None):
     """Targets at (angle deg, Doppler bins, delay bins) offsets from lattice
     centers, with one tiny search box per target: 5 x 3 x 3 superset points."""
