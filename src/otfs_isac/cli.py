@@ -69,6 +69,8 @@ def _run(scenario: Scenario, args, **kwargs) -> int:
         return _fail("invalid-argument", str(exc))
     except OtfsIsacError as exc:
         return _fail("simulation-error", str(exc))
+    except OSError as exc:    # the output directory cannot be made or written
+        return _fail("io-error", str(exc))
     print(json.dumps({"scenario": scenario.name, "outputs": paths}, indent=2))
     return 0
 

@@ -182,15 +182,8 @@ def _refine(cell: Cell, n_angles, peaks_per_angle, solver_seed):
                              pad_factor=est.dft_pad_factor)
     snapshot = build_virtual_snapshot(rx_tf, x, scenario.bin_allocation)
     del rx_tf
-    specs = [default_neighborhood(
-        c, cfg,
-        angle_step_deg=est.angle_step_deg, angle_width_deg=est.angle_width_deg,
-        doppler_step_bins=est.doppler_step_bins,
-        doppler_width_bins=est.doppler_width_bins,
-        delay_step_bins=est.delay_step_bins,
-        delay_width_bins=est.delay_width_bins)
-        for c in itertools.islice(itertools.cycle(coarse),
-                                  KINDS[scenario.experiment_kind].n_boxes(scenario))]
+    specs = [default_neighborhood(c, cfg, est) for c in itertools.islice(
+        itertools.cycle(coarse), KINDS[scenario.experiment_kind].n_boxes(scenario))]
     result = averaged_ssr(snapshot, specs, cfg, n_solvers=est.n_solvers,
                           seed=solver_seed, sweeps=est.ssr_sweeps)
     return snapshot, specs, result

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 from .allocation import BinAllocation, diagonal_allocation, make_allocation
@@ -26,7 +26,8 @@ from .crlb import SNR_DB_BOUND
 from .exceptions import ConfigValidationError, OtfsIsacError
 from .experiments import KINDS
 from .schema import COUNT, NON_NEGATIVE, POSITIVE, from_json, param, to_json
-from .virtual_array import COLUMN_CAP, DEFAULT_N_SOLVERS, DEFAULT_SWEEPS, AxisSpec
+from .virtual_array import (COLUMN_CAP, DEFAULT_N_SOLVERS, DEFAULT_SWEEPS, AxisSpec,
+                            NeighborhoodSpec, _box_axes)
 
 # Bound on the bytes of the reduced-transform corrections that validation
 # builds (N * M * sum_i |Z_i| complex values); a 64x128 grid with four diagonal
@@ -247,9 +248,9 @@ def _check_allocation(errors, scenario: Scenario):
 
 
 def _check_estimator(errors, scenario: Scenario):
-    """What the counts allocate within bound, search boxes of whole steps and
-    at most ``COLUMN_CAP`` SSR columns, and one peak per angle for a kind that
-    pairs one peak with each target."""
+    """What the counts allocate within bound, search boxes the run can build
+    with at most ``COLUMN_CAP`` SSR columns, and one peak per angle for a kind
+    that pairs one peak with each target."""
     est, n_rx, kind = scenario.estimator, scenario.system.n_rx, scenario.experiment_kind
     # bytes per unit of the counts that size what a run allocates and keeps
     for key, unit_bytes, array in (
@@ -260,24 +261,21 @@ def _check_estimator(errors, scenario: Scenario):
         _check(errors, value * unit_bytes <= MAX_GRID_STACK_BYTES,
                f"estimator.{key}: {value} needs {_mib(value * unit_bytes)} "
                f"MiB of {array}, over the {MAX_GRID_STACK_BYTES // 2 ** 20} MiB bound")
-    # the superset columns that averaged_ssr caps: one lattice per search box
-    # of the kind; a count can have hundreds of digits
-    columns = KINDS[kind].n_boxes(scenario)
-    box_keys = []
-    for f in fields(EstimatorSettings):
-        if "_step_" in f.name:
-            width_key = f.name.replace("_step_", "_width_")
-            box_keys += [f.name, width_key]
-            try:
-                columns *= AxisSpec(0.0, getattr(est, f.name),
-                                    getattr(est, width_key)).n_superset
-            except ValueError as exc:
-                errors.append(f"estimator.{width_key}: {exc}")
-                columns = 0
-    _check(errors, columns <= COLUMN_CAP,
-           f"estimator.{'/'.join(box_keys)}: the {kind} search boxes hold "
-           f"{columns if columns < 10 ** 12 else 'over 10^12'} superset columns, "
-           f"over COLUMN_CAP = {COLUMN_CAP}")
+    # the boxes the run builds, centred at 0: the check does not depend on the centre
+    axes = []
+    for key, (step, width) in _box_axes(scenario.system, est).items():
+        try:
+            axes.append(AxisSpec(0.0, step, width))
+        except ValueError as exc:
+            errors.append(f"estimator.{key}: {exc}, in the run's rad, Hz or s")
+    if len(axes) == 3:
+        # the columns that averaged_ssr caps; a count can have hundreds of digits
+        columns = KINDS[kind].n_boxes(scenario) * NeighborhoodSpec(*axes).n_columns
+        _check(errors, columns <= COLUMN_CAP,
+               f"estimator.angle_step_deg/angle_width_deg/doppler_step_bins/"
+               f"doppler_width_bins/delay_step_bins/delay_width_bins: the {kind} "
+               f"search boxes hold {columns if columns < 10 ** 12 else 'over 10^12'} "
+               f"superset columns, over COLUMN_CAP = {COLUMN_CAP}")
     _check(errors, not KINDS[kind].one_peak or est.peaks_per_angle == 1,
            f"estimator.peaks_per_angle: {kind} pairs one estimate with each "
            f"target and needs 1, got {est.peaks_per_angle}")

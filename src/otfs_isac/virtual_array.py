@@ -93,7 +93,7 @@ class AxisSpec:
     width: float
 
     def __post_init__(self):
-        ratio = self.width / self.step if self.step > 0 else math.nan
+        ratio = float(self.width) / float(self.step) if self.step > 0 else math.nan
         if not (self.width >= self.step and math.isfinite(ratio)
                 and math.isclose(ratio, round(ratio), rel_tol=RATIO_RTOL)):
             raise ValueError(f"need width >= step > 0 with an integer width/step ratio, "
@@ -121,6 +121,11 @@ class NeighborhoodSpec:
     angle: AxisSpec
     doppler: AxisSpec
     delay: AxisSpec
+
+    @property
+    def n_columns(self) -> int:
+        """Columns of the superset lattice, the union of all windows."""
+        return self.angle.n_superset * self.doppler.n_superset * self.delay.n_superset
 
 
 def build_virtual_snapshot(rx_tf: np.ndarray, tx_tf: np.ndarray,
@@ -587,9 +592,7 @@ def averaged_ssr(snapshot: VirtualSnapshot, specs, cfg: SystemConfig,
         raise ValueError("n_solvers must be >= 1")
     if sweeps < 0:
         raise ValueError("sweeps must be >= 0")
-    total = sum(s.angle.n_superset * s.doppler.n_superset * s.delay.n_superset
-                for s in specs)
-    if total > COLUMN_CAP:
+    if (total := sum(spec.n_columns for spec in specs)) > COLUMN_CAP:
         raise DictionaryTooLarge(f"{total} superset columns exceeds cap {COLUMN_CAP}")
     weights = snapshot.row_weights
     y = snapshot.values * weights
@@ -626,15 +629,19 @@ def angle_surface(snapshot: VirtualSnapshot, spec: NeighborhoodSpec, estimate,
     return np.abs(grid.columns(np.arange(grid.angles.size), iv, it).conj() @ y) / grid.norm
 
 
-def default_neighborhood(estimate, cfg: SystemConfig,
-                         angle_step_deg: float = 1.0, angle_width_deg: float = 10.0,
-                         doppler_step_bins: float = 0.1, doppler_width_bins: float = 2.0,
-                         delay_step_bins: float = 0.1, delay_width_bins: float = 2.0) -> NeighborhoodSpec:
-    """Search box around a coarse estimate using bin-relative sizes."""
-    dnu = cfg.doppler_spacing_hz
-    dtau = cfg.delay_spacing_s
-    return NeighborhoodSpec(
-        angle=AxisSpec(estimate.angle_rad, np.deg2rad(angle_step_deg), np.deg2rad(angle_width_deg)),
-        doppler=AxisSpec(estimate.doppler_hz, doppler_step_bins * dnu, doppler_width_bins * dnu),
-        delay=AxisSpec(estimate.delay_s, delay_step_bins * dtau, delay_width_bins * dtau),
-    )
+def _box_axes(cfg: SystemConfig, est) -> dict:
+    """Per axis of the search box of the ``scenario.EstimatorSettings`` ``est``, in
+    NeighborhoodSpec's order: its width field and (step, width) in rad, Hz and s."""
+    dnu, dtau = cfg.doppler_spacing_hz, cfg.delay_spacing_s
+    return {
+        "angle_width_deg": (np.deg2rad(est.angle_step_deg), np.deg2rad(est.angle_width_deg)),
+        "doppler_width_bins": (est.doppler_step_bins * dnu, est.doppler_width_bins * dnu),
+        "delay_width_bins": (est.delay_step_bins * dtau, est.delay_width_bins * dtau),
+    }
+
+
+def default_neighborhood(estimate, cfg: SystemConfig, est) -> NeighborhoodSpec:
+    """Search box of the settings ``est`` (:func:`_box_axes`) around ``estimate``."""
+    centers = (estimate.angle_rad, estimate.doppler_hz, estimate.delay_s)
+    return NeighborhoodSpec(*(AxisSpec(center, *axis)
+                              for center, axis in zip(centers, _box_axes(cfg, est).values())))

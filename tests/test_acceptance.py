@@ -22,7 +22,7 @@ from otfs_isac.comm import symbol_capacity, transmit_chain
 from otfs_isac.config import SPEED_OF_LIGHT, SystemConfig, Target, substream
 from otfs_isac.crlb import crlb_closed_form, crlb_report
 from otfs_isac.experiments import run_scenario
-from otfs_isac.scenario import scenario_from_dict
+from otfs_isac.scenario import EstimatorSettings, scenario_from_dict
 from otfs_isac.transforms import isfft, sfft
 from otfs_isac.virtual_array import (averaged_ssr, build_virtual_snapshot,
                                      default_neighborhood)
@@ -345,8 +345,8 @@ def test_criterion_12_fractional_doppler_mse_tracks_crlb():
                                   rng=substream(99, trial, 1))
             estimate = coarse_pipeline(rx_tf, x, cfg, n_angles=1)[0]
             snapshot = build_virtual_snapshot(rx_tf, tf, alloc)
-            spec = default_neighborhood(estimate, cfg, doppler_step_bins=0.02,
-                                        doppler_width_bins=3.0)
+            spec = default_neighborhood(estimate, cfg, EstimatorSettings(
+                doppler_step_bins=0.02, doppler_width_bins=3.0))
             result = averaged_ssr(snapshot, [spec], cfg, n_solvers=8,
                                   seed=trial)
             v_hat = result.estimates[0][1] * SPEED_OF_LIGHT \

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, error reporting, env override."""
 
 import json
+import math
 import multiprocessing
 import os
 import tracemalloc
@@ -17,6 +18,7 @@ from otfs_isac.config import SystemConfig
 from otfs_isac.exceptions import ConfigValidationError
 from otfs_isac.experiments import run_scenario
 from otfs_isac.scenario import scenario_from_dict
+from otfs_isac.virtual_array import RATIO_RTOL, AxisSpec
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
@@ -128,6 +130,22 @@ def test_missing_file_is_io_error(tmp_path, capsys):
                  str(tmp_path / "missing.json")]) == 1
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"] == "io-error"
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--scenario", "SCENARIO"], ["demo"]])
+def test_output_path_that_is_a_file_is_io_error(tmp_path, capsys, argv):
+    """``--out`` naming a regular file: the output directory cannot be made."""
+    out = tmp_path / "taken"
+    out.write_text("")
+    argv = [write_scenario(tmp_path) if a == "SCENARIO" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "io-error"
+    assert str(out) in payload["message"]
 
 
 def test_simulate_writes_results(tmp_path, capsys):
@@ -447,3 +465,89 @@ def test_simulate_single_sample_axis_runs(tmp_path, capsys, kind, grid):
                           allocation={"diagonal_private_bins": 0}, trials=1)
     assert main(["simulate", "--scenario", path, "--out", str(tmp_path)]) == 0, \
         capsys.readouterr().err
+
+
+# Search-box widths within a few ulps of k whole steps times (1 +- RATIO_RTOL),
+# where the whole-number check can round either way. The run builds its box
+# in rad, Hz and s; the file gives degrees and bins.
+KNIFE_SYSTEM = {"n_doppler": 16, "m_delay": 16, "n_tx": 2, "n_rx": 8}
+KNIFE_STEPS = (0.05, 0.1, 0.3, 0.7, 1.0)
+KNIFE_AXES = {"angle": "deg", "doppler": "bins", "delay": "bins"}
+
+
+def knife_edge_widths(step):
+    for k in (2, 4, 10, 20):
+        for sign in (1, -1):
+            lo = hi = k * step * (1 + sign * RATIO_RTOL)
+            yield lo
+            for _ in range(4):
+                lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+                yield from (lo, hi)
+
+
+def builds(step, width):
+    """Whether an AxisSpec of this step and width builds."""
+    try:
+        AxisSpec(0.0, step, width)
+    except ValueError:
+        return False
+    return True
+
+
+def builds_in_run_units(axis, step, width):
+    """Whether the box of this step and width builds in the run's rad, Hz or s."""
+    cfg = SystemConfig(**KNIFE_SYSTEM)
+    if axis == "angle":
+        return builds(np.deg2rad(step), np.deg2rad(width))
+    scale = cfg.doppler_spacing_hz if axis == "doppler" else cfg.delay_spacing_s
+    return builds(step * scale, width * scale)
+
+
+def knife_raw(kind, axis, step, width):
+    unit = KNIFE_AXES[axis]
+    targets = [] if kind == "ssr-velocity" else [
+        {"angle_deg": 10.0, "range_m": 300.0, "velocity_mps": 40.0}]
+    return scenario_raw(experiment_kind=kind, system=KNIFE_SYSTEM, targets=targets,
+                        allocation={"diagonal_private_bins": 2}, snr_db_values=[20.0],
+                        estimator={f"{axis}_step_{unit}": step,
+                                   f"{axis}_width_{unit}": width, "n_solvers": 2})
+
+
+@pytest.mark.parametrize("axis", KNIFE_AXES)
+def test_validation_accepts_exactly_the_boxes_the_run_builds(axis):
+    """At every knife-edge width, validation accepts the scenario if and only
+    if the run's AxisSpec builds; a rejection names the width field."""
+    field = f"estimator.{axis}_width_{KNIFE_AXES[axis]}:"
+    for step in KNIFE_STEPS:
+        for width in knife_edge_widths(step):
+            try:
+                scenario_from_dict(knife_raw("ssr-angle", axis, step, width))
+                accepted = True
+            except ConfigValidationError as exc:
+                accepted = False
+                assert [e for e in exc.errors if e.startswith(field)], exc.errors
+            assert accepted == builds_in_run_units(axis, step, width), (step, width)
+
+
+def test_ssr_kinds_run_or_fail_cleanly_where_degrees_and_run_units_disagree(
+        tmp_path, capsys):
+    """Where the box builds in the file's degrees and bins but not in the run's
+    units, or the other way round, ``simulate --trials 1`` of every SSR kind
+    exits 0 or prints one JSON error that is not an internal error."""
+    cases = []
+    for axis in KNIFE_AXES:
+        for step in KNIFE_STEPS:
+            cases += [(axis, step, width) for width in knife_edge_widths(step)
+                      if builds(step, width) != builds_in_run_units(axis, step, width)]
+    assert len(cases) >= 20
+    path = tmp_path / "scenario.json"
+    for case in cases:
+        for kind in ("ssr-angle", "ssr-velocity", "demo-spectrum"):
+            path.write_text(json.dumps(knife_raw(kind, *case)))
+            code = main(["simulate", "--scenario", str(path), "--trials", "1",
+                         "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            if code != 0:
+                lines = err.splitlines()
+                assert len(lines) == 1, (kind, case, err)
+                assert json.loads(lines[0])["error"] != "internal-error", (kind, case, err)

@@ -643,6 +643,7 @@ import resource, types
 import numpy as np
 from otfs_isac.config import SystemConfig
 from otfs_isac.virtual_array import VirtualSnapshot, averaged_ssr, default_neighborhood
+from otfs_isac.scenario import EstimatorSettings
 cfg = SystemConfig()
 rng = np.random.default_rng(0)
 n_rows = 4 * cfg.n_rx
@@ -652,7 +653,7 @@ snapshot = VirtualSnapshot(
     row_weights=rng.uniform(0.5, 1.5, n_rows))
 specs = [default_neighborhood(types.SimpleNamespace(
     angle_rad=np.deg2rad(a), doppler_hz=(3 + 5 * k) * cfg.doppler_spacing_hz,
-    delay_s=(4 + 7 * k) * cfg.delay_spacing_s), cfg)
+    delay_s=(4 + 7 * k) * cfg.delay_spacing_s), cfg, EstimatorSettings())
     for k, a in enumerate((12.0, 14.0, 16.0))]
 averaged_ssr(snapshot, specs, cfg, n_solvers=64, seed=1)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

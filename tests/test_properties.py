@@ -36,6 +36,7 @@ from otfs_isac.experiments import KINDS
 from otfs_isac.scenario import EstimatorSettings, Scenario, scenario_from_dict
 from otfs_isac.schema import FINITE
 from otfs_isac.transforms import isfft, sfft
+from otfs_isac.virtual_array import RATIO_RTOL
 from oracles import (dd_route_coarse_pipeline, grid_isfft, grid_sfft, per_grid,
                      serial_transmit_chain)
 
@@ -173,14 +174,33 @@ def test_scenario_from_dict_fuzzed_slot_raises_only_validation_error(path, value
         pass
 
 
-# Estimator search boxes: the default, a small one, one far over COLUMN_CAP
-# and one whose angle width is not a whole number of steps. Repeats weight
-# the draws toward valid scenarios, so that most of them still run.
+BOX_AXES = (("angle", "deg"), ("doppler", "bins"), ("delay", "bins"))
+
+
+@st.composite
+def knife_edge_boxes(draw):
+    """One axis whose width lies within 4 ulps of k steps times
+    (1 +- RATIO_RTOL), where the whole-number check rounds either way and the
+    file's degrees and bins can disagree with the run's rad, Hz and s."""
+    axis, unit = draw(st.sampled_from(BOX_AXES))
+    step = draw(st.sampled_from([0.05, 0.1, 0.3, 0.7, 1.0]))
+    width = (draw(st.sampled_from([2, 4, 10, 20])) * step
+             * (1 + draw(st.sampled_from([1, -1])) * RATIO_RTOL))
+    ulps = draw(st.integers(-4, 4))
+    for _ in range(abs(ulps)):
+        width = math.nextafter(width, math.copysign(math.inf, ulps))
+    return {f"{axis}_step_{unit}": step, f"{axis}_width_{unit}": width}
+
+
+# Estimator search boxes: the default, a small one, one far over COLUMN_CAP,
+# one whose angle width is not a whole number of steps, and knife-edge ones.
+# Repeats weight the draws toward valid scenarios, so that most of them
+# still run.
 SMALL_BOX = {f"{axis}_{key}_{unit}": value
-             for axis, unit in (("angle", "deg"), ("doppler", "bins"), ("delay", "bins"))
-             for key, value in (("step", 0.5), ("width", 1.0))}
+             for axis, unit in BOX_AXES for key, value in (("step", 0.5), ("width", 1.0))}
 SEARCH_BOXES = st.sampled_from([{}, {}, {}, SMALL_BOX, SMALL_BOX,
-                                {"angle_step_deg": 1e-6}, {"angle_width_deg": 3.5}])
+                                {"angle_step_deg": 1e-6}, {"angle_width_deg": 3.5}]
+                               ) | knife_edge_boxes()
 PEAKS_PER_ANGLE = st.sampled_from([1, 1, 1, 2, 3])
 
 

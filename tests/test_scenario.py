@@ -1,7 +1,6 @@
 """Scenario parsing and validation."""
 
 import glob
-import inspect
 import json
 import os
 import re
@@ -18,7 +17,6 @@ from otfs_isac.schema import FINITE, json_type, to_json
 from otfs_isac.experiments import KINDS
 from otfs_isac.scenario import (EstimatorSettings, Scenario, load_scenario,
                                 scenario_from_dict)
-from otfs_isac.virtual_array import default_neighborhood
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -63,18 +61,6 @@ def test_minimal_scenario_parses():
     assert sc.paths[0].angle_rad == pytest.approx(np.deg2rad(5.0))
     assert sc.snr_db_values == (10.0,)
     assert isinstance(sc.estimator, EstimatorSettings)
-
-
-def test_default_neighborhood_defaults_are_the_estimator_box_defaults():
-    """``default_neighborhood``'s keyword defaults are the six search-box
-    fields of ``EstimatorSettings``, with the same values."""
-    box = {f.name: f.default for f in fields(EstimatorSettings)
-           if "_step_" in f.name or "_width_" in f.name}
-    defaults = {name: p.default
-                for name, p in inspect.signature(default_neighborhood).parameters.items()
-                if p.default is not inspect.Parameter.empty}
-    assert len(box) == 6
-    assert defaults == box
 
 
 def test_to_dict_is_json_serializable_and_round_trips():
@@ -191,6 +177,16 @@ def test_bad_estimator_values_rejected(field, value):
     with pytest.raises(ConfigValidationError) as exc:
         scenario_from_dict(minimal_raw(estimator={field: value}))
     assert any(e.startswith(f"estimator.{field}:") for e in exc.value.errors)
+
+
+def test_each_bad_search_box_axis_is_its_own_error():
+    with pytest.raises(ConfigValidationError) as exc:
+        scenario_from_dict(minimal_raw(estimator={
+            "angle_width_deg": 3.5, "delay_width_bins": 0.25,
+            "doppler_step_bins": 1e-300, "doppler_width_bins": 1e10}))
+    box_errors = [e.split(":")[0] for e in exc.value.errors if "width/step" in e]
+    assert box_errors == ["estimator.angle_width_deg", "estimator.doppler_width_bins",
+                          "estimator.delay_width_bins"]
 
 
 @pytest.mark.parametrize("kind, n_targets", [("ssr-angle", 2), ("demo-spectrum", 2),

@@ -13,6 +13,7 @@ from otfs_isac.comm import symbol_capacity, transmit_chain
 from otfs_isac.config import SystemConfig, Target, substream
 from otfs_isac.exceptions import (DictionaryTooLarge, DimensionMismatch,
                                   ZeroPrivateSymbol)
+from otfs_isac.scenario import EstimatorSettings
 from otfs_isac.virtual_array import (AxisSpec, NeighborhoodSpec, _FactoredGrid,
                                      _solver_block, angle_surface, averaged_ssr,
                                      build_virtual_snapshot, default_neighborhood)
@@ -179,7 +180,7 @@ def test_angle_surface_matches_steering_columns():
     snap, _, _ = make_snapshot(cfg, targets, snr_db=10.0, seed=2)
     est = CoarseEstimate(0.21, 2, 3, targets[0].doppler_hz, targets[0].delay_s,
                          0.0, 0.0, 1.0)
-    spec = default_neighborhood(est, cfg)
+    spec = default_neighborhood(est, cfg, EstimatorSettings())
     angles = spec.angle.superset_points()
     for iv, it in ((20, 20), (3, 37)):
         doppler = spec.doppler.superset_points()[iv]
@@ -210,6 +211,14 @@ def test_axis_spec_lattice():
         with pytest.raises(ValueError, match="integer width/step ratio"):
             AxisSpec(0.0, 1.0, width)
     assert AxisSpec(0.0, 0.1, 2.0).n_points == 21    # 2.0 / 0.1 = 20.000000000000004
+
+
+def test_axis_spec_ratio_past_the_float_range_is_an_error_without_warning():
+    """A width/step ratio over the float range is rejected like any other
+    non-finite ratio, also for numpy scalars, whose division would warn of
+    the overflow (the test suite turns warnings into errors)."""
+    with pytest.raises(ValueError, match="integer width/step ratio"):
+        AxisSpec(0.0, np.deg2rad(1e-300), np.deg2rad(1e10))
 
 
 def test_omp_recovers_planted_support():
@@ -253,7 +262,8 @@ def test_averaged_ssr_single_target_noiseless_exact():
     snap, _, _ = make_snapshot(cfg, [t])
     est = CoarseEstimate(t.angle_rad, 2, 3, t.doppler_hz, t.delay_s,
                          0.0, 0.0, 1.0)
-    spec = default_neighborhood(est, cfg, angle_step_deg=0.5, angle_width_deg=4.0)
+    spec = default_neighborhood(est, cfg, EstimatorSettings(angle_step_deg=0.5,
+                                                           angle_width_deg=4.0))
     res = averaged_ssr(snap, [spec], cfg, n_solvers=4, seed=0)
     angle, doppler, delay = res.estimates[0]
     assert abs(angle - t.angle_rad) < np.deg2rad(0.5) + 1e-9
@@ -267,7 +277,8 @@ def test_averaged_ssr_errors(monkeypatch):
                doppler_hz=cfg.doppler_spacing_hz)
     snap, _, _ = make_snapshot(cfg, [t])
     est = CoarseEstimate(0.1, 1, 2, t.doppler_hz, t.delay_s, 0.0, 0.0, 1.0)
-    spec = default_neighborhood(est, cfg, angle_step_deg=1.0, angle_width_deg=4.0)
+    spec = default_neighborhood(est, cfg, EstimatorSettings(angle_step_deg=1.0,
+                                                           angle_width_deg=4.0))
     with pytest.raises(ValueError):
         averaged_ssr(snap, [spec], cfg, n_solvers=0)
     with pytest.raises(ValueError):
@@ -283,7 +294,8 @@ def test_averaged_ssr_deterministic():
                doppler_hz=3 * cfg.doppler_spacing_hz)
     snap, _, _ = make_snapshot(cfg, [t], snr_db=10.0, seed=5)
     est = CoarseEstimate(0.15, 3, 4, t.doppler_hz, t.delay_s, 0.0, 0.0, 1.0)
-    spec = default_neighborhood(est, cfg, angle_step_deg=1.0, angle_width_deg=6.0)
+    spec = default_neighborhood(est, cfg, EstimatorSettings(angle_step_deg=1.0,
+                                                           angle_width_deg=6.0))
     a = averaged_ssr(snap, [spec], cfg, n_solvers=6, seed=9)
     b = averaged_ssr(snap, [spec], cfg, n_solvers=6, seed=9)
     np.testing.assert_array_equal(a.estimates, b.estimates)
@@ -304,8 +316,8 @@ def _ssr_case(centers_deg, target_deg, snr_db=15.0, seed=3, alloc=None):
         tk = targets[min(k, len(targets) - 1)]
         est = CoarseEstimate(np.deg2rad(a), 0, 0, tk.doppler_hz, tk.delay_s,
                              0.0, 0.0, 1.0)
-        specs.append(default_neighborhood(est, cfg, angle_step_deg=1.0,
-                                          angle_width_deg=6.0))
+        specs.append(default_neighborhood(est, cfg, EstimatorSettings(
+            angle_step_deg=1.0, angle_width_deg=6.0)))
     return snap, specs, cfg
 
 
@@ -435,9 +447,9 @@ def test_windows_and_picks_stay_inside_the_superset_lattice(monkeypatch, ratio,
                doppler_hz=2 * cfg.doppler_spacing_hz)
     snap, _, _ = make_snapshot(cfg, [t], snr_db=10.0, seed=1)
     est = CoarseEstimate(t.angle_rad, 2, 3, t.doppler_hz, t.delay_s, 0.0, 0.0, 1.0)
-    spec = default_neighborhood(est, cfg, angle_width_deg=ratio,
-                                doppler_width_bins=0.1 * ratio,
-                                delay_width_bins=0.1 * ratio)
+    spec = default_neighborhood(est, cfg, EstimatorSettings(
+        angle_width_deg=ratio, doppler_width_bins=0.1 * ratio,
+        delay_width_bins=0.1 * ratio))
     axes = (spec.angle, spec.doppler, spec.delay)
     assert [ax.n_points for ax in axes] == [n_points] * 3
     seen = []
@@ -466,7 +478,8 @@ def ssr_close_grid(bin_meta):
     est = CoarseEstimate(np.deg2rad(13.0), 0, 0, 8 * cfg.doppler_spacing_hz,
                          12 * cfg.delay_spacing_s, 0.0, 0.0, 1.0)
     weights = np.repeat(np.linspace(0.6, 1.4, len(bin_meta)), cfg.n_rx)
-    return _FactoredGrid(default_neighborhood(est, cfg), bin_meta, cfg.n_rx, cfg, weights)
+    return _FactoredGrid(default_neighborhood(est, cfg, EstimatorSettings()), bin_meta,
+                         cfg.n_rx, cfg, weights)
 
 
 def all_window_starts(grid) -> np.ndarray:
@@ -570,7 +583,8 @@ def test_averaged_ssr_peak_memory_in_the_ssr_close_geometry():
     snap, _, _ = make_snapshot(cfg, targets, snr_db=20.0, seed=0)
     specs = [default_neighborhood(
         CoarseEstimate(np.deg2rad(13.0), 0, 0, round(t.doppler_hz / dnu) * dnu,
-                       round(t.delay_s / dtau) * dtau, 0.0, 0.0, 1.0), cfg)
+                       round(t.delay_s / dtau) * dtau, 0.0, 0.0, 1.0), cfg,
+        EstimatorSettings())
         for t in targets]
     tracemalloc.start()
     try:
@@ -621,8 +635,8 @@ def test_window_starts_follow_the_scalar_draws(monkeypatch):
                doppler_hz=cfg.doppler_spacing_hz)
     snap, _, _ = make_snapshot(cfg, [t], snr_db=10.0, seed=1)
     est = CoarseEstimate(0.1, 1, 2, t.doppler_hz, t.delay_s, 0.0, 0.0, 1.0)
-    specs = [default_neighborhood(est, cfg, angle_width_deg=w, doppler_width_bins=0.1 * d,
-                                  delay_width_bins=0.1 * d)
+    specs = [default_neighborhood(est, cfg, EstimatorSettings(
+        angle_width_deg=w, doppler_width_bins=0.1 * d, delay_width_bins=0.1 * d))
              for w, d in ((4.0, 1), (7.0, 3))]
     seen = []
 
