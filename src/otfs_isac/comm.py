@@ -16,8 +16,6 @@ from .transforms import ModifiedSfft, build_modified_sfft, isfft
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # The Gray-mapped symbol of bit pair (b0, b1), at index 2 b0 + b1.
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) * _INV_SQRT2
-# Distinct (allocation, grid) pairs whose reduced transforms stay cached.
-_MSFFT_CACHE_SIZE = 16
 
 
 def qpsk_modulate(bits: np.ndarray) -> np.ndarray:
@@ -74,15 +72,17 @@ def transmit_chain(bits: np.ndarray, alloc: BinAllocation, cfg: SystemConfig):
     return dd, x, zero_force(x, alloc)
 
 
-@functools.lru_cache(maxsize=_MSFFT_CACHE_SIZE)
+# One entry: a run serves one allocation, which validation warms, and a
+# validated scenario's transforms take up to MAX_REDUCED_TRANSFORM_BYTES (256 MiB).
+@functools.lru_cache(maxsize=1)
 def _modified_sfft(alloc: BinAllocation, n: int, m: int) -> ModifiedSfft:
-    return build_modified_sfft(n, m, alloc.zero_bins)
+    return build_modified_sfft(alloc.zero_mask(n, m))
 
 
 def modified_sfft(alloc: BinAllocation, cfg: SystemConfig) -> ModifiedSfft:
     """The reduced inverse transform of this allocation's (N_t, N, M) stack,
-    built once per (allocation, grid) in each process and shared, with
-    read-only arrays."""
+    built from its zero mask, kept for the last (allocation, grid) asked for
+    in each process and shared, with read-only arrays."""
     return _modified_sfft(alloc, cfg.n_doppler, cfg.m_delay)
 
 

@@ -339,9 +339,10 @@ def load_scenario(path) -> Scenario:
     with open(path) as fh:
         try:
             raw = json.load(fh)
-        # JSONDecodeError, and the plain ValueError of an integer literal
-        # longer than the interpreter's digit limit
-        except ValueError as exc:
+        # JSONDecodeError, the plain ValueError of an integer literal longer
+        # than the interpreter's digit limit, and the RecursionError of
+        # arrays or objects nested past the interpreter's recursion limit
+        except (ValueError, RecursionError) as exc:
             raise ConfigValidationError([f"invalid JSON: {exc}"])
     stem = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     return scenario_from_dict(raw, name=stem)

@@ -49,34 +49,24 @@ def sfft(tf: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tf_linear(bins, n, m):
-    idx = []
-    for (a, b) in bins:
-        if not (0 <= a < n and 0 <= b < m):
-            raise DimensionMismatch(f"bin {(a, b)} outside {n}x{m} grid")
-        idx.append(b + a * m)
-    return np.asarray(sorted(idx), dtype=int)
-
-
 @dataclass(frozen=True)
 class ModifiedSfft:
     """Reduced inverse transform for a stack of grids with zero-forced TF bins.
 
-    Grid i of the stack was transmitted with the DD bins at the
-    ``zeroed[i]`` (row, col) positions left empty and the TF bins at those
-    positions forced to zero after the forward transform. :meth:`recover`
-    returns the information symbols of every grid. Both domains are
-    row-major, so one linear index array per grid serves both. Each reduced
-    forward matrix must be full rank. The arrays are read-only.
+    Grid g of the stack was transmitted with the DD bins left empty where
+    ``_empty[g]`` is True and the TF bins at the same (row, col) positions
+    forced to zero after the forward transform. :meth:`recover` returns the
+    information symbols of every grid. Both domains are row-major, so one
+    linear index array per grid serves both. Each reduced forward matrix
+    must be full rank. The arrays are read-only.
     """
 
-    zeroed: tuple
-    _empty: np.ndarray = field(repr=False)        # (len(zeroed), N, M), True at zeroed
+    _empty: np.ndarray = field(repr=False)        # (G, N, M), True at the zeroed bins
     _index: tuple = field(repr=False)             # per grid, sorted linear indices
     _correction: tuple = field(repr=False)        # per grid, columns @ inv(schur), NM x r
 
     def recover(self, tf: np.ndarray) -> np.ndarray:
-        """Recover the information symbols from a TF stack (len(zeroed), N, M).
+        """Recover the information symbols from a TF stack (G, N, M).
 
         Returns the DD symbols grid by grid, each in row-major order,
         skipping the empty DD positions. The samples at the zero-forced TF
@@ -85,7 +75,7 @@ class ModifiedSfft:
         tf = np.asarray(tf, dtype=complex)
         if tf.shape != self._empty.shape:
             raise DimensionMismatch(f"expected {self._empty.shape} TF stack, got {tf.shape}")
-        x = sfft(np.where(self._empty, 0.0, tf)).reshape(len(self.zeroed), -1)
+        x = sfft(np.where(self._empty, 0.0, tf)).reshape(len(self._index), -1)
         # The unknown zero-forced TF values u solve schur @ u = -x[index], so
         # that the empty DD positions come out exactly zero; the SFFT output
         # is corrected by columns @ u = -correction @ x[index].
@@ -104,21 +94,22 @@ def _sfft_columns(n: int, m: int, index: np.ndarray) -> np.ndarray:
             * np.exp(2j * np.pi * l * mm / m)).reshape(n * m, -1)
 
 
-def build_modified_sfft(n: int, m: int, zeroed) -> ModifiedSfft:
-    """Construct the reduced inverse transform of a stack of grids.
+def build_modified_sfft(empty) -> ModifiedSfft:
+    """Construct the reduced inverse transform of a (G, N, M) stack of grids.
 
-    ``zeroed`` holds one zero-forced TF set per grid; the DD bins left empty
-    sit at the same (row, col) positions. Raises :class:`DimensionMismatch`
-    for a bin outside the grid and :class:`SingularReducedMatrix` if a
-    reduced forward matrix is rank deficient (a different bin placement must
-    be chosen in that case).
+    ``empty`` is a (G, N, M) boolean stack, True where grid g's TF sample is
+    zero-forced and its DD bin is left empty. Raises
+    :class:`DimensionMismatch` for a mask that is not 3-D and
+    :class:`SingularReducedMatrix` if a reduced forward matrix is rank
+    deficient (a different bin placement must be chosen in that case).
     """
-    zeroed = tuple(tuple(sorted(set((int(a), int(b)) for a, b in bins)))
-                   for bins in zeroed)
-    empty = np.zeros((len(zeroed), n * m), dtype=bool)
+    empty = np.array(empty, dtype=bool)
+    if empty.ndim != 3:
+        raise DimensionMismatch(f"expected a (G, N, M) mask, got shape {empty.shape}")
+    _, n, m = empty.shape
     indices, corrections = [], []
-    for grid_empty, bins in zip(empty, zeroed):
-        index = _tf_linear(bins, n, m)
+    for grid_empty in empty:
+        index = np.flatnonzero(grid_empty)
         columns = _sfft_columns(n, m, index)
         # Invertibility of the reduced forward matrix is equivalent to
         # invertibility of the r x r block of the inverse transform at the
@@ -128,18 +119,17 @@ def build_modified_sfft(n: int, m: int, zeroed) -> ModifiedSfft:
         if index.size:
             u, sv, vh = np.linalg.svd(schur)
             if sv[-1] <= _RANK_RTOL * sv[0]:
+                zeroed = [divmod(int(i), m) for i in index]
                 raise SingularReducedMatrix(
-                    f"reduced transform is rank deficient for zeroed={list(bins)}")
+                    f"reduced transform is rank deficient for zeroed={zeroed}")
             # the correction columns @ inv(schur), with inv(schur) = V S^-1 U^H
             # from the same decomposition, formed in place one row of the
             # grid at a time so that no second NM x r array is allocated
             inverse = (vh.conj().T / sv) @ u.conj().T
             for rows in columns.reshape(n, m, -1):
                 rows[...] = rows @ inverse
-        grid_empty[index] = True
         indices.append(index)
         corrections.append(columns)
-    empty = empty.reshape(len(zeroed), n, m)
     for array in (empty, *indices, *corrections):
         array.flags.writeable = False
-    return ModifiedSfft(zeroed, empty, tuple(indices), tuple(corrections))
+    return ModifiedSfft(empty, tuple(indices), tuple(corrections))

@@ -125,6 +125,23 @@ def test_overlong_json_integer_is_invalid_scenario(tmp_path, capsys):
     assert "invalid JSON" in payload["details"][0]
 
 
+@pytest.mark.parametrize("command", [["validate-config"], ["simulate", "--out", "out"]],
+                         ids=["validate-config", "simulate"])
+def test_deeply_nested_json_is_invalid_scenario(tmp_path, capsys, command):
+    """The JSON decoder raises RecursionError on 3,000 nested arrays."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario_raw(name="NEST")).replace(
+        '"NEST"', "[" * 3000 + "]" * 3000))
+    command = [str(tmp_path / arg) if arg == "out" else arg for arg in command]
+    assert main([command[0], "--scenario", str(path), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == "invalid-scenario"
+    assert payload["details"][0].startswith("invalid JSON: maximum recursion depth")
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     assert main(["validate-config", "--scenario",
                  str(tmp_path / "missing.json")]) == 1

@@ -372,6 +372,7 @@ def test_link_invariants_built_once_over_repeated_frames(monkeypatch):
     alloc = diagonal_allocation(cfg.n_tx)
     paths = tuple(on_grid_paths(cfg))
     comm._path_tf_grids.cache_clear()
+    modified_sfft(alloc, cfg)     # its build reads the zero mask once, outside the frames
     calls = collections.Counter()
 
     def spy(name, fn):

@@ -211,7 +211,10 @@ def tiny_scenarios(draw, kind):
     may fall outside the grid. The targets lie inside the default grid's
     unambiguous range (1249 m) and velocity (+-370.9 m/s). A kind that refines
     SSR search boxes or takes one peak per angle (``experiments.KINDS``)
-    also draws the search boxes and ``peaks_per_angle``."""
+    also draws the search boxes and ``peaks_per_angle``. A kind that refines
+    SSR search boxes mostly draws private bins inside the grid and a target
+    count it takes, so that most of its draws reach the run; the rest may
+    miss either."""
     n_tx = draw(st.integers(1, 3))
     target = st.fixed_dictionaries({"angle_deg": st.floats(-80.0, 80.0),
                                     "range_m": st.floats(0.0, 1240.0),
@@ -219,15 +222,20 @@ def tiny_scenarios(draw, kind):
     estimator = {"n_solvers": draw(st.integers(1, 4))}
     if KINDS[kind].boxes is not None or KINDS[kind].one_peak:
         estimator.update(draw(SEARCH_BOXES), peaks_per_angle=draw(PEAKS_PER_ANGLE))
+    system = {"n_doppler": draw(st.integers(1, 6)), "m_delay": draw(st.integers(1, 6)),
+              "n_tx": n_tx, "n_rx": draw(st.integers(1, 4)),
+              "n_comm_rx": draw(st.integers(1, 3))}
+    bins, targets = st.integers(0, n_tx), st.lists(target, max_size=3)
+    if KINDS[kind].boxes is not None and draw(st.sampled_from([True] * 4 + [False])):
+        fewest, most = KINDS[kind].targets
+        bins = st.integers(1, min(n_tx, system["n_doppler"], system["m_delay"]))
+        targets = st.lists(target, min_size=fewest, max_size=min(most, 3))
     return {
         "name": "fuzz",
         "experiment_kind": kind,
-        "system": {"n_doppler": draw(st.integers(1, 6)),
-                   "m_delay": draw(st.integers(1, 6)), "n_tx": n_tx,
-                   "n_rx": draw(st.integers(1, 4)),
-                   "n_comm_rx": draw(st.integers(1, 3))},
-        "targets": draw(st.lists(target, max_size=3)),
-        "allocation": {"diagonal_private_bins": draw(st.integers(0, n_tx))},
+        "system": system,
+        "targets": draw(targets),
+        "allocation": {"diagonal_private_bins": draw(bins)},
         "estimator": estimator,
         "snr_db_values": draw(st.lists(st.sampled_from([-10.0, 10.0, 40.0, math.inf]),
                                        min_size=1, max_size=2)),

@@ -82,45 +82,44 @@ def test_non_2d_input_rejected():
     np.testing.assert_array_equal(isfft(stack)[0, 1], isfft(stack[0, 1]))
 
 
-def dd_with_empty_bins(symbols, n, m, empty):
+def one_grid_mask(n, m, zeroed):
+    """The (1, n, m) zero mask of one grid, True at the ``zeroed`` bins."""
+    empty = np.zeros((1, n, m), dtype=bool)
+    for (a, b) in zeroed:
+        empty[0, a, b] = True
+    return empty
+
+
+def dd_with_empty_bins(symbols, empty):
     """A DD grid holding ``symbols`` row-major, zero at the empty bins."""
-    keep = np.ones((n, m), dtype=bool)
-    keep[tuple(np.transpose(empty))] = False
-    dd = np.zeros((n, m), dtype=complex)
-    dd[keep] = symbols
+    dd = np.zeros(empty.shape[1:], dtype=complex)
+    dd[~empty[0]] = symbols
     return dd
 
 
 def test_modified_sfft_recovers_symbols():
     rng = np.random.default_rng(6)
     n, m = 8, 8
-    zeroed = [(0, 0), (1, 3), (5, 2)]
-    msfft = build_modified_sfft(n, m, [zeroed])
-    n_info = n * m - len(zeroed)
+    empty = one_grid_mask(n, m, [(0, 0), (1, 3), (5, 2)])
+    msfft = build_modified_sfft(empty)
+    n_info = n * m - 3
     symbols = rng.standard_normal(n_info) + 1j * rng.standard_normal(n_info)
-    dd = dd_with_empty_bins(symbols, n, m, zeroed)
-    tf = isfft(dd)
-    for (a, b) in zeroed:
-        tf[a, b] = 0.0
+    tf = isfft(dd_with_empty_bins(symbols, empty))
+    tf[empty[0]] = 0.0
     np.testing.assert_allclose(msfft.recover(tf[None]), symbols, atol=1e-10)
 
 
 def test_modified_sfft_agrees_with_explicit_operator():
     rng = np.random.default_rng(7)
     n, m = 4, 8
-    zeroed = [(3, 2), (2, 4)]
-    msfft = build_modified_sfft(n, m, [zeroed])
-    n_info = n * m - len(zeroed)
+    empty = one_grid_mask(n, m, [(3, 2), (2, 4)])
+    msfft = build_modified_sfft(empty)
+    n_info = n * m - 2
     symbols = rng.standard_normal(n_info) + 1j * rng.standard_normal(n_info)
-    dd = dd_with_empty_bins(symbols, n, m, zeroed)
-    tf = isfft(dd)
-    for (a, b) in zeroed:
-        tf[a, b] = 0.0
+    tf = isfft(dd_with_empty_bins(symbols, empty))
+    tf[empty[0]] = 0.0
     # the zeroed TF rows and the empty DD columns share linear indices
-    keep = np.ones((n, m), dtype=bool)
-    for (a, b) in zeroed:
-        keep[a, b] = False
-    keep = keep.ravel()
+    keep = ~empty[0].ravel()
     reduced_obs = tf.ravel()[keep]
     operator = np.linalg.inv(isfft_matrix(n, m)[np.ix_(keep, keep)])
     np.testing.assert_allclose(operator @ reduced_obs, symbols, atol=1e-10)
@@ -128,7 +127,7 @@ def test_modified_sfft_agrees_with_explicit_operator():
 
 
 def test_modified_sfft_trivial_empty_sets():
-    msfft = build_modified_sfft(4, 4, [[]])
+    msfft = build_modified_sfft(np.zeros((1, 4, 4), dtype=bool))
     rng = np.random.default_rng(8)
     dd = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     np.testing.assert_allclose(msfft.recover(isfft(dd)[None]), dd.ravel(), atol=1e-10)
@@ -137,12 +136,22 @@ def test_modified_sfft_trivial_empty_sets():
 def test_singular_bin_choice_rejected():
     # Zeroing (0,0) and (4,0) on an 8x8 grid gives an all-ones 2x2 reduced
     # block.
-    with pytest.raises(SingularReducedMatrix):
-        build_modified_sfft(8, 8, [[(0, 0), (4, 0)]])
+    with pytest.raises(SingularReducedMatrix,
+                       match=r"^reduced transform is rank deficient for "
+                             r"zeroed=\[\(0, 0\), \(4, 0\)\]$"):
+        build_modified_sfft(one_grid_mask(8, 8, [(4, 0), (0, 0)]))
 
 
-def test_bin_outside_grid_rejected():
-    with pytest.raises(DimensionMismatch):
-        build_modified_sfft(4, 4, [[(9, 0)]])
-    with pytest.raises(DimensionMismatch):
-        build_modified_sfft(4, 4, [[(0, 4)]])
+def test_mask_that_is_not_3d_rejected():
+    # bins outside the grid are the allocation's zero_mask check
+    for shape in [(4, 4), (4,), (1, 1, 4, 4)]:
+        with pytest.raises(DimensionMismatch):
+            build_modified_sfft(np.zeros(shape, dtype=bool))
+
+
+def test_mask_is_copied_and_kept_read_only():
+    empty = one_grid_mask(4, 4, [(1, 2)])
+    msfft = build_modified_sfft(empty)
+    empty[0, 0, 0] = True
+    assert msfft._empty.sum() == 1 and not msfft._empty.flags.writeable
+    assert msfft._index[0].tolist() == [6]
