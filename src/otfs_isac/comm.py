@@ -73,7 +73,7 @@ def transmit_chain(bits: np.ndarray, alloc: BinAllocation, cfg: SystemConfig):
 
 
 # One entry: a run serves one allocation, which validation warms, and a
-# validated scenario's transforms take up to MAX_REDUCED_TRANSFORM_BYTES (256 MiB).
+# validated scenario's transforms take up to scenario.MAX_ARRAY_BYTES (256 MiB).
 @functools.lru_cache(maxsize=1)
 def _modified_sfft(alloc: BinAllocation, n: int, m: int) -> ModifiedSfft:
     return build_modified_sfft(alloc.zero_mask(n, m))
@@ -119,7 +119,7 @@ def tf_block_channel(paths, cfg: SystemConfig, pair_gains: np.ndarray) -> np.nda
 
 
 # One entry: a run serves one (paths, config), and a validated scenario's
-# grids take up to MAX_GRID_STACK_BYTES (256 MiB).
+# grids take up to scenario.MAX_ARRAY_BYTES (256 MiB).
 @functools.lru_cache(maxsize=1)
 def _path_tf_grids(paths: tuple, cfg: SystemConfig) -> np.ndarray:
     """The paths' flattened TF grids, shape (J, N M), read-only."""

@@ -1,7 +1,8 @@
 """Fisher information and Cramer-Rao lower bounds for target parameters.
 
-Parameters per target are theta = [tau, nu, u, phi] with u = pi*sin(angle)
-(half-wavelength arrays) and phi the lumped phase of the combined transmit
+Parameters per target are theta = [tau, nu, u, phi] with u = 2*pi*g_r*sin(angle)
+/ lambda the phase step between receive antennas (pi*sin(angle) at the default
+half-wavelength spacing) and phi the lumped phase of the combined transmit
 response. The asymptotic (on-grid, large-array) information matrix admits
 closed-form diagonal bounds after block inversion.
 """
@@ -60,14 +61,17 @@ def crlb_report(cfg: SystemConfig, snr_db: float,
                 ref_angle_rad: float = 0.0) -> dict:
     """Closed-form bounds plus range/velocity/angle-domain conversions.
 
-    The angle bound linearizes u = pi*sin(phi) at ``ref_angle_rad``:
-    var(phi) ~ var(u) / (pi cos(phi))^2.
+    The angle bound linearizes u = 2 pi g_r sin(phi) / lambda at
+    ``ref_angle_rad``: var(phi) ~ var(u) / (2 pi g_r cos(phi) / lambda)^2.
     """
     out = crlb_closed_form(cfg, snr_db)
     lam = cfg.wavelength_m
     out["range_crlb_m2"] = (SPEED_OF_LIGHT / 2.0) ** 2 * out["tau_crlb"]
     out["velocity_crlb_mps2"] = (lam / 2.0) ** 2 * out["nu_crlb"]
-    out["angle_crlb_rad2"] = out["omega_crlb"] / (np.pi * np.cos(ref_angle_rad)) ** 2
+    # 2 g_r / lambda is exactly 1 at the default spacing, so the bound is
+    # omega / (pi cos(phi))^2 to the bit there
+    du_dphi = np.pi * (2.0 * cfg.g_r / lam) * np.cos(ref_angle_rad)
+    out["angle_crlb_rad2"] = out["omega_crlb"] / du_dphi ** 2
     return out
 
 

@@ -250,8 +250,9 @@ def _dd_correlation(cell: Cell):
     x, rx_tf = cell.scene
     res = resolution_report(cfg)
     names = ("angle_abs_err_sin", "range_abs_err_m", "velocity_abs_err_mps")
-    limits = (2.0 / (est.dft_pad_factor * cfg.n_rx) + 1e-12, res["range_resolution_m"],
-              res["velocity_resolution_mps"])
+    # one padded-DFT bin in sine, lambda / (g_r K): 2 / K at half-wavelength spacing
+    limits = ((cfg.wavelength_m / cfg.g_r) / (est.dft_pad_factor * cfg.n_rx) + 1e-12,
+              res["range_resolution_m"], res["velocity_resolution_mps"])
     # one peak per angle (validation holds peaks_per_angle to 1)
     estimates = coarse_pipeline(rx_tf, x, cfg, n_angles=len(targets),
                                 pad_factor=est.dft_pad_factor)

@@ -27,22 +27,13 @@ from .exceptions import ConfigValidationError, OtfsIsacError
 from .experiments import KINDS
 from .schema import COUNT, NON_NEGATIVE, POSITIVE, from_json, param, to_json
 from .virtual_array import (COLUMN_CAP, DEFAULT_N_SOLVERS, DEFAULT_SWEEPS, AxisSpec,
-                            NeighborhoodSpec, _box_axes)
+                            NeighborhoodSpec, _box_axes, _pair_table_bytes)
 
-# Bound on the bytes of the reduced-transform corrections that validation
-# builds (N * M * sum_i |Z_i| complex values); a 64x128 grid with four diagonal
-# private bins needs 1.5 MiB.
-MAX_REDUCED_TRANSFORM_BYTES = 256 * 2 ** 20
-# Bound on the bytes of the largest grid stack a run allocates: the radar
-# receive stack (N_r * N * M), the comm channel blocks (N_c * N_t * N * M), the
-# LMMSE systems [Gram | rhs] (N_t * (N_t + 1) * N * M) and, for a kind with a
-# comm link, the TF grids of its J paths (J * N * M, kept for the whole run)
-# complex values; no other array of the comm chain is larger than these. The shipped
-# 64x128 scenarios need 4 MiB. The arrays that the estimator counts size share the
-# bound: the coarse angle spectrum (dft_pad_factor * N_r complex bins, 4 KiB
-# shipped) and what each SSR solver keeps (SOLVER_RECORD_BYTES plus
-# 48 bytes per target: its 3 integer window starts and 3 float point values).
-MAX_GRID_STACK_BYTES = 256 * 2 ** 20
+# Bound on the bytes of each array that ``_check_sizes`` counts: the largest
+# per-frame grid stack, the reduced transforms, the coarse angle spectrum, the
+# SSR solver records and the SSR private-bin pair tables. The shipped 64x128
+# scenarios need at most 4 MiB of any of them.
+MAX_ARRAY_BYTES = 256 * 2 ** 20
 # Bytes of one averaged_ssr solver_estimates record besides its 24 B of point
 # values per target: the (points, residual) tuple, the points array, the
 # residual float and the list slot. tracemalloc measured 240, 268 and 291 B
@@ -172,9 +163,11 @@ def _check(errors, condition, message):
     return condition
 
 
-def _mib(nbytes: int) -> int:
-    """Whole MiB, rounded up, so a size over a bound never reads as the bound."""
-    return -(-nbytes // 2 ** 20)
+def _mib(nbytes: int) -> str:
+    """Whole MiB, rounded up, so a size over a bound never reads as the bound;
+    past 10^12, which str() may not be able to write, 'over 10^12'."""
+    mib = -(-nbytes // 2 ** 20)
+    return str(mib) if mib <= 10 ** 12 else "over 10^12"
 
 
 def _check_name(errors, name):
@@ -212,10 +205,56 @@ def _check_unaliased(errors, kind: str, targets, cfg: SystemConfig):
                f"m/s, outside {unambiguous}")
 
 
+def _search_box(errors, scenario: Scenario) -> NeighborhoodSpec | None:
+    """The search box the run builds, centred at 0: the checks do not depend
+    on the centre. None, with one error per invalid axis, where it cannot be
+    built."""
+    axes = []
+    for key, (step, width) in _box_axes(scenario.system, scenario.estimator).items():
+        try:
+            axes.append(AxisSpec(0.0, step, width))
+        except ValueError as exc:
+            errors.append(f"estimator.{key}: {exc}, in the run's rad, Hz or s")
+    return NeighborhoodSpec(*axes) if len(axes) == 3 else None
+
+
+def _check_sizes(scenario: Scenario) -> list:
+    """An error for each array of the run over ``MAX_ARRAY_BYTES``, counted
+    from the fields before anything is built. A frame's largest grid stack
+    holds N*M complex values per radar receive antenna, comm channel block,
+    row of the LMMSE systems [Gram | rhs] or target of a radar frame or comm
+    link; no other array of a frame is larger. Each SSR solver keeps a record
+    and 48 B per target, its 3 window starts and 3 point values."""
+    cfg, est, kind = scenario.system, scenario.estimator, KINDS[scenario.experiment_kind]
+    bins, count = scenario.allocation.private_bins, scenario.allocation.diagonal_private_bins
+    n_private = (len(bins) if bins is not None
+                 else min(cfg.n_tx, cfg.n_tx if count is None else count))
+    n_paths = len(scenario.targets) if kind.draw is not None or kind.comm_link else 0
+    grid, nm = f"a {cfg.n_doppler}x{cfg.m_delay} grid with", cfg.n_doppler * cfg.m_delay
+    counts = f"n_tx={cfg.n_tx}, n_rx={cfg.n_rx}, n_comm_rx={cfg.n_comm_rx}"
+    counts += f" and {n_paths} targets" if n_paths else ""
+    rows = [("system", f"{grid} {counts}", "per grid stack", 16 * nm * max(
+                cfg.n_rx, cfg.n_comm_rx * cfg.n_tx, cfg.n_tx * (cfg.n_tx + 1), n_paths)),
+            ("allocation", f"{grid} {n_private} private bins of n_tx={cfg.n_tx} antennas",
+             "of reduced transforms", 16 * nm * n_private * (cfg.n_tx - 1)),
+            ("estimator.dft_pad_factor", est.dft_pad_factor, "of angle spectrum",
+             16 * est.dft_pad_factor * cfg.n_rx),
+            ("estimator.n_solvers", est.n_solvers, "of SSR solver state",
+             est.n_solvers * (SOLVER_RECORD_BYTES + 48 * max(1, len(scenario.targets))))]
+    box = _search_box([], scenario) if kind.boxes is not None else None
+    if box is not None:     # _check_estimator reports an invalid box
+        rows.append(("allocation", f"{n_private} private bins", "of SSR pair tables",
+                     _pair_table_bytes(box, kind.n_boxes(scenario), n_private,
+                                       est.n_solvers)))
+    return [f"{field}: {what} needs {_mib(nbytes)} MiB {array}, over the "
+            f"{MAX_ARRAY_BYTES // 2 ** 20} MiB bound"
+            for field, what, array, nbytes in rows if nbytes > MAX_ARRAY_BYTES]
+
+
 def _check_allocation(errors, scenario: Scenario):
     """At most one bin form, a diagonal count up to n_tx, distinct bins of
-    existing antennas inside the grid, at least one private bin for a kind
-    that refines by SSR, and reduced transforms within bound."""
+    existing antennas inside the grid, and at least one private bin for a
+    kind that refines by SSR."""
     spec, cfg = scenario.allocation, scenario.system
     count = spec.diagonal_private_bins
     if spec.private_bins is not None and count is not None:
@@ -239,38 +278,18 @@ def _check_allocation(errors, scenario: Scenario):
         if not (n < cfg.n_doppler and m < cfg.m_delay):
             errors.append(f"allocation: bin {(n, m)} outside "
                           f"{cfg.n_doppler}x{cfg.m_delay} grid")
-    n_zeroed = sum(len(z) for z in alloc.zero_bins)
-    transform_bytes = cfg.n_doppler * cfg.m_delay * n_zeroed * 16
-    _check(errors, transform_bytes <= MAX_REDUCED_TRANSFORM_BYTES,
-           f"system: a {cfg.n_doppler}x{cfg.m_delay} grid with {n_zeroed} "
-           f"zero-forced bins needs {_mib(transform_bytes)} MiB of reduced "
-           f"transforms, over the {MAX_REDUCED_TRANSFORM_BYTES // 2 ** 20} MiB bound")
 
 
 def _check_estimator(errors, scenario: Scenario):
-    """What the counts allocate within bound, search boxes the run can build
-    with at most ``COLUMN_CAP`` SSR columns, and one peak per angle for a kind
-    that pairs one peak with each target."""
+    """Search boxes the run can build with at most ``COLUMN_CAP`` SSR
+    columns, one peak per angle for a kind that pairs one peak with each
+    target, and more receive antennas than angles for the demo, whose coarse
+    stage has no failure rows."""
     est, n_rx, kind = scenario.estimator, scenario.system.n_rx, scenario.experiment_kind
-    # bytes per unit of the counts that size what a run allocates and keeps
-    for key, unit_bytes, array in (
-            ("dft_pad_factor", 16 * n_rx, "angle spectrum"),
-            ("n_solvers", SOLVER_RECORD_BYTES + 48 * max(1, len(scenario.targets)),
-             "SSR solver state")):
-        value = getattr(est, key)
-        _check(errors, value * unit_bytes <= MAX_GRID_STACK_BYTES,
-               f"estimator.{key}: {value} needs {_mib(value * unit_bytes)} "
-               f"MiB of {array}, over the {MAX_GRID_STACK_BYTES // 2 ** 20} MiB bound")
-    # the boxes the run builds, centred at 0: the check does not depend on the centre
-    axes = []
-    for key, (step, width) in _box_axes(scenario.system, est).items():
-        try:
-            axes.append(AxisSpec(0.0, step, width))
-        except ValueError as exc:
-            errors.append(f"estimator.{key}: {exc}, in the run's rad, Hz or s")
-    if len(axes) == 3:
+    box = _search_box(errors, scenario)
+    if box is not None:
         # the columns that averaged_ssr caps; a count can have hundreds of digits
-        columns = KINDS[kind].n_boxes(scenario) * NeighborhoodSpec(*axes).n_columns
+        columns = KINDS[kind].n_boxes(scenario) * box.n_columns
         _check(errors, columns <= COLUMN_CAP,
                f"estimator.angle_step_deg/angle_width_deg/doppler_step_bins/"
                f"doppler_width_bins/delay_step_bins/delay_width_bins: the {kind} "
@@ -279,6 +298,10 @@ def _check_estimator(errors, scenario: Scenario):
     _check(errors, not KINDS[kind].one_peak or est.peaks_per_angle == 1,
            f"estimator.peaks_per_angle: {kind} pairs one estimate with each "
            f"target and needs 1, got {est.peaks_per_angle}")
+    n_angles = est.n_angles or 1
+    _check(errors, kind != "demo-spectrum" or n_rx > n_angles,
+           f"system.n_rx: demo-spectrum looks for {n_angles} angle(s) and needs "
+           f"more receive antennas, got {n_rx}")
 
 
 def scenario_from_dict(raw: dict, name: str | None = None) -> Scenario:
@@ -296,17 +319,10 @@ def scenario_from_dict(raw: dict, name: str | None = None) -> Scenario:
     cfg, kind = scenario.system, scenario.experiment_kind
     _check_name(errors, scenario.name)
     _check(errors, scenario.snr_db_values, "snr_db_values: expected a non-empty list")
-    n_paths = len(scenario.targets) if KINDS[kind].comm_link else 0
-    stack_bytes = cfg.n_doppler * cfg.m_delay * 16 * max(
-        cfg.n_rx, cfg.n_comm_rx * cfg.n_tx, cfg.n_tx * (cfg.n_tx + 1), n_paths)
-    counts = f"n_tx={cfg.n_tx}, n_rx={cfg.n_rx}, n_comm_rx={cfg.n_comm_rx}"
-    counts += f" and {n_paths} targets (path grids)" if n_paths else ""
-    if not _check(errors, stack_bytes <= MAX_GRID_STACK_BYTES,
-                  f"system: a {cfg.n_doppler}x{cfg.m_delay} grid with {counts} needs "
-                  f"{_mib(stack_bytes)} MiB per grid stack, over the "
-                  f"{MAX_GRID_STACK_BYTES // 2 ** 20} MiB bound"):
+    sizes = _check_sizes(scenario)
+    if sizes:
         # stop here: the allocation builds n_tx per-antenna sets
-        raise ConfigValidationError(errors)
+        raise ConfigValidationError(errors + sizes)
     _check_allocation(errors, scenario)
     _check_estimator(errors, scenario)
     fewest, most = KINDS[kind].targets

@@ -629,6 +629,33 @@ def angle_surface(snapshot: VirtualSnapshot, spec: NeighborhoodSpec, estimate,
     return np.abs(grid.columns(np.arange(grid.angles.size), iv, it).conj() @ y) / grid.norm
 
 
+def _pair_table_bytes(spec: NeighborhoodSpec, n_boxes: int, n_bins: int,
+                      n_solvers: int) -> int:
+    """Upper bound on the bytes of the Doppler-delay tables of an
+    :func:`averaged_ssr` call with ``n_boxes`` boxes of ``spec``'s shape and
+    ``n_bins`` private bins, which grow with the square of ``n_bins``.
+
+    Each box's ``_FactoredGrid`` keeps, per superset Doppler-delay cell, 16 B
+    per private bin twice (``h``, ``h_ri``) and 16 B per pair of bins
+    (``hh_ri``); building the last one holds the pair product's two complex
+    factors and the product as well. Each sweep's projection gathers the pair
+    table at a block's scored cells, 16 B per pair, solver and distinct
+    column (at most a window's cells; a block holds at most
+    ``CELL_BUDGET // A`` solver-columns unless one solver alone is more, for
+    A window angles), and pairs the angle terms of the other boxes' picks:
+    three complex arrays of (solvers, pairs, n_boxes - 1, A).
+    """
+    n_pairs = n_bins * (n_bins - 1) // 2
+    angles, cells = spec.angle.n_points, spec.doppler.n_points * spec.delay.n_points
+    lattice = spec.doppler.n_superset * spec.delay.n_superset
+    tables = 16 * lattice * (2 * n_bins * n_boxes + n_pairs * (n_boxes + 2))
+    if n_boxes < 2:     # no sweep, so no projection
+        return tables
+    solvers = min(n_solvers, MAX_BLOCK)
+    solver_columns = min(solvers * cells, max(CELL_BUDGET // angles, cells))
+    return tables + 16 * n_pairs * (solver_columns + 3 * solvers * (n_boxes - 1) * angles)
+
+
 def _box_axes(cfg: SystemConfig, est) -> dict:
     """Per axis of the search box of the ``scenario.EstimatorSettings`` ``est``, in
     NeighborhoodSpec's order: its width field and (step, width) in rad, Hz and s."""

@@ -142,6 +142,55 @@ def test_deeply_nested_json_is_invalid_scenario(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def ssr_close_with_bins(n_bins):
+    """ssr_close_angles.json with ``n_bins`` private bins at distinct random
+    TF bins, dealt to its 4 antennas in turn; the 160 of seed 0 pass the
+    reduced-transform rank check."""
+    raw = json.loads((SCENARIO_DIR / "ssr_close_angles.json").read_text())
+    flat = np.random.default_rng(0).choice(64 * 128, size=n_bins, replace=False)
+    return dict(raw, allocation={"private_bins": [[k % 4, [int(f) // 128, int(f) % 128]]
+                                                  for k, f in enumerate(flat)]})
+
+
+def shipped_with(name, **fields):
+    return dict(json.loads((SCENARIO_DIR / name).read_text()), **fields)
+
+
+@pytest.mark.parametrize("raw, fields", [
+    # 2,100 target grids of the radar frame: 263 MiB
+    (shipped_with("coarse_three_targets.json",
+                  targets=shipped_with("coarse_three_targets.json")["targets"] * 700),
+     ["system"]),
+    (ssr_close_with_bins(160), ["allocation"]),    # the pair tables: 1.8 GiB for 8 solvers
+    (ssr_close_with_bins(400), ["allocation"]),
+    (scenario_raw(experiment_kind="demo-spectrum",
+                  system={"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 1},
+                  targets=[{"angle_deg": 10.0, "range_m": 50.0, "velocity_mps": 5.0}],
+                  allocation={"diagonal_private_bins": 2}), ["system.n_rx"]),
+    # grid stacks and reduced transforms of 10^8000 bins, sizes str() cannot write
+    (shipped_with("comm_ber.json", system={"n_doppler": 10 ** 4000, "m_delay": 10 ** 4000}),
+     ["system", "allocation"]),
+], ids=["2100-targets", "160-private-bins", "400-private-bins", "demo-one-rx",
+        "4000-digit-grid"])
+def test_validate_config_rejects_what_the_run_cannot_hold(tmp_path, capsys, raw, fields):
+    """None of these can run: the first three hold arrays over the size
+    bound, the demo's coarse stage would raise TooManyTargets, and the grid's
+    sizes have too many digits for str(). Each is one invalid-scenario line."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate-config", "--scenario", str(path)]) == 1
+    error = cli_error(capsys)
+    assert error["error"] == "invalid-scenario"
+    assert [detail.split(": ")[0] for detail in error["details"]] == fields, error
+
+
+def test_validate_config_accepts_20_private_bins(tmp_path, capsys):
+    """ssr_close_angles with 20 scattered private bins peaks at 32 MiB for 8 solvers."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(ssr_close_with_bins(20)))
+    assert main(["validate-config", "--scenario", str(path)]) == 0, capsys.readouterr().err
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     assert main(["validate-config", "--scenario",
                  str(tmp_path / "missing.json")]) == 1

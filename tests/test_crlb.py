@@ -108,3 +108,24 @@ def test_single_sample_axis_has_infinite_bound(field, key):
     if field != "n_rx":    # N_r also scales the common factor
         assert {k: v for k, v in bounds.items() if k != key} == {
             k: v for k, v in reference.items() if k != key}
+
+
+def test_angle_bound_follows_the_receive_spacing():
+    """The spatial-frequency bound converts to an angle bound through the
+    receive antennas' phase step 2 pi g_r cos(phi) / lambda: pi cos(phi), to
+    the bit, at the default half-wavelength spacing, and a bound four times
+    larger at lambda / 4."""
+    half = SystemConfig()
+    quarter = SystemConfig(rx_spacing_m=half.wavelength_m / 4)
+    phi = 0.3
+    bounds = {}
+    for cfg in (half, quarter):
+        out = crlb_report(cfg, 10.0, ref_angle_rad=phi)
+        step = 2 * np.pi * cfg.g_r * np.cos(phi) / cfg.wavelength_m
+        assert out["angle_crlb_rad2"] == pytest.approx(out["omega_crlb"] / step ** 2,
+                                                       rel=1e-12)
+        bounds[cfg] = out
+    assert bounds[half]["angle_crlb_rad2"] == (
+        bounds[half]["omega_crlb"] / (np.pi * np.cos(phi)) ** 2)
+    assert bounds[quarter]["angle_crlb_rad2"] == pytest.approx(
+        4 * bounds[half]["angle_crlb_rad2"], rel=1e-12)

@@ -12,14 +12,17 @@ import sys
 import threading
 import types
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import otfs_isac
 from otfs_isac import experiments
+from otfs_isac.coarse import CoarseEstimate
 from otfs_isac.comm import symbol_capacity, transmit_chain
-from otfs_isac.config import substream
+from otfs_isac.config import SystemConfig, substream
 from otfs_isac.exceptions import PeakSeparationFailure, TooManyTargets
 from otfs_isac.experiments import run_scenario
 from otfs_isac.scenario import scenario_from_dict
@@ -175,6 +178,27 @@ def test_run_frames_equal_the_synchronous_frame(tmp_path, monkeypatch, kind, sys
     for cell in frames:
         assert_frame_is_the_reference(cell, kind)
     assert_one_joined_worker(thread_starts)
+
+
+@pytest.mark.parametrize("bins, recovered", [(1.5, 1.0), (2.5, 0.0)])
+def test_dd_correlation_angle_tolerance_is_one_padded_bin(monkeypatch, bins, recovered):
+    """At quarter-wavelength receive spacing one padded-DFT bin is
+    lambda / (g_r K) = 4 / K in sine, twice the 2 / K of half-wavelength
+    arrays: an estimate 1.5 * (2 / K) off in sine is recovered, 2.5 * (2 / K)
+    is not."""
+    system = {"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 8,
+              "rx_spacing_m": SystemConfig().wavelength_m / 4}
+    sc = scenario_from_dict(small_raw(system=system))
+    cfg, target = sc.system, sc.paths[0]
+    k = sc.estimator.dft_pad_factor * cfg.n_rx
+    angle = np.arcsin(np.sin(target.angle_rad) + bins * 2 / k)
+    estimate = CoarseEstimate(angle, 0, 0, target.doppler_hz, target.delay_s,
+                              sc.targets[0].range_m, sc.targets[0].velocity_mps, 1.0)
+    monkeypatch.setattr(experiments, "coarse_pipeline", lambda *a, **kw: [estimate])
+    rows = dict(experiments._dd_correlation(
+        experiments.Cell(sc, 20.0, 0, 0, truth=list(sc.paths), scene=[None, None])))
+    assert rows["angle_abs_err_sin_t0"] == pytest.approx(bins * 2 / k)
+    assert rows["recovered_all"] == recovered
 
 
 def test_a_failed_frame_draw_raises_in_the_trial(tmp_path, capfd, monkeypatch, thread_starts):
@@ -606,11 +630,13 @@ def test_demo_spectrum_outputs(tmp_path):
 
 
 def test_demo_raises_the_coarse_stage_error(tmp_path):
-    """The demo has no failure rows: its coarse stage's own error stops it."""
+    """The demo has no failure rows: its coarse stage's own error stops it.
+    Validation rejects one receive antenna, so the scenario is built past it."""
     sc = scenario_from_dict(small_raw(
         experiment_kind="demo-spectrum",
-        system={"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 1},
+        system={"n_doppler": 8, "m_delay": 16, "n_tx": 2, "n_rx": 2},
         estimator={"n_angles": 1, "n_solvers": 2}))
+    sc = replace(sc, system=replace(sc.system, n_rx=1))
     with pytest.raises(TooManyTargets):
         run_scenario(sc, tmp_path)
 

@@ -329,6 +329,12 @@ def test_unnamed_file_named_after_its_stem(tmp_path):
      "allocation: ssr-velocity forms its virtual array"),
     ({"experiment_kind": "demo-spectrum", "allocation": {"private_bins": []}},
      "allocation: demo-spectrum forms its virtual array"),
+    # the demo's coarse stage has no failure rows: it needs more receive
+    # antennas than the angles it looks for
+    ({"experiment_kind": "demo-spectrum", "system": dict(SMALL_SYSTEM, n_rx=1)},
+     "system.n_rx: demo-spectrum looks for 1 angle(s)"),
+    ({"experiment_kind": "demo-spectrum", "estimator": {"n_angles": 8}},
+     "system.n_rx: demo-spectrum looks for 8 angle(s)"),
 ], ids=["targets-null", "estimator-list", "diagonal-negative", "diagonal-huge",
         "rx-spacing-zero", "rx-spacing-negative", "tx-spacing-zero",
         "tx-spacing-negative", "subcarrier-spacing-nan", "target-range-inf",
@@ -344,7 +350,8 @@ def test_unnamed_file_named_after_its_stem(tmp_path):
         "allocation-extra-key", "angle-width-3.5-steps", "doppler-width-3.33-steps",
         "kind-null", "ssr-lattice-over-cap", "dd-correlation-two-peaks",
         "ssr-angle-no-diagonal-bins", "ssr-angle-empty-bin-list",
-        "ssr-velocity-no-private-bins", "demo-spectrum-no-private-bins"])
+        "ssr-velocity-no-private-bins", "demo-spectrum-no-private-bins",
+        "demo-spectrum-one-rx", "demo-spectrum-as-many-angles-as-rx"])
 def test_malformed_input_is_a_validation_error(overrides, prefix):
     with pytest.raises(ConfigValidationError) as exc:
         scenario_from_dict(minimal_raw(**overrides))
@@ -368,14 +375,61 @@ def test_oversize_grid_rejected_before_building_transforms(monkeypatch):
     assert any(e.startswith("system:") and "MiB" in e for e in exc.value.errors)
 
 
-def test_grid_bound_counts_the_reduced_transform_bytes(monkeypatch):
-    # 8 x 16 grid, two antennas with one zero-forced bin each: 4096 bytes
-    monkeypatch.setattr(scenario_module, "MAX_REDUCED_TRANSFORM_BYTES", 4096)
-    scenario_from_dict(minimal_raw())
-    monkeypatch.setattr(scenario_module, "MAX_REDUCED_TRANSFORM_BYTES", 4095)
-    with pytest.raises(ConfigValidationError) as exc:
-        scenario_from_dict(minimal_raw())
-    assert any(e.startswith("system:") for e in exc.value.errors)
+TWO_TARGETS = [{"angle_deg": 5.0, "range_m": 50.0, "velocity_mps": 10.0},
+               {"angle_deg": -9.0, "range_m": 80.0, "velocity_mps": -20.0}]
+
+
+# One scenario per row of the size table, on 8 x 16 grids (2048 B a complex
+# grid), on which that row is the largest, and the row's bytes.
+@pytest.mark.parametrize("field, overrides, array_bytes", [
+    # a radar frame's 9 target grids, over the 2 receive grids
+    ("system", {"system": dict(SMALL_SYSTEM, n_tx=1, n_rx=2, n_comm_rx=1),
+                "targets": [{"angle_deg": 0.0, "range_m": 10.0 * j, "velocity_mps": 0.0}
+                            for j in range(9)],
+                "allocation": {"diagonal_private_bins": 0}, "estimator": {"n_solvers": 1}},
+     9 * 2048),
+    # 8 private bins of 2 antennas: 8 zero-forced bins
+    ("allocation", {"system": dict(SMALL_SYSTEM, n_rx=2, n_comm_rx=1),
+                    "allocation": {"private_bins": [[k // 4, [k, k]] for k in range(8)]},
+                    "estimator": {"n_solvers": 1}}, 8 * 2048),
+    ("estimator.dft_pad_factor", {"allocation": {"diagonal_private_bins": 0},
+                                  "estimator": {"dft_pad_factor": 512, "n_solvers": 1}},
+     512 * 8 * 16),    # 8 receive antennas, complex bins
+    # 2 targets: a 216 B record, 3 integer starts and 3 float point values each
+    ("estimator.n_solvers", {"targets": TWO_TARGETS, "allocation": {"diagonal_private_bins": 0},
+                             "estimator": {"n_solvers": 2048}}, 2048 * (216 + 2 * 6 * 8)),
+    # 2 private bins, 1 pair: 2 boxes of 41 x 41 superset Doppler-delay cells
+    # keep h, h_ri and hh_ri, and building the second holds 3 more pair
+    # tables; a block of 64 solvers gathers 7056 solver-columns (16 x 441
+    # cells of the 11-angle windows) and 3 arrays of 64 x 11 angle terms
+    ("allocation", {"experiment_kind": "ssr-angle", "targets": TWO_TARGETS},
+     16 * (41 * 41 * (2 * 2 * 2 + 1 * 4) + 1 * (7056 + 3 * 64 * 1 * 11))),
+], ids=["grid-stack", "reduced-transforms", "angle-spectrum", "solver-records",
+        "ssr-pair-tables"])
+def test_each_size_row_is_bounded_exactly(monkeypatch, field, overrides, array_bytes):
+    """Each row of the size table is accepted at exactly the bound and
+    rejected one byte over it, with one error in the table's message form
+    under the row's field, before the allocation or a transform is built."""
+    raw = minimal_raw(**overrides)
+    monkeypatch.setattr(scenario_module, "MAX_ARRAY_BYTES", array_bytes)
+    scenario_from_dict(raw)
+    monkeypatch.setattr(scenario_module, "MAX_ARRAY_BYTES", array_bytes - 1)
+
+    def build(*args):
+        pytest.fail("allocation or reduced transforms built past a size error")
+    for name in ("make_allocation", "diagonal_allocation", "modified_sfft"):
+        monkeypatch.setattr(scenario_module, name, build)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigValidationError) as exc:
+            scenario_from_dict(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    [error] = exc.value.errors
+    assert re.fullmatch(rf"{re.escape(field)}: .+ needs 1 MiB .+, over the 0 MiB bound",
+                        error), error
 
 
 @pytest.mark.parametrize("system", [
@@ -418,10 +472,9 @@ def test_grid_stack_bound_counts_the_largest_stack(monkeypatch, counts, grids):
         raw.update(experiment_kind="comm-ber",
                    targets=[{"angle_deg": 0.0, "range_m": 10.0 * j, "velocity_mps": 0.0}
                             for j in range(n_paths)])
-    monkeypatch.setattr(scenario_module, "MAX_GRID_STACK_BYTES", 8 * 16 * 16 * grids)
+    monkeypatch.setattr(scenario_module, "MAX_ARRAY_BYTES", 8 * 16 * 16 * grids)
     scenario_from_dict(raw)
-    monkeypatch.setattr(scenario_module, "MAX_GRID_STACK_BYTES",
-                        8 * 16 * 16 * grids - 1)
+    monkeypatch.setattr(scenario_module, "MAX_ARRAY_BYTES", 8 * 16 * 16 * grids - 1)
     with pytest.raises(ConfigValidationError) as exc:
         scenario_from_dict(raw)
     messages = [e for e in exc.value.errors if "per grid stack" in e]
@@ -448,24 +501,6 @@ def test_oversize_estimator_counts_rejected(field, value):
     assert peak < 2 ** 20
     assert any(e.startswith(f"estimator.{field}:") and "256 MiB bound" in e
                for e in exc.value.errors), exc.value.errors
-
-
-@pytest.mark.parametrize("field, value, array_bytes", [
-    ("dft_pad_factor", 512, 512 * 8 * 16),    # 8 receive antennas, complex bins
-    # 2 targets: a 216 B record, 3 integer starts and 3 float point values each
-    ("n_solvers", 2048, 2048 * (216 + 2 * 6 * 8)),
-])
-def test_estimator_count_bound_is_exact(monkeypatch, field, value, array_bytes):
-    two_targets = [{"angle_deg": 5.0, "range_m": 50.0, "velocity_mps": 10.0},
-                   {"angle_deg": -9.0, "range_m": 80.0, "velocity_mps": -20.0}]
-    raw = minimal_raw(targets=two_targets, allocation={"diagonal_private_bins": 0},
-                      estimator={field: value})
-    monkeypatch.setattr(scenario_module, "MAX_GRID_STACK_BYTES", array_bytes)
-    scenario_from_dict(raw)
-    monkeypatch.setattr(scenario_module, "MAX_GRID_STACK_BYTES", array_bytes - 1)
-    with pytest.raises(ConfigValidationError) as exc:
-        scenario_from_dict(raw)
-    assert [e.split(":")[0] for e in exc.value.errors] == [f"estimator.{field}"]
 
 
 @pytest.mark.parametrize("kind, field, value", [("dd-correlation", "trials", 10 ** 12),

@@ -570,29 +570,53 @@ def test_each_group_scores_its_least_penalty_cell(alloc, tied):
     assert (ties > 0) == tied
 
 
-def test_averaged_ssr_peak_memory_in_the_ssr_close_geometry():
-    """One call with the shipped ssr_close_angles geometry (64x128 grid,
-    3 neighborhoods, 64 solvers, 4 private bins, 16 Rx) allocates at most
-    11 MiB at its peak; keeping per-block copies of every solver's
-    Doppler-delay windows would exceed it."""
+def ssr_close_case(alloc=None):
+    """(snapshot, specs, cfg) of the shipped ssr_close_angles geometry: 64x128
+    grid, 16 Rx, three targets 2 degrees apart and their default boxes."""
     cfg = SystemConfig(n_doppler=64, m_delay=128, n_tx=4, n_rx=16)
     dnu, dtau = cfg.doppler_spacing_hz, cfg.delay_spacing_s
     targets = [Target(angle_rad=np.deg2rad(a), doppler_hz=(3.3 + 5 * k) * dnu,
                       delay_s=(4.6 + 7 * k) * dtau)
                for k, a in enumerate((12.0, 14.0, 16.0))]
-    snap, _, _ = make_snapshot(cfg, targets, snr_db=20.0, seed=0)
+    snap, _, _ = make_snapshot(cfg, targets, snr_db=20.0, seed=0, alloc=alloc)
     specs = [default_neighborhood(
         CoarseEstimate(np.deg2rad(13.0), 0, 0, round(t.doppler_hz / dnu) * dnu,
                        round(t.delay_s / dtau) * dtau, 0.0, 0.0, 1.0), cfg,
         EstimatorSettings())
         for t in targets]
+    return snap, specs, cfg
+
+
+def traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        averaged_ssr(snap, specs, cfg, n_solvers=64, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 11 * 2 ** 20
+
+
+def test_averaged_ssr_peak_memory_in_the_ssr_close_geometry():
+    """One call with the shipped ssr_close_angles geometry (64x128 grid,
+    3 neighborhoods, 64 solvers, 4 private bins, 16 Rx) allocates at most
+    11 MiB at its peak; keeping per-block copies of every solver's
+    Doppler-delay windows would exceed it."""
+    snap, specs, cfg = ssr_close_case()
+    assert traced_peak(lambda: averaged_ssr(snap, specs, cfg, n_solvers=64, seed=1)) \
+        <= 11 * 2 ** 20
+
+
+@pytest.mark.parametrize("n_solvers", [1, 8, 64])
+def test_pair_table_bytes_bound_the_traced_peak(n_solvers):
+    """With 20 scattered private bins, 190 pairs, the Doppler-delay tables
+    hold most of an averaged_ssr call's memory in the ssr_close_angles
+    geometry, and validation's row for them is not below its traced peak
+    (27, 31 and 45 MiB against rows of 29, 39 and 60 MiB)."""
+    flat = np.random.default_rng(0).choice(64 * 128, size=20, replace=False)
+    alloc = make_allocation(4, [(k % 4, divmod(int(f), 128)) for k, f in enumerate(flat)])
+    snap, specs, cfg = ssr_close_case(alloc)
+    peak = traced_peak(lambda: averaged_ssr(snap, specs, cfg, n_solvers=n_solvers, seed=1))
+    assert peak <= virtual_array._pair_table_bytes(specs[0], 3, 20, n_solvers)
 
 
 def test_small_windows_keep_the_block_and_its_memory_bounded():
