@@ -27,12 +27,12 @@ from .exceptions import ConfigValidationError, OtfsIsacError
 from .experiments import KINDS
 from .schema import COUNT, NON_NEGATIVE, POSITIVE, from_json, param, to_json
 from .virtual_array import (COLUMN_CAP, DEFAULT_N_SOLVERS, DEFAULT_SWEEPS, AxisSpec,
-                            NeighborhoodSpec, _box_axes, _pair_table_bytes)
+                            NeighborhoodSpec, _box_axes, _ssr_table_bytes)
 
 # Bound on the bytes of each array that ``_check_sizes`` counts: the largest
 # per-frame grid stack, the reduced transforms, the coarse angle spectrum, the
-# SSR solver records and the SSR private-bin pair tables. The shipped 64x128
-# scenarios need at most 4 MiB of any of them.
+# SSR solver records and the SSR scoring arrays. The shipped 64x128
+# scenarios need at most 8 MiB of any of them.
 MAX_ARRAY_BYTES = 256 * 2 ** 20
 # Bytes of one averaged_ssr solver_estimates record besides its 24 B of point
 # values per target: the (points, residual) tuple, the points array, the
@@ -242,10 +242,11 @@ def _check_sizes(scenario: Scenario) -> list:
             ("estimator.n_solvers", est.n_solvers, "of SSR solver state",
              est.n_solvers * (SOLVER_RECORD_BYTES + 48 * max(1, len(scenario.targets))))]
     box = _search_box([], scenario) if kind.boxes is not None else None
-    if box is not None:     # _check_estimator reports an invalid box
-        rows.append(("allocation", f"{n_private} private bins", "of SSR pair tables",
-                     _pair_table_bytes(box, kind.n_boxes(scenario), n_private,
-                                       est.n_solvers)))
+    n_boxes = kind.n_boxes(scenario)
+    # _check_estimator reports an invalid box and boxes over COLUMN_CAP
+    if box is not None and n_boxes * box.n_columns <= COLUMN_CAP:
+        rows.append(("allocation", f"{n_private} private bins", "of SSR scoring arrays",
+                     _ssr_table_bytes(box, n_boxes, n_private, cfg.n_rx, est.n_solvers)))
     return [f"{field}: {what} needs {_mib(nbytes)} MiB {array}, over the "
             f"{MAX_ARRAY_BYTES // 2 ** 20} MiB bound"
             for field, what, array, nbytes in rows if nbytes > MAX_ARRAY_BYTES]

@@ -259,16 +259,14 @@ class _FactoredGrid:
         # the last factor is common to all private bins, a unit phase per
         # column, so it drops out of every |column^H v|. Scoring works on
         # conj(sw) (n_bins, n_rx, n_angles) per angle, and over the
-        # Doppler-delay lattice on h_p = conj(D_p E_p) and, for projections,
-        # on h_p conj(h_q) over private-bin pairs p < q, both as stacked real
-        # and imaginary parts: (2 n_bins, ...) and (2 n_pairs, ...).
+        # Doppler-delay lattice on h_p = conj(D_p E_p) as stacked real and
+        # imaginary parts, (2 n_bins, V_s * T_s): every score, projections
+        # included, is a sum of |column^H v|^2 over single vectors v.
         self.swc = self.sw.conj().transpose(1, 2, 0)
         dc = np.exp(-2j * np.pi * dt * np.outer(n_p, self.dopplers))
         ec = np.exp(2j * np.pi * df * np.outer(m_p, self.delays))
         h = dc[:, :, None] * ec[:, None, :]
-        self.pairs = np.triu_indices(n_bins, 1)
-        self.h_ri = _stack_ri(h)
-        self.hh_ri = _stack_ri(h[self.pairs[0]] * h[self.pairs[1]].conj())
+        self.h_ri = np.concatenate([h.real, h.imag]).reshape(2 * n_bins, -1)
 
     def columns(self, ia, iv, it) -> np.ndarray:
         """Weighted columns at superset indices of one shape S: (*S, N_p * N_r)."""
@@ -280,21 +278,16 @@ class _FactoredGrid:
 
 
 def _angle_terms(swc: np.ndarray, vectors: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """a[s, p, c, i] = sum_n conj(sw[p, n, angles[s, i]]) v[s, c, (p, n)].
+    """a[s, p, i] = sum_n conj(sw[p, n, angles[s, i]]) v[s, (p, n)].
 
     ``swc`` is the grid's whole (N_p, N_r, n_angles) conjugated spatial
     factor: one matmul per private bin forms the terms at every angle, and
     each solver s keeps those of its own ``angles[s]``."""
-    s, c = vectors.shape[:2]
+    s = len(vectors)
     n_bins, n_rx, n_angles = swc.shape
-    a = vectors.reshape(s * c, n_bins, n_rx).transpose(1, 0, 2) @ swc
-    index = (np.arange(s * c) * n_angles).reshape(s, c, 1) + angles[:, None, :]
-    return np.take(a.reshape(n_bins, -1), index, axis=1).transpose(1, 0, 2, 3)
-
-
-def _stack_ri(x: np.ndarray) -> np.ndarray:
-    """Real and imaginary parts of (K, ...) stacked along axis 0: (2 K, ...)."""
-    return np.concatenate([x.real, x.imag])
+    a = vectors.reshape(s, n_bins, n_rx).transpose(1, 0, 2) @ swc
+    index = (np.arange(s) * n_angles)[:, None] + angles
+    return np.take(a.reshape(n_bins, -1), index, axis=1).transpose(1, 0, 2)
 
 
 def _lattice_power(a: np.ndarray, h_ri: np.ndarray) -> np.ndarray:
@@ -305,9 +298,9 @@ def _lattice_power(a: np.ndarray, h_ri: np.ndarray) -> np.ndarray:
     imaginary parts of the Doppler-delay factor h_p at its n_dd scored
     Doppler-delay cells. The correlation sum_p a_p h_p is one real batched
     matmul. Returns (S, n_angle * n_dd) in (angle, cell) order. The correlation is
-    summed before squaring, unlike the projection's Hermitian form, so a
-    column nearly orthogonal to v keeps a near-zero power: divided by a
-    small denominator, it must not become a large score.
+    summed before squaring, so a column nearly orthogonal to v keeps a
+    near-zero power: divided by a small denominator, it must not become a
+    large score.
     """
     s, n_bins, n_angle = a.shape
     a = a.transpose(0, 2, 1)
@@ -320,30 +313,6 @@ def _lattice_power(a: np.ndarray, h_ri: np.ndarray) -> np.ndarray:
     power = corr[:, :n_angle]
     power += corr[:, n_angle:]
     return power.reshape(s, -1)
-
-
-def _lattice_projection(a: np.ndarray, hh_ri: np.ndarray, pairs: tuple) -> np.ndarray:
-    """sum_j |column^H q_j|^2 over S solvers' scored cells.
-
-    ``a`` (S, N_p, J, n_angle) holds the angle terms
-    a_pj = sum_n conj(sw_pn) q_pnj of each solver's J vectors, and
-    ``hh_ri`` (S, 2 n_pairs, n_dd) the pair products h_p conj(h_q) at its
-    scored cells as stacked real and imaginary parts. The sum is
-    sum_pj |a_pj|^2 + 2 Re sum_{p<q} sum_j a_pj conj(a_qj) conj(g_p) g_q,
-    one real batched matmul for all J. It loses absolute accuracy where the
-    sum nearly cancels, which only perturbs the denominator
-    norm^2 - projection at the level its rounding already has.
-    """
-    s, _, _, n_angle = a.shape
-    n_pairs = len(pairs[0])
-    cross = (a[:, pairs[0]] * a[:, pairs[1]].conj()).sum(axis=2)  # (S, n_pairs, n_angle)
-    cross = cross.transpose(0, 2, 1)
-    # Re(cross @ hh) from rows [Re cross, -Im cross]
-    lhs = np.empty((s, n_angle, 2, n_pairs))
-    lhs[:, :, 0], lhs[:, :, 1] = 2.0 * cross.real, -2.0 * cross.imag
-    proj = np.matmul(lhs.reshape(s, n_angle, 2 * n_pairs), hh_ri)
-    proj += (a.real ** 2 + a.imag ** 2).sum(axis=(1, 2))[:, :, None]
-    return proj.reshape(s, -1)
 
 
 class _WindowStack:
@@ -380,23 +349,12 @@ class _WindowStack:
                    + grid.dd_penalty.take(self.cells)[:, None, :])
         self.penalty2 = ((1.0 + 1e-3 * penalty) ** 2).reshape(len(starts), -1)
 
-    def dd_factor(self, table: np.ndarray, sel) -> np.ndarray:
-        """A (K, V_s, T_s) Doppler-delay table of the grid at the scored
-        cells of solvers ``sel``: (S, K, J)."""
-        k, n_doppler, n_delay = table.shape
-        return np.take(table.reshape(k, n_doppler * n_delay), self.cells[sel],
-                       axis=1).transpose(1, 0, 2)
-
     def power(self, vectors: np.ndarray, sel) -> np.ndarray:
-        """|column^H v|^2 over the scored cells of solvers ``sel``: (S, A * J)."""
-        a = _angle_terms(self.grid.swc, vectors[:, None], self.angles[sel])[:, :, 0]
-        return _lattice_power(a, self.dd_factor(self.grid.h_ri, sel))
-
-    def projection(self, q: np.ndarray, sel) -> np.ndarray:
-        """sum_j |column^H q_j|^2 over the scored cells of solvers ``sel``."""
-        a = _angle_terms(self.grid.swc, q.swapaxes(1, 2), self.angles[sel])
-        return _lattice_projection(a, self.dd_factor(self.grid.hh_ri, sel),
-                                   self.grid.pairs)
+        """|column^H v|^2 over the scored cells of solvers ``sel``, one
+        vector v per solver: (S, A * J)."""
+        a = _angle_terms(self.grid.swc, vectors, self.angles[sel])
+        h_ri = np.take(self.grid.h_ri, self.cells[sel], axis=1).transpose(1, 0, 2)
+        return _lattice_power(a, h_ri)
 
     def cell(self, arg: np.ndarray, sel) -> np.ndarray:
         """The window-local flat cells of scored-cell indices ``arg`` of
@@ -503,8 +461,8 @@ def _solve_block(y: np.ndarray, wins: list, sweeps: int) -> tuple:
             others = np.delete(cols[sel], tid, axis=1).swapaxes(1, 2)
             q, resid_perp = _residual_perp(y, others)
             # scores^2 = |col^H r_perp|^2 / ((norm^2 - |Q^H col|^2) penalty^2)
-            den2 = win.projection(q, sel)
-            np.subtract(win.grid.norm ** 2, den2, out=den2)
+            den2 = win.grid.norm ** 2 - sum(win.power(q[:, :, j], sel)
+                                             for j in range(q.shape[2]))
             np.maximum(den2, PERP_FLOOR * win.grid.norm ** 2, out=den2)
             den2 *= win.penalty2[sel]
             scores = win.power(resid_perp, sel)
@@ -629,31 +587,37 @@ def angle_surface(snapshot: VirtualSnapshot, spec: NeighborhoodSpec, estimate,
     return np.abs(grid.columns(np.arange(grid.angles.size), iv, it).conj() @ y) / grid.norm
 
 
-def _pair_table_bytes(spec: NeighborhoodSpec, n_boxes: int, n_bins: int,
-                      n_solvers: int) -> int:
-    """Upper bound on the bytes of the Doppler-delay tables of an
-    :func:`averaged_ssr` call with ``n_boxes`` boxes of ``spec``'s shape and
-    ``n_bins`` private bins, which grow with the square of ``n_bins``.
+def _ssr_table_bytes(spec: NeighborhoodSpec, n_boxes: int, n_bins: int, n_rx: int,
+                     n_solvers: int) -> int:
+    """Upper bound on the bytes of an :func:`averaged_ssr` call with
+    ``n_boxes`` boxes of ``spec``'s shape, ``n_bins`` private bins and
+    ``n_rx`` receive antennas, linear in ``n_bins``.
 
-    Each box's ``_FactoredGrid`` keeps, per superset Doppler-delay cell, 16 B
-    per private bin twice (``h``, ``h_ri``) and 16 B per pair of bins
-    (``hh_ri``); building the last one holds the pair product's two complex
-    factors and the product as well. Each sweep's projection gathers the pair
-    table at a block's scored cells, 16 B per pair, solver and distinct
-    column (at most a window's cells; a block holds at most
-    ``CELL_BUDGET // A`` solver-columns unless one solver alone is more, for
-    A window angles), and pairs the angle terms of the other boxes' picks:
-    three complex arrays of (solvers, pairs, n_boxes - 1, A).
+    Each box's ``_FactoredGrid`` keeps ``h_ri``, 16 B per private bin and
+    superset Doppler-delay cell, and its spatial factor and its conjugate,
+    32 B per virtual element and superset angle; building one box holds as
+    much again. A block of solvers (at most ``MAX_BLOCK``) scores at most
+    ``CELL_BUDGET // A`` solver-columns, distinct Doppler-delay columns of
+    the A-angle windows, unless one solver alone has more. Per private bin
+    it gathers 16 B of ``h_ri`` at each solver-column and holds angle terms
+    of 16 B per solver and superset angle (the matmul) and 48 B per solver
+    and window angle (their take and the real matmul's rows). Each solver
+    holds at most 5 vectors of 16 B per virtual element per box: its picked
+    columns, the other boxes' columns, their orthonormal bases with QR's
+    copy of them, and its residuals. Each scored cell, a solver-column at a
+    window angle, takes 8 B of each box's penalty and 48 B of scores (the
+    last box's and the one being formed, 16 B each, and a projection's sum
+    and denominator), and each box keeps 16 B of cell indices per
+    solver-column.
     """
-    n_pairs = n_bins * (n_bins - 1) // 2
-    angles, cells = spec.angle.n_points, spec.doppler.n_points * spec.delay.n_points
+    angles, superset_angles = spec.angle.n_points, spec.angle.n_superset
+    cells = spec.doppler.n_points * spec.delay.n_points
     lattice = spec.doppler.n_superset * spec.delay.n_superset
-    tables = 16 * lattice * (2 * n_bins * n_boxes + n_pairs * (n_boxes + 2))
-    if n_boxes < 2:     # no sweep, so no projection
-        return tables
     solvers = min(n_solvers, MAX_BLOCK)
-    solver_columns = min(solvers * cells, max(CELL_BUDGET // angles, cells))
-    return tables + 16 * n_pairs * (solver_columns + 3 * solvers * (n_boxes - 1) * angles)
+    columns = min(solvers * cells, max(CELL_BUDGET // angles, cells))
+    per_bin = (lattice * (n_boxes + 1) + columns + solvers * (superset_angles + 3 * angles)
+               + n_rx * (2 * superset_angles * (n_boxes + 1) + 5 * n_boxes * solvers))
+    return 16 * n_bins * per_bin + columns * (angles * (8 * n_boxes + 48) + 16 * n_boxes)
 
 
 def _box_axes(cfg: SystemConfig, est) -> dict:

@@ -398,12 +398,17 @@ TWO_TARGETS = [{"angle_deg": 5.0, "range_m": 50.0, "velocity_mps": 10.0},
     # 2 targets: a 216 B record, 3 integer starts and 3 float point values each
     ("estimator.n_solvers", {"targets": TWO_TARGETS, "allocation": {"diagonal_private_bins": 0},
                              "estimator": {"n_solvers": 2048}}, 2048 * (216 + 2 * 6 * 8)),
-    # 2 private bins, 1 pair: 2 boxes of 41 x 41 superset Doppler-delay cells
-    # keep h, h_ri and hh_ri, and building the second holds 3 more pair
-    # tables; a block of 64 solvers gathers 7056 solver-columns (16 x 441
-    # cells of the 11-angle windows) and 3 arrays of 64 x 11 angle terms
-    ("allocation", {"experiment_kind": "ssr-angle", "targets": TWO_TARGETS},
-     16 * (41 * 41 * (2 * 2 * 2 + 1 * 4) + 1 * (7056 + 3 * 64 * 1 * 11))),
+    # 2 private bins of 8 Rx, 2 boxes of 41 x 41 superset Doppler-delay
+    # cells and 21 superset angles, 1 solver of 441 columns and 11 angles.
+    # Per bin, 16 B each: h_ri of both boxes and h while one is built, h_ri
+    # gathered at the solver's columns, angle terms of 21 + 3 x 11, and per
+    # Rx both boxes' spatial factors and their copies while one is built
+    # (2 x 21 x 3) and 5 vectors per box; per column, 8 B per box and 48 B
+    # of scores at each angle, and 16 B of cell indices per box
+    ("allocation", {"experiment_kind": "ssr-angle", "targets": TWO_TARGETS,
+                    "estimator": {"n_solvers": 1}},
+     16 * 2 * (41 * 41 * 3 + 441 + (21 + 3 * 11) + 8 * (2 * 21 * 3 + 5 * 2))
+     + 441 * (11 * (8 * 2 + 48) + 16 * 2)),
 ], ids=["grid-stack", "reduced-transforms", "angle-spectrum", "solver-records",
         "ssr-pair-tables"])
 def test_each_size_row_is_bounded_exactly(monkeypatch, field, overrides, array_bytes):

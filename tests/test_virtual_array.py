@@ -103,18 +103,18 @@ def group_of_cells(grid) -> np.ndarray:
     (4, 5, slice(None)),
     (4, 5, np.array([0, 2, 3])),
     (4, 1, slice(None)),
-    # a single private bin has no bin pairs: the projection has no cross terms
     (1, 3, np.array([1])),
     (1, 1, slice(None)),
     # diagonal private bins: cells along nu dt - tau df = const share a column
     ("diagonal", 5, np.array([0, 2, 3])),
 ])
 def test_window_kernels_match_direct_sums(n_bins, n_solvers, sel):
-    """The window scores against |C^H v|^2 and sum_j |C^H q_j|^2 with C built
+    """The window scores against |C^H v|^2, and the sweeps' projection, the
+    sum over j of the scores of q_j, against sum_j |C^H q_j|^2, with C built
     column by column from the grid's column builder, at every cell of every
     window through the cell's group, and the first greedy step's scores of
-    y against |C^H y|^2 over the squared penalty. Each result owns its
-    memory: a second call leaves the first one's scores as they were."""
+    y against |C^H y|^2 over the squared penalty. Scores own their memory:
+    later calls leave the first one's scores as they were."""
     cfg = small_cfg()
     dnu, dtau = cfg.doppler_spacing_hz, cfg.delay_spacing_s
     spec = NeighborhoodSpec(angle=AxisSpec(0.3, 0.02, 0.08),
@@ -155,11 +155,11 @@ def test_window_kernels_match_direct_sums(n_bins, n_solvers, sel):
     v = rng.standard_normal((len(rows), n_rows)) + 1j * rng.standard_normal((len(rows), n_rows))
     q = (rng.standard_normal((len(rows), n_rows, n_j))
          + 1j * rng.standard_normal((len(rows), n_rows, n_j)))
-    power, projection = win.power(v, sel), win.projection(q, sel)
-    kept = power.copy(), projection.copy()
-    win.power(2.0 * v, sel), win.projection(2.0 * q, sel)
-    np.testing.assert_array_equal(power, kept[0])
-    np.testing.assert_array_equal(projection, kept[1])
+    power = win.power(v, sel)
+    kept = power.copy()
+    projection = sum(win.power(q[:, :, j], sel) for j in range(n_j))
+    win.power(2.0 * v, sel)
+    np.testing.assert_array_equal(power, kept)
     assert power.shape == projection.shape == (len(rows), shape[0] * n_groups)
     for i, s in enumerate(rows):
         ia, iv, it = np.ix_(*(st + np.arange(n) for st, n in zip(starts[s], shape)))
@@ -321,6 +321,15 @@ def _ssr_case(centers_deg, target_deg, snr_db=15.0, seed=3, alloc=None):
     return snap, specs, cfg
 
 
+def scattered_bins(n_bins, cfg):
+    """``n_bins`` private bins at distinct random TF bins of ``cfg``'s grid,
+    dealt to its antennas in turn."""
+    flat = np.random.default_rng(0).choice(cfg.n_doppler * cfg.m_delay, size=n_bins,
+                                           replace=False)
+    return make_allocation(cfg.n_tx, [(k % cfg.n_tx, divmod(int(f), cfg.m_delay))
+                                      for k, f in enumerate(flat)])
+
+
 @pytest.mark.parametrize("case, kwargs", [
     ("three", {}),
     ("one", {}),
@@ -329,6 +338,7 @@ def _ssr_case(centers_deg, target_deg, snr_db=15.0, seed=3, alloc=None):
     # enough solvers for two blocks
     ("three", {"n_solvers": "block + 3"}),
     ("one-private-bin", {}),
+    ("twenty-scattered-bins", {}),
 ])
 def test_averaged_ssr_matches_serial_oracle(case, kwargs):
     snap, specs, cfg = {
@@ -338,10 +348,12 @@ def test_averaged_ssr_matches_serial_oracle(case, kwargs):
         # step ties across the boxes and must go to the lower index
         "identical": lambda: _ssr_case([12.0, 12.0], [10.0, 14.0],
                                        snr_db=None),
-        # no pair of private bins: the projection has no cross terms
         "one-private-bin": lambda: _ssr_case(
             [9.0, 15.0, 21.0], [10.0, 14.0, 20.0],
             alloc=make_allocation(4, [(0, (0, 0))])),
+        # 20 private bins, every window cell its own column
+        "twenty-scattered-bins": lambda: _ssr_case(
+            [9.0, 15.0, 21.0], [10.0, 14.0, 20.0], alloc=scattered_bins(20, small_cfg())),
     }[case]()
     if case == "identical":
         specs = [specs[0], specs[0]]
@@ -570,10 +582,13 @@ def test_each_group_scores_its_least_penalty_cell(alloc, tied):
     assert (ties > 0) == tied
 
 
+SSR_CLOSE_CFG = SystemConfig(n_doppler=64, m_delay=128, n_tx=4, n_rx=16)
+
+
 def ssr_close_case(alloc=None):
     """(snapshot, specs, cfg) of the shipped ssr_close_angles geometry: 64x128
     grid, 16 Rx, three targets 2 degrees apart and their default boxes."""
-    cfg = SystemConfig(n_doppler=64, m_delay=128, n_tx=4, n_rx=16)
+    cfg = SSR_CLOSE_CFG
     dnu, dtau = cfg.doppler_spacing_hz, cfg.delay_spacing_s
     targets = [Target(angle_rad=np.deg2rad(a), doppler_hz=(3.3 + 5 * k) * dnu,
                       delay_s=(4.6 + 7 * k) * dtau)
@@ -607,16 +622,21 @@ def test_averaged_ssr_peak_memory_in_the_ssr_close_geometry():
 
 
 @pytest.mark.parametrize("n_solvers", [1, 8, 64])
-def test_pair_table_bytes_bound_the_traced_peak(n_solvers):
-    """With 20 scattered private bins, 190 pairs, the Doppler-delay tables
-    hold most of an averaged_ssr call's memory in the ssr_close_angles
-    geometry, and validation's row for them is not below its traced peak
-    (27, 31 and 45 MiB against rows of 29, 39 and 60 MiB)."""
-    flat = np.random.default_rng(0).choice(64 * 128, size=20, replace=False)
-    alloc = make_allocation(4, [(k % 4, divmod(int(f), 128)) for k, f in enumerate(flat)])
-    snap, specs, cfg = ssr_close_case(alloc)
+def test_ssr_table_bytes_bound_the_traced_peak(n_solvers):
+    """Validation's row for an averaged_ssr call is not below the call's
+    traced peak with 20 scattered private bins in the ssr_close_angles
+    geometry (2.8, 6.6 and 10.9 MiB against rows of 3.4, 7.5 and 16.4 MiB)."""
+    snap, specs, cfg = ssr_close_case(scattered_bins(20, SSR_CLOSE_CFG))
     peak = traced_peak(lambda: averaged_ssr(snap, specs, cfg, n_solvers=n_solvers, seed=1))
-    assert peak <= virtual_array._pair_table_bytes(specs[0], 3, 20, n_solvers)
+    assert peak <= virtual_array._ssr_table_bytes(specs[0], 3, 20, cfg.n_rx, n_solvers)
+
+
+def test_80_scattered_bins_peak_under_64_mib():
+    """The scoring tables grow linearly with the private bins: 80 scattered
+    bins and 64 solvers in the ssr_close_angles geometry peak at 26.5 MiB."""
+    snap, specs, cfg = ssr_close_case(scattered_bins(80, SSR_CLOSE_CFG))
+    assert traced_peak(lambda: averaged_ssr(snap, specs, cfg, n_solvers=64, seed=1)) \
+        < 64 * 2 ** 20
 
 
 def test_small_windows_keep_the_block_and_its_memory_bounded():
